@@ -15,7 +15,6 @@ from .forward import (Equilibrium, MachineParams, forward_fixed_point,
 from .geometry import PlasmaDomain, find_axis, find_xpoint, make_plasma_domain
 from .inverse import (ReconstructionResult, ReconstructionSetup,
                       RegularizationConfig, reconstruct)
-from .kernels import NUMBA_ENABLED
 from .mesh import (Mesh, PointLocator, build_rect_mesh, load_mesh, save_mesh)
 from .observation import (MeasurementSet, load_measurements,
                           make_chord, save_measurements)
@@ -27,8 +26,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Equilibrium", "FluxContour", "GsReconError", "LCurveResult", "MU0",
-    "MachineParams", "MeasurementSet", "Mesh", "NUMBA_ENABLED",
-    "PlasmaDomain", "PointLocator", "ProfileExpansion",
+    "MachineParams", "MeasurementSet", "Mesh", "PlasmaDomain",
+    "PointLocator", "ProfileExpansion",
     "ReconstructionResult", "ReconstructionSetup", "RegularizationConfig",
     "ReplicateStats", "SplineBasis", "assemble_stiffness", "build_rect_mesh",
     "eval_basis", "eval_expansion", "extract_contour", "factorize",

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import BSpline
 
-from . import kernels
 from .errors import StateError
 
 
@@ -39,8 +38,11 @@ class SplineBasis:
 
     def eval_many(self, xs):
         """(len(xs), m) matrix of basis values; xs clamped to [0,1]."""
-        return kernels.bspline_batch(self.knots, self.degree, self.m,
-                                     np.atleast_1d(np.asarray(xs, float)))
+        x = np.clip(np.atleast_1d(np.asarray(xs, float)), 0.0, 1.0)
+        # the input is already inside the base interval, so the bounds
+        # check that extrapolate=False would add is skipped
+        return BSpline.design_matrix(x, self.knots, self.degree,
+                                     extrapolate=True).toarray()
 
     def eval(self, x):
         return self.eval_many([x])[0]

@@ -5,12 +5,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fem, kernels
+from . import fem
 from .basis import ProfileExpansion, SplineBasis
 from .errors import (ConvergenceError, DivergentLambdaError, EmptySourceError,
                      NoPlasmaError)
 from .geometry import make_plasma_domain, quadrature_points
-from .mesh import Mesh, PointLocator, point_in_polygon
+from .mesh import interpolation_matrix, point_in_polygon
 
 
 @dataclass
@@ -41,20 +41,25 @@ class Equilibrium:
 
 class SourceQuadrature:
     """Precomputed mid-edge quadrature over the mesh, plus the normalized
-    flux and mask evaluation for the current iterate."""
+    flux and mask evaluation for the current iterate.
+
+    ``P`` is the sparse (Q, n) barycentric interpolation matrix from nodal
+    values to the quadrature points; its transpose scatters quadrature
+    contributions back onto the nodes.
+    """
 
     def __init__(self, mesh):
         self.mesh = mesh
         (self.qp_nodes, self.qp_bary, self.qp_w,
          self.qp_r, self.qp_z) = quadrature_points(mesh)
-        self._limiter_poly = mesh.limiter
+        self.P = interpolation_matrix(self.qp_nodes, self.qp_bary,
+                                      mesh.n_nodes)
         pts = np.column_stack([self.qp_r, self.qp_z])
-        self._inside_limiter = point_in_polygon(pts, self._limiter_poly)
+        self._inside_limiter = point_in_polygon(pts, mesh.limiter)
 
     def psibar_qp(self, psibar_nodal):
         """Normalized flux at the quadrature points (P1 interpolation)."""
-        vals = psibar_nodal[self.qp_nodes]
-        return np.einsum("qa,qa->q", self.qp_bary, vals)
+        return self.P @ psibar_nodal
 
     def bootstrap_psibar_qp(self):
         """Cold-start surrogate: psibar 0 inside the limiter contour, 2
@@ -98,23 +103,30 @@ def assemble_source_vector(squad, psibar_qp, a_vals, b_vals, lam, r0,
     mask = psibar_qp <= 1.0
     if not np.any(mask):
         raise EmptySourceError("plasma region contains no quadrature point")
-    w = squad.qp_w[mask]
-    r = squad.qp_r[mask]
-    dens = lam * (r / r0 * a_vals[mask] + r0 / r * b_vals[mask]) * w
-    y = np.zeros(squad.mesh.n_nodes)
-    contrib = squad.qp_bary[mask] * dens[:, None]
-    np.add.at(y, squad.qp_nodes[mask].ravel(), contrib.ravel())
+    w, r = squad.qp_w, squad.qp_r
+    dens = np.zeros(len(w))
+    dens[mask] = lam * (r[mask] / r0 * a_vals[mask]
+                        + r0 / r[mask] * b_vals[mask]) * w[mask]
+    y = squad.P.T @ dens
     y[dirichlet_rows] = 0.0
     return y
 
 
 def assemble_source_matrix(squad, psibar_qp, basis, lam, r0, dirichlet_rows):
-    """n x 2m matrix mapping profile coefficients to the load vector."""
-    if not np.any(psibar_qp <= 1.0):
+    """n x 2m matrix mapping profile coefficients to the load vector.
+
+    Entry (i, j) is lam times the plasma-region quadrature sum of
+    (r/r0) phi_j(psibar) v_i, and entry (i, m + j) the same with r0/r.
+    """
+    mask = psibar_qp <= 1.0
+    if not np.any(mask):
         raise EmptySourceError("plasma region contains no quadrature point")
-    Y = kernels.assemble_source_matrix_kernel(
-        squad.qp_nodes, squad.qp_bary, squad.qp_w, squad.qp_r, psibar_qp,
-        basis.knots, basis.degree, basis.m, r0, squad.mesh.n_nodes)
+    w, r = squad.qp_w[mask], squad.qp_r[mask]
+    phi = basis.eval_many(psibar_qp[mask])
+    F = np.zeros((len(psibar_qp), 2 * basis.m))
+    F[mask, :basis.m] = (w * r / r0)[:, None] * phi
+    F[mask, basis.m:] = (w * r0 / r)[:, None] * phi
+    Y = squad.P.T @ F
     Y *= lam
     Y[dirichlet_rows, :] = 0.0
     return Y
@@ -154,7 +166,6 @@ def forward_fixed_point(mesh, machine, a_func, b_func, g_d, tol=1e-6,
                                  mesh.boundary)
     fact = fem.factorize(stiff)
     squad = SourceQuadrature(mesh)
-    locator = PointLocator(mesh)
     g = dirichlet_vector(mesh, g_d)
 
     def picard_map(pq):
@@ -184,8 +195,7 @@ def forward_fixed_point(mesh, machine, a_func, b_func, g_d, tol=1e-6,
     om = omega
     r_prev = None
     for it in range(max_iter):
-        domain = make_plasma_domain(mesh, psi, locator,
-                                    detect_xpoint=detect_xpoint)
+        domain = make_plasma_domain(mesh, psi, detect_xpoint=detect_xpoint)
         pq = squad.psibar_qp(domain.normalize(psi))
         psi_new, lam = picard_map(pq)
         r = psi_new - psi
@@ -207,8 +217,7 @@ def forward_fixed_point(mesh, machine, a_func, b_func, g_d, tol=1e-6,
             psi = psi + om * r
             r_prev = r
         if res <= tol:
-            domain = make_plasma_domain(mesh, psi, locator,
-                                        detect_xpoint=detect_xpoint)
+            domain = make_plasma_domain(mesh, psi, detect_xpoint=detect_xpoint)
             if basis is None:
                 basis = SplineBasis()
             xs = np.linspace(0.0, 1.0, 201)

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePlasmaError, NoPlasmaError
-from .mesh import PointLocator, interpolate
 
 # mid-edge quadrature: degree-2 exact and resolves the plasma boundary
 # below element size when combined with the pointwise mask
@@ -98,32 +97,37 @@ def find_axis(mesh, psi):
     return best
 
 
-def _ordered_ring(mesh, node):
-    nbs = mesh.node_neighbors()[node]
-    d = mesh.nodes[nbs] - mesh.nodes[node]
-    order = np.argsort(np.arctan2(d[:, 1], d[:, 0]))
-    return nbs[order]
+def saddle_candidates(mesh, psi, scale):
+    """Interior nodes around whose ordered ring the sign of (psi_neighbor -
+    psi_node) alternates at least four times, ignoring differences below
+    1e-14 * scale."""
+    interior = mesh.interior_nodes()
+    rings = mesh.ordered_rings()
+    diff = psi[rings] - psi[interior][:, None]
+    keep = (rings >= 0) & (np.abs(diff) > 1e-14 * scale)
+    signs = np.where(keep, np.sign(diff), 0.0)
+    # cyclic sign changes among the kept entries of each ring: compare
+    # every kept sign with the last kept sign before it, and the first
+    # kept sign with the last one
+    cols = np.arange(rings.shape[1])
+    last = np.maximum.accumulate(np.where(keep, cols, 0), axis=1)
+    prev = np.take_along_axis(signs, last, axis=1)
+    changes = np.sum(signs[:, 1:] * prev[:, :-1] < 0, axis=1)
+    first = np.take_along_axis(signs, np.argmax(keep, axis=1)[:, None], 1)
+    changes += first[:, 0] * prev[:, -1] < 0
+    return interior[(keep.sum(axis=1) >= 4) & (changes >= 4)]
 
 
 def find_xpoint(mesh, psi):
     """Saddle of the flux map, or None.
 
-    A node is a discrete saddle candidate when the sign of (psi_neighbor -
-    psi_node) alternates at least four times around its ordered ring; the
-    location is then refined with the local quadratic fit.
+    Each discrete saddle candidate (see :func:`saddle_candidates`) is
+    refined with the local quadratic fit.
     """
     psi = np.asarray(psi, dtype=np.float64)
     scale = np.abs(psi).max() or 1.0
     candidates = []
-    for node in mesh.interior_nodes():
-        ring = _ordered_ring(mesh, int(node))
-        diff = psi[ring] - psi[node]
-        signs = np.sign(diff[np.abs(diff) > 1e-14 * scale])
-        if len(signs) < 4:
-            continue
-        changes = int(np.sum(signs != np.roll(signs, 1)))
-        if changes < 4:
-            continue
+    for node in saddle_candidates(mesh, psi, scale):
         coef = _quadratic_fit(mesh, psi, int(node))
         if coef is None:
             continue
@@ -132,7 +136,8 @@ def find_xpoint(mesh, psi):
         if dx is None or det >= -1e-12 * scale ** 2:
             continue
         radius = np.linalg.norm(
-            mesh.nodes[ring] - mesh.nodes[node], axis=1).max()
+            mesh.nodes[mesh.node_neighbors()[node]] - mesh.nodes[node],
+            axis=1).max()
         if np.linalg.norm(dx) > 1.5 * radius:
             continue
         pos = mesh.nodes[node] + dx
@@ -142,7 +147,7 @@ def find_xpoint(mesh, psi):
     return max(candidates, key=lambda c: c[1])
 
 
-def boundary_flux(mesh, psi, limiter=None, xpoint=None, locator=None):
+def boundary_flux(mesh, psi, xpoint=None):
     """Boundary flux value and configuration mode.
 
     psi_b is the limiter maximum unless an X-point carries a larger flux
@@ -150,11 +155,7 @@ def boundary_flux(mesh, psi, limiter=None, xpoint=None, locator=None):
     X-point.
     """
     psi = np.asarray(psi, dtype=np.float64)
-    if limiter is None:
-        limiter = mesh.limiter
-    if locator is None:
-        locator = PointLocator(mesh)
-    psi_lim = max(interpolate(mesh, psi, p, locator) for p in limiter)
+    psi_lim = float((mesh.limiter_matrix() @ psi).max())
     mode, psi_b = "limiter", psi_lim
     if xpoint is not None:
         xpos, psi_x = xpoint
@@ -163,12 +164,12 @@ def boundary_flux(mesh, psi, limiter=None, xpoint=None, locator=None):
     return psi_b, mode
 
 
-def make_plasma_domain(mesh, psi, locator=None, detect_xpoint=True):
+def make_plasma_domain(mesh, psi, detect_xpoint=True):
     axis, psi_a = find_axis(mesh, psi)
     xp = find_xpoint(mesh, psi) if detect_xpoint else None
     if xp is not None and xp[1] >= psi_a:
         xp = None
-    psi_b, mode = boundary_flux(mesh, psi, xpoint=xp, locator=locator)
+    psi_b, mode = boundary_flux(mesh, psi, xpoint=xp)
     if psi_b == psi_a:
         raise DegeneratePlasmaError("boundary flux equals axis flux")
     return PlasmaDomain(psi_a, psi_b, axis,

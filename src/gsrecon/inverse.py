@@ -14,7 +14,7 @@ from .forward import (SourceQuadrature, assemble_source_matrix,
                       current_density_integral, dirichlet_vector,
                       lambda_from_integral)
 from .geometry import make_plasma_domain
-from .mesh import PointLocator, point_in_polygon
+from .mesh import point_in_polygon
 from .observation import (build_chord_geometries, build_interferometry_matrix,
                           build_neumann_observer, build_polarimetry_observer,
                           default_weights)
@@ -110,11 +110,9 @@ class ReconstructionSetup:
                                      mesh.boundary)
         self.fact = fem.factorize(stiff)
         self.squad = SourceQuadrature(mesh)
-        self.locator = PointLocator(mesh)
         self.c0, self.gn_points = build_neumann_observer(mesh, mk_indices)
         self.chord_geoms = build_chord_geometries(mesh, chords,
-                                                  step=chord_step,
-                                                  locator=self.locator)
+                                                  step=chord_step)
         self.lam_block = regularization_matrix(self.basis)
         self.lam_full = full_regularization_matrix(self.basis)
         m = self.basis.m
@@ -176,8 +174,7 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
     r_prev = None
     for it in range(1, max_iter + 1):
         try:
-            domain = make_plasma_domain(mesh, psi, setup.locator,
-                                        detect_xpoint=detect_xpoint)
+            domain = make_plasma_domain(mesh, psi, detect_xpoint=detect_xpoint)
             psibar_nodal = domain.normalize(psi)
         except NoPlasmaError as exc:
             if it > 1:
@@ -212,7 +209,7 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
             ne_exp = ProfileExpansion(basis, np.zeros(basis.m),
                                       np.zeros(basis.m), ne_coeffs)
             c1 = build_polarimetry_observer(setup.chord_geoms, ne_exp,
-                                            psibar_nodal, mesh)
+                                            psibar_nodal)
             C = sp.vstack([setup.c0, c1]).tocsr()
             d = np.concatenate([ms.g_n, ms.alpha])
             w_vec = np.concatenate([w_vec_mag,
@@ -257,8 +254,7 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
     costs = {}
     if error is None and domain is not None:
         try:
-            domain = make_plasma_domain(mesh, psi, setup.locator,
-                                        detect_xpoint=detect_xpoint)
+            domain = make_plasma_domain(mesh, psi, detect_xpoint=detect_xpoint)
             psibar_nodal = domain.normalize(psi)
             costs = _cost_breakdown(setup, ms, weights, reg, psi,
                                     psibar_nodal, u, ne_coeffs, use_internal)
@@ -281,7 +277,7 @@ def _cost_breakdown(setup, ms, weights, reg, psi, psibar_nodal, u, ne_coeffs,
         ne_exp = ProfileExpansion(basis, np.zeros(basis.m), np.zeros(basis.m),
                                   ne_coeffs)
         c1 = build_polarimetry_observer(setup.chord_geoms, ne_exp,
-                                        psibar_nodal, setup.mesh)
+                                        psibar_nodal)
         j1 = 0.5 * float(np.sum(
             (weights.w_polar * (c1 @ psi - ms.alpha)) ** 2))
         b_int = build_interferometry_matrix(setup.chord_geoms, basis,

@@ -10,6 +10,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import MeshParseError, MeshValidationError, OutsideDomainError
 
@@ -97,16 +98,55 @@ class Mesh:
             self._cache["interior"] = np.nonzero(mask)[0]
         return self._cache["interior"]
 
+    def _edges(self):
+        """Directed edges (node, neighbor), each once, sorted by node then
+        neighbor."""
+        if "edges" not in self._cache:
+            t = self.triangles
+            src = t[:, [0, 0, 1, 1, 2, 2]].ravel()
+            dst = t[:, [1, 2, 0, 2, 0, 1]].ravel()
+            key = np.unique(src * self.n_nodes + dst)
+            self._cache["edges"] = (key // self.n_nodes, key % self.n_nodes)
+        return self._cache["edges"]
+
     def node_neighbors(self):
-        """Adjacency list: for each node, the set of edge-connected nodes."""
+        """Adjacency list: for each node, the sorted edge-connected nodes."""
         if "neighbors" not in self._cache:
-            nb = [set() for _ in range(self.n_nodes)]
-            for i, j, k in self.triangles:
-                nb[i].update((j, k))
-                nb[j].update((i, k))
-                nb[k].update((i, j))
-            self._cache["neighbors"] = [np.array(sorted(s)) for s in nb]
+            src, dst = self._edges()
+            cuts = np.searchsorted(src, np.arange(1, self.n_nodes))
+            self._cache["neighbors"] = np.split(dst, cuts)
         return self._cache["neighbors"]
+
+    def ordered_rings(self):
+        """Neighbors of each interior node ordered by angle around it.
+
+        Row k belongs to ``interior_nodes()[k]``; rows are padded with -1
+        up to the largest degree.
+        """
+        if "rings" not in self._cache:
+            src, dst = self._edges()
+            d = self.nodes[dst] - self.nodes[src]
+            order = np.lexsort((np.arctan2(d[:, 1], d[:, 0]), src))
+            src, dst = src[order], dst[order]
+            first = np.searchsorted(src, src)
+            slot = np.arange(len(src)) - first
+            rings = np.full((self.n_nodes, slot.max(initial=0) + 1), -1,
+                            dtype=np.int64)
+            rings[src, slot] = dst
+            self._cache["rings"] = rings[self.interior_nodes()]
+        return self._cache["rings"]
+
+    def limiter_matrix(self):
+        """Sparse (L, n) P1 interpolation of nodal fields at the limiter
+        points."""
+        if "limiter_matrix" not in self._cache:
+            locator = PointLocator(self)
+            hits = [locator.locate(p) for p in self.limiter]
+            tri = np.array([t for t, _ in hits], dtype=np.int64)
+            bary = np.array([b for _, b in hits]).reshape(-1, 3)
+            self._cache["limiter_matrix"] = interpolation_matrix(
+                self.triangles[tri], bary, self.n_nodes)
+        return self._cache["limiter_matrix"]
 
     def node_triangles(self):
         """For each node, indices of incident triangles."""
@@ -193,9 +233,22 @@ def _point_in_polygon(p, poly, include_edge=False, tol=1e-12):
 
 
 def point_in_polygon(points, poly):
-    """Vectorized containment of many points in a closed polygon."""
+    """Vectorized containment of many points in a closed polygon (the
+    ray-crossing test of :func:`_point_in_polygon`, one edge at a time)."""
     points = np.atleast_2d(points)
-    return np.array([_point_in_polygon(p, poly) for p in points])
+    x, y = points[:, 0], points[:, 1]
+    inside = np.zeros(len(points), dtype=bool)
+    j = len(poly) - 1
+    # horizontal edges divide by zero but never cross the ray: masked out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(len(poly)):
+            xi, yi = poly[i]
+            xj, yj = poly[j]
+            crosses = (yi > y) != (yj > y)
+            xcross = xi + (y - yi) * (xj - xi) / (yj - yi)
+            inside ^= crosses & (x < xcross)
+            j = i
+    return inside
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +453,15 @@ class PointLocator:
             return self.locate(point)
         except OutsideDomainError:
             return None
+
+
+def interpolation_matrix(tri_nodes, bary, n_nodes):
+    """Sparse (Q, n) matrix of P1 interpolation at Q points, given the
+    vertices (Q, 3) of each point's triangle and its barycentric
+    coordinates (Q, 3).  Entries keep the vertex order within a row."""
+    q = len(tri_nodes)
+    return sp.csr_matrix((np.ravel(bary), np.ravel(tri_nodes),
+                          np.arange(0, 3 * q + 1, 3)), shape=(q, n_nodes))
 
 
 def interpolate(mesh, values, point, locator=None):

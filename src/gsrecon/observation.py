@@ -10,7 +10,7 @@ import scipy.sparse as sp
 
 from .errors import MeshParseError, StateError
 from .fem import MU0
-from .mesh import PointLocator
+from .mesh import PointLocator, interpolation_matrix
 
 
 @dataclass
@@ -101,12 +101,64 @@ class ChordGeometry:
         return np.einsum("qa,qa->q", self.bary, nodal[self.nodes])
 
 
-def build_chord_geometries(mesh, chords, step=None, locator=None):
+class ChordSet:
+    """Chord geometries of one measurement configuration, with the sparse
+    operators built once over all their quadrature points (stacked chord
+    after chord):
+
+    S : (Q, n) P1 interpolation of nodal fields at the points
+    D : (Q, n) chord-normal derivative of nodal fields at the points
+    R : (N_c, Q) sum over the points of each chord
+    w, r : (Q,) quadrature weights and radii of the points
+
+    Iterating, indexing and ``len`` act on the :class:`ChordGeometry` list.
+    """
+
+    def __init__(self, mesh, geoms):
+        self.geoms = list(geoms)
+
+        def stack(attr, empty):
+            return np.concatenate([empty] + [getattr(g, attr)
+                                             for g in self.geoms])
+
+        tri = stack("tri", np.empty(0, np.int64))
+        self.w = stack("w", np.empty(0))
+        self.r = stack("r", np.empty(0))
+        counts = [len(g.inside) for g in self.geoms]
+        normals = np.repeat(np.reshape([g.chord.normal for g in self.geoms],
+                                       (-1, 2)), counts, axis=0)
+        nodes = mesh.triangles[tri]
+        self.S = interpolation_matrix(nodes, stack("bary", np.empty((0, 3))),
+                                      mesh.n_nodes)
+        grads = mesh.grads()[tri]                                # (Q, 2, 3)
+        dn = (normals[:, 0, None] * grads[:, 0]
+              + normals[:, 1, None] * grads[:, 1])
+        self.D = interpolation_matrix(nodes, dn, mesh.n_nodes)
+        q = len(tri)
+        self.R = sp.csr_matrix((np.ones(q), np.arange(q),
+                                np.concatenate([[0], np.cumsum(counts)])),
+                               shape=(len(self.geoms), q))
+
+    def __len__(self):
+        return len(self.geoms)
+
+    def __iter__(self):
+        return iter(self.geoms)
+
+    def __getitem__(self, k):
+        return self.geoms[k]
+
+    def plasma_points(self, psibar_nodal):
+        """Normalized flux at the points and the mask psibar <= 1."""
+        pb = self.S @ np.asarray(psibar_nodal, dtype=np.float64)
+        return pb, pb <= 1.0
+
+
+def build_chord_geometries(mesh, chords, step=None):
     if step is None:
         # half the typical edge length resolves the plasma cutoff
         step = 0.5 * np.sqrt(2.0 * mesh.area() / len(mesh.triangles))
-    if locator is None:
-        locator = PointLocator(mesh)
+    locator = PointLocator(mesh)
     geoms = []
     for c in chords:
         if isinstance(c, Chord):
@@ -116,7 +168,7 @@ def build_chord_geometries(mesh, chords, step=None, locator=None):
         else:
             chord = make_chord(c[0], c[1], step)
         geoms.append(ChordGeometry(mesh, chord, locator))
-    return geoms
+    return ChordSet(mesh, geoms)
 
 
 # ---------------------------------------------------------------------------
@@ -161,52 +213,26 @@ def build_neumann_observer(mesh, mk_indices=None):
     return C0, points
 
 
-def build_interferometry_matrix(geoms, basis, psibar_nodal):
+def build_interferometry_matrix(chords, basis, psibar_nodal):
     """N_c x m matrix: row i gives the chord integral of each basis function
     of the normalized flux, restricted to the plasma region."""
-    psibar_nodal = np.asarray(psibar_nodal, dtype=np.float64)
-    out = np.zeros((len(geoms), basis.m))
-    for i, geom in enumerate(geoms):
-        if len(geom.inside) == 0:
-            continue
-        pb = geom.values_at_points(psibar_nodal)
-        mask = pb <= 1.0
-        if not np.any(mask):
-            continue
-        phi = basis.eval_many(pb[mask])
-        out[i] = (geom.w[mask][:, None] * phi).sum(axis=0)
-    return out
+    pb, mask = chords.plasma_points(psibar_nodal)
+    F = np.zeros((len(pb), basis.m))
+    F[mask] = chords.w[mask, None] * basis.eval_many(pb[mask])
+    return chords.R @ F
 
 
-def build_polarimetry_observer(geoms, ne_expansion, psibar_nodal, mesh):
+def build_polarimetry_observer(chords, ne_expansion, psibar_nodal):
     """Sparse N_c x n matrix: row k maps nodal psi to the chord integral of
     n_e(psibar)/r times the chord-normal derivative of psi."""
     if ne_expansion is None:
         raise StateError("polarimetry requires identified n_e coefficients")
-    psibar_nodal = np.asarray(psibar_nodal, dtype=np.float64)
-    grads = mesh.grads()
-    rows, cols, vals = [], [], []
-    for k, geom in enumerate(geoms):
-        if len(geom.inside) == 0:
-            continue
-        pb = geom.values_at_points(psibar_nodal)
-        mask = pb <= 1.0
-        if not np.any(mask):
-            continue
-        ne_vals = ne_expansion.basis.eval_many(pb[mask]) @ ne_expansion.coeffs("ne")
-        normal = geom.chord.normal
-        coef = geom.w[mask] * ne_vals / geom.r[mask]
-        acc = {}
-        for q, t in enumerate(geom.tri[mask]):
-            row = coef[q] * (normal @ grads[t])
-            for a, nid in enumerate(geom.nodes[mask][q]):
-                acc[nid] = acc.get(nid, 0.0) + row[a]
-        for nid, v in acc.items():
-            rows.append(k)
-            cols.append(nid)
-            vals.append(v)
-    return sp.coo_matrix((vals, (rows, cols)),
-                         shape=(len(geoms), mesh.n_nodes)).tocsr()
+    pb, mask = chords.plasma_points(psibar_nodal)
+    ne_vals = (ne_expansion.basis.eval_many(pb[mask])
+               @ ne_expansion.coeffs("ne"))
+    coef = np.zeros(len(pb))
+    coef[mask] = chords.w[mask] * ne_vals / chords.r[mask]
+    return (chords.R @ sp.diags(coef) @ chords.D).tocsr()
 
 
 # ---------------------------------------------------------------------------

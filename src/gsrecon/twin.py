@@ -31,8 +31,7 @@ def synthesize_measurements(setup, eq, ne_coeffs=None):
         gamma = b_int @ ne_coeffs
         ne_exp = ProfileExpansion(setup.basis, np.zeros(setup.basis.m),
                                   np.zeros(setup.basis.m), ne_coeffs)
-        c1 = build_polarimetry_observer(setup.chord_geoms, ne_exp, psibar,
-                                        mesh)
+        c1 = build_polarimetry_observer(setup.chord_geoms, ne_exp, psibar)
         alpha = c1 @ eq.psi
     else:
         gamma = np.zeros(n_c)

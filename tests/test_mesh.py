@@ -58,6 +58,29 @@ def test_point_in_polygon_square():
     assert inside.tolist() == [True, False, False]
 
 
+def test_point_in_polygon_matches_scalar_test(twin_mesh):
+    from gsrecon.geometry import quadrature_points
+    from gsrecon.mesh import _point_in_polygon
+    rng = np.random.default_rng(7)
+    t = np.linspace(0.0, 2.0 * np.pi, 320, endpoint=False)
+    polygons = [
+        twin_mesh.limiter,                                   # 4 vertices
+        np.array([[2.1, -1.0], [2.9, -0.9], [2.8, 0.2], [2.5, 1.1],
+                  [2.2, 0.4]]),                              # 5 vertices
+        np.column_stack([2.5 + 0.4 * np.cos(t) * (1 + 0.2 * np.sin(3 * t)),
+                         0.9 * np.sin(t)]),                  # 320 vertices
+    ]
+    _, _, _, qr, qz = quadrature_points(twin_mesh)
+    point_sets = [np.column_stack([qr, qz]),
+                  twin_mesh.nodes,    # includes nodes on the limiter edges
+                  rng.uniform([1.9, -1.3], [3.1, 1.3], size=(500, 2))]
+    for poly in polygons:
+        for pts in point_sets:
+            expected = [_point_in_polygon(p, poly) for p in pts]
+            np.testing.assert_array_equal(point_in_polygon(pts, poly),
+                                          expected)
+
+
 _AFFINE_MESH = build_rect_mesh(**RECT, nr=8, nz=8)
 _AFFINE_LOC = PointLocator(_AFFINE_MESH)
 _AFFINE_FIELD = (2.0 * _AFFINE_MESH.nodes[:, 0]

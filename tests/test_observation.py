@@ -97,7 +97,7 @@ def test_polarimetry_vanishes_for_constant_flux(mesh):
     geoms = build_chord_geometries(mesh, [(2.0, -0.2, 3.0, 0.2)], step=0.01)
     ne = ProfileExpansion(basis, np.zeros(basis.m), np.zeros(basis.m),
                           basis.fit(np.linspace(0, 1, 101), np.ones(101)))
-    C1 = build_polarimetry_observer(geoms, ne, _psibar(mesh), mesh)
+    C1 = build_polarimetry_observer(geoms, ne, _psibar(mesh))
     vals = C1 @ np.full(mesh.n_nodes, 3.3)
     assert np.abs(vals).max() < 1e-12
 
@@ -111,8 +111,8 @@ def test_polarimetry_linear_in_density(mesh):
     ne1 = ProfileExpansion(basis, zero, zero, c)
     ne2 = ProfileExpansion(basis, zero, zero, 2.0 * c)
     psi = mesh.nodes[:, 0] + 0.5 * mesh.nodes[:, 1]
-    v1 = build_polarimetry_observer(geoms, ne1, pb, mesh) @ psi
-    v2 = build_polarimetry_observer(geoms, ne2, pb, mesh) @ psi
+    v1 = build_polarimetry_observer(geoms, ne1, pb) @ psi
+    v2 = build_polarimetry_observer(geoms, ne2, pb) @ psi
     np.testing.assert_allclose(v2, 2.0 * v1, rtol=1e-12)
 
 
