@@ -5,9 +5,10 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import DegeneratePlasmaError, NonPhysicalProfileError, OpenContourError
-from .mesh import _point_in_polygon
 
 
 @dataclass
@@ -23,6 +24,72 @@ class FluxContour:
         return float(self.seg_len.sum())
 
 
+def _closed_contours(mesh, psibar, levels, axis):
+    """Segments of the closed contour around the axis at all levels at once.
+
+    A crossed edge is interpolated from its lower node, so both its
+    triangles share the point; a crossed triangle joins its two crossed
+    edges by a segment.  The joined groups are paths (one key more than
+    segments) or cycles; a level's contour is the cycle around the axis by
+    ray-crossing parity, of several the one with the smallest triangle.
+    Returns the levels (raised by 1e-11 within 1e-14 of a nodal value),
+    whether each has a contour, and for the contours' segments, sorted by
+    level then triangle: level index, triangle, (S, 2) crossed sides in the
+    triangle's order and their (S, 2, 2) points.
+    """
+    psibar = np.asarray(psibar, dtype=np.float64)
+    levels = np.array(levels, dtype=np.float64)
+    nodal = np.sort(psibar)
+    i = np.clip(np.searchsorted(nodal, levels), 1, len(nodal) - 1)
+    levels[np.minimum(np.abs(nodal[i - 1] - levels),
+                      np.abs(nodal[i] - levels)) < 1e-14] += 1e-11
+
+    edges, tri_edges = mesh.edge_index()
+    neg = psibar < levels[:, None]
+    crossed = neg[:, edges[:, 0]] != neg[:, edges[:, 1]]
+    key_level, key_edge = np.nonzero(crossed)
+    na, nb = edges[key_edge, 0], edges[key_edge, 1]
+    va = psibar[na] - levels[key_level]
+    s = va / (va - (psibar[nb] - levels[key_level]))
+    key_pts = mesh.nodes[na] + s[:, None] * (mesh.nodes[nb] - mesh.nodes[na])
+
+    seg_level, seg_tri = np.nonzero(crossed[:, tri_edges].any(axis=2))
+    sides = tri_edges[seg_tri]
+    seg_edges = sides[crossed[seg_level[:, None], sides]].reshape(-1, 2)
+    seg_keys = np.searchsorted(key_level * len(edges) + key_edge,
+                               seg_level[:, None] * len(edges) + seg_edges)
+    n_keys = len(key_level)
+    n_groups, group = connected_components(sp.coo_matrix(
+        (np.ones(len(seg_keys)), (seg_keys[:, 0], seg_keys[:, 1])),
+        shape=(n_keys, n_keys)), directed=False)
+    seg_group = group[seg_keys[:, 0]]
+    closed = (np.bincount(group, minlength=n_groups)
+              == np.bincount(seg_group, minlength=n_groups))
+    pa, pb = key_pts[seg_keys[:, 0]], key_pts[seg_keys[:, 1]]
+    x, y = axis
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xcross = pa[:, 0] + (y - pa[:, 1]) * (pb[:, 0] - pa[:, 0]) \
+            / (pb[:, 1] - pa[:, 1])
+    crosses = ((pa[:, 1] > y) != (pb[:, 1] > y)) & (x < xcross)
+    odd = np.bincount(seg_group, weights=crosses, minlength=n_groups) % 2 == 1
+
+    # every group has segments; its first one holds its smallest triangle
+    _, first = np.unique(seg_group, return_index=True)
+    cand = np.sort(first[closed & odd])
+    cand = cand[np.unique(seg_level[cand], return_index=True)[1]]
+    on = np.isin(seg_group, seg_group[cand])
+    return (levels, np.isin(np.arange(len(levels)), seg_level[cand]),
+            seg_level[on], seg_tri[on], seg_edges[on],
+            np.stack([pa[on], pb[on]], axis=1))
+
+
+def _grad_norm(mesh, field):
+    """|grad field| of a nodal field on every triangle."""
+    field = np.asarray(field, dtype=np.float64)
+    g = np.einsum("tij,tj->ti", mesh.grads(), field[mesh.triangles])
+    return np.hypot(g[:, 0], g[:, 1])
+
+
 def extract_contour(mesh, psibar, level, axis, psi=None, scale=None):
     """Closed level-set polyline of the normalized flux enclosing the axis.
 
@@ -32,100 +99,31 @@ def extract_contour(mesh, psibar, level, axis, psi=None, scale=None):
     """
     if not (0 < level < 1):
         raise ValueError("contour level must lie strictly inside (0, 1)")
-    psibar = np.asarray(psibar, dtype=np.float64)
-    v = psibar[mesh.triangles] - level
-    if np.any(np.abs(v) < 1e-14):
-        level = level + 1e-11
-        v = psibar[mesh.triangles] - level
-
-    neg = v < 0
-    crossing = neg.sum(axis=1) % 3 != 0      # exactly 1 or 2 vertices below
-    tri_ids = np.nonzero(crossing)[0]
-    if len(tri_ids) == 0:
-        raise OpenContourError(f"no crossings for level {level:g}")
-
-    edge_pts = {}
-    segments = []
-    for t in tri_ids:
-        tri = mesh.triangles[t]
-        keys = []
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            if neg[t, a] != neg[t, b]:
-                na, nb = int(tri[a]), int(tri[b])
-                key = (na, nb) if na < nb else (nb, na)
-                if key not in edge_pts:
-                    s = v[t, a] / (v[t, a] - v[t, b])
-                    edge_pts[key] = mesh.nodes[tri[a]] + s * (
-                        mesh.nodes[tri[b]] - mesh.nodes[tri[a]])
-                keys.append(key)
-        if len(keys) == 2:
-            segments.append((keys[0], keys[1], int(t)))
-
-    adj = {}
-    for si, (ka, kb, _) in enumerate(segments):
-        adj.setdefault(ka, []).append(si)
-        adj.setdefault(kb, []).append(si)
-
-    used = [False] * len(segments)
-    loops = []
-    for start in range(len(segments)):
-        if used[start]:
-            continue
-        chain_keys = [segments[start][0], segments[start][1]]
-        chain_tris = [segments[start][2]]
-        used[start] = True
-        closed = False
-        while True:
-            tail = chain_keys[-1]
-            nxt = [s for s in adj.get(tail, []) if not used[s]]
-            if not nxt:
-                break
-            si = nxt[0]
-            ka, kb, tt = segments[si]
-            used[si] = True
-            chain_keys.append(kb if ka == tail else ka)
-            chain_tris.append(tt)
-            if chain_keys[-1] == chain_keys[0]:
-                closed = True
-                break
-        if closed:
-            loops.append((chain_keys[:-1], chain_tris))
-
-    axis_pt = np.asarray(axis, dtype=np.float64)
-    chosen = None
-    for keys, tris in loops:
-        poly = np.array([edge_pts[k] for k in keys])
-        if _point_in_polygon(axis_pt, poly):
-            chosen = (poly, tris)
-            break
-    if chosen is None:
+    if psi is None and scale is None:
+        raise ValueError("pass psi or scale for the poloidal field")
+    (level,), found, _, tris, ends, pts = _closed_contours(
+        mesh, psibar, [level], axis)
+    if not found[0]:
         raise OpenContourError(
             f"level {level:g} has no closed contour around the axis")
-
-    poly, tris = chosen
-    pts = np.vstack([poly, poly[:1]])
+    # walk the cycle from its smallest triangle, leaving by its second
+    # side; an edge is on two segments, so the next is their index sum
+    # minus the current one
+    at = {}
+    for i, e in enumerate(ends.ravel()):
+        at[e] = at.get(e, 0) + i // 2
+    order, side = [0], [1]
+    for _ in range(len(tris) - 1):
+        edge = ends[order[-1], side[-1]]
+        order.append(at[edge] - order[-1])
+        side.append(int(ends[order[-1], 0] == edge))
+    pts = np.vstack([pts[0, :1], pts[order, side]])
     d = np.diff(pts, axis=0)
-    seg_len = np.hypot(d[:, 0], d[:, 1])
     seg_mid = 0.5 * (pts[:-1] + pts[1:])
-
-    grads = mesh.grads()
-    if psi is not None:
-        field = np.asarray(psi, dtype=np.float64)
-        factor = 1.0
-    elif scale is not None:
-        field = psibar
-        factor = abs(scale)
-    else:
-        raise ValueError("pass psi or scale for the poloidal field")
-    # segment i joins crossing points of consecutive segments; its interior
-    # lies in the triangle shared by the two edges, recorded during chaining
-    bp = np.empty(len(seg_len))
-    for i, t in enumerate(tris):
-        gvec = grads[t] @ field[mesh.triangles[t]]
-        bp[i] = factor * np.hypot(gvec[0], gvec[1]) / seg_mid[i, 0]
-    # rotate: tris[i] is the triangle of the segment between keys[i]
-    # and keys[i+1], which is seg index i of the closed polyline
-    return FluxContour(level, pts, seg_mid, seg_len, bp)
+    field, factor = (psi, 1.0) if psi is not None else (psibar, abs(scale))
+    return FluxContour(level, pts, seg_mid, np.hypot(d[:, 0], d[:, 1]),
+                       factor * _grad_norm(mesh, field)[tris[order]]
+                       / seg_mid[:, 0])
 
 
 def flux_surface_average(contour, quantity):
@@ -208,26 +206,26 @@ def profile_table(mesh, psi, domain, profiles, lam, machine, n_grid=101,
                   margin=0.02):
     """Uniform psibar table of the identified and derived profiles.
 
-    Levels outside [margin, 1-margin] are linearly extrapolated (degenerate
-    axis contour, X-point singularity).  Returns a dict of equal-length
-    arrays; entries are NaN where no closed contour exists.
+    Levels outside [margin, 1-margin], and the end levels 0 and 1, are
+    linearly extrapolated (degenerate axis contour, X-point singularity).
+    Returns a dict of equal-length arrays; entries are NaN where no closed
+    contour exists.
     """
     grid = np.linspace(0.0, 1.0, n_grid)
-    psibar = domain.normalize(psi)
-    inv_r2 = np.full(n_grid, np.nan)
-    qgeom = np.full(n_grid, np.nan)
-    valid = np.zeros(n_grid, dtype=bool)
-    for i, lev in enumerate(grid):
-        if not (margin <= lev <= 1.0 - margin):
-            continue
-        try:
-            c = extract_contour(mesh, psibar, lev, domain.axis, psi=psi)
-        except OpenContourError:
-            continue
-        inv_r2[i] = flux_surface_average(c, lambda r, z: 1.0 / r ** 2)
-        qgeom[i] = float((c.seg_len / (c.seg_mid[:, 0] ** 2 * c.bp)).sum())
-        valid[i] = True
-    inv_r2 = _fill_ends(grid, inv_r2, valid)
+    at = np.nonzero((grid >= margin) & (grid <= 1.0 - margin)
+                    & (grid > 0.0) & (grid < 1.0))[0]
+    _, found, level, tri, _, pts = _closed_contours(
+        mesh, domain.normalize(psi), grid[at], domain.axis)
+    d = pts[:, 1] - pts[:, 0]
+    r = 0.5 * (pts[:, 0, 0] + pts[:, 1, 0])
+    wd = np.hypot(d[:, 0], d[:, 1]) / (_grad_norm(mesh, psi)[tri] / r)
+    valid = np.isin(np.arange(n_grid), at[found])
+    dl_bp = np.bincount(at[level], weights=wd, minlength=n_grid)
+    if not np.all(np.isfinite(dl_bp[valid]) & (dl_bp[valid] > 0)):
+        raise DegeneratePlasmaError("degenerate flux surface (vanishing dl/Bp)")
+    qgeom = np.where(valid, np.bincount(at[level], weights=wd / r ** 2,
+                                        minlength=n_grid), np.nan)
+    inv_r2 = _fill_ends(grid, qgeom / dl_bp, valid)
     qgeom = _fill_ends(grid, qgeom, valid)
 
     a_vals = profiles.eval("A", grid)

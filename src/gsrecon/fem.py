@@ -100,11 +100,3 @@ def factorize(stiff):
         raise FactorizationError(f"singular stiffness matrix: {exc}") from exc
     return Factorization(lu, stiff.mat.shape[0], stiff.constrained_rows,
                          stiff.dirichlet_scale)
-
-
-def solve(fact, rhs):
-    return fact.solve(rhs)
-
-
-def solve_multi(fact, columns):
-    return fact.solve_multi(columns)

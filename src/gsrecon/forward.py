@@ -21,10 +21,12 @@ class MachineParams:
     mu0: float = fem.MU0
 
     def __post_init__(self):
-        if self.r0 <= 0 or self.mu0 <= 0:
+        if not (0 < self.r0 < np.inf and 0 < self.mu0 < np.inf):
             raise ValueError("r0 and mu0 must be positive")
-        if self.ip == 0:
+        if not 0 < abs(self.ip) < np.inf:
             raise ValueError("Ip must be nonzero")
+        if not np.isfinite(self.b0):
+            raise ValueError("b0 must be finite")
 
 
 @dataclass

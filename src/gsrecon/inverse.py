@@ -27,7 +27,8 @@ class RegularizationConfig:
     alpha_scale: float = 1e19    # density nondimensionalization, m^-3
 
     def __post_init__(self):
-        if self.eps <= 0 or self.eps_ne <= 0:
+        if not all(0 < v < np.inf
+                   for v in (self.eps, self.eps_ne, self.alpha_scale)):
             raise ValueError("regularization parameters must be positive")
 
 
@@ -286,6 +287,6 @@ def _cost_breakdown(setup, ms, weights, reg, psi, psibar_nodal, u, ne_coeffs,
             (weights.w_inter * (b_int @ ne_coeffs - ms.gamma)) ** 2))
     j_eps = 0.5 * reg.eps * float(u @ setup.lam_full @ u)
     if ne_coeffs is not None:
-        j_eps += 0.5 * reg.eps_ne * float(
-            ne_coeffs @ setup.lam_block @ ne_coeffs)
+        v_hat = ne_coeffs / reg.alpha_scale   # the penalty's adimensional dofs
+        j_eps += 0.5 * reg.eps_ne * float(v_hat @ setup.lam_block @ v_hat)
     return {"J0": j0, "J1": j1, "J2": j2, "Jeps": j_eps}

@@ -86,11 +86,6 @@ class Mesh:
         d = np.diff(np.vstack([pts, pts[:1]]), axis=0)
         return float(np.hypot(d[:, 0], d[:, 1]).sum())
 
-    def boundary_set(self):
-        if "bset" not in self._cache:
-            self._cache["bset"] = frozenset(int(i) for i in self.boundary)
-        return self._cache["bset"]
-
     def interior_nodes(self):
         if "interior" not in self._cache:
             mask = np.ones(self.n_nodes, dtype=bool)
@@ -108,6 +103,18 @@ class Mesh:
             key = np.unique(src * self.n_nodes + dst)
             self._cache["edges"] = (key // self.n_nodes, key % self.n_nodes)
         return self._cache["edges"]
+
+    def edge_index(self):
+        """Undirected edges (E, 2), lower node first, sorted, and for each
+        triangle the (T, 3) indices of its sides (0, 1), (1, 2), (2, 0)."""
+        if "edge_index" not in self._cache:
+            n = self.n_nodes
+            a, b = self.triangles, np.roll(self.triangles, -1, axis=1)
+            key, sides = np.unique((np.minimum(a, b) * n + np.maximum(a, b))
+                                   .ravel(), return_inverse=True)
+            self._cache["edge_index"] = (np.column_stack([key // n, key % n]),
+                                         sides.reshape(-1, 3))
+        return self._cache["edge_index"]
 
     def node_neighbors(self):
         """Adjacency list: for each node, the sorted edge-connected nodes."""

@@ -129,3 +129,16 @@ def test_profile_csv_roundtrip(tmp_path, reference_table):
     assert rows[0][0] == "psibar"
     assert len(rows) == 1 + len(reference_table["psibar"])
     assert float(rows[1][0]) == 0.0
+
+
+def test_profile_table_margin_zero(twin_mesh, reference_eq, machine,
+                                   reference_table):
+    # levels 0 and 1 are never contoured; their entries are extrapolated
+    eq = reference_eq
+    table = profile_table(twin_mesh, eq.psi, eq.domain, eq.profiles, eq.lam,
+                          machine, margin=0.0)
+    inner = slice(2, -2)
+    for key in ("lambdaB_weighted", "j_mean", "q", "f"):
+        assert np.all(np.isfinite(table[key]))
+        np.testing.assert_array_equal(table[key][inner],
+                                      reference_table[key][inner])

@@ -21,6 +21,15 @@ def test_machine_params_validation():
         MachineParams(2.5, 2.0, 0.0)
 
 
+@pytest.mark.parametrize("field", ["r0", "b0", "ip", "mu0"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_machine_params_reject_non_finite(field, value):
+    args = {"r0": 2.5, "b0": 2.0, "ip": 1e6, "mu0": 4e-7 * np.pi}
+    args[field] = value
+    with pytest.raises(ValueError):
+        MachineParams(**args)
+
+
 def test_lambda_from_integral_rejects_vanishing():
     with pytest.raises(DivergentLambdaError):
         lambda_from_integral(1e6, 0.0, 2.0)

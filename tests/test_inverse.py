@@ -16,6 +16,13 @@ def test_regularization_config_validation():
         RegularizationConfig(eps_ne=-1.0)
 
 
+@pytest.mark.parametrize("field", ["eps", "eps_ne", "alpha_scale"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_regularization_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError):
+        RegularizationConfig(**{field: value})
+
+
 def test_rescale_dofs_preserves_current_scale():
     u = np.array([0.5, 2.0, -1.0, 0.3, 0.1, 0.0])
     lam = 3.0e5
@@ -109,6 +116,13 @@ def test_reconstruct_with_internal_data(setup, clean_measurements,
     ne_true = basis.eval_many(xs) @ ne_coeffs
     assert np.abs(ne_rec - ne_true).max() < 0.1 * np.abs(ne_true).max()
     assert res.costs["J1"] >= 0.0 and res.costs["J2"] >= 0.0
+    # the density penalty acts on v / alpha_scale, as in identify_ne
+    reg = RegularizationConfig()
+    u = np.concatenate([res.profiles.a, res.profiles.b])
+    v_hat = res.profiles.c / reg.alpha_scale
+    j_eps = (0.5 * reg.eps * u @ setup.lam_full @ u
+             + 0.5 * reg.eps_ne * v_hat @ setup.lam_block @ v_hat)
+    assert res.costs["Jeps"] == pytest.approx(j_eps, rel=1e-12)
 
 
 def test_reconstruct_truncated_is_flagged_not_raised(setup,
