@@ -5,7 +5,7 @@ of the current-density profile functions (and optionally the electron
 density) from boundary magnetic and line-integrated internal measurements.
 """
 
-from .basis import ProfileExpansion, SplineBasis, eval_basis, eval_expansion
+from .basis import ProfileExpansion, SplineBasis
 from .diagnostics import (FluxContour, extract_contour, flux_surface_average,
                           profile_table, write_profile_csv)
 from .errors import GsReconError
@@ -30,7 +30,7 @@ __all__ = [
     "PointLocator", "ProfileExpansion",
     "ReconstructionResult", "ReconstructionSetup", "RegularizationConfig",
     "ReplicateStats", "SplineBasis", "assemble_stiffness", "build_rect_mesh",
-    "eval_basis", "eval_expansion", "extract_contour", "factorize",
+    "extract_contour", "factorize",
     "find_axis", "find_xpoint", "flux_surface_average", "forward_fixed_point",
     "impose_dirichlet", "l_curve", "l_curve_ab", "l_curve_ne",
     "load_equilibrium", "load_measurements", "load_mesh",

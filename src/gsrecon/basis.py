@@ -59,10 +59,6 @@ class SplineBasis:
         return coef
 
 
-def eval_basis(basis, x):
-    return basis.eval(x)
-
-
 def regularization_matrix(basis):
     """m x m matrix of integrals of second-derivative products.
 
@@ -130,10 +126,6 @@ class ProfileExpansion:
     def eval(self, which, xs):
         vals = self.basis.eval_many(xs) @ self.coeffs(which)
         return vals if np.ndim(xs) else float(vals[0])
-
-
-def eval_expansion(expansion, which, x):
-    return expansion.eval(which, x)
 
 
 def first_guess_expansion(basis):

@@ -19,6 +19,10 @@ class MeshParseError(GsReconError):
         self.line = line
 
 
+class MeasurementCountError(GsReconError):
+    """A measurement vector's length does not match the setup."""
+
+
 class OutsideDomainError(GsReconError):
     """A query point lies outside the triangulated domain."""
 

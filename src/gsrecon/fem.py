@@ -95,7 +95,8 @@ def factorize(stiff):
     if not stiff.dirichlet_applied:
         raise StateError("factorize requires the Dirichlet-modified matrix")
     try:
-        lu = splu(stiff.mat.tocsc())
+        # minimum degree on A^T + A (symmetric but for the Dirichlet rows)
+        lu = splu(stiff.mat.tocsc(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise FactorizationError(f"singular stiffness matrix: {exc}") from exc
     return Factorization(lu, stiff.mat.shape[0], stiff.constrained_rows,

@@ -7,8 +7,7 @@ import numpy as np
 
 from . import fem
 from .basis import ProfileExpansion, SplineBasis
-from .errors import (ConvergenceError, DivergentLambdaError, EmptySourceError,
-                     NoPlasmaError)
+from .errors import ConvergenceError, DivergentLambdaError, EmptySourceError
 from .geometry import make_plasma_domain, quadrature_points
 from .mesh import interpolation_matrix, point_in_polygon
 
@@ -45,15 +44,20 @@ class SourceQuadrature:
     """Precomputed mid-edge quadrature over the mesh, plus the normalized
     flux and mask evaluation for the current iterate.
 
-    ``P`` is the sparse (Q, n) barycentric interpolation matrix from nodal
-    values to the quadrature points; its transpose scatters quadrature
-    contributions back onto the nodes.
+    The rule of :func:`geometry.quadrature_points` with each edge's two
+    midpoint copies (same flux, same mask) merged: one point per edge,
+    weighted by area/3 summed over its triangles.  ``P`` is the sparse
+    (Q, n) interpolation matrix to the midpoints (two 0.5 entries per
+    row); its transpose scatters contributions back onto the nodes.
     """
 
     def __init__(self, mesh):
         self.mesh = mesh
-        (self.qp_nodes, self.qp_bary, self.qp_w,
-         self.qp_r, self.qp_z) = quadrature_points(mesh)
+        edges, tri_edges = mesh.edge_index()
+        self.qp_nodes, self.qp_bary = edges, np.full(edges.shape, 0.5)
+        self.qp_w = np.bincount(tri_edges.ravel(),
+                                weights=quadrature_points(mesh)[2])
+        self.qp_r, self.qp_z = mesh.nodes[edges].mean(axis=1).T
         self.P = interpolation_matrix(self.qp_nodes, self.qp_bary,
                                       mesh.n_nodes)
         pts = np.column_stack([self.qp_r, self.qp_z])
@@ -138,17 +142,6 @@ def dirichlet_vector(mesh, g_d):
     g = np.zeros(mesh.n_nodes)
     g[mesh.boundary] = g_d
     return g
-
-
-def direct_step(fact, Y, u, g, boundary=None, g_d=None):
-    """Solve the modified system for the new flux map.
-
-    Boundary entries are pinned to the Dirichlet data after the solve so
-    they match it bit-exactly."""
-    psi = fact.solve(Y @ u + g)
-    if boundary is not None:
-        psi[boundary] = g_d
-    return psi
 
 
 def forward_fixed_point(mesh, machine, a_func, b_func, g_d, tol=1e-6,

@@ -1,7 +1,7 @@
 """Profile identification: density normal equation, regularized A/B normal
 equation, dof rescaling and the full reconstruction fixed point."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -9,10 +9,11 @@ import scipy.sparse as sp
 from . import fem
 from .basis import (ProfileExpansion, SplineBasis, first_guess_expansion,
                     full_regularization_matrix, regularization_matrix)
-from .errors import NoPlasmaError, RegularizationError, StateError
+from .errors import (DivergentLambdaError, EmptySourceError,
+                     MeasurementCountError, NoPlasmaError,
+                     RegularizationError, StateError)
 from .forward import (SourceQuadrature, assemble_source_matrix,
-                      current_density_integral, dirichlet_vector,
-                      lambda_from_integral)
+                      dirichlet_vector, lambda_from_integral)
 from .geometry import make_plasma_domain
 from .mesh import point_in_polygon
 from .observation import (build_chord_geometries, build_interferometry_matrix,
@@ -139,15 +140,25 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
 
     Non-convergence is reported through the result flag, not raised: the
     real-time regime intentionally truncates the loop after two iterations.
+    Measurement vectors whose lengths do not match the setup raise
+    :class:`MeasurementCountError`.
     """
     mesh, machine, basis = setup.mesh, setup.machine, setup.basis
     ms = measurements
+    n_c = len(setup.chord_geoms)
+    use_internal = use_internal and n_c > 0
+    counts = [("gD", ms.g_d, len(mesh.boundary), "boundary nodes"),
+              ("gN", ms.g_n, setup.c0.shape[0], "Neumann points")]
+    if use_internal:      # MeasurementSet keeps len(alpha) == len(gamma)
+        counts.append(("gamma", ms.gamma, n_c, "chords"))
+    for name, values, expected, what in counts:
+        if len(values) != expected:
+            raise MeasurementCountError(
+                f"{name} has {len(values)} values for {expected} {what}")
     if weights is None:
         weights = default_weights(ms.ip, mesh.boundary_length(),
                                   len(ms.g_n), len(ms.gamma),
                                   alpha=ms.alpha, gamma=ms.gamma)
-    n_c = len(setup.chord_geoms)
-    use_internal = use_internal and n_c > 0
 
     g = dirichlet_vector(mesh, ms.g_d)
     k_inv_g = setup.fact.solve(g)
@@ -185,20 +196,20 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
             psibar_nodal = setup.bootstrap_psibar_nodal()
         pq = setup.squad.psibar_qp(psibar_nodal)
 
-        # total-current scale from the previous-iterate profiles, then
-        # dof normalization to pin the lambda*u split
-        x = np.clip(pq, 0.0, 1.0)
-        phi = basis.eval_many(x)
-        a_vals = phi @ u[:basis.m]
-        b_vals = phi @ u[basis.m:]
-        integral = current_density_integral(setup.squad, pq, a_vals, b_vals,
-                                            machine.r0)
+        # total-current scale from the previous-iterate profiles (the rows
+        # of P sum to one, so the column sums of the unscaled Y give the
+        # current integral), then dof normalization to pin lambda*u
         try:
-            lam = lambda_from_integral(machine.ip, integral, mesh.area())
-        except Exception as exc:
+            Y = assemble_source_matrix(setup.squad, pq, basis, 1.0,
+                                       machine.r0, [])
+            lam = lambda_from_integral(
+                machine.ip, float(Y.sum(axis=0) @ u), mesh.area())
+        except (DivergentLambdaError, EmptySourceError) as exc:
             error = str(exc)
             break
+        Y[mesh.boundary, :] = 0.0
         u, lam, _ = rescale_dofs(u, lam)
+        Y *= lam
         lam_history.append(lam)
 
         if use_internal:
@@ -220,8 +231,6 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
             d = ms.g_n
             w_vec = w_vec_mag
 
-        Y = assemble_source_matrix(setup.squad, pq, basis, lam, machine.r0,
-                                   mesh.boundary)
         k_inv_y = setup.fact.solve_multi(Y)
         k_inv_y[mesh.boundary, :] = 0.0
         E = C @ k_inv_y
@@ -229,8 +238,8 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
         u_new = identify_ab(E, f, w_vec, reg.eps, setup.lam_full,
                             setup.free_idx)
 
-        psi_new = setup.fact.solve(Y @ u_new + g)
-        psi_new[mesh.boundary] = ms.g_d
+        # K^-1 (Y u + g); zero boundary rows of k_inv_y keep g_d exact
+        psi_new = k_inv_y @ u_new + k_inv_g
         r = psi_new - psi
         denom = np.linalg.norm(psi)
         res = np.linalg.norm(r) / (denom if denom > 0 else 1.0)

@@ -464,11 +464,11 @@ class PointLocator:
 
 def interpolation_matrix(tri_nodes, bary, n_nodes):
     """Sparse (Q, n) matrix of P1 interpolation at Q points, given the
-    vertices (Q, 3) of each point's triangle and its barycentric
-    coordinates (Q, 3).  Entries keep the vertex order within a row."""
-    q = len(tri_nodes)
+    vertices (Q, k) of each point's triangle or edge and its barycentric
+    coordinates (Q, k).  Entries keep the vertex order within a row."""
+    q, k = np.shape(tri_nodes)
     return sp.csr_matrix((np.ravel(bary), np.ravel(tri_nodes),
-                          np.arange(0, 3 * q + 1, 3)), shape=(q, n_nodes))
+                          np.arange(0, k * q + 1, k)), shape=(q, n_nodes))
 
 
 def interpolate(mesh, values, point, locator=None):

@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
 
+import gsrecon
 from gsrecon.basis import SplineBasis, full_regularization_matrix, \
     regularization_matrix
-from gsrecon.inverse import (RegularizationConfig, identify_ab, identify_ne,
-                             reconstruct, rescale_dofs)
+from gsrecon.errors import MeasurementCountError
+from gsrecon.fem import Factorization
+from gsrecon.forward import assemble_source_matrix, current_density_integral
+from gsrecon.inverse import (ReconstructionSetup, RegularizationConfig,
+                             identify_ab, identify_ne, reconstruct,
+                             rescale_dofs)
+from gsrecon.observation import MeasurementSet
+
+from conftest import CHORDS, LIMITER
 
 BASIS = SplineBasis(end_constraint=True)
 
@@ -150,3 +158,82 @@ def test_reconstruct_lambda_history_tracks_iterations(setup,
                       use_internal=False, tol=0.0, max_iter=3)
     assert len(res.lam_history) == 3
     assert all(lam > 0 for lam in res.lam_history)
+
+
+def test_reconstruct_one_basis_evaluation_and_one_solve(
+        setup, clean_measurements, reference_eq, monkeypatch):
+    # per iteration: one source-matrix assembly (the only basis evaluation
+    # on a magnetics-only run) and no single-column solve; the one solve
+    # is K^-1 g before the loop
+    calls = {"eval_many": 0, "solve": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(SplineBasis, "eval_many",
+                        counted("eval_many", SplineBasis.eval_many))
+    monkeypatch.setattr(Factorization, "solve",
+                        counted("solve", Factorization.solve))
+    res = reconstruct(setup, clean_measurements, RegularizationConfig(),
+                      use_internal=False)
+    assert res.converged and res.iterations > 2
+    assert calls == {"eval_many": res.iterations, "solve": 1}
+
+    # lambda comes from the column sums of the unscaled source matrix
+    eq = reference_eq
+    pq = setup.squad.psibar_qp(eq.domain.normalize(eq.psi))
+    Y = assemble_source_matrix(setup.squad, pq, setup.basis, 1.0, 2.5, [])
+    u = np.concatenate([eq.profiles.a, eq.profiles.b])
+    phi = setup.basis.eval_many(pq)
+    integral = current_density_integral(setup.squad, pq, phi @ eq.profiles.a,
+                                        phi @ eq.profiles.b, 2.5)
+    assert Y.sum(axis=0) @ u == pytest.approx(integral, rel=1e-12)
+
+
+def _setup12(machine):
+    mesh = gsrecon.build_rect_mesh(2.0, 3.0, -1.2, 1.2, 12, 12,
+                                   limiter=LIMITER)
+    return ReconstructionSetup(mesh, machine, CHORDS)
+
+
+def _zero_measurements(setup, n_gd=0, n_gn=0, n_chords=0):
+    """All-zero data with the setup's counts, plus the given offsets."""
+    n_c = len(setup.chord_geoms) + n_chords
+    return MeasurementSet(np.zeros(len(setup.mesh.boundary) + n_gd),
+                          np.zeros(setup.c0.shape[0] + n_gn), np.zeros(n_c),
+                          np.zeros(n_c), 1.0e6, 2.0)
+
+
+def test_reconstruct_without_plasma_point_reports_error(machine):
+    # no node inside the limiter: the cold-start source has no plasma
+    # quadrature point, which comes back through the result
+    setup = _setup12(machine)
+    setup._node_in_limiter[:] = False
+    res = reconstruct(setup, _zero_measurements(setup),
+                      RegularizationConfig())
+    assert res.error is not None and "quadrature point" in res.error
+    assert res.iterations == 1
+    assert not res.converged and res.residuals == []
+
+
+@pytest.mark.parametrize("offsets,name", [
+    ({"n_gd": -1}, "gD"), ({"n_gn": -1}, "gN"), ({"n_chords": -1}, "gamma"),
+    ({"n_gd": 1}, "gD")])
+def test_reconstruct_rejects_measurement_count_mismatch(machine, offsets,
+                                                        name):
+    setup = _setup12(machine)
+    ms = _zero_measurements(setup, **offsets)
+    with pytest.raises(MeasurementCountError, match=name):
+        reconstruct(setup, ms, RegularizationConfig())
+
+
+def test_reconstruct_magnetics_only_ignores_chord_count(machine):
+    # chord data is not read without internal measurements
+    setup = _setup12(machine)
+    ms = _zero_measurements(setup, n_chords=-1)
+    res = reconstruct(setup, ms, RegularizationConfig(), use_internal=False,
+                      max_iter=1)
+    assert res.iterations == 1

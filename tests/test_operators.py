@@ -2,6 +2,8 @@
 limiter matrix L, chord matrices S, D, R) against frozen copies of the
 per-node and per-chord loops they replaced."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.interpolate import BSpline
@@ -9,9 +11,10 @@ from scipy.interpolate import BSpline
 import gsrecon
 from gsrecon.basis import ProfileExpansion
 from gsrecon.forward import (SourceQuadrature, assemble_source_matrix,
-                             assemble_source_vector)
+                             assemble_source_vector, current_density_integral)
 from gsrecon.geometry import (_critical_point, _fit_value, _quadratic_fit,
-                              boundary_flux, find_xpoint, saddle_candidates)
+                              boundary_flux, find_xpoint, quadrature_points,
+                              saddle_candidates)
 from gsrecon.mesh import PointLocator, interpolate
 from gsrecon.observation import (build_interferometry_matrix,
                                  build_polarimetry_observer)
@@ -95,12 +98,19 @@ def _source_matrix_loop(squad, pq, basis, lam, r0, rows):
     ca = (w * r / r0)[:, None] * phi
     cb = (w * r0 / r)[:, None] * phi
     Y = np.zeros((squad.mesh.n_nodes, 2 * m))
-    for a in range(3):
+    for a in range(bary.shape[1]):
         np.add.at(Y, (nodes[:, a], slice(0, m)), bary[:, a][:, None] * ca)
         np.add.at(Y, (nodes[:, a], slice(m, 2 * m)), bary[:, a][:, None] * cb)
     Y *= lam
     Y[rows, :] = 0.0
     return Y
+
+
+def _seed_rule(mesh):
+    """The unmerged mid-edge rule: three points per triangle."""
+    nodes, bary, w, r, z = quadrature_points(mesh)
+    return SimpleNamespace(mesh=mesh, qp_nodes=nodes, qp_bary=bary, qp_w=w,
+                           qp_r=r, qp_z=z)
 
 
 def _interferometry_loop(geoms, basis, psibar_nodal):
@@ -217,6 +227,35 @@ def test_source_operators_match_loop(twin_mesh, basis, reference_eq):
     _close(assemble_source_vector(squad, pq, a_vals, b_vals, eq.lam, 2.5,
                                   rows),
            _source_vector_loop(squad, pq, a_vals, b_vals, eq.lam, 2.5, rows))
+
+
+def test_merged_rule_matches_seed_rule(twin_mesh, basis, reference_eq):
+    # one point per mesh edge against three points per triangle, the
+    # midpoint of each interior edge counted once from each side
+    eq = reference_eq
+    squad, seed = SourceQuadrature(twin_mesh), _seed_rule(twin_mesh)
+    assert (len(squad.qp_w), len(seed.qp_w)) == (1240, 2400)
+    _, tri_edges = twin_mesh.edge_index()
+    pick = tri_edges.ravel()
+    _close(squad.qp_r[pick], seed.qp_r)
+    _close(squad.qp_z[pick], seed.qp_z)
+    assert squad.qp_w.sum() == pytest.approx(seed.qp_w.sum(), rel=1e-14)
+
+    psibar = eq.domain.normalize(eq.psi)
+    pq, pq3 = squad.psibar_qp(psibar), _psibar_qp_loop(seed, psibar)
+    np.testing.assert_array_equal(pq3, pq[pick])
+
+    rows = twin_mesh.boundary
+    _close(assemble_source_matrix(squad, pq, basis, eq.lam, 2.5, rows),
+           _source_matrix_loop(seed, pq3, basis, eq.lam, 2.5, rows))
+    ab, ab3 = ([basis.eval_many(x) @ c for c in (eq.profiles.a,
+                                                  eq.profiles.b)]
+               for x in (pq, pq3))
+    _close(assemble_source_vector(squad, pq, *ab, eq.lam, 2.5, rows),
+           _source_vector_loop(seed, pq3, *ab3, eq.lam, 2.5, rows))
+    assert (current_density_integral(squad, pq, *ab, 2.5)
+            == pytest.approx(current_density_integral(seed, pq3, *ab3, 2.5),
+                             rel=1e-12))
 
 
 def test_chord_operators_match_loop(setup, basis, reference_eq, ne_coeffs):
