@@ -18,7 +18,8 @@ from .basis import SplineBasis
 from .diagnostics import profile_table, write_profile_csv
 from .errors import ConvergenceError, DivergentLambdaError, GsReconError
 from .forward import MachineParams, forward_fixed_point
-from .inverse import (ReconstructionSetup, RegularizationConfig, reconstruct)
+from .inverse import (ReconstructionSetup, RegularizationConfig,
+                      observation_state, reconstruct)
 from .observation import load_measurements, save_measurements
 from .twin import (l_curve_ab, l_curve_ne, replicate_stats, synthesize_measurements,
                    write_lcurve_csv, write_stats_csv)
@@ -40,6 +41,9 @@ DEFAULTS = {
     "lcurve_eps_min": 1e-5, "lcurve_eps_max": 1.0, "lcurve_points": 13,
     "out_dir": ".",
 }
+# keys without a default; "chord" lines are collected into cfg["chords"]
+OPTIONAL_KEYS = {"mesh_file", "profile_a", "profile_b", "profile_ne",
+                 "g_d_const"}
 
 
 class ConfigError(GsReconError):
@@ -69,8 +73,10 @@ def parse_config(path=None, overrides=()):
             if len(parts) != 4:
                 raise ConfigError(f"config line {ln}: chord needs r1 z1 r2 z2")
             cfg["chords"].append(tuple(float(p) for p in parts))
-        else:
+        elif key in DEFAULTS or key in OPTIONAL_KEYS:
             cfg[key] = val
+        else:
+            raise ConfigError(f"config line {ln}: unknown key {key!r}")
     return cfg
 
 
@@ -330,17 +336,11 @@ def cmd_lcurve(args):
     print(f"ne corner at eps={res_ne.corner_eps:g} (flat={res_ne.flat}) "
           f"-> {ne_path}")
     # A/B curve at the reference observation state
-    from .forward import assemble_source_matrix, dirichlet_vector
-    g = dirichlet_vector(mesh, ms.g_d)
-    k_inv_g = setup.fact.solve(g)
-    k_inv_g[mesh.boundary] = ms.g_d
-    pq = setup.squad.psibar_qp(psibar)
-    Y = assemble_source_matrix(setup.squad, pq, basis, eq.lam, machine.r0,
-                               mesh.boundary)
-    k_inv_y = setup.fact.solve_multi(Y)
-    k_inv_y[mesh.boundary, :] = 0.0
-    E = setup.c0 @ k_inv_y
-    f = ms.g_n - setup.c0 @ k_inv_g
+    Y = forward.assemble_source_matrix(setup.squad,
+                                       setup.squad.psibar_qp(psibar), basis,
+                                       eq.lam, machine.r0, mesh.boundary)
+    _, E, f = observation_state(setup, Y, setup.c0, ms.g_n,
+                                setup.dirichlet_lift(ms.g_d))
     res_ab = l_curve_ab(setup, ms, E, f, eps_grid)
     ab_path = _out(cfg, "lcurve_ab.csv")
     write_lcurve_csv(ab_path, res_ab)
@@ -379,7 +379,8 @@ def build_parser():
     common(pr)
     pr.add_argument("--measurements", required=True)
     pr.add_argument("--realtime", action="store_true",
-                    help="fixed two-iteration warm regime")
+                    help="cold start cut after realtime_iters iterations "
+                    "(exits 0 unconverged; not warm-started)")
     pr.add_argument("--magnetics-only", action="store_true")
     pr.set_defaults(func=cmd_reconstruct)
 

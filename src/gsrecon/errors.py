@@ -10,7 +10,7 @@ class MeshValidationError(GsReconError):
 
 
 class MeshParseError(GsReconError):
-    """A mesh or measurement file could not be parsed."""
+    """A mesh, measurement or equilibrium file could not be parsed."""
 
     def __init__(self, message, line=None):
         if line is not None:

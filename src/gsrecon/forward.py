@@ -7,8 +7,9 @@ import numpy as np
 
 from . import fem
 from .basis import ProfileExpansion, SplineBasis
-from .errors import ConvergenceError, DivergentLambdaError, EmptySourceError
-from .geometry import make_plasma_domain, quadrature_points
+from .errors import (ConvergenceError, DivergentLambdaError,
+                     EmptySourceError, GsReconError, MeshParseError)
+from .geometry import PlasmaDomain, make_plasma_domain, quadrature_points
 from .mesh import interpolation_matrix, point_in_polygon
 
 
@@ -91,18 +92,6 @@ def lambda_from_integral(ip, integral, area):
     return ip / integral
 
 
-def compute_lambda(mesh, psibar_nodal, expansion, ip, r0, squad=None):
-    """Scale factor enforcing the total plasma current."""
-    if squad is None:
-        squad = SourceQuadrature(mesh)
-    pq = squad.psibar_qp(np.asarray(psibar_nodal, float))
-    x = np.clip(pq, 0.0, 1.0)
-    a_vals = expansion.eval("A", x)
-    b_vals = expansion.eval("B", x)
-    integral = current_density_integral(squad, pq, a_vals, b_vals, r0)
-    return lambda_from_integral(ip, integral, mesh.area())
-
-
 def assemble_source_vector(squad, psibar_qp, a_vals, b_vals, lam, r0,
                            dirichlet_rows):
     """Nodal load vector for given profile values at the quadrature points."""
@@ -144,14 +133,43 @@ def dirichlet_vector(mesh, g_d):
     return g
 
 
+def picard(step, psi, tol, max_iter, residuals):
+    """Relaxed fixed-point iteration psi <- psi + omega (step(psi) - psi).
+
+    Appends the relative residual |step(psi) - psi| / |psi| (absolute
+    while psi is zero) of every iteration to ``residuals`` and stops once
+    it is at most ``tol`` or after ``max_iter`` steps, returning the last
+    step's output.  omega is the secant estimate of the dominant
+    contraction mode, clipped to [0.25, 2]; it stays 1 until two residuals
+    measured from a nonzero flux exist.  Exceptions raised by ``step``
+    propagate, with ``residuals`` holding the iterations completed.
+    """
+    omega, r_prev = 1.0, None
+    for it in range(max_iter):
+        psi_new = step(psi)
+        r = psi_new - psi
+        norm = np.linalg.norm(psi)
+        residuals.append(np.linalg.norm(r) / (norm if norm > 0 else 1.0))
+        if residuals[-1] <= tol or it == max_iter - 1:
+            return psi_new
+        if r_prev is not None and norm > 0:
+            dr = r - r_prev
+            dr2 = float(dr @ dr)
+            if dr2 > 0:
+                omega = min(max(-omega * float(r_prev @ dr) / dr2, 0.25), 2.0)
+        r_prev = r if norm > 0 else None
+        psi = psi + omega * r
+    return psi
+
+
 def forward_fixed_point(mesh, machine, a_func, b_func, g_d, tol=1e-6,
-                        max_iter=30, omega=1.0, psi0=None, basis=None,
-                        detect_xpoint=True):
+                        max_iter=30, psi0=None, basis=None):
     """Picard iteration of the free-boundary problem with known profiles.
 
     a_func and b_func are callables on [0,1] (tabulated references should be
     wrapped with a monotone cubic interpolant by the caller).  Raises
-    :class:`ConvergenceError` when max_iter is exhausted.
+    :class:`ConvergenceError` when max_iter is exhausted or an iteration
+    fails (the failure is chained as its cause).
     """
     g_d = np.asarray(g_d, dtype=np.float64)
     if g_d.shape != mesh.boundary.shape:
@@ -162,8 +180,10 @@ def forward_fixed_point(mesh, machine, a_func, b_func, g_d, tol=1e-6,
     fact = fem.factorize(stiff)
     squad = SourceQuadrature(mesh)
     g = dirichlet_vector(mesh, g_d)
+    lam = None
 
     def picard_map(pq):
+        nonlocal lam
         x = np.clip(pq, 0.0, 1.0)
         a_vals = np.asarray(a_func(x), float)
         b_vals = np.asarray(b_func(x), float)
@@ -174,55 +194,38 @@ def forward_fixed_point(mesh, machine, a_func, b_func, g_d, tol=1e-6,
                                    machine.r0, mesh.boundary)
         psi_new = fact.solve(y + g)
         psi_new[mesh.boundary] = g_d
-        return psi_new, lam
+        return psi_new
+
+    def step(psi):
+        return picard_map(squad.psibar_qp(
+            make_plasma_domain(mesh, psi).normalize(psi)))
 
     if psi0 is None:
         # uncounted initialization solve: a constant flux map carries no
         # axis yet, so the source is seeded with psibar 0 inside the
         # limiter contour (fully covered plasma) and 2 outside
-        psi, lam = picard_map(squad.bootstrap_psibar_qp())
+        psi = picard_map(squad.bootstrap_psibar_qp())
     else:
         psi = np.array(psi0, dtype=np.float64)
-        lam = None
 
     residuals = []
-    domain = None
-    om = omega
-    r_prev = None
-    for it in range(max_iter):
-        domain = make_plasma_domain(mesh, psi, detect_xpoint=detect_xpoint)
-        pq = squad.psibar_qp(domain.normalize(psi))
-        psi_new, lam = picard_map(pq)
-        r = psi_new - psi
-        denom = np.linalg.norm(psi)
-        res = np.linalg.norm(r) / (denom if denom > 0 else 1.0)
-        residuals.append(res)
-        if res <= tol:
-            psi = psi_new
-        else:
-            # dynamic relaxation: rescale the update by the secant estimate
-            # of the dominant contraction mode (keeps plain Picard when the
-            # history is too short or the estimate degenerates)
-            if r_prev is not None:
-                dr = r - r_prev
-                dr2 = float(dr @ dr)
-                if dr2 > 0:
-                    om = -om * float(r_prev @ dr) / dr2
-                    om = min(max(om, 0.25), 2.0)
-            psi = psi + om * r
-            r_prev = r
-        if res <= tol:
-            domain = make_plasma_domain(mesh, psi, detect_xpoint=detect_xpoint)
-            if basis is None:
-                basis = SplineBasis()
-            xs = np.linspace(0.0, 1.0, 201)
-            profiles = ProfileExpansion(basis, basis.fit(xs, a_func(xs)),
-                                        basis.fit(xs, b_func(xs)))
-            return Equilibrium(psi, domain, profiles, lam, machine,
-                               residuals, True, it + 1)
-    raise ConvergenceError(
-        f"no convergence after {max_iter} iterations "
-        f"(last residual {residuals[-1]:.3e})", residuals)
+    try:
+        psi = picard(step, psi, tol, max_iter, residuals)
+    except GsReconError as exc:
+        raise ConvergenceError(
+            f"iteration {len(residuals) + 1}: {exc}",
+            residuals) from exc
+    if not residuals or residuals[-1] > tol:
+        last = f" (last residual {residuals[-1]:.3e})" if residuals else ""
+        raise ConvergenceError(
+            f"no convergence after {max_iter} iterations{last}", residuals)
+    if basis is None:
+        basis = SplineBasis()
+    xs = np.linspace(0.0, 1.0, 201)
+    profiles = ProfileExpansion(basis, basis.fit(xs, a_func(xs)),
+                                basis.fit(xs, b_func(xs)))
+    return Equilibrium(psi, make_plasma_domain(mesh, psi), profiles, lam,
+                       machine, residuals, True, len(residuals))
 
 
 # ---------------------------------------------------------------------------
@@ -250,33 +253,44 @@ def save_equilibrium(eq, path):
 
 
 def load_equilibrium(path, mesh=None, basis=None):
-    fields = {}
-    psi = None
+    """Read a file written by :func:`save_equilibrium`.
+
+    A missing field, a non-numeric value, a short psi block or values the
+    equilibrium rejects raise :class:`MeshParseError`.
+    """
     with open(path) as fh:
         lines = fh.read().splitlines()
+    fields = {}
+    psi = None
     i = 0
-    while i < len(lines):
-        parts = lines[i].split()
-        key = parts[0]
-        if key == "psi":
-            count = int(parts[1])
-            psi = np.array([float(v) for v in lines[i + 1:i + 1 + count]])
-            i += count + 1
-            continue
-        fields[key] = parts[1:]
-        i += 1
-    machine = MachineParams(float(fields["r0"][0]), float(fields["b0"][0]),
-                            float(fields["ip"][0]), float(fields["mu0"][0]))
-    if basis is None:
-        basis = SplineBasis(m=len(fields["coeff_a"]))
-    prof = ProfileExpansion(
-        basis,
-        np.array([float(v) for v in fields["coeff_a"]]),
-        np.array([float(v) for v in fields["coeff_b"]]),
-        np.array([float(v) for v in fields["coeff_c"]])
-        if "coeff_c" in fields else None)
-    from .geometry import PlasmaDomain
-    domain = PlasmaDomain(float(fields["psi_a"][0]), float(fields["psi_b"][0]),
-                          (float(fields["axis"][0]), float(fields["axis"][1])),
-                          mode=fields["mode"][0])
-    return Equilibrium(psi, domain, prof, float(fields["lambda"][0]), machine)
+    try:
+        while i < len(lines):
+            parts = lines[i].split()
+            if parts[0] == "psi":
+                count = int(parts[1])
+                psi = np.array([float(v) for v in lines[i + 1:i + 1 + count]])
+                if len(psi) != count:
+                    raise MeshParseError(f"psi block has {len(psi)} of "
+                                         f"{count} values", line=i + 1)
+                i += count + 1
+                continue
+            fields[parts[0]] = parts[1:]
+            i += 1
+        num = lambda key, k=0: float(fields[key][k])
+        coeffs = lambda key: [float(v) for v in fields[key]]
+        machine = MachineParams(num("r0"), num("b0"), num("ip"), num("mu0"))
+        if basis is None:
+            basis = SplineBasis(m=len(fields["coeff_a"]))
+        prof = ProfileExpansion(
+            basis, coeffs("coeff_a"), coeffs("coeff_b"),
+            coeffs("coeff_c") if "coeff_c" in fields else None)
+        domain = PlasmaDomain(num("psi_a"), num("psi_b"),
+                              (num("axis"), num("axis", 1)),
+                              mode=fields["mode"][0])
+        lam = num("lambda")
+    except (KeyError, IndexError, ValueError) as exc:
+        raise MeshParseError(f"bad or missing equilibrium field: {exc!r}") \
+            from exc
+    if psi is None:
+        raise MeshParseError("missing psi block")
+    return Equilibrium(psi, domain, prof, lam, machine)

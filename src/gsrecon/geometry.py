@@ -1,5 +1,5 @@
-"""Free-boundary bookkeeping: magnetic axis, X-point, boundary flux,
-normalized flux and the plasma mask.
+"""Free-boundary bookkeeping: magnetic axis, X-point, boundary flux and
+normalized flux.
 
 Convention: the flux is maximal at the magnetic axis and the plasma region
 is the superlevel set {psi >= psi_b}.  Inputs with the opposite sign
@@ -164,9 +164,9 @@ def boundary_flux(mesh, psi, xpoint=None):
     return psi_b, mode
 
 
-def make_plasma_domain(mesh, psi, detect_xpoint=True):
+def make_plasma_domain(mesh, psi):
     axis, psi_a = find_axis(mesh, psi)
-    xp = find_xpoint(mesh, psi) if detect_xpoint else None
+    xp = find_xpoint(mesh, psi)
     if xp is not None and xp[1] >= psi_a:
         xp = None
     psi_b, mode = boundary_flux(mesh, psi, xpoint=xp)
@@ -181,11 +181,6 @@ def normalized_flux(psi, psi_a, psi_b):
     if psi_a == psi_b:
         raise DegeneratePlasmaError("psi_a equals psi_b")
     return (np.asarray(psi, dtype=np.float64) - psi_a) / (psi_b - psi_a)
-
-
-def plasma_mask(psibar_values):
-    """0/1 weights at quadrature points: inside where psibar <= 1."""
-    return (np.asarray(psibar_values, dtype=np.float64) <= 1.0).astype(float)
 
 
 def quadrature_points(mesh):

@@ -9,11 +9,10 @@ import scipy.sparse as sp
 from . import fem
 from .basis import (ProfileExpansion, SplineBasis, first_guess_expansion,
                     full_regularization_matrix, regularization_matrix)
-from .errors import (DivergentLambdaError, EmptySourceError,
-                     MeasurementCountError, NoPlasmaError,
+from .errors import (GsReconError, MeasurementCountError, NoPlasmaError,
                      RegularizationError, StateError)
 from .forward import (SourceQuadrature, assemble_source_matrix,
-                      dirichlet_vector, lambda_from_integral)
+                      dirichlet_vector, lambda_from_integral, picard)
 from .geometry import make_plasma_domain
 from .mesh import point_in_polygon
 from .observation import (build_chord_geometries, build_interferometry_matrix,
@@ -128,20 +127,46 @@ class ReconstructionSetup:
         out[self._node_in_limiter] = 0.0
         return out
 
+    def dirichlet_lift(self, g_d):
+        """K^-1 g for the boundary flux g_d, exact on the boundary."""
+        k_inv_g = self.fact.solve(dirichlet_vector(self.mesh, g_d))
+        k_inv_g[self.mesh.boundary] = g_d
+        return k_inv_g
+
     def first_guess(self):
         exp = first_guess_expansion(self.basis)
         return np.concatenate([exp.a, exp.b])
 
 
+def observation_state(setup, Y, C, d, k_inv_g):
+    """Observation state of one flux iterate: (K^-1 Y, E, f).
+
+    K^-1 Y has its boundary rows cleared, so K^-1 Y u + K^-1 g keeps the
+    boundary flux of ``k_inv_g`` (see
+    :meth:`ReconstructionSetup.dirichlet_lift`) exact; E = C K^-1 Y and
+    f = d - C K^-1 g, so E u - f = C psi(u) - d.
+    """
+    k_inv_y = setup.fact.solve_multi(Y)
+    k_inv_y[setup.mesh.boundary, :] = 0.0
+    return k_inv_y, C @ k_inv_y, d - C @ k_inv_g
+
+
 def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
-                max_iter=30, warm_start=None, detect_xpoint=True,
-                weights=None):
+                max_iter=30, warm_start=None):
     """Fixed-point reconstruction of (psi, domain, A, B, lambda[, n_e]).
 
-    Non-convergence is reported through the result flag, not raised: the
-    real-time regime intentionally truncates the loop after two iterations.
     Measurement vectors whose lengths do not match the setup raise
-    :class:`MeasurementCountError`.
+    :class:`MeasurementCountError` before the loop.  Any other
+    :class:`GsReconError` raised by an iteration, or by the domain search
+    on the final flux, comes back as ``result.error``: ``psi`` is then the
+    iterate reached, ``iterations`` counts the failing one, ``domain`` is
+    None and ``costs`` is empty.  Non-convergence (the real-time regime
+    truncates the loop on purpose) is reported by ``converged``.
+
+    ``costs`` belongs to the last iteration: J0 and J1 are the magnetic
+    and polarimetric rows of 1/2 |W (E u - f)|^2 at its observation state,
+    J2 the weighted interferometry misfit of its density and Jeps the
+    curvature penalty of the returned coefficients.
     """
     mesh, machine, basis = setup.mesh, setup.machine, setup.basis
     ms = measurements
@@ -155,14 +180,10 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
         if len(values) != expected:
             raise MeasurementCountError(
                 f"{name} has {len(values)} values for {expected} {what}")
-    if weights is None:
-        weights = default_weights(ms.ip, mesh.boundary_length(),
-                                  len(ms.g_n), len(ms.gamma),
-                                  alpha=ms.alpha, gamma=ms.gamma)
-
-    g = dirichlet_vector(mesh, ms.g_d)
-    k_inv_g = setup.fact.solve(g)
-    k_inv_g[mesh.boundary] = ms.g_d
+    weights = default_weights(ms.ip, mesh.boundary_length(), len(ms.g_n),
+                              len(ms.gamma), alpha=ms.alpha, gamma=ms.gamma)
+    w_mag = np.full(setup.c0.shape[0], weights.w_mag)
+    k_inv_g = setup.dirichlet_lift(ms.g_d)
 
     if warm_start is not None:
         psi = np.array(warm_start.psi, dtype=np.float64)
@@ -175,43 +196,33 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
         lam = 1.0
         ne_coeffs = None
 
-    residuals = []
-    lam_history = []
-    domain = None
-    b_int = None
-    w_vec_mag = np.full(setup.c0.shape[0], weights.w_mag)
-    error = None
-    it = 0
-    om = 1.0
-    r_prev = None
-    for it in range(1, max_iter + 1):
+    residuals, lam_history = [], []
+    iterations, last = 0, None
+
+    def step(psi_in):
+        nonlocal psi, iterations, u, lam, ne_coeffs, last
+        psi, iterations = psi_in, iterations + 1
         try:
-            domain = make_plasma_domain(mesh, psi, detect_xpoint=detect_xpoint)
-            psibar_nodal = domain.normalize(psi)
-        except NoPlasmaError as exc:
-            if it > 1:
-                error = str(exc)
-                break
-            domain = None
+            psibar_nodal = make_plasma_domain(mesh, psi).normalize(psi)
+        except NoPlasmaError:
+            if residuals:
+                raise
             psibar_nodal = setup.bootstrap_psibar_nodal()
         pq = setup.squad.psibar_qp(psibar_nodal)
 
         # total-current scale from the previous-iterate profiles (the rows
         # of P sum to one, so the column sums of the unscaled Y give the
         # current integral), then dof normalization to pin lambda*u
-        try:
-            Y = assemble_source_matrix(setup.squad, pq, basis, 1.0,
-                                       machine.r0, [])
-            lam = lambda_from_integral(
-                machine.ip, float(Y.sum(axis=0) @ u), mesh.area())
-        except (DivergentLambdaError, EmptySourceError) as exc:
-            error = str(exc)
-            break
+        Y = assemble_source_matrix(setup.squad, pq, basis, 1.0, machine.r0,
+                                   [])
+        lam = lambda_from_integral(machine.ip, float(Y.sum(axis=0) @ u),
+                                   mesh.area())
         Y[mesh.boundary, :] = 0.0
         u, lam, _ = rescale_dofs(u, lam)
         Y *= lam
         lam_history.append(lam)
 
+        C, d, w, b_int = setup.c0, ms.g_n, w_mag, None
         if use_internal:
             b_int = build_interferometry_matrix(setup.chord_geoms, basis,
                                                 psibar_nodal)
@@ -224,78 +235,38 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
                                             psibar_nodal)
             C = sp.vstack([setup.c0, c1]).tocsr()
             d = np.concatenate([ms.g_n, ms.alpha])
-            w_vec = np.concatenate([w_vec_mag,
-                                    np.full(n_c, weights.w_polar)])
-        else:
-            C = setup.c0
-            d = ms.g_n
-            w_vec = w_vec_mag
+            w = np.concatenate([w_mag, np.full(n_c, weights.w_polar)])
 
-        k_inv_y = setup.fact.solve_multi(Y)
-        k_inv_y[mesh.boundary, :] = 0.0
-        E = C @ k_inv_y
-        f = d - C @ k_inv_g
-        u_new = identify_ab(E, f, w_vec, reg.eps, setup.lam_full,
-                            setup.free_idx)
+        k_inv_y, E, f = observation_state(setup, Y, C, d, k_inv_g)
+        u = identify_ab(E, f, w, reg.eps, setup.lam_full, setup.free_idx)
+        last = (E, f, w, b_int)
+        return k_inv_y @ u + k_inv_g
 
-        # K^-1 (Y u + g); zero boundary rows of k_inv_y keep g_d exact
-        psi_new = k_inv_y @ u_new + k_inv_g
-        r = psi_new - psi
-        denom = np.linalg.norm(psi)
-        res = np.linalg.norm(r) / (denom if denom > 0 else 1.0)
-        residuals.append(res)
-        if res <= tol:
-            psi = psi_new
-            u = u_new
-            break
-        # dynamic relaxation on the flux update (secant estimate of the
-        # dominant contraction mode), as in the direct solver
-        if r_prev is not None and it > 2:
-            dr = r - r_prev
-            dr2 = float(dr @ dr)
-            if dr2 > 0:
-                om = min(max(-om * float(r_prev @ dr) / dr2, 0.25), 2.0)
-        r_prev = r
-        psi = psi + om * r
-        u = u_new
-
-    converged = bool(residuals) and residuals[-1] <= tol and error is None
+    error = domain = None
+    try:
+        psi = picard(step, psi, tol, max_iter, residuals)
+        domain = make_plasma_domain(mesh, psi)
+    except GsReconError as exc:
+        error = str(exc)
+    converged = error is None and bool(residuals) and residuals[-1] <= tol
 
     costs = {}
-    if error is None and domain is not None:
-        try:
-            domain = make_plasma_domain(mesh, psi, detect_xpoint=detect_xpoint)
-            psibar_nodal = domain.normalize(psi)
-            costs = _cost_breakdown(setup, ms, weights, reg, psi,
-                                    psibar_nodal, u, ne_coeffs, use_internal)
-        except NoPlasmaError as exc:
-            error = str(exc)
-            converged = False
+    if error is None and residuals:
+        E, f, w, b_int = last
+        misfit = w * (E @ u - f)
+        n_mag = setup.c0.shape[0]
+        costs = {"J0": 0.5 * float(np.sum(misfit[:n_mag] ** 2)),
+                 "J1": 0.5 * float(np.sum(misfit[n_mag:] ** 2)), "J2": 0.0,
+                 "Jeps": 0.5 * reg.eps * float(u @ setup.lam_full @ u)}
+        if b_int is not None:
+            costs["J2"] = 0.5 * float(np.sum(
+                (weights.w_inter * (b_int @ ne_coeffs - ms.gamma)) ** 2))
+        if ne_coeffs is not None:
+            v_hat = ne_coeffs / reg.alpha_scale   # identify_ne's dofs
+            costs["Jeps"] += 0.5 * reg.eps_ne * float(
+                v_hat @ setup.lam_block @ v_hat)
 
     profiles = ProfileExpansion(basis, u[:basis.m], u[basis.m:], ne_coeffs)
     return ReconstructionResult(psi, domain, profiles, lam, residuals,
-                                lam_history, costs, converged, it,
+                                lam_history, costs, converged, iterations,
                                 error=error)
-
-
-def _cost_breakdown(setup, ms, weights, reg, psi, psibar_nodal, u, ne_coeffs,
-                    use_internal):
-    basis = setup.basis
-    j0 = 0.5 * float(np.sum((weights.w_mag * (setup.c0 @ psi - ms.g_n)) ** 2))
-    j1 = j2 = 0.0
-    if use_internal and ne_coeffs is not None:
-        ne_exp = ProfileExpansion(basis, np.zeros(basis.m), np.zeros(basis.m),
-                                  ne_coeffs)
-        c1 = build_polarimetry_observer(setup.chord_geoms, ne_exp,
-                                        psibar_nodal)
-        j1 = 0.5 * float(np.sum(
-            (weights.w_polar * (c1 @ psi - ms.alpha)) ** 2))
-        b_int = build_interferometry_matrix(setup.chord_geoms, basis,
-                                            psibar_nodal)
-        j2 = 0.5 * float(np.sum(
-            (weights.w_inter * (b_int @ ne_coeffs - ms.gamma)) ** 2))
-    j_eps = 0.5 * reg.eps * float(u @ setup.lam_full @ u)
-    if ne_coeffs is not None:
-        v_hat = ne_coeffs / reg.alpha_scale   # the penalty's adimensional dofs
-        j_eps += 0.5 * reg.eps_ne * float(v_hat @ setup.lam_block @ v_hat)
-    return {"J0": j0, "J1": j1, "J2": j2, "Jeps": j_eps}

@@ -311,48 +311,61 @@ def save_measurements(ms, chords, path):
 
 
 def load_measurements(path):
-    """Returns (MeasurementSet, chord endpoint pairs)."""
+    """Returns (MeasurementSet, chord endpoint pairs).
+
+    Raises :class:`MeshParseError`, with the line number, for a missing or
+    malformed line, a non-numeric value or count, a truncated section and
+    values the measurement set rejects.
+    """
     with open(path) as fh:
         lines = fh.read().splitlines()
-
-    def fail(msg, ln):
-        raise MeshParseError(msg, line=ln + 1)
-
     idx = 0
+
+    def fail(msg):
+        raise MeshParseError(msg, line=idx)
+
+    def fields(what):
+        nonlocal idx
+        idx += 1
+        if idx > len(lines):
+            fail(f"file ends before {what}")
+        return lines[idx - 1].split()
+
+    def numbers(parts):
+        try:
+            return [float(v) for v in parts]
+        except ValueError:
+            fail(f"bad value in {lines[idx - 1]!r}")
+
     scalars = {}
     for _ in range(2):
-        parts = lines[idx].split()
-        if len(parts) != 2:
-            fail(f"expected scalar line, got {lines[idx]!r}", idx)
-        scalars[parts[0]] = float(parts[1])
-        idx += 1
+        parts = fields("the Ip and B0 lines")
+        if len(parts) != 2 or parts[0] not in {"Ip", "B0"} - set(scalars):
+            fail(f"expected 'Ip value' or 'B0 value', got {lines[idx - 1]!r}")
+        scalars[parts[0]] = numbers(parts[1:])[0]
 
     def section(name, nfields):
-        nonlocal idx
-        parts = lines[idx].split()
-        if parts[0] != name:
-            fail(f"expected section {name!r}", idx)
-        count = int(parts[1])
-        idx += 1
+        parts = fields(f"section {name!r}")
+        if len(parts) != 2 or parts[0] != name or not parts[1].isdigit():
+            fail(f"expected '{name} <count>', got {lines[idx - 1]!r}")
         rows = []
-        for _ in range(count):
-            p = lines[idx].split()
+        for _ in range(int(parts[1])):
+            p = fields(f"the end of section {name!r}")
             if len(p) != nfields:
-                fail(f"expected {nfields} fields in {name}", idx)
-            try:
-                rows.append([float(v) for v in p])
-            except ValueError:
-                fail(f"bad value in {name}: {lines[idx]!r}", idx)
-            idx += 1
-        return np.array(rows).reshape(count, nfields)
+                fail(f"expected {nfields} fields in {name}")
+            rows.append(numbers(p))
+        return np.array(rows).reshape(len(rows), nfields)
 
     g_d = section("gD", 1).ravel()
     gn_rows = section("gN", 3)
     chord_rows = section("chords", 6)
     chords = [(row[0:2], row[2:4]) for row in chord_rows]
-    ms = MeasurementSet(g_d, gn_rows[:, 2], chord_rows[:, 4], chord_rows[:, 5],
-                        scalars["Ip"], scalars["B0"],
-                        gn_points=gn_rows[:, 0:2])
+    try:
+        ms = MeasurementSet(g_d, gn_rows[:, 2], chord_rows[:, 4],
+                            chord_rows[:, 5], scalars["Ip"], scalars["B0"],
+                            gn_points=gn_rows[:, 0:2])
+    except ValueError as exc:
+        raise MeshParseError(str(exc)) from exc
     return ms, chords
 
 

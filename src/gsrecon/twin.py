@@ -177,13 +177,11 @@ def l_curve(solver, eps_grid, flat_span=0.3):
     return LCurveResult(eps_grid, x, y, float(eps_grid[idx]), idx, flat)
 
 
-def l_curve_ne(setup, ms, psibar_nodal, eps_grid, alpha_scale=1e19,
-               weights=None):
+def l_curve_ne(setup, ms, psibar_nodal, eps_grid, alpha_scale=1e19):
     """L-curve of the density identification at a fixed flux iterate."""
-    if weights is None:
-        weights = default_weights(ms.ip, setup.mesh.boundary_length(),
-                                  len(ms.g_n), len(ms.gamma),
-                                  alpha=ms.alpha, gamma=ms.gamma)
+    weights = default_weights(ms.ip, setup.mesh.boundary_length(),
+                              len(ms.g_n), len(ms.gamma),
+                              alpha=ms.alpha, gamma=ms.gamma)
     b_int = build_interferometry_matrix(setup.chord_geoms, setup.basis,
                                         psibar_nodal)
 
@@ -199,12 +197,11 @@ def l_curve_ne(setup, ms, psibar_nodal, eps_grid, alpha_scale=1e19,
     return l_curve(solver, eps_grid)
 
 
-def l_curve_ab(setup, ms, E, f, eps_grid, weights=None):
+def l_curve_ab(setup, ms, E, f, eps_grid):
     """L-curve of the A/B identification at a fixed observation state."""
-    if weights is None:
-        weights = default_weights(ms.ip, setup.mesh.boundary_length(),
-                                  len(ms.g_n), len(ms.gamma),
-                                  alpha=ms.alpha, gamma=ms.gamma)
+    weights = default_weights(ms.ip, setup.mesh.boundary_length(),
+                              len(ms.g_n), len(ms.gamma),
+                              alpha=ms.alpha, gamma=ms.gamma)
     w_vec = np.full(E.shape[0], weights.w_mag)
 
     def solver(eps):

@@ -18,7 +18,8 @@ from gsrecon.diagnostics import (extract_contour, flux_surface_average,
 from gsrecon.forward import (SourceQuadrature, assemble_source_matrix,
                              current_density_integral, dirichlet_vector,
                              forward_fixed_point)
-from gsrecon.inverse import RegularizationConfig, reconstruct
+from gsrecon.inverse import (RegularizationConfig, observation_state,
+                             reconstruct)
 from gsrecon.twin import l_curve_ab, l_curve_ne, perturb, replicate_stats
 from conftest import a_ref, b_ref
 
@@ -188,16 +189,11 @@ def test_criterion_7_l_curves(setup, clean_measurements, reference_eq,
     x_mono = bool(np.all(np.diff(lc.x) >= -1e-9))
     y_mono = bool(np.all(np.diff(lc.y) <= 1e-9))
 
-    g = dirichlet_vector(twin_mesh, ms.g_d)
-    k_inv_g = setup.fact.solve(g)
-    k_inv_g[twin_mesh.boundary] = ms.g_d
     pq = setup.squad.psibar_qp(psibar)
     Y = assemble_source_matrix(setup.squad, pq, basis, reference_eq.lam,
                                machine.r0, twin_mesh.boundary)
-    k_inv_y = setup.fact.solve_multi(Y)
-    k_inv_y[twin_mesh.boundary, :] = 0.0
-    E = setup.c0 @ k_inv_y
-    f = ms.g_n - setup.c0 @ k_inv_g
+    _, E, f = observation_state(setup, Y, setup.c0, ms.g_n,
+                                setup.dirichlet_lift(ms.g_d))
     lab = l_curve_ab(setup, ms, E, f, grid)
     dt = time.perf_counter() - t0
     ok = (1e-3 <= lc.corner_eps <= 1e-1 and not lc.flat and x_mono

@@ -52,6 +52,8 @@ def test_parse_config_errors(tmp_path):
     path.write_text("chord = 1 2 3\n")
     with pytest.raises(cli.ConfigError):
         cli.parse_config(str(path))
+    with pytest.raises(cli.ConfigError, match="unknown key 'nrr'"):
+        cli.parse_config(None, ["nrr=5"])
 
 
 def test_mesh_gen(tmp_path):
@@ -109,6 +111,22 @@ def test_reconstruct_malformed_measurements(workspace, tmp_path):
                      "--measurements", str(bad)]) == cli.EXIT_INPUT
 
 
+def test_reconstruct_truncated_measurements(workspace, tmp_path):
+    ws, cfg = workspace
+    lines = (ws / "measurements.txt").read_text().splitlines()
+    cut = tmp_path / "cut.txt"
+    cut.write_text("\n".join(lines[:40]))
+    assert cli.main(["reconstruct", "--config", str(cfg),
+                     "--measurements", str(cut)]) == cli.EXIT_INPUT
+
+
+def test_forward_failure_is_nonconvergence(tmp_path):
+    # a negative current puts the flux maximum on the boundary in the
+    # first iteration: a numerical failure, not an input error
+    assert cli.main(["forward", "--set", "ip=-1e6",
+                     "--set", f"out_dir={tmp_path}"]) == cli.EXIT_NOCONV
+
+
 def test_stats_writes_csv(workspace):
     ws, cfg = workspace
     code = cli.main(["stats", "--config", str(cfg),
@@ -139,3 +157,8 @@ def test_bad_config_value_is_input_error(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("ip = not_a_number\n")
     assert cli.main(["forward", "--config", str(cfg)]) == cli.EXIT_INPUT
+
+
+def test_unknown_config_key_is_input_error(tmp_path):
+    assert cli.main(["forward", "--set", "nrr=5",
+                     "--set", f"out_dir={tmp_path}"]) == cli.EXIT_INPUT

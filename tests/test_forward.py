@@ -4,13 +4,13 @@ from hypothesis import given, settings, strategies as st
 
 import gsrecon
 from gsrecon.basis import ProfileExpansion, SplineBasis
-from gsrecon.errors import DivergentLambdaError, EmptySourceError
+from gsrecon.errors import (DivergentLambdaError, EmptySourceError,
+                            MeshParseError)
 from gsrecon.forward import (MachineParams, SourceQuadrature,
                              assemble_source_matrix, assemble_source_vector,
-                             compute_lambda, current_density_integral,
-                             dirichlet_vector, forward_fixed_point,
-                             lambda_from_integral, load_equilibrium,
-                             save_equilibrium)
+                             current_density_integral, dirichlet_vector,
+                             forward_fixed_point, lambda_from_integral,
+                             load_equilibrium, picard, save_equilibrium)
 from conftest import a_ref, b_ref
 
 
@@ -41,7 +41,8 @@ _COEF = st.floats(0.1, 2.0)
 @settings(max_examples=15, deadline=None)
 @given(_COEF, _COEF)
 def test_total_current_constraint(ca, cb):
-    # lambda is defined so the plasma-current integral equals Ip exactly
+    # lambda scales the plasma current to Ip, so the nodal load vector
+    # (before its Dirichlet rows are cleared) carries Ip in total
     mesh = gsrecon.build_rect_mesh(2.0, 3.0, -1.0, 1.0, 8, 8)
     basis = SplineBasis(end_constraint=True)
     g = basis.greville()
@@ -49,12 +50,53 @@ def test_total_current_constraint(ca, cb):
     r, z = mesh.nodes[:, 0], mesh.nodes[:, 1]
     psibar = ((r - 2.5) ** 2 + z ** 2) / 0.2
     squad = SourceQuadrature(mesh)
-    lam = compute_lambda(mesh, psibar, exp, 1.0e6, 2.5, squad=squad)
     pq = squad.psibar_qp(psibar)
     x = np.clip(pq, 0.0, 1.0)
-    integral = current_density_integral(squad, pq, exp.eval("A", x),
-                                        exp.eval("B", x), 2.5)
-    assert lam * integral == pytest.approx(1.0e6, rel=1e-10)
+    a_vals, b_vals = exp.eval("A", x), exp.eval("B", x)
+    integral = current_density_integral(squad, pq, a_vals, b_vals, 2.5)
+    lam = lambda_from_integral(1.0e6, integral, mesh.area())
+    y = assemble_source_vector(squad, pq, a_vals, b_vals, lam, 2.5, [])
+    assert y.sum() == pytest.approx(1.0e6, rel=1e-10)
+
+
+def _recorded_affine_step(a, b):
+    """The step psi -> a psi + b, recording its inputs and outputs."""
+    seen = {"in": [], "out": []}
+
+    def step(psi):
+        seen["in"].append(psi)
+        seen["out"].append(a * psi + b)
+        return seen["out"][-1]
+
+    return step, seen
+
+
+def test_picard_on_linear_contraction():
+    step, seen = _recorded_affine_step(np.array([0.5, -0.3, 0.9]),
+                                       np.ones(3))
+    residuals = []
+    psi = picard(step, np.zeros(3), 0.0, 4, residuals)
+    # max_iter reached: the last step's output, not a relaxed update
+    assert psi is seen["out"][-1] and len(residuals) == 4
+    psi_in, r = seen["in"], [o - p for p, o in zip(seen["in"], seen["out"])]
+    assert residuals[0] == np.linalg.norm(r[0])    # absolute from zero flux
+    # omega stays 1 until two residuals measured from a nonzero flux exist
+    np.testing.assert_array_equal(psi_in[1], psi_in[0] + r[0])
+    np.testing.assert_array_equal(psi_in[2], psi_in[1] + r[1])
+    dr = r[2] - r[1]
+    omega = -float(r[1] @ dr) / float(dr @ dr)
+    assert 0.25 < omega < 2.0 and omega != 1.0
+    np.testing.assert_array_equal(psi_in[3], psi_in[2] + omega * r[2])
+
+
+@pytest.mark.parametrize("a,omega", [(0.9, 2.0), (-5.0, 0.25)])
+def test_picard_clips_omega(a, omega):
+    # on a scalar affine map the secant estimate is 1 / (1 - a): 10 and 1/6
+    step, seen = _recorded_affine_step(a, 1.0)
+    picard(step, np.array([1.0]), 0.0, 3, [])
+    psi_in, out = seen["in"], seen["out"]
+    np.testing.assert_array_equal(psi_in[2],
+                                  psi_in[1] + omega * (out[1] - psi_in[1]))
 
 
 def test_source_matrix_matches_vector(twin_mesh, basis, reference_eq):
@@ -129,6 +171,23 @@ def test_equilibrium_roundtrip(tmp_path, reference_eq, basis):
     assert eq2.machine.ip == reference_eq.machine.ip
     assert eq2.domain.psi_a == reference_eq.domain.psi_a
     assert eq2.domain.mode == reference_eq.domain.mode
+
+
+@pytest.mark.parametrize("edit", [
+    lambda lines: lines[:2],                               # r0 and b0 only
+    lambda lines: lines[:-1],                              # short psi block
+    lambda lines: lines[:-1] + ["0.0 1.0"],
+    lambda lines: lines[:2] + ["ip many"] + lines[3:],
+    lambda lines: lines[:8] + ["axis 2.5"] + lines[9:],
+    lambda lines: [ln for ln in lines if not ln.startswith("psi ")],
+])
+def test_load_equilibrium_rejects_malformed(tmp_path, reference_eq, basis,
+                                            edit):
+    path = tmp_path / "eq.txt"
+    save_equilibrium(reference_eq, path)
+    path.write_text("\n".join(edit(path.read_text().splitlines())))
+    with pytest.raises(MeshParseError):
+        load_equilibrium(path, basis=basis)
 
 
 def test_dirichlet_vector(small_mesh):

@@ -5,7 +5,7 @@ import gsrecon
 from gsrecon.errors import DegeneratePlasmaError, NoPlasmaError
 from gsrecon.geometry import (boundary_flux, find_axis, find_xpoint,
                               make_plasma_domain, normalized_flux,
-                              plasma_mask, quadrature_points)
+                              quadrature_points)
 
 
 def paraboloid(mesh, r0=2.5, z0=0.0):
@@ -80,11 +80,6 @@ def test_normalized_flux_endpoints():
     np.testing.assert_allclose(pb, [0.0, 0.5, 1.0])
     with pytest.raises(DegeneratePlasmaError):
         normalized_flux(psi, 2.0, 2.0)
-
-
-def test_plasma_mask():
-    np.testing.assert_array_equal(plasma_mask([0.0, 0.5, 1.0, 1.1]),
-                                  [1.0, 1.0, 1.0, 0.0])
 
 
 def test_quadrature_weights_sum_to_area(mesh):

@@ -4,7 +4,8 @@ import pytest
 import gsrecon
 from gsrecon.basis import SplineBasis, full_regularization_matrix, \
     regularization_matrix
-from gsrecon.errors import MeasurementCountError
+from gsrecon import inverse
+from gsrecon.errors import MeasurementCountError, RegularizationError
 from gsrecon.fem import Factorization
 from gsrecon.forward import assemble_source_matrix, current_density_integral
 from gsrecon.inverse import (ReconstructionSetup, RegularizationConfig,
@@ -160,23 +161,23 @@ def test_reconstruct_lambda_history_tracks_iterations(setup,
     assert all(lam > 0 for lam in res.lam_history)
 
 
+def _counted(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def test_reconstruct_one_basis_evaluation_and_one_solve(
         setup, clean_measurements, reference_eq, monkeypatch):
     # per iteration: one source-matrix assembly (the only basis evaluation
     # on a magnetics-only run) and no single-column solve; the one solve
     # is K^-1 g before the loop
     calls = {"eval_many": 0, "solve": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
     monkeypatch.setattr(SplineBasis, "eval_many",
-                        counted("eval_many", SplineBasis.eval_many))
+                        _counted(calls, "eval_many", SplineBasis.eval_many))
     monkeypatch.setattr(Factorization, "solve",
-                        counted("solve", Factorization.solve))
+                        _counted(calls, "solve", Factorization.solve))
     res = reconstruct(setup, clean_measurements, RegularizationConfig(),
                       use_internal=False)
     assert res.converged and res.iterations > 2
@@ -191,6 +192,44 @@ def test_reconstruct_one_basis_evaluation_and_one_solve(
     integral = current_density_integral(setup.squad, pq, phi @ eq.profiles.a,
                                         phi @ eq.profiles.b, 2.5)
     assert Y.sum(axis=0) @ u == pytest.approx(integral, rel=1e-12)
+
+
+def test_reconstruct_costs_reuse_last_iteration(setup, clean_measurements,
+                                                monkeypatch):
+    # the chord operators are built once per iteration, none for the costs
+    names = ("build_polarimetry_observer", "build_interferometry_matrix")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        monkeypatch.setattr(inverse, name,
+                            _counted(calls, name, getattr(inverse, name)))
+    res = reconstruct(setup, clean_measurements, RegularizationConfig(),
+                      use_internal=True)
+    assert res.converged
+    assert calls == dict.fromkeys(names, res.iterations)
+
+
+def test_reconstruct_reports_step_failure(setup, clean_measurements,
+                                          monkeypatch):
+    # a GsReconError inside an iteration comes back through the result,
+    # with the iterate, the iteration count and the residuals it reached
+    one = reconstruct(setup, clean_measurements, RegularizationConfig(),
+                      use_internal=False, max_iter=1)
+    calls = {"identify_ab": 0}
+    real = _counted(calls, "identify_ab", inverse.identify_ab)
+
+    def identify_ab(*args):
+        if calls["identify_ab"] == 1:
+            raise RegularizationError("singular at iteration 2")
+        return real(*args)
+
+    monkeypatch.setattr(inverse, "identify_ab", identify_ab)
+    res = reconstruct(setup, clean_measurements, RegularizationConfig(),
+                      use_internal=False)
+    assert res.error == "singular at iteration 2"
+    assert res.iterations == 2 and res.residuals == one.residuals
+    assert not res.converged and res.costs == {} and res.domain is None
+    # the flux iteration 2 started from: the first step's output
+    np.testing.assert_array_equal(res.psi, one.psi)
 
 
 def _setup12(machine):

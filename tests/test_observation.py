@@ -166,6 +166,43 @@ def test_load_measurements_malformed(tmp_path):
         load_measurements(path)
 
 
+def test_load_measurements_every_line_prefix(tmp_path, clean_measurements,
+                                             setup):
+    # a truncated file loads (only when nothing is missing) or raises a
+    # GsReconError, never another exception
+    path = tmp_path / "ms.txt"
+    save_measurements(clean_measurements,
+                      [g.chord for g in setup.chord_geoms], path)
+    lines = path.read_text().splitlines()
+    loaded = []
+    for k in range(len(lines) + 1):
+        path.write_text("\n".join(lines[:k]))
+        try:
+            load_measurements(path)
+            loaded.append(k)
+        except gsrecon.GsReconError:
+            pass
+    assert loaded == [len(lines)]
+
+
+@pytest.mark.parametrize("text,line", [
+    ("Ip one\nB0 2.0\ngD 0\ngN 0\nchords 0\n", 1),
+    ("Ip 1e6\nB0 2.0\ngD two\n", 3),
+    ("Ip 1e6\nB0 2.0\ngD 1\n0.0\ngN 1.5\n", 5),
+    ("B0 2.0\ngD 1\n0.0\n", 2),
+    ("Ip 1e6\ngD 1\n0.0\n", 2),
+    ("Ip 1e6\nB0 2.0\ngD 1\n0.0\ngN 1\n2.0 0.0\n", 6),
+    ("Ip 1e6\nB0 2.0\ngD 1\n0.0\ngN 1\n2.0 0.0 1.0\n", 7),
+    ("Ip 1e6\nB0 2.0\ngD 1\n0.0\ngN 1\n2.0 0.0 nan\nchords 0\n", None),
+])
+def test_load_measurements_malformed_lines(tmp_path, text, line):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(MeshParseError) as info:
+        load_measurements(path)
+    assert info.value.line == line
+
+
 def test_perturb_zero_rate_is_identity(clean_measurements):
     rng = np.random.default_rng(0)
     ms = perturb_measurements(clean_measurements, 0.0, rng)
