@@ -9,6 +9,7 @@ overrides (``--set key=value``).  Exit codes: 0 success, 1 input error,
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -50,6 +51,16 @@ class ConfigError(GsReconError):
     pass
 
 
+@contextmanager
+def _config_values(what):
+    """Raise a ValueError from parsing or checking config values as the
+    input error :class:`ConfigError`."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
+
+
 def parse_config(path=None, overrides=()):
     cfg = dict(DEFAULTS)
     cfg["chords"] = []
@@ -72,7 +83,8 @@ def parse_config(path=None, overrides=()):
             parts = val.split()
             if len(parts) != 4:
                 raise ConfigError(f"config line {ln}: chord needs r1 z1 r2 z2")
-            cfg["chords"].append(tuple(float(p) for p in parts))
+            with _config_values(f"chord on config line {ln}"):
+                cfg["chords"].append(tuple(float(p) for p in parts))
         elif key in DEFAULTS or key in OPTIONAL_KEYS:
             cfg[key] = val
         else:
@@ -92,9 +104,10 @@ def _profile_func(cfg, key, default=None):
         if default is None:
             raise ConfigError(f"missing profile samples: {key}")
         return default
-    vals = np.array([float(v) for v in str(cfg[key]).split(",")])
-    xs = np.linspace(0.0, 1.0, len(vals))
-    return PchipInterpolator(xs, vals)
+    with _config_values(key):
+        vals = np.array([float(v) for v in str(cfg[key]).split(",")])
+        xs = np.linspace(0.0, 1.0, len(vals))
+        return PchipInterpolator(xs, vals)
 
 
 def _limiter(cfg):
@@ -104,31 +117,37 @@ def _limiter(cfg):
     parts = raw.split()
     if len(parts) != 3:
         raise ConfigError("limiter_rect needs: r_in r_out z_half (or 'none')")
-    r1, r2, zh = (float(p) for p in parts)
+    with _config_values("limiter_rect"):
+        r1, r2, zh = (float(p) for p in parts)
     return np.array([[r1, -zh], [r2, -zh], [r2, zh], [r1, zh]])
 
 
 def _load_mesh(cfg):
     if "mesh_file" in cfg:
         return meshmod.load_mesh(str(cfg["mesh_file"]))
-    return meshmod.build_rect_mesh(
-        _get(cfg, "r_min"), _get(cfg, "r_max"), _get(cfg, "z_min"),
-        _get(cfg, "z_max"), _get(cfg, "nr", int), _get(cfg, "nz", int),
-        limiter=_limiter(cfg))
+    with _config_values("mesh"):
+        return meshmod.build_rect_mesh(
+            _get(cfg, "r_min"), _get(cfg, "r_max"), _get(cfg, "z_min"),
+            _get(cfg, "z_max"), _get(cfg, "nr", int), _get(cfg, "nz", int),
+            limiter=_limiter(cfg))
 
 
 def _machine(cfg):
-    return MachineParams(_get(cfg, "r0"), _get(cfg, "b0"), _get(cfg, "ip"))
+    with _config_values("machine parameters"):
+        return MachineParams(_get(cfg, "r0"), _get(cfg, "b0"),
+                             _get(cfg, "ip"))
 
 
 def _reg(cfg):
-    return RegularizationConfig(_get(cfg, "eps"), _get(cfg, "eps_ne"),
-                                _get(cfg, "alpha_scale"))
+    with _config_values("regularization"):
+        return RegularizationConfig(_get(cfg, "eps"), _get(cfg, "eps_ne"),
+                                    _get(cfg, "alpha_scale"))
 
 
 def _basis(cfg):
-    return SplineBasis(degree=_get(cfg, "degree", int), m=_get(cfg, "m", int),
-                       end_constraint=True)
+    with _config_values("basis"):
+        return SplineBasis(degree=_get(cfg, "degree", int),
+                           m=_get(cfg, "m", int), end_constraint=True)
 
 
 def _out(cfg, name):
@@ -290,7 +309,8 @@ def cmd_stats(args):
     setup = ReconstructionSetup(mesh, machine, cfg["chords"], basis=basis)
     ne_coeffs = _ne_reference(cfg, basis)
     ms = synthesize_measurements(setup, eq, ne_coeffs)
-    eps_values = [float(v) for v in str(cfg["eps_list"]).split(",")]
+    with _config_values("eps_list"):
+        eps_values = [float(v) for v in str(cfg["eps_list"]).split(",")]
     stats = replicate_stats(
         setup, ms, _reg(cfg), eps_values,
         n_replicates=_get(cfg, "replicates", int),

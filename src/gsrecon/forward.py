@@ -53,7 +53,6 @@ class SourceQuadrature:
     """
 
     def __init__(self, mesh):
-        self.mesh = mesh
         edges, tri_edges = mesh.edge_index()
         self.qp_nodes, self.qp_bary = edges, np.full(edges.shape, 0.5)
         self.qp_w = np.bincount(tri_edges.ravel(),
@@ -75,6 +74,18 @@ class SourceQuadrature:
         out = np.full(len(self.qp_w), 2.0)
         out[self._inside_limiter] = 0.0
         return out
+
+
+def mesh_operators(mesh, mu0):
+    """(Factorization, SourceQuadrature) of ``mesh``: the Dirichlet-modified
+    stiffness matrix factorized once per mesh and mu0, held in the mesh's
+    cache and shared by every forward solve and reconstruction set-up."""
+    key = ("operators", mu0)
+    if key not in mesh._cache:
+        stiff = fem.impose_dirichlet(fem.assemble_stiffness(mesh, mu0),
+                                     mesh.boundary)
+        mesh._cache[key] = (fem.factorize(stiff), SourceQuadrature(mesh))
+    return mesh._cache[key]
 
 
 def current_density_integral(squad, psibar_qp, a_vals, b_vals, r0):
@@ -133,32 +144,41 @@ def dirichlet_vector(mesh, g_d):
     return g
 
 
+ANDERSON_DEPTH = 3
+
+
 def picard(step, psi, tol, max_iter, residuals):
-    """Relaxed fixed-point iteration psi <- psi + omega (step(psi) - psi).
+    """Anderson-mixed fixed-point iteration of psi = step(psi).
 
     Appends the relative residual |step(psi) - psi| / |psi| (absolute
     while psi is zero) of every iteration to ``residuals`` and stops once
     it is at most ``tol`` or after ``max_iter`` steps, returning the last
-    step's output.  omega is the secant estimate of the dominant
-    contraction mode, clipped to [0.25, 2]; it stays 1 until two residuals
-    measured from a nonzero flux exist.  Exceptions raised by ``step``
-    propagate, with ``residuals`` holding the iterations completed.
+    step's output.  Otherwise the next iterate is the type-II Anderson
+    update g - dG gamma (Walker & Ni 2011), g = step(psi), r = g - psi,
+    where gamma is the least-squares fit dR gamma ~ r over the differences
+    of the last ``ANDERSON_DEPTH`` (r, g) pairs.  The history is cleared
+    while psi is zero and whenever |r| grows, so the next iterate is then
+    plain g.  Exceptions raised by ``step`` propagate, with ``residuals``
+    holding the iterations completed.
     """
-    omega, r_prev = 1.0, None
+    d_r, d_g, prev = [], [], None    # prev: (r, g, |r|) from a nonzero psi
     for it in range(max_iter):
-        psi_new = step(psi)
-        r = psi_new - psi
-        norm = np.linalg.norm(psi)
-        residuals.append(np.linalg.norm(r) / (norm if norm > 0 else 1.0))
+        g = step(psi)
+        r = g - psi
+        norm, r_norm = np.linalg.norm(psi), np.linalg.norm(r)
+        residuals.append(r_norm / (norm if norm > 0 else 1.0))
         if residuals[-1] <= tol or it == max_iter - 1:
-            return psi_new
-        if r_prev is not None and norm > 0:
-            dr = r - r_prev
-            dr2 = float(dr @ dr)
-            if dr2 > 0:
-                omega = min(max(-omega * float(r_prev @ dr) / dr2, 0.25), 2.0)
-        r_prev = r if norm > 0 else None
-        psi = psi + omega * r
+            return g
+        if norm == 0 or (prev is not None and r_norm > prev[2]):
+            d_r, d_g = [], []
+        elif prev is not None:
+            d_r = (d_r + [r - prev[0]])[-ANDERSON_DEPTH:]
+            d_g = (d_g + [g - prev[1]])[-ANDERSON_DEPTH:]
+        prev = (r, g, r_norm) if norm > 0 else None
+        psi = g
+        if d_r:
+            gamma = np.linalg.lstsq(np.column_stack(d_r), r, rcond=None)[0]
+            psi = g - np.column_stack(d_g) @ gamma
     return psi
 
 
@@ -175,10 +195,7 @@ def forward_fixed_point(mesh, machine, a_func, b_func, g_d, tol=1e-6,
     if g_d.shape != mesh.boundary.shape:
         raise ValueError("g_d must provide one value per boundary node")
 
-    stiff = fem.impose_dirichlet(fem.assemble_stiffness(mesh, machine.mu0),
-                                 mesh.boundary)
-    fact = fem.factorize(stiff)
-    squad = SourceQuadrature(mesh)
+    fact, squad = mesh_operators(mesh, machine.mu0)
     g = dirichlet_vector(mesh, g_d)
     lam = None
 
@@ -255,8 +272,9 @@ def save_equilibrium(eq, path):
 def load_equilibrium(path, mesh=None, basis=None):
     """Read a file written by :func:`save_equilibrium`.
 
-    A missing field, a non-numeric value, a short psi block or values the
-    equilibrium rejects raise :class:`MeshParseError`.
+    A missing field, a non-numeric value, a short psi block, a psi block
+    whose length differs from the node count of ``mesh`` (when given) or
+    values the equilibrium rejects raise :class:`MeshParseError`.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -293,4 +311,7 @@ def load_equilibrium(path, mesh=None, basis=None):
             from exc
     if psi is None:
         raise MeshParseError("missing psi block")
+    if mesh is not None and len(psi) != mesh.n_nodes:
+        raise MeshParseError(f"psi block has {len(psi)} values for a mesh "
+                             f"of {mesh.n_nodes} nodes")
     return Equilibrium(psi, domain, prof, lam, machine)

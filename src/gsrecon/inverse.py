@@ -6,13 +6,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from . import fem
 from .basis import (ProfileExpansion, SplineBasis, first_guess_expansion,
                     full_regularization_matrix, regularization_matrix)
 from .errors import (GsReconError, MeasurementCountError, NoPlasmaError,
                      RegularizationError, StateError)
-from .forward import (SourceQuadrature, assemble_source_matrix,
-                      dirichlet_vector, lambda_from_integral, picard)
+from .forward import (assemble_source_matrix, dirichlet_vector,
+                      lambda_from_integral, mesh_operators, picard)
 from .geometry import make_plasma_domain
 from .mesh import point_in_polygon
 from .observation import (build_chord_geometries, build_interferometry_matrix,
@@ -107,10 +106,7 @@ class ReconstructionSetup:
         self.machine = machine
         self.basis = basis if basis is not None else SplineBasis(
             end_constraint=True)
-        stiff = fem.impose_dirichlet(fem.assemble_stiffness(mesh, machine.mu0),
-                                     mesh.boundary)
-        self.fact = fem.factorize(stiff)
-        self.squad = SourceQuadrature(mesh)
+        self.fact, self.squad = mesh_operators(mesh, machine.mu0)
         self.c0, self.gn_points = build_neumann_observer(mesh, mk_indices)
         self.chord_geoms = build_chord_geometries(mesh, chords,
                                                   step=chord_step)

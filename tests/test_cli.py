@@ -162,3 +162,13 @@ def test_bad_config_value_is_input_error(tmp_path):
 def test_unknown_config_key_is_input_error(tmp_path):
     assert cli.main(["forward", "--set", "nrr=5",
                      "--set", f"out_dir={tmp_path}"]) == cli.EXIT_INPUT
+
+
+@pytest.mark.parametrize("override", [
+    "chord=a b c d", "limiter_rect=a b c", "profile_a=1,x", "nr=-3",
+    "profile_a=1", "r0=-1", "m=1"])
+def test_malformed_config_value_is_input_error(tmp_path, capsys, override):
+    assert cli.main(["forward", "--set", override,
+                     "--set", f"out_dir={tmp_path}"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: bad ")
+

@@ -6,7 +6,7 @@ import gsrecon
 from gsrecon.basis import ProfileExpansion, SplineBasis
 from gsrecon.errors import (DivergentLambdaError, EmptySourceError,
                             MeshParseError)
-from gsrecon.forward import (MachineParams, SourceQuadrature,
+from gsrecon.forward import (ANDERSON_DEPTH, MachineParams, SourceQuadrature,
                              assemble_source_matrix, assemble_source_vector,
                              current_density_integral, dirichlet_vector,
                              forward_fixed_point, lambda_from_integral,
@@ -60,43 +60,79 @@ def test_total_current_constraint(ca, cb):
 
 
 def _recorded_affine_step(a, b):
-    """The step psi -> a psi + b, recording its inputs and outputs."""
+    """The step psi -> a @ psi + b, recording its inputs and outputs."""
     seen = {"in": [], "out": []}
 
     def step(psi):
         seen["in"].append(psi)
-        seen["out"].append(a * psi + b)
+        seen["out"].append(a @ psi + b)
         return seen["out"][-1]
 
     return step, seen
 
 
-def test_picard_on_linear_contraction():
-    step, seen = _recorded_affine_step(np.array([0.5, -0.3, 0.9]),
-                                       np.ones(3))
+# a non-symmetric contraction of R^3 (spectral radius 0.40) and its offset
+_A = np.array([[0.5, 0.2, 0.0], [-0.1, 0.3, 0.2], [0.1, 0.0, -0.4]])
+_B = np.array([1.0, -2.0, 0.5])
+
+
+def _anderson_update(psi_in, out, pairs):
+    """The type-II Anderson iterate after step(psi_in[-1]) = out[-1], from
+    the differences of the last ``pairs`` (residual, output) pairs."""
+    r = [o - p for p, o in zip(psi_in, out)]
+    d_r = np.column_stack([r[k] - r[k - 1] for k in range(-pairs, 0)])
+    d_g = np.column_stack([out[k] - out[k - 1] for k in range(-pairs, 0)])
+    gamma = np.linalg.lstsq(d_r, r[-1], rcond=None)[0]
+    return out[-1] - d_g @ gamma
+
+
+def test_picard_returns_last_step_output():
+    step, seen = _recorded_affine_step(_A, _B)
     residuals = []
     psi = picard(step, np.zeros(3), 0.0, 4, residuals)
-    # max_iter reached: the last step's output, not a relaxed update
+    # max_iter reached: the last step's output, not a mixed update
     assert psi is seen["out"][-1] and len(residuals) == 4
-    psi_in, r = seen["in"], [o - p for p, o in zip(seen["in"], seen["out"])]
-    assert residuals[0] == np.linalg.norm(r[0])    # absolute from zero flux
-    # omega stays 1 until two residuals measured from a nonzero flux exist
-    np.testing.assert_array_equal(psi_in[1], psi_in[0] + r[0])
-    np.testing.assert_array_equal(psi_in[2], psi_in[1] + r[1])
-    dr = r[2] - r[1]
-    omega = -float(r[1] @ dr) / float(dr @ dr)
-    assert 0.25 < omega < 2.0 and omega != 1.0
-    np.testing.assert_array_equal(psi_in[3], psi_in[2] + omega * r[2])
-
-
-@pytest.mark.parametrize("a,omega", [(0.9, 2.0), (-5.0, 0.25)])
-def test_picard_clips_omega(a, omega):
-    # on a scalar affine map the secant estimate is 1 / (1 - a): 10 and 1/6
-    step, seen = _recorded_affine_step(a, 1.0)
-    picard(step, np.array([1.0]), 0.0, 3, [])
     psi_in, out = seen["in"], seen["out"]
-    np.testing.assert_array_equal(psi_in[2],
-                                  psi_in[1] + omega * (out[1] - psi_in[1]))
+    assert residuals[0] == np.linalg.norm(out[0])    # absolute from zero flux
+    assert residuals[1] == (np.linalg.norm(out[1] - psi_in[1])
+                            / np.linalg.norm(psi_in[1]))
+    # no mixing while psi = 0: the step from zero flux leaves no pair, so
+    # the first two iterates are plain step outputs
+    np.testing.assert_array_equal(psi_in[1], out[0])
+    np.testing.assert_array_equal(psi_in[2], out[1])
+    expected = _anderson_update(psi_in[1:3], out[1:3], 1)
+    assert not np.array_equal(expected, out[2])
+    np.testing.assert_allclose(psi_in[3], expected, rtol=1e-14, atol=0)
+
+
+def test_picard_solves_affine_map_within_depth_plus_two():
+    step, seen = _recorded_affine_step(_A, _B)
+    residuals = []
+    psi = picard(step, np.ones(3), 1e-12, ANDERSON_DEPTH + 2, residuals)
+    fixed = np.linalg.solve(np.eye(3) - _A, _B)
+    assert residuals[-1] <= 1e-12
+    np.testing.assert_allclose(psi, fixed, rtol=0, atol=1e-12)
+    assert not np.allclose(seen["in"][1:], seen["out"][:-1])   # mixed
+
+
+def test_picard_growing_residual_clears_history():
+    # a contraction for three steps, then a jump that grows the residual
+    affine, seen = _recorded_affine_step(_A, _B)
+
+    def step(psi):
+        out = affine(psi)
+        if len(seen["out"]) == 4:                 # the fourth step
+            out = seen["out"][-1] = psi + 100.0
+        return out
+
+    picard(step, np.ones(3), 0.0, 6, [])
+    psi_in, out = seen["in"], seen["out"]
+    assert not np.array_equal(psi_in[3], out[2])    # mixing was active
+    np.testing.assert_array_equal(psi_in[4], out[3])
+    # the history restarted at the jump: one pair, not three
+    np.testing.assert_allclose(psi_in[5], _anderson_update(psi_in[3:5],
+                                                           out[3:5], 1),
+                               rtol=1e-14, atol=0)
 
 
 def test_source_matrix_matches_vector(twin_mesh, basis, reference_eq):
@@ -188,6 +224,16 @@ def test_load_equilibrium_rejects_malformed(tmp_path, reference_eq, basis,
     path.write_text("\n".join(edit(path.read_text().splitlines())))
     with pytest.raises(MeshParseError):
         load_equilibrium(path, basis=basis)
+
+
+def test_load_equilibrium_checks_mesh(tmp_path, twin_mesh, reference_eq,
+                                     basis):
+    path = tmp_path / "eq.txt"
+    save_equilibrium(reference_eq, path)                   # 20 x 20 twin
+    assert len(load_equilibrium(path, twin_mesh, basis).psi) == 441
+    mesh12 = gsrecon.build_rect_mesh(2.0, 3.0, -1.2, 1.2, 12, 12)
+    with pytest.raises(MeshParseError, match="441 values for a mesh of 169"):
+        load_equilibrium(path, mesh12, basis)
 
 
 def test_dirichlet_vector(small_mesh):

@@ -276,3 +276,13 @@ def test_reconstruct_magnetics_only_ignores_chord_count(machine):
     res = reconstruct(setup, ms, RegularizationConfig(), use_internal=False,
                       max_iter=1)
     assert res.iterations == 1
+
+
+def test_iteration_counts_do_not_grow(reference_eq, setup,
+                                      clean_measurements):
+    # the counts the Anderson-mixed driver reaches on the 20 x 20 twin; a
+    # driver change that needs more iterations fails here
+    assert reference_eq.iterations <= 8
+    res = reconstruct(setup, clean_measurements, RegularizationConfig(),
+                      use_internal=False)
+    assert res.converged and res.iterations <= 9

@@ -15,7 +15,7 @@ from gsrecon.forward import (SourceQuadrature, assemble_source_matrix,
 from gsrecon.geometry import (_critical_point, _fit_value, _quadratic_fit,
                               boundary_flux, find_xpoint, quadrature_points,
                               saddle_candidates)
-from gsrecon.mesh import PointLocator, interpolate
+from gsrecon.mesh import PointLocator, interpolate, interpolation_matrix
 from gsrecon.observation import (build_interferometry_matrix,
                                  build_polarimetry_observer)
 
@@ -81,7 +81,7 @@ def _source_vector_loop(squad, pq, a_vals, b_vals, lam, r0, rows):
     mask = pq <= 1.0
     w, r = squad.qp_w[mask], squad.qp_r[mask]
     dens = lam * (r / r0 * a_vals[mask] + r0 / r * b_vals[mask]) * w
-    y = np.zeros(squad.mesh.n_nodes)
+    y = np.zeros(squad.P.shape[1])
     contrib = squad.qp_bary[mask] * dens[:, None]
     np.add.at(y, squad.qp_nodes[mask].ravel(), contrib.ravel())
     y[rows] = 0.0
@@ -97,7 +97,7 @@ def _source_matrix_loop(squad, pq, basis, lam, r0, rows):
                                 basis.degree).toarray()
     ca = (w * r / r0)[:, None] * phi
     cb = (w * r0 / r)[:, None] * phi
-    Y = np.zeros((squad.mesh.n_nodes, 2 * m))
+    Y = np.zeros((squad.P.shape[1], 2 * m))
     for a in range(bary.shape[1]):
         np.add.at(Y, (nodes[:, a], slice(0, m)), bary[:, a][:, None] * ca)
         np.add.at(Y, (nodes[:, a], slice(m, 2 * m)), bary[:, a][:, None] * cb)
@@ -109,8 +109,9 @@ def _source_matrix_loop(squad, pq, basis, lam, r0, rows):
 def _seed_rule(mesh):
     """The unmerged mid-edge rule: three points per triangle."""
     nodes, bary, w, r, z = quadrature_points(mesh)
-    return SimpleNamespace(mesh=mesh, qp_nodes=nodes, qp_bary=bary, qp_w=w,
-                           qp_r=r, qp_z=z)
+    return SimpleNamespace(P=interpolation_matrix(nodes, bary, mesh.n_nodes),
+                           qp_nodes=nodes, qp_bary=bary, qp_w=w, qp_r=r,
+                           qp_z=z)
 
 
 def _interferometry_loop(geoms, basis, psibar_nodal):
