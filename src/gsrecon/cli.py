@@ -285,7 +285,7 @@ def cmd_twin(args):
         ms = twinmod.perturb(ms, _get(cfg, "noise_rate"),
                              _get(cfg, "seed", int))
     ms_path = _out(cfg, "measurements.txt")
-    save_measurements(ms, [g.chord for g in setup.chord_geoms], ms_path)
+    save_measurements(ms, setup.chord_geoms.chords, ms_path)
     table = profile_table(mesh, eq.psi, eq.domain, eq.profiles, eq.lam,
                           machine)
     if ne_coeffs is not None:

@@ -100,16 +100,14 @@ class ReconstructionSetup:
     factorized stiffness matrix, the boundary observer, chord geometry and
     the penalty matrices."""
 
-    def __init__(self, mesh, machine, chords=(), basis=None, mk_indices=None,
-                 chord_step=None):
+    def __init__(self, mesh, machine, chords=(), basis=None):
         self.mesh = mesh
         self.machine = machine
         self.basis = basis if basis is not None else SplineBasis(
             end_constraint=True)
         self.fact, self.squad = mesh_operators(mesh, machine.mu0)
-        self.c0, self.gn_points = build_neumann_observer(mesh, mk_indices)
-        self.chord_geoms = build_chord_geometries(mesh, chords,
-                                                  step=chord_step)
+        self.c0, self.gn_points = build_neumann_observer(mesh)
+        self.chord_geoms = build_chord_geometries(mesh, chords)
         self.lam_block = regularization_matrix(self.basis)
         self.lam_full = full_regularization_matrix(self.basis)
         m = self.basis.m

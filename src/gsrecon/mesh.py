@@ -1,9 +1,8 @@
-"""Triangulated cross-section geometry: mesh construction, file IO, point
-location and P1 interpolation.
+"""Triangulated cross-section geometry: mesh construction, file IO, array
+point location and the sparse P1 operators built on it.
 
-The mesh is immutable after construction.  Point-location state (the
-last-hit triangle cache) lives in :class:`PointLocator` instances so that
-concurrent callers do not share mutable state.
+The mesh is immutable after construction; derived arrays, operators and the
+point locator are built on first use and cached on the mesh.
 """
 
 import warnings
@@ -48,10 +47,14 @@ class Mesh:
 
     def _validate(self):
         n = len(self.nodes)
+        if n == 0 or self.triangles.size == 0:
+            raise MeshValidationError("mesh has no nodes or no triangles")
+        if not (np.all(np.isfinite(self.nodes))
+                and np.all(np.isfinite(self.limiter))):
+            raise MeshValidationError("non-finite node or limiter coordinate")
         if np.any(self.nodes[:, 0] <= 0):
             raise MeshValidationError("all nodes must have r > 0")
-        if self.triangles.size and (self.triangles.min() < 0
-                                    or self.triangles.max() >= n):
+        if self.triangles.min() < 0 or self.triangles.max() >= n:
             raise MeshValidationError("triangle references node index out of range")
         if np.any(triangle_areas(self.nodes, self.triangles) <= 0):
             raise MeshValidationError("triangle with non-positive area "
@@ -143,27 +146,23 @@ class Mesh:
             self._cache["rings"] = rings[self.interior_nodes()]
         return self._cache["rings"]
 
+    def locator(self):
+        """The mesh's :class:`PointLocator`."""
+        if "locator" not in self._cache:
+            self._cache["locator"] = PointLocator(self)
+        return self._cache["locator"]
+
     def limiter_matrix(self):
         """Sparse (L, n) P1 interpolation of nodal fields at the limiter
         points."""
         if "limiter_matrix" not in self._cache:
-            locator = PointLocator(self)
-            hits = [locator.locate(p) for p in self.limiter]
-            tri = np.array([t for t, _ in hits], dtype=np.int64)
-            bary = np.array([b for _, b in hits]).reshape(-1, 3)
-            self._cache["limiter_matrix"] = interpolation_matrix(
-                self.triangles[tri], bary, self.n_nodes)
+            n_lim = len(self.limiter)
+            point, tri, bary = self.locator().locate(self.limiter)
+            if len(np.unique(point)) < n_lim:
+                raise OutsideDomainError("limiter point outside the mesh")
+            self._cache["limiter_matrix"] = point_matrix(self, point, tri,
+                                                         bary, n_lim)
         return self._cache["limiter_matrix"]
-
-    def node_triangles(self):
-        """For each node, indices of incident triangles."""
-        if "node_tris" not in self._cache:
-            nt = [[] for _ in range(self.n_nodes)]
-            for t, tri in enumerate(self.triangles):
-                for i in tri:
-                    nt[i].append(t)
-            self._cache["node_tris"] = [np.array(v) for v in nt]
-        return self._cache["node_tris"]
 
     def grads(self):
         """Per-triangle P1 gradient operators, shape (T, 2, 3).
@@ -192,21 +191,13 @@ class Mesh:
         """Outward unit normal per boundary node (mean of adjacent edge
         normals, renormalized)."""
         if "bnormals" not in self._cache:
-            loop = self.boundary
-            pts = self.nodes[loop]
-            nb = len(loop)
-            normals = np.empty((nb, 2))
-            for k in range(nb):
-                prev_e = pts[k] - pts[(k - 1) % nb]
-                next_e = pts[(k + 1) % nb] - pts[k]
-                # boundary loop is counter-clockwise: outward is (dy, -dx)
-                n1 = np.array([prev_e[1], -prev_e[0]])
-                n2 = np.array([next_e[1], -next_e[0]])
-                n1 /= np.hypot(*n1)
-                n2 /= np.hypot(*n2)
-                n = n1 + n2
-                normals[k] = n / np.hypot(*n)
-            self._cache["bnormals"] = normals
+            pts = self.nodes[self.boundary]
+            edge = np.roll(pts, -1, axis=0) - pts        # node k to k + 1
+            # boundary loop is counter-clockwise: outward is (dz, -dr)
+            out = np.column_stack([edge[:, 1], -edge[:, 0]])
+            out /= np.hypot(out[:, 0], out[:, 1])[:, None]
+            n = np.roll(out, 1, axis=0) + out
+            self._cache["bnormals"] = n / np.hypot(n[:, 0], n[:, 1])[:, None]
         return self._cache["bnormals"]
 
 
@@ -354,6 +345,8 @@ def load_mesh(path):
         t = counts["triangles"]
         b = counts["boundary"]
         l = counts["limiter"]
+        if min(n, t, b, l) < 0:
+            raise ValueError("negative count")
     except (KeyError, ValueError, IndexError):
         raise MeshParseError(f"bad header {lines[0]!r}", line=1) from None
 
@@ -373,14 +366,24 @@ def load_mesh(path):
                                      line=ln + 1) from None
         return np.array(rows)
 
-    nodes = parse_block(1, n, 2, float, "node")
-    triangles = parse_block(1 + n, t, 3, int, "triangle")
-    boundary = parse_block(1 + n + t, b, 1, int, "boundary index").ravel()
-    limiter = parse_block(1 + n + t + b, l, 2, float, "limiter point")
+    def finite(s):
+        v = float(s)
+        if not np.isfinite(v):
+            raise ValueError(s)
+        return v
+
+    def node_index(s):
+        v = int(s)
+        if not 0 <= v < n:
+            raise ValueError(s)
+        return v
+
+    nodes = parse_block(1, n, 2, finite, "node")
+    triangles = parse_block(1 + n, t, 3, node_index, "triangle")
+    boundary = parse_block(1 + n + t, b, 1, node_index, "boundary index").ravel()
+    limiter = parse_block(1 + n + t + b, l, 2, finite, "limiter point")
     if t:
         triangles = triangles.astype(np.int64)
-        if triangles.min() < 0 or triangles.max() >= n:
-            raise MeshValidationError("triangle references node index out of range")
         flipped = triangle_areas(nodes, triangles) < 0
         if np.any(flipped):
             warnings.warn(f"reoriented {int(flipped.sum())} clockwise triangle(s)")
@@ -393,73 +396,63 @@ def load_mesh(path):
 # ---------------------------------------------------------------------------
 
 class PointLocator:
-    """Locates the triangle containing a query point.
+    """Locates many points at once over a uniform grid of bins, each bin
+    listing the triangles whose bounding box meets it.  Built once per mesh
+    by :meth:`Mesh.locator`."""
 
-    Checks the last-hit triangle first (queries are usually spatially
-    coherent), then falls back to a uniform bin grid over the bounding box.
-    Instances are cheap; use one per caller, they are not thread-safe.
-    """
+    def __init__(self, mesh):
+        # the mesh's arrays, not the mesh: the mesh caches its locator, and
+        # a reference cycle would keep every dropped mesh alive until the
+        # garbage collector runs
+        self._nodes, self._tris = mesh.nodes, mesh.triangles
+        self._nb = max(4, int(np.sqrt(len(self._tris))))
+        self._lo = self._nodes.min(axis=0)
+        span = self._nodes.max(axis=0) - self._lo
+        self._h = np.where(span > 0, span / self._nb, 1.0)
+        corners = self._nodes[self._tris]                # (T, 3, 2)
+        b0, b1 = self._bin(corners.min(axis=1)), self._bin(corners.max(axis=1))
+        extent = b1 - b0 + 1
+        t, k = _expand(extent[:, 0] * extent[:, 1])
+        height = extent[t, 1]
+        key = (b0[t, 0] + k // height) * self._nb + b0[t, 1] + k % height
+        order = np.argsort(key, kind="stable")
+        self._bin_tri = t[order]
+        self._start = np.searchsorted(key[order], np.arange(self._nb ** 2 + 1))
 
-    def __init__(self, mesh, bins=None):
-        self.mesh = mesh
-        nodes, tris = mesh.nodes, mesh.triangles
-        self._last = 0
-        if bins is None:
-            bins = max(4, int(np.sqrt(len(tris))))
-        self._nb = bins
-        self._rmin, self._zmin = nodes.min(axis=0)
-        self._rmax, self._zmax = nodes.max(axis=0)
-        self._dr = (self._rmax - self._rmin) / bins or 1.0
-        self._dz = (self._zmax - self._zmin) / bins or 1.0
-        grid = [[[] for _ in range(bins)] for _ in range(bins)]
-        pts = nodes[tris]                       # (T, 3, 2)
-        lo = pts.min(axis=1)
-        hi = pts.max(axis=1)
-        for t in range(len(tris)):
-            i0 = self._clip_bin((lo[t, 0] - self._rmin) / self._dr)
-            i1 = self._clip_bin((hi[t, 0] - self._rmin) / self._dr)
-            j0 = self._clip_bin((lo[t, 1] - self._zmin) / self._dz)
-            j1 = self._clip_bin((hi[t, 1] - self._zmin) / self._dz)
-            for i in range(i0, i1 + 1):
-                for j in range(j0, j1 + 1):
-                    grid[i][j].append(t)
-        self._grid = [[np.array(c, dtype=np.int64) for c in row] for row in grid]
+    def _bin(self, points):
+        """(i, j) bin of each point, clipped to the grid."""
+        return np.clip((points - self._lo) / self._h, 0,
+                       self._nb - 1).astype(np.int64)
 
-    def _clip_bin(self, v):
-        return int(min(max(v, 0), self._nb - 1))
+    def locate(self, points):
+        """Every (point index, triangle, barycentric coordinates) triple of
+        the (P, 2) ``points`` whose coordinates are all >= -1e-12, as arrays
+        (K,), (K,) and (K, 3) sorted by point.  A point on an edge or a
+        vertex gets one triple per triangle holding it; a point outside the
+        mesh gets none."""
+        points = np.reshape(np.asarray(points, dtype=np.float64), (-1, 2))
+        ij = self._bin(points)
+        key = ij[:, 0] * self._nb + ij[:, 1]
+        point, k = _expand(self._start[key + 1] - self._start[key])
+        tri = self._bin_tri[self._start[key[point]] + k]
+        a, b, c = np.moveaxis(self._nodes[self._tris[tri]], 1, 0)
+        p = points[point]
+        det = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) \
+            - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1])
+        l1 = ((p[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+              - (c[:, 0] - a[:, 0]) * (p[:, 1] - a[:, 1])) / det
+        l2 = ((b[:, 0] - a[:, 0]) * (p[:, 1] - a[:, 1])
+              - (p[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1])) / det
+        bary = np.column_stack([1.0 - l1 - l2, l1, l2])
+        hit = np.all(bary >= -1e-12, axis=1)
+        return point[hit], tri[hit], bary[hit]
 
-    def _bary(self, t, p, tol=1e-12):
-        tri = self.mesh.triangles[t]
-        a, b, c = self.mesh.nodes[tri]
-        det = (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])
-        l1 = ((p[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (p[1] - a[1])) / det
-        l2 = ((b[0] - a[0]) * (p[1] - a[1]) - (p[0] - a[0]) * (b[1] - a[1])) / det
-        l0 = 1.0 - l1 - l2
-        if l0 >= -tol and l1 >= -tol and l2 >= -tol:
-            return np.array([l0, l1, l2])
-        return None
 
-    def locate(self, point):
-        """Return (triangle index, barycentric coords) or raise
-        :class:`OutsideDomainError`."""
-        p = np.asarray(point, dtype=np.float64)
-        bary = self._bary(self._last, p)
-        if bary is not None:
-            return self._last, bary
-        i = self._clip_bin((p[0] - self._rmin) / self._dr)
-        j = self._clip_bin((p[1] - self._zmin) / self._dz)
-        for t in self._grid[i][j]:
-            bary = self._bary(t, p)
-            if bary is not None:
-                self._last = int(t)
-                return int(t), bary
-        raise OutsideDomainError(f"point ({p[0]:g}, {p[1]:g}) outside the domain")
-
-    def try_locate(self, point):
-        try:
-            return self.locate(point)
-        except OutsideDomainError:
-            return None
+def _expand(counts):
+    """For groups of the given sizes, the group and the rank within the
+    group of every member."""
+    group = np.repeat(np.arange(len(counts)), counts)
+    return group, np.arange(len(group)) - (np.cumsum(counts) - counts)[group]
 
 
 def interpolation_matrix(tri_nodes, bary, n_nodes):
@@ -471,12 +464,12 @@ def interpolation_matrix(tri_nodes, bary, n_nodes):
                           np.arange(0, k * q + 1, k)), shape=(q, n_nodes))
 
 
-def interpolate(mesh, values, point, locator=None):
-    """P1 interpolation of a nodal field at an interior point."""
-    values = np.asarray(values, dtype=np.float64)
-    if len(values) != mesh.n_nodes:
-        raise ValueError("field length does not match node count")
-    if locator is None:
-        locator = PointLocator(mesh)
-    t, bary = locator.locate(point)
-    return float(values[mesh.triangles[t]] @ bary)
+def point_matrix(mesh, point, tri, rows, n_points):
+    """Sparse (n_points, n) operator from located pairs: row i is the mean,
+    over the pairs (point[k] == i, tri[k]), of the per-triangle row
+    ``rows[k]`` placed on the nodes of triangle ``tri[k]``."""
+    count = np.bincount(point, minlength=n_points)
+    mean = sp.csr_matrix((1.0 / count[point], (point, np.arange(len(point)))),
+                         shape=(n_points, len(point)))
+    return (mean @ interpolation_matrix(mesh.triangles[tri], rows,
+                                        mesh.n_nodes)).tocsr()

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 
 from .errors import MeshParseError, StateError
 from .fem import MU0
-from .mesh import PointLocator, interpolation_matrix
+from .mesh import point_matrix
 
 
 @dataclass
@@ -66,87 +66,51 @@ def make_chord(p0, p1, step):
     return Chord(p0, p1, qpoints, weights, normal)
 
 
-class ChordGeometry:
-    """Chord quadrature pinned to the mesh: triangle, barycentric weights
-    and radius per quadrature point.  Points outside the domain are dropped
-    from the quadrature (zero contribution)."""
-
-    def __init__(self, mesh, chord, locator=None):
-        self.chord = chord
-        if locator is None:
-            locator = PointLocator(mesh)
-        tri = []
-        bary = []
-        keep = []
-        for k, p in enumerate(chord.qpoints):
-            hit = locator.try_locate(p)
-            if hit is None:
-                continue
-            keep.append(k)
-            tri.append(hit[0])
-            bary.append(hit[1])
-        self.inside = np.array(keep, dtype=np.int64)
-        self.tri = np.array(tri, dtype=np.int64)
-        self.bary = np.array(bary, dtype=np.float64).reshape(-1, 3)
-        self.nodes = mesh.triangles[self.tri] if len(self.tri) else \
-            np.empty((0, 3), dtype=np.int64)
-        self.w = chord.weights[self.inside]
-        self.r = chord.qpoints[self.inside, 0]
-        if len(self.inside) == 0:
-            warnings.warn("chord lies entirely outside the domain")
-
-    def values_at_points(self, nodal):
-        if len(self.inside) == 0:
-            return np.empty(0)
-        return np.einsum("qa,qa->q", self.bary, nodal[self.nodes])
-
-
 class ChordSet:
-    """Chord geometries of one measurement configuration, with the sparse
-    operators built once over all their quadrature points (stacked chord
-    after chord):
+    """Chords of one measurement configuration and the sparse operators
+    over their quadrature points inside the mesh, stacked chord after chord
+    (points outside the mesh are dropped: zero contribution):
 
     S : (Q, n) P1 interpolation of nodal fields at the points
     D : (Q, n) chord-normal derivative of nodal fields at the points
     R : (N_c, Q) sum over the points of each chord
     w, r : (Q,) quadrature weights and radii of the points
 
-    Iterating, indexing and ``len`` act on the :class:`ChordGeometry` list.
+    A point on a mesh edge or vertex lies in several triangles; its rows
+    are the mean of theirs, so D does not depend on the chord direction.
+    ``len`` is the number of chords.
     """
 
-    def __init__(self, mesh, geoms):
-        self.geoms = list(geoms)
-
-        def stack(attr, empty):
-            return np.concatenate([empty] + [getattr(g, attr)
-                                             for g in self.geoms])
-
-        tri = stack("tri", np.empty(0, np.int64))
-        self.w = stack("w", np.empty(0))
-        self.r = stack("r", np.empty(0))
-        counts = [len(g.inside) for g in self.geoms]
-        normals = np.repeat(np.reshape([g.chord.normal for g in self.geoms],
-                                       (-1, 2)), counts, axis=0)
-        nodes = mesh.triangles[tri]
-        self.S = interpolation_matrix(nodes, stack("bary", np.empty((0, 3))),
-                                      mesh.n_nodes)
-        grads = mesh.grads()[tri]                                # (Q, 2, 3)
+    def __init__(self, mesh, chords):
+        self.chords = list(chords)
+        n_c = len(self.chords)
+        pts = np.concatenate([np.empty((0, 2))]
+                             + [c.qpoints for c in self.chords])
+        weights = np.concatenate([np.empty(0)]
+                                 + [c.weights for c in self.chords])
+        chord_of = np.repeat(np.arange(n_c),
+                             [len(c.weights) for c in self.chords])
+        point, tri, bary = mesh.locator().locate(pts)
+        inside, point = np.unique(point, return_inverse=True)
+        q = len(inside)
+        self.w, self.r = weights[inside], pts[inside, 0]
+        chord_of = chord_of[inside]
+        empty = np.flatnonzero(np.bincount(chord_of, minlength=n_c) == 0)
+        if len(empty):
+            warnings.warn(f"chord(s) {empty.tolist()} lie entirely outside "
+                          "the domain")
+        self.S = point_matrix(mesh, point, tri, bary, q)
+        normals = np.reshape([c.normal for c in self.chords], (-1, 2))
+        normals = normals[chord_of[point]]
+        grads = mesh.grads()[tri]                            # (K, 2, 3)
         dn = (normals[:, 0, None] * grads[:, 0]
               + normals[:, 1, None] * grads[:, 1])
-        self.D = interpolation_matrix(nodes, dn, mesh.n_nodes)
-        q = len(tri)
-        self.R = sp.csr_matrix((np.ones(q), np.arange(q),
-                                np.concatenate([[0], np.cumsum(counts)])),
-                               shape=(len(self.geoms), q))
+        self.D = point_matrix(mesh, point, tri, dn, q)
+        self.R = sp.csr_matrix((np.ones(q), (chord_of, np.arange(q))),
+                               shape=(n_c, q))
 
     def __len__(self):
-        return len(self.geoms)
-
-    def __iter__(self):
-        return iter(self.geoms)
-
-    def __getitem__(self, k):
-        return self.geoms[k]
+        return len(self.chords)
 
     def plasma_points(self, psibar_nodal):
         """Normalized flux at the points and the mask psibar <= 1."""
@@ -155,20 +119,21 @@ class ChordSet:
 
 
 def build_chord_geometries(mesh, chords, step=None):
+    """:class:`ChordSet` of chords given as :class:`Chord` objects,
+    (r1, z1, r2, z2) tuples or endpoint pairs, sampled with spacing
+    <= ``step`` (default: half the typical edge length, which resolves
+    the plasma cutoff)."""
     if step is None:
-        # half the typical edge length resolves the plasma cutoff
         step = 0.5 * np.sqrt(2.0 * mesh.area() / len(mesh.triangles))
-    locator = PointLocator(mesh)
-    geoms = []
+    out = []
     for c in chords:
         if isinstance(c, Chord):
-            chord = c
+            out.append(c)
         elif len(c) == 4 and np.isscalar(c[0]):
-            chord = make_chord((c[0], c[1]), (c[2], c[3]), step)
+            out.append(make_chord((c[0], c[1]), (c[2], c[3]), step))
         else:
-            chord = make_chord(c[0], c[1], step)
-        geoms.append(ChordGeometry(mesh, chord, locator))
-    return ChordSet(mesh, geoms)
+            out.append(make_chord(c[0], c[1], step))
+    return ChordSet(mesh, out)
 
 
 # ---------------------------------------------------------------------------
@@ -186,31 +151,28 @@ def build_neumann_observer(mesh, mk_indices=None):
     if mk_indices is None:
         mk_indices = np.arange(len(mesh.boundary))
     mk_indices = np.asarray(mk_indices, dtype=np.int64)
-    normals = mesh.boundary_normals()[mk_indices]
-    node_tris = mesh.node_triangles()
-    grads = mesh.grads()
-    areas = mesh.areas()
-    rows, cols, vals = [], [], []
-    for k, bidx in enumerate(mk_indices):
-        node = int(mesh.boundary[bidx])
-        tris = node_tris[node]
-        if len(tris) == 0:
-            raise ValueError(f"boundary node {node} has no incident triangle")
-        wsum = areas[tris].sum()
-        r_k = mesh.nodes[node, 0]
-        acc = {}
-        for t in tris:
-            row = (normals[k] @ grads[t]) * (areas[t] / wsum) / r_k  # (3,)
-            for a, nid in enumerate(mesh.triangles[t]):
-                acc[nid] = acc.get(nid, 0.0) + row[a]
-        for nid, v in acc.items():
-            rows.append(k)
-            cols.append(nid)
-            vals.append(v)
-    C0 = sp.coo_matrix((vals, (rows, cols)),
-                       shape=(len(mk_indices), mesh.n_nodes)).tocsr()
-    points = mesh.nodes[mesh.boundary[mk_indices]]
-    return C0, points
+    nodes = mesh.boundary[mk_indices]
+    n_t = len(mesh.triangles)
+    # node-triangle incidence holding the triangle areas; one entry per
+    # (M_k, incident triangle)
+    incidence = sp.csr_matrix(
+        (np.repeat(mesh.areas(), 3),
+         (mesh.triangles.ravel(), np.repeat(np.arange(n_t), 3))),
+        shape=(mesh.n_nodes, n_t))
+    pairs = incidence[nodes].tocoo()
+    k, t, area = pairs.row, pairs.col, pairs.data
+    wsum = np.bincount(k, weights=area, minlength=len(nodes))
+    if np.any(wsum == 0):
+        raise ValueError("boundary node without an incident triangle")
+    normals = mesh.boundary_normals()[mk_indices][k]
+    grads = mesh.grads()[t]
+    rows = ((normals[:, 0, None] * grads[:, 0]
+             + normals[:, 1, None] * grads[:, 1])
+            * (area / wsum[k] / mesh.nodes[nodes[k], 0])[:, None])
+    C0 = sp.csr_matrix((rows.ravel(), (np.repeat(k, 3),
+                                       mesh.triangles[t].ravel())),
+                       shape=(len(nodes), mesh.n_nodes))
+    return C0, mesh.nodes[nodes]
 
 
 def build_interferometry_matrix(chords, basis, psibar_nodal):

@@ -11,6 +11,7 @@ from gsrecon.forward import assemble_source_matrix, current_density_integral
 from gsrecon.inverse import (ReconstructionSetup, RegularizationConfig,
                              identify_ab, identify_ne, reconstruct,
                              rescale_dofs)
+from gsrecon.mesh import PointLocator
 from gsrecon.observation import MeasurementSet
 
 from conftest import CHORDS, LIMITER
@@ -230,6 +231,30 @@ def test_reconstruct_reports_step_failure(setup, clean_measurements,
     assert not res.converged and res.costs == {} and res.domain is None
     # the flux iteration 2 started from: the first step's output
     np.testing.assert_array_equal(res.psi, one.psi)
+
+
+def test_setup_locates_all_chord_points_in_one_call(machine, monkeypatch):
+    # one bin index per mesh, shared by the chord set and the limiter
+    # matrix; all chord points go through one array call
+    calls = {"init": 0, "locate": 0}
+    init, locate = PointLocator.__init__, PointLocator.locate
+
+    def counting_init(self, *args, **kwargs):
+        calls["init"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_locate(self, *args, **kwargs):
+        calls["locate"] += 1
+        return locate(self, *args, **kwargs)
+
+    monkeypatch.setattr(PointLocator, "__init__", counting_init)
+    monkeypatch.setattr(PointLocator, "locate", counting_locate)
+    mesh = gsrecon.build_rect_mesh(2.0, 3.0, -1.2, 1.2, 20, 20,
+                                   limiter=LIMITER)
+    ReconstructionSetup(mesh, machine, CHORDS)
+    assert calls == {"init": 1, "locate": 1}
+    mesh.limiter_matrix()
+    assert calls == {"init": 1, "locate": 2}
 
 
 def _setup12(machine):

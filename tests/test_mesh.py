@@ -1,13 +1,15 @@
+import gc
+import warnings
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import gsrecon
-from gsrecon.errors import (MeshParseError, MeshValidationError,
-                            OutsideDomainError)
-from gsrecon.mesh import (Mesh, PointLocator, build_rect_mesh, interpolate,
-                          load_mesh, point_in_polygon, save_mesh,
-                          triangle_areas)
+from gsrecon.errors import MeshParseError, MeshValidationError
+from gsrecon.mesh import (Mesh, build_rect_mesh, load_mesh, point_in_polygon,
+                          point_matrix, save_mesh, triangle_areas)
 
 RECT = dict(r_min=2.0, r_max=3.0, z_min=-1.0, z_max=1.0)
 
@@ -82,30 +84,66 @@ def test_point_in_polygon_matches_scalar_test(twin_mesh):
 
 
 _AFFINE_MESH = build_rect_mesh(**RECT, nr=8, nz=8)
-_AFFINE_LOC = PointLocator(_AFFINE_MESH)
 _AFFINE_FIELD = (2.0 * _AFFINE_MESH.nodes[:, 0]
                  + 3.0 * _AFFINE_MESH.nodes[:, 1] - 1.0)
 
 
 @given(st.floats(2.001, 2.999), st.floats(-0.999, 0.999))
 def test_locator_interpolates_affine_exactly(r, z):
-    val = interpolate(_AFFINE_MESH, _AFFINE_FIELD, (r, z), _AFFINE_LOC)
-    assert val == pytest.approx(2.0 * r + 3.0 * z - 1.0, abs=1e-10)
+    point, tri, bary = _AFFINE_MESH.locator().locate([[r, z]])
+    assert len(point) >= 1
+    for t, b in zip(tri, bary):
+        val = _AFFINE_FIELD[_AFFINE_MESH.triangles[t]] @ b
+        assert val == pytest.approx(2.0 * r + 3.0 * z - 1.0, abs=1e-10)
+    val = point_matrix(_AFFINE_MESH, point, tri, bary, 1) @ _AFFINE_FIELD
+    assert val[0] == pytest.approx(2.0 * r + 3.0 * z - 1.0, abs=1e-10)
 
 
 def test_locator_outside_domain(small_mesh):
-    loc = PointLocator(small_mesh)
-    with pytest.raises(OutsideDomainError):
-        loc.locate((10.0, 0.0))
-    assert loc.try_locate((10.0, 0.0)) is None
+    point, tri, bary = small_mesh.locator().locate(
+        [[10.0, 0.0], [2.53, 0.1], [1.9, 0.0], [2.53, 1.0 + 1e-9]])
+    assert point.tolist() == [1]
+    assert tri.shape == (1,) and bary.shape == (1, 3)
 
 
 def test_locator_hits_every_quadrature_point(small_mesh):
     from gsrecon.geometry import quadrature_points
-    loc = PointLocator(small_mesh)
     _, _, _, qr, qz = quadrature_points(small_mesh)
-    for p in zip(qr, qz):
-        assert loc.try_locate(p) is not None
+    point, _, _ = small_mesh.locator().locate(np.column_stack([qr, qz]))
+    np.testing.assert_array_equal(np.unique(point), np.arange(len(qr)))
+
+
+def test_locator_interior_point_gets_one_pair(small_mesh):
+    centroids = small_mesh.nodes[small_mesh.triangles].mean(axis=1)
+    point, tri, bary = small_mesh.locator().locate(centroids)
+    np.testing.assert_array_equal(point, np.arange(len(centroids)))
+    np.testing.assert_array_equal(tri, np.arange(len(centroids)))
+    np.testing.assert_allclose(bary, 1.0 / 3.0, rtol=1e-12)
+
+
+def test_locator_vertex_gets_one_pair_per_incident_triangle(small_mesh):
+    point, tri, bary = small_mesh.locator().locate(small_mesh.nodes)
+    np.testing.assert_array_equal(
+        np.bincount(point, minlength=small_mesh.n_nodes),
+        np.bincount(small_mesh.triangles.ravel()))
+    own = small_mesh.triangles[tri] == point[:, None]
+    assert np.all(own.sum(axis=1) == 1)
+    np.testing.assert_allclose(bary[own], 1.0, atol=1e-12)
+
+
+def test_cached_locator_does_not_keep_mesh_alive():
+    # the locator is cached on the mesh; a mesh -> locator -> mesh cycle
+    # would hold every dropped mesh and its cached operators until the
+    # garbage collector runs
+    mesh = build_rect_mesh(**RECT, nr=4, nz=4)
+    mesh.limiter_matrix()
+    ref = weakref.ref(mesh)
+    gc.disable()
+    try:
+        del mesh
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_mesh_roundtrip(tmp_path, twin_mesh):
@@ -132,3 +170,70 @@ def test_load_mesh_truncated(tmp_path, small_mesh):
     path.write_text("\n".join(lines[:10]))
     with pytest.raises(MeshParseError):
         load_mesh(path)
+
+
+def test_mesh_validation_rejects_nonfinite_and_empty():
+    nodes = np.array([[2.0, 0.0], [3.0, 0.0], [2.5, 1.0]])
+    tri, loop = np.array([[0, 1, 2]]), np.array([0, 1, 2])
+    for bad in (np.nan, np.inf):
+        moved = nodes.copy()
+        moved[0, 1] = bad
+        with pytest.raises(MeshValidationError):
+            Mesh(moved, tri, loop, nodes[:1])
+        with pytest.raises(MeshValidationError):
+            Mesh(nodes, tri, loop, [[2.5, bad]])
+    with pytest.raises(MeshValidationError):
+        Mesh(nodes, np.empty((0, 3)), loop, nodes)
+    with pytest.raises(MeshValidationError):
+        Mesh(np.empty((0, 2)), tri, loop, nodes)
+
+
+@pytest.mark.parametrize("header", [
+    "nodes 0 triangles 0 boundary 0 limiter 0",
+    "nodes -1 triangles 0 boundary 0 limiter 0",
+])
+def test_load_mesh_empty_or_negative_counts(tmp_path, header):
+    path = tmp_path / "mesh.txt"
+    path.write_text(header + "\n")
+    with pytest.raises(gsrecon.GsReconError):
+        load_mesh(path)
+
+
+def test_load_mesh_rejects_nan_node(tmp_path, small_mesh):
+    path = tmp_path / "mesh.txt"
+    save_mesh(small_mesh, path)
+    lines = path.read_text().splitlines()
+    lines[1] = "nan 0.0"
+    path.write_text("\n".join(lines))
+    with pytest.raises(MeshParseError, match="line 2"):
+        load_mesh(path)
+
+
+def test_load_mesh_every_prefix_and_mutation(tmp_path):
+    # every line prefix of a saved mesh file, and every field replaced by a
+    # non-finite, negative or oversized value, loads or raises a
+    # GsReconError, never another exception
+    path = tmp_path / "mesh.txt"
+    save_mesh(build_rect_mesh(**RECT, nr=3, nz=3), path)
+    lines = path.read_text().splitlines()
+    variants = ["\n".join(lines[:k]) for k in range(len(lines) + 1)]
+    for i, line in enumerate(lines):
+        fields = line.split()
+        for j in range(len(fields)):
+            for value in ("nan", "inf", "-inf", "-1", "0", "16",
+                          "99999999999999999999"):
+                mutated = fields[:j] + [value] + fields[j + 1:]
+                variants.append("\n".join(lines[:i] + [" ".join(mutated)]
+                                          + lines[i + 1:]))
+    loaded = 0
+    for text in variants:
+        path.write_text(text)
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "reoriented",
+                                        UserWarning)
+                load_mesh(path)
+            loaded += 1
+        except gsrecon.GsReconError:
+            pass
+    assert loaded > 1          # the full file and harmless mutations

@@ -11,6 +11,8 @@ from gsrecon.observation import (MeasurementSet, build_chord_geometries,
                                  load_measurements, make_chord,
                                  perturb_measurements, save_measurements)
 
+from conftest import CHORDS
+
 
 @pytest.fixture(scope="module")
 def mesh():
@@ -31,12 +33,58 @@ def test_make_chord_rejects_degenerate():
 
 def test_chord_geometry_values(mesh):
     geoms = build_chord_geometries(mesh, [(2.1, -0.5, 2.9, 0.5)])
-    g = geoms[0]
-    assert len(g.inside) == len(g.chord.qpoints)   # fully interior chord
+    pts = geoms.chords[0].qpoints
+    assert geoms.S.shape[0] == len(pts)            # fully interior chord
     field = 2.0 * mesh.nodes[:, 0] - mesh.nodes[:, 1]
-    vals = g.values_at_points(field)
-    pts = g.chord.qpoints[g.inside]
-    np.testing.assert_allclose(vals, 2.0 * pts[:, 0] - pts[:, 1], atol=1e-10)
+    np.testing.assert_allclose(geoms.S @ field, 2.0 * pts[:, 0] - pts[:, 1],
+                               atol=1e-10)
+    np.testing.assert_array_equal(geoms.r, pts[:, 0])
+
+
+def _chord_signals(mesh, chords, basis, eq, ne_coeffs):
+    geoms = build_chord_geometries(mesh, chords)
+    psibar = eq.domain.normalize(eq.psi)
+    zero = np.zeros(basis.m)
+    ne = ProfileExpansion(basis, zero, zero, ne_coeffs)
+    return (build_interferometry_matrix(geoms, basis, psibar) @ ne_coeffs,
+            build_polarimetry_observer(geoms, ne, psibar) @ eq.psi)
+
+
+def test_chord_direction_flips_polarimetry_only(twin_mesh, basis,
+                                                reference_eq, ne_coeffs):
+    # several chord points of the twin lie on mesh edges or vertices; their
+    # chord-normal derivative must not depend on which way the chord runs
+    reversed_chords = [(c[2], c[3], c[0], c[1]) for c in CHORDS]
+    gamma, alpha = _chord_signals(twin_mesh, CHORDS, basis, reference_eq,
+                                  ne_coeffs)
+    gamma_rev, alpha_rev = _chord_signals(twin_mesh, reversed_chords, basis,
+                                          reference_eq, ne_coeffs)
+    assert np.all(np.abs(alpha) > 1e-3 * np.abs(alpha).max())
+    np.testing.assert_allclose(alpha_rev, -alpha, rtol=1e-12)
+    np.testing.assert_allclose(gamma_rev, gamma, rtol=1e-12)
+
+
+def test_chord_on_mesh_edge_takes_mean_of_both_triangles(twin_mesh):
+    # a horizontal chord along a grid line, sampled at the midpoints of the
+    # horizontal mesh edges: every point lies on the edge shared by the
+    # triangles above and below it
+    mesh = twin_mesh
+    z = 0.12
+    geoms = build_chord_geometries(mesh, [(2.0, z, 3.0, z)], step=0.05)
+    line = np.flatnonzero(np.abs(mesh.nodes[:, 1] - z) < 1e-9)
+    line = line[np.argsort(mesh.nodes[line, 0])]
+    assert len(line) == 21 and geoms.D.shape[0] == 20
+    normal = geoms.chords[0].normal
+    tris = mesh.triangles
+    for k, (a, b) in enumerate(zip(line[:-1], line[1:])):
+        both = np.flatnonzero((tris == a).any(axis=1)
+                              & (tris == b).any(axis=1))
+        assert len(both) == 2
+        expected = np.zeros(mesh.n_nodes)
+        for t in both:
+            expected[tris[t]] += 0.5 * (normal @ mesh.grads()[t])
+        np.testing.assert_allclose(geoms.D[k].toarray().ravel(), expected,
+                                   rtol=0, atol=1e-12 * np.abs(expected).max())
 
 
 def test_chord_outside_domain_warns(mesh):
@@ -147,7 +195,7 @@ def test_measurement_set_validation():
 
 def test_measurements_roundtrip(tmp_path, clean_measurements, setup):
     path = tmp_path / "ms.txt"
-    chords = [g.chord for g in setup.chord_geoms]
+    chords = setup.chord_geoms.chords
     save_measurements(clean_measurements, chords, path)
     ms2, chords2 = load_measurements(path)
     np.testing.assert_array_equal(clean_measurements.g_d, ms2.g_d)
@@ -171,8 +219,7 @@ def test_load_measurements_every_line_prefix(tmp_path, clean_measurements,
     # a truncated file loads (only when nothing is missing) or raises a
     # GsReconError, never another exception
     path = tmp_path / "ms.txt"
-    save_measurements(clean_measurements,
-                      [g.chord for g in setup.chord_geoms], path)
+    save_measurements(clean_measurements, setup.chord_geoms.chords, path)
     lines = path.read_text().splitlines()
     loaded = []
     for k in range(len(lines) + 1):

@@ -1,7 +1,9 @@
 """The mesh-fixed operators (ordered-ring index, quadrature matrix P,
-limiter matrix L, chord matrices S, D, R) against frozen copies of the
-per-node and per-chord loops they replaced."""
+limiter matrix L, chord matrices S, D, R, Neumann observer C0) against
+frozen copies of the per-point, per-node and per-chord loops they
+replaced."""
 
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,19 +12,178 @@ from scipy.interpolate import BSpline
 
 import gsrecon
 from gsrecon.basis import ProfileExpansion
+from gsrecon.errors import OutsideDomainError
 from gsrecon.forward import (SourceQuadrature, assemble_source_matrix,
                              assemble_source_vector, current_density_integral)
 from gsrecon.geometry import (_critical_point, _fit_value, _quadratic_fit,
                               boundary_flux, find_xpoint, quadrature_points,
                               saddle_candidates)
-from gsrecon.mesh import PointLocator, interpolate, interpolation_matrix
-from gsrecon.observation import (build_interferometry_matrix,
+from gsrecon.mesh import interpolation_matrix
+from gsrecon.observation import (build_chord_geometries,
+                                 build_interferometry_matrix,
+                                 build_neumann_observer,
                                  build_polarimetry_observer)
+
+from conftest import CHORDS, LIMITER
 
 
 # ---------------------------------------------------------------------------
 # Frozen loop versions
 # ---------------------------------------------------------------------------
+
+class _PointLocatorLoop:
+    """Point location one point at a time: the last-hit triangle first,
+    then the triangles listed in the point's bin, first hit wins."""
+
+    def __init__(self, mesh, bins=None):
+        self.mesh = mesh
+        nodes, tris = mesh.nodes, mesh.triangles
+        self._last = 0
+        if bins is None:
+            bins = max(4, int(np.sqrt(len(tris))))
+        self._nb = bins
+        self._rmin, self._zmin = nodes.min(axis=0)
+        self._rmax, self._zmax = nodes.max(axis=0)
+        self._dr = (self._rmax - self._rmin) / bins or 1.0
+        self._dz = (self._zmax - self._zmin) / bins or 1.0
+        grid = [[[] for _ in range(bins)] for _ in range(bins)]
+        pts = nodes[tris]                       # (T, 3, 2)
+        lo = pts.min(axis=1)
+        hi = pts.max(axis=1)
+        for t in range(len(tris)):
+            i0 = self._clip_bin((lo[t, 0] - self._rmin) / self._dr)
+            i1 = self._clip_bin((hi[t, 0] - self._rmin) / self._dr)
+            j0 = self._clip_bin((lo[t, 1] - self._zmin) / self._dz)
+            j1 = self._clip_bin((hi[t, 1] - self._zmin) / self._dz)
+            for i in range(i0, i1 + 1):
+                for j in range(j0, j1 + 1):
+                    grid[i][j].append(t)
+        self._grid = [[np.array(c, dtype=np.int64) for c in row]
+                      for row in grid]
+
+    def _clip_bin(self, v):
+        return int(min(max(v, 0), self._nb - 1))
+
+    def _bary(self, t, p, tol=1e-12):
+        tri = self.mesh.triangles[t]
+        a, b, c = self.mesh.nodes[tri]
+        det = (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])
+        l1 = ((p[0] - a[0]) * (c[1] - a[1])
+              - (c[0] - a[0]) * (p[1] - a[1])) / det
+        l2 = ((b[0] - a[0]) * (p[1] - a[1])
+              - (p[0] - a[0]) * (b[1] - a[1])) / det
+        l0 = 1.0 - l1 - l2
+        if l0 >= -tol and l1 >= -tol and l2 >= -tol:
+            return np.array([l0, l1, l2])
+        return None
+
+    def _cell(self, p):
+        i = self._clip_bin((p[0] - self._rmin) / self._dr)
+        j = self._clip_bin((p[1] - self._zmin) / self._dz)
+        return self._grid[i][j]
+
+    def locate(self, point):
+        p = np.asarray(point, dtype=np.float64)
+        bary = self._bary(self._last, p)
+        if bary is not None:
+            return self._last, bary
+        for t in self._cell(p):
+            bary = self._bary(t, p)
+            if bary is not None:
+                self._last = int(t)
+                return int(t), bary
+        raise OutsideDomainError(f"point ({p[0]:g}, {p[1]:g}) outside")
+
+    def try_locate(self, point):
+        try:
+            return self.locate(point)
+        except OutsideDomainError:
+            return None
+
+    def locate_all(self, point):
+        """Every triangle of the point's bin that holds it (the rule the
+        array locator follows)."""
+        p = np.asarray(point, dtype=np.float64)
+        return [int(t) for t in self._cell(p) if self._bary(t, p) is not None]
+
+
+def _interpolate_loop(mesh, values, point, locator):
+    t, bary = locator.locate(point)
+    return float(values[mesh.triangles[t]] @ bary)
+
+
+class _ChordGeometryLoop:
+    """Chord quadrature pinned to the mesh one point at a time; points
+    outside the domain are dropped."""
+
+    def __init__(self, mesh, chord, locator):
+        self.chord = chord
+        tri, bary, keep = [], [], []
+        for k, p in enumerate(chord.qpoints):
+            hit = locator.try_locate(p)
+            if hit is None:
+                continue
+            keep.append(k)
+            tri.append(hit[0])
+            bary.append(hit[1])
+        self.inside = np.array(keep, dtype=np.int64)
+        self.tri = np.array(tri, dtype=np.int64)
+        self.bary = np.array(bary, dtype=np.float64).reshape(-1, 3)
+        self.nodes = mesh.triangles[self.tri] if len(self.tri) else \
+            np.empty((0, 3), dtype=np.int64)
+        self.w = chord.weights[self.inside]
+        self.r = chord.qpoints[self.inside, 0]
+        if len(self.inside) == 0:
+            warnings.warn("chord lies entirely outside the domain")
+
+    def values_at_points(self, nodal):
+        if len(self.inside) == 0:
+            return np.empty(0)
+        return np.einsum("qa,qa->q", self.bary, nodal[self.nodes])
+
+
+def _chord_geoms_loop(mesh, chords):
+    locator = _PointLocatorLoop(mesh)
+    return locator, [_ChordGeometryLoop(mesh, c, locator) for c in chords]
+
+
+def _neumann_loop(mesh, mk_indices):
+    node_tris = [[] for _ in range(mesh.n_nodes)]
+    for t, tri in enumerate(mesh.triangles):
+        for i in tri:
+            node_tris[i].append(t)
+    normals = mesh.boundary_normals()[mk_indices]
+    grads, areas = mesh.grads(), mesh.areas()
+    out = np.zeros((len(mk_indices), mesh.n_nodes))
+    for k, bidx in enumerate(mk_indices):
+        node = int(mesh.boundary[bidx])
+        tris = np.array(node_tris[node])
+        wsum = areas[tris].sum()
+        r_k = mesh.nodes[node, 0]
+        acc = {}
+        for t in tris:
+            row = (normals[k] @ grads[t]) * (areas[t] / wsum) / r_k
+            for a, nid in enumerate(mesh.triangles[t]):
+                acc[nid] = acc.get(nid, 0.0) + row[a]
+        for nid, v in acc.items():
+            out[k, nid] = v
+    return out
+
+
+def _boundary_normals_loop(mesh):
+    pts = mesh.nodes[mesh.boundary]
+    nb = len(pts)
+    normals = np.empty((nb, 2))
+    for k in range(nb):
+        prev_e = pts[k] - pts[(k - 1) % nb]
+        next_e = pts[(k + 1) % nb] - pts[k]
+        n1 = np.array([prev_e[1], -prev_e[0]])
+        n2 = np.array([next_e[1], -next_e[0]])
+        n1 /= np.hypot(*n1)
+        n2 /= np.hypot(*n2)
+        n = n1 + n2
+        normals[k] = n / np.hypot(*n)
+    return normals
 
 def _ordered_ring_loop(mesh, node):
     nbs = mesh.node_neighbors()[node]
@@ -69,8 +230,8 @@ def _find_xpoint_loop(mesh, psi):
 
 
 def _limiter_flux_loop(mesh, psi):
-    locator = PointLocator(mesh)
-    return max(interpolate(mesh, psi, p, locator) for p in mesh.limiter)
+    locator = _PointLocatorLoop(mesh)
+    return max(_interpolate_loop(mesh, psi, p, locator) for p in mesh.limiter)
 
 
 def _psibar_qp_loop(squad, psibar_nodal):
@@ -128,7 +289,9 @@ def _interferometry_loop(geoms, basis, psibar_nodal):
     return out
 
 
-def _polarimetry_loop(geoms, ne_expansion, psibar_nodal, mesh):
+def _polarimetry_loop(locator, geoms, ne_expansion, psibar_nodal, mesh):
+    """The chord-normal derivative at a point on an edge or a vertex is
+    the mean over every triangle holding it."""
     grads = mesh.grads()
     out = np.zeros((len(geoms), mesh.n_nodes))
     for k, geom in enumerate(geoms):
@@ -141,10 +304,12 @@ def _polarimetry_loop(geoms, ne_expansion, psibar_nodal, mesh):
         ne_vals = (ne_expansion.basis.eval_many(pb[mask])
                    @ ne_expansion.coeffs("ne"))
         coef = geom.w[mask] * ne_vals / geom.r[mask]
-        for q, t in enumerate(geom.tri[mask]):
-            row = coef[q] * (geom.chord.normal @ grads[t])
-            for a, nid in enumerate(geom.nodes[mask][q]):
-                out[k, nid] += row[a]
+        for q, p in enumerate(geom.chord.qpoints[geom.inside][mask]):
+            tris = locator.locate_all(p)
+            for t in tris:
+                row = coef[q] * (geom.chord.normal @ grads[t]) / len(tris)
+                for a, nid in enumerate(mesh.triangles[t]):
+                    out[k, nid] += row[a]
     return out
 
 
@@ -262,10 +427,79 @@ def test_merged_rule_matches_seed_rule(twin_mesh, basis, reference_eq):
 def test_chord_operators_match_loop(setup, basis, reference_eq, ne_coeffs):
     eq = reference_eq
     psibar = eq.domain.normalize(eq.psi)
-    geoms = setup.chord_geoms
-    _close(build_interferometry_matrix(geoms, basis, psibar),
+    chords = setup.chord_geoms
+    locator, geoms = _chord_geoms_loop(setup.mesh, chords.chords)
+    _close(build_interferometry_matrix(chords, basis, psibar),
            _interferometry_loop(geoms, basis, psibar))
     zero = np.zeros(basis.m)
     ne = ProfileExpansion(basis, zero, zero, ne_coeffs)
-    _close(build_polarimetry_observer(geoms, ne, psibar),
-           _polarimetry_loop(geoms, ne, psibar, setup.mesh))
+    _close(build_polarimetry_observer(chords, ne, psibar),
+           _polarimetry_loop(locator, geoms, ne, psibar, setup.mesh))
+
+
+@pytest.fixture(scope="module", params=[(20, 0.0), (40, 0.0), (40, 0.3)],
+                ids=["20x20", "40x40", "40x40-jittered"])
+def twin_chords(request):
+    cells, jitter = request.param
+    mesh = gsrecon.build_rect_mesh(2.0, 3.0, -1.2, 1.2, cells, cells,
+                                   limiter=LIMITER)
+    if jitter:
+        # interior nodes moved by up to `jitter` cells: unequal triangle
+        # areas weigh the Neumann rows unevenly
+        rng = np.random.default_rng(11)
+        nodes = mesh.nodes.copy()
+        cell = np.array([1.0, 2.4]) / cells
+        inner = mesh.interior_nodes()
+        nodes[inner] += jitter * cell * rng.uniform(-1, 1, (len(inner), 2))
+        mesh = gsrecon.Mesh(nodes, mesh.triangles, mesh.boundary, LIMITER)
+    return mesh, build_chord_geometries(mesh, CHORDS)
+
+
+def test_point_operators_match_frozen_copies(twin_chords):
+    mesh, chords = twin_chords
+    locator, geoms = _chord_geoms_loop(mesh, chords.chords)
+    n, grads = mesh.n_nodes, mesh.grads()
+    S = np.zeros((len(chords.w), n))
+    D, D_mean = np.zeros_like(S), np.zeros_like(S)
+    n_hits = []
+    q = 0
+    for geom in geoms:
+        for p, bary, nodes, t in zip(geom.chord.qpoints[geom.inside],
+                                     geom.bary, geom.nodes, geom.tri):
+            S[q, nodes] = bary
+            D[q, nodes] = geom.chord.normal @ grads[t]
+            tris = locator.locate_all(p)
+            for t in tris:
+                D_mean[q, mesh.triangles[t]] += \
+                    (geom.chord.normal @ grads[t]) / len(tris)
+            n_hits.append(len(tris))
+            q += 1
+    assert q == S.shape[0]
+    np.testing.assert_array_equal(chords.w,
+                                  np.concatenate([g.w for g in geoms]))
+    np.testing.assert_array_equal(chords.r,
+                                  np.concatenate([g.r for g in geoms]))
+    np.testing.assert_array_equal(
+        chords.R.toarray(),
+        np.repeat(np.eye(len(geoms)), [len(g.inside) for g in geoms], axis=1))
+    _close(chords.S, S)
+
+    # D agrees with the frozen copy on points inside one triangle; on an
+    # edge or a vertex it is the mean over the triangles holding the point
+    single = np.array(n_hits) == 1
+    _close(chords.D, D_mean)
+    _close(chords.D.toarray()[single], D[single])
+
+    L = np.zeros((len(mesh.limiter), n))
+    for k, p in enumerate(mesh.limiter):
+        t, bary = locator.locate(p)
+        L[k, mesh.triangles[t]] = bary
+    _close(mesh.limiter_matrix(), L)
+
+    nb = len(mesh.boundary)
+    np.testing.assert_array_equal(mesh.boundary_normals(),
+                                  _boundary_normals_loop(mesh))
+    for mk in (np.arange(nb), np.array([0, 5, 5, nb - 1, 0])):
+        C0, points = build_neumann_observer(mesh, mk)
+        _close(C0, _neumann_loop(mesh, mk))
+        np.testing.assert_array_equal(points, mesh.nodes[mesh.boundary[mk]])
