@@ -114,7 +114,8 @@ class ProfileExpansion:
         if self.c is not None:
             self.c = np.asarray(self.c, dtype=np.float64)
         m = self.basis.m
-        if self.a.shape != (m,) or self.b.shape != (m,):
+        if any(c is not None and c.shape != (m,)
+               for c in (self.a, self.b, self.c)):
             raise ValueError("coefficient length must match basis dimension")
 
     def coeffs(self, which):

@@ -7,6 +7,7 @@ overrides (``--set key=value``).  Exit codes: 0 success, 1 input error,
 """
 
 import argparse
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -17,7 +18,8 @@ from scipy.interpolate import PchipInterpolator
 from . import forward, mesh as meshmod, twin as twinmod
 from .basis import SplineBasis
 from .diagnostics import profile_table, write_profile_csv
-from .errors import ConvergenceError, DivergentLambdaError, GsReconError
+from .errors import (ConvergenceError, DivergentLambdaError, GsReconError,
+                     MeshValidationError)
 from .forward import MachineParams, forward_fixed_point
 from .inverse import (ReconstructionSetup, RegularizationConfig,
                       observation_state, reconstruct)
@@ -45,6 +47,9 @@ DEFAULTS = {
 # keys without a default; "chord" lines are collected into cfg["chords"]
 OPTIONAL_KEYS = {"mesh_file", "profile_a", "profile_b", "profile_ne",
                  "g_d_const"}
+# smallest admissible value of the numbers no constructor checks
+AT_LEAST = {"tol": 0, "max_iter": 1, "realtime_iters": 1, "noise_rate": 0,
+            "seed": 0, "replicates": 1, "lcurve_points": 3}
 
 
 class ConfigError(GsReconError):
@@ -53,11 +58,11 @@ class ConfigError(GsReconError):
 
 @contextmanager
 def _config_values(what):
-    """Raise a ValueError from parsing or checking config values as the
-    input error :class:`ConfigError`."""
+    """Raise a ValueError or MeshValidationError from parsing or checking
+    config values as the input error :class:`ConfigError`."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, MeshValidationError) as exc:
         raise ConfigError(f"bad {what}: {exc}") from exc
 
 
@@ -80,11 +85,11 @@ def parse_config(path=None, overrides=()):
             raise ConfigError(f"config line {ln}: expected key = value")
         key, val = (s.strip() for s in line.split("=", 1))
         if key == "chord":
-            parts = val.split()
-            if len(parts) != 4:
-                raise ConfigError(f"config line {ln}: chord needs r1 z1 r2 z2")
             with _config_values(f"chord on config line {ln}"):
-                cfg["chords"].append(tuple(float(p) for p in parts))
+                chord = tuple(float(p) for p in val.split())
+            if len(chord) != 4 or not all(map(math.isfinite, chord)):
+                raise ConfigError(f"config line {ln}: chord needs r1 z1 r2 z2")
+            cfg["chords"].append(chord)
         elif key in DEFAULTS or key in OPTIONAL_KEYS:
             cfg[key] = val
         else:
@@ -93,10 +98,15 @@ def parse_config(path=None, overrides=()):
 
 
 def _get(cfg, key, conv=float):
+    """Config value ``key`` converted by ``conv``: finite and at least its
+    ``AT_LEAST`` bound, else :class:`ConfigError`."""
     try:
-        return conv(cfg[key])
+        value = conv(cfg[key])
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad config value for {key!r}: {exc}")
+    if not -math.inf < value < math.inf or value < AT_LEAST.get(key, value):
+        raise ConfigError(f"bad config value for {key!r}: {cfg[key]!r}")
+    return value
 
 
 def _profile_func(cfg, key, default=None):
@@ -168,7 +178,15 @@ def _write_manifest(cfg, path, extra=None):
             fh.write(f"{k} = {v}\n")
 
 
+def _settings(args):
+    """Configuration, mesh, machine and basis of a subcommand."""
+    cfg = parse_config(args.config, args.set or ())
+    return cfg, _load_mesh(cfg), _machine(cfg), _basis(cfg)
+
+
 def _reference_equilibrium(cfg, mesh, machine, basis):
+    """Forward solve of the configured profiles; its failure is a numerical
+    failure (see :func:`main`)."""
     a_func = _profile_func(cfg, "profile_a",
                            lambda x: (1.0 - x) * (1.0 + 0.3 * x))
     b_func = _profile_func(cfg, "profile_b",
@@ -207,15 +225,8 @@ def cmd_mesh_gen(args):
 
 
 def cmd_forward(args):
-    cfg = parse_config(args.config, args.set or ())
-    mesh = _load_mesh(cfg)
-    machine = _machine(cfg)
-    basis = _basis(cfg)
-    try:
-        eq = _reference_equilibrium(cfg, mesh, machine, basis)
-    except (DivergentLambdaError, ConvergenceError) as exc:
-        print(f"forward solve failed: {exc}", file=sys.stderr)
-        return EXIT_NOCONV
+    cfg, mesh, machine, basis = _settings(args)
+    eq = _reference_equilibrium(cfg, mesh, machine, basis)
     eq_path = _out(cfg, "equilibrium.txt")
     forward.save_equilibrium(eq, eq_path)
     table = profile_table(mesh, eq.psi, eq.domain, eq.profiles, eq.lam,
@@ -229,20 +240,13 @@ def cmd_forward(args):
 
 
 def cmd_reconstruct(args):
-    cfg = parse_config(args.config, args.set or ())
-    mesh = _load_mesh(cfg)
-    machine = _machine(cfg)
-    basis = _basis(cfg)
+    cfg, mesh, machine, basis = _settings(args)
     ms, chords = load_measurements(args.measurements)
     setup = ReconstructionSetup(mesh, machine, chords, basis=basis)
     reg = _reg(cfg)
     use_internal = len(chords) > 0 and not args.magnetics_only
-    if args.realtime:
-        max_iter = _get(cfg, "realtime_iters", int)
-        tol = 0.0
-    else:
-        max_iter = _get(cfg, "max_iter", int)
-        tol = _get(cfg, "tol")
+    tol, max_iter = ((0.0, _get(cfg, "realtime_iters", int)) if args.realtime
+                     else (_get(cfg, "tol"), _get(cfg, "max_iter", int)))
     res = reconstruct(setup, ms, reg, use_internal=use_internal, tol=tol,
                       max_iter=max_iter)
     if res.error is not None:
@@ -269,15 +273,8 @@ def cmd_reconstruct(args):
 
 
 def cmd_twin(args):
-    cfg = parse_config(args.config, args.set or ())
-    mesh = _load_mesh(cfg)
-    machine = _machine(cfg)
-    basis = _basis(cfg)
-    try:
-        eq = _reference_equilibrium(cfg, mesh, machine, basis)
-    except (DivergentLambdaError, ConvergenceError) as exc:
-        print(f"reference solve failed: {exc}", file=sys.stderr)
-        return EXIT_NOCONV
+    cfg, mesh, machine, basis = _settings(args)
+    eq = _reference_equilibrium(cfg, mesh, machine, basis)
     setup = ReconstructionSetup(mesh, machine, cfg["chords"], basis=basis)
     ne_coeffs = _ne_reference(cfg, basis)
     ms = synthesize_measurements(setup, eq, ne_coeffs)
@@ -297,15 +294,8 @@ def cmd_twin(args):
 
 
 def cmd_stats(args):
-    cfg = parse_config(args.config, args.set or ())
-    mesh = _load_mesh(cfg)
-    machine = _machine(cfg)
-    basis = _basis(cfg)
-    try:
-        eq = _reference_equilibrium(cfg, mesh, machine, basis)
-    except (DivergentLambdaError, ConvergenceError) as exc:
-        print(f"reference solve failed: {exc}", file=sys.stderr)
-        return EXIT_NOCONV
+    cfg, mesh, machine, basis = _settings(args)
+    eq = _reference_equilibrium(cfg, mesh, machine, basis)
     setup = ReconstructionSetup(mesh, machine, cfg["chords"], basis=basis)
     ne_coeffs = _ne_reference(cfg, basis)
     ms = synthesize_measurements(setup, eq, ne_coeffs)
@@ -328,15 +318,8 @@ def cmd_stats(args):
 
 
 def cmd_lcurve(args):
-    cfg = parse_config(args.config, args.set or ())
-    mesh = _load_mesh(cfg)
-    machine = _machine(cfg)
-    basis = _basis(cfg)
-    try:
-        eq = _reference_equilibrium(cfg, mesh, machine, basis)
-    except (DivergentLambdaError, ConvergenceError) as exc:
-        print(f"reference solve failed: {exc}", file=sys.stderr)
-        return EXIT_NOCONV
+    cfg, mesh, machine, basis = _settings(args)
+    eq = _reference_equilibrium(cfg, mesh, machine, basis)
     setup = ReconstructionSetup(mesh, machine, cfg["chords"], basis=basis)
     ne_coeffs = _ne_reference(cfg, basis)
     if ne_coeffs is None or not cfg["chords"]:
@@ -424,6 +407,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (DivergentLambdaError, ConvergenceError) as exc:
+        print(f"forward solve failed: {exc}", file=sys.stderr)
+        return EXIT_NOCONV
     except (ConfigError, OSError, GsReconError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

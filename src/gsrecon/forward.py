@@ -11,6 +11,7 @@ from .errors import (ConvergenceError, DivergentLambdaError,
                      EmptySourceError, GsReconError, MeshParseError)
 from .geometry import PlasmaDomain, make_plasma_domain, quadrature_points
 from .mesh import interpolation_matrix, point_in_polygon
+from .textio import LineReader
 
 
 @dataclass
@@ -159,8 +160,12 @@ def picard(step, psi, tol, max_iter, residuals):
     of the last ``ANDERSON_DEPTH`` (r, g) pairs.  The history is cleared
     while psi is zero and whenever |r| grows, so the next iterate is then
     plain g.  Exceptions raised by ``step`` propagate, with ``residuals``
-    holding the iterations completed.
+    holding the iterations completed.  A NaN or negative ``tol`` or a
+    ``max_iter`` below one raises ValueError before the first step.
     """
+    if not (tol >= 0 and max_iter >= 1):
+        raise ValueError(f"need tol >= 0 and max_iter >= 1, "
+                         f"got tol={tol!r}, max_iter={max_iter!r}")
     d_r, d_g, prev = [], [], None    # prev: (r, g, |r|) from a nonzero psi
     for it in range(max_iter):
         g = step(psi)
@@ -269,49 +274,45 @@ def save_equilibrium(eq, path):
             fh.write(f"{r_(v)}\n")
 
 
-def load_equilibrium(path, mesh=None, basis=None):
-    """Read a file written by :func:`save_equilibrium`.
+# fields of an equilibrium file and their value counts (None: any count)
+EQUILIBRIUM_FIELDS = {"r0": 1, "b0": 1, "ip": 1, "mu0": 1, "lambda": 1,
+                      "psi_a": 1, "psi_b": 1, "mode": 1, "axis": 2, "psi": 1,
+                      "coeff_a": None, "coeff_b": None, "coeff_c": None}
 
-    A missing field, a non-numeric value, a short psi block, a psi block
-    whose length differs from the node count of ``mesh`` (when given) or
-    values the equilibrium rejects raise :class:`MeshParseError`.
+
+def load_equilibrium(path, mesh=None, basis=None):
+    """Read a file written by :func:`save_equilibrium`, its lines in any
+    order.  Raises :class:`MeshParseError` for a line the
+    :class:`~gsrecon.textio.LineReader` rule rejects, an unknown, repeated
+    or missing field, a mode other than ``limiter`` or ``xpoint``, a psi
+    block whose length is not the node count of ``mesh`` (when given) and
+    values the equilibrium rejects.
     """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    fields = {}
-    psi = None
-    i = 0
+    rd = LineReader(path)
+    data, required = {}, EQUILIBRIUM_FIELDS.keys() - {"coeff_c"}
+    while rd.line < len(rd.lines) or not required <= data.keys():
+        key, rest = rd.record([k for k in EQUILIBRIUM_FIELDS if k not in data])
+        if key == "psi":
+            n = rd.count(rest)
+            if mesh is not None and n != mesh.n_nodes:
+                rd.fail(f"psi block has {n} values for a mesh of "
+                        f"{mesh.n_nodes} nodes")
+            data[key] = rd.block(n, 1, "psi").ravel()
+        elif key == "mode":
+            if rest not in (["limiter"], ["xpoint"]):
+                rd.fail(f"mode must be limiter or xpoint, not {rest}")
+            data[key] = rest[0]
+        else:
+            data[key] = rd.values(rest, EQUILIBRIUM_FIELDS[key])
     try:
-        while i < len(lines):
-            parts = lines[i].split()
-            if parts[0] == "psi":
-                count = int(parts[1])
-                psi = np.array([float(v) for v in lines[i + 1:i + 1 + count]])
-                if len(psi) != count:
-                    raise MeshParseError(f"psi block has {len(psi)} of "
-                                         f"{count} values", line=i + 1)
-                i += count + 1
-                continue
-            fields[parts[0]] = parts[1:]
-            i += 1
-        num = lambda key, k=0: float(fields[key][k])
-        coeffs = lambda key: [float(v) for v in fields[key]]
-        machine = MachineParams(num("r0"), num("b0"), num("ip"), num("mu0"))
+        machine = MachineParams(*(data[k][0] for k in ("r0", "b0", "ip",
+                                                       "mu0")))
         if basis is None:
-            basis = SplineBasis(m=len(fields["coeff_a"]))
-        prof = ProfileExpansion(
-            basis, coeffs("coeff_a"), coeffs("coeff_b"),
-            coeffs("coeff_c") if "coeff_c" in fields else None)
-        domain = PlasmaDomain(num("psi_a"), num("psi_b"),
-                              (num("axis"), num("axis", 1)),
-                              mode=fields["mode"][0])
-        lam = num("lambda")
-    except (KeyError, IndexError, ValueError) as exc:
-        raise MeshParseError(f"bad or missing equilibrium field: {exc!r}") \
-            from exc
-    if psi is None:
-        raise MeshParseError("missing psi block")
-    if mesh is not None and len(psi) != mesh.n_nodes:
-        raise MeshParseError(f"psi block has {len(psi)} values for a mesh "
-                             f"of {mesh.n_nodes} nodes")
-    return Equilibrium(psi, domain, prof, lam, machine)
+            basis = SplineBasis(m=len(data["coeff_a"]))
+        prof = ProfileExpansion(basis, data["coeff_a"], data["coeff_b"],
+                                data.get("coeff_c"))
+    except ValueError as exc:
+        raise MeshParseError(f"bad equilibrium: {exc}") from exc
+    domain = PlasmaDomain(data["psi_a"][0], data["psi_b"][0],
+                          tuple(data["axis"]), mode=data["mode"])
+    return Equilibrium(data["psi"], domain, prof, data["lambda"][0], machine)

@@ -157,6 +157,8 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
     None and ``costs`` is empty.  Non-convergence (the real-time regime
     truncates the loop on purpose) is reported by ``converged``.
 
+    ``lam`` is the scale of ``profiles``: the last iteration's
+    coefficients u are returned rescaled to max|a| = 1, with lam * u kept.
     ``costs`` belongs to the last iteration: J0 and J1 are the magnetic
     and polarimetric rows of 1/2 |W (E u - f)|^2 at its observation state,
     J2 the weighted interferometry misfit of its density and Jeps the
@@ -233,7 +235,7 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
 
         k_inv_y, E, f = observation_state(setup, Y, C, d, k_inv_g)
         u = identify_ab(E, f, w, reg.eps, setup.lam_full, setup.free_idx)
-        last = (E, f, w, b_int)
+        last = (w * (E @ u - f), b_int)
         return k_inv_y @ u + k_inv_g
 
     error = domain = None
@@ -244,10 +246,10 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
         error = str(exc)
     converged = error is None and bool(residuals) and residuals[-1] <= tol
 
+    u, lam, _ = rescale_dofs(u, lam)
     costs = {}
     if error is None and residuals:
-        E, f, w, b_int = last
-        misfit = w * (E @ u - f)
+        misfit, b_int = last
         n_mag = setup.c0.shape[0]
         costs = {"J0": 0.5 * float(np.sum(misfit[:n_mag] ** 2)),
                  "J1": 0.5 * float(np.sum(misfit[n_mag:] ** 2)), "J2": 0.0,

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import MeshParseError, MeshValidationError, OutsideDomainError
+from .errors import MeshValidationError, OutsideDomainError
+from .textio import LineReader
 
 
 def triangle_areas(nodes, triangles):
@@ -334,60 +335,21 @@ def save_mesh(mesh, path):
 
 
 def load_mesh(path):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise MeshParseError("empty mesh file", line=1)
-    header = lines[0].split()
-    try:
-        counts = {header[i]: int(header[i + 1]) for i in range(0, len(header), 2)}
-        n = counts["nodes"]
-        t = counts["triangles"]
-        b = counts["boundary"]
-        l = counts["limiter"]
-        if min(n, t, b, l) < 0:
-            raise ValueError("negative count")
-    except (KeyError, ValueError, IndexError):
-        raise MeshParseError(f"bad header {lines[0]!r}", line=1) from None
-
-    def parse_block(start, count, nfields, conv, what):
-        rows = []
-        for k in range(count):
-            ln = start + k
-            if ln >= len(lines):
-                raise MeshParseError(f"unexpected end of file in {what}", line=ln + 1)
-            parts = lines[ln].split()
-            if len(parts) != nfields:
-                raise MeshParseError(f"expected {nfields} fields in {what}", line=ln + 1)
-            try:
-                rows.append([conv(p) for p in parts])
-            except ValueError:
-                raise MeshParseError(f"bad {what} entry {lines[ln]!r}",
-                                     line=ln + 1) from None
-        return np.array(rows)
-
-    def finite(s):
-        v = float(s)
-        if not np.isfinite(v):
-            raise ValueError(s)
-        return v
-
-    def node_index(s):
-        v = int(s)
-        if not 0 <= v < n:
-            raise ValueError(s)
-        return v
-
-    nodes = parse_block(1, n, 2, finite, "node")
-    triangles = parse_block(1 + n, t, 3, node_index, "triangle")
-    boundary = parse_block(1 + n + t, b, 1, node_index, "boundary index").ravel()
-    limiter = parse_block(1 + n + t + b, l, 2, finite, "limiter point")
-    if t:
-        triangles = triangles.astype(np.int64)
-        flipped = triangle_areas(nodes, triangles) < 0
-        if np.any(flipped):
-            warnings.warn(f"reoriented {int(flipped.sum())} clockwise triangle(s)")
-            triangles[flipped] = triangles[flipped][:, ::-1]
+    rd = LineReader(path)
+    header = rd.fields("the header")
+    counts = dict(zip(header[0::2], header[1::2]))
+    blocks = ("nodes", "triangles", "boundary", "limiter")
+    if len(header) != 8 or set(counts) != set(blocks):
+        rd.fail(f"bad header {' '.join(header)!r}")
+    n, t, b, l = (rd.count([counts[k]]) for k in blocks)
+    nodes = rd.block(n, 2, "node")
+    triangles = rd.block(t, 3, "triangle", bound=n)
+    boundary = rd.block(b, 1, "boundary index", bound=n).ravel()
+    limiter = rd.block(l, 2, "limiter point")
+    flipped = triangle_areas(nodes, triangles) < 0
+    if np.any(flipped):
+        warnings.warn(f"reoriented {int(flipped.sum())} clockwise triangle(s)")
+        triangles[flipped] = triangles[flipped][:, ::-1]
     return Mesh(nodes, triangles, boundary, limiter)
 
 

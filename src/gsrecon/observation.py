@@ -11,6 +11,7 @@ import scipy.sparse as sp
 from .errors import MeshParseError, StateError
 from .fem import MU0
 from .mesh import point_matrix
+from .textio import LineReader
 
 
 @dataclass
@@ -35,6 +36,8 @@ class MeasurementSet:
         for arr in (self.g_d, self.g_n, self.gamma, self.alpha):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("non-finite measurement value")
+        if not (0 < abs(self.ip) < np.inf and np.isfinite(self.b0)):
+            raise ValueError("Ip must be finite and nonzero, B0 finite")
 
 
 @dataclass
@@ -275,48 +278,19 @@ def save_measurements(ms, chords, path):
 def load_measurements(path):
     """Returns (MeasurementSet, chord endpoint pairs).
 
-    Raises :class:`MeshParseError`, with the line number, for a missing or
-    malformed line, a non-numeric value or count, a truncated section and
-    values the measurement set rejects.
+    Raises :class:`MeshParseError`: with the line number for a line that
+    :class:`~gsrecon.textio.LineReader` rejects (a missing, malformed or
+    non-finite line, a bad count, a truncated section), without one for
+    values the measurement set rejects (a zero Ip).
     """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    idx = 0
-
-    def fail(msg):
-        raise MeshParseError(msg, line=idx)
-
-    def fields(what):
-        nonlocal idx
-        idx += 1
-        if idx > len(lines):
-            fail(f"file ends before {what}")
-        return lines[idx - 1].split()
-
-    def numbers(parts):
-        try:
-            return [float(v) for v in parts]
-        except ValueError:
-            fail(f"bad value in {lines[idx - 1]!r}")
-
+    rd = LineReader(path)
     scalars = {}
-    for _ in range(2):
-        parts = fields("the Ip and B0 lines")
-        if len(parts) != 2 or parts[0] not in {"Ip", "B0"} - set(scalars):
-            fail(f"expected 'Ip value' or 'B0 value', got {lines[idx - 1]!r}")
-        scalars[parts[0]] = numbers(parts[1:])[0]
+    while len(scalars) < 2:
+        key, rest = rd.record([k for k in ("Ip", "B0") if k not in scalars])
+        scalars[key] = rd.values(rest, 1)[0]
 
     def section(name, nfields):
-        parts = fields(f"section {name!r}")
-        if len(parts) != 2 or parts[0] != name or not parts[1].isdigit():
-            fail(f"expected '{name} <count>', got {lines[idx - 1]!r}")
-        rows = []
-        for _ in range(int(parts[1])):
-            p = fields(f"the end of section {name!r}")
-            if len(p) != nfields:
-                fail(f"expected {nfields} fields in {name}")
-            rows.append(numbers(p))
-        return np.array(rows).reshape(len(rows), nfields)
+        return rd.block(rd.count(rd.record([name])[1]), nfields, name)
 
     g_d = section("gD", 1).ravel()
     gn_rows = section("gN", 3)

@@ -7,6 +7,7 @@ setup, synthetic measurements) are session-scoped so each is built once.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import gsrecon
 from gsrecon.basis import SplineBasis
@@ -14,6 +15,11 @@ from gsrecon.diagnostics import profile_table
 from gsrecon.forward import MachineParams, forward_fixed_point
 from gsrecon.inverse import ReconstructionSetup
 from gsrecon.twin import synthesize_measurements
+
+# every property test runs the same examples on every machine and run
+settings.register_profile("reproducible", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("reproducible")
 
 
 def a_ref(x):

@@ -172,3 +172,32 @@ def test_malformed_config_value_is_input_error(tmp_path, capsys, override):
                      "--set", f"out_dir={tmp_path}"]) == cli.EXIT_INPUT
     assert capsys.readouterr().err.startswith("error: bad ")
 
+
+
+@pytest.mark.parametrize("ip", ["0.0", "nan"])
+def test_reconstruct_bad_plasma_current_is_input_error(workspace, tmp_path,
+                                                       capsys, ip):
+    ws, cfg = workspace
+    lines = (ws / "measurements.txt").read_text().splitlines()
+    assert lines[0].startswith("Ip ")
+    bad = tmp_path / "ip.txt"
+    bad.write_text("\n".join([f"Ip {ip}"] + lines[1:]))
+    assert cli.main(["reconstruct", "--config", str(cfg),
+                     "--measurements", str(bad)]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [
+    ["forward", "--set", "tol=nan"], ["forward", "--set", "tol=-1"],
+    ["forward", "--set", "max_iter=0"],
+    ["reconstruct", "--realtime", "--set", "realtime_iters=0"]],
+    ids=["tol=nan", "tol=-1", "max_iter=0", "realtime_iters=0"])
+def test_bad_stop_test_is_input_error(workspace, capsys, args):
+    ws, cfg = workspace
+    if args[0] == "reconstruct":
+        args = args + ["--measurements", str(ws / "measurements.txt")]
+    assert cli.main(args + ["--config", str(cfg),
+                            "--set", f"out_dir={ws / 'stop'}"]) \
+        == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: bad config value")

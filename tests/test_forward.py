@@ -105,6 +105,14 @@ def test_picard_returns_last_step_output():
     np.testing.assert_allclose(psi_in[3], expected, rtol=1e-14, atol=0)
 
 
+@pytest.mark.parametrize("tol,max_iter", [(np.nan, 5), (-1.0, 5), (1e-6, 0)])
+def test_picard_rejects_bad_stop_test_before_first_step(tol, max_iter):
+    step, seen = _recorded_affine_step(_A, _B)
+    with pytest.raises(ValueError, match="tol >= 0 and max_iter >= 1"):
+        picard(step, np.zeros(3), tol, max_iter, [])
+    assert seen["in"] == []
+
+
 def test_picard_solves_affine_map_within_depth_plus_two():
     step, seen = _recorded_affine_step(_A, _B)
     residuals = []

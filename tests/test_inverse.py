@@ -135,6 +135,15 @@ def test_reconstruct_with_internal_data(setup, clean_measurements,
     assert res.costs["Jeps"] == pytest.approx(j_eps, rel=1e-12)
 
 
+def test_reconstruct_lambda_is_the_scale_of_profiles(setup,
+                                                     clean_measurements):
+    res = reconstruct(setup, clean_measurements, RegularizationConfig(),
+                      use_internal=True)
+    assert res.converged and np.abs(res.profiles.a).max() == 1.0
+    # the final rescale moves the last iteration's max|a| into lam
+    assert res.lam != res.lam_history[-1]
+
+
 def test_reconstruct_truncated_is_flagged_not_raised(setup,
                                                      clean_measurements):
     res = reconstruct(setup, clean_measurements, RegularizationConfig(),

@@ -191,6 +191,10 @@ def test_measurement_set_validation():
     with pytest.raises(ValueError):
         MeasurementSet(np.zeros(4), np.array([np.nan]), np.zeros(0),
                        np.zeros(0), 1e6, 2.0)
+    for ip, b0 in [(0.0, 2.0), (np.nan, 2.0), (np.inf, 2.0), (1e6, np.nan)]:
+        with pytest.raises(ValueError, match="Ip must be"):
+            MeasurementSet(np.zeros(4), np.zeros(1), np.zeros(0),
+                           np.zeros(0), ip, b0)
 
 
 def test_measurements_roundtrip(tmp_path, clean_measurements, setup):
@@ -240,7 +244,9 @@ def test_load_measurements_every_line_prefix(tmp_path, clean_measurements,
     ("Ip 1e6\ngD 1\n0.0\n", 2),
     ("Ip 1e6\nB0 2.0\ngD 1\n0.0\ngN 1\n2.0 0.0\n", 6),
     ("Ip 1e6\nB0 2.0\ngD 1\n0.0\ngN 1\n2.0 0.0 1.0\n", 7),
-    ("Ip 1e6\nB0 2.0\ngD 1\n0.0\ngN 1\n2.0 0.0 nan\nchords 0\n", None),
+    ("Ip 1e6\nB0 2.0\ngD 1\n0.0\ngN 1\n2.0 0.0 nan\nchords 0\n", 6),
+    ("B0 2.0\nIp nan\ngD 0\ngN 1\n2.0 0.0 1.0\nchords 0\n", 2),
+    ("Ip 0.0\nB0 2.0\ngD 0\ngN 1\n2.0 0.0 1.0\nchords 0\n", None),
 ])
 def test_load_measurements_malformed_lines(tmp_path, text, line):
     path = tmp_path / "bad.txt"
