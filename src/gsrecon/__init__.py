@@ -16,8 +16,7 @@ from .geometry import PlasmaDomain, find_axis, find_xpoint, make_plasma_domain
 from .inverse import (ReconstructionResult, ReconstructionSetup,
                       RegularizationConfig, reconstruct)
 from .mesh import (Mesh, PointLocator, build_rect_mesh, load_mesh, save_mesh)
-from .observation import (MeasurementSet, load_measurements,
-                          make_chord, save_measurements)
+from .observation import MeasurementSet, load_measurements, save_measurements
 from .twin import (LCurveResult, ReplicateStats, l_curve, l_curve_ab,
                    l_curve_ne, perturb, replicate_stats,
                    synthesize_measurements)
@@ -34,7 +33,7 @@ __all__ = [
     "find_axis", "find_xpoint", "flux_surface_average", "forward_fixed_point",
     "impose_dirichlet", "l_curve", "l_curve_ab", "l_curve_ne",
     "load_equilibrium", "load_measurements", "load_mesh",
-    "make_chord", "make_plasma_domain", "perturb", "profile_table",
+    "make_plasma_domain", "perturb", "profile_table",
     "reconstruct", "replicate_stats", "save_equilibrium", "save_measurements",
     "save_mesh", "synthesize_measurements", "write_profile_csv",
 ]

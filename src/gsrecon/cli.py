@@ -47,9 +47,11 @@ DEFAULTS = {
 # keys without a default; "chord" lines are collected into cfg["chords"]
 OPTIONAL_KEYS = {"mesh_file", "profile_a", "profile_b", "profile_ne",
                  "g_d_const"}
-# smallest admissible value of the numbers no constructor checks
+# smallest admissible value of the numbers no constructor checks, and the
+# regularization values, which must be above 0
 AT_LEAST = {"tol": 0, "max_iter": 1, "realtime_iters": 1, "noise_rate": 0,
             "seed": 0, "replicates": 1, "lcurve_points": 3}
+POSITIVE = {"eps_list", "lcurve_eps_min", "lcurve_eps_max"}
 
 
 class ConfigError(GsReconError):
@@ -98,15 +100,23 @@ def parse_config(path=None, overrides=()):
 
 
 def _get(cfg, key, conv=float):
-    """Config value ``key`` converted by ``conv``: finite and at least its
-    ``AT_LEAST`` bound, else :class:`ConfigError`."""
+    """Config value ``key`` converted by ``conv``: finite, at least its
+    ``AT_LEAST`` bound and above 0 if in ``POSITIVE``, else
+    :class:`ConfigError`."""
     try:
         value = conv(cfg[key])
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad config value for {key!r}: {exc}")
-    if not -math.inf < value < math.inf or value < AT_LEAST.get(key, value):
+    if (not -math.inf < value < math.inf or value < AT_LEAST.get(key, value)
+            or (key in POSITIVE and value <= 0)):
         raise ConfigError(f"bad config value for {key!r}: {cfg[key]!r}")
     return value
+
+
+def _get_list(cfg, key):
+    """Config value ``key``, comma-separated numbers each checked by
+    :func:`_get`."""
+    return [_get({key: v}, key) for v in str(cfg[key]).split(",")]
 
 
 def _profile_func(cfg, key, default=None):
@@ -282,7 +292,7 @@ def cmd_twin(args):
         ms = twinmod.perturb(ms, _get(cfg, "noise_rate"),
                              _get(cfg, "seed", int))
     ms_path = _out(cfg, "measurements.txt")
-    save_measurements(ms, setup.chord_geoms.chords, ms_path)
+    save_measurements(ms, setup.chord_geoms.endpoints, ms_path)
     table = profile_table(mesh, eq.psi, eq.domain, eq.profiles, eq.lam,
                           machine)
     if ne_coeffs is not None:
@@ -295,12 +305,11 @@ def cmd_twin(args):
 
 def cmd_stats(args):
     cfg, mesh, machine, basis = _settings(args)
+    eps_values = _get_list(cfg, "eps_list")
     eq = _reference_equilibrium(cfg, mesh, machine, basis)
     setup = ReconstructionSetup(mesh, machine, cfg["chords"], basis=basis)
     ne_coeffs = _ne_reference(cfg, basis)
     ms = synthesize_measurements(setup, eq, ne_coeffs)
-    with _config_values("eps_list"):
-        eps_values = [float(v) for v in str(cfg["eps_list"]).split(",")]
     stats = replicate_stats(
         setup, ms, _reg(cfg), eps_values,
         n_replicates=_get(cfg, "replicates", int),
@@ -319,6 +328,12 @@ def cmd_stats(args):
 
 def cmd_lcurve(args):
     cfg, mesh, machine, basis = _settings(args)
+    lo, hi = _get(cfg, "lcurve_eps_min"), _get(cfg, "lcurve_eps_max")
+    if not lo < hi:
+        raise ConfigError(f"bad L-curve range: lcurve_eps_min {lo:g} is "
+                          f"not below lcurve_eps_max {hi:g}")
+    eps_grid = np.logspace(np.log10(lo), np.log10(hi),
+                           _get(cfg, "lcurve_points", int))
     eq = _reference_equilibrium(cfg, mesh, machine, basis)
     setup = ReconstructionSetup(mesh, machine, cfg["chords"], basis=basis)
     ne_coeffs = _ne_reference(cfg, basis)
@@ -328,9 +343,6 @@ def cmd_lcurve(args):
         return EXIT_INPUT
     ms = twinmod.perturb(synthesize_measurements(setup, eq, ne_coeffs),
                          _get(cfg, "noise_rate"), _get(cfg, "seed", int))
-    eps_grid = np.logspace(np.log10(_get(cfg, "lcurve_eps_min")),
-                           np.log10(_get(cfg, "lcurve_eps_max")),
-                           _get(cfg, "lcurve_points", int))
     psibar = eq.domain.normalize(eq.psi)
     res_ne = l_curve_ne(setup, ms, psibar, eps_grid,
                         alpha_scale=_get(cfg, "alpha_scale"))

@@ -23,10 +23,6 @@ class MeasurementCountError(GsReconError):
     """A measurement vector's length does not match the setup."""
 
 
-class OutsideDomainError(GsReconError):
-    """A query point lies outside the triangulated domain."""
-
-
 class StateError(GsReconError):
     """An operation was called in the wrong object state."""
 

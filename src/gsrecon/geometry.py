@@ -31,16 +31,25 @@ class PlasmaDomain:
         return normalized_flux(psi, self.psi_a, self.psi_b)
 
 
+def _ring(mesh, node):
+    """Edge-connected neighbors of a node."""
+    ring = mesh.node_neighbors()[node]
+    return ring[ring >= 0]
+
+
+def _ring_radius(mesh, node):
+    """Largest distance from a node to its neighbors."""
+    return np.linalg.norm(mesh.nodes[_ring(mesh, node)] - mesh.nodes[node],
+                          axis=1).max()
+
+
 def _quadratic_fit(mesh, values, node, two_ring=False):
     """Least-squares quadratic psi(dr,dz) about a node over its ring
     neighborhood.  Returns (coeffs c,gr,gz,hrr,hrz,hzz) or None."""
-    neighbors = mesh.node_neighbors()
-    ring = set(neighbors[node])
+    ring = _ring(mesh, node)
     if two_ring:
-        for nb in list(ring):
-            ring.update(neighbors[nb])
-    ring.discard(node)
-    ids = np.array([node] + sorted(ring))
+        ring = np.append(ring, mesh.node_neighbors()[ring])
+    ids = np.array([node] + sorted(set(ring.tolist()) - {node, -1}))
     if len(ids) < 6:
         return None
     d = mesh.nodes[ids] - mesh.nodes[node]
@@ -86,11 +95,9 @@ def find_axis(mesh, psi):
         dx, H = _critical_point(coef)
         if dx is None:
             continue
-        radius = np.linalg.norm(
-            mesh.nodes[mesh.node_neighbors()[node]] - mesh.nodes[node],
-            axis=1).max()
         eigs = np.linalg.eigvalsh(H)
-        if eigs.max() < 0 and np.linalg.norm(dx) <= 1.5 * radius:
+        if (eigs.max() < 0
+                and np.linalg.norm(dx) <= 1.5 * _ring_radius(mesh, node)):
             pos = mesh.nodes[node] + dx
             best = (tuple(pos), float(_fit_value(coef, dx)))
             break
@@ -101,21 +108,22 @@ def saddle_candidates(mesh, psi, scale):
     """Interior nodes around whose ordered ring the sign of (psi_neighbor -
     psi_node) alternates at least four times, ignoring differences below
     1e-14 * scale."""
-    interior = mesh.interior_nodes()
-    rings = mesh.ordered_rings()
-    diff = psi[rings] - psi[interior][:, None]
+    rings = mesh.node_neighbors().T                  # (max degree, n)
+    diff = psi[rings] - psi
     keep = (rings >= 0) & (np.abs(diff) > 1e-14 * scale)
-    signs = np.where(keep, np.sign(diff), 0.0)
-    # cyclic sign changes among the kept entries of each ring: compare
-    # every kept sign with the last kept sign before it, and the first
-    # kept sign with the last one
-    cols = np.arange(rings.shape[1])
-    last = np.maximum.accumulate(np.where(keep, cols, 0), axis=1)
-    prev = np.take_along_axis(signs, last, axis=1)
-    changes = np.sum(signs[:, 1:] * prev[:, :-1] < 0, axis=1)
-    first = np.take_along_axis(signs, np.argmax(keep, axis=1)[:, None], 1)
-    changes += first[:, 0] * prev[:, -1] < 0
-    return interior[(keep.sum(axis=1) >= 4) & (changes >= 4)]
+    # cyclic sign changes among the kept entries of each ring, one ring
+    # position at a time: every kept sign against the last kept sign
+    # before it, then the first kept sign against the last one
+    first = last = np.zeros(len(psi))
+    changes = np.zeros(len(psi), dtype=np.int64)
+    for sign in np.where(keep, np.sign(diff), 0.0):
+        changes += sign * last < 0
+        last = np.where(sign != 0, sign, last)
+        first = np.where(first != 0, first, sign)
+    changes += first * last < 0
+    saddle = (keep.sum(axis=0) >= 4) & (changes >= 4)
+    saddle[mesh.boundary] = False
+    return np.flatnonzero(saddle)
 
 
 def find_xpoint(mesh, psi):
@@ -135,10 +143,7 @@ def find_xpoint(mesh, psi):
         det = H[0, 0] * H[1, 1] - H[0, 1] ** 2
         if dx is None or det >= -1e-12 * scale ** 2:
             continue
-        radius = np.linalg.norm(
-            mesh.nodes[mesh.node_neighbors()[node]] - mesh.nodes[node],
-            axis=1).max()
-        if np.linalg.norm(dx) > 1.5 * radius:
+        if np.linalg.norm(dx) > 1.5 * _ring_radius(mesh, node):
             continue
         pos = mesh.nodes[node] + dx
         candidates.append((tuple(pos), float(_fit_value(coef, dx))))

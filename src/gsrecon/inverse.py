@@ -176,8 +176,7 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
         if len(values) != expected:
             raise MeasurementCountError(
                 f"{name} has {len(values)} values for {expected} {what}")
-    weights = default_weights(ms.ip, mesh.boundary_length(), len(ms.g_n),
-                              len(ms.gamma), alpha=ms.alpha, gamma=ms.gamma)
+    weights = default_weights(ms, mesh.boundary_length())
     w_mag = np.full(setup.c0.shape[0], weights.w_mag)
     k_inv_g = setup.dirichlet_lift(ms.g_d)
 
@@ -225,10 +224,8 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
             ne_coeffs = identify_ne(b_int, ms.gamma, weights.w_inter,
                                     reg.eps_ne, reg.alpha_scale,
                                     setup.lam_block)
-            ne_exp = ProfileExpansion(basis, np.zeros(basis.m),
-                                      np.zeros(basis.m), ne_coeffs)
-            c1 = build_polarimetry_observer(setup.chord_geoms, ne_exp,
-                                            psibar_nodal)
+            c1 = build_polarimetry_observer(setup.chord_geoms, basis,
+                                            ne_coeffs, psibar_nodal)
             C = sp.vstack([setup.c0, c1]).tocsr()
             d = np.concatenate([ms.g_n, ms.alpha])
             w = np.concatenate([w_mag, np.full(n_c, weights.w_polar)])

@@ -3,14 +3,15 @@ rows, interferometry chord integrals and polarimetry rows, plus the
 statistical weights of the misfit terms."""
 
 import warnings
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import MeshParseError, StateError
+from .errors import MeshParseError
 from .fem import MU0
-from .mesh import point_matrix
+from .mesh import _expand, point_matrix
 from .textio import LineReader
 
 
@@ -40,71 +41,57 @@ class MeasurementSet:
             raise ValueError("Ip must be finite and nonzero, B0 finite")
 
 
-@dataclass
-class Chord:
-    p0: np.ndarray
-    p1: np.ndarray
-    qpoints: np.ndarray       # (Q, 2)
-    weights: np.ndarray       # (Q,), sums to segment length
-    normal: np.ndarray        # unit normal to the chord direction
-
-    @property
-    def length(self):
-        return float(self.weights.sum())
-
-
-def make_chord(p0, p1, step):
-    """Composite-midpoint quadrature along the segment with spacing <= step."""
-    p0 = np.asarray(p0, dtype=np.float64)
-    p1 = np.asarray(p1, dtype=np.float64)
-    length = float(np.linalg.norm(p1 - p0))
-    if length == 0:
-        raise ValueError("degenerate chord")
-    nseg = max(1, int(np.ceil(length / step)))
-    s = (np.arange(nseg) + 0.5) / nseg
-    qpoints = p0 + s[:, None] * (p1 - p0)
-    weights = np.full(nseg, length / nseg)
-    direction = (p1 - p0) / length
-    normal = np.array([-direction[1], direction[0]])
-    return Chord(p0, p1, qpoints, weights, normal)
-
-
 class ChordSet:
-    """Chords of one measurement configuration and the sparse operators
-    over their quadrature points inside the mesh, stacked chord after chord
-    (points outside the mesh are dropped: zero contribution):
+    """Chords of one measurement configuration, given as (N_c, 4)
+    ``endpoints`` rows (r1, z1, r2, z2), and the sparse operators over their
+    quadrature points inside the mesh, stacked chord after chord (points
+    outside the mesh are dropped: zero contribution):
 
     S : (Q, n) P1 interpolation of nodal fields at the points
     D : (Q, n) chord-normal derivative of nodal fields at the points
     R : (N_c, Q) sum over the points of each chord
-    w, r : (Q,) quadrature weights and radii of the points
+    points : (Q, 2) the points; r is their radius
+    w : (Q,) quadrature weights of the points
+    normals : (N_c, 2) unit normal of each chord, rotated +90 degrees from
+              its direction
 
-    A point on a mesh edge or vertex lies in several triangles; its rows
-    are the mean of theirs, so D does not depend on the chord direction.
-    ``len`` is the number of chords.
+    Each chord is sampled by the composite midpoint rule with spacing
+    <= ``step``.  A point on a mesh edge or vertex lies in several
+    triangles; its rows are the mean of theirs, so D does not depend on the
+    chord direction.  ``len`` is the number of chords.
     """
 
-    def __init__(self, mesh, chords):
-        self.chords = list(chords)
-        n_c = len(self.chords)
-        pts = np.concatenate([np.empty((0, 2))]
-                             + [c.qpoints for c in self.chords])
-        weights = np.concatenate([np.empty(0)]
-                                 + [c.weights for c in self.chords])
-        chord_of = np.repeat(np.arange(n_c),
-                             [len(c.weights) for c in self.chords])
+    def __init__(self, mesh, endpoints, step):
+        self.endpoints = np.reshape(np.asarray(endpoints, dtype=np.float64),
+                                    (-1, 4))
+        n_c = len(self.endpoints)
+        p0 = self.endpoints[:, :2]
+        d = self.endpoints[:, 2:] - p0
+        # the norm of each row through the dot kernel, as np.linalg.norm of
+        # one segment computes it (a reduction along an axis can differ in
+        # the last bit)
+        length = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+        if not np.all((0 < length) & (length < np.inf)):
+            raise ValueError("degenerate or non-finite chord")
+        nseg = np.maximum(1, np.ceil(length / step)).astype(np.int64)
+        chord_of, k = _expand(nseg)
+        s = (k + 0.5) / nseg[chord_of]
+        pts = p0[chord_of] + s[:, None] * d[chord_of]
+        weights = (length / nseg)[chord_of]
         point, tri, bary = mesh.locator().locate(pts)
         inside, point = np.unique(point, return_inverse=True)
         q = len(inside)
-        self.w, self.r = weights[inside], pts[inside, 0]
+        self.w, self.points = weights[inside], pts[inside]
+        self.r = self.points[:, 0]
         chord_of = chord_of[inside]
         empty = np.flatnonzero(np.bincount(chord_of, minlength=n_c) == 0)
         if len(empty):
             warnings.warn(f"chord(s) {empty.tolist()} lie entirely outside "
                           "the domain")
         self.S = point_matrix(mesh, point, tri, bary, q)
-        normals = np.reshape([c.normal for c in self.chords], (-1, 2))
-        normals = normals[chord_of[point]]
+        direction = d / length[:, None]
+        self.normals = np.column_stack([-direction[:, 1], direction[:, 0]])
+        normals = self.normals[chord_of[point]]
         grads = mesh.grads()[tri]                            # (K, 2, 3)
         dn = (normals[:, 0, None] * grads[:, 0]
               + normals[:, 1, None] * grads[:, 1])
@@ -113,7 +100,7 @@ class ChordSet:
                                shape=(n_c, q))
 
     def __len__(self):
-        return len(self.chords)
+        return len(self.endpoints)
 
     def plasma_points(self, psibar_nodal):
         """Normalized flux at the points and the mask psibar <= 1."""
@@ -122,39 +109,28 @@ class ChordSet:
 
 
 def build_chord_geometries(mesh, chords, step=None):
-    """:class:`ChordSet` of chords given as :class:`Chord` objects,
-    (r1, z1, r2, z2) tuples or endpoint pairs, sampled with spacing
-    <= ``step`` (default: half the typical edge length, which resolves
-    the plasma cutoff)."""
+    """:class:`ChordSet` of the (r1, z1, r2, z2) rows ``chords``, sampled
+    with spacing <= ``step`` (default: half the typical edge length, which
+    resolves the plasma cutoff)."""
     if step is None:
         step = 0.5 * np.sqrt(2.0 * mesh.area() / len(mesh.triangles))
-    out = []
-    for c in chords:
-        if isinstance(c, Chord):
-            out.append(c)
-        elif len(c) == 4 and np.isscalar(c[0]):
-            out.append(make_chord((c[0], c[1]), (c[2], c[3]), step))
-        else:
-            out.append(make_chord(c[0], c[1], step))
-    return ChordSet(mesh, out)
+    return ChordSet(mesh, chords, step)
 
 
 # ---------------------------------------------------------------------------
 # Observers
 # ---------------------------------------------------------------------------
 
-def build_neumann_observer(mesh, mk_indices=None):
+def build_neumann_observer(mesh):
     """Sparse N x n matrix whose row k maps nodal psi to the outward normal
-    derivative (1/r) dpsi/dn at the boundary node M_k.
+    derivative (1/r) dpsi/dn at the boundary node M_k = ``boundary[k]``,
+    and the (N, 2) points M_k.
 
     The gradient at a boundary node is the area-weighted mean of the P1
     gradients of its incident triangles; the normal is the mean of the two
     adjacent boundary-edge normals.
     """
-    if mk_indices is None:
-        mk_indices = np.arange(len(mesh.boundary))
-    mk_indices = np.asarray(mk_indices, dtype=np.int64)
-    nodes = mesh.boundary[mk_indices]
+    nodes = mesh.boundary
     n_t = len(mesh.triangles)
     # node-triangle incidence holding the triangle areas; one entry per
     # (M_k, incident triangle)
@@ -167,7 +143,7 @@ def build_neumann_observer(mesh, mk_indices=None):
     wsum = np.bincount(k, weights=area, minlength=len(nodes))
     if np.any(wsum == 0):
         raise ValueError("boundary node without an incident triangle")
-    normals = mesh.boundary_normals()[mk_indices][k]
+    normals = mesh.boundary_normals()[k]
     grads = mesh.grads()[t]
     rows = ((normals[:, 0, None] * grads[:, 0]
              + normals[:, 1, None] * grads[:, 1])
@@ -187,14 +163,12 @@ def build_interferometry_matrix(chords, basis, psibar_nodal):
     return chords.R @ F
 
 
-def build_polarimetry_observer(chords, ne_expansion, psibar_nodal):
+def build_polarimetry_observer(chords, basis, ne_coeffs, psibar_nodal):
     """Sparse N_c x n matrix: row k maps nodal psi to the chord integral of
-    n_e(psibar)/r times the chord-normal derivative of psi."""
-    if ne_expansion is None:
-        raise StateError("polarimetry requires identified n_e coefficients")
+    n_e(psibar)/r times the chord-normal derivative of psi, for the density
+    n_e with coefficients ``ne_coeffs`` in ``basis``."""
     pb, mask = chords.plasma_points(psibar_nodal)
-    ne_vals = (ne_expansion.basis.eval_many(pb[mask])
-               @ ne_expansion.coeffs("ne"))
+    ne_vals = basis.eval_many(pb[mask]) @ ne_coeffs
     coef = np.zeros(len(pb))
     coef[mask] = chords.w[mask] * ne_vals / chords.r[mask]
     return (chords.R @ sp.diags(coef) @ chords.D).tocsr()
@@ -204,52 +178,31 @@ def build_polarimetry_observer(chords, ne_expansion, psibar_nodal):
 # Weights
 # ---------------------------------------------------------------------------
 
-@dataclass
-class WeightConfig:
-    sigma_mag: float
-    sigma_polar: float
-    sigma_inter: float
-    n_mag: int
-    n_chords: int
-
-    def __post_init__(self):
-        if min(self.sigma_mag, self.sigma_polar, self.sigma_inter) <= 0:
-            raise ValueError("all sigmas must be positive")
-
-    @property
-    def w_mag(self):
-        return 1.0 / (np.sqrt(self.n_mag) * self.sigma_mag)
-
-    @property
-    def w_polar(self):
-        return 1.0 / (np.sqrt(self.n_chords) * self.sigma_polar)
-
-    @property
-    def w_inter(self):
-        return 1.0 / (np.sqrt(self.n_chords) * self.sigma_inter)
+Weights = namedtuple("Weights", "w_mag w_polar w_inter")
 
 
-def default_weights(ip, boundary_length, n_mag, n_chords,
-                    sigma_polar=1e-1, sigma_inter=1e18, mu0=MU0,
-                    alpha=None, gamma=None):
-    """Weights from the mean poloidal field: sigma_mag is 1% of
-    mu0*Ip/|Gamma| (Ampere), with stated defaults for the internal chords.
+def default_weights(ms, boundary_length):
+    """Weights 1 / (sqrt(N) sigma) of the magnetic, polarimetry and
+    interferometry rows of the measurement set ``ms``.
 
-    The chord sigmas correspond to ~1% of a typical measurement in the
-    instrument's own units; when the actual measurement vectors are passed,
-    the sigmas are rescaled to 1% of their mean magnitude (the rotation-
-    physics constants are folded into the line integrals here, so fixed
-    radian-scale defaults would misweight them).
+    sigma_mag is 1% of the mean poloidal field mu0*Ip/|Gamma| (Ampere).
+    The chord sigmas are 1% of the mean magnitude of the measured alpha and
+    gamma (the rotation-physics constants are folded into the line
+    integrals here, so fixed radian-scale values would misweight them);
+    an all-zero or empty vector takes sigma 1e-1 (alpha) or 1e18 (gamma).
     """
     if boundary_length <= 0:
         raise ValueError("boundary length must be positive")
-    b_m = mu0 * abs(ip) / boundary_length
-    if alpha is not None and len(alpha) and np.mean(np.abs(alpha)) > 0:
-        sigma_polar = 0.01 * float(np.mean(np.abs(alpha)))
-    if gamma is not None and len(gamma) and np.mean(np.abs(gamma)) > 0:
-        sigma_inter = 0.01 * float(np.mean(np.abs(gamma)))
-    return WeightConfig(0.01 * b_m, sigma_polar, sigma_inter,
-                        n_mag, max(n_chords, 1))
+    sigma_mag = 0.01 * (MU0 * abs(ms.ip) / boundary_length)
+
+    def sigma(values, default):
+        scale = np.mean(np.abs(values)) if len(values) else 0.0
+        return 0.01 * float(scale) if scale > 0 else default
+
+    n_chords = max(len(ms.gamma), 1)
+    return Weights(1.0 / (np.sqrt(len(ms.g_n)) * sigma_mag),
+                   1.0 / (np.sqrt(n_chords) * sigma(ms.alpha, 1e-1)),
+                   1.0 / (np.sqrt(n_chords) * sigma(ms.gamma, 1e18)))
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +210,8 @@ def default_weights(ip, boundary_length, n_mag, n_chords,
 # ---------------------------------------------------------------------------
 
 def save_measurements(ms, chords, path):
+    """Write ``ms`` with the (r1, z1, r2, z2) rows ``chords`` of its
+    internal measurements (see :func:`load_measurements`)."""
     r_ = lambda v: repr(float(v))
     with open(path, "w") as fh:
         fh.write(f"Ip {r_(ms.ip)}\nB0 {r_(ms.b0)}\n")
@@ -269,14 +224,13 @@ def save_measurements(ms, chords, path):
         for (r, z), v in zip(pts, ms.g_n):
             fh.write(f"{r_(r)} {r_(z)} {r_(v)}\n")
         fh.write(f"chords {len(ms.gamma)}\n")
-        for c, gam, al in zip(chords, ms.gamma, ms.alpha):
-            p0, p1 = (c.p0, c.p1) if isinstance(c, Chord) else c
-            fh.write(f"{r_(p0[0])} {r_(p0[1])} {r_(p1[0])} {r_(p1[1])} "
-                     f"{r_(gam)} {r_(al)}\n")
+        for c, gam, al in zip(np.reshape(chords, (-1, 4)), ms.gamma,
+                              ms.alpha):
+            fh.write(" ".join(map(r_, [*c, gam, al])) + "\n")
 
 
 def load_measurements(path):
-    """Returns (MeasurementSet, chord endpoint pairs).
+    """Returns (MeasurementSet, (N_c, 4) chord rows r1 z1 r2 z2).
 
     Raises :class:`MeshParseError`: with the line number for a line that
     :class:`~gsrecon.textio.LineReader` rejects (a missing, malformed or
@@ -295,25 +249,11 @@ def load_measurements(path):
     g_d = section("gD", 1).ravel()
     gn_rows = section("gN", 3)
     chord_rows = section("chords", 6)
-    chords = [(row[0:2], row[2:4]) for row in chord_rows]
     try:
         ms = MeasurementSet(g_d, gn_rows[:, 2], chord_rows[:, 4],
                             chord_rows[:, 5], scalars["Ip"], scalars["B0"],
                             gn_points=gn_rows[:, 0:2])
     except ValueError as exc:
         raise MeshParseError(str(exc)) from exc
-    return ms, chords
+    return ms, chord_rows[:, :4]
 
-
-def perturb_measurements(ms, rate, rng):
-    """Each scalar m becomes m + eta with eta ~ N(0, (rate*|m|)^2)."""
-    if rate < 0:
-        raise ValueError("noise rate must be nonnegative")
-    if rate == 0:
-        return replace(ms)
-
-    def noisy(arr):
-        return arr + rng.standard_normal(arr.shape) * rate * np.abs(arr)
-
-    return replace(ms, g_d=noisy(ms.g_d), g_n=noisy(ms.g_n),
-                   gamma=noisy(ms.gamma), alpha=noisy(ms.alpha))

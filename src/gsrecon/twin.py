@@ -3,17 +3,15 @@ replication statistics and L-curve selection of the regularization
 parameter."""
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import ProfileExpansion
 from .diagnostics import profile_table
 from .errors import GsReconError
 from .inverse import identify_ab, identify_ne, reconstruct
 from .observation import (MeasurementSet, build_interferometry_matrix,
-                          build_polarimetry_observer, default_weights,
-                          perturb_measurements)
+                          build_polarimetry_observer, default_weights)
 
 PROFILE_KEYS = ("lambdaA", "lambdaB_weighted", "j_mean", "q", "ne")
 
@@ -29,10 +27,8 @@ def synthesize_measurements(setup, eq, ne_coeffs=None):
         b_int = build_interferometry_matrix(setup.chord_geoms, setup.basis,
                                             psibar)
         gamma = b_int @ ne_coeffs
-        ne_exp = ProfileExpansion(setup.basis, np.zeros(setup.basis.m),
-                                  np.zeros(setup.basis.m), ne_coeffs)
-        c1 = build_polarimetry_observer(setup.chord_geoms, ne_exp, psibar)
-        alpha = c1 @ eq.psi
+        alpha = build_polarimetry_observer(setup.chord_geoms, setup.basis,
+                                           ne_coeffs, psibar) @ eq.psi
     else:
         gamma = np.zeros(n_c)
         alpha = np.zeros(n_c)
@@ -41,10 +37,20 @@ def synthesize_measurements(setup, eq, ne_coeffs=None):
 
 
 def perturb(ms, rate=0.01, seed=0):
-    """Measurement set with independent 1%-style Gaussian noise (zero mean,
-    std = rate * |value|); deterministic under a fixed seed."""
+    """Measurement set whose every scalar m becomes m + eta with
+    eta ~ N(0, (rate*|m|)^2), drawn from ``np.random.default_rng(seed)``
+    (``seed`` an int or a :class:`numpy.random.SeedSequence`)."""
+    if rate < 0:
+        raise ValueError("noise rate must be nonnegative")
+    if rate == 0:
+        return replace(ms)
     rng = np.random.default_rng(seed)
-    return perturb_measurements(ms, rate, rng)
+
+    def noisy(arr):
+        return arr + rng.standard_normal(arr.shape) * rate * np.abs(arr)
+
+    return replace(ms, g_d=noisy(ms.g_d), g_n=noisy(ms.g_n),
+                   gamma=noisy(ms.gamma), alpha=noisy(ms.alpha))
 
 
 @dataclass
@@ -79,8 +85,7 @@ def replicate_stats(setup, ms_clean, reg, eps_values, n_replicates=50,
         n_fail = 0
         grid = None
         for rep in range(n_replicates):
-            rng = np.random.default_rng(child_seeds[ei * n_replicates + rep])
-            ms = perturb_measurements(ms_clean, rate, rng)
+            ms = perturb(ms_clean, rate, child_seeds[ei * n_replicates + rep])
             try:
                 res = reconstruct(setup, ms, cfg, use_internal=use_internal,
                                   tol=tol, max_iter=max_iter)
@@ -179,9 +184,7 @@ def l_curve(solver, eps_grid, flat_span=0.3):
 
 def l_curve_ne(setup, ms, psibar_nodal, eps_grid, alpha_scale=1e19):
     """L-curve of the density identification at a fixed flux iterate."""
-    weights = default_weights(ms.ip, setup.mesh.boundary_length(),
-                              len(ms.g_n), len(ms.gamma),
-                              alpha=ms.alpha, gamma=ms.gamma)
+    weights = default_weights(ms, setup.mesh.boundary_length())
     b_int = build_interferometry_matrix(setup.chord_geoms, setup.basis,
                                         psibar_nodal)
 
@@ -199,9 +202,7 @@ def l_curve_ne(setup, ms, psibar_nodal, eps_grid, alpha_scale=1e19):
 
 def l_curve_ab(setup, ms, E, f, eps_grid):
     """L-curve of the A/B identification at a fixed observation state."""
-    weights = default_weights(ms.ip, setup.mesh.boundary_length(),
-                              len(ms.g_n), len(ms.gamma),
-                              alpha=ms.alpha, gamma=ms.gamma)
+    weights = default_weights(ms, setup.mesh.boundary_length())
     w_vec = np.full(E.shape[0], weights.w_mag)
 
     def solver(eps):

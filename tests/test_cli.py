@@ -173,6 +173,22 @@ def test_malformed_config_value_is_input_error(tmp_path, capsys, override):
     assert capsys.readouterr().err.startswith("error: bad ")
 
 
+@pytest.mark.parametrize("args", [
+    ["stats", "--set", "eps_list=-1", "--set", "replicates=1"],
+    ["stats", "--set", "eps_list=1e-2,nan"], ["stats", "--set", "eps_list="],
+    ["lcurve", "--set", "lcurve_eps_min=-1"],
+    ["lcurve", "--set", "lcurve_eps_min=0"],
+    ["lcurve", "--set", "lcurve_eps_max=inf"],
+    ["lcurve", "--set", "lcurve_eps_min=1e-2", "--set", "lcurve_eps_max=1e-2"]],
+    ids=["eps_list=-1", "eps_list=nan", "eps_list=", "lcurve_eps_min=-1",
+         "lcurve_eps_min=0", "lcurve_eps_max=inf", "lcurve_empty_range"])
+def test_malformed_eps_is_input_error(tmp_path, capsys, args):
+    # checked before the forward solve, which therefore does not run
+    assert cli.main(args + ["--set", f"out_dir={tmp_path}"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: bad ")
+    assert not any(tmp_path.iterdir())
+
+
 
 @pytest.mark.parametrize("ip", ["0.0", "nan"])
 def test_reconstruct_bad_plasma_current_is_input_error(workspace, tmp_path,

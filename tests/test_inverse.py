@@ -244,7 +244,8 @@ def test_reconstruct_reports_step_failure(setup, clean_measurements,
 
 def test_setup_locates_all_chord_points_in_one_call(machine, monkeypatch):
     # one bin index per mesh, shared by the chord set and the limiter
-    # matrix; all chord points go through one array call
+    # matrix; the limiter points (located by validation) and all chord
+    # points go through one array call each
     calls = {"init": 0, "locate": 0}
     init, locate = PointLocator.__init__, PointLocator.locate
 
@@ -260,8 +261,8 @@ def test_setup_locates_all_chord_points_in_one_call(machine, monkeypatch):
     monkeypatch.setattr(PointLocator, "locate", counting_locate)
     mesh = gsrecon.build_rect_mesh(2.0, 3.0, -1.2, 1.2, 20, 20,
                                    limiter=LIMITER)
-    ReconstructionSetup(mesh, machine, CHORDS)
     assert calls == {"init": 1, "locate": 1}
+    ReconstructionSetup(mesh, machine, CHORDS)
     mesh.limiter_matrix()
     assert calls == {"init": 1, "locate": 2}
 

@@ -54,6 +54,18 @@ def test_mesh_validation_rejects_bad_triangle():
         Mesh(nodes, np.array([[0, 1, 9]]), np.array([0, 1, 2]), nodes)
 
 
+def test_mesh_validation_rejects_limiter_outside_mesh():
+    with pytest.raises(MeshValidationError,
+                       match=r"limiter point \(3\.5, 0\) outside"):
+        build_rect_mesh(**RECT, nr=4, nz=4,
+                        limiter=[[2.5, 0.0], [3.5, 0.0], [2.5, 2.0]])
+    # points on the boundary loop, at an edge midpoint or a corner, are in
+    on_edge = [[2.5, 1.0], [3.0, 1.0], [2.0, -0.25], [2.5, 0.0]]
+    mesh = build_rect_mesh(**RECT, nr=4, nz=4, limiter=on_edge)
+    np.testing.assert_allclose(mesh.limiter_matrix() @ mesh.nodes,
+                               on_edge, rtol=1e-15, atol=0)
+
+
 def test_point_in_polygon_square():
     poly = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     inside = point_in_polygon([[0.5, 0.5], [1.5, 0.5], [-0.1, 0.2]], poly)

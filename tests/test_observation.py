@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 import gsrecon
-from gsrecon.basis import ProfileExpansion, SplineBasis
+from gsrecon.basis import SplineBasis
 from gsrecon.errors import MeshParseError
 from gsrecon.observation import (MeasurementSet, build_chord_geometries,
                                  build_interferometry_matrix,
                                  build_neumann_observer,
                                  build_polarimetry_observer, default_weights,
-                                 load_measurements, make_chord,
-                                 perturb_measurements, save_measurements)
+                                 load_measurements, save_measurements)
+from gsrecon.twin import perturb
 
 from conftest import CHORDS
 
@@ -19,35 +19,43 @@ def mesh():
     return gsrecon.build_rect_mesh(2.0, 3.0, -1.0, 1.0, 16, 16)
 
 
-def test_make_chord_quadrature():
-    c = make_chord((2.0, 0.0), (3.0, 0.0), step=0.07)
-    assert c.weights.sum() == pytest.approx(1.0, rel=1e-12)
-    assert np.all(np.diff(c.qpoints[:, 0]) <= 0.07 + 1e-12)
-    np.testing.assert_allclose(c.normal, [0.0, 1.0], atol=1e-14)
+def test_chord_quadrature(mesh):
+    geoms = build_chord_geometries(mesh, [(2.0, 0.0, 3.0, 0.0)], step=0.07)
+    assert len(geoms) == 1 and len(geoms.w) == 15
+    assert geoms.w.sum() == pytest.approx(1.0, rel=1e-12)
+    assert np.all(np.diff(geoms.r) <= 0.07 + 1e-12)
+    np.testing.assert_allclose(geoms.normals, [[0.0, 1.0]], atol=1e-14)
 
 
-def test_make_chord_rejects_degenerate():
+@pytest.mark.parametrize("chord", [(2.0, 0.0, 2.0, 0.0),
+                                   (2.0, 0.0, np.inf, 0.0),
+                                   (2.0, np.nan, 2.5, 0.0)],
+                         ids=["zero-length", "infinite", "nan"])
+def test_degenerate_chord_rejected(mesh, chord):
     with pytest.raises(ValueError):
-        make_chord((2.0, 0.0), (2.0, 0.0), step=0.1)
+        build_chord_geometries(mesh, [(2.1, 0.0, 2.9, 0.0), chord], step=0.1)
 
 
 def test_chord_geometry_values(mesh):
-    geoms = build_chord_geometries(mesh, [(2.1, -0.5, 2.9, 0.5)])
-    pts = geoms.chords[0].qpoints
-    assert geoms.S.shape[0] == len(pts)            # fully interior chord
+    p0, p1 = np.array([2.1, -0.5]), np.array([2.9, 0.5])
+    geoms = build_chord_geometries(mesh, [(*p0, *p1)])
+    pts = geoms.points
+    n = len(pts)                                   # fully interior chord
+    np.testing.assert_allclose(pts, p0 + ((np.arange(n) + 0.5) / n)[:, None]
+                               * (p1 - p0), rtol=0, atol=1e-15)
     field = 2.0 * mesh.nodes[:, 0] - mesh.nodes[:, 1]
     np.testing.assert_allclose(geoms.S @ field, 2.0 * pts[:, 0] - pts[:, 1],
                                atol=1e-10)
     np.testing.assert_array_equal(geoms.r, pts[:, 0])
+    np.testing.assert_array_equal(geoms.endpoints, [[*p0, *p1]])
 
 
 def _chord_signals(mesh, chords, basis, eq, ne_coeffs):
     geoms = build_chord_geometries(mesh, chords)
     psibar = eq.domain.normalize(eq.psi)
-    zero = np.zeros(basis.m)
-    ne = ProfileExpansion(basis, zero, zero, ne_coeffs)
     return (build_interferometry_matrix(geoms, basis, psibar) @ ne_coeffs,
-            build_polarimetry_observer(geoms, ne, psibar) @ eq.psi)
+            build_polarimetry_observer(geoms, basis, ne_coeffs, psibar)
+            @ eq.psi)
 
 
 def test_chord_direction_flips_polarimetry_only(twin_mesh, basis,
@@ -74,7 +82,8 @@ def test_chord_on_mesh_edge_takes_mean_of_both_triangles(twin_mesh):
     line = np.flatnonzero(np.abs(mesh.nodes[:, 1] - z) < 1e-9)
     line = line[np.argsort(mesh.nodes[line, 0])]
     assert len(line) == 21 and geoms.D.shape[0] == 20
-    normal = geoms.chords[0].normal
+    normal = geoms.normals[0]
+    np.testing.assert_array_equal(normal, [-0.0, 1.0])
     tris = mesh.triangles
     for k, (a, b) in enumerate(zip(line[:-1], line[1:])):
         both = np.flatnonzero((tris == a).any(axis=1)
@@ -114,11 +123,6 @@ def test_neumann_observer_linear_field(mesh):
                                rtol=1e-9)
 
 
-def test_neumann_observer_subset(mesh):
-    C0, points = build_neumann_observer(mesh, mk_indices=[0, 5, 10])
-    assert C0.shape[0] == 3 and len(points) == 3
-
-
 def _psibar(mesh):
     r, z = mesh.nodes[:, 0], mesh.nodes[:, 1]
     return ((r - 2.5) ** 2 + z ** 2) / 0.16     # unit circle of radius 0.4
@@ -143,9 +147,8 @@ def test_interferometry_skips_vacuum_chord(mesh):
 def test_polarimetry_vanishes_for_constant_flux(mesh):
     basis = SplineBasis(end_constraint=True)
     geoms = build_chord_geometries(mesh, [(2.0, -0.2, 3.0, 0.2)], step=0.01)
-    ne = ProfileExpansion(basis, np.zeros(basis.m), np.zeros(basis.m),
-                          basis.fit(np.linspace(0, 1, 101), np.ones(101)))
-    C1 = build_polarimetry_observer(geoms, ne, _psibar(mesh))
+    ones = basis.fit(np.linspace(0, 1, 101), np.ones(101))
+    C1 = build_polarimetry_observer(geoms, basis, ones, _psibar(mesh))
     vals = C1 @ np.full(mesh.n_nodes, 3.3)
     assert np.abs(vals).max() < 1e-12
 
@@ -155,33 +158,39 @@ def test_polarimetry_linear_in_density(mesh):
     geoms = build_chord_geometries(mesh, [(2.0, -0.2, 3.0, 0.2)], step=0.01)
     pb = _psibar(mesh)
     c = basis.fit(np.linspace(0, 1, 101), 1.0 - np.linspace(0, 1, 101) ** 2)
-    zero = np.zeros(basis.m)
-    ne1 = ProfileExpansion(basis, zero, zero, c)
-    ne2 = ProfileExpansion(basis, zero, zero, 2.0 * c)
     psi = mesh.nodes[:, 0] + 0.5 * mesh.nodes[:, 1]
-    v1 = build_polarimetry_observer(geoms, ne1, pb) @ psi
-    v2 = build_polarimetry_observer(geoms, ne2, pb) @ psi
+    v1 = build_polarimetry_observer(geoms, basis, c, pb) @ psi
+    v2 = build_polarimetry_observer(geoms, basis, 2.0 * c, pb) @ psi
     np.testing.assert_allclose(v2, 2.0 * v1, rtol=1e-12)
 
 
+def _measurements(n_mag, alpha, gamma):
+    return MeasurementSet(np.zeros(3), np.ones(n_mag), gamma, alpha, 1.0e6,
+                          2.0)
+
+
 def test_default_weights_magnitudes():
-    w = default_weights(1.0e6, 6.0, 80, 14)
-    mu0 = 4e-7 * np.pi
-    assert w.sigma_mag == pytest.approx(0.01 * mu0 * 1e6 / 6.0)
-    assert w.w_mag == pytest.approx(1.0 / (np.sqrt(80) * w.sigma_mag))
+    # all-zero chord data: the stated chord sigmas 1e-1 and 1e18
+    w = default_weights(_measurements(80, np.zeros(14), np.zeros(14)), 6.0)
+    sigma_mag = 0.01 * 4e-7 * np.pi * 1e6 / 6.0
+    assert w.w_mag == pytest.approx(1.0 / (np.sqrt(80) * sigma_mag))
+    assert w.w_polar == pytest.approx(1.0 / (np.sqrt(14) * 1e-1))
+    assert w.w_inter == pytest.approx(1.0 / (np.sqrt(14) * 1e18))
+    w = default_weights(_measurements(80, np.zeros(0), np.zeros(0)), 6.0)
+    assert (w.w_polar, w.w_inter) == (10.0, 1e-18)
 
 
 def test_default_weights_track_measurement_scale():
     alpha = np.full(5, 2.0e19)
-    gamma = np.full(5, 4.0e19)
-    w = default_weights(1.0e6, 6.0, 80, 5, alpha=alpha, gamma=gamma)
-    assert w.sigma_polar == pytest.approx(0.01 * 2.0e19)
-    assert w.sigma_inter == pytest.approx(0.01 * 4.0e19)
+    gamma = np.full(5, -4.0e19)
+    w = default_weights(_measurements(80, alpha, gamma), 6.0)
+    assert w.w_polar == pytest.approx(1.0 / (np.sqrt(5) * 0.01 * 2.0e19))
+    assert w.w_inter == pytest.approx(1.0 / (np.sqrt(5) * 0.01 * 4.0e19))
 
 
 def test_default_weights_rejects_bad_boundary():
     with pytest.raises(ValueError):
-        default_weights(1.0e6, 0.0, 80, 5)
+        default_weights(_measurements(80, np.zeros(5), np.zeros(5)), 0.0)
 
 
 def test_measurement_set_validation():
@@ -199,7 +208,7 @@ def test_measurement_set_validation():
 
 def test_measurements_roundtrip(tmp_path, clean_measurements, setup):
     path = tmp_path / "ms.txt"
-    chords = setup.chord_geoms.chords
+    chords = setup.chord_geoms.endpoints
     save_measurements(clean_measurements, chords, path)
     ms2, chords2 = load_measurements(path)
     np.testing.assert_array_equal(clean_measurements.g_d, ms2.g_d)
@@ -207,8 +216,7 @@ def test_measurements_roundtrip(tmp_path, clean_measurements, setup):
     np.testing.assert_array_equal(clean_measurements.gamma, ms2.gamma)
     np.testing.assert_array_equal(clean_measurements.alpha, ms2.alpha)
     assert ms2.ip == clean_measurements.ip
-    assert len(chords2) == len(chords)
-    np.testing.assert_allclose(chords2[0][0], chords[0].p0)
+    np.testing.assert_array_equal(chords2, chords)
 
 
 def test_load_measurements_malformed(tmp_path):
@@ -223,7 +231,7 @@ def test_load_measurements_every_line_prefix(tmp_path, clean_measurements,
     # a truncated file loads (only when nothing is missing) or raises a
     # GsReconError, never another exception
     path = tmp_path / "ms.txt"
-    save_measurements(clean_measurements, setup.chord_geoms.chords, path)
+    save_measurements(clean_measurements, setup.chord_geoms.endpoints, path)
     lines = path.read_text().splitlines()
     loaded = []
     for k in range(len(lines) + 1):
@@ -257,15 +265,13 @@ def test_load_measurements_malformed_lines(tmp_path, text, line):
 
 
 def test_perturb_zero_rate_is_identity(clean_measurements):
-    rng = np.random.default_rng(0)
-    ms = perturb_measurements(clean_measurements, 0.0, rng)
+    ms = perturb(clean_measurements, 0.0, 0)
     np.testing.assert_array_equal(ms.g_n, clean_measurements.g_n)
 
 
 def test_perturb_noise_scales_with_magnitude(clean_measurements):
-    draws = np.array([perturb_measurements(
-        clean_measurements, 0.01, np.random.default_rng(s)).g_n
-        for s in range(400)])
+    draws = np.array([perturb(clean_measurements, 0.01, s).g_n
+                      for s in range(400)])
     std = draws.std(axis=0)
     target = 0.01 * np.abs(clean_measurements.g_n)
     big = target > 0.1 * target.max()
@@ -274,5 +280,4 @@ def test_perturb_noise_scales_with_magnitude(clean_measurements):
 
 def test_perturb_rejects_negative_rate(clean_measurements):
     with pytest.raises(ValueError):
-        perturb_measurements(clean_measurements, -0.1,
-                             np.random.default_rng(0))
+        perturb(clean_measurements, -0.1, 0)

@@ -1,7 +1,7 @@
-"""The mesh-fixed operators (ordered-ring index, quadrature matrix P,
-limiter matrix L, chord matrices S, D, R, Neumann observer C0) against
-frozen copies of the per-point, per-node and per-chord loops they
-replaced."""
+"""The mesh-fixed operators (neighbor table, quadrature matrix P,
+limiter matrix L, chord sampling and chord matrices S, D, R, Neumann
+observer C0) against frozen copies of the per-point, per-node and per-chord
+loops they replaced."""
 
 import warnings
 from types import SimpleNamespace
@@ -11,8 +11,6 @@ import pytest
 from scipy.interpolate import BSpline
 
 import gsrecon
-from gsrecon.basis import ProfileExpansion
-from gsrecon.errors import OutsideDomainError
 from gsrecon.forward import (SourceQuadrature, assemble_source_matrix,
                              assemble_source_vector, current_density_integral)
 from gsrecon.geometry import (_critical_point, _fit_value, _quadratic_fit,
@@ -92,12 +90,12 @@ class _PointLocatorLoop:
             if bary is not None:
                 self._last = int(t)
                 return int(t), bary
-        raise OutsideDomainError(f"point ({p[0]:g}, {p[1]:g}) outside")
+        raise LookupError(f"point ({p[0]:g}, {p[1]:g}) outside")
 
     def try_locate(self, point):
         try:
             return self.locate(point)
-        except OutsideDomainError:
+        except LookupError:
             return None
 
     def locate_all(self, point):
@@ -110,6 +108,24 @@ class _PointLocatorLoop:
 def _interpolate_loop(mesh, values, point, locator):
     t, bary = locator.locate(point)
     return float(values[mesh.triangles[t]] @ bary)
+
+
+def _make_chord_loop(p0, p1, step):
+    """Composite-midpoint quadrature along one segment with spacing
+    <= step: points, weights and the unit normal."""
+    p0 = np.asarray(p0, dtype=np.float64)
+    p1 = np.asarray(p1, dtype=np.float64)
+    length = float(np.linalg.norm(p1 - p0))
+    nseg = max(1, int(np.ceil(length / step)))
+    s = (np.arange(nseg) + 0.5) / nseg
+    direction = (p1 - p0) / length
+    return SimpleNamespace(qpoints=p0 + s[:, None] * (p1 - p0),
+                           weights=np.full(nseg, length / nseg),
+                           normal=np.array([-direction[1], direction[0]]))
+
+
+def _default_step(mesh):
+    return 0.5 * np.sqrt(2.0 * mesh.area() / len(mesh.triangles))
 
 
 class _ChordGeometryLoop:
@@ -142,21 +158,22 @@ class _ChordGeometryLoop:
         return np.einsum("qa,qa->q", self.bary, nodal[self.nodes])
 
 
-def _chord_geoms_loop(mesh, chords):
+def _chord_geoms_loop(mesh, endpoints, step):
     locator = _PointLocatorLoop(mesh)
-    return locator, [_ChordGeometryLoop(mesh, c, locator) for c in chords]
+    return locator, [_ChordGeometryLoop(
+        mesh, _make_chord_loop(c[:2], c[2:], step), locator)
+        for c in endpoints]
 
 
-def _neumann_loop(mesh, mk_indices):
+def _neumann_loop(mesh):
     node_tris = [[] for _ in range(mesh.n_nodes)]
     for t, tri in enumerate(mesh.triangles):
         for i in tri:
             node_tris[i].append(t)
-    normals = mesh.boundary_normals()[mk_indices]
+    normals = mesh.boundary_normals()
     grads, areas = mesh.grads(), mesh.areas()
-    out = np.zeros((len(mk_indices), mesh.n_nodes))
-    for k, bidx in enumerate(mk_indices):
-        node = int(mesh.boundary[bidx])
+    out = np.zeros((len(mesh.boundary), mesh.n_nodes))
+    for k, node in enumerate(mesh.boundary):
         tris = np.array(node_tris[node])
         wsum = areas[tris].sum()
         r_k = mesh.nodes[node, 0]
@@ -185,17 +202,28 @@ def _boundary_normals_loop(mesh):
         normals[k] = n / np.hypot(*n)
     return normals
 
-def _ordered_ring_loop(mesh, node):
-    nbs = mesh.node_neighbors()[node]
+def _adjacency_loop(mesh):
+    """For each node, the sorted edge-connected nodes."""
+    nbs = [set() for _ in range(mesh.n_nodes)]
+    for tri in mesh.triangles.tolist():
+        for a in tri:
+            nbs[a].update(tri)
+    return [np.array(sorted(s - {k}), dtype=np.int64)
+            for k, s in enumerate(nbs)]
+
+
+def _ordered_ring_loop(mesh, node, adjacency):
+    nbs = adjacency[node]
     d = mesh.nodes[nbs] - mesh.nodes[node]
     order = np.argsort(np.arctan2(d[:, 1], d[:, 0]))
     return nbs[order]
 
 
 def _saddle_candidates_loop(mesh, psi, scale):
+    adjacency = _adjacency_loop(mesh)
     out = []
     for node in mesh.interior_nodes():
-        ring = _ordered_ring_loop(mesh, int(node))
+        ring = _ordered_ring_loop(mesh, int(node), adjacency)
         diff = psi[ring] - psi[node]
         signs = np.sign(diff[np.abs(diff) > 1e-14 * scale])
         if len(signs) < 4:
@@ -208,9 +236,10 @@ def _saddle_candidates_loop(mesh, psi, scale):
 def _find_xpoint_loop(mesh, psi):
     psi = np.asarray(psi, dtype=np.float64)
     scale = np.abs(psi).max() or 1.0
+    adjacency = _adjacency_loop(mesh)
     candidates = []
     for node in _saddle_candidates_loop(mesh, psi, scale):
-        ring = _ordered_ring_loop(mesh, node)
+        ring = _ordered_ring_loop(mesh, node, adjacency)
         coef = _quadratic_fit(mesh, psi, node)
         if coef is None:
             continue
@@ -289,7 +318,7 @@ def _interferometry_loop(geoms, basis, psibar_nodal):
     return out
 
 
-def _polarimetry_loop(locator, geoms, ne_expansion, psibar_nodal, mesh):
+def _polarimetry_loop(locator, geoms, basis, ne_coeffs, psibar_nodal, mesh):
     """The chord-normal derivative at a point on an edge or a vertex is
     the mean over every triangle holding it."""
     grads = mesh.grads()
@@ -301,8 +330,7 @@ def _polarimetry_loop(locator, geoms, ne_expansion, psibar_nodal, mesh):
         mask = pb <= 1.0
         if not np.any(mask):
             continue
-        ne_vals = (ne_expansion.basis.eval_many(pb[mask])
-                   @ ne_expansion.coeffs("ne"))
+        ne_vals = basis.eval_many(pb[mask]) @ ne_coeffs
         coef = geom.w[mask] * ne_vals / geom.r[mask]
         for q, p in enumerate(geom.chord.qpoints[geom.inside][mask]):
             tris = locator.locate_all(p)
@@ -314,7 +342,7 @@ def _polarimetry_loop(locator, geoms, ne_expansion, psibar_nodal, mesh):
 
 
 # ---------------------------------------------------------------------------
-# Ordered rings and X-point search
+# Neighbor table and X-point search
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -330,12 +358,15 @@ def _fields(mesh):
             "noise": rng.standard_normal(mesh.n_nodes)}
 
 
-def test_ordered_rings_match_loop(twin_mesh):
-    rings = twin_mesh.ordered_rings()
-    for k, node in enumerate(twin_mesh.interior_nodes()):
-        ring = rings[k][rings[k] >= 0]
-        np.testing.assert_array_equal(ring,
-                                      _ordered_ring_loop(twin_mesh, node))
+def test_node_neighbors_match_loop(twin_mesh):
+    table = twin_mesh.node_neighbors()
+    adjacency = _adjacency_loop(twin_mesh)
+    assert table.shape == (twin_mesh.n_nodes,
+                           max(len(nbs) for nbs in adjacency))
+    for node, row in enumerate(table):
+        ring = _ordered_ring_loop(twin_mesh, node, adjacency)
+        np.testing.assert_array_equal(row[:len(ring)], ring)
+        assert np.all(row[len(ring):] == -1)
 
 
 @pytest.mark.parametrize("name", ["paraboloid", "saddle", "noise"])
@@ -428,13 +459,13 @@ def test_chord_operators_match_loop(setup, basis, reference_eq, ne_coeffs):
     eq = reference_eq
     psibar = eq.domain.normalize(eq.psi)
     chords = setup.chord_geoms
-    locator, geoms = _chord_geoms_loop(setup.mesh, chords.chords)
+    locator, geoms = _chord_geoms_loop(setup.mesh, chords.endpoints,
+                                       _default_step(setup.mesh))
     _close(build_interferometry_matrix(chords, basis, psibar),
            _interferometry_loop(geoms, basis, psibar))
-    zero = np.zeros(basis.m)
-    ne = ProfileExpansion(basis, zero, zero, ne_coeffs)
-    _close(build_polarimetry_observer(chords, ne, psibar),
-           _polarimetry_loop(locator, geoms, ne, psibar, setup.mesh))
+    _close(build_polarimetry_observer(chords, basis, ne_coeffs, psibar),
+           _polarimetry_loop(locator, geoms, basis, ne_coeffs, psibar,
+                             setup.mesh))
 
 
 @pytest.fixture(scope="module", params=[(20, 0.0), (40, 0.0), (40, 0.3)],
@@ -457,7 +488,8 @@ def twin_chords(request):
 
 def test_point_operators_match_frozen_copies(twin_chords):
     mesh, chords = twin_chords
-    locator, geoms = _chord_geoms_loop(mesh, chords.chords)
+    locator, geoms = _chord_geoms_loop(mesh, chords.endpoints,
+                                       _default_step(mesh))
     n, grads = mesh.n_nodes, mesh.grads()
     S = np.zeros((len(chords.w), n))
     D, D_mean = np.zeros_like(S), np.zeros_like(S)
@@ -475,10 +507,14 @@ def test_point_operators_match_frozen_copies(twin_chords):
             n_hits.append(len(tris))
             q += 1
     assert q == S.shape[0]
+    # the sampling is the per-chord loop's, bit for bit
+    np.testing.assert_array_equal(
+        chords.points,
+        np.concatenate([g.chord.qpoints[g.inside] for g in geoms]))
     np.testing.assert_array_equal(chords.w,
                                   np.concatenate([g.w for g in geoms]))
-    np.testing.assert_array_equal(chords.r,
-                                  np.concatenate([g.r for g in geoms]))
+    np.testing.assert_array_equal(chords.normals,
+                                  [g.chord.normal for g in geoms])
     np.testing.assert_array_equal(
         chords.R.toarray(),
         np.repeat(np.eye(len(geoms)), [len(g.inside) for g in geoms], axis=1))
@@ -496,10 +532,26 @@ def test_point_operators_match_frozen_copies(twin_chords):
         L[k, mesh.triangles[t]] = bary
     _close(mesh.limiter_matrix(), L)
 
-    nb = len(mesh.boundary)
     np.testing.assert_array_equal(mesh.boundary_normals(),
                                   _boundary_normals_loop(mesh))
-    for mk in (np.arange(nb), np.array([0, 5, 5, nb - 1, 0])):
-        C0, points = build_neumann_observer(mesh, mk)
-        _close(C0, _neumann_loop(mesh, mk))
-        np.testing.assert_array_equal(points, mesh.nodes[mesh.boundary[mk]])
+    C0, points = build_neumann_observer(mesh)
+    _close(C0, _neumann_loop(mesh))
+    np.testing.assert_array_equal(points, mesh.nodes[mesh.boundary])
+
+
+def test_chord_sampling_matches_make_chord_loop(twin_mesh):
+    # points, weights and normals of chords of many lengths and directions
+    # against the per-chord loop, bit for bit; every point lies inside
+    rng = np.random.default_rng(3)
+    ends = rng.uniform([2.0, -1.2, 2.0, -1.2], [3.0, 1.2, 3.0, 1.2],
+                       size=(200, 4))
+    endpoints = np.vstack([CHORDS, np.roll(CHORDS, 2, axis=1), ends])
+    for step in (_default_step(twin_mesh), 0.013):
+        chords = build_chord_geometries(twin_mesh, endpoints, step=step)
+        loop = [_make_chord_loop(c[:2], c[2:], step) for c in endpoints]
+        np.testing.assert_array_equal(
+            chords.points, np.concatenate([c.qpoints for c in loop]))
+        np.testing.assert_array_equal(
+            chords.w, np.concatenate([c.weights for c in loop]))
+        np.testing.assert_array_equal(chords.normals,
+                                      [c.normal for c in loop])

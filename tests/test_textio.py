@@ -14,6 +14,7 @@ import gsrecon
 from gsrecon import cli
 from gsrecon.errors import MeshParseError
 from gsrecon.forward import load_equilibrium, picard, save_equilibrium
+from gsrecon.inverse import RegularizationConfig
 from gsrecon.observation import (MeasurementSet, load_measurements,
                                  save_measurements)
 from gsrecon.textio import LineReader
@@ -67,7 +68,7 @@ def saved(tmp_path_factory, clean_measurements, setup, reference_eq,
     save_measurements(
         MeasurementSet(ms.g_d[:3], ms.g_n[:2], ms.gamma[:2], ms.alpha[:2],
                        ms.ip, ms.b0, gn_points=ms.gn_points[:2]),
-        setup.chord_geoms.chords[:2], d / "ms.txt")
+        setup.chord_geoms.endpoints[:2], d / "ms.txt")
     eq = dataclasses.replace(reference_eq, psi=reference_eq.psi[:5],
                              profiles=dataclasses.replace(
                                  reference_eq.profiles, c=ne_coeffs))
@@ -156,16 +157,15 @@ def test_equilibrium_file_edits_load_or_raise(saved, data):
 
 
 # a configuration with a value for every key but the paths (out_dir,
-# mesh_file) and eps_list, which only the stats run itself checks
-CONFIG = dict({k: v for k, v in cli.DEFAULTS.items()
-               if k not in ("eps_list", "out_dir")},
+# mesh_file)
+CONFIG = dict({k: v for k, v in cli.DEFAULTS.items() if k != "out_dir"},
               profile_a="1,0.6,0", profile_b="1,0.4,0",
               profile_ne="1.2e19,0.9e19,0.2e19", g_d_const="0.0",
               chord="2.0 -0.9 3.0 0.3")
 INT_KEYS = {"nr", "nz", "degree", "m", "max_iter", "realtime_iters", "seed",
             "replicates", "lcurve_points"}
 NUMBER_KEYS = set(CONFIG) - {"limiter_rect", "profile_a", "profile_b",
-                             "profile_ne", "chord"}
+                             "profile_ne", "chord", "eps_list"}
 
 
 def _config_numbers(cfg):
@@ -179,6 +179,9 @@ def _config_numbers(cfg):
     numbers += [cli._boundary_data(cfg, mesh), np.array(cfg["chords"])]
     numbers += [cli._get(cfg, k, int if k in INT_KEYS else float)
                 for k in sorted(NUMBER_KEYS)]
+    numbers.append(cli._get_list(cfg, "eps_list"))
+    for eps in numbers[-1]:       # the configuration of each stats value
+        RegularizationConfig(eps=eps)
     # the stop tests of the forward and reconstruct loops, and real-time
     for tol, max_iter in [(cli._get(cfg, "tol"),
                            cli._get(cfg, "max_iter", int)),
