@@ -23,7 +23,7 @@ from .errors import (ConvergenceError, DivergentLambdaError, GsReconError,
 from .forward import MachineParams, forward_fixed_point
 from .inverse import (ReconstructionSetup, RegularizationConfig,
                       observation_state, reconstruct)
-from .observation import load_measurements, save_measurements
+from .observation import chord_lengths, load_measurements, save_measurements
 from .twin import (l_curve_ab, l_curve_ne, replicate_stats, synthesize_measurements,
                    write_lcurve_csv, write_stats_csv)
 
@@ -89,8 +89,8 @@ def parse_config(path=None, overrides=()):
         if key == "chord":
             with _config_values(f"chord on config line {ln}"):
                 chord = tuple(float(p) for p in val.split())
-            if len(chord) != 4 or not all(map(math.isfinite, chord)):
-                raise ConfigError(f"config line {ln}: chord needs r1 z1 r2 z2")
+                if len(chord) != 4 or len(chord_lengths(np.array([chord]))[1]):
+                    raise ValueError("needs r1 z1 r2 z2, distinct and finite")
             cfg["chords"].append(chord)
         elif key in DEFAULTS or key in OPTIONAL_KEYS:
             cfg[key] = val
@@ -334,13 +334,13 @@ def cmd_lcurve(args):
                           f"not below lcurve_eps_max {hi:g}")
     eps_grid = np.logspace(np.log10(lo), np.log10(hi),
                            _get(cfg, "lcurve_points", int))
-    eq = _reference_equilibrium(cfg, mesh, machine, basis)
-    setup = ReconstructionSetup(mesh, machine, cfg["chords"], basis=basis)
-    ne_coeffs = _ne_reference(cfg, basis)
-    if ne_coeffs is None or not cfg["chords"]:
+    if "profile_ne" not in cfg or not cfg["chords"]:
         print("lcurve requires profile_ne and at least one chord",
               file=sys.stderr)
         return EXIT_INPUT
+    eq = _reference_equilibrium(cfg, mesh, machine, basis)
+    setup = ReconstructionSetup(mesh, machine, cfg["chords"], basis=basis)
+    ne_coeffs = _ne_reference(cfg, basis)
     ms = twinmod.perturb(synthesize_measurements(setup, eq, ne_coeffs),
                          _get(cfg, "noise_rate"), _get(cfg, "seed", int))
     psibar = eq.domain.normalize(eq.psi)
@@ -351,9 +351,9 @@ def cmd_lcurve(args):
     print(f"ne corner at eps={res_ne.corner_eps:g} (flat={res_ne.flat}) "
           f"-> {ne_path}")
     # A/B curve at the reference observation state
-    Y = forward.assemble_source_matrix(setup.squad,
-                                       setup.squad.psibar_qp(psibar), basis,
-                                       eq.lam, machine.r0, mesh.boundary)
+    squad = setup.squad
+    Y = forward.assemble_source_matrix(squad, squad.psibar_qp(psibar), basis,
+                                       eq.lam, mesh.boundary)
     _, E, f = observation_state(setup, Y, setup.c0, ms.g_n,
                                 setup.dirichlet_lift(ms.g_d))
     res_ab = l_curve_ab(setup, ms, E, f, eps_grid)

@@ -50,10 +50,11 @@ class SourceQuadrature:
     midpoint copies (same flux, same mask) merged: one point per edge,
     weighted by area/3 summed over its triangles.  ``P`` is the sparse
     (Q, n) interpolation matrix to the midpoints (two 0.5 entries per
-    row); its transpose scatters contributions back onto the nodes.
+    row).  ``Pa`` = P^T diag(w r/r0) and ``Pb`` = P^T diag(w r0/r) scatter
+    the values of A and of B at the points onto the nodal load.
     """
 
-    def __init__(self, mesh):
+    def __init__(self, mesh, r0):
         edges, tri_edges = mesh.edge_index()
         self.qp_nodes, self.qp_bary = edges, np.full(edges.shape, 0.5)
         self.qp_w = np.bincount(tri_edges.ravel(),
@@ -61,6 +62,8 @@ class SourceQuadrature:
         self.qp_r, self.qp_z = mesh.nodes[edges].mean(axis=1).T
         self.P = interpolation_matrix(self.qp_nodes, self.qp_bary,
                                       mesh.n_nodes)
+        self.Pa = self.P.T.multiply(self.qp_w * self.qp_r / r0).tocsr()
+        self.Pb = self.P.T.multiply(self.qp_w * r0 / self.qp_r).tocsr()
         pts = np.column_stack([self.qp_r, self.qp_z])
         self._inside_limiter = point_in_polygon(pts, mesh.limiter)
 
@@ -77,24 +80,23 @@ class SourceQuadrature:
         return out
 
 
-def mesh_operators(mesh, mu0):
-    """(Factorization, SourceQuadrature) of ``mesh``: the Dirichlet-modified
-    stiffness matrix factorized once per mesh and mu0, held in the mesh's
-    cache and shared by every forward solve and reconstruction set-up."""
-    key = ("operators", mu0)
+def mesh_operators(mesh, mu0, r0):
+    """(Factorization, SourceQuadrature) of ``mesh``, built once per mesh,
+    mu0 and r0, held in the mesh's cache and shared by every forward solve
+    and reconstruction set-up."""
+    key = ("operators", mu0, r0)
     if key not in mesh._cache:
         stiff = fem.impose_dirichlet(fem.assemble_stiffness(mesh, mu0),
                                      mesh.boundary)
-        mesh._cache[key] = (fem.factorize(stiff), SourceQuadrature(mesh))
+        mesh._cache[key] = (fem.factorize(stiff), SourceQuadrature(mesh, r0))
     return mesh._cache[key]
 
 
-def current_density_integral(squad, psibar_qp, a_vals, b_vals, r0):
-    """Integral of (r/r0) A + (r0/r) B over the plasma region."""
+def current_density_integral(squad, psibar_qp, a_vals, b_vals):
+    """Integral of (r/r0) A + (r0/r) B over the plasma: the unscaled load."""
     mask = psibar_qp <= 1.0
-    w = squad.qp_w[mask]
-    r = squad.qp_r[mask]
-    return float(np.sum(w * (r / r0 * a_vals[mask] + r0 / r * b_vals[mask])))
+    return float(np.sum(squad.Pa @ np.where(mask, a_vals, 0.0)
+                        + squad.Pb @ np.where(mask, b_vals, 0.0)))
 
 
 def lambda_from_integral(ip, integral, area):
@@ -104,36 +106,29 @@ def lambda_from_integral(ip, integral, area):
     return ip / integral
 
 
-def assemble_source_vector(squad, psibar_qp, a_vals, b_vals, lam, r0,
+def assemble_source_vector(squad, psibar_qp, a_vals, b_vals, lam,
                            dirichlet_rows):
-    """Nodal load vector for given profile values at the quadrature points."""
+    """Nodal load lam (Pa A + Pb B) of A and B at the plasma points."""
     mask = psibar_qp <= 1.0
     if not np.any(mask):
         raise EmptySourceError("plasma region contains no quadrature point")
-    w, r = squad.qp_w, squad.qp_r
-    dens = np.zeros(len(w))
-    dens[mask] = lam * (r[mask] / r0 * a_vals[mask]
-                        + r0 / r[mask] * b_vals[mask]) * w[mask]
-    y = squad.P.T @ dens
+    y = lam * (squad.Pa @ np.where(mask, a_vals, 0.0)
+               + squad.Pb @ np.where(mask, b_vals, 0.0))
     y[dirichlet_rows] = 0.0
     return y
 
 
-def assemble_source_matrix(squad, psibar_qp, basis, lam, r0, dirichlet_rows):
-    """n x 2m matrix mapping profile coefficients to the load vector.
-
-    Entry (i, j) is lam times the plasma-region quadrature sum of
-    (r/r0) phi_j(psibar) v_i, and entry (i, m + j) the same with r0/r.
-    """
+def assemble_source_matrix(squad, psibar_qp, basis, lam, dirichlet_rows):
+    """n x (2m - 2) matrix mapping the free profile coefficients (all but
+    the last of A and of B, pinned by A(1) = B(1) = 0) to the load vector:
+    column j is lam Pa phi_j(psibar), column m - 1 + j lam Pb phi_j(psibar),
+    phi_j taken as zero outside the plasma region."""
     mask = psibar_qp <= 1.0
     if not np.any(mask):
         raise EmptySourceError("plasma region contains no quadrature point")
-    w, r = squad.qp_w[mask], squad.qp_r[mask]
-    phi = basis.eval_many(psibar_qp[mask])
-    F = np.zeros((len(psibar_qp), 2 * basis.m))
-    F[mask, :basis.m] = (w * r / r0)[:, None] * phi
-    F[mask, basis.m:] = (w * r0 / r)[:, None] * phi
-    Y = squad.P.T @ F
+    phi = np.zeros((len(psibar_qp), basis.m - 1))
+    phi[mask] = basis.eval_many(psibar_qp[mask])[:, :-1]
+    Y = np.hstack([squad.Pa @ phi, squad.Pb @ phi])
     Y *= lam
     Y[dirichlet_rows, :] = 0.0
     return Y
@@ -200,7 +195,7 @@ def forward_fixed_point(mesh, machine, a_func, b_func, g_d, tol=1e-6,
     if g_d.shape != mesh.boundary.shape:
         raise ValueError("g_d must provide one value per boundary node")
 
-    fact, squad = mesh_operators(mesh, machine.mu0)
+    fact, squad = mesh_operators(mesh, machine.mu0, machine.r0)
     g = dirichlet_vector(mesh, g_d)
     lam = None
 
@@ -209,11 +204,10 @@ def forward_fixed_point(mesh, machine, a_func, b_func, g_d, tol=1e-6,
         x = np.clip(pq, 0.0, 1.0)
         a_vals = np.asarray(a_func(x), float)
         b_vals = np.asarray(b_func(x), float)
-        integral = current_density_integral(squad, pq, a_vals, b_vals,
-                                            machine.r0)
+        integral = current_density_integral(squad, pq, a_vals, b_vals)
         lam = lambda_from_integral(machine.ip, integral, mesh.area())
         y = assemble_source_vector(squad, pq, a_vals, b_vals, lam,
-                                   machine.r0, mesh.boundary)
+                                   mesh.boundary)
         psi_new = fact.solve(y + g)
         psi_new[mesh.boundary] = g_d
         return psi_new

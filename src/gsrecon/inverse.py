@@ -4,7 +4,6 @@ equation, dof rescaling and the full reconstruction fixed point."""
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .basis import (ProfileExpansion, SplineBasis, first_guess_expansion,
                     full_regularization_matrix, regularization_matrix)
@@ -62,21 +61,19 @@ def identify_ne(b_int, gamma, w_inter, eps_ne, alpha_scale, lam_block):
 
 
 def identify_ab(E, f, weights, eps, lam_full, free_idx):
-    """Solve the weighted, curvature-penalized normal equation for the
-    profile coefficients on the constraint-reduced dof set."""
+    """Full coefficient vector from the weighted, curvature-penalized normal
+    equation on the columns of E, coefficients ``free_idx``; zero elsewhere."""
     E = np.asarray(E, dtype=np.float64)
     if not np.all(np.isfinite(E)):
         raise StateError("non-finite observation sensitivity (plasma lost?)")
     et = weights[:, None] * E
-    ft = weights * f
-    et_r = et[:, free_idx]
-    lhs = et_r.T @ et_r + eps * lam_full[np.ix_(free_idx, free_idx)]
-    rhs = et_r.T @ ft
+    lhs = et.T @ et + eps * lam_full[np.ix_(free_idx, free_idx)]
+    rhs = et.T @ (weights * f)
     try:
         u_red = np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError as exc:
         raise RegularizationError(f"profile normal system singular: {exc}")
-    u = np.zeros(E.shape[1])
+    u = np.zeros(len(lam_full))
     u[free_idx] = u_red
     return u
 
@@ -105,15 +102,15 @@ class ReconstructionSetup:
         self.machine = machine
         self.basis = basis if basis is not None else SplineBasis(
             end_constraint=True)
-        self.fact, self.squad = mesh_operators(mesh, machine.mu0)
+        self.fact, self.squad = mesh_operators(mesh, machine.mu0, machine.r0)
         self.c0, self.gn_points = build_neumann_observer(mesh)
         self.chord_geoms = build_chord_geometries(mesh, chords)
         self.lam_block = regularization_matrix(self.basis)
         self.lam_full = full_regularization_matrix(self.basis)
         m = self.basis.m
         # A(1)=B(1)=0 by eliminating the one basis function alive at x=1
-        self.free_idx = np.array([i for i in range(2 * m)
-                                  if i not in (m - 1, 2 * m - 1)])
+        self.pinned = [m - 1, 2 * m - 1]
+        self.free_idx = np.delete(np.arange(2 * m), self.pinned)
         self._node_in_limiter = point_in_polygon(mesh.nodes, mesh.limiter)
 
     def bootstrap_psibar_nodal(self):
@@ -157,8 +154,9 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
     None and ``costs`` is empty.  Non-convergence (the real-time regime
     truncates the loop on purpose) is reported by ``converged``.
 
-    ``lam`` is the scale of ``profiles``: the last iteration's
-    coefficients u are returned rescaled to max|a| = 1, with lam * u kept.
+    A warm start's last A and B coefficients are read as zero, as A(1) =
+    B(1) = 0 pins them.  ``lam`` is the scale of ``profiles``: the last
+    iteration's u is returned rescaled to max|a| = 1, with lam * u kept.
     ``costs`` belongs to the last iteration: J0 and J1 are the magnetic
     and polarimetric rows of 1/2 |W (E u - f)|^2 at its observation state,
     J2 the weighted interferometry misfit of its density and Jeps the
@@ -177,12 +175,15 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
             raise MeasurementCountError(
                 f"{name} has {len(values)} values for {expected} {what}")
     weights = default_weights(ms, mesh.boundary_length())
-    w_mag = np.full(setup.c0.shape[0], weights.w_mag)
+    w = np.repeat([weights.w_mag, weights.w_polar],
+                  [setup.c0.shape[0], n_c if use_internal else 0])
     k_inv_g = setup.dirichlet_lift(ms.g_d)
+    chords, free = setup.chord_geoms, setup.free_idx
 
     if warm_start is not None:
         psi = np.array(warm_start.psi, dtype=np.float64)
         u = np.concatenate([warm_start.profiles.a, warm_start.profiles.b])
+        u[setup.pinned] = 0.0
         lam = warm_start.lam
         ne_coeffs = warm_start.profiles.c
     else:
@@ -208,32 +209,28 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
         # total-current scale from the previous-iterate profiles (the rows
         # of P sum to one, so the column sums of the unscaled Y give the
         # current integral), then dof normalization to pin lambda*u
-        Y = assemble_source_matrix(setup.squad, pq, basis, 1.0, machine.r0,
-                                   [])
-        lam = lambda_from_integral(machine.ip, float(Y.sum(axis=0) @ u),
-                                   mesh.area())
+        Y = assemble_source_matrix(setup.squad, pq, basis, 1.0, [])
+        lam = lambda_from_integral(
+            machine.ip, float(Y.sum(axis=0) @ u[free]), mesh.area())
         Y[mesh.boundary, :] = 0.0
         u, lam, _ = rescale_dofs(u, lam)
         Y *= lam
         lam_history.append(lam)
 
-        C, d, w, b_int = setup.c0, ms.g_n, w_mag, None
+        k_inv_y, E, f = observation_state(setup, Y, setup.c0, ms.g_n, k_inv_g)
+        b_int = None
         if use_internal:
-            b_int = build_interferometry_matrix(setup.chord_geoms, basis,
-                                                psibar_nodal)
+            b_int, G = build_interferometry_matrix(chords, basis,
+                                                   psibar_nodal)
             ne_coeffs = identify_ne(b_int, ms.gamma, weights.w_inter,
                                     reg.eps_ne, reg.alpha_scale,
                                     setup.lam_block)
-            c1 = build_polarimetry_observer(setup.chord_geoms, basis,
-                                            ne_coeffs, psibar_nodal)
-            C = sp.vstack([setup.c0, c1]).tocsr()
-            d = np.concatenate([ms.g_n, ms.alpha])
-            w = np.concatenate([w_mag, np.full(n_c, weights.w_polar)])
-
-        k_inv_y, E, f = observation_state(setup, Y, C, d, k_inv_g)
-        u = identify_ab(E, f, w, reg.eps, setup.lam_full, setup.free_idx)
-        last = (w * (E @ u - f), b_int)
-        return k_inv_y @ u + k_inv_g
+            observe = build_polarimetry_observer(chords, G, ne_coeffs)
+            E = np.vstack([E, observe(k_inv_y)])
+            f = np.concatenate([f, ms.alpha - observe(k_inv_g)])
+        u = identify_ab(E, f, w, reg.eps, setup.lam_full, free)
+        last = (w * (E @ u[free] - f), b_int)
+        return k_inv_y @ u[free] + k_inv_g
 
     error = domain = None
     try:

@@ -67,11 +67,8 @@ class ChordSet:
         n_c = len(self.endpoints)
         p0 = self.endpoints[:, :2]
         d = self.endpoints[:, 2:] - p0
-        # the norm of each row through the dot kernel, as np.linalg.norm of
-        # one segment computes it (a reduction along an axis can differ in
-        # the last bit)
-        length = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
-        if not np.all((0 < length) & (length < np.inf)):
+        length, bad = chord_lengths(self.endpoints)
+        if len(bad):
             raise ValueError("degenerate or non-finite chord")
         nseg = np.maximum(1, np.ceil(length / step)).astype(np.int64)
         chord_of, k = _expand(nseg)
@@ -106,6 +103,15 @@ class ChordSet:
         """Normalized flux at the points and the mask psibar <= 1."""
         pb = self.S @ np.asarray(psibar_nodal, dtype=np.float64)
         return pb, pb <= 1.0
+
+
+def chord_lengths(endpoints):
+    """Length of each (r1, z1, r2, z2) row, as np.linalg.norm of the lone
+    segment gives it (a norm along an axis can differ in the last bit), and
+    the indices of the rows of zero, infinite or NaN length."""
+    d = endpoints[:, 2:] - endpoints[:, :2]
+    length = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+    return length, np.flatnonzero(~((0 < length) & (length < np.inf)))
 
 
 def build_chord_geometries(mesh, chords, step=None):
@@ -155,23 +161,22 @@ def build_neumann_observer(mesh):
 
 
 def build_interferometry_matrix(chords, basis, psibar_nodal):
-    """N_c x m matrix: row i gives the chord integral of each basis function
-    of the normalized flux, restricted to the plasma region."""
+    """The basis evaluated once at the chord points: (B, G).  Row i of the
+    N_c x m interferometry matrix B gives the chord integral of each basis
+    function of the normalized flux over the plasma region; G holds the
+    Q x m polarimetry weights w phi_j(psibar) / r, zero outside it."""
     pb, mask = chords.plasma_points(psibar_nodal)
     F = np.zeros((len(pb), basis.m))
     F[mask] = chords.w[mask, None] * basis.eval_many(pb[mask])
-    return chords.R @ F
+    return chords.R @ F, F / chords.r[:, None]
 
 
-def build_polarimetry_observer(chords, basis, ne_coeffs, psibar_nodal):
-    """Sparse N_c x n matrix: row k maps nodal psi to the chord integral of
-    n_e(psibar)/r times the chord-normal derivative of psi, for the density
-    n_e with coefficients ``ne_coeffs`` in ``basis``."""
-    pb, mask = chords.plasma_points(psibar_nodal)
-    ne_vals = basis.eval_many(pb[mask]) @ ne_coeffs
-    coef = np.zeros(len(pb))
-    coef[mask] = chords.w[mask] * ne_vals / chords.r[mask]
-    return (chords.R @ sp.diags(coef) @ chords.D).tocsr()
+def build_polarimetry_observer(chords, weights, ne_coeffs):
+    """The polarimetry observer R diag(coef) D of the density ``ne_coeffs``
+    as a function of nodal field(s) X: R (coef * D X), the chord integrals
+    of n_e/r times dX/dn, with coef = ``weights`` @ ne_coeffs = w n_e / r."""
+    coef = weights @ ne_coeffs
+    return lambda X: chords.R @ (coef * (chords.D @ X).T).T
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +239,8 @@ def load_measurements(path):
 
     Raises :class:`MeshParseError`: with the line number for a line that
     :class:`~gsrecon.textio.LineReader` rejects (a missing, malformed or
-    non-finite line, a bad count, a truncated section), without one for
-    values the measurement set rejects (a zero Ip).
+    non-finite line, a bad count, a truncated section, a chord of zero or
+    infinite length), without one for values the measurement set rejects.
     """
     rd = LineReader(path)
     scalars = {}
@@ -249,6 +254,10 @@ def load_measurements(path):
     g_d = section("gD", 1).ravel()
     gn_rows = section("gN", 3)
     chord_rows = section("chords", 6)
+    bad = chord_lengths(chord_rows[:, :4])[1]
+    if len(bad):
+        rd.line += bad[0] + 1 - len(chord_rows)     # that chord's line
+        rd.fail("chord of zero or infinite length")
     try:
         ms = MeasurementSet(g_d, gn_rows[:, 2], chord_rows[:, 4],
                             chord_rows[:, 5], scalars["Ip"], scalars["B0"],

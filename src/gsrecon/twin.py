@@ -24,11 +24,10 @@ def synthesize_measurements(setup, eq, ne_coeffs=None):
     g_n = setup.c0 @ eq.psi
     n_c = len(setup.chord_geoms)
     if ne_coeffs is not None and n_c > 0:
-        b_int = build_interferometry_matrix(setup.chord_geoms, setup.basis,
-                                            psibar)
+        chords = setup.chord_geoms
+        b_int, G = build_interferometry_matrix(chords, setup.basis, psibar)
         gamma = b_int @ ne_coeffs
-        alpha = build_polarimetry_observer(setup.chord_geoms, setup.basis,
-                                           ne_coeffs, psibar) @ eq.psi
+        alpha = build_polarimetry_observer(chords, G, ne_coeffs)(eq.psi)
     else:
         gamma = np.zeros(n_c)
         alpha = np.zeros(n_c)
@@ -186,7 +185,7 @@ def l_curve_ne(setup, ms, psibar_nodal, eps_grid, alpha_scale=1e19):
     """L-curve of the density identification at a fixed flux iterate."""
     weights = default_weights(ms, setup.mesh.boundary_length())
     b_int = build_interferometry_matrix(setup.chord_geoms, setup.basis,
-                                        psibar_nodal)
+                                        psibar_nodal)[0]
 
     def solver(eps):
         v = identify_ne(b_int, ms.gamma, weights.w_inter, eps, alpha_scale,
@@ -207,7 +206,8 @@ def l_curve_ab(setup, ms, E, f, eps_grid):
 
     def solver(eps):
         u = identify_ab(E, f, w_vec, eps, setup.lam_full, setup.free_idx)
-        misfit = 0.5 * float(np.sum((w_vec * (E @ u - f)) ** 2))
+        misfit = 0.5 * float(np.sum(
+            (w_vec * (E @ u[setup.free_idx] - f)) ** 2))
         penalty = 0.5 * float(u @ setup.lam_full @ u)
         return misfit, penalty
 

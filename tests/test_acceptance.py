@@ -76,7 +76,7 @@ def test_criterion_2_fixed_point_convergence(twin_mesh, machine, basis):
 def test_criterion_3_total_current_invariant(twin_mesh, machine, basis,
                                              reference_eq):
     t0 = time.perf_counter()
-    squad = SourceQuadrature(twin_mesh)
+    squad = SourceQuadrature(twin_mesh, machine.r0)
     g = basis.greville()
     states = [
         squad.bootstrap_psibar_qp(),
@@ -92,7 +92,7 @@ def test_criterion_3_total_current_invariant(twin_mesh, machine, basis,
         x = np.clip(pq, 0.0, 1.0)
         for exp in profiles:
             integral = current_density_integral(
-                squad, pq, exp.eval("A", x), exp.eval("B", x), machine.r0)
+                squad, pq, exp.eval("A", x), exp.eval("B", x))
             lam = machine.ip / integral
             worst = max(worst,
                         abs(lam * integral - machine.ip) / abs(machine.ip))
@@ -191,7 +191,7 @@ def test_criterion_7_l_curves(setup, clean_measurements, reference_eq,
 
     pq = setup.squad.psibar_qp(psibar)
     Y = assemble_source_matrix(setup.squad, pq, basis, reference_eq.lam,
-                               machine.r0, twin_mesh.boundary)
+                               twin_mesh.boundary)
     _, E, f = observation_state(setup, Y, setup.c0, ms.g_n,
                                 setup.dirichlet_lift(ms.g_d))
     lab = l_curve_ab(setup, ms, E, f, grid)

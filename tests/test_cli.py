@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import gsrecon
 from gsrecon import cli
+from gsrecon.errors import MeshParseError
 from gsrecon.mesh import load_mesh
+from gsrecon.observation import load_measurements
 
 CONFIG = """\
 # desk-scale twin configuration
@@ -147,10 +154,66 @@ def test_lcurve_writes_curves(workspace):
     assert (ws / "lc" / "lcurve_ab.csv").exists()
 
 
-def test_lcurve_requires_density_profile(tmp_path):
+def test_lcurve_requires_density_profile(tmp_path, monkeypatch):
+    # checked before the reference forward solve, which would raise here
+    def no_solve(*args, **kwargs):
+        raise AssertionError("forward solve before the input check")
+
+    monkeypatch.setattr(cli, "forward_fixed_point", no_solve)
     cfg = tmp_path / "nolc.cfg"
     cfg.write_text(f"out_dir = {tmp_path}\n")
     assert cli.main(["lcurve", "--config", str(cfg)]) == cli.EXIT_INPUT
+    cfg.write_text(CONFIG.split("chord")[0] + f"out_dir = {tmp_path}\n")
+    assert cli.main(["lcurve", "--config", str(cfg)]) == cli.EXIT_INPUT
+
+
+def test_zero_length_chord_in_config_is_input_error(tmp_path, capsys):
+    with pytest.raises(cli.ConfigError, match="config line 2"):
+        cli.parse_config(None, ["nr=8", "chord = 2.5 0 2.5 0"])
+    assert cli.main(["twin", "--set", "chord=2.5 0 2.5 0",
+                     "--set", f"out_dir={tmp_path}"]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad chord") and "Traceback" not in err
+
+
+def test_zero_length_chord_in_measurements_is_input_error(workspace,
+                                                          tmp_path, capsys):
+    ws, cfg = workspace
+    lines = (ws / "measurements.txt").read_text().splitlines()
+    k = next(i for i, ln in enumerate(lines) if ln.startswith("chords "))
+    fields = lines[k + 2].split()
+    lines[k + 2] = " ".join(fields[:2] + fields[:2] + fields[4:])
+    bad = tmp_path / "zero.txt"
+    bad.write_text("\n".join(lines))
+    with pytest.raises(MeshParseError) as info:
+        load_measurements(bad)
+    assert info.value.line == k + 3
+    assert cli.main(["reconstruct", "--config", str(cfg),
+                     "--measurements", str(bad)]) == cli.EXIT_INPUT
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_seeded_stats_are_reproducible(tmp_path):
+    # two runs in fresh processes with different hash seeds write
+    # byte-identical statistics and manifests (to the same directory, which
+    # the manifest names)
+    src = os.path.dirname(os.path.dirname(gsrecon.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    out = tmp_path / "stats"
+    cfg = tmp_path / "stats.cfg"
+    cfg.write_text(CONFIG + f"out_dir = {out}\n")
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+        subprocess.run([sys.executable, "-m", "gsrecon.cli", "stats",
+                        "--config", str(cfg), "--set", "replicates=2",
+                        "--set", "eps_list=1e-1"], env=env, check=True,
+                       capture_output=True)
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        for p in out.iterdir():
+            p.unlink()
+    assert sorted(outputs[0]) == ["stats_eps_0.1.csv", "stats_manifest.txt"]
+    assert outputs[0] == outputs[1]
 
 
 def test_bad_config_value_is_input_error(tmp_path):

@@ -49,13 +49,13 @@ def test_total_current_constraint(ca, cb):
     exp = ProfileExpansion(basis, ca * (1 - g), cb * (1 - g))
     r, z = mesh.nodes[:, 0], mesh.nodes[:, 1]
     psibar = ((r - 2.5) ** 2 + z ** 2) / 0.2
-    squad = SourceQuadrature(mesh)
+    squad = SourceQuadrature(mesh, 2.5)
     pq = squad.psibar_qp(psibar)
     x = np.clip(pq, 0.0, 1.0)
     a_vals, b_vals = exp.eval("A", x), exp.eval("B", x)
-    integral = current_density_integral(squad, pq, a_vals, b_vals, 2.5)
+    integral = current_density_integral(squad, pq, a_vals, b_vals)
     lam = lambda_from_integral(1.0e6, integral, mesh.area())
-    y = assemble_source_vector(squad, pq, a_vals, b_vals, lam, 2.5, [])
+    y = assemble_source_vector(squad, pq, a_vals, b_vals, lam, [])
     assert y.sum() == pytest.approx(1.0e6, rel=1e-10)
 
 
@@ -145,38 +145,40 @@ def test_picard_growing_residual_clears_history():
 
 def test_source_matrix_matches_vector(twin_mesh, basis, reference_eq):
     eq = reference_eq
-    squad = SourceQuadrature(twin_mesh)
+    squad = SourceQuadrature(twin_mesh, 2.5)
     pq = squad.psibar_qp(eq.domain.normalize(eq.psi))
     x = np.clip(pq, 0.0, 1.0)
-    u = np.concatenate([eq.profiles.a, eq.profiles.b])
-    Y = assemble_source_matrix(squad, pq, basis, eq.lam, 2.5,
-                               twin_mesh.boundary)
+    # the matrix acts on the free coefficients; the reference's pinned ones
+    # are rounding-size, so its A(1) = B(1) = 0 profiles are compared
+    m = basis.m
+    a, b = eq.profiles.a.copy(), eq.profiles.b.copy()
+    a[m - 1] = b[m - 1] = 0.0
+    Y = assemble_source_matrix(squad, pq, basis, eq.lam, twin_mesh.boundary)
     phi = basis.eval_many(x)
-    y = assemble_source_vector(squad, pq, phi @ eq.profiles.a,
-                               phi @ eq.profiles.b, eq.lam, 2.5,
+    y = assemble_source_vector(squad, pq, phi @ a, phi @ b, eq.lam,
                                twin_mesh.boundary)
+    u = np.concatenate([a[:m - 1], b[:m - 1]])
     np.testing.assert_allclose(Y @ u, y, rtol=1e-9, atol=1e-9 * np.abs(y).max())
 
 
 def test_source_vector_zero_on_boundary(small_mesh):
-    squad = SourceQuadrature(small_mesh)
+    squad = SourceQuadrature(small_mesh, 2.5)
     pq = np.zeros(len(squad.qp_w))
     y = assemble_source_vector(squad, pq, np.ones_like(pq), np.ones_like(pq),
-                               1.0, 2.5, small_mesh.boundary)
+                               1.0, small_mesh.boundary)
     assert np.all(y[small_mesh.boundary] == 0.0)
     assert np.abs(y).max() > 0.0
 
 
 def test_empty_plasma_raises(small_mesh):
-    squad = SourceQuadrature(small_mesh)
+    squad = SourceQuadrature(small_mesh, 2.5)
     pq = np.full(len(squad.qp_w), 2.0)
     with pytest.raises(EmptySourceError):
-        assemble_source_vector(squad, pq, pq, pq, 1.0, 2.5,
-                               small_mesh.boundary)
+        assemble_source_vector(squad, pq, pq, pq, 1.0, small_mesh.boundary)
 
 
 def test_bootstrap_flux_covers_limiter(twin_mesh):
-    squad = SourceQuadrature(twin_mesh)
+    squad = SourceQuadrature(twin_mesh, 2.5)
     pq = squad.bootstrap_psibar_qp()
     assert set(np.unique(pq)) == {0.0, 2.0}
     assert np.any(pq == 0.0)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -56,8 +58,9 @@ def test_identify_ab_recovers_well_posed_truth():
     u_true = np.zeros(2 * m)
     u_true[free] = rng.normal(size=len(free))
     w = np.ones(60)
-    u = identify_ab(E, E @ u_true, w, 1e-12, full_regularization_matrix(BASIS),
-                    free)
+    # E over the free columns; u comes back in full, zero where pinned
+    u = identify_ab(E[:, free], E @ u_true, w, 1e-12,
+                    full_regularization_matrix(BASIS), free)
     np.testing.assert_allclose(u, u_true, atol=1e-6)
     assert u[m - 1] == 0.0 and u[2 * m - 1] == 0.0
 
@@ -66,7 +69,7 @@ def test_identify_ab_rejects_non_finite():
     from gsrecon.errors import StateError
     m = BASIS.m
     free = np.arange(2 * m - 2)
-    E = np.full((10, 2 * m), np.nan)
+    E = np.full((10, 2 * m - 2), np.nan)
     with pytest.raises(StateError):
         identify_ab(E, np.zeros(10), np.ones(10), 1e-2,
                     full_regularization_matrix(BASIS), free)
@@ -163,6 +166,32 @@ def test_reconstruct_warm_start(setup, clean_measurements):
     assert res.iterations <= 2
 
 
+def test_reconstruct_warm_start_zeroes_pinned_coefficients(
+        setup, clean_measurements, reference_eq, ne_coeffs):
+    # A(1) = B(1) = 0: a warm start's last A and B coefficients are read as
+    # zero, and the caller's coefficients are left as they were
+    m = setup.basis.m
+    starts = [dataclasses.replace(reference_eq, profiles=dataclasses.replace(
+        reference_eq.profiles, a=reference_eq.profiles.a.copy(),
+        b=reference_eq.profiles.b.copy(), c=ne_coeffs)) for _ in range(2)]
+    pinned, zeroed = (s.profiles for s in starts)
+    pinned.a[m - 1], pinned.b[m - 1] = 0.3, -0.2
+    zeroed.a[m - 1] = zeroed.b[m - 1] = 0.0
+    before = [pinned.a.copy(), pinned.b.copy()]
+    one, two = (reconstruct(setup, clean_measurements,
+                            RegularizationConfig(), warm_start=start,
+                            tol=0.0, max_iter=2) for start in starts)
+    assert one.error is None and one.iterations == 2
+    for x, y in [(one.psi, two.psi), (one.lam_history, two.lam_history),
+                 (one.profiles.a, two.profiles.a),
+                 (one.profiles.b, two.profiles.b),
+                 (one.profiles.c, two.profiles.c),
+                 (one.residuals, two.residuals)]:
+        np.testing.assert_array_equal(x, y)
+    np.testing.assert_array_equal(pinned.a, before[0])
+    np.testing.assert_array_equal(pinned.b, before[1])
+
+
 def test_reconstruct_lambda_history_tracks_iterations(setup,
                                                       clean_measurements):
     res = reconstruct(setup, clean_measurements, RegularizationConfig(),
@@ -178,35 +207,57 @@ def _counted(calls, name, fn):
     return wrapper
 
 
-def test_reconstruct_one_basis_evaluation_and_one_solve(
-        setup, clean_measurements, reference_eq, monkeypatch):
-    # per iteration: one source-matrix assembly (the only basis evaluation
-    # on a magnetics-only run) and no single-column solve; the one solve
-    # is K^-1 g before the loop
-    calls = {"eval_many": 0, "solve": 0}
+def _count_basis_and_solves(monkeypatch):
+    """Counts of eval_many, solve and solve_multi calls, and the column
+    count of each solve_multi call."""
+    calls = {"eval_many": 0, "solve": 0, "solve_multi": 0}
+    columns = []
+    real_solve_multi = Factorization.solve_multi
+
+    def solve_multi(fact, cols):
+        columns.append(cols.shape[1])
+        return real_solve_multi(fact, cols)
+
     monkeypatch.setattr(SplineBasis, "eval_many",
                         _counted(calls, "eval_many", SplineBasis.eval_many))
     monkeypatch.setattr(Factorization, "solve",
                         _counted(calls, "solve", Factorization.solve))
+    monkeypatch.setattr(Factorization, "solve_multi",
+                        _counted(calls, "solve_multi", solve_multi))
+    return calls, columns
+
+
+def test_reconstruct_one_basis_evaluation_and_one_solve(
+        setup, clean_measurements, reference_eq, monkeypatch):
+    # per iteration: one source-matrix assembly (the only basis evaluation
+    # on a magnetics-only run), one solve of the 2m - 2 free columns and
+    # no single-column solve; the one solve is K^-1 g before the loop
+    calls, columns = _count_basis_and_solves(monkeypatch)
     res = reconstruct(setup, clean_measurements, RegularizationConfig(),
                       use_internal=False)
-    assert res.converged and res.iterations > 2
-    assert calls == {"eval_many": res.iterations, "solve": 1}
+    n = res.iterations
+    assert res.converged and n > 2
+    assert calls == {"eval_many": n, "solve": 1, "solve_multi": n}
+    assert columns == [2 * setup.basis.m - 2] * n
 
     # lambda comes from the column sums of the unscaled source matrix
     eq = reference_eq
     pq = setup.squad.psibar_qp(eq.domain.normalize(eq.psi))
-    Y = assemble_source_matrix(setup.squad, pq, setup.basis, 1.0, 2.5, [])
+    Y = assemble_source_matrix(setup.squad, pq, setup.basis, 1.0, [])
     u = np.concatenate([eq.profiles.a, eq.profiles.b])
     phi = setup.basis.eval_many(pq)
     integral = current_density_integral(setup.squad, pq, phi @ eq.profiles.a,
-                                        phi @ eq.profiles.b, 2.5)
-    assert Y.sum(axis=0) @ u == pytest.approx(integral, rel=1e-12)
+                                        phi @ eq.profiles.b)
+    assert Y.sum(axis=0) @ u[setup.free_idx] == pytest.approx(
+        integral, rel=1e-12)
 
 
 def test_reconstruct_costs_reuse_last_iteration(setup, clean_measurements,
                                                 monkeypatch):
-    # the chord operators are built once per iteration, none for the costs
+    # the chord operators are built once per iteration, none for the costs;
+    # the basis is evaluated once at the chord points and once for the
+    # source matrix in each iteration
+    counts, columns = _count_basis_and_solves(monkeypatch)
     names = ("build_polarimetry_observer", "build_interferometry_matrix")
     calls = dict.fromkeys(names, 0)
     for name in names:
@@ -214,8 +265,11 @@ def test_reconstruct_costs_reuse_last_iteration(setup, clean_measurements,
                             _counted(calls, name, getattr(inverse, name)))
     res = reconstruct(setup, clean_measurements, RegularizationConfig(),
                       use_internal=True)
+    n = res.iterations
     assert res.converged
-    assert calls == dict.fromkeys(names, res.iterations)
+    assert calls == dict.fromkeys(names, n)
+    assert counts == {"eval_many": 2 * n, "solve": 1, "solve_multi": n}
+    assert columns == [2 * setup.basis.m - 2] * n
 
 
 def test_reconstruct_reports_step_failure(setup, clean_measurements,

@@ -50,12 +50,17 @@ def test_chord_geometry_values(mesh):
     np.testing.assert_array_equal(geoms.endpoints, [[*p0, *p1]])
 
 
+def _polarimetry(geoms, basis, ne_coeffs, psibar, psi):
+    """Polarimetry signals of the density ne_coeffs on the flux psi."""
+    weights = build_interferometry_matrix(geoms, basis, psibar)[1]
+    return build_polarimetry_observer(geoms, weights, ne_coeffs)(psi)
+
+
 def _chord_signals(mesh, chords, basis, eq, ne_coeffs):
     geoms = build_chord_geometries(mesh, chords)
     psibar = eq.domain.normalize(eq.psi)
-    return (build_interferometry_matrix(geoms, basis, psibar) @ ne_coeffs,
-            build_polarimetry_observer(geoms, basis, ne_coeffs, psibar)
-            @ eq.psi)
+    return (build_interferometry_matrix(geoms, basis, psibar)[0] @ ne_coeffs,
+            _polarimetry(geoms, basis, ne_coeffs, psibar, eq.psi))
 
 
 def test_chord_direction_flips_polarimetry_only(twin_mesh, basis,
@@ -131,7 +136,7 @@ def _psibar(mesh):
 def test_interferometry_constant_density_gives_chord_length(mesh):
     basis = SplineBasis(end_constraint=True)
     geoms = build_chord_geometries(mesh, [(2.0, 0.0, 3.0, 0.0)], step=0.01)
-    B = build_interferometry_matrix(geoms, basis, _psibar(mesh))
+    B = build_interferometry_matrix(geoms, basis, _psibar(mesh))[0]
     ones = basis.fit(np.linspace(0, 1, 101), np.ones(101))
     # the chord crosses the plasma disc along a diameter of length 0.8
     assert B @ ones == pytest.approx(0.8, rel=2e-2)
@@ -140,16 +145,16 @@ def test_interferometry_constant_density_gives_chord_length(mesh):
 def test_interferometry_skips_vacuum_chord(mesh):
     basis = SplineBasis(end_constraint=True)
     geoms = build_chord_geometries(mesh, [(2.0, 0.9, 3.0, 0.9)], step=0.01)
-    B = build_interferometry_matrix(geoms, basis, _psibar(mesh))
-    assert np.all(B == 0.0)
+    B, G = build_interferometry_matrix(geoms, basis, _psibar(mesh))
+    assert np.all(B == 0.0) and np.all(G == 0.0)
 
 
 def test_polarimetry_vanishes_for_constant_flux(mesh):
     basis = SplineBasis(end_constraint=True)
     geoms = build_chord_geometries(mesh, [(2.0, -0.2, 3.0, 0.2)], step=0.01)
     ones = basis.fit(np.linspace(0, 1, 101), np.ones(101))
-    C1 = build_polarimetry_observer(geoms, basis, ones, _psibar(mesh))
-    vals = C1 @ np.full(mesh.n_nodes, 3.3)
+    vals = _polarimetry(geoms, basis, ones, _psibar(mesh),
+                        np.full(mesh.n_nodes, 3.3))
     assert np.abs(vals).max() < 1e-12
 
 
@@ -159,8 +164,8 @@ def test_polarimetry_linear_in_density(mesh):
     pb = _psibar(mesh)
     c = basis.fit(np.linspace(0, 1, 101), 1.0 - np.linspace(0, 1, 101) ** 2)
     psi = mesh.nodes[:, 0] + 0.5 * mesh.nodes[:, 1]
-    v1 = build_polarimetry_observer(geoms, basis, c, pb) @ psi
-    v2 = build_polarimetry_observer(geoms, basis, 2.0 * c, pb) @ psi
+    v1 = _polarimetry(geoms, basis, c, pb, psi)
+    v2 = _polarimetry(geoms, basis, 2.0 * c, pb, psi)
     np.testing.assert_allclose(v2, 2.0 * v1, rtol=1e-12)
 
 

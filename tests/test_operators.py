@@ -1,13 +1,16 @@
 """The mesh-fixed operators (neighbor table, quadrature matrix P,
 limiter matrix L, chord sampling and chord matrices S, D, R, Neumann
 observer C0) against frozen copies of the per-point, per-node and per-chord
-loops they replaced."""
+loops they replaced, and the weighted source matrices and chord-basis
+products of the reconstruction step against frozen copies of the dense
+source fill and the sparse polarimetry observer."""
 
 import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.interpolate import BSpline
 
 import gsrecon
@@ -296,12 +299,44 @@ def _source_matrix_loop(squad, pq, basis, lam, r0, rows):
     return Y
 
 
-def _seed_rule(mesh):
+def _seed_rule(mesh, r0):
     """The unmerged mid-edge rule: three points per triangle."""
     nodes, bary, w, r, z = quadrature_points(mesh)
-    return SimpleNamespace(P=interpolation_matrix(nodes, bary, mesh.n_nodes),
-                           qp_nodes=nodes, qp_bary=bary, qp_w=w, qp_r=r,
-                           qp_z=z)
+    P = interpolation_matrix(nodes, bary, mesh.n_nodes)
+    return SimpleNamespace(P=P, qp_nodes=nodes, qp_bary=bary, qp_w=w,
+                           qp_r=r, qp_z=z, Pa=P.T @ sp.diags(w * r / r0),
+                           Pb=P.T @ sp.diags(w * r0 / r))
+
+
+def _source_matrix_f_fill(squad, psibar_qp, basis, lam, r0, rows):
+    """Y as assembled before the weighted matrices: a dense (Q, 2m) array
+    F of weighted basis values, every coefficient a column, then P^T F."""
+    mask = psibar_qp <= 1.0
+    w, r = squad.qp_w[mask], squad.qp_r[mask]
+    phi = basis.eval_many(psibar_qp[mask])
+    F = np.zeros((len(psibar_qp), 2 * basis.m))
+    F[mask, :basis.m] = (w * r / r0)[:, None] * phi
+    F[mask, basis.m:] = (w * r0 / r)[:, None] * phi
+    Y = squad.P.T @ F
+    Y *= lam
+    Y[rows, :] = 0.0
+    return Y
+
+
+def _polarimetry_observer_sparse(chords, basis, ne_coeffs, psibar_nodal):
+    """The polarimetry rows as the sparse N_c x n matrix R diag(coef) D."""
+    pb, mask = chords.plasma_points(psibar_nodal)
+    ne_vals = basis.eval_many(pb[mask]) @ ne_coeffs
+    coef = np.zeros(len(pb))
+    coef[mask] = chords.w[mask] * ne_vals / chords.r[mask]
+    return (chords.R @ sp.diags(coef) @ chords.D).tocsr()
+
+
+def _polarimetry(chords, basis, ne_coeffs, psibar_nodal, X):
+    """R (coef * D X) for the nodal field(s) X, as the reconstruction step
+    forms it."""
+    weights = build_interferometry_matrix(chords, basis, psibar_nodal)[1]
+    return build_polarimetry_observer(chords, weights, ne_coeffs)(X)
 
 
 def _interferometry_loop(geoms, basis, psibar_nodal):
@@ -395,6 +430,12 @@ def test_xpoint_matches_loop_on_twin_flux(twin_mesh, reference_eq):
 # Limiter, quadrature and chord operators on the 20x20 twin
 # ---------------------------------------------------------------------------
 
+def _free(basis):
+    """Columns of the free coefficients: all but the last of A and of B."""
+    m = basis.m
+    return np.delete(np.arange(2 * m), [m - 1, 2 * m - 1])
+
+
 def _close(new, ref, rtol=1e-12):
     new = new.toarray() if hasattr(new, "toarray") else np.asarray(new)
     np.testing.assert_allclose(new, ref, rtol=0,
@@ -410,19 +451,18 @@ def test_limiter_flux_matches_loop(twin_mesh, reference_eq):
 
 def test_source_operators_match_loop(twin_mesh, basis, reference_eq):
     eq = reference_eq
-    squad = SourceQuadrature(twin_mesh)
+    squad = SourceQuadrature(twin_mesh, 2.5)
     psibar = eq.domain.normalize(eq.psi)
     pq = squad.psibar_qp(psibar)
     _close(pq, _psibar_qp_loop(squad, psibar))
     assert 0 < np.sum(pq <= 1.0) < len(pq)
 
-    rows = twin_mesh.boundary
-    _close(assemble_source_matrix(squad, pq, basis, eq.lam, 2.5, rows),
-           _source_matrix_loop(squad, pq, basis, eq.lam, 2.5, rows))
+    rows, free = twin_mesh.boundary, _free(basis)
+    _close(assemble_source_matrix(squad, pq, basis, eq.lam, rows),
+           _source_matrix_loop(squad, pq, basis, eq.lam, 2.5, rows)[:, free])
     phi = basis.eval_many(np.clip(pq, 0.0, 1.0))
     a_vals, b_vals = phi @ eq.profiles.a, phi @ eq.profiles.b
-    _close(assemble_source_vector(squad, pq, a_vals, b_vals, eq.lam, 2.5,
-                                  rows),
+    _close(assemble_source_vector(squad, pq, a_vals, b_vals, eq.lam, rows),
            _source_vector_loop(squad, pq, a_vals, b_vals, eq.lam, 2.5, rows))
 
 
@@ -430,7 +470,7 @@ def test_merged_rule_matches_seed_rule(twin_mesh, basis, reference_eq):
     # one point per mesh edge against three points per triangle, the
     # midpoint of each interior edge counted once from each side
     eq = reference_eq
-    squad, seed = SourceQuadrature(twin_mesh), _seed_rule(twin_mesh)
+    squad, seed = SourceQuadrature(twin_mesh, 2.5), _seed_rule(twin_mesh, 2.5)
     assert (len(squad.qp_w), len(seed.qp_w)) == (1240, 2400)
     _, tri_edges = twin_mesh.edge_index()
     pick = tri_edges.ravel()
@@ -443,15 +483,16 @@ def test_merged_rule_matches_seed_rule(twin_mesh, basis, reference_eq):
     np.testing.assert_array_equal(pq3, pq[pick])
 
     rows = twin_mesh.boundary
-    _close(assemble_source_matrix(squad, pq, basis, eq.lam, 2.5, rows),
-           _source_matrix_loop(seed, pq3, basis, eq.lam, 2.5, rows))
+    _close(assemble_source_matrix(squad, pq, basis, eq.lam, rows),
+           _source_matrix_loop(seed, pq3, basis, eq.lam, 2.5,
+                               rows)[:, _free(basis)])
     ab, ab3 = ([basis.eval_many(x) @ c for c in (eq.profiles.a,
                                                   eq.profiles.b)]
                for x in (pq, pq3))
-    _close(assemble_source_vector(squad, pq, *ab, eq.lam, 2.5, rows),
+    _close(assemble_source_vector(squad, pq, *ab, eq.lam, rows),
            _source_vector_loop(seed, pq3, *ab3, eq.lam, 2.5, rows))
-    assert (current_density_integral(squad, pq, *ab, 2.5)
-            == pytest.approx(current_density_integral(seed, pq3, *ab3, 2.5),
+    assert (current_density_integral(squad, pq, *ab)
+            == pytest.approx(current_density_integral(seed, pq3, *ab3),
                              rel=1e-12))
 
 
@@ -461,11 +502,35 @@ def test_chord_operators_match_loop(setup, basis, reference_eq, ne_coeffs):
     chords = setup.chord_geoms
     locator, geoms = _chord_geoms_loop(setup.mesh, chords.endpoints,
                                        _default_step(setup.mesh))
-    _close(build_interferometry_matrix(chords, basis, psibar),
+    _close(build_interferometry_matrix(chords, basis, psibar)[0],
            _interferometry_loop(geoms, basis, psibar))
-    _close(build_polarimetry_observer(chords, basis, ne_coeffs, psibar),
+    # the polarimetry rows applied to the identity: the observer matrix
+    _close(_polarimetry(chords, basis, ne_coeffs, psibar,
+                        np.eye(setup.mesh.n_nodes)),
            _polarimetry_loop(locator, geoms, basis, ne_coeffs, psibar,
                              setup.mesh))
+
+
+def test_step_products_match_parent_assembly(setup, basis, reference_eq,
+                                             ne_coeffs, clean_measurements):
+    # Y from the weighted matrices against the dense F fill it replaced,
+    # the pinned columns dropped; the polarimetry rows R (coef * D X)
+    # against the sparse observer R diag(coef) D on psi, K^-1 Y and K^-1 g
+    eq, squad, rows = reference_eq, setup.squad, setup.mesh.boundary
+    psibar = eq.domain.normalize(eq.psi)
+    pq = squad.psibar_qp(psibar)
+    for lam, dirichlet in [(1.0, []), (eq.lam, rows)]:
+        parent = _source_matrix_f_fill(squad, pq, basis, lam, 2.5, dirichlet)
+        Y = assemble_source_matrix(squad, pq, basis, lam, dirichlet)
+        assert Y.shape == (setup.mesh.n_nodes, 2 * basis.m - 2)
+        _close(Y, parent[:, setup.free_idx], rtol=1e-13)
+    k_inv_y = setup.fact.solve_multi(Y)
+    k_inv_y[rows, :] = 0.0
+    chords = setup.chord_geoms
+    observer = _polarimetry_observer_sparse(chords, basis, ne_coeffs, psibar)
+    for X in (eq.psi, k_inv_y, setup.dirichlet_lift(clean_measurements.g_d)):
+        _close(_polarimetry(chords, basis, ne_coeffs, psibar, X),
+               observer @ X, rtol=1e-13)
 
 
 @pytest.fixture(scope="module", params=[(20, 0.0), (40, 0.0), (40, 0.3)],
