@@ -13,8 +13,7 @@ from .fem import MU0, assemble_stiffness, factorize, impose_dirichlet
 from .forward import (Equilibrium, MachineParams, forward_fixed_point,
                       load_equilibrium, save_equilibrium)
 from .geometry import PlasmaDomain, find_axis, find_xpoint, make_plasma_domain
-from .inverse import (ReconstructionResult, ReconstructionSetup,
-                      RegularizationConfig, reconstruct)
+from .inverse import ReconstructionSetup, RegularizationConfig, reconstruct
 from .mesh import (Mesh, PointLocator, build_rect_mesh, load_mesh, save_mesh)
 from .observation import MeasurementSet, load_measurements, save_measurements
 from .twin import (LCurveResult, ReplicateStats, l_curve, l_curve_ab,
@@ -27,7 +26,7 @@ __all__ = [
     "Equilibrium", "FluxContour", "GsReconError", "LCurveResult", "MU0",
     "MachineParams", "MeasurementSet", "Mesh", "PlasmaDomain",
     "PointLocator", "ProfileExpansion",
-    "ReconstructionResult", "ReconstructionSetup", "RegularizationConfig",
+    "ReconstructionSetup", "RegularizationConfig",
     "ReplicateStats", "SplineBasis", "assemble_stiffness", "build_rect_mesh",
     "extract_contour", "factorize",
     "find_axis", "find_xpoint", "flux_surface_average", "forward_fixed_point",

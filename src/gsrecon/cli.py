@@ -227,8 +227,7 @@ def _ne_reference(cfg, basis):
 # ---------------------------------------------------------------------------
 
 def cmd_mesh_gen(args):
-    m = meshmod.build_rect_mesh(args.r_min, args.r_max, args.z_min,
-                                args.z_max, args.nr, args.nz)
+    m = _load_mesh(parse_config(args.config, args.set or ()))
     meshmod.save_mesh(m, args.out)
     print(f"wrote {args.out}: {m.n_nodes} nodes, {len(m.triangles)} triangles")
     return EXIT_OK
@@ -352,10 +351,9 @@ def cmd_lcurve(args):
           f"-> {ne_path}")
     # A/B curve at the reference observation state
     squad = setup.squad
-    Y = forward.assemble_source_matrix(squad, squad.psibar_qp(psibar), basis,
-                                       eq.lam, mesh.boundary)
-    _, E, f = observation_state(setup, Y, setup.c0, ms.g_n,
-                                setup.dirichlet_lift(ms.g_d))
+    Y = forward.assemble_source_matrix(squad, squad.psibar_qp(psibar), basis)
+    _, E, f = observation_state(setup, eq.lam * Y, ms.g_n,
+                                setup.fact.lift(ms.g_d))
     res_ab = l_curve_ab(setup, ms, E, f, eps_grid)
     ab_path = _out(cfg, "lcurve_ab.csv")
     write_lcurve_csv(ab_path, res_ab)
@@ -370,20 +368,16 @@ def build_parser():
     p = argparse.ArgumentParser(prog="gsrecon", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    pm = sub.add_parser("mesh-gen", help="generate a rectangular mesh file")
-    pm.add_argument("--r-min", type=float, default=DEFAULTS["r_min"])
-    pm.add_argument("--r-max", type=float, default=DEFAULTS["r_max"])
-    pm.add_argument("--z-min", type=float, default=DEFAULTS["z_min"])
-    pm.add_argument("--z-max", type=float, default=DEFAULTS["z_max"])
-    pm.add_argument("--nr", type=int, default=DEFAULTS["nr"])
-    pm.add_argument("--nz", type=int, default=DEFAULTS["nz"])
-    pm.add_argument("--out", required=True)
-    pm.set_defaults(func=cmd_mesh_gen)
-
     def common(sp):
         sp.add_argument("--config", default=None)
         sp.add_argument("--set", action="append", metavar="key=value",
                         help="config override")
+
+    pm = sub.add_parser("mesh-gen", help="write the configured mesh to a "
+                        "mesh file")
+    common(pm)
+    pm.add_argument("--out", required=True)
+    pm.set_defaults(func=cmd_mesh_gen)
 
     pf = sub.add_parser("forward", help="direct free-boundary solve")
     common(pf)

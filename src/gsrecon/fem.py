@@ -2,8 +2,10 @@
 
 The stiffness matrix carries the 1/(mu0 r) coefficient evaluated at the
 triangle centroid (one-point quadrature); Dirichlet conditions are imposed
-by replacing boundary rows with identity rows, so the right-hand side can
-carry the boundary values directly.
+by replacing boundary rows with scaled identity rows.  A load carries no
+boundary values: its field with zero boundary flux comes from
+:meth:`Factorization.solve` and the field of the boundary flux from
+:meth:`Factorization.lift`, and the two add up to the Dirichlet solution.
 """
 
 from dataclasses import dataclass
@@ -28,31 +30,52 @@ class StiffnessMatrix:
 class Factorization:
     """Reusable sparse LU factorization of the modified stiffness matrix.
 
-    Right-hand sides carry the plain boundary values in the constrained
-    rows; the conditioning scale applied to those rows in the matrix is
-    reapplied here so callers never see it.
+    The one place that knows how the boundary condition is imposed: loads
+    are solved with zero boundary values and boundary values enter only
+    through :meth:`lift`, which reapplies the conditioning scale of the
+    constrained rows.
     """
 
-    def __init__(self, lu, n, constrained_rows=None, scale=1.0):
+    def __init__(self, lu, n, constrained_rows, scale):
         self._lu = lu
         self.n = n
-        self._rows = constrained_rows if constrained_rows is not None \
-            else np.array([], dtype=np.int64)
+        self._rows = constrained_rows
         self._scale = scale
 
-    def solve(self, rhs):
-        rhs = np.array(rhs, dtype=np.float64)
-        if rhs.shape != (self.n,):
-            raise ValueError(f"rhs must have length {self.n}")
-        rhs[self._rows] *= self._scale
-        return self._lu.solve(rhs)
+    def solve(self, load):
+        """Field of ``load`` that is zero on the boundary; the load's
+        constrained rows are ignored."""
+        load = np.array(load, dtype=np.float64)
+        if load.shape != (self.n,):
+            raise ValueError(f"load must have length {self.n}")
+        return self._solve_homogeneous(load)
 
     def solve_multi(self, columns):
+        """:meth:`solve` of every column of ``columns``."""
         columns = np.array(columns, dtype=np.float64)
         if columns.shape[0] != self.n:
             raise ValueError(f"columns must have {self.n} rows")
-        columns[self._rows, :] *= self._scale
-        return self._lu.solve(columns)
+        return self._solve_homogeneous(columns)
+
+    def _solve_homogeneous(self, rhs):
+        rhs[self._rows] = 0.0
+        x = self._lu.solve(rhs)
+        x[self._rows] = 0.0
+        return x
+
+    def lift(self, g_d):
+        """Load-free field taking the values ``g_d`` exactly on the
+        boundary.  Raises ValueError unless ``g_d`` holds one finite value
+        per boundary node."""
+        g_d = np.asarray(g_d, dtype=np.float64)
+        if g_d.shape != self._rows.shape or not np.all(np.isfinite(g_d)):
+            raise ValueError("g_d must provide one finite value per "
+                             "boundary node")
+        rhs = np.zeros(self.n)
+        rhs[self._rows] = g_d * self._scale
+        x = self._lu.solve(rhs)
+        x[self._rows] = g_d
+        return x
 
 
 def assemble_stiffness(mesh, mu0=MU0):
@@ -76,7 +99,8 @@ def impose_dirichlet(stiff, boundary_ids):
     """Replace each constrained row by a scaled identity row.
 
     The scale matches the typical stiffness diagonal so the modified matrix
-    stays well conditioned; the factorization reapplies it to the rhs."""
+    stays well conditioned; :meth:`Factorization.lift` reapplies it to the
+    boundary values."""
     if stiff.dirichlet_applied:
         raise StateError("Dirichlet rows already imposed")
     boundary_ids = np.asarray(boundary_ids, dtype=np.int64)

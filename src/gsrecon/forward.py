@@ -32,6 +32,11 @@ class MachineParams:
 
 @dataclass
 class Equilibrium:
+    """A forward solve or a reconstruction: the flux, its plasma domain, the
+    profiles and their scale ``lam``, the residual and ``lam_history`` of
+    every iteration, and, for a reconstruction, the costs of the last
+    iteration and the error that stopped it (see :func:`inverse.reconstruct`).
+    """
     psi: np.ndarray
     domain: object
     profiles: ProfileExpansion
@@ -40,6 +45,9 @@ class Equilibrium:
     residuals: list = field(default_factory=list)
     converged: bool = True
     iterations: int = 0
+    lam_history: list = field(default_factory=list)
+    costs: dict = field(default_factory=dict)
+    error: str = None
 
 
 class SourceQuadrature:
@@ -92,13 +100,6 @@ def mesh_operators(mesh, mu0, r0):
     return mesh._cache[key]
 
 
-def current_density_integral(squad, psibar_qp, a_vals, b_vals):
-    """Integral of (r/r0) A + (r0/r) B over the plasma: the unscaled load."""
-    mask = psibar_qp <= 1.0
-    return float(np.sum(squad.Pa @ np.where(mask, a_vals, 0.0)
-                        + squad.Pb @ np.where(mask, b_vals, 0.0)))
-
-
 def lambda_from_integral(ip, integral, area):
     if abs(integral) < 1e-14 * max(area, 1.0):
         raise DivergentLambdaError(
@@ -106,38 +107,27 @@ def lambda_from_integral(ip, integral, area):
     return ip / integral
 
 
-def assemble_source_vector(squad, psibar_qp, a_vals, b_vals, lam,
-                           dirichlet_rows):
-    """Nodal load lam (Pa A + Pb B) of A and B at the plasma points."""
+def assemble_source_vector(squad, psibar_qp, a_vals, b_vals):
+    """Nodal load Pa A + Pb B of A and B at the plasma points, over all
+    rows; its sum is the current integral that lambda scales to Ip."""
     mask = psibar_qp <= 1.0
     if not np.any(mask):
         raise EmptySourceError("plasma region contains no quadrature point")
-    y = lam * (squad.Pa @ np.where(mask, a_vals, 0.0)
-               + squad.Pb @ np.where(mask, b_vals, 0.0))
-    y[dirichlet_rows] = 0.0
-    return y
+    return (squad.Pa @ np.where(mask, a_vals, 0.0)
+            + squad.Pb @ np.where(mask, b_vals, 0.0))
 
 
-def assemble_source_matrix(squad, psibar_qp, basis, lam, dirichlet_rows):
+def assemble_source_matrix(squad, psibar_qp, basis):
     """n x (2m - 2) matrix mapping the free profile coefficients (all but
     the last of A and of B, pinned by A(1) = B(1) = 0) to the load vector:
-    column j is lam Pa phi_j(psibar), column m - 1 + j lam Pb phi_j(psibar),
+    column j is Pa phi_j(psibar), column m - 1 + j Pb phi_j(psibar),
     phi_j taken as zero outside the plasma region."""
     mask = psibar_qp <= 1.0
     if not np.any(mask):
         raise EmptySourceError("plasma region contains no quadrature point")
     phi = np.zeros((len(psibar_qp), basis.m - 1))
     phi[mask] = basis.eval_many(psibar_qp[mask])[:, :-1]
-    Y = np.hstack([squad.Pa @ phi, squad.Pb @ phi])
-    Y *= lam
-    Y[dirichlet_rows, :] = 0.0
-    return Y
-
-
-def dirichlet_vector(mesh, g_d):
-    g = np.zeros(mesh.n_nodes)
-    g[mesh.boundary] = g_d
-    return g
+    return np.hstack([squad.Pa @ phi, squad.Pb @ phi])
 
 
 ANDERSON_DEPTH = 3
@@ -183,46 +173,35 @@ def picard(step, psi, tol, max_iter, residuals):
 
 
 def forward_fixed_point(mesh, machine, a_func, b_func, g_d, tol=1e-6,
-                        max_iter=30, psi0=None, basis=None):
+                        max_iter=30, basis=None):
     """Picard iteration of the free-boundary problem with known profiles.
 
     a_func and b_func are callables on [0,1] (tabulated references should be
-    wrapped with a monotone cubic interpolant by the caller).  Raises
-    :class:`ConvergenceError` when max_iter is exhausted or an iteration
-    fails (the failure is chained as its cause).
+    wrapped with a monotone cubic interpolant by the caller).  A g_d without
+    one finite value per boundary node raises ValueError before any solve.
+    Raises :class:`ConvergenceError` when max_iter is exhausted or an
+    iteration fails (the failure is chained as its cause).
     """
-    g_d = np.asarray(g_d, dtype=np.float64)
-    if g_d.shape != mesh.boundary.shape:
-        raise ValueError("g_d must provide one value per boundary node")
-
     fact, squad = mesh_operators(mesh, machine.mu0, machine.r0)
-    g = dirichlet_vector(mesh, g_d)
-    lam = None
+    lift = fact.lift(g_d)
+    lam_history = []
 
     def picard_map(pq):
-        nonlocal lam
         x = np.clip(pq, 0.0, 1.0)
-        a_vals = np.asarray(a_func(x), float)
-        b_vals = np.asarray(b_func(x), float)
-        integral = current_density_integral(squad, pq, a_vals, b_vals)
-        lam = lambda_from_integral(machine.ip, integral, mesh.area())
-        y = assemble_source_vector(squad, pq, a_vals, b_vals, lam,
-                                   mesh.boundary)
-        psi_new = fact.solve(y + g)
-        psi_new[mesh.boundary] = g_d
-        return psi_new
+        y = assemble_source_vector(squad, pq, np.asarray(a_func(x), float),
+                                   np.asarray(b_func(x), float))
+        lam_history.append(lambda_from_integral(machine.ip, float(y.sum()),
+                                                mesh.area()))
+        return fact.solve(lam_history[-1] * y) + lift
 
     def step(psi):
         return picard_map(squad.psibar_qp(
             make_plasma_domain(mesh, psi).normalize(psi)))
 
-    if psi0 is None:
-        # uncounted initialization solve: a constant flux map carries no
-        # axis yet, so the source is seeded with psibar 0 inside the
-        # limiter contour (fully covered plasma) and 2 outside
-        psi = picard_map(squad.bootstrap_psibar_qp())
-    else:
-        psi = np.array(psi0, dtype=np.float64)
+    # uncounted initialization solve: a constant flux map carries no axis
+    # yet, so the source is seeded with psibar 0 inside the limiter contour
+    # (fully covered plasma) and 2 outside
+    psi = picard_map(squad.bootstrap_psibar_qp())
 
     residuals = []
     try:
@@ -240,8 +219,10 @@ def forward_fixed_point(mesh, machine, a_func, b_func, g_d, tol=1e-6,
     xs = np.linspace(0.0, 1.0, 201)
     profiles = ProfileExpansion(basis, basis.fit(xs, a_func(xs)),
                                 basis.fit(xs, b_func(xs)))
-    return Equilibrium(psi, make_plasma_domain(mesh, psi), profiles, lam,
-                       machine, residuals, True, len(residuals))
+    # the initialization solve is not an iteration: its lambda is left out
+    return Equilibrium(psi, make_plasma_domain(mesh, psi), profiles,
+                       lam_history[-1], machine, residuals, True,
+                       len(residuals), lam_history[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from .basis import (ProfileExpansion, SplineBasis, first_guess_expansion,
                     full_regularization_matrix, regularization_matrix)
 from .errors import (GsReconError, MeasurementCountError, NoPlasmaError,
                      RegularizationError, StateError)
-from .forward import (assemble_source_matrix, dirichlet_vector,
+from .forward import (Equilibrium, assemble_source_matrix,
                       lambda_from_integral, mesh_operators, picard)
 from .geometry import make_plasma_domain
 from .mesh import point_in_polygon
@@ -28,20 +28,6 @@ class RegularizationConfig:
         if not all(0 < v < np.inf
                    for v in (self.eps, self.eps_ne, self.alpha_scale)):
             raise ValueError("regularization parameters must be positive")
-
-
-@dataclass
-class ReconstructionResult:
-    psi: np.ndarray
-    domain: object
-    profiles: ProfileExpansion
-    lam: float
-    residuals: list
-    lam_history: list
-    costs: dict
-    converged: bool
-    iterations: int
-    error: str = None
 
 
 def identify_ne(b_int, gamma, w_inter, eps_ne, alpha_scale, lam_block):
@@ -81,15 +67,14 @@ def identify_ab(E, f, weights, eps, lam_full, free_idx):
 def rescale_dofs(u, lam):
     """Normalize max|a_i| to one, moving the scale into lambda.
 
-    Returns (u, lam, applied).  The product lam*u is preserved exactly up
-    to one floating-point division per entry.
+    Returns (u, lam), both unchanged when every a_i is zero.  The product
+    lam*u is preserved exactly up to one floating-point division per entry.
     """
     u = np.asarray(u, dtype=np.float64)
-    m = len(u) // 2
-    m_hat = np.abs(u[:m]).max()
+    m_hat = np.abs(u[:len(u) // 2]).max()
     if m_hat == 0.0:
-        return u, lam, False
-    return u / m_hat, lam * m_hat, True
+        return u, lam
+    return u / m_hat, lam * m_hat
 
 
 class ReconstructionSetup:
@@ -118,33 +103,22 @@ class ReconstructionSetup:
         out[self._node_in_limiter] = 0.0
         return out
 
-    def dirichlet_lift(self, g_d):
-        """K^-1 g for the boundary flux g_d, exact on the boundary."""
-        k_inv_g = self.fact.solve(dirichlet_vector(self.mesh, g_d))
-        k_inv_g[self.mesh.boundary] = g_d
-        return k_inv_g
 
-    def first_guess(self):
-        exp = first_guess_expansion(self.basis)
-        return np.concatenate([exp.a, exp.b])
-
-
-def observation_state(setup, Y, C, d, k_inv_g):
+def observation_state(setup, Y, g_n, k_inv_g):
     """Observation state of one flux iterate: (K^-1 Y, E, f).
 
-    K^-1 Y has its boundary rows cleared, so K^-1 Y u + K^-1 g keeps the
-    boundary flux of ``k_inv_g`` (see
-    :meth:`ReconstructionSetup.dirichlet_lift`) exact; E = C K^-1 Y and
-    f = d - C K^-1 g, so E u - f = C psi(u) - d.
+    K^-1 Y is zero on the boundary, so psi(u) = K^-1 Y u + K^-1 g keeps the
+    boundary flux of the lift ``k_inv_g``; E = C0 K^-1 Y and
+    f = g_n - C0 K^-1 g, so E u - f = C0 psi(u) - g_n.
     """
     k_inv_y = setup.fact.solve_multi(Y)
-    k_inv_y[setup.mesh.boundary, :] = 0.0
-    return k_inv_y, C @ k_inv_y, d - C @ k_inv_g
+    return k_inv_y, setup.c0 @ k_inv_y, g_n - setup.c0 @ k_inv_g
 
 
 def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
                 max_iter=30, warm_start=None):
-    """Fixed-point reconstruction of (psi, domain, A, B, lambda[, n_e]).
+    """Fixed-point reconstruction of (psi, domain, A, B, lambda[, n_e]),
+    returned as an :class:`~gsrecon.forward.Equilibrium`.
 
     Measurement vectors whose lengths do not match the setup raise
     :class:`MeasurementCountError` before the loop.  Any other
@@ -177,7 +151,7 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
     weights = default_weights(ms, mesh.boundary_length())
     w = np.repeat([weights.w_mag, weights.w_polar],
                   [setup.c0.shape[0], n_c if use_internal else 0])
-    k_inv_g = setup.dirichlet_lift(ms.g_d)
+    k_inv_g = setup.fact.lift(ms.g_d)
     chords, free = setup.chord_geoms, setup.free_idx
 
     if warm_start is not None:
@@ -188,7 +162,8 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
         ne_coeffs = warm_start.profiles.c
     else:
         psi = np.zeros(mesh.n_nodes)
-        u = setup.first_guess()
+        exp = first_guess_expansion(basis)
+        u = np.concatenate([exp.a, exp.b])
         lam = 1.0
         ne_coeffs = None
 
@@ -206,18 +181,17 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
             psibar_nodal = setup.bootstrap_psibar_nodal()
         pq = setup.squad.psibar_qp(psibar_nodal)
 
-        # total-current scale from the previous-iterate profiles (the rows
-        # of P sum to one, so the column sums of the unscaled Y give the
-        # current integral), then dof normalization to pin lambda*u
-        Y = assemble_source_matrix(setup.squad, pq, basis, 1.0, [])
+        # total-current scale from the previous-iterate profiles (the
+        # column sums of Y give the current integral), then dof
+        # normalization to pin lambda*u
+        Y = assemble_source_matrix(setup.squad, pq, basis)
         lam = lambda_from_integral(
             machine.ip, float(Y.sum(axis=0) @ u[free]), mesh.area())
-        Y[mesh.boundary, :] = 0.0
-        u, lam, _ = rescale_dofs(u, lam)
+        u, lam = rescale_dofs(u, lam)
         Y *= lam
         lam_history.append(lam)
 
-        k_inv_y, E, f = observation_state(setup, Y, setup.c0, ms.g_n, k_inv_g)
+        k_inv_y, E, f = observation_state(setup, Y, ms.g_n, k_inv_g)
         b_int = None
         if use_internal:
             b_int, G = build_interferometry_matrix(chords, basis,
@@ -240,7 +214,7 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
         error = str(exc)
     converged = error is None and bool(residuals) and residuals[-1] <= tol
 
-    u, lam, _ = rescale_dofs(u, lam)
+    u, lam = rescale_dofs(u, lam)
     costs = {}
     if error is None and residuals:
         misfit, b_int = last
@@ -257,6 +231,5 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
                 v_hat @ setup.lam_block @ v_hat)
 
     profiles = ProfileExpansion(basis, u[:basis.m], u[basis.m:], ne_coeffs)
-    return ReconstructionResult(psi, domain, profiles, lam, residuals,
-                                lam_history, costs, converged, iterations,
-                                error=error)
+    return Equilibrium(psi, domain, profiles, lam, machine, residuals,
+                       converged, iterations, lam_history, costs, error)

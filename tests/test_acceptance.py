@@ -16,8 +16,7 @@ from gsrecon.basis import SplineBasis, regularization_matrix
 from gsrecon.diagnostics import (extract_contour, flux_surface_average,
                                  integrate_f, profile_table, safety_factor)
 from gsrecon.forward import (SourceQuadrature, assemble_source_matrix,
-                             current_density_integral, dirichlet_vector,
-                             forward_fixed_point)
+                             assemble_source_vector, forward_fixed_point)
 from gsrecon.inverse import (RegularizationConfig, observation_state,
                              reconstruct)
 from gsrecon.twin import l_curve_ab, l_curve_ne, perturb, replicate_stats
@@ -35,9 +34,7 @@ def _solve_dirichlet(mesh, exact):
     vals = exact(mesh.nodes[:, 0], mesh.nodes[:, 1])
     stiff = fem.impose_dirichlet(fem.assemble_stiffness(mesh), mesh.boundary)
     fact = fem.factorize(stiff)
-    psi = fact.solve(dirichlet_vector(mesh, vals[mesh.boundary]))
-    psi[mesh.boundary] = vals[mesh.boundary]
-    return np.abs(psi - vals).max()
+    return np.abs(fact.lift(vals[mesh.boundary]) - vals).max()
 
 
 def test_criterion_1_fem_manufactured_solutions():
@@ -91,8 +88,8 @@ def test_criterion_3_total_current_invariant(twin_mesh, machine, basis,
     for pq in states:
         x = np.clip(pq, 0.0, 1.0)
         for exp in profiles:
-            integral = current_density_integral(
-                squad, pq, exp.eval("A", x), exp.eval("B", x))
+            integral = assemble_source_vector(
+                squad, pq, exp.eval("A", x), exp.eval("B", x)).sum()
             lam = machine.ip / integral
             worst = max(worst,
                         abs(lam * integral - machine.ip) / abs(machine.ip))
@@ -190,10 +187,9 @@ def test_criterion_7_l_curves(setup, clean_measurements, reference_eq,
     y_mono = bool(np.all(np.diff(lc.y) <= 1e-9))
 
     pq = setup.squad.psibar_qp(psibar)
-    Y = assemble_source_matrix(setup.squad, pq, basis, reference_eq.lam,
-                               twin_mesh.boundary)
-    _, E, f = observation_state(setup, Y, setup.c0, ms.g_n,
-                                setup.dirichlet_lift(ms.g_d))
+    Y = assemble_source_matrix(setup.squad, pq, basis)
+    _, E, f = observation_state(setup, reference_eq.lam * Y, ms.g_n,
+                                setup.fact.lift(ms.g_d))
     lab = l_curve_ab(setup, ms, E, f, grid)
     dt = time.perf_counter() - t0
     ok = (1e-3 <= lc.corner_eps <= 1e-1 and not lc.flat and x_mono

@@ -65,10 +65,25 @@ def test_parse_config_errors(tmp_path):
 
 def test_mesh_gen(tmp_path):
     out = tmp_path / "mesh.txt"
-    assert cli.main(["mesh-gen", "--nr", "6", "--nz", "6",
+    assert cli.main(["mesh-gen", "--set", "nr=6", "--set", "nz=6",
                      "--out", str(out)]) == cli.EXIT_OK
     mesh = load_mesh(out)
     assert mesh.n_nodes == 49
+
+
+def test_mesh_gen_file_solves_like_the_built_mesh(tmp_path):
+    # mesh-gen writes the configured mesh, limiter included, so a forward
+    # solve on the written file equals the one on the mesh built in memory
+    mesh_path = tmp_path / "mesh.txt"
+    assert cli.main(["mesh-gen", "--out", str(mesh_path)]) == cli.EXIT_OK
+    psi = {}
+    for name, extra in (("built", []),
+                        ("file", ["--set", f"mesh_file={mesh_path}"])):
+        out = tmp_path / name
+        assert cli.main(["forward", "--set", f"out_dir={out}"]
+                        + extra) == cli.EXIT_OK
+        psi[name] = gsrecon.load_equilibrium(out / "equilibrium.txt").psi
+    np.testing.assert_array_equal(psi["file"], psi["built"])
 
 
 def test_forward_outputs(workspace):
@@ -225,6 +240,14 @@ def test_bad_config_value_is_input_error(tmp_path):
 def test_unknown_config_key_is_input_error(tmp_path):
     assert cli.main(["forward", "--set", "nrr=5",
                      "--set", f"out_dir={tmp_path}"]) == cli.EXIT_INPUT
+
+
+def test_limiter_around_no_source_point_is_input_error(tmp_path, capsys):
+    # the cold-start source covers the limiter contour; one that encloses
+    # no quadrature point leaves no load, whatever the solver does
+    assert cli.main(["forward", "--set", "limiter_rect=2.49 2.51 0.01",
+                     "--set", f"out_dir={tmp_path}"]) == cli.EXIT_INPUT
+    assert "no quadrature point" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("override", [

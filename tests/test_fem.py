@@ -4,7 +4,6 @@ import pytest
 import gsrecon
 from gsrecon import fem
 from gsrecon.errors import StateError
-from gsrecon.forward import dirichlet_vector
 
 
 def _solve_dirichlet(mesh, exact):
@@ -12,9 +11,7 @@ def _solve_dirichlet(mesh, exact):
     vals = exact(mesh.nodes[:, 0], mesh.nodes[:, 1])
     stiff = fem.impose_dirichlet(fem.assemble_stiffness(mesh), mesh.boundary)
     fact = fem.factorize(stiff)
-    psi = fact.solve(dirichlet_vector(mesh, vals[mesh.boundary]))
-    psi[mesh.boundary] = vals[mesh.boundary]
-    return np.abs(psi - vals).max()
+    return np.abs(fact.lift(vals[mesh.boundary]) - vals).max()
 
 
 def test_stiffness_symmetric(small_mesh):
@@ -84,3 +81,42 @@ def test_solve_does_not_mutate_rhs(small_mesh):
     rhs = np.ones(small_mesh.n_nodes)
     fact.solve(rhs)
     assert np.all(rhs == 1.0)
+
+
+def _interior(mesh):
+    mask = np.ones(mesh.n_nodes, dtype=bool)
+    mask[mesh.boundary] = False
+    return mask
+
+
+def test_solve_ignores_and_zeroes_constrained_rows(small_mesh):
+    # the field of a load is zero on the boundary whatever the load holds
+    # in the constrained rows, and equals the interior Dirichlet solve
+    stiff = fem.impose_dirichlet(fem.assemble_stiffness(small_mesh),
+                                 small_mesh.boundary)
+    fact = fem.factorize(stiff)
+    interior = _interior(small_mesh)
+    load = np.random.default_rng(4).normal(size=small_mesh.n_nodes)
+    cleared = np.where(interior, load, 0.0)
+    psi = fact.solve(load)
+    np.testing.assert_array_equal(psi, fact.solve(cleared))
+    assert np.all(psi[small_mesh.boundary] == 0.0)
+    assert np.abs(psi[interior]).max() > 0.0
+    K = fem.assemble_stiffness(small_mesh).mat
+    np.testing.assert_allclose((K @ psi)[interior], load[interior],
+                               rtol=0, atol=1e-9 * np.abs(load).max())
+    multi = fact.solve_multi(np.column_stack([load, cleared]))
+    assert np.all(multi[small_mesh.boundary] == 0.0)
+
+
+def test_lift_is_exact_on_boundary(small_mesh):
+    # the load-free field: boundary values exactly g_d, K psi = 0 inside
+    stiff = fem.impose_dirichlet(fem.assemble_stiffness(small_mesh),
+                                 small_mesh.boundary)
+    fact = fem.factorize(stiff)
+    g_d = np.sin(np.arange(len(small_mesh.boundary), dtype=float))
+    psi = fact.lift(g_d)
+    np.testing.assert_array_equal(psi[small_mesh.boundary], g_d)
+    K = fem.assemble_stiffness(small_mesh).mat
+    assert np.abs((K @ psi)[_interior(small_mesh)]).max() < 1e-9 * np.abs(
+        K.diagonal()).max()

@@ -6,9 +6,9 @@ import gsrecon
 from gsrecon.basis import ProfileExpansion, SplineBasis
 from gsrecon.errors import (DivergentLambdaError, EmptySourceError,
                             MeshParseError)
+from gsrecon.fem import Factorization
 from gsrecon.forward import (ANDERSON_DEPTH, MachineParams, SourceQuadrature,
                              assemble_source_matrix, assemble_source_vector,
-                             current_density_integral, dirichlet_vector,
                              forward_fixed_point, lambda_from_integral,
                              load_equilibrium, picard, save_equilibrium)
 from conftest import a_ref, b_ref
@@ -41,8 +41,8 @@ _COEF = st.floats(0.1, 2.0)
 @settings(max_examples=15, deadline=None)
 @given(_COEF, _COEF)
 def test_total_current_constraint(ca, cb):
-    # lambda scales the plasma current to Ip, so the nodal load vector
-    # (before its Dirichlet rows are cleared) carries Ip in total
+    # lambda scales the plasma current to Ip, so the scaled nodal load
+    # vector carries Ip in total
     mesh = gsrecon.build_rect_mesh(2.0, 3.0, -1.0, 1.0, 8, 8)
     basis = SplineBasis(end_constraint=True)
     g = basis.greville()
@@ -53,10 +53,9 @@ def test_total_current_constraint(ca, cb):
     pq = squad.psibar_qp(psibar)
     x = np.clip(pq, 0.0, 1.0)
     a_vals, b_vals = exp.eval("A", x), exp.eval("B", x)
-    integral = current_density_integral(squad, pq, a_vals, b_vals)
-    lam = lambda_from_integral(1.0e6, integral, mesh.area())
-    y = assemble_source_vector(squad, pq, a_vals, b_vals, lam, [])
-    assert y.sum() == pytest.approx(1.0e6, rel=1e-10)
+    y = assemble_source_vector(squad, pq, a_vals, b_vals)
+    lam = lambda_from_integral(1.0e6, y.sum(), mesh.area())
+    assert (lam * y).sum() == pytest.approx(1.0e6, rel=1e-10)
 
 
 def _recorded_affine_step(a, b):
@@ -153,28 +152,18 @@ def test_source_matrix_matches_vector(twin_mesh, basis, reference_eq):
     m = basis.m
     a, b = eq.profiles.a.copy(), eq.profiles.b.copy()
     a[m - 1] = b[m - 1] = 0.0
-    Y = assemble_source_matrix(squad, pq, basis, eq.lam, twin_mesh.boundary)
+    Y = assemble_source_matrix(squad, pq, basis)
     phi = basis.eval_many(x)
-    y = assemble_source_vector(squad, pq, phi @ a, phi @ b, eq.lam,
-                               twin_mesh.boundary)
+    y = assemble_source_vector(squad, pq, phi @ a, phi @ b)
     u = np.concatenate([a[:m - 1], b[:m - 1]])
     np.testing.assert_allclose(Y @ u, y, rtol=1e-9, atol=1e-9 * np.abs(y).max())
-
-
-def test_source_vector_zero_on_boundary(small_mesh):
-    squad = SourceQuadrature(small_mesh, 2.5)
-    pq = np.zeros(len(squad.qp_w))
-    y = assemble_source_vector(squad, pq, np.ones_like(pq), np.ones_like(pq),
-                               1.0, small_mesh.boundary)
-    assert np.all(y[small_mesh.boundary] == 0.0)
-    assert np.abs(y).max() > 0.0
 
 
 def test_empty_plasma_raises(small_mesh):
     squad = SourceQuadrature(small_mesh, 2.5)
     pq = np.full(len(squad.qp_w), 2.0)
     with pytest.raises(EmptySourceError):
-        assemble_source_vector(squad, pq, pq, pq, 1.0, small_mesh.boundary)
+        assemble_source_vector(squad, pq, pq, pq)
 
 
 def test_bootstrap_flux_covers_limiter(twin_mesh):
@@ -199,11 +188,49 @@ def test_forward_flux_peaks_inside_limiter(twin_mesh, reference_eq):
     assert eq.domain.psi_a > eq.domain.psi_b
 
 
-def test_forward_warm_start_is_fast(twin_mesh, machine, basis, reference_eq):
+def test_forward_lambda_history(reference_eq):
+    # one lambda per iteration, the last one the equilibrium's
+    eq = reference_eq
+    assert len(eq.lam_history) == eq.iterations
+    assert eq.lam_history[-1] == eq.lam
+    assert eq.costs == {} and eq.error is None
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "short"])
+def test_forward_rejects_bad_boundary_flux(twin_mesh, machine, monkeypatch,
+                                           bad):
+    # a g_d that is not one finite value per boundary node is rejected with
+    # ValueError before any solve
     g_d = np.zeros(len(twin_mesh.boundary))
-    eq = forward_fixed_point(twin_mesh, machine, a_ref, b_ref, g_d,
-                             psi0=reference_eq.psi, basis=basis)
-    assert eq.iterations <= 2
+    if bad == "short":
+        g_d = g_d[:-1]
+    else:
+        g_d[5] = float(bad)
+
+    def no_solve(*args):
+        raise AssertionError("solve called")
+
+    monkeypatch.setattr(Factorization, "solve", no_solve)
+    with pytest.raises(ValueError, match="one finite value per boundary"):
+        forward_fixed_point(twin_mesh, machine, a_ref, b_ref, g_d)
+
+
+def test_boundary_flux_shift_shifts_forward_solution(twin_mesh, machine,
+                                                     basis):
+    # psi is linear in g_d for fixed sources and a constant shift leaves
+    # psibar alone: g_d + c gives psi + c with the same lambda, A and B,
+    # and boundary values exactly g_d + c
+    g_d = np.zeros(len(twin_mesh.boundary))
+    base = forward_fixed_point(twin_mesh, machine, a_ref, b_ref, g_d,
+                               tol=1e-12, max_iter=100, basis=basis)
+    scale = np.abs(base.psi).max()
+    for c in (0.05, -0.05, 0.2):
+        eq = forward_fixed_point(twin_mesh, machine, a_ref, b_ref, g_d + c,
+                                 tol=1e-12, max_iter=100, basis=basis)
+        np.testing.assert_array_equal(eq.psi[twin_mesh.boundary], g_d + c)
+        np.testing.assert_allclose(eq.psi, base.psi + c, rtol=0,
+                                   atol=1e-9 * scale)
+        assert eq.lam == pytest.approx(base.lam, rel=1e-9)
 
 
 def test_equilibrium_roundtrip(tmp_path, reference_eq, basis):
@@ -245,11 +272,3 @@ def test_load_equilibrium_checks_mesh(tmp_path, twin_mesh, reference_eq,
     with pytest.raises(MeshParseError, match="441 values for a mesh of 169"):
         load_equilibrium(path, mesh12, basis)
 
-
-def test_dirichlet_vector(small_mesh):
-    g_d = np.arange(len(small_mesh.boundary), dtype=float)
-    g = dirichlet_vector(small_mesh, g_d)
-    np.testing.assert_array_equal(g[small_mesh.boundary], g_d)
-    mask = np.ones(small_mesh.n_nodes, dtype=bool)
-    mask[small_mesh.boundary] = False
-    assert np.all(g[mask] == 0.0)

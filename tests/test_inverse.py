@@ -9,12 +9,13 @@ from gsrecon.basis import SplineBasis, full_regularization_matrix, \
 from gsrecon import inverse
 from gsrecon.errors import MeasurementCountError, RegularizationError
 from gsrecon.fem import Factorization
-from gsrecon.forward import assemble_source_matrix, current_density_integral
+from gsrecon.forward import assemble_source_matrix, assemble_source_vector
 from gsrecon.inverse import (ReconstructionSetup, RegularizationConfig,
                              identify_ab, identify_ne, reconstruct,
                              rescale_dofs)
 from gsrecon.mesh import PointLocator
 from gsrecon.observation import MeasurementSet
+from gsrecon.twin import perturb
 
 from conftest import CHORDS, LIMITER
 
@@ -38,16 +39,15 @@ def test_regularization_config_rejects_non_finite(field, value):
 def test_rescale_dofs_preserves_current_scale():
     u = np.array([0.5, 2.0, -1.0, 0.3, 0.1, 0.0])
     lam = 3.0e5
-    u2, lam2, applied = rescale_dofs(u, lam)
-    assert applied
+    u2, lam2 = rescale_dofs(u, lam)
     assert np.abs(u2[:3]).max() == pytest.approx(1.0)
     np.testing.assert_allclose(lam2 * u2, lam * u, rtol=1e-14)
 
 
 def test_rescale_dofs_zero_vector():
     u = np.zeros(6)
-    u2, lam2, applied = rescale_dofs(u, 2.0)
-    assert not applied and lam2 == 2.0
+    u2, lam2 = rescale_dofs(u, 2.0)
+    assert lam2 == 2.0 and np.all(u2 == 0.0)
 
 
 def test_identify_ab_recovers_well_posed_truth():
@@ -200,6 +200,46 @@ def test_reconstruct_lambda_history_tracks_iterations(setup,
     assert all(lam > 0 for lam in res.lam_history)
 
 
+def test_reconstruction_is_an_equilibrium(tmp_path, setup,
+                                          clean_measurements, basis):
+    # reconstruct returns the forward type, so it saves and loads back
+    res = reconstruct(setup, clean_measurements, RegularizationConfig())
+    assert isinstance(res, gsrecon.Equilibrium)
+    assert res.converged and res.machine is setup.machine
+    path = tmp_path / "rec.txt"
+    gsrecon.save_equilibrium(res, path)
+    back = gsrecon.load_equilibrium(path, setup.mesh, basis)
+    np.testing.assert_array_equal(back.psi, res.psi)
+    np.testing.assert_array_equal(back.profiles.c, res.profiles.c)
+    assert back.lam == res.lam and back.domain.mode == res.domain.mode
+
+
+def test_boundary_flux_shift_shifts_reconstruction(setup, clean_measurements):
+    # a constant shift c of the boundary flux leaves g_n, alpha and gamma
+    # unchanged: the reconstruction moves by c with the same lambda and
+    # coefficients, and its boundary values are exactly g_d + c
+    ms = perturb(clean_measurements, 0.01, seed=7)
+    boundary = setup.mesh.boundary
+
+    def run(measurements):
+        res = reconstruct(setup, measurements, RegularizationConfig(),
+                          tol=1e-12, max_iter=100)
+        assert res.converged
+        return res
+
+    base = run(ms)
+    for c in (0.05, -0.05, 0.2):
+        res = run(dataclasses.replace(ms, g_d=ms.g_d + c))
+        np.testing.assert_array_equal(res.psi[boundary], ms.g_d + c)
+        np.testing.assert_allclose(res.psi, base.psi + c, rtol=0,
+                                   atol=1e-9 * np.abs(base.psi).max())
+        assert res.lam == pytest.approx(base.lam, rel=1e-9)
+        for name in ("a", "b", "c"):
+            ref = getattr(base.profiles, name)
+            np.testing.assert_allclose(getattr(res.profiles, name), ref,
+                                       rtol=0, atol=1e-9 * np.abs(ref).max())
+
+
 def _counted(calls, name, fn):
     def wrapper(*args, **kwargs):
         calls[name] += 1
@@ -208,9 +248,9 @@ def _counted(calls, name, fn):
 
 
 def _count_basis_and_solves(monkeypatch):
-    """Counts of eval_many, solve and solve_multi calls, and the column
-    count of each solve_multi call."""
-    calls = {"eval_many": 0, "solve": 0, "solve_multi": 0}
+    """Counts of eval_many, solve, lift and solve_multi calls, and the
+    column count of each solve_multi call."""
+    calls = {"eval_many": 0, "solve": 0, "lift": 0, "solve_multi": 0}
     columns = []
     real_solve_multi = Factorization.solve_multi
 
@@ -220,8 +260,9 @@ def _count_basis_and_solves(monkeypatch):
 
     monkeypatch.setattr(SplineBasis, "eval_many",
                         _counted(calls, "eval_many", SplineBasis.eval_many))
-    monkeypatch.setattr(Factorization, "solve",
-                        _counted(calls, "solve", Factorization.solve))
+    for name in ("solve", "lift"):
+        monkeypatch.setattr(Factorization, name, _counted(
+            calls, name, getattr(Factorization, name)))
     monkeypatch.setattr(Factorization, "solve_multi",
                         _counted(calls, "solve_multi", solve_multi))
     return calls, columns
@@ -231,23 +272,24 @@ def test_reconstruct_one_basis_evaluation_and_one_solve(
         setup, clean_measurements, reference_eq, monkeypatch):
     # per iteration: one source-matrix assembly (the only basis evaluation
     # on a magnetics-only run), one solve of the 2m - 2 free columns and
-    # no single-column solve; the one solve is K^-1 g before the loop
+    # no single-column solve; the one other solve is the lift K^-1 g
+    # before the loop
     calls, columns = _count_basis_and_solves(monkeypatch)
     res = reconstruct(setup, clean_measurements, RegularizationConfig(),
                       use_internal=False)
     n = res.iterations
     assert res.converged and n > 2
-    assert calls == {"eval_many": n, "solve": 1, "solve_multi": n}
+    assert calls == {"eval_many": n, "solve": 0, "lift": 1, "solve_multi": n}
     assert columns == [2 * setup.basis.m - 2] * n
 
     # lambda comes from the column sums of the unscaled source matrix
     eq = reference_eq
     pq = setup.squad.psibar_qp(eq.domain.normalize(eq.psi))
-    Y = assemble_source_matrix(setup.squad, pq, setup.basis, 1.0, [])
+    Y = assemble_source_matrix(setup.squad, pq, setup.basis)
     u = np.concatenate([eq.profiles.a, eq.profiles.b])
     phi = setup.basis.eval_many(pq)
-    integral = current_density_integral(setup.squad, pq, phi @ eq.profiles.a,
-                                        phi @ eq.profiles.b)
+    integral = assemble_source_vector(setup.squad, pq, phi @ eq.profiles.a,
+                                      phi @ eq.profiles.b).sum()
     assert Y.sum(axis=0) @ u[setup.free_idx] == pytest.approx(
         integral, rel=1e-12)
 
@@ -268,7 +310,8 @@ def test_reconstruct_costs_reuse_last_iteration(setup, clean_measurements,
     n = res.iterations
     assert res.converged
     assert calls == dict.fromkeys(names, n)
-    assert counts == {"eval_many": 2 * n, "solve": 1, "solve_multi": n}
+    assert counts == {"eval_many": 2 * n, "solve": 0, "lift": 1,
+                      "solve_multi": n}
     assert columns == [2 * setup.basis.m - 2] * n
 
 

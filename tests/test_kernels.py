@@ -27,7 +27,7 @@ def test_source_kernel_ignores_vacuum_points(small_mesh):
     squad = SourceQuadrature(small_mesh, 2.5)
     psibar = np.full(len(squad.qp_w), 2.0)
     psibar[0] = 0.5
-    Y = assemble_source_matrix(squad, psibar, BASIS, 1.0, [])
+    Y = assemble_source_matrix(squad, psibar, BASIS)
     touched = np.nonzero(np.abs(Y).sum(axis=1))[0]
     assert set(touched) <= set(squad.qp_nodes[0])
     assert len(touched) > 0

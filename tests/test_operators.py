@@ -15,7 +15,7 @@ from scipy.interpolate import BSpline
 
 import gsrecon
 from gsrecon.forward import (SourceQuadrature, assemble_source_matrix,
-                             assemble_source_vector, current_density_integral)
+                             assemble_source_vector)
 from gsrecon.geometry import (_critical_point, _fit_value, _quadratic_fit,
                               boundary_flux, find_xpoint, quadrature_points,
                               saddle_candidates)
@@ -457,13 +457,13 @@ def test_source_operators_match_loop(twin_mesh, basis, reference_eq):
     _close(pq, _psibar_qp_loop(squad, psibar))
     assert 0 < np.sum(pq <= 1.0) < len(pq)
 
-    rows, free = twin_mesh.boundary, _free(basis)
-    _close(assemble_source_matrix(squad, pq, basis, eq.lam, rows),
-           _source_matrix_loop(squad, pq, basis, eq.lam, 2.5, rows)[:, free])
+    # the loads are unscaled and cover every row: lam 1, no rows cleared
+    _close(assemble_source_matrix(squad, pq, basis),
+           _source_matrix_loop(squad, pq, basis, 1.0, 2.5, [])[:, _free(basis)])
     phi = basis.eval_many(np.clip(pq, 0.0, 1.0))
     a_vals, b_vals = phi @ eq.profiles.a, phi @ eq.profiles.b
-    _close(assemble_source_vector(squad, pq, a_vals, b_vals, eq.lam, rows),
-           _source_vector_loop(squad, pq, a_vals, b_vals, eq.lam, 2.5, rows))
+    _close(assemble_source_vector(squad, pq, a_vals, b_vals),
+           _source_vector_loop(squad, pq, a_vals, b_vals, 1.0, 2.5, []))
 
 
 def test_merged_rule_matches_seed_rule(twin_mesh, basis, reference_eq):
@@ -482,18 +482,16 @@ def test_merged_rule_matches_seed_rule(twin_mesh, basis, reference_eq):
     pq, pq3 = squad.psibar_qp(psibar), _psibar_qp_loop(seed, psibar)
     np.testing.assert_array_equal(pq3, pq[pick])
 
-    rows = twin_mesh.boundary
-    _close(assemble_source_matrix(squad, pq, basis, eq.lam, rows),
-           _source_matrix_loop(seed, pq3, basis, eq.lam, 2.5,
-                               rows)[:, _free(basis)])
+    _close(assemble_source_matrix(squad, pq, basis),
+           _source_matrix_loop(seed, pq3, basis, 1.0, 2.5,
+                               [])[:, _free(basis)])
     ab, ab3 = ([basis.eval_many(x) @ c for c in (eq.profiles.a,
                                                   eq.profiles.b)]
                for x in (pq, pq3))
-    _close(assemble_source_vector(squad, pq, *ab, eq.lam, rows),
-           _source_vector_loop(seed, pq3, *ab3, eq.lam, 2.5, rows))
-    assert (current_density_integral(squad, pq, *ab)
-            == pytest.approx(current_density_integral(seed, pq3, *ab3),
-                             rel=1e-12))
+    y = assemble_source_vector(squad, pq, *ab)
+    _close(y, _source_vector_loop(seed, pq3, *ab3, 1.0, 2.5, []))
+    assert y.sum() == pytest.approx(
+        assemble_source_vector(seed, pq3, *ab3).sum(), rel=1e-12)
 
 
 def test_chord_operators_match_loop(setup, basis, reference_eq, ne_coeffs):
@@ -516,19 +514,17 @@ def test_step_products_match_parent_assembly(setup, basis, reference_eq,
     # Y from the weighted matrices against the dense F fill it replaced,
     # the pinned columns dropped; the polarimetry rows R (coef * D X)
     # against the sparse observer R diag(coef) D on psi, K^-1 Y and K^-1 g
-    eq, squad, rows = reference_eq, setup.squad, setup.mesh.boundary
+    eq, squad = reference_eq, setup.squad
     psibar = eq.domain.normalize(eq.psi)
     pq = squad.psibar_qp(psibar)
-    for lam, dirichlet in [(1.0, []), (eq.lam, rows)]:
-        parent = _source_matrix_f_fill(squad, pq, basis, lam, 2.5, dirichlet)
-        Y = assemble_source_matrix(squad, pq, basis, lam, dirichlet)
-        assert Y.shape == (setup.mesh.n_nodes, 2 * basis.m - 2)
-        _close(Y, parent[:, setup.free_idx], rtol=1e-13)
-    k_inv_y = setup.fact.solve_multi(Y)
-    k_inv_y[rows, :] = 0.0
+    parent = _source_matrix_f_fill(squad, pq, basis, 1.0, 2.5, [])
+    Y = assemble_source_matrix(squad, pq, basis)
+    assert Y.shape == (setup.mesh.n_nodes, 2 * basis.m - 2)
+    _close(Y, parent[:, setup.free_idx], rtol=1e-13)
+    k_inv_y = setup.fact.solve_multi(eq.lam * Y)
     chords = setup.chord_geoms
     observer = _polarimetry_observer_sparse(chords, basis, ne_coeffs, psibar)
-    for X in (eq.psi, k_inv_y, setup.dirichlet_lift(clean_measurements.g_d)):
+    for X in (eq.psi, k_inv_y, setup.fact.lift(clean_measurements.g_d)):
         _close(_polarimetry(chords, basis, ne_coeffs, psibar, X),
                observer @ X, rtol=1e-13)
 
