@@ -27,45 +27,64 @@ class FluxContour:
 def _closed_contours(mesh, psibar, levels, axis):
     """Segments of the closed contour around the axis at all levels at once.
 
-    A crossed edge is interpolated from its lower node, so both its
-    triangles share the point; a crossed triangle joins its two crossed
-    edges by a segment.  The joined groups are paths (one key more than
+    The levels must ascend strictly, also once raised by 1e-11 within 1e-14
+    of a nodal value (ValueError otherwise), so the levels crossing an edge
+    or a triangle are the run lo < L <= hi of its node values, and the work
+    grows with the crossings.  A crossed edge is interpolated from its lower
+    node, so both its triangles share the point; the keys run edge by edge,
+    (L, e) at e's offset plus L.  A crossed triangle joins its two crossed
+    sides by a segment.  The joined groups are paths (one key more than
     segments) or cycles; a level's contour is the cycle around the axis by
     ray-crossing parity, of several the one with the smallest triangle.
-    Returns the levels (raised by 1e-11 within 1e-14 of a nodal value),
-    whether each has a contour, and for the contours' segments, sorted by
-    level then triangle: level index, triangle, (S, 2) crossed sides in the
-    triangle's order and their (S, 2, 2) points.
+    Returns the raised levels, whether each has a contour, and for the
+    contours' segments, sorted by level then triangle: level index,
+    triangle, (S, 2) crossed sides in the triangle's order and their
+    (S, 2, 2) points.
     """
     psibar = np.asarray(psibar, dtype=np.float64)
-    levels = np.array(levels, dtype=np.float64)
+    given = np.asarray(levels, dtype=np.float64)
     nodal = np.sort(psibar)
-    i = np.clip(np.searchsorted(nodal, levels), 1, len(nodal) - 1)
-    levels[np.minimum(np.abs(nodal[i - 1] - levels),
-                      np.abs(nodal[i] - levels)) < 1e-14] += 1e-11
+    i = np.clip(np.searchsorted(nodal, given), 1, len(nodal) - 1)
+    levels = given + 1e-11 * (np.minimum(np.abs(nodal[i - 1] - given),
+                                         np.abs(nodal[i] - given)) < 1e-14)
+    if not np.all(np.diff([given, levels]) > 0):
+        raise ValueError("contour levels must ascend strictly")
 
+    def crossings(nodes):   # (row, level) row-major; key offset per row
+        ends = np.take(psibar, nodes.T)
+        start, stop = np.searchsorted(levels, [ends.min(axis=0),
+                                               ends.max(axis=0)], "right")
+        offset = np.cumsum(stop - start) - stop
+        row = np.repeat(np.arange(len(nodes)), stop - start)
+        return row, np.arange(len(row)) - offset[row], offset
+
+    # np.take and np.compress: row gathers by indexing cost ten times more
     edges, tri_edges = mesh.edge_index()
-    neg = psibar < levels[:, None]
-    crossed = neg[:, edges[:, 0]] != neg[:, edges[:, 1]]
-    key_level, key_edge = np.nonzero(crossed)
+    key_edge, key_level, key_offset = crossings(edges)
     na, nb = edges[key_edge, 0], edges[key_edge, 1]
     va = psibar[na] - levels[key_level]
     s = va / (va - (psibar[nb] - levels[key_level]))
-    key_pts = mesh.nodes[na] + s[:, None] * (mesh.nodes[nb] - mesh.nodes[na])
+    xa, xb = np.take(mesh.nodes, na, axis=0), np.take(mesh.nodes, nb, axis=0)
+    key_pts = xa + s[:, None] * (xb - xa)
 
-    seg_level, seg_tri = np.nonzero(crossed[:, tri_edges].any(axis=2))
-    sides = tri_edges[seg_tri]
-    seg_edges = sides[crossed[seg_level[:, None], sides]].reshape(-1, 2)
-    seg_keys = np.searchsorted(key_level * len(edges) + key_edge,
-                               seg_level[:, None] * len(edges) + seg_edges)
-    n_keys = len(key_level)
+    seg_tri, seg_level, _ = crossings(mesh.triangles)
+    # level-major order; numpy radix-sorts a narrow unsigned column
+    order = np.argsort(seg_level.astype(np.min_scalar_type(len(levels))),
+                       kind="stable")
+    seg_tri, seg_level = seg_tri[order], seg_level[order]
+    neg = np.take(psibar, np.take(mesh.triangles, seg_tri, axis=0)) \
+        < levels[seg_level, None]
+    seg_edges = np.take(tri_edges, seg_tri, axis=0)[
+        neg != np.roll(neg, -1, axis=1)].reshape(-1, 2)
+    seg_keys = key_offset[seg_edges] + seg_level[:, None]
     n_groups, group = connected_components(sp.coo_matrix(
         (np.ones(len(seg_keys)), (seg_keys[:, 0], seg_keys[:, 1])),
-        shape=(n_keys, n_keys)), directed=False)
+        shape=(len(key_level),) * 2), directed=False)
     seg_group = group[seg_keys[:, 0]]
     closed = (np.bincount(group, minlength=n_groups)
               == np.bincount(seg_group, minlength=n_groups))
-    pa, pb = key_pts[seg_keys[:, 0]], key_pts[seg_keys[:, 1]]
+    seg_pts = np.take(key_pts, seg_keys, axis=0)
+    pa, pb = seg_pts[:, 0], seg_pts[:, 1]
     x, y = axis
     with np.errstate(divide="ignore", invalid="ignore"):
         xcross = pa[:, 0] + (y - pa[:, 1]) * (pb[:, 0] - pa[:, 0]) \
@@ -77,10 +96,10 @@ def _closed_contours(mesh, psibar, levels, axis):
     _, first = np.unique(seg_group, return_index=True)
     cand = np.sort(first[closed & odd])
     cand = cand[np.unique(seg_level[cand], return_index=True)[1]]
-    on = np.isin(seg_group, seg_group[cand])
-    return (levels, np.isin(np.arange(len(levels)), seg_level[cand]),
-            seg_level[on], seg_tri[on], seg_edges[on],
-            np.stack([pa[on], pb[on]], axis=1))
+    on = np.bincount(seg_group[cand], minlength=n_groups)[seg_group] > 0
+    return (levels, np.bincount(seg_level[cand], minlength=len(levels)) > 0,
+            *(np.compress(on, a, axis=0)
+              for a in (seg_level, seg_tri, seg_edges, seg_pts)))
 
 
 def _grad_norm(mesh, field):
@@ -202,18 +221,29 @@ def _fill_ends(grid, vals, valid):
     return out
 
 
+def table_grid(n_grid, margin=0.02):
+    """The psibar grid of :func:`profile_table` and the indices of its
+    contoured levels, those strictly inside (0, 1) within [margin,
+    1 - margin]; ValueError unless margin is finite and there are two."""
+    grid = np.linspace(0.0, 1.0, n_grid)
+    at = np.nonzero((grid >= margin) & (grid <= 1.0 - margin)
+                    & (grid > 0.0) & (grid < 1.0))[0]
+    if len(at) < 2 or not np.isfinite(margin):
+        raise ValueError(f"a profile table needs a finite margin and two "
+                         f"levels to contour, not {n_grid}, {margin}")
+    return grid, at
+
+
 def profile_table(mesh, psi, domain, profiles, lam, machine, n_grid=101,
                   margin=0.02):
     """Uniform psibar table of the identified and derived profiles.
 
     Levels outside [margin, 1-margin], and the end levels 0 and 1, are
-    linearly extrapolated (degenerate axis contour, X-point singularity).
-    Returns a dict of equal-length arrays; entries are NaN where no closed
-    contour exists.
+    linearly extrapolated (degenerate axis contour, X-point singularity);
+    see :func:`table_grid` for the grids it accepts.  Returns a dict of
+    equal-length arrays; entries are NaN where no closed contour exists.
     """
-    grid = np.linspace(0.0, 1.0, n_grid)
-    at = np.nonzero((grid >= margin) & (grid <= 1.0 - margin)
-                    & (grid > 0.0) & (grid < 1.0))[0]
+    grid, at = table_grid(n_grid, margin)
     _, found, level, tri, _, pts = _closed_contours(
         mesh, domain.normalize(psi), grid[at], domain.axis)
     d = pts[:, 1] - pts[:, 0]

@@ -230,11 +230,15 @@ def forward_fixed_point(mesh, machine, a_func, b_func, g_d, tol=1e-6,
 # ---------------------------------------------------------------------------
 
 def save_equilibrium(eq, path):
+    """Write ``eq`` as text; ValueError if it has no plasma domain."""
+    if eq.domain is None:
+        raise ValueError(f"no plasma domain to save: {eq.error}")
     r_ = lambda v: repr(float(v))
     with open(path, "w") as fh:
         fh.write(f"r0 {r_(eq.machine.r0)}\nb0 {r_(eq.machine.b0)}\n"
                  f"ip {r_(eq.machine.ip)}\nmu0 {r_(eq.machine.mu0)}\n")
-        fh.write(f"lambda {r_(eq.lam)}\n")
+        fh.write(f"lambda {r_(eq.lam)}\nconverged {int(eq.converged)}\n"
+                 f"iterations {int(eq.iterations)}\n")
         fh.write(f"psi_a {r_(eq.domain.psi_a)}\n"
                  f"psi_b {r_(eq.domain.psi_b)}\n")
         fh.write(f"mode {eq.domain.mode}\n")
@@ -252,7 +256,10 @@ def save_equilibrium(eq, path):
 # fields of an equilibrium file and their value counts (None: any count)
 EQUILIBRIUM_FIELDS = {"r0": 1, "b0": 1, "ip": 1, "mu0": 1, "lambda": 1,
                       "psi_a": 1, "psi_b": 1, "mode": 1, "axis": 2, "psi": 1,
-                      "coeff_a": None, "coeff_b": None, "coeff_c": None}
+                      "coeff_a": None, "coeff_b": None, "coeff_c": None,
+                      "converged": 1, "iterations": 1}
+# optional fields: integers below these bounds
+OPTIONAL_INTS = {"converged": 2, "iterations": np.inf}
 
 
 def load_equilibrium(path, mesh=None, basis=None):
@@ -261,10 +268,12 @@ def load_equilibrium(path, mesh=None, basis=None):
     :class:`~gsrecon.textio.LineReader` rule rejects, an unknown, repeated
     or missing field, a mode other than ``limiter`` or ``xpoint``, a psi
     block whose length is not the node count of ``mesh`` (when given) and
-    values the equilibrium rejects.
+    values the equilibrium rejects.  Files without ``converged`` and
+    ``iterations`` load as converged after 0 iterations.
     """
     rd = LineReader(path)
-    data, required = {}, EQUILIBRIUM_FIELDS.keys() - {"coeff_c"}
+    data = {}
+    required = EQUILIBRIUM_FIELDS.keys() - {"coeff_c", *OPTIONAL_INTS}
     while rd.line < len(rd.lines) or not required <= data.keys():
         key, rest = rd.record([k for k in EQUILIBRIUM_FIELDS if k not in data])
         if key == "psi":
@@ -278,7 +287,8 @@ def load_equilibrium(path, mesh=None, basis=None):
                 rd.fail(f"mode must be limiter or xpoint, not {rest}")
             data[key] = rest[0]
         else:
-            data[key] = rd.values(rest, EQUILIBRIUM_FIELDS[key])
+            data[key] = rd.values(rest, EQUILIBRIUM_FIELDS[key],
+                                  OPTIONAL_INTS.get(key))
     try:
         machine = MachineParams(*(data[k][0] for k in ("r0", "b0", "ip",
                                                        "mu0")))
@@ -290,4 +300,6 @@ def load_equilibrium(path, mesh=None, basis=None):
         raise MeshParseError(f"bad equilibrium: {exc}") from exc
     domain = PlasmaDomain(data["psi_a"][0], data["psi_b"][0],
                           tuple(data["axis"]), mode=data["mode"])
-    return Equilibrium(data["psi"], domain, prof, data["lambda"][0], machine)
+    return Equilibrium(data["psi"], domain, prof, data["lambda"][0], machine,
+                       converged=bool(data.get("converged", [True])[0]),
+                       iterations=data.get("iterations", [0])[0])

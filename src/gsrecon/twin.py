@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diagnostics import profile_table
+from .diagnostics import profile_table, table_grid
 from .errors import GsReconError
 from .inverse import identify_ab, identify_ne, reconstruct
 from .observation import (MeasurementSet, build_interferometry_matrix,
@@ -72,7 +72,9 @@ def replicate_stats(setup, ms_clean, reg, eps_values, n_replicates=50,
 
     Runs n_replicates reconstructions per regularization value; replicates
     that fail to converge are excluded from the statistics and counted.
+    A bad ``n_grid`` raises :func:`table_grid`'s ValueError up front.
     """
+    grid, _ = table_grid(n_grid)
     results = []
     ss = np.random.SeedSequence(seed)
     child_seeds = ss.spawn(len(eps_values) * n_replicates)
@@ -82,7 +84,6 @@ def replicate_stats(setup, ms_clean, reg, eps_values, n_replicates=50,
         samples = {k: [] for k in PROFILE_KEYS}
         n_ok = 0
         n_fail = 0
-        grid = None
         for rep in range(n_replicates):
             ms = perturb(ms_clean, rate, child_seeds[ei * n_replicates + rep])
             try:
@@ -101,7 +102,6 @@ def replicate_stats(setup, ms_clean, reg, eps_values, n_replicates=50,
             except GsReconError:
                 n_fail += 1
                 continue
-            grid = table["psibar"]
             for k in PROFILE_KEYS:
                 samples[k].append(table[k])
             n_ok += 1

@@ -1,23 +1,77 @@
 """The all-levels contour pass behind ``extract_contour`` and
 ``profile_table`` against frozen copies of the per-level triangle loop it
-replaced."""
+replaced, and against the level x edge mask pass that preceded the run
+enumeration."""
 
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import connected_components
 
 import gsrecon
-from gsrecon.diagnostics import (FluxContour, _fill_ends, extract_contour,
-                                 flux_surface_average, integrate_f,
-                                 mean_current_density, profile_table)
+from gsrecon.diagnostics import (FluxContour, _closed_contours, _fill_ends,
+                                 extract_contour, flux_surface_average,
+                                 integrate_f, mean_current_density,
+                                 profile_table, table_grid)
 from gsrecon.errors import OpenContourError
 from gsrecon.mesh import _point_in_polygon
 
 
 # ---------------------------------------------------------------------------
-# Frozen loop versions
+# Frozen versions
 # ---------------------------------------------------------------------------
+
+def _closed_contours_masks(mesh, psibar, levels, axis):
+    """The all-levels pass over dense level x edge and level x triangle
+    masks, as it was before the crossings were enumerated as runs."""
+    psibar = np.asarray(psibar, dtype=np.float64)
+    levels = np.array(levels, dtype=np.float64)
+    nodal = np.sort(psibar)
+    i = np.clip(np.searchsorted(nodal, levels), 1, len(nodal) - 1)
+    levels[np.minimum(np.abs(nodal[i - 1] - levels),
+                      np.abs(nodal[i] - levels)) < 1e-14] += 1e-11
+
+    edges, tri_edges = mesh.edge_index()
+    neg = psibar < levels[:, None]
+    crossed = neg[:, edges[:, 0]] != neg[:, edges[:, 1]]
+    key_level, key_edge = np.nonzero(crossed)
+    na, nb = edges[key_edge, 0], edges[key_edge, 1]
+    va = psibar[na] - levels[key_level]
+    s = va / (va - (psibar[nb] - levels[key_level]))
+    key_pts = mesh.nodes[na] + s[:, None] * (mesh.nodes[nb] - mesh.nodes[na])
+
+    seg_level, seg_tri = np.nonzero(crossed[:, tri_edges].any(axis=2))
+    sides = tri_edges[seg_tri]
+    seg_edges = sides[crossed[seg_level[:, None], sides]].reshape(-1, 2)
+    seg_keys = np.searchsorted(key_level * len(edges) + key_edge,
+                               seg_level[:, None] * len(edges) + seg_edges)
+    n_keys = len(key_level)
+    n_groups, group = connected_components(sp.coo_matrix(
+        (np.ones(len(seg_keys)), (seg_keys[:, 0], seg_keys[:, 1])),
+        shape=(n_keys, n_keys)), directed=False)
+    seg_group = group[seg_keys[:, 0]]
+    closed = (np.bincount(group, minlength=n_groups)
+              == np.bincount(seg_group, minlength=n_groups))
+    pa, pb = key_pts[seg_keys[:, 0]], key_pts[seg_keys[:, 1]]
+    x, y = axis
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xcross = pa[:, 0] + (y - pa[:, 1]) * (pb[:, 0] - pa[:, 0]) \
+            / (pb[:, 1] - pa[:, 1])
+    crosses = ((pa[:, 1] > y) != (pb[:, 1] > y)) & (x < xcross)
+    odd = np.bincount(seg_group, weights=crosses, minlength=n_groups) % 2 == 1
+
+    # every group has segments; its first one holds its smallest triangle
+    _, first = np.unique(seg_group, return_index=True)
+    cand = np.sort(first[closed & odd])
+    cand = cand[np.unique(seg_level[cand], return_index=True)[1]]
+    on = np.isin(seg_group, seg_group[cand])
+    return (levels, np.isin(np.arange(len(levels)), seg_level[cand]),
+            seg_level[on], seg_tri[on], seg_edges[on],
+            np.stack([pa[on], pb[on]], axis=1))
+
 
 def _extract_contour_loop(mesh, psibar, level, axis, psi=None, scale=None):
     if not (0 < level < 1):
@@ -282,3 +336,60 @@ def test_nodal_level_matches_loop(mesh24, reference_eq, machine):
     assert domain.normalize(psi)[node] == 0.5
     _same_table(mesh24, psi, domain, reference_eq.profiles, reference_eq.lam,
                 machine)
+
+
+# ---------------------------------------------------------------------------
+# Run enumeration against the mask pass
+# ---------------------------------------------------------------------------
+
+def _same_pass(mesh, psibar, levels, axis):
+    ref = _closed_contours_masks(mesh, psibar, levels, axis)
+    new = _closed_contours(mesh, psibar, levels, axis)
+    assert len(new) == len(ref)
+    for a, b in zip(new, ref):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        np.testing.assert_array_equal(a, b)
+    return new
+
+
+@settings(max_examples=80)
+@given(data=st.data())
+def test_runs_match_masks_on_random_fields(data):
+    nr, nz = data.draw(st.integers(2, 10)), data.draw(st.integers(2, 10))
+    mesh = gsrecon.build_rect_mesh(2.0, 3.0, -1.0, 1.0, nr, nz)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    r, z = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    bowl = ((r - 2.5) ** 2 + z ** 2) / 0.5 ** 2
+    noise = data.draw(st.sampled_from([0.0, 0.1, 1.0]))
+    psibar = bowl + noise * rng.standard_normal(mesh.n_nodes)
+    if data.draw(st.booleans()):        # ties between nodes and levels
+        psibar = np.round(psibar, 1)
+    levels = rng.uniform(-0.2, 1.5, data.draw(st.integers(1, 40)))
+    at_nodes = rng.choice(psibar, data.draw(st.integers(0, 5)))
+    levels = np.unique(np.concatenate([levels, at_nodes]))
+    axis = (rng.uniform(2.0, 3.0), rng.uniform(-1.0, 1.0))
+    try:
+        _same_pass(mesh, psibar, levels, axis)
+    except ValueError:
+        # only when the 1e-11 raise off nodal values breaks the order
+        raised = _closed_contours_masks(mesh, psibar, levels, axis)[0]
+        assert not np.all(np.diff(raised) > 0)
+
+
+@pytest.mark.parametrize("n_grid", [101, 301])
+def test_runs_match_masks_on_twin(twin_mesh, reference_eq, n_grid):
+    # 301 table levels leave more than 256 to contour: the 16-bit sort
+    eq = reference_eq
+    grid, at = table_grid(n_grid)
+    levels, found, *_ = _same_pass(twin_mesh, eq.domain.normalize(eq.psi),
+                                   grid[at], eq.domain.axis)
+    assert (len(levels) > 256) == (n_grid == 301) and found.sum() > 90
+
+
+def test_levels_must_ascend(mesh24):
+    psibar = _circle(mesh24)            # node value 0.5 is raised by 1e-11
+    for levels in ([0.3, 0.2], [0.2, 0.2], [0.2, np.nan],
+                   [0.5, 0.5 + 5e-12]):
+        with pytest.raises(ValueError, match="ascend"):
+            _closed_contours(mesh24, psibar, levels, (2.5, 0.0))
+    _same_pass(mesh24, psibar, [0.5 - 5e-12, 0.5, 0.5 + 2e-11], (2.5, 0.0))

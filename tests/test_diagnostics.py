@@ -4,7 +4,7 @@ import pytest
 import gsrecon
 from gsrecon.diagnostics import (extract_contour, flux_surface_average,
                                  integrate_f, mean_current_density,
-                                 profile_table, safety_factor,
+                                 profile_table, safety_factor, table_grid,
                                  write_profile_csv)
 from gsrecon.errors import NonPhysicalProfileError, OpenContourError
 
@@ -142,3 +142,22 @@ def test_profile_table_margin_zero(twin_mesh, reference_eq, machine,
         assert np.all(np.isfinite(table[key]))
         np.testing.assert_array_equal(table[key][inner],
                                       reference_table[key][inner])
+
+
+@pytest.mark.parametrize("n_grid,margin", [
+    (0, 0.02), (1, 0.02), (2, 0.02), (3, 0.02), (101, 0.6), (101, np.nan),
+    (101, np.inf), (101, -np.inf)])
+def test_profile_table_rejects_degenerate_grid(twin_mesh, reference_eq,
+                                               machine, n_grid, margin):
+    # a grid without two levels to contour used to give an all-NaN table
+    # (one finite value at n_grid 3); a margin that is not finite is
+    # refused too
+    eq = reference_eq
+    with pytest.raises(ValueError, match="profile table needs"):
+        profile_table(twin_mesh, eq.psi, eq.domain, eq.profiles, eq.lam,
+                      machine, n_grid=n_grid, margin=margin)
+
+
+def test_smallest_table_grid():
+    grid, at = table_grid(4)
+    np.testing.assert_array_equal(grid[at], [1 / 3, 2 / 3])

@@ -244,6 +244,7 @@ def test_equilibrium_roundtrip(tmp_path, reference_eq, basis):
     assert eq2.machine.ip == reference_eq.machine.ip
     assert eq2.domain.psi_a == reference_eq.domain.psi_a
     assert eq2.domain.mode == reference_eq.domain.mode
+    assert eq2.converged and eq2.iterations == reference_eq.iterations > 0
 
 
 @pytest.mark.parametrize("edit", [

@@ -214,6 +214,27 @@ def test_reconstruction_is_an_equilibrium(tmp_path, setup,
     assert back.lam == res.lam and back.domain.mode == res.domain.mode
 
 
+def test_saved_reconstruction_keeps_convergence(tmp_path, setup,
+                                               clean_measurements, basis):
+    res = reconstruct(setup, clean_measurements, RegularizationConfig(),
+                      tol=0.0, max_iter=2)
+    assert not res.converged and res.iterations == 2
+    path = tmp_path / "rec.txt"
+    gsrecon.save_equilibrium(res, path)
+    back = gsrecon.load_equilibrium(path, setup.mesh, basis)
+    assert back.converged is False and back.iterations == 2
+    # a file written before the two fields existed loads with the defaults
+    lines = [ln for ln in path.read_text().splitlines()
+             if not ln.startswith(("converged ", "iterations "))]
+    path.write_text("\n".join(lines))
+    back = gsrecon.load_equilibrium(path, setup.mesh, basis)
+    assert back.converged is True and back.iterations == 0
+    # a failed reconstruction has no domain to save; its error says why
+    failed = dataclasses.replace(res, domain=None, error="no axis found")
+    with pytest.raises(ValueError, match="no axis found"):
+        gsrecon.save_equilibrium(failed, tmp_path / "failed.txt")
+
+
 def test_boundary_flux_shift_shifts_reconstruction(setup, clean_measurements):
     # a constant shift c of the boundary flux leaves g_n, alpha and gamma
     # unchanged: the reconstruction moves by c with the same lambda and

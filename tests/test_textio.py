@@ -86,7 +86,8 @@ def _write(saved, lines):
 @pytest.mark.parametrize("prefix,text", [
     ("lambda ", "lambda nan"), ("psi_a ", "psi_a nan"),
     ("mode ", "mode banana"), ("psi ", "nan"), ("ip ", "ip 0.0 1.0"),
-    ("axis ", "lambda 1.0"), ("axis ", "psi_rms 1.0")])
+    ("axis ", "lambda 1.0"), ("axis ", "psi_rms 1.0"),
+    ("converged ", "converged 2"), ("iterations ", "iterations 1.5")])
 def test_load_equilibrium_rejects_line(saved, basis, prefix, text):
     # "psi " edits the first psi value; "lambda 1.0" repeats a field
     lines = list(saved["eq"])

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from gsrecon import twin
 from gsrecon.inverse import RegularizationConfig
 from gsrecon.twin import (l_curve, perturb, replicate_stats,
                           synthesize_measurements, write_lcurve_csv,
@@ -45,6 +46,16 @@ def test_replicate_stats_shapes_and_determinism(setup, clean_measurements):
     assert len(s1.grid) == len(s1.mean["j_mean"]) == len(s1.std["q"])
     np.testing.assert_array_equal(s1.mean["lambdaA"], s2.mean["lambdaA"])
     assert np.all(s1.std["lambdaA"] >= 0.0)
+
+
+def test_replicate_stats_checks_grid_first(setup, clean_measurements,
+                                           monkeypatch):
+    calls = []
+    monkeypatch.setattr(twin, "reconstruct", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match="profile table needs"):
+        replicate_stats(setup, clean_measurements, RegularizationConfig(),
+                        [5e-2], n_replicates=1, n_grid=3)
+    assert calls == []
 
 
 def test_stats_csv_roundtrip(tmp_path, setup, clean_measurements):
