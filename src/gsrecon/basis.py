@@ -85,16 +85,6 @@ def regularization_matrix(basis):
     return 0.5 * (lam + lam.T)
 
 
-def full_regularization_matrix(basis):
-    """Block-diagonal 2m x 2m penalty with two identical blocks."""
-    block = regularization_matrix(basis)
-    m = basis.m
-    full = np.zeros((2 * m, 2 * m))
-    full[:m, :m] = block
-    full[m:, m:] = block
-    return full
-
-
 @dataclass
 class ProfileExpansion:
     """Coefficients of the identified profile functions.

@@ -31,54 +31,40 @@ class PlasmaDomain:
         return normalized_flux(psi, self.psi_a, self.psi_b)
 
 
-def _ring(mesh, node):
-    """Edge-connected neighbors of a node."""
+def _refine(mesh, psi, node, two_ring=False):
+    """Stationary point of the least-squares quadratic psi(dr, dz) fitted
+    about a node over its ring (or two-ring) neighborhood.
+
+    Returns ((r, z), fitted value, Hessian), or None when fewer than six
+    nodes support the fit, the Hessian is singular or the stationary point
+    lies farther than 1.5 ring radii from the node.
+    """
     ring = mesh.node_neighbors()[node]
-    return ring[ring >= 0]
-
-
-def _ring_radius(mesh, node):
-    """Largest distance from a node to its neighbors."""
-    return np.linalg.norm(mesh.nodes[_ring(mesh, node)] - mesh.nodes[node],
-                          axis=1).max()
-
-
-def _quadratic_fit(mesh, values, node, two_ring=False):
-    """Least-squares quadratic psi(dr,dz) about a node over its ring
-    neighborhood.  Returns (coeffs c,gr,gz,hrr,hrz,hzz) or None."""
-    ring = _ring(mesh, node)
-    if two_ring:
-        ring = np.append(ring, mesh.node_neighbors()[ring])
-    ids = np.array([node] + sorted(set(ring.tolist()) - {node, -1}))
+    ring = ring[ring >= 0]
+    ids = np.append(ring, mesh.node_neighbors()[ring]) if two_ring else ring
+    ids = np.array([node] + sorted(set(ids.tolist()) - {node, -1}))
     if len(ids) < 6:
         return None
     d = mesh.nodes[ids] - mesh.nodes[node]
     A = np.column_stack([np.ones(len(ids)), d[:, 0], d[:, 1],
                          0.5 * d[:, 0] ** 2, d[:, 0] * d[:, 1],
                          0.5 * d[:, 1] ** 2])
-    coef, *_ = np.linalg.lstsq(A, values[ids], rcond=None)
-    return coef
-
-
-def _critical_point(coef):
-    """Stationary point of the fitted quadratic, relative to the fit center."""
-    _, gr, gz, hrr, hrz, hzz = coef
+    (c, gr, gz, hrr, hrz, hzz), *_ = np.linalg.lstsq(A, psi[ids], rcond=None)
+    if hrr * hzz - hrz * hrz == 0.0:
+        return None
     H = np.array([[hrr, hrz], [hrz, hzz]])
-    det = hrr * hzz - hrz * hrz
-    if det == 0.0:
-        return None, H
     dx = -np.linalg.solve(H, np.array([gr, gz]))
-    return dx, H
-
-
-def _fit_value(coef, dx):
-    c, gr, gz, hrr, hrz, hzz = coef
-    return (c + gr * dx[0] + gz * dx[1] + 0.5 * hrr * dx[0] ** 2
-            + hrz * dx[0] * dx[1] + 0.5 * hzz * dx[1] ** 2)
+    radius = np.linalg.norm(mesh.nodes[ring] - mesh.nodes[node], axis=1).max()
+    if not np.linalg.norm(dx) <= 1.5 * radius:
+        return None
+    value = (c + gr * dx[0] + gz * dx[1] + 0.5 * hrr * dx[0] ** 2
+             + hrz * dx[0] * dx[1] + 0.5 * hzz * dx[1] ** 2)
+    return tuple(mesh.nodes[node] + dx), float(value), H
 
 
 def find_axis(mesh, psi):
-    """Magnetic axis: interior argmax refined by a local quadratic fit."""
+    """Magnetic axis: interior argmax refined by a local quadratic fit over
+    the one ring, else the two rings, with a negative definite Hessian."""
     psi = np.asarray(psi, dtype=np.float64)
     interior = mesh.interior_nodes()
     if len(interior) == 0:
@@ -86,22 +72,11 @@ def find_axis(mesh, psi):
     node = interior[np.argmax(psi[interior])]
     if psi[mesh.boundary].max() >= psi[node]:
         raise NoPlasmaError("flux maximum attained on the boundary")
-
-    best = (tuple(mesh.nodes[node]), float(psi[node]))
     for two_ring in (False, True):
-        coef = _quadratic_fit(mesh, psi, node, two_ring=two_ring)
-        if coef is None:
-            continue
-        dx, H = _critical_point(coef)
-        if dx is None:
-            continue
-        eigs = np.linalg.eigvalsh(H)
-        if (eigs.max() < 0
-                and np.linalg.norm(dx) <= 1.5 * _ring_radius(mesh, node)):
-            pos = mesh.nodes[node] + dx
-            best = (tuple(pos), float(_fit_value(coef, dx)))
-            break
-    return best
+        fit = _refine(mesh, psi, node, two_ring=two_ring)
+        if fit is not None and np.linalg.eigvalsh(fit[2]).max() < 0:
+            return fit[:2]
+    return tuple(mesh.nodes[node]), float(psi[node])
 
 
 def saddle_candidates(mesh, psi, scale):
@@ -136,20 +111,14 @@ def find_xpoint(mesh, psi):
     scale = np.abs(psi).max() or 1.0
     candidates = []
     for node in saddle_candidates(mesh, psi, scale):
-        coef = _quadratic_fit(mesh, psi, int(node))
-        if coef is None:
+        fit = _refine(mesh, psi, int(node))
+        if fit is None:
             continue
-        dx, H = _critical_point(coef)
-        det = H[0, 0] * H[1, 1] - H[0, 1] ** 2
-        if dx is None or det >= -1e-12 * scale ** 2:
-            continue
-        if np.linalg.norm(dx) > 1.5 * _ring_radius(mesh, node):
-            continue
-        pos = mesh.nodes[node] + dx
-        candidates.append((tuple(pos), float(_fit_value(coef, dx))))
-    if not candidates:
-        return None
-    return max(candidates, key=lambda c: c[1])
+        (hrr, hrz), (_, hzz) = fit[2]
+        # the explicit determinant: np.linalg.det rounds differently
+        if hrr * hzz - hrz ** 2 < -1e-12 * scale ** 2:
+            candidates.append(fit[:2])
+    return max(candidates, key=lambda c: c[1], default=None)
 
 
 def boundary_flux(mesh, psi, xpoint=None):

@@ -1,12 +1,14 @@
-"""Profile identification: density normal equation, regularized A/B normal
-equation, dof rescaling and the full reconstruction fixed point."""
+"""Profile identification: one penalized least-squares solve for the
+density and for A/B, dof rescaling and the full reconstruction fixed
+point."""
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .basis import (ProfileExpansion, SplineBasis, first_guess_expansion,
-                    full_regularization_matrix, regularization_matrix)
+                    regularization_matrix)
 from .errors import (GsReconError, MeasurementCountError, NoPlasmaError,
                      RegularizationError, StateError)
 from .forward import (Equilibrium, assemble_source_matrix,
@@ -30,38 +32,37 @@ class RegularizationConfig:
             raise ValueError("regularization parameters must be positive")
 
 
-def identify_ne(b_int, gamma, w_inter, eps_ne, alpha_scale, lam_block):
-    """Density coefficients from the preconditioned normal equation."""
-    bt = w_inter * np.asarray(b_int, dtype=np.float64)
-    gt = w_inter * np.asarray(gamma, dtype=np.float64)
-    # nondimensionalize v = alpha_scale * v_hat so the data term and the
-    # curvature penalty eps_ne * Lambda meet at O(1) magnitudes
-    a = alpha_scale
-    lhs = a * a * (bt.T @ bt) + eps_ne * lam_block
-    rhs = a * (bt.T @ gt)
-    try:
-        v_hat = np.linalg.solve(lhs, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise RegularizationError(f"density normal system singular: {exc}")
-    return a * v_hat
+def penalized_lsq(E, f, w, eps, lam, scale=1.0):
+    """Minimizer of |w (E scale x - f)|^2 + eps x^T lam x over x.
 
-
-def identify_ab(E, f, weights, eps, lam_full, free_idx):
-    """Full coefficient vector from the weighted, curvature-penalized normal
-    equation on the columns of E, coefficients ``free_idx``; zero elsewhere."""
-    E = np.asarray(E, dtype=np.float64)
+    ``scale`` nondimensionalizes the unknowns (the density's
+    alpha_scale), so the data term and the penalty meet at O(1)
+    magnitudes.  Returns (scale x, the weighted residual
+    w (E scale x - f), the seminorm x^T lam x).
+    """
+    E, f = np.asarray(E, dtype=np.float64), np.asarray(f, dtype=np.float64)
     if not np.all(np.isfinite(E)):
-        raise StateError("non-finite observation sensitivity (plasma lost?)")
-    et = weights[:, None] * E
-    lhs = et.T @ et + eps * lam_full[np.ix_(free_idx, free_idx)]
-    rhs = et.T @ (weights * f)
+        raise StateError("non-finite observation matrix (plasma lost?)")
+    et = np.reshape(w, (-1, 1)) * E
+    lhs = scale * scale * (et.T @ et) + eps * lam
     try:
-        u_red = np.linalg.solve(lhs, rhs)
+        x = np.linalg.solve(lhs, scale * (et.T @ (w * f)))
     except np.linalg.LinAlgError as exc:
-        raise RegularizationError(f"profile normal system singular: {exc}")
-    u = np.zeros(len(lam_full))
-    u[free_idx] = u_red
-    return u
+        raise RegularizationError(f"penalized normal system singular: {exc}")
+    return scale * x, w * (E @ (scale * x) - f), float(x @ lam @ x)
+
+
+# the two solves keep their own names: perfbench times each one by name
+def identify_ne(b_int, gamma, w_inter, eps_ne, lam_block, alpha_scale):
+    """Density coefficients from the interferometry rows:
+    :func:`penalized_lsq` with the unknowns scaled by ``alpha_scale``."""
+    return penalized_lsq(b_int, gamma, w_inter, eps_ne, lam_block, alpha_scale)
+
+
+def identify_ab(E, f, w, eps, lam_free):
+    """A/B coefficients over the free columns of E from the magnetic and
+    polarimetric rows: :func:`penalized_lsq`."""
+    return penalized_lsq(E, f, w, eps, lam_free)
 
 
 def rescale_dofs(u, lam):
@@ -91,11 +92,13 @@ class ReconstructionSetup:
         self.c0, self.gn_points = build_neumann_observer(mesh)
         self.chord_geoms = build_chord_geometries(mesh, chords)
         self.lam_block = regularization_matrix(self.basis)
-        self.lam_full = full_regularization_matrix(self.basis)
         m = self.basis.m
         # A(1)=B(1)=0 by eliminating the one basis function alive at x=1
         self.pinned = [m - 1, 2 * m - 1]
         self.free_idx = np.delete(np.arange(2 * m), self.pinned)
+        # the A and B curvature penalties over the free coefficients
+        self.lam_free = block_diag(self.lam_block, self.lam_block)[
+            np.ix_(self.free_idx, self.free_idx)]
         self._node_in_limiter = point_in_polygon(mesh.nodes, mesh.limiter)
 
     def bootstrap_psibar_nodal(self):
@@ -131,10 +134,12 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
     A warm start's last A and B coefficients are read as zero, as A(1) =
     B(1) = 0 pins them.  ``lam`` is the scale of ``profiles``: the last
     iteration's u is returned rescaled to max|a| = 1, with lam * u kept.
-    ``costs`` belongs to the last iteration: J0 and J1 are the magnetic
-    and polarimetric rows of 1/2 |W (E u - f)|^2 at its observation state,
-    J2 the weighted interferometry misfit of its density and Jeps the
-    curvature penalty of the returned coefficients.
+    ``costs`` holds the terms of the last iteration's two solves: J0 and
+    J1 are the magnetic and polarimetric rows of 1/2 |W (E u - f)|^2, J2
+    the weighted interferometry misfit 1/2 |w (B c - gamma)|^2, and Jeps
+    is eps/2 u^T Lambda u of the returned (rescaled) u plus the density
+    solve's eps_ne/2 v^T Lambda v, v = c / alpha_scale.  A term whose
+    solve did not run is 0: a warm start's carried c adds nothing.
     """
     mesh, machine, basis = setup.mesh, setup.machine, setup.basis
     ms = measurements
@@ -159,7 +164,7 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
         u = np.concatenate([warm_start.profiles.a, warm_start.profiles.b])
         u[setup.pinned] = 0.0
         lam = warm_start.lam
-        ne_coeffs = warm_start.profiles.c
+        ne_coeffs = warm_start.profiles.c   # carried; adds no cost
     else:
         psi = np.zeros(mesh.n_nodes)
         exp = first_guess_expansion(basis)
@@ -192,18 +197,18 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
         lam_history.append(lam)
 
         k_inv_y, E, f = observation_state(setup, Y, ms.g_n, k_inv_g)
-        b_int = None
+        ne_misfit, ne_seminorm = np.zeros(0), 0.0
         if use_internal:
             b_int, G = build_interferometry_matrix(chords, basis,
                                                    psibar_nodal)
-            ne_coeffs = identify_ne(b_int, ms.gamma, weights.w_inter,
-                                    reg.eps_ne, reg.alpha_scale,
-                                    setup.lam_block)
+            ne_coeffs, ne_misfit, ne_seminorm = identify_ne(
+                b_int, ms.gamma, weights.w_inter, reg.eps_ne,
+                setup.lam_block, reg.alpha_scale)
             observe = build_polarimetry_observer(chords, G, ne_coeffs)
             E = np.vstack([E, observe(k_inv_y)])
             f = np.concatenate([f, ms.alpha - observe(k_inv_g)])
-        u = identify_ab(E, f, w, reg.eps, setup.lam_full, free)
-        last = (w * (E @ u[free] - f), b_int)
+        u[free], misfit, _ = identify_ab(E, f, w, reg.eps, setup.lam_free)
+        last = (misfit, ne_misfit, ne_seminorm)
         return k_inv_y @ u[free] + k_inv_g
 
     error = domain = None
@@ -217,18 +222,14 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
     u, lam = rescale_dofs(u, lam)
     costs = {}
     if error is None and residuals:
-        misfit, b_int = last
+        misfit, ne_misfit, ne_seminorm = last
         n_mag = setup.c0.shape[0]
         costs = {"J0": 0.5 * float(np.sum(misfit[:n_mag] ** 2)),
-                 "J1": 0.5 * float(np.sum(misfit[n_mag:] ** 2)), "J2": 0.0,
-                 "Jeps": 0.5 * reg.eps * float(u @ setup.lam_full @ u)}
-        if b_int is not None:
-            costs["J2"] = 0.5 * float(np.sum(
-                (weights.w_inter * (b_int @ ne_coeffs - ms.gamma)) ** 2))
-        if ne_coeffs is not None:
-            v_hat = ne_coeffs / reg.alpha_scale   # identify_ne's dofs
-            costs["Jeps"] += 0.5 * reg.eps_ne * float(
-                v_hat @ setup.lam_block @ v_hat)
+                 "J1": 0.5 * float(np.sum(misfit[n_mag:] ** 2)),
+                 "J2": 0.5 * float(np.sum(ne_misfit ** 2)),
+                 "Jeps": 0.5 * reg.eps * float(u[free] @ setup.lam_free
+                                               @ u[free])
+                 + 0.5 * reg.eps_ne * ne_seminorm}
 
     profiles = ProfileExpansion(basis, u[:basis.m], u[basis.m:], ne_coeffs)
     return Equilibrium(psi, domain, profiles, lam, machine, residuals,

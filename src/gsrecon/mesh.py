@@ -30,7 +30,9 @@ class Mesh:
 
     nodes      : (n, 2) array of (r, z) coordinates, r > 0
     triangles  : (T, 3) int array, positively oriented
-    boundary   : (B,) int array, one closed loop in order (closure implicit)
+    boundary   : (B,) int array, one counter-clockwise loop in order
+                 (closure implicit) along exactly the edges that belong to
+                 one triangle, each edge once
     limiter    : (L, 2) array of points on the limiter contour, each inside
                  the mesh
 
@@ -72,8 +74,17 @@ class Mesh:
         if self.boundary.size and (self.boundary.min() < 0
                                    or self.boundary.max() >= n):
             raise MeshValidationError("boundary references node index out of range")
-        if self.boundary_length() <= 0:
-            raise MeshValidationError("boundary loop has zero length")
+        # refused, never reordered: gD blocks follow the loop order
+        edges, sides = self.edge_index()
+        outer = edges[np.bincount(sides.ravel()) == 1] @ [n, 1]
+        a, b = self.boundary, np.roll(self.boundary, -1)
+        if not np.array_equal(np.sort(np.minimum(a, b) * n + np.maximum(a, b)),
+                              outer):
+            raise MeshValidationError(
+                "boundary loop must run once along every edge of one triangle")
+        r, z = self.nodes[a].T
+        if np.dot(r, np.roll(z, -1)) - np.dot(np.roll(r, -1), z) <= 0:
+            raise MeshValidationError("boundary loop must be counter-clockwise")
         point, tri, bary = self.locator().locate(self.limiter)
         outside = np.setdiff1d(np.arange(len(self.limiter)), point)
         if len(outside):

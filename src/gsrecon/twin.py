@@ -72,26 +72,22 @@ def replicate_stats(setup, ms_clean, reg, eps_values, n_replicates=50,
 
     Runs n_replicates reconstructions per regularization value; replicates
     that fail to converge are excluded from the statistics and counted.
-    A bad ``n_grid`` raises :func:`table_grid`'s ValueError up front.
+    A bad ``n_grid`` raises :func:`table_grid`'s ValueError up front, and
+    a measurement count error from :func:`reconstruct` propagates.
     """
     grid, _ = table_grid(n_grid)
     results = []
     ss = np.random.SeedSequence(seed)
     child_seeds = ss.spawn(len(eps_values) * n_replicates)
     for ei, eps in enumerate(eps_values):
-        cfg = type(reg)(eps=eps, eps_ne=reg.eps_ne,
-                        alpha_scale=reg.alpha_scale)
+        cfg = replace(reg, eps=eps)
         samples = {k: [] for k in PROFILE_KEYS}
         n_ok = 0
         n_fail = 0
         for rep in range(n_replicates):
             ms = perturb(ms_clean, rate, child_seeds[ei * n_replicates + rep])
-            try:
-                res = reconstruct(setup, ms, cfg, use_internal=use_internal,
-                                  tol=tol, max_iter=max_iter)
-            except GsReconError:
-                n_fail += 1
-                continue
+            res = reconstruct(setup, ms, cfg, use_internal=use_internal,
+                              tol=tol, max_iter=max_iter)
             if not res.converged:
                 n_fail += 1
                 continue
@@ -188,13 +184,9 @@ def l_curve_ne(setup, ms, psibar_nodal, eps_grid, alpha_scale=1e19):
                                         psibar_nodal)[0]
 
     def solver(eps):
-        v = identify_ne(b_int, ms.gamma, weights.w_inter, eps, alpha_scale,
-                        setup.lam_block)
-        misfit = 0.5 * float(np.sum(
-            (weights.w_inter * (b_int @ v - ms.gamma)) ** 2))
-        v_hat = v / alpha_scale   # penalty acts on the adimensional dofs
-        penalty = 0.5 * float(v_hat @ setup.lam_block @ v_hat)
-        return misfit, penalty
+        _, misfit, penalty = identify_ne(b_int, ms.gamma, weights.w_inter,
+                                         eps, setup.lam_block, alpha_scale)
+        return 0.5 * float(np.sum(misfit ** 2)), 0.5 * penalty
 
     return l_curve(solver, eps_grid)
 
@@ -205,11 +197,8 @@ def l_curve_ab(setup, ms, E, f, eps_grid):
     w_vec = np.full(E.shape[0], weights.w_mag)
 
     def solver(eps):
-        u = identify_ab(E, f, w_vec, eps, setup.lam_full, setup.free_idx)
-        misfit = 0.5 * float(np.sum(
-            (w_vec * (E @ u[setup.free_idx] - f)) ** 2))
-        penalty = 0.5 * float(u @ setup.lam_full @ u)
-        return misfit, penalty
+        _, misfit, penalty = identify_ab(E, f, w_vec, eps, setup.lam_free)
+        return 0.5 * float(np.sum(misfit ** 2)), 0.5 * penalty
 
     return l_curve(solver, eps_grid)
 

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gsrecon.basis import (ProfileExpansion, SplineBasis,
-                           first_guess_expansion, full_regularization_matrix,
-                           open_uniform_knots, regularization_matrix)
+                           first_guess_expansion, open_uniform_knots,
+                           regularization_matrix)
 from gsrecon.errors import StateError
 
 BASIS = SplineBasis(end_constraint=True)
@@ -81,15 +81,6 @@ def test_penalty_positive_on_curved():
     coeffs = BASIS.fit(xs, (1 - xs) ** 2)
     lam = regularization_matrix(BASIS)
     assert coeffs @ lam @ coeffs > 1e-6
-
-
-def test_full_penalty_block_structure():
-    lam = regularization_matrix(BASIS)
-    full = full_regularization_matrix(BASIS)
-    m = BASIS.m
-    np.testing.assert_array_equal(full[:m, :m], lam)
-    np.testing.assert_array_equal(full[m:, m:], lam)
-    assert np.all(full[:m, m:] == 0.0) and np.all(full[m:, :m] == 0.0)
 
 
 def test_penalty_needs_curvature():

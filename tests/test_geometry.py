@@ -3,9 +3,9 @@ import pytest
 
 import gsrecon
 from gsrecon.errors import DegeneratePlasmaError, NoPlasmaError
-from gsrecon.geometry import (boundary_flux, find_axis, find_xpoint,
-                              make_plasma_domain, normalized_flux,
-                              quadrature_points)
+from gsrecon.geometry import (_refine, boundary_flux, find_axis,
+                              find_xpoint, make_plasma_domain,
+                              normalized_flux, quadrature_points)
 
 
 def paraboloid(mesh, r0=2.5, z0=0.0):
@@ -28,6 +28,23 @@ def test_axis_of_paraboloid(mesh):
 def test_axis_off_grid(mesh):
     (ra, za), psi_a = find_axis(mesh, paraboloid(mesh, r0=2.47, z0=0.11))
     assert (ra, za) == pytest.approx((2.47, 0.11), abs=1e-8)
+
+
+@pytest.mark.parametrize("t", [1.45, 1.55])
+def test_refine_reaches_one_and_a_half_ring_radii(mesh, t):
+    # the fit is exact for a paraboloid; its maximum t ring radii from the
+    # node is kept within 1.5 ring radii and refused beyond
+    node = int(np.argmin(np.hypot(*(mesh.nodes - (2.5, 0.0)).T)))
+    ring = mesh.node_neighbors()[node]
+    radius = np.linalg.norm(mesh.nodes[ring[ring >= 0]] - mesh.nodes[node],
+                            axis=1).max()
+    center = mesh.nodes[node] + (t * radius, 0.0)
+    fit = _refine(mesh, paraboloid(mesh, *center), node)
+    if t < 1.5:
+        assert fit[0] == pytest.approx(tuple(center), abs=1e-8)
+        assert fit[1] == pytest.approx(1.0, abs=1e-8)
+    else:
+        assert fit is None
 
 
 def test_axis_requires_interior_maximum(mesh):

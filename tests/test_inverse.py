@@ -2,17 +2,18 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import gsrecon
-from gsrecon.basis import SplineBasis, full_regularization_matrix, \
-    regularization_matrix
+from gsrecon.basis import SplineBasis, regularization_matrix
 from gsrecon import inverse
-from gsrecon.errors import MeasurementCountError, RegularizationError
+from gsrecon.errors import (MeasurementCountError, RegularizationError,
+                            StateError)
 from gsrecon.fem import Factorization
 from gsrecon.forward import assemble_source_matrix, assemble_source_vector
 from gsrecon.inverse import (ReconstructionSetup, RegularizationConfig,
-                             identify_ab, identify_ne, reconstruct,
-                             rescale_dofs)
+                             identify_ab, identify_ne, penalized_lsq,
+                             reconstruct, rescale_dofs)
 from gsrecon.mesh import PointLocator
 from gsrecon.observation import MeasurementSet
 from gsrecon.twin import perturb
@@ -50,29 +51,66 @@ def test_rescale_dofs_zero_vector():
     assert lam2 == 2.0 and np.all(u2 == 0.0)
 
 
-def test_identify_ab_recovers_well_posed_truth():
-    m = BASIS.m
-    free = np.array([i for i in range(2 * m) if i not in (m - 1, 2 * m - 1)])
+def test_free_penalty_is_two_pinned_blocks(setup):
+    # the A and B curvature blocks without their pinned last rows/columns
+    lam, k = regularization_matrix(setup.basis), setup.basis.m - 1
+    np.testing.assert_array_equal(setup.lam_free[:k, :k], lam[:k, :k])
+    np.testing.assert_array_equal(setup.lam_free[k:, k:], lam[:k, :k])
+    assert np.all(setup.lam_free[:k, k:] == 0.0)
+    assert np.all(setup.lam_free[k:, :k] == 0.0)
+
+
+def test_identify_ab_recovers_well_posed_truth(setup):
     rng = np.random.default_rng(5)
-    E = rng.normal(size=(60, 2 * m))
-    u_true = np.zeros(2 * m)
-    u_true[free] = rng.normal(size=len(free))
+    E = rng.normal(size=(60, 2 * BASIS.m - 2))     # the free columns
+    u_true = rng.normal(size=E.shape[1])
     w = np.ones(60)
-    # E over the free columns; u comes back in full, zero where pinned
-    u = identify_ab(E[:, free], E @ u_true, w, 1e-12,
-                    full_regularization_matrix(BASIS), free)
+    u, misfit, seminorm = identify_ab(E, E @ u_true, w, 1e-12,
+                                      setup.lam_free)
     np.testing.assert_allclose(u, u_true, atol=1e-6)
-    assert u[m - 1] == 0.0 and u[2 * m - 1] == 0.0
+    np.testing.assert_array_equal(misfit, w * (E @ u - E @ u_true))
+    assert seminorm == u @ setup.lam_free @ u
 
 
-def test_identify_ab_rejects_non_finite():
-    from gsrecon.errors import StateError
-    m = BASIS.m
-    free = np.arange(2 * m - 2)
-    E = np.full((10, 2 * m - 2), np.nan)
+def test_identify_ab_rejects_non_finite(setup):
+    E = np.full((10, 2 * BASIS.m - 2), np.nan)
     with pytest.raises(StateError):
-        identify_ab(E, np.zeros(10), np.ones(10), 1e-2,
-                    full_regularization_matrix(BASIS), free)
+        identify_ab(E, np.zeros(10), np.ones(10), 1e-2, setup.lam_free)
+
+
+def test_identify_rejects_singular_system():
+    # a zero matrix with a zero penalty leaves the normal system singular
+    k = BASIS.m
+    with pytest.raises(RegularizationError):
+        identify_ne(np.zeros((5, k)), np.ones(5), 1.0, 1e-2,
+                    np.zeros((k, k)), 1e19)
+    with pytest.raises(RegularizationError):
+        identify_ab(np.zeros((5, 2 * k - 2)), np.ones(5), np.ones(5), 1e-2,
+                    np.zeros((2 * k - 2, 2 * k - 2)))
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 30),
+       cols=st.integers(1, 8), eps=st.floats(1e-6, 1e3),
+       scale=st.sampled_from([1.0, 1e-3, 1e19]))
+def test_penalized_lsq_solves_its_normal_equations(seed, rows, cols, eps,
+                                                   scale):
+    # data f and weights w as in the density solve: w E scale = O(1)
+    rng = np.random.default_rng(seed)
+    E = rng.normal(size=(rows, cols))
+    f = rng.normal(size=rows) * scale
+    w = rng.uniform(0.5, 2.0, rows) / scale
+    root = rng.normal(size=(cols, cols))
+    lam = root @ root.T + np.eye(cols)         # positive definite
+    v, misfit, seminorm = penalized_lsq(E, f, w, eps, lam, scale=scale)
+    x = v / scale
+    # x solves the normal equations of |w (E scale x - f)|^2 + eps x^T lam x
+    # up to the backward error of a pivoted LU solve
+    et = scale * w[:, None] * E
+    lhs, rhs = et.T @ et + eps * lam, et.T @ (w * f)
+    assert (np.abs(lhs @ x - rhs).max()
+            <= 1e-12 * np.abs(lhs).max() * np.abs(x).max())
+    np.testing.assert_array_equal(misfit, w * (E @ v - f))
+    assert seminorm == pytest.approx(x @ lam @ x, rel=1e-12)
 
 
 def test_identify_ne_recovers_truth():
@@ -82,7 +120,8 @@ def test_identify_ne_recovers_truth():
     B = rng.uniform(0.1, 1.0, size=(40, BASIS.m))
     gamma = B @ v_true
     w = 1.0 / (0.01 * np.mean(np.abs(gamma)))
-    v = identify_ne(B, gamma, w, 1e-12, scale, regularization_matrix(BASIS))
+    v, _, _ = identify_ne(B, gamma, w, 1e-12, regularization_matrix(BASIS),
+                          scale)
     np.testing.assert_allclose(v, v_true, rtol=1e-6)
 
 
@@ -96,8 +135,8 @@ def test_identify_ne_regularization_pulls_to_smooth():
     gamma = B @ v_true
     w = 1.0 / (0.01 * np.mean(np.abs(gamma)))
     lam = regularization_matrix(BASIS)
-    v_lo = identify_ne(B, gamma, w, 1e-10, scale, lam)
-    v_hi = identify_ne(B, gamma, w, 1e4, scale, lam)
+    v_lo = identify_ne(B, gamma, w, 1e-10, lam, scale)[0]
+    v_hi = identify_ne(B, gamma, w, 1e4, lam, scale)[0]
     curv = lambda v: (v / scale) @ lam @ (v / scale)
     assert curv(v_hi) < 0.1 * curv(v_lo)
 
@@ -131,9 +170,9 @@ def test_reconstruct_with_internal_data(setup, clean_measurements,
     assert res.costs["J1"] >= 0.0 and res.costs["J2"] >= 0.0
     # the density penalty acts on v / alpha_scale, as in identify_ne
     reg = RegularizationConfig()
-    u = np.concatenate([res.profiles.a, res.profiles.b])
+    u = np.concatenate([res.profiles.a, res.profiles.b])[setup.free_idx]
     v_hat = res.profiles.c / reg.alpha_scale
-    j_eps = (0.5 * reg.eps * u @ setup.lam_full @ u
+    j_eps = (0.5 * reg.eps * u @ setup.lam_free @ u
              + 0.5 * reg.eps_ne * v_hat @ setup.lam_block @ v_hat)
     assert res.costs["Jeps"] == pytest.approx(j_eps, rel=1e-12)
 

@@ -66,6 +66,39 @@ def test_mesh_validation_rejects_limiter_outside_mesh():
                                on_edge, rtol=1e-15, atol=0)
 
 
+@pytest.mark.parametrize("loop", [
+    lambda b: b[::-1],                       # clockwise
+    lambda b: np.array([10, 11, 12, 20]),    # interior nodes
+    lambda b: b[:10],                        # part of the loop
+])
+def test_mesh_validation_rejects_bad_boundary_loop(loop):
+    # the loop must run once, counter-clockwise, along every edge that
+    # belongs to one triangle; gD blocks follow it, so it is not reordered
+    m = build_rect_mesh(**RECT, nr=8, nz=8)
+    assert len(m.boundary) == 32
+    with pytest.raises(MeshValidationError, match="boundary loop"):
+        Mesh(m.nodes, m.triangles, loop(m.boundary), m.limiter)
+
+
+def test_load_mesh_rejects_clockwise_loop(tmp_path):
+    m = build_rect_mesh(**RECT, nr=8, nz=8)
+    path = tmp_path / "mesh.txt"
+    save_mesh(m, path)
+    lines = path.read_text().splitlines()
+    start = 1 + m.n_nodes + len(m.triangles)
+    loop = lines[start:start + 32]
+    path.write_text("\n".join(lines[:start] + loop[::-1]
+                              + lines[start + 32:]))
+    with pytest.raises(MeshValidationError, match="counter-clockwise"):
+        load_mesh(path)
+
+
+def test_boundary_normals_point_outward():
+    m = build_rect_mesh(**RECT, nr=8, nz=8)
+    away = m.nodes[m.boundary] - (2.5, 0.0)       # from the center
+    assert np.all(np.einsum("ij,ij->i", m.boundary_normals(), away) > 0)
+
+
 def test_point_in_polygon_square():
     poly = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     inside = point_in_polygon([[0.5, 0.5], [1.5, 0.5], [-0.1, 0.2]], poly)

@@ -11,14 +11,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 from scipy.interpolate import BSpline
 
 import gsrecon
 from gsrecon.forward import (SourceQuadrature, assemble_source_matrix,
                              assemble_source_vector)
-from gsrecon.geometry import (_critical_point, _fit_value, _quadratic_fit,
-                              boundary_flux, find_xpoint, quadrature_points,
-                              saddle_candidates)
+from gsrecon.errors import NoPlasmaError
+from gsrecon.geometry import (boundary_flux, find_axis, find_xpoint,
+                              quadrature_points, saddle_candidates)
 from gsrecon.mesh import interpolation_matrix
 from gsrecon.observation import (build_chord_geometries,
                                  build_interferometry_matrix,
@@ -236,6 +237,76 @@ def _saddle_candidates_loop(mesh, psi, scale):
     return out
 
 
+def _quadratic_fit(mesh, values, node, two_ring=False):
+    """Least-squares quadratic psi(dr,dz) about a node over its ring
+    neighborhood.  Returns (coeffs c,gr,gz,hrr,hrz,hzz) or None."""
+    ring = mesh.node_neighbors()[node]
+    ring = ring[ring >= 0]
+    if two_ring:
+        ring = np.append(ring, mesh.node_neighbors()[ring])
+    ids = np.array([node] + sorted(set(ring.tolist()) - {node, -1}))
+    if len(ids) < 6:
+        return None
+    d = mesh.nodes[ids] - mesh.nodes[node]
+    A = np.column_stack([np.ones(len(ids)), d[:, 0], d[:, 1],
+                         0.5 * d[:, 0] ** 2, d[:, 0] * d[:, 1],
+                         0.5 * d[:, 1] ** 2])
+    coef, *_ = np.linalg.lstsq(A, values[ids], rcond=None)
+    return coef
+
+
+def _critical_point(coef):
+    """Stationary point of the fitted quadratic, relative to the fit center."""
+    _, gr, gz, hrr, hrz, hzz = coef
+    H = np.array([[hrr, hrz], [hrz, hzz]])
+    det = hrr * hzz - hrz * hrz
+    if det == 0.0:
+        return None, H
+    dx = -np.linalg.solve(H, np.array([gr, gz]))
+    return dx, H
+
+
+def _fit_value(coef, dx):
+    c, gr, gz, hrr, hrz, hzz = coef
+    return (c + gr * dx[0] + gz * dx[1] + 0.5 * hrr * dx[0] ** 2
+            + hrz * dx[0] * dx[1] + 0.5 * hzz * dx[1] ** 2)
+
+
+def _ring_radius(mesh, node):
+    ring = mesh.node_neighbors()[node]
+    return np.linalg.norm(mesh.nodes[ring[ring >= 0]] - mesh.nodes[node],
+                          axis=1).max()
+
+
+def _find_axis_frozen(mesh, psi):
+    """find_axis over the fit helpers above; returns (result, branch) with
+    branch "one", "two" (ring fit used) or "node" (argmax fallback)."""
+    psi = np.asarray(psi, dtype=np.float64)
+    interior = mesh.interior_nodes()
+    if len(interior) == 0:
+        raise NoPlasmaError("mesh has no interior nodes")
+    node = interior[np.argmax(psi[interior])]
+    if psi[mesh.boundary].max() >= psi[node]:
+        raise NoPlasmaError("flux maximum attained on the boundary")
+
+    best = (tuple(mesh.nodes[node]), float(psi[node])), "node"
+    for two_ring in (False, True):
+        coef = _quadratic_fit(mesh, psi, node, two_ring=two_ring)
+        if coef is None:
+            continue
+        dx, H = _critical_point(coef)
+        if dx is None:
+            continue
+        eigs = np.linalg.eigvalsh(H)
+        if (eigs.max() < 0
+                and np.linalg.norm(dx) <= 1.5 * _ring_radius(mesh, node)):
+            pos = mesh.nodes[node] + dx
+            best = ((tuple(pos), float(_fit_value(coef, dx))),
+                    "two" if two_ring else "one")
+            break
+    return best
+
+
 def _find_xpoint_loop(mesh, psi):
     psi = np.asarray(psi, dtype=np.float64)
     scale = np.abs(psi).max() or 1.0
@@ -390,6 +461,8 @@ def _fields(mesh):
     rng = np.random.default_rng(20240917)
     return {"paraboloid": 1.0 - (r - 2.5) ** 2 - z ** 2,
             "saddle": (r - 2.5) ** 2 - z ** 2,
+            # Hessian determinant -4e-12, just past the -1e-12 scale^2 test
+            "flat_saddle": (r - 2.5) ** 2 - 1e-12 * z ** 2,
             "noise": rng.standard_normal(mesh.n_nodes)}
 
 
@@ -404,13 +477,64 @@ def test_node_neighbors_match_loop(twin_mesh):
         assert np.all(row[len(ring):] == -1)
 
 
-@pytest.mark.parametrize("name", ["paraboloid", "saddle", "noise"])
+@pytest.mark.parametrize("name", ["paraboloid", "saddle", "flat_saddle",
+                                  "noise"])
 def test_xpoint_matches_loop(mesh16, name):
     psi = _fields(mesh16)[name]
     scale = np.abs(psi).max()
     assert (list(saddle_candidates(mesh16, psi, scale))
             == _saddle_candidates_loop(mesh16, psi, scale))
     assert find_xpoint(mesh16, psi) == _find_xpoint_loop(mesh16, psi)
+
+
+def _ridge(mesh, nr, nz, center, power, eps, slope=(2.0, -1.5)):
+    """-|a i + b j|^power - eps (i^2 + j^2) in cell units (i, j) about the
+    node ``center`` = (column, row) of build_rect_mesh(2, 3, -1, 1, nr, nz):
+    power 3 leaves the one-ring quadratic fit indefinite, power 4 both."""
+    i = (mesh.nodes[:, 0] - 2.0) * nr - center[0]
+    j = (mesh.nodes[:, 1] + 1.0) * nz / 2.0 - center[1]
+    return -np.abs(slope[0] * i + slope[1] * j) ** power - eps * (i * i + j * j)
+
+
+@pytest.mark.parametrize("power,branch", [(2, "one"), (3, "two"),
+                                          (4, "node")])
+def test_axis_branches_match_frozen(power, branch):
+    mesh = gsrecon.build_rect_mesh(2.0, 3.0, -1.0, 1.0, 8, 8)
+    psi = _ridge(mesh, 8, 8, (4, 4), power, 0.1)
+    ref, taken = _find_axis_frozen(mesh, psi)
+    assert taken == branch
+    assert find_axis(mesh, psi) == ref
+
+
+@settings(max_examples=120)
+@given(data=st.data())
+def test_axis_and_xpoint_match_frozen_on_random_fields(data):
+    nr, nz = data.draw(st.integers(3, 12)), data.draw(st.integers(3, 12))
+    mesh = gsrecon.build_rect_mesh(2.0, 3.0, -1.0, 1.0, nr, nz)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    kind = data.draw(st.sampled_from(["ridge", "bumps", "noise"]))
+    if kind == "ridge":
+        psi = _ridge(mesh, nr, nz, rng.integers(1, (nr, nz)),
+                     data.draw(st.sampled_from([1, 2, 3, 4])),
+                     rng.uniform(0.01, 0.5), rng.uniform(-2.0, 2.0, 2))
+    elif kind == "bumps":               # peaks with saddles between them
+        d = mesh.nodes[:, None, :] - rng.uniform((2.0, -1.0), (3.0, 1.0),
+                                                 (3, 2))
+        width = rng.uniform(0.1, 0.5, 3)
+        psi = (rng.uniform(0.5, 1.0, 3)
+               * np.exp(-(d ** 2).sum(axis=2) / width ** 2)).sum(axis=1)
+    else:
+        psi = rng.standard_normal(mesh.n_nodes)
+    psi += data.draw(st.sampled_from([0.0, 1e-3, 0.1])) * rng.standard_normal(
+        mesh.n_nodes)
+    try:
+        ref = _find_axis_frozen(mesh, psi)[0]
+    except NoPlasmaError:
+        with pytest.raises(NoPlasmaError):
+            find_axis(mesh, psi)
+    else:
+        assert find_axis(mesh, psi) == ref
+    assert find_xpoint(mesh, psi) == _find_xpoint_loop(mesh, psi)
 
 
 def test_noise_field_has_saddle_candidates(mesh16):

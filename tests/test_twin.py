@@ -1,9 +1,12 @@
 import csv
+import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from gsrecon import twin
+from gsrecon.errors import GsReconError, MeasurementCountError
 from gsrecon.inverse import RegularizationConfig
 from gsrecon.twin import (l_curve, perturb, replicate_stats,
                           synthesize_measurements, write_lcurve_csv,
@@ -56,6 +59,32 @@ def test_replicate_stats_checks_grid_first(setup, clean_measurements,
         replicate_stats(setup, clean_measurements, RegularizationConfig(),
                         [5e-2], n_replicates=1, n_grid=3)
     assert calls == []
+
+
+def test_replicate_stats_raises_input_errors(setup, clean_measurements):
+    # a measurement count that does not match the setup is an input
+    # error, not three failed replicates
+    ms = dataclasses.replace(clean_measurements,
+                             g_n=np.append(clean_measurements.g_n, 0.0))
+    with pytest.raises(MeasurementCountError, match="gN has"):
+        replicate_stats(setup, ms, RegularizationConfig(), [5e-2],
+                        n_replicates=3, use_internal=False)
+
+
+def test_replicate_stats_keeps_other_parameters(setup, clean_measurements,
+                                                monkeypatch):
+    seen = []
+
+    def reconstruct(setup, ms, cfg, **kwargs):
+        seen.append(cfg)
+        return SimpleNamespace(converged=False)
+
+    monkeypatch.setattr(twin, "reconstruct", reconstruct)
+    reg = RegularizationConfig(eps_ne=3e-2, alpha_scale=2e19)
+    with pytest.raises(GsReconError, match="all 1 replicates failed"):
+        replicate_stats(setup, clean_measurements, reg, [1e-3],
+                        n_replicates=1)
+    assert seen == [dataclasses.replace(reg, eps=1e-3)]
 
 
 def test_stats_csv_roundtrip(tmp_path, setup, clean_measurements):
