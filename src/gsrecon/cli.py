@@ -208,18 +208,23 @@ def _reference_equilibrium(cfg, mesh, machine, basis):
                                basis=basis)
 
 
+def _reference_twin(cfg, mesh, machine, basis):
+    """The configured twin: reference equilibrium, reconstruction set-up,
+    the density coefficients fitted to ``profile_ne`` (None without it)
+    and the clean measurements synthesized from them."""
+    eq = _reference_equilibrium(cfg, mesh, machine, basis)
+    setup = ReconstructionSetup(mesh, machine, cfg["chords"], basis=basis)
+    ne_coeffs = None
+    if "profile_ne" in cfg:
+        xs = np.linspace(0.0, 1.0, 201)
+        ne_coeffs = basis.fit(xs, _profile_func(cfg, "profile_ne")(xs))
+    return eq, setup, ne_coeffs, synthesize_measurements(setup, eq, ne_coeffs)
+
+
 def _boundary_data(cfg, mesh):
     if "g_d_const" in cfg:
         return np.full(len(mesh.boundary), _get(cfg, "g_d_const"))
     return np.zeros(len(mesh.boundary))
-
-
-def _ne_reference(cfg, basis):
-    if "profile_ne" not in cfg:
-        return None
-    f = _profile_func(cfg, "profile_ne")
-    xs = np.linspace(0.0, 1.0, 201)
-    return basis.fit(xs, f(xs))
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +288,7 @@ def cmd_reconstruct(args):
 
 def cmd_twin(args):
     cfg, mesh, machine, basis = _settings(args)
-    eq = _reference_equilibrium(cfg, mesh, machine, basis)
-    setup = ReconstructionSetup(mesh, machine, cfg["chords"], basis=basis)
-    ne_coeffs = _ne_reference(cfg, basis)
-    ms = synthesize_measurements(setup, eq, ne_coeffs)
+    eq, setup, ne_coeffs, ms = _reference_twin(cfg, mesh, machine, basis)
     if args.noise:
         ms = twinmod.perturb(ms, _get(cfg, "noise_rate"),
                              _get(cfg, "seed", int))
@@ -305,15 +307,13 @@ def cmd_twin(args):
 def cmd_stats(args):
     cfg, mesh, machine, basis = _settings(args)
     eps_values = _get_list(cfg, "eps_list")
-    eq = _reference_equilibrium(cfg, mesh, machine, basis)
-    setup = ReconstructionSetup(mesh, machine, cfg["chords"], basis=basis)
-    ne_coeffs = _ne_reference(cfg, basis)
-    ms = synthesize_measurements(setup, eq, ne_coeffs)
+    _, setup, ne_coeffs, ms = _reference_twin(cfg, mesh, machine, basis)
     stats = replicate_stats(
         setup, ms, _reg(cfg), eps_values,
         n_replicates=_get(cfg, "replicates", int),
         rate=_get(cfg, "noise_rate"), seed=_get(cfg, "seed", int),
-        use_internal=ne_coeffs is not None and len(cfg["chords"]) > 0)
+        use_internal=ne_coeffs is not None and len(cfg["chords"]) > 0,
+        tol=_get(cfg, "tol"), max_iter=_get(cfg, "max_iter", int))
     failures = {}
     for st in stats:
         path = _out(cfg, f"stats_eps_{st.eps:g}.csv")
@@ -337,11 +337,8 @@ def cmd_lcurve(args):
         print("lcurve requires profile_ne and at least one chord",
               file=sys.stderr)
         return EXIT_INPUT
-    eq = _reference_equilibrium(cfg, mesh, machine, basis)
-    setup = ReconstructionSetup(mesh, machine, cfg["chords"], basis=basis)
-    ne_coeffs = _ne_reference(cfg, basis)
-    ms = twinmod.perturb(synthesize_measurements(setup, eq, ne_coeffs),
-                         _get(cfg, "noise_rate"), _get(cfg, "seed", int))
+    eq, setup, _, ms = _reference_twin(cfg, mesh, machine, basis)
+    ms = twinmod.perturb(ms, _get(cfg, "noise_rate"), _get(cfg, "seed", int))
     psibar = eq.domain.normalize(eq.psi)
     res_ne = l_curve_ne(setup, ms, psibar, eps_grid,
                         alpha_scale=_get(cfg, "alpha_scale"))

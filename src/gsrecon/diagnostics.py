@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import DegeneratePlasmaError, NonPhysicalProfileError, OpenContourError
+from .mesh import crosses_ray
 
 
 @dataclass
@@ -84,12 +85,7 @@ def _closed_contours(mesh, psibar, levels, axis):
     closed = (np.bincount(group, minlength=n_groups)
               == np.bincount(seg_group, minlength=n_groups))
     seg_pts = np.take(key_pts, seg_keys, axis=0)
-    pa, pb = seg_pts[:, 0], seg_pts[:, 1]
-    x, y = axis
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xcross = pa[:, 0] + (y - pa[:, 1]) * (pb[:, 0] - pa[:, 0]) \
-            / (pb[:, 1] - pa[:, 1])
-    crosses = ((pa[:, 1] > y) != (pb[:, 1] > y)) & (x < xcross)
+    crosses = crosses_ray(seg_pts[:, 0], seg_pts[:, 1], *axis)
     odd = np.bincount(seg_group, weights=crosses, minlength=n_groups) % 2 == 1
 
     # every group has segments; its first one holds its smallest triangle

@@ -51,23 +51,19 @@ class Equilibrium:
 
 
 class SourceQuadrature:
-    """Precomputed mid-edge quadrature over the mesh, plus the normalized
-    flux and mask evaluation for the current iterate.
+    """The mid-edge rule of :func:`geometry.quadrature_points` (one point
+    per mesh edge) with its operators, plus the normalized flux and mask
+    evaluation for the current iterate.
 
-    The rule of :func:`geometry.quadrature_points` with each edge's two
-    midpoint copies (same flux, same mask) merged: one point per edge,
-    weighted by area/3 summed over its triangles.  ``P`` is the sparse
-    (Q, n) interpolation matrix to the midpoints (two 0.5 entries per
-    row).  ``Pa`` = P^T diag(w r/r0) and ``Pb`` = P^T diag(w r0/r) scatter
-    the values of A and of B at the points onto the nodal load.
+    ``P`` is the sparse (Q, n) interpolation matrix to the midpoints (two
+    0.5 entries per row).  ``Pa`` = P^T diag(w r/r0) and ``Pb`` =
+    P^T diag(w r0/r) scatter the values of A and of B at the points onto
+    the nodal load.
     """
 
     def __init__(self, mesh, r0):
-        edges, tri_edges = mesh.edge_index()
-        self.qp_nodes, self.qp_bary = edges, np.full(edges.shape, 0.5)
-        self.qp_w = np.bincount(tri_edges.ravel(),
-                                weights=quadrature_points(mesh)[2])
-        self.qp_r, self.qp_z = mesh.nodes[edges].mean(axis=1).T
+        (self.qp_nodes, self.qp_bary, self.qp_w, self.qp_r,
+         self.qp_z) = quadrature_points(mesh)
         self.P = interpolation_matrix(self.qp_nodes, self.qp_bary,
                                       mesh.n_nodes)
         self.Pa = self.P.T.multiply(self.qp_w * self.qp_r / r0).tocsr()

@@ -12,12 +12,6 @@ import numpy as np
 
 from .errors import DegeneratePlasmaError, NoPlasmaError
 
-# mid-edge quadrature: degree-2 exact and resolves the plasma boundary
-# below element size when combined with the pointwise mask
-MIDEDGE_BARY = np.array([[0.5, 0.5, 0.0],
-                         [0.0, 0.5, 0.5],
-                         [0.5, 0.0, 0.5]])
-
 
 @dataclass
 class PlasmaDomain:
@@ -158,16 +152,16 @@ def normalized_flux(psi, psi_a, psi_b):
 
 
 def quadrature_points(mesh):
-    """Mid-edge quadrature data over the whole mesh.
+    """The mid-edge quadrature rule: one point per edge of
+    :meth:`Mesh.edge_index`, at its midpoint, weighted by area/3 summed
+    over the edge's triangles.  Degree-2 exact; with the pointwise plasma
+    mask it resolves the plasma boundary below element size.
 
-    Returns (nodes (Q,3), bary (Q,3), weights (Q,), r (Q,), z (Q,)) with
-    Q = 3 * number of triangles and weights summing to the domain area.
+    Returns (edges (E, 2), bary (E, 2) all 0.5, weights (E,), r (E,),
+    z (E,)), the weights summing to the domain area.
     """
-    tris = mesh.triangles
-    areas = mesh.areas()
-    T = len(tris)
-    qp_nodes = np.repeat(tris, 3, axis=0)                     # (3T, 3)
-    qp_bary = np.tile(MIDEDGE_BARY, (T, 1))
-    pts = np.einsum("qa,qad->qd", qp_bary, mesh.nodes[qp_nodes])
-    qp_w = np.repeat(areas / 3.0, 3)
-    return qp_nodes, qp_bary, qp_w, pts[:, 0], pts[:, 1]
+    edges, tri_edges = mesh.edge_index()
+    w = np.bincount(tri_edges.ravel(),
+                    weights=np.repeat(mesh.areas() / 3.0, 3))
+    r, z = mesh.nodes[edges].mean(axis=1).T
+    return edges, np.full(edges.shape, 0.5), w, r, z

@@ -33,8 +33,8 @@ class Mesh:
     boundary   : (B,) int array, one counter-clockwise loop in order
                  (closure implicit) along exactly the edges that belong to
                  one triangle, each edge once
-    limiter    : (L, 2) array of points on the limiter contour, each inside
-                 the mesh
+    limiter    : (L, 2) array of points on the limiter contour, L >= 1,
+                 each inside the mesh
 
     The limiter flux is the largest flux at the listed points only, not
     along the contour between them.  A limiter given by its corners
@@ -61,6 +61,8 @@ class Mesh:
         n = len(self.nodes)
         if n == 0 or self.triangles.size == 0:
             raise MeshValidationError("mesh has no nodes or no triangles")
+        if len(self.limiter) == 0:
+            raise MeshValidationError("limiter has no points")
         if not (np.all(np.isfinite(self.nodes))
                 and np.all(np.isfinite(self.limiter))):
             raise MeshValidationError("non-finite node or limiter coordinate")
@@ -197,40 +199,24 @@ class Mesh:
         return self._cache["bnormals"]
 
 
-def _point_in_polygon(p, poly):
-    """Ray-crossing test of one point (the reference of
-    :func:`point_in_polygon`)."""
-    x, y = p
-    n = len(poly)
-    inside = False
-    j = n - 1
-    for i in range(n):
-        xi, yi = poly[i]
-        xj, yj = poly[j]
-        if (yi > y) != (yj > y):
-            xcross = xi + (y - yi) * (xj - xi) / (yj - yi)
-            if x < xcross:
-                inside = not inside
-        j = i
-    return inside
+def crosses_ray(a, b, x, y):
+    """Whether the segments a -> b, (..., 2) arrays, cross the ray from
+    (x, y) towards +r: one step of the ray-crossing parity test."""
+    # horizontal segments divide by zero but never cross the ray: masked out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rcross = a[..., 0] + (y - a[..., 1]) * (b[..., 0] - a[..., 0]) \
+            / (b[..., 1] - a[..., 1])
+    return ((a[..., 1] > y) != (b[..., 1] > y)) & (x < rcross)
 
 
 def point_in_polygon(points, poly):
-    """Vectorized containment of many points in a closed polygon (the
-    ray-crossing test of :func:`_point_in_polygon`, one edge at a time)."""
-    points = np.atleast_2d(points)
-    x, y = points[:, 0], points[:, 1]
-    inside = np.zeros(len(points), dtype=bool)
-    j = len(poly) - 1
-    # horizontal edges divide by zero but never cross the ray: masked out
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(len(poly)):
-            xi, yi = poly[i]
-            xj, yj = poly[j]
-            crosses = (yi > y) != (yj > y)
-            xcross = xi + (y - yi) * (xj - xi) / (yj - yi)
-            inside ^= crosses & (x < xcross)
-            j = i
+    """Containment of many points in a closed polygon by ray-crossing
+    parity, one polygon edge at a time."""
+    x, y = np.atleast_2d(points).T
+    poly = np.asarray(poly, dtype=np.float64)
+    inside = np.zeros(len(x), dtype=bool)
+    for a, b in zip(poly, np.roll(poly, 1, axis=0)):
+        inside ^= crosses_ray(a, b, x, y)
     return inside
 
 
@@ -257,45 +243,24 @@ def build_rect_mesh(r_min, r_max, z_min, z_max, nr, nz, limiter=None):
     R, Z = np.meshgrid(rs, zs, indexing="ij")
     nodes = np.column_stack([R.ravel(), Z.ravel()])
 
-    def nid(i, j):
-        return i * (nz + 1) + j
+    # node (i, j) is rs[i], zs[j]; cell (i, j) is split along a -> c
+    ids = np.arange(len(nodes)).reshape(nr + 1, nz + 1)
+    a, b, c, d = ids[:-1, :-1], ids[1:, :-1], ids[1:, 1:], ids[:-1, 1:]
+    triangles = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
+    boundary = np.concatenate([ids[:-1, 0], ids[-1, :-1], ids[:0:-1, -1],
+                               ids[0, :0:-1]])
 
-    tris = []
-    for i in range(nr):
-        for j in range(nz):
-            a, b = nid(i, j), nid(i + 1, j)
-            c, d = nid(i + 1, j + 1), nid(i, j + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    triangles = np.array(tris, dtype=np.int64)
-
-    loop = []
-    for i in range(nr):
-        loop.append(nid(i, 0))
-    for j in range(nz):
-        loop.append(nid(nr, j))
-    for i in range(nr, 0, -1):
-        loop.append(nid(i, nz))
-    for j in range(nz, 0, -1):
-        loop.append(nid(0, j))
-    boundary = np.array(loop, dtype=np.int64)
-
-    if limiter is None:
-        if nr >= 3 and nz >= 3:
-            hr = (r_max - r_min) / nr
-            hz = (z_max - z_min) / nz
-            lim = []
-            for i in range(1, nr):
-                lim.append((rs[i], z_min + hz))
-            for j in range(1, nz):
-                lim.append((r_max - hr, zs[j]))
-            for i in range(nr - 1, 0, -1):
-                lim.append((rs[i], z_max - hz))
-            for j in range(nz - 1, 0, -1):
-                lim.append((r_min + hr, zs[j]))
-            limiter = np.array(lim)
-        else:
-            limiter = nodes[boundary]
+    if limiter is None and nr >= 3 and nz >= 3:
+        # each side of the inset ring, both its ends included
+        hr, hz = (r_max - r_min) / nr, (z_max - z_min) / nz
+        ri, zi = rs[1:nr], zs[1:nz]
+        limiter = np.concatenate([
+            np.column_stack([ri, np.full(nr - 1, z_min + hz)]),
+            np.column_stack([np.full(nz - 1, r_max - hr), zi]),
+            np.column_stack([ri[::-1], np.full(nr - 1, z_max - hz)]),
+            np.column_stack([np.full(nz - 1, r_min + hr), zi[::-1]])])
+    elif limiter is None:
+        limiter = nodes[boundary]
 
     return Mesh(nodes, triangles, boundary, np.asarray(limiter))
 

@@ -8,7 +8,7 @@ import pytest
 import gsrecon
 from gsrecon import cli
 from gsrecon.errors import MeshParseError
-from gsrecon.mesh import load_mesh
+from gsrecon.mesh import build_rect_mesh, load_mesh, save_mesh
 from gsrecon.observation import load_measurements
 
 CONFIG = """\
@@ -159,6 +159,21 @@ def test_stats_writes_csv(workspace):
     assert (ws / "stats" / "stats_manifest.txt").exists()
 
 
+def test_stats_passes_stop_test_to_replicates(tmp_path, monkeypatch):
+    seen = []
+
+    def record(*args, **kwargs):
+        seen.append((kwargs["tol"], kwargs["max_iter"]))
+        return []
+
+    monkeypatch.setattr(cli, "replicate_stats", record)
+    small = ["--set", "nr=12", "--set", "nz=12", "--set", f"out_dir={tmp_path}"]
+    assert cli.main(["stats"] + small) == cli.EXIT_OK
+    assert cli.main(["stats", "--set", "tol=1e-5", "--set", "max_iter=17"]
+                    + small) == cli.EXIT_OK
+    assert seen == [(1e-6, 30), (1e-5, 17)]
+
+
 def test_lcurve_writes_curves(workspace):
     ws, cfg = workspace
     code = cli.main(["lcurve", "--config", str(cfg),
@@ -229,6 +244,21 @@ def test_seeded_stats_are_reproducible(tmp_path):
             p.unlink()
     assert sorted(outputs[0]) == ["stats_eps_0.1.csv", "stats_manifest.txt"]
     assert outputs[0] == outputs[1]
+
+
+def test_mesh_file_without_limiter_is_input_error(tmp_path, capsys):
+    path = tmp_path / "mesh.txt"
+    save_mesh(build_rect_mesh(2.0, 3.0, -1.2, 1.2, 12, 12), path)
+    lines = path.read_text().splitlines()
+    header = lines[0].split()
+    n_limiter = int(header[-1])
+    header[-1] = "0"
+    path.write_text("\n".join([" ".join(header)] + lines[1:-n_limiter]))
+    assert cli.main(["forward", "--set", f"mesh_file={path}",
+                     "--set", f"out_dir={tmp_path}"]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: limiter has no points")
+    assert "Traceback" not in err
 
 
 def test_bad_config_value_is_input_error(tmp_path):

@@ -17,7 +17,8 @@ from gsrecon.diagnostics import (FluxContour, _closed_contours, _fill_ends,
                                  integrate_f, mean_current_density,
                                  profile_table, table_grid)
 from gsrecon.errors import OpenContourError
-from gsrecon.mesh import _point_in_polygon
+
+from frozen_primitives import point_in_polygon_scalar
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +140,7 @@ def _extract_contour_loop(mesh, psibar, level, axis, psi=None, scale=None):
     chosen = None
     for keys, tris in loops:
         poly = np.array([edge_pts[k] for k in keys])
-        if _point_in_polygon(axis_pt, poly):
+        if point_in_polygon_scalar(axis_pt, poly):
             chosen = (poly, tris)
             break
     if chosen is None:

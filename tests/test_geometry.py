@@ -101,7 +101,9 @@ def test_normalized_flux_endpoints():
 
 def test_quadrature_weights_sum_to_area(mesh):
     nodes, bary, w, qr, qz = quadrature_points(mesh)
-    assert len(w) == 3 * len(mesh.triangles)
+    # one point per edge
+    np.testing.assert_array_equal(nodes, mesh.edge_index()[0])
+    assert len(w) == len(bary) == len(qr) == len(qz) == len(nodes)
     assert w.sum() == pytest.approx(mesh.area(), rel=1e-12)
     np.testing.assert_allclose(bary.sum(axis=1), 1.0, atol=1e-14)
     assert qr.min() >= 2.0 and qr.max() <= 3.0

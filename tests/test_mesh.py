@@ -11,6 +11,9 @@ from gsrecon.errors import MeshParseError, MeshValidationError
 from gsrecon.mesh import (Mesh, build_rect_mesh, load_mesh, point_in_polygon,
                           point_matrix, save_mesh, triangle_areas)
 
+from frozen_primitives import (build_rect_mesh_loop, point_in_polygon_scalar,
+                               quadrature_points_per_triangle)
+
 RECT = dict(r_min=2.0, r_max=3.0, z_min=-1.0, z_max=1.0)
 
 
@@ -93,6 +96,28 @@ def test_load_mesh_rejects_clockwise_loop(tmp_path):
         load_mesh(path)
 
 
+@pytest.mark.parametrize("box", [(2.0, 3.0, -1.2, 1.2), (1.7, 3.1, -1.3, 0.9)])
+@pytest.mark.parametrize("nr, nz, limiter", [
+    (3, 3, None), (4, 7, None), (5, 3, None), (20, 20, None),
+    (80, 80, None), (20, 20, [[2.1, -0.8], [2.9, -0.8], [2.8, 0.7]]),
+    (2, 5, None), (5, 2, None), (1, 1, None)])
+def test_rect_mesh_matches_loop(box, nr, nz, limiter):
+    new = build_rect_mesh(*box, nr, nz, limiter=limiter)
+    old = build_rect_mesh_loop(*box, nr, nz, limiter=limiter)
+    for name in ("nodes", "triangles", "boundary", "limiter"):
+        a, b = getattr(new, name), getattr(old, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes(), name
+
+
+def test_mesh_rejects_empty_limiter():
+    m = build_rect_mesh(**RECT, nr=4, nz=4)
+    with pytest.raises(MeshValidationError, match="limiter has no points"):
+        Mesh(m.nodes, m.triangles, m.boundary, np.zeros((0, 2)))
+    with pytest.raises(MeshValidationError, match="limiter has no points"):
+        build_rect_mesh(**RECT, nr=4, nz=4, limiter=np.zeros((0, 2)))
+
+
 def test_boundary_normals_point_outward():
     m = build_rect_mesh(**RECT, nr=8, nz=8)
     away = m.nodes[m.boundary] - (2.5, 0.0)       # from the center
@@ -106,8 +131,6 @@ def test_point_in_polygon_square():
 
 
 def test_point_in_polygon_matches_scalar_test(twin_mesh):
-    from gsrecon.geometry import quadrature_points
-    from gsrecon.mesh import _point_in_polygon
     rng = np.random.default_rng(7)
     t = np.linspace(0.0, 2.0 * np.pi, 320, endpoint=False)
     polygons = [
@@ -117,13 +140,13 @@ def test_point_in_polygon_matches_scalar_test(twin_mesh):
         np.column_stack([2.5 + 0.4 * np.cos(t) * (1 + 0.2 * np.sin(3 * t)),
                          0.9 * np.sin(t)]),                  # 320 vertices
     ]
-    _, _, _, qr, qz = quadrature_points(twin_mesh)
+    _, _, _, qr, qz = quadrature_points_per_triangle(twin_mesh)
     point_sets = [np.column_stack([qr, qz]),
                   twin_mesh.nodes,    # includes nodes on the limiter edges
                   rng.uniform([1.9, -1.3], [3.1, 1.3], size=(500, 2))]
     for poly in polygons:
         for pts in point_sets:
-            expected = [_point_in_polygon(p, poly) for p in pts]
+            expected = [point_in_polygon_scalar(p, poly) for p in pts]
             np.testing.assert_array_equal(point_in_polygon(pts, poly),
                                           expected)
 
@@ -152,8 +175,7 @@ def test_locator_outside_domain(small_mesh):
 
 
 def test_locator_hits_every_quadrature_point(small_mesh):
-    from gsrecon.geometry import quadrature_points
-    _, _, _, qr, qz = quadrature_points(small_mesh)
+    _, _, _, qr, qz = quadrature_points_per_triangle(small_mesh)
     point, _, _ = small_mesh.locator().locate(np.column_stack([qr, qz]))
     np.testing.assert_array_equal(np.unique(point), np.arange(len(qr)))
 

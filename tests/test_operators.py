@@ -19,7 +19,7 @@ from gsrecon.forward import (SourceQuadrature, assemble_source_matrix,
                              assemble_source_vector)
 from gsrecon.errors import NoPlasmaError
 from gsrecon.geometry import (boundary_flux, find_axis, find_xpoint,
-                              quadrature_points, saddle_candidates)
+                              saddle_candidates)
 from gsrecon.mesh import interpolation_matrix
 from gsrecon.observation import (build_chord_geometries,
                                  build_interferometry_matrix,
@@ -27,6 +27,7 @@ from gsrecon.observation import (build_chord_geometries,
                                  build_polarimetry_observer)
 
 from conftest import CHORDS, LIMITER
+from frozen_primitives import quadrature_points_per_triangle
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +373,7 @@ def _source_matrix_loop(squad, pq, basis, lam, r0, rows):
 
 def _seed_rule(mesh, r0):
     """The unmerged mid-edge rule: three points per triangle."""
-    nodes, bary, w, r, z = quadrature_points(mesh)
+    nodes, bary, w, r, z = quadrature_points_per_triangle(mesh)
     P = interpolation_matrix(nodes, bary, mesh.n_nodes)
     return SimpleNamespace(P=P, qp_nodes=nodes, qp_bary=bary, qp_w=w,
                            qp_r=r, qp_z=z, Pa=P.T @ sp.diags(w * r / r0),
