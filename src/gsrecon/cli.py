@@ -314,14 +314,15 @@ def cmd_stats(args):
         rate=_get(cfg, "noise_rate"), seed=_get(cfg, "seed", int),
         use_internal=ne_coeffs is not None and len(cfg["chords"]) > 0,
         tol=_get(cfg, "tol"), max_iter=_get(cfg, "max_iter", int))
-    failures = {}
+    extra = {}
     for st in stats:
         path = _out(cfg, f"stats_eps_{st.eps:g}.csv")
         write_stats_csv(path, st)
-        failures[f"failed_eps_{st.eps:g}"] = st.n_failed
+        extra[f"failed_eps_{st.eps:g}"] = st.n_failed
+        extra[f"warm_start_eps_{st.eps:g}"] = int(st.warm_start)
         print(f"eps={st.eps:g}: {st.n_converged}/{st.n_requested} converged "
               f"-> {path}")
-    _write_manifest(cfg, _out(cfg, "stats_manifest.txt"), failures)
+    _write_manifest(cfg, _out(cfg, "stats_manifest.txt"), extra)
     return EXIT_OK
 
 

@@ -251,14 +251,17 @@ def build_rect_mesh(r_min, r_max, z_min, z_max, nr, nz, limiter=None):
                                ids[0, :0:-1]])
 
     if limiter is None and nr >= 3 and nz >= 3:
-        # each side of the inset ring, both its ends included
+        # the inset ring, side by side from its starting corner to just
+        # before the next one, so each corner is listed once and at the
+        # exact side coordinates
         hr, hz = (r_max - r_min) / nr, (z_max - z_min) / nz
-        ri, zi = rs[1:nr], zs[1:nz]
+        r_lo, r_hi, z_lo, z_hi = r_min + hr, r_max - hr, z_min + hz, z_max - hz
+        ri, zi = rs[2:nr - 1], zs[2:nz - 1]
         limiter = np.concatenate([
-            np.column_stack([ri, np.full(nr - 1, z_min + hz)]),
-            np.column_stack([np.full(nz - 1, r_max - hr), zi]),
-            np.column_stack([ri[::-1], np.full(nr - 1, z_max - hz)]),
-            np.column_stack([np.full(nz - 1, r_min + hr), zi[::-1]])])
+            np.column_stack([np.r_[r_lo, ri], np.full(nr - 2, z_lo)]),
+            np.column_stack([np.full(nz - 2, r_hi), np.r_[z_lo, zi]]),
+            np.column_stack([np.r_[r_hi, ri[::-1]], np.full(nr - 2, z_hi)]),
+            np.column_stack([np.full(nz - 2, r_lo), np.r_[z_hi, zi[::-1]]])])
     elif limiter is None:
         limiter = nodes[boundary]
 

@@ -156,7 +156,9 @@ def test_stats_writes_csv(workspace):
                      "--set", f"out_dir={ws / 'stats'}"])
     assert code == cli.EXIT_OK
     assert (ws / "stats" / "stats_eps_0.1.csv").exists()
-    assert (ws / "stats" / "stats_manifest.txt").exists()
+    manifest = (ws / "stats" / "stats_manifest.txt").read_text().splitlines()
+    # the replicates started from the converged clean reconstruction
+    assert manifest[-2:] == ["failed_eps_0.1 = 0", "warm_start_eps_0.1 = 1"]
 
 
 def test_stats_passes_stop_test_to_replicates(tmp_path, monkeypatch):

@@ -104,10 +104,41 @@ def test_load_mesh_rejects_clockwise_loop(tmp_path):
 def test_rect_mesh_matches_loop(box, nr, nz, limiter):
     new = build_rect_mesh(*box, nr, nz, limiter=limiter)
     old = build_rect_mesh_loop(*box, nr, nz, limiter=limiter)
+    if limiter is None and nr >= 3 and nz >= 3:
+        old.limiter = _once_per_corner(old.limiter, nr, nz)
     for name in ("nodes", "triangles", "boundary", "limiter"):
         a, b = getattr(new, name), getattr(old, name)
         assert (a.dtype, a.shape) == (b.dtype, b.shape)
         assert a.tobytes() == b.tobytes(), name
+
+
+def _once_per_corner(limiter, nr, nz):
+    """The loop builder's inset limiter, whose four sides each list both
+    their ends, with every corner listed once: each side keeps its first
+    point, moved onto the constant coordinate of the side before it, and
+    drops its last one, which the next side lists again."""
+    sides = np.split(limiter, np.cumsum([nr - 1, nz - 1, nr - 1]))
+    out = []
+    for k, side in enumerate(sides):
+        first = side[0].copy()
+        varying = k % 2      # bottom and top vary in r, right and left in z
+        first[varying] = sides[k - 1][0][varying]
+        out.append(np.vstack([first, side[1:-1]]))
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("box", [(2.0, 3.0, -1.2, 1.2), (1.7, 3.1, -1.3, 0.9)])
+@pytest.mark.parametrize("nr, nz", [(1, 1), (2, 5), (5, 2), (3, 3), (4, 7),
+                                    (5, 3), (7, 4), (20, 20), (40, 40),
+                                    (33, 17), (80, 80)])
+def test_default_limiter_lists_each_point_once(box, nr, nz):
+    lim = build_rect_mesh(*box, nr, nz).limiter
+    assert len(np.unique(lim, axis=0)) == len(lim)
+    seg = np.linalg.norm(np.roll(lim, -1, axis=0) - lim, axis=1)
+    assert seg.min() > 0.5 * min(box[1] - box[0], box[3] - box[2]) / max(
+        nr, nz)
+    if nr >= 3 and nz >= 3:
+        assert len(lim) == 2 * (nr - 2) + 2 * (nz - 2)   # 72 at 20x20
 
 
 def test_mesh_rejects_empty_limiter():
