@@ -35,14 +35,16 @@ class SplineBasis:
         if self.knots is None:
             self.knots = open_uniform_knots(self.degree, self.m)
         self.knots = np.asarray(self.knots, dtype=np.float64)
+        if (self.knots.shape != (self.m + self.degree + 1,)
+                or np.any(np.diff(self.knots) < 0)):
+            raise ValueError("knots must be m + degree + 1 nondecreasing")
+        # basis function j: the spline with coefficients e_j
+        self._spline = BSpline(self.knots, np.eye(self.m), self.degree)
 
     def eval_many(self, xs):
         """(len(xs), m) matrix of basis values; xs clamped to [0,1]."""
-        x = np.clip(np.atleast_1d(np.asarray(xs, float)), 0.0, 1.0)
-        # the input is already inside the base interval, so the bounds
-        # check that extrapolate=False would add is skipped
-        return BSpline.design_matrix(x, self.knots, self.degree,
-                                     extrapolate=True).toarray()
+        return self._spline(np.clip(np.atleast_1d(np.asarray(xs, float)),
+                                    0.0, 1.0))
 
     def eval(self, x):
         return self.eval_many([x])[0]
@@ -72,15 +74,11 @@ def regularization_matrix(basis):
     gx, gw = np.polynomial.legendre.leggauss(npts)
     spans = np.unique(t)
     lam = np.zeros((m, m))
-    d2 = []
-    for i in range(m):
-        c = np.zeros(m)
-        c[i] = 1.0
-        d2.append(BSpline(t, c, p).derivative(2))
+    d2 = basis._spline.derivative(2)
     for a, b in zip(spans[:-1], spans[1:]):
         xs = 0.5 * (b - a) * gx + 0.5 * (a + b)
         ws = 0.5 * (b - a) * gw
-        vals = np.array([f(xs) for f in d2])        # (m, npts)
+        vals = d2(xs).T                             # (m, npts)
         lam += (vals * ws) @ vals.T
     return 0.5 * (lam + lam.T)
 

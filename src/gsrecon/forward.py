@@ -117,13 +117,13 @@ def assemble_source_matrix(squad, psibar_qp, basis):
     """n x (2m - 2) matrix mapping the free profile coefficients (all but
     the last of A and of B, pinned by A(1) = B(1) = 0) to the load vector:
     column j is Pa phi_j(psibar), column m - 1 + j Pb phi_j(psibar),
-    phi_j taken as zero outside the plasma region."""
+    phi_j taken as zero outside the plasma region: there it is evaluated
+    at psibar = 1, where the clamped knots zero every free phi_j."""
     mask = psibar_qp <= 1.0
     if not np.any(mask):
         raise EmptySourceError("plasma region contains no quadrature point")
-    phi = np.zeros((len(psibar_qp), basis.m - 1))
-    phi[mask] = basis.eval_many(psibar_qp[mask])[:, :-1]
-    return np.hstack([squad.Pa @ phi, squad.Pb @ phi])
+    phi = basis.eval_many(np.where(mask, psibar_qp, 1.0))
+    return np.hstack([(squad.Pa @ phi)[:, :-1], (squad.Pb @ phi)[:, :-1]])
 
 
 ANDERSON_DEPTH = 3

@@ -76,23 +76,40 @@ def find_axis(mesh, psi):
 def saddle_candidates(mesh, psi, scale):
     """Interior nodes around whose ordered ring the sign of (psi_neighbor -
     psi_node) alternates at least four times, ignoring differences below
-    1e-14 * scale."""
-    rings = mesh.node_neighbors().T                  # (max degree, n)
-    diff = psi[rings] - psi
-    keep = (rings >= 0) & (np.abs(diff) > 1e-14 * scale)
+    1e-14 * scale.  An interior node's triangles fan once around it in
+    ring order, so without ties its sign changes are its triangles in which
+    psi rises (or falls) into it and on out of it; tied nodes take the
+    ring scan."""
+    tri, edges = mesh.triangles, mesh.edge_index()[0]
+    rise = psi[tri[:, [1, 2, 0]]] > psi[tri]     # corner k to k + 1
+    saddle = np.bincount(tri[rise == rise[:, [2, 0, 1]]],
+                         minlength=len(psi)) >= 4
+    tie = np.zeros(len(psi), dtype=bool)
+    tie[edges[~(np.abs(np.diff(psi[edges])[:, 0]) > 1e-14 * scale)]] = True
+    saddle[mesh.boundary] = tie[mesh.boundary] = False
+    if tie.any():
+        saddle[tie] = _ring_saddles(mesh, psi, np.flatnonzero(tie),
+                                    1e-14 * scale)
+    return np.flatnonzero(saddle)
+
+
+def _ring_saddles(mesh, psi, nodes, tol):
+    """Ring scan of :func:`saddle_candidates`, differences up to tol
+    skipped."""
+    rings = mesh.node_neighbors()[nodes].T           # (max degree, nodes)
+    diff = psi[rings] - psi[nodes]
+    keep = (rings >= 0) & (np.abs(diff) > tol)
     # cyclic sign changes among the kept entries of each ring, one ring
     # position at a time: every kept sign against the last kept sign
     # before it, then the first kept sign against the last one
-    first = last = np.zeros(len(psi))
-    changes = np.zeros(len(psi), dtype=np.int64)
+    first = last = np.zeros(len(nodes))
+    changes = np.zeros(len(nodes), dtype=np.int64)
     for sign in np.where(keep, np.sign(diff), 0.0):
         changes += sign * last < 0
         last = np.where(sign != 0, sign, last)
         first = np.where(first != 0, first, sign)
     changes += first * last < 0
-    saddle = (keep.sum(axis=0) >= 4) & (changes >= 4)
-    saddle[mesh.boundary] = False
-    return np.flatnonzero(saddle)
+    return (keep.sum(axis=0) >= 4) & (changes >= 4)
 
 
 def find_xpoint(mesh, psi):

@@ -131,9 +131,11 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
     None and ``costs`` is empty.  Non-convergence (the real-time regime
     truncates the loop on purpose) is reported by ``converged``.
 
-    A warm start's last A and B coefficients are read as zero, as A(1) =
-    B(1) = 0 pins them.  ``lam`` is the scale of ``profiles``: the last
-    iteration's u is returned rescaled to max|a| = 1, with lam * u kept.
+    The first iteration takes a warm start's ``domain`` as the plasma
+    domain of its ``psi`` and computes it when None.  A warm start's last
+    A and B coefficients are read as zero, as A(1) = B(1) = 0 pins them.
+    ``lam`` is the scale of ``profiles``: the last iteration's u is
+    returned rescaled to max|a| = 1, with lam * u kept.
     ``costs`` holds the terms of the last iteration's two solves: J0 and
     J1 are the magnetic and polarimetric rows of 1/2 |W (E u - f)|^2, J2
     the weighted interferometry misfit 1/2 |w (B c - gamma)|^2, and Jeps
@@ -159,6 +161,7 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
     k_inv_g = setup.fact.lift(ms.g_d)
     chords, free = setup.chord_geoms, setup.free_idx
 
+    start_domain = warm_start.domain if warm_start is not None else None
     if warm_start is not None:
         psi = np.array(warm_start.psi, dtype=np.float64)
         u = np.concatenate([warm_start.profiles.a, warm_start.profiles.b])
@@ -179,7 +182,9 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
         nonlocal psi, iterations, u, lam, ne_coeffs, last
         psi, iterations = psi_in, iterations + 1
         try:
-            psibar_nodal = make_plasma_domain(mesh, psi).normalize(psi)
+            psibar_nodal = (
+                start_domain if iterations == 1 and start_domain is not None
+                else make_plasma_domain(mesh, psi)).normalize(psi)
         except NoPlasmaError:
             if residuals:
                 raise

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -19,6 +21,20 @@ def test_knot_vector_shape():
 def test_knot_vector_rejects_small_m():
     with pytest.raises(ValueError):
         open_uniform_knots(3, 3)
+
+
+@pytest.mark.parametrize("knots", [
+    open_uniform_knots(3, 8)[:-1], np.append(open_uniform_knots(3, 8), 1.0),
+    open_uniform_knots(3, 8)[::-1]], ids=["short", "long", "decreasing"])
+def test_basis_rejects_bad_knots(knots):
+    with pytest.raises(ValueError, match="knots"):
+        SplineBasis(m=8, knots=knots)
+
+
+def test_basis_rejects_knots_of_another_dimension():
+    # replace() hands the built basis' 12 knots to a basis of dimension 10
+    with pytest.raises(ValueError, match="knots"):
+        dataclasses.replace(BASIS, m=10)
 
 
 @given(st.floats(0.0, 1.0))

@@ -284,7 +284,7 @@ def test_limiter_around_no_source_point_is_input_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("override", [
     "chord=a b c d", "limiter_rect=a b c", "profile_a=1,x", "nr=-3",
-    "profile_a=1", "r0=-1", "m=1"])
+    "profile_a=1", "r0=-1", "m=1", "degree=-1"])
 def test_malformed_config_value_is_input_error(tmp_path, capsys, override):
     assert cli.main(["forward", "--set", override,
                      "--set", f"out_dir={tmp_path}"]) == cli.EXIT_INPUT

@@ -11,6 +11,7 @@ from gsrecon.errors import (MeasurementCountError, RegularizationError,
                             StateError)
 from gsrecon.fem import Factorization
 from gsrecon.forward import assemble_source_matrix, assemble_source_vector
+from gsrecon.geometry import make_plasma_domain
 from gsrecon.inverse import (ReconstructionSetup, RegularizationConfig,
                              identify_ab, identify_ne, penalized_lsq,
                              reconstruct, rescale_dofs)
@@ -229,6 +230,49 @@ def test_reconstruct_warm_start_zeroes_pinned_coefficients(
         np.testing.assert_array_equal(x, y)
     np.testing.assert_array_equal(pinned.a, before[0])
     np.testing.assert_array_equal(pinned.b, before[1])
+
+
+@pytest.mark.parametrize("use_internal", [False, True],
+                         ids=["magnetics", "internal"])
+def test_warm_start_domain_is_taken_or_computed(
+        tmp_path, setup, clean_measurements, basis, monkeypatch,
+        use_internal):
+    # the first iteration takes the warm start's domain as the domain of
+    # its psi and computes it only when it is None; an equilibrium saved
+    # and loaded back carries the same psi_a and psi_b
+    reg = RegularizationConfig()
+    eq = reconstruct(setup, clean_measurements, reg,
+                     use_internal=use_internal)
+    gsrecon.save_equilibrium(eq, tmp_path / "eq.txt")
+    starts = [eq, dataclasses.replace(eq, domain=None),
+              gsrecon.load_equilibrium(tmp_path / "eq.txt", setup.mesh,
+                                       basis)]
+    calls = []
+
+    def counted(mesh, psi):
+        calls[-1] += 1
+        return make_plasma_domain(mesh, psi)
+
+    monkeypatch.setattr(inverse, "make_plasma_domain", counted)
+    ms = perturb(clean_measurements, 0.01, seed=11)
+    runs = []
+    for start in starts:
+        calls.append(0)
+        runs.append(reconstruct(setup, ms, reg, use_internal=use_internal,
+                                warm_start=start))
+    one = runs[0]
+    assert one.converged and one.iterations > 1
+    # one domain per iteration after the first, one for the returned psi
+    assert calls == [one.iterations, one.iterations + 1, one.iterations]
+    for other in runs[1:]:
+        assert other.iterations == one.iterations
+        for x, y in [(one.psi, other.psi), (one.lam, other.lam),
+                     (one.lam_history, other.lam_history),
+                     (one.profiles.a, other.profiles.a),
+                     (one.profiles.b, other.profiles.b),
+                     (one.profiles.c, other.profiles.c),
+                     (one.residuals, other.residuals)]:
+            assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
 
 
 def test_reconstruct_lambda_history_tracks_iterations(setup,

@@ -10,11 +10,28 @@ from gsrecon.forward import SourceQuadrature, assemble_source_matrix
 BASIS = SplineBasis(end_constraint=True)
 
 
+def _design_matrix_eval(basis, xs):
+    """The frozen evaluation: scipy's sparse design matrix made dense."""
+    x = np.clip(np.atleast_1d(np.asarray(xs, float)), 0.0, 1.0)
+    return BSpline.design_matrix(x, basis.knots, basis.degree,
+                                 extrapolate=True).toarray()
+
+
 def test_bspline_batch_matches_scipy():
-    xs = np.linspace(0.0, 1.0, 257)
-    ours = BASIS.eval_many(xs)
-    ref = BSpline.design_matrix(xs, BASIS.knots, BASIS.degree).toarray()
-    np.testing.assert_allclose(ours, ref, atol=1e-13)
+    bases = [SplineBasis(degree=p, m=m) for p in range(1, 6)
+             for m in range(p + 1, p + 12)]
+    bases.append(SplineBasis(knots=[0, 0, 0, 0, 0.3, 0.5, 0.5, 0.8,
+                                    1, 1, 1, 1]))      # doubled interior knot
+    rng = np.random.default_rng(0)
+    for basis in bases:
+        t = basis.knots
+        xs = np.concatenate([t, np.nextafter(t, -np.inf),
+                             np.nextafter(t, np.inf), [0.0, 1.0],
+                             rng.random(300)])
+        ours = basis.eval_many(xs)
+        ref = _design_matrix_eval(basis, xs)
+        assert ours.shape == ref.shape == (len(xs), basis.m)
+        assert ours.dtype == ref.dtype and ours.tobytes() == ref.tobytes()
 
 
 def test_bspline_batch_clamps():
@@ -31,3 +48,17 @@ def test_source_kernel_ignores_vacuum_points(small_mesh):
     touched = np.nonzero(np.abs(Y).sum(axis=1))[0]
     assert set(touched) <= set(squad.qp_nodes[0])
     assert len(touched) > 0
+
+
+def test_source_matrix_matches_masked_fill(twin_mesh, reference_eq):
+    # vacuum points evaluated at psibar = 1 give the zeros of the frozen
+    # fill, which evaluated only the plasma points
+    squad = SourceQuadrature(twin_mesh, 2.5)
+    eq = reference_eq
+    pq = squad.psibar_qp(eq.domain.normalize(eq.psi))
+    mask = pq <= 1.0
+    phi = np.zeros((len(pq), BASIS.m - 1))
+    phi[mask] = BASIS.eval_many(pq[mask])[:, :-1]
+    ref = np.hstack([squad.Pa @ phi, squad.Pb @ phi])
+    assert 0 < mask.sum() < len(pq)
+    assert assemble_source_matrix(squad, pq, BASIS).tobytes() == ref.tobytes()

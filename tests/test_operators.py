@@ -13,6 +13,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.interpolate import BSpline
+from scipy.spatial import Delaunay
 
 import gsrecon
 from gsrecon.forward import (SourceQuadrature, assemble_source_matrix,
@@ -549,6 +550,57 @@ def test_xpoint_matches_loop_on_twin_flux(twin_mesh, reference_eq):
     assert (list(saddle_candidates(twin_mesh, psi, scale))
             == _saddle_candidates_loop(twin_mesh, psi, scale))
     assert find_xpoint(twin_mesh, psi) == _find_xpoint_loop(twin_mesh, psi)
+
+
+@pytest.fixture(scope="module")
+def delaunay_mesh():
+    """Delaunay mesh of the rectangle [2, 3] x [-1, 1]: 14 boundary
+    segments a side around a lattice jittered by 0.3 cell, interior node
+    degrees 4 to 9."""
+    n, rng = 14, np.random.default_rng(3)
+    r, z = np.linspace(2.0, 3.0, n + 1), np.linspace(-1.0, 1.0, n + 1)
+    loop = np.concatenate([
+        np.column_stack([r[:-1], np.full(n, z[0])]),
+        np.column_stack([np.full(n, r[-1]), z[:-1]]),
+        np.column_stack([r[:0:-1], np.full(n, z[-1])]),
+        np.column_stack([np.full(n, r[0]), z[:0:-1]])])
+    R, Z = np.meshgrid(r[1:-1], z[1:-1], indexing="ij")
+    inner = np.column_stack([R.ravel(), Z.ravel()]) + 0.3 * rng.uniform(
+        -1.0, 1.0, (R.size, 2)) * [r[1] - r[0], z[1] - z[0]]
+    nodes = np.vstack([loop, inner])
+    tris = Delaunay(nodes).simplices
+    d = nodes[tris[:, 1:]] - nodes[tris[:, :1]]
+    clockwise = d[:, 0, 0] * d[:, 1, 1] < d[:, 0, 1] * d[:, 1, 0]
+    tris[clockwise] = tris[clockwise][:, [0, 2, 1]]
+    mesh = gsrecon.Mesh(nodes, tris, np.arange(len(loop)),
+                        [[2.3, -0.5], [2.7, -0.5], [2.7, 0.5], [2.3, 0.5]])
+    degrees = (mesh.node_neighbors()[mesh.interior_nodes()] >= 0).sum(axis=1)
+    assert (degrees.min(), degrees.max()) == (4, 9)
+    return mesh
+
+
+def _tie_fields(mesh):
+    """Fields with neighbors at exactly or nearly (below 1e-14 of the
+    maximum) equal values, and tie-free controls."""
+    r, z = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    rng = np.random.default_rng(20261018)
+    saddle = (r - 2.5) ** 2 - z ** 2
+    levels = rng.integers(0, 3, mesh.n_nodes).astype(float)
+    return {"saddle": saddle, "noise": rng.standard_normal(mesh.n_nodes),
+            "rounded_saddle": np.round(saddle, 1),
+            "three_levels": levels,
+            "near_levels": levels + 1e-15 * rng.standard_normal(
+                mesh.n_nodes)}
+
+
+@pytest.mark.parametrize("name", ["saddle", "noise", "rounded_saddle",
+                                  "three_levels", "near_levels"])
+def test_xpoint_matches_loop_on_delaunay_mesh(delaunay_mesh, name):
+    mesh, psi = delaunay_mesh, _tie_fields(delaunay_mesh)[name]
+    scale = np.abs(psi).max()
+    assert (list(saddle_candidates(mesh, psi, scale))
+            == _saddle_candidates_loop(mesh, psi, scale))
+    assert find_xpoint(mesh, psi) == _find_xpoint_loop(mesh, psi)
 
 
 # ---------------------------------------------------------------------------
