@@ -35,9 +35,15 @@ class SplineBasis:
         if self.knots is None:
             self.knots = open_uniform_knots(self.degree, self.m)
         self.knots = np.asarray(self.knots, dtype=np.float64)
-        if (self.knots.shape != (self.m + self.degree + 1,)
+        p = self.degree + 1
+        if (self.knots.shape != (self.m + p,)
                 or np.any(np.diff(self.knots) < 0)):
             raise ValueError("knots must be m + degree + 1 nondecreasing")
+        # clamped: only the last basis function is alive at x = 1, which
+        # the zeroed last coefficient of an end-constrained profile relies on
+        if np.any(self.knots[:p] != 0.0) or np.any(self.knots[-p:] != 1.0):
+            raise ValueError("knots must start with degree + 1 zeros and "
+                             "end with degree + 1 ones")
         # basis function j: the spline with coefficients e_j
         self._spline = BSpline(self.knots, np.eye(self.m), self.degree)
 

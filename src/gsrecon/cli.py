@@ -24,6 +24,7 @@ from .forward import MachineParams, forward_fixed_point
 from .inverse import (ReconstructionSetup, RegularizationConfig,
                       observation_state, reconstruct)
 from .observation import chord_lengths, load_measurements, save_measurements
+from .textio import write_rows
 from .twin import (l_curve_ab, l_curve_ne, replicate_stats, synthesize_measurements,
                    write_lcurve_csv, write_stats_csv)
 
@@ -271,13 +272,9 @@ def cmd_reconstruct(args):
     csv_path = _out(cfg, "reconstruction.csv")
     write_profile_csv(csv_path, table)
     summary = _out(cfg, "reconstruction_summary.txt")
-    with open(summary, "w") as fh:
-        fh.write(f"converged {res.converged}\niterations {res.iterations}\n")
-        fh.write(f"lambda {res.lam!r}\n")
-        for k, v in res.costs.items():
-            fh.write(f"{k} {v!r}\n")
-        fh.write("residuals " + " ".join(f"{r:.6e}" for r in res.residuals)
-                 + "\n")
+    write_rows(summary, [["converged", str(res.converged)],
+                         ["iterations", res.iterations], ["lambda", res.lam],
+                         *res.costs.items(), ["residuals", *res.residuals]])
     for i, r in enumerate(res.residuals, 1):
         print(f"iteration {i}: residual {r:.6e}")
     print(f"wrote {csv_path} and {summary}")

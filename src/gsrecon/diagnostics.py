@@ -1,7 +1,6 @@
 """Derived physics quantities: flux-surface contours and averages, mean
 current density, diamagnetic-function integration and the safety factor."""
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,6 +9,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import DegeneratePlasmaError, NonPhysicalProfileError, OpenContourError
 from .mesh import crosses_ray
+from .textio import write_rows
 
 
 @dataclass
@@ -276,12 +276,4 @@ def profile_table(mesh, psi, domain, profiles, lam, machine, n_grid=101,
 
 def write_profile_csv(path, table):
     cols = ["psibar", "lambdaA", "lambdaB_weighted", "j_mean", "q", "f", "ne"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for i in range(len(table["psibar"])):
-            row = []
-            for c in cols:
-                v = table[c][i]
-                row.append("" if not np.isfinite(v) else repr(float(v)))
-            writer.writerow(row)
+    write_rows(path, [cols, *zip(*(table[c] for c in cols))], table=True)

@@ -11,7 +11,7 @@ from .errors import (ConvergenceError, DivergentLambdaError,
                      EmptySourceError, GsReconError, MeshParseError)
 from .geometry import PlasmaDomain, make_plasma_domain, quadrature_points
 from .mesh import interpolation_matrix, point_in_polygon
-from .textio import LineReader
+from .textio import LineReader, write_rows
 
 
 @dataclass
@@ -229,24 +229,15 @@ def save_equilibrium(eq, path):
     """Write ``eq`` as text; ValueError if it has no plasma domain."""
     if eq.domain is None:
         raise ValueError(f"no plasma domain to save: {eq.error}")
-    r_ = lambda v: repr(float(v))
-    with open(path, "w") as fh:
-        fh.write(f"r0 {r_(eq.machine.r0)}\nb0 {r_(eq.machine.b0)}\n"
-                 f"ip {r_(eq.machine.ip)}\nmu0 {r_(eq.machine.mu0)}\n")
-        fh.write(f"lambda {r_(eq.lam)}\nconverged {int(eq.converged)}\n"
-                 f"iterations {int(eq.iterations)}\n")
-        fh.write(f"psi_a {r_(eq.domain.psi_a)}\n"
-                 f"psi_b {r_(eq.domain.psi_b)}\n")
-        fh.write(f"mode {eq.domain.mode}\n")
-        fh.write(f"axis {r_(eq.domain.axis[0])} {r_(eq.domain.axis[1])}\n")
-        fh.write("coeff_a " + " ".join(r_(v) for v in eq.profiles.a) + "\n")
-        fh.write("coeff_b " + " ".join(r_(v) for v in eq.profiles.b) + "\n")
-        if eq.profiles.c is not None:
-            fh.write("coeff_c " + " ".join(r_(v) for v in eq.profiles.c)
-                     + "\n")
-        fh.write(f"psi {len(eq.psi)}\n")
-        for v in eq.psi:
-            fh.write(f"{r_(v)}\n")
+    m, d, p = eq.machine, eq.domain, eq.profiles
+    rows = [["r0", m.r0], ["b0", m.b0], ["ip", m.ip], ["mu0", m.mu0],
+            ["lambda", eq.lam], ["converged", eq.converged],
+            ["iterations", eq.iterations], ["psi_a", d.psi_a],
+            ["psi_b", d.psi_b], ["mode", d.mode], ["axis", *d.axis],
+            ["coeff_a", *p.a], ["coeff_b", *p.b]]
+    if p.c is not None:
+        rows.append(["coeff_c", *p.c])
+    write_rows(path, [*rows, ["psi", len(eq.psi)], *([v] for v in eq.psi)])
 
 
 # fields of an equilibrium file and their value counts (None: any count)

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import MeshValidationError
-from .textio import LineReader
+from .textio import LineReader, write_rows
 
 
 def triangle_areas(nodes, triangles):
@@ -273,17 +273,11 @@ def build_rect_mesh(r_min, r_max, z_min, z_max, nr, nz, limiter=None):
 # ---------------------------------------------------------------------------
 
 def save_mesh(mesh, path):
-    with open(path, "w") as fh:
-        fh.write(f"nodes {mesh.n_nodes} triangles {len(mesh.triangles)} "
-                 f"boundary {len(mesh.boundary)} limiter {len(mesh.limiter)}\n")
-        for r, z in mesh.nodes:
-            fh.write(f"{float(r)!r} {float(z)!r}\n")
-        for i, j, k in mesh.triangles:
-            fh.write(f"{i} {j} {k}\n")
-        for i in mesh.boundary:
-            fh.write(f"{i}\n")
-        for r, z in mesh.limiter:
-            fh.write(f"{float(r)!r} {float(z)!r}\n")
+    write_rows(path, [["nodes", mesh.n_nodes, "triangles", len(mesh.triangles),
+                       "boundary", len(mesh.boundary),
+                       "limiter", len(mesh.limiter)],
+                      *mesh.nodes, *mesh.triangles,
+                      *([i] for i in mesh.boundary), *mesh.limiter])
 
 
 def load_mesh(path):

@@ -12,7 +12,7 @@ import scipy.sparse as sp
 from .errors import MeshParseError
 from .fem import MU0
 from .mesh import _expand, point_matrix
-from .textio import LineReader
+from .textio import LineReader, write_rows
 
 
 @dataclass
@@ -217,21 +217,15 @@ def default_weights(ms, boundary_length):
 def save_measurements(ms, chords, path):
     """Write ``ms`` with the (r1, z1, r2, z2) rows ``chords`` of its
     internal measurements (see :func:`load_measurements`)."""
-    r_ = lambda v: repr(float(v))
-    with open(path, "w") as fh:
-        fh.write(f"Ip {r_(ms.ip)}\nB0 {r_(ms.b0)}\n")
-        fh.write(f"gD {len(ms.g_d)}\n")
-        for v in ms.g_d:
-            fh.write(f"{r_(v)}\n")
-        fh.write(f"gN {len(ms.g_n)}\n")
-        pts = ms.gn_points if ms.gn_points is not None \
-            else np.zeros((len(ms.g_n), 2))
-        for (r, z), v in zip(pts, ms.g_n):
-            fh.write(f"{r_(r)} {r_(z)} {r_(v)}\n")
-        fh.write(f"chords {len(ms.gamma)}\n")
-        for c, gam, al in zip(np.reshape(chords, (-1, 4)), ms.gamma,
-                              ms.alpha):
-            fh.write(" ".join(map(r_, [*c, gam, al])) + "\n")
+    pts = ms.gn_points if ms.gn_points is not None \
+        else np.zeros((len(ms.g_n), 2))
+    write_rows(path, [
+        ["Ip", ms.ip], ["B0", ms.b0],
+        ["gD", len(ms.g_d)], *([v] for v in ms.g_d),
+        ["gN", len(ms.g_n)], *([*p, v] for p, v in zip(pts, ms.g_n)),
+        ["chords", len(ms.gamma)],
+        *([*c, gam, al] for c, gam, al in
+          zip(np.reshape(chords, (-1, 4)), ms.gamma, ms.alpha))])
 
 
 def load_measurements(path):

@@ -1,11 +1,17 @@
-"""Line reader shared by the mesh, measurement and equilibrium loaders.
+"""How gsrecon reads and writes its text files.
 
 One rule for every text file the package reads: numbers are finite, counts
 are non-negative integers, indices lie below the caller's bound, and every
 failure is a :class:`MeshParseError` carrying its 1-based line number (a
 line missing at the end of the file is line ``len + 1``).
+
+One rule for every numeric file it writes (:func:`write_rows`): a float,
+Python or numpy, is written as ``repr(float(v))``, so it reads back to the
+same bits; an integer or a bool, numpy included, as its ``int``; a string
+as it is; and in a CSV table a non-finite float is an empty field.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -65,3 +71,24 @@ class LineReader:
                             nfields, bound) for _ in range(count)]
         return np.array(rows, dtype=np.float64 if bound is None
                         else np.int64).reshape(count, nfields)
+
+
+def _text(v, table):
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (int, np.integer, np.bool_)):
+        return str(int(v))
+    v = float(v)
+    return "" if table and not math.isfinite(v) else repr(v)
+
+
+def write_rows(path, rows, table=False):
+    """Write each row of values as one line under the rule above: fields
+    separated by spaces or, when ``table``, a CSV table (``\\r\\n`` line
+    ends)."""
+    lines = [[_text(v, table) for v in row] for row in rows]
+    with open(path, "w", newline="" if table else None) as fh:
+        if table:
+            csv.writer(fh).writerows(lines)
+        else:
+            fh.writelines(" ".join(line) + "\n" for line in lines)

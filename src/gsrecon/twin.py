@@ -2,7 +2,6 @@
 replication statistics and L-curve selection of the regularization
 parameter."""
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -12,6 +11,7 @@ from .errors import GsReconError
 from .inverse import identify_ab, identify_ne, reconstruct
 from .observation import (MeasurementSet, build_interferometry_matrix,
                           build_polarimetry_observer, default_weights)
+from .textio import write_rows
 
 PROFILE_KEYS = ("lambdaA", "lambdaB_weighted", "j_mean", "q", "ne")
 
@@ -39,8 +39,9 @@ def perturb(ms, rate=0.01, seed=0):
     """Measurement set whose every scalar m becomes m + eta with
     eta ~ N(0, (rate*|m|)^2), drawn from ``np.random.default_rng(seed)``
     (``seed`` an int or a :class:`numpy.random.SeedSequence`)."""
-    if rate < 0:
-        raise ValueError("noise rate must be nonnegative")
+    if not 0 <= rate < np.inf:
+        raise ValueError(f"noise rate must be finite and nonnegative, "
+                         f"got {rate}")
     if rate == 0:
         return replace(ms)
     rng = np.random.default_rng(seed)
@@ -132,19 +133,10 @@ def replicate_stats(setup, ms_clean, reg, eps_values, n_replicates=50,
 
 
 def write_stats_csv(path, stats):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["psibar"]
-        for k in PROFILE_KEYS:
-            header += [f"mean_{k}", f"median_{k}", f"std_{k}"]
-        writer.writerow(header)
-        for i in range(len(stats.grid)):
-            row = [repr(float(stats.grid[i]))]
-            for k in PROFILE_KEYS:
-                for d in (stats.mean, stats.median, stats.std):
-                    v = d[k][i]
-                    row.append("" if not np.isfinite(v) else repr(float(v)))
-            writer.writerow(row)
+    cols = {f"{kind}_{k}": getattr(stats, kind)[k] for k in PROFILE_KEYS
+            for kind in ("mean", "median", "std")}
+    write_rows(path, [["psibar", *cols], *zip(stats.grid, *cols.values())],
+               table=True)
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +213,7 @@ def l_curve_ab(setup, ms, E, f, eps_grid):
 
 
 def write_lcurve_csv(path, result):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["eps", "log_misfit", "log_penalty", "is_corner"])
-        for i in range(len(result.eps)):
-            writer.writerow([repr(float(result.eps[i])),
-                             repr(float(result.x[i])),
-                             repr(float(result.y[i])),
-                             int(i == result.corner_index)])
+    corner = np.arange(len(result.eps)) == result.corner_index
+    write_rows(path, [["eps", "log_misfit", "log_penalty", "is_corner"],
+                      *zip(result.eps, result.x, result.y, corner)],
+               table=True)

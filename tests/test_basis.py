@@ -25,7 +25,9 @@ def test_knot_vector_rejects_small_m():
 
 @pytest.mark.parametrize("knots", [
     open_uniform_knots(3, 8)[:-1], np.append(open_uniform_knots(3, 8), 1.0),
-    open_uniform_knots(3, 8)[::-1]], ids=["short", "long", "decreasing"])
+    open_uniform_knots(3, 8)[::-1],
+    [0, 0, 0, 0, .2, .4, .6, .8, 1.1, 1.2, 1.3, 1.4]],
+    ids=["short", "long", "decreasing", "unclamped"])
 def test_basis_rejects_bad_knots(knots):
     with pytest.raises(ValueError, match="knots"):
         SplineBasis(m=8, knots=knots)

@@ -8,6 +8,7 @@ import pytest
 import gsrecon
 from gsrecon import cli
 from gsrecon.errors import MeshParseError
+from gsrecon.inverse import ReconstructionSetup, reconstruct
 from gsrecon.mesh import build_rect_mesh, load_mesh, save_mesh
 from gsrecon.observation import load_measurements
 
@@ -106,6 +107,20 @@ def test_reconstruct_from_measurement_file(workspace):
     assert code == cli.EXIT_OK
     summary = (ws / "rec" / "reconstruction_summary.txt").read_text()
     assert "converged True" in summary
+    # every number reads back to the bits of the same reconstruction
+    # through the API
+    conf = cli.parse_config(str(cfg))
+    ms, chords = load_measurements(ws / "measurements.txt")
+    setup = ReconstructionSetup(cli._load_mesh(conf), cli._machine(conf),
+                                chords, basis=cli._basis(conf))
+    res = reconstruct(setup, ms, cli._reg(conf), tol=cli._get(conf, "tol"),
+                      max_iter=cli._get(conf, "max_iter", int))
+    fields = dict(line.split(" ", 1) for line in summary.splitlines())
+    numbers = {k: [float(v) for v in fields[k].split()]
+               for k in ("lambda", *res.costs, "residuals")}
+    assert numbers == {"lambda": [float(res.lam)],
+                       **{k: [float(v)] for k, v in res.costs.items()},
+                       "residuals": [float(r) for r in res.residuals]}
 
 
 def test_reconstruct_realtime_runs_two_iterations(workspace, capsys):

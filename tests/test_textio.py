@@ -17,7 +17,7 @@ from gsrecon.forward import load_equilibrium, picard, save_equilibrium
 from gsrecon.inverse import RegularizationConfig
 from gsrecon.observation import (MeasurementSet, load_measurements,
                                  save_measurements)
-from gsrecon.textio import LineReader
+from gsrecon.textio import LineReader, write_rows
 
 from conftest import a_ref
 
@@ -54,6 +54,17 @@ def test_reader_rejects_value_on_its_line(tmp_path, text, n, bound):
     with pytest.raises(MeshParseError) as info:
         rd.values(rd.fields("the second line"), n, bound)
     assert info.value.line == 2
+
+
+def test_writer_rule(tmp_path):
+    # numpy scalars are written like Python numbers, never as their repr
+    row = [np.float64(0.1), np.int64(7), np.bool_(True), 1 / 3, "mode"]
+    write_rows(tmp_path / "f.txt", [row])
+    assert (tmp_path / "f.txt").read_bytes() == \
+        b"0.1 7 1 0.3333333333333333 mode\n"
+    write_rows(tmp_path / "f.csv", [["a", "b", "c"], [np.nan, 2.5, -np.inf]],
+               table=True)
+    assert (tmp_path / "f.csv").read_bytes() == b"a,b,c\r\n,2.5,\r\n"
 
 
 @pytest.fixture(scope="module")

@@ -39,6 +39,12 @@ def test_perturb_deterministic_under_seed(clean_measurements):
     assert np.any(a.g_n != c.g_n)
 
 
+@pytest.mark.parametrize("rate", [-0.01, np.nan, np.inf])
+def test_perturb_rejects_bad_rate(clean_measurements, rate):
+    with pytest.raises(ValueError, match=f"noise rate .* got {rate}"):
+        perturb(clean_measurements, rate)
+
+
 def test_replicate_stats_shapes_and_determinism(setup, clean_measurements):
     kwargs = dict(n_replicates=3, seed=99, use_internal=False)
     run = lambda: replicate_stats(setup, clean_measurements,
