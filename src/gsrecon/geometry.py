@@ -25,35 +25,45 @@ class PlasmaDomain:
         return normalized_flux(psi, self.psi_a, self.psi_b)
 
 
+def _fit_operator(mesh, node, two_ring):
+    """The quadratic fit about a node, built once per mesh: (fit nodes, the
+    node first; pseudo-inverse of [1, dr, dz, dr^2/2, dr dz, dz^2/2] in
+    ring radii, zero below six fit nodes; the ring radius)."""
+    key = ("fit", node, two_ring)
+    if key not in mesh._cache:
+        ring = mesh.node_neighbors()[node]
+        ring = ring[ring >= 0]
+        ids = np.append(ring, mesh.node_neighbors()[ring]) if two_ring else ring
+        ids = np.array([node] + sorted(set(ids.tolist()) - {node, -1}))
+        radius = np.linalg.norm(mesh.nodes[ring] - mesh.nodes[node],
+                                axis=1).max()
+        dr, dz = ((mesh.nodes[ids] - mesh.nodes[node]) / radius).T
+        design = np.column_stack([np.ones(len(ids)), dr, dz, 0.5 * dr * dr,
+                                  dr * dz, 0.5 * dz * dz])
+        mesh._cache[key] = (ids, np.linalg.pinv(design) if len(ids) >= 6
+                            else np.zeros((6, len(ids))), float(radius))
+    return mesh._cache[key]
+
+
 def _refine(mesh, psi, node, two_ring=False):
     """Stationary point of the least-squares quadratic psi(dr, dz) fitted
-    about a node over its ring (or two-ring) neighborhood.
-
-    Returns ((r, z), fitted value, Hessian), or None when fewer than six
+    about a node over its ring (or two-ring) neighborhood: ((r, z), fitted
+    value, h_rr, det H) in the mesh's units, or None when fewer than six
     nodes support the fit, the Hessian is singular or the stationary point
-    lies farther than 1.5 ring radii from the node.
-    """
-    ring = mesh.node_neighbors()[node]
-    ring = ring[ring >= 0]
-    ids = np.append(ring, mesh.node_neighbors()[ring]) if two_ring else ring
-    ids = np.array([node] + sorted(set(ids.tolist()) - {node, -1}))
-    if len(ids) < 6:
+    lies farther than 1.5 ring radii from the node."""
+    ids, pinv, radius = _fit_operator(mesh, node, two_ring)
+    # coefficients and stationary point in ring radii
+    c, gr, gz, hrr, hrz, hzz = (pinv @ psi[ids]).tolist()
+    det = hrr * hzz - hrz * hrz
+    if det == 0.0:
         return None
-    d = mesh.nodes[ids] - mesh.nodes[node]
-    A = np.column_stack([np.ones(len(ids)), d[:, 0], d[:, 1],
-                         0.5 * d[:, 0] ** 2, d[:, 0] * d[:, 1],
-                         0.5 * d[:, 1] ** 2])
-    (c, gr, gz, hrr, hrz, hzz), *_ = np.linalg.lstsq(A, psi[ids], rcond=None)
-    if hrr * hzz - hrz * hrz == 0.0:
+    dr, dz = (hrz * gz - hzz * gr) / det, (hrz * gr - hrr * gz) / det
+    if not dr * dr + dz * dz <= 2.25:
         return None
-    H = np.array([[hrr, hrz], [hrz, hzz]])
-    dx = -np.linalg.solve(H, np.array([gr, gz]))
-    radius = np.linalg.norm(mesh.nodes[ring] - mesh.nodes[node], axis=1).max()
-    if not np.linalg.norm(dx) <= 1.5 * radius:
-        return None
-    value = (c + gr * dx[0] + gz * dx[1] + 0.5 * hrr * dx[0] ** 2
-             + hrz * dx[0] * dx[1] + 0.5 * hzz * dx[1] ** 2)
-    return tuple(mesh.nodes[node] + dx), float(value), H
+    r, z = mesh.nodes[node].tolist()
+    # at the stationary point the quadratic is c + g.d/2
+    return ((r + radius * dr, z + radius * dz), c + 0.5 * (gr * dr + gz * dz),
+            hrr / radius ** 2, det / radius ** 4)
 
 
 def find_axis(mesh, psi):
@@ -68,7 +78,7 @@ def find_axis(mesh, psi):
         raise NoPlasmaError("flux maximum attained on the boundary")
     for two_ring in (False, True):
         fit = _refine(mesh, psi, node, two_ring=two_ring)
-        if fit is not None and np.linalg.eigvalsh(fit[2]).max() < 0:
+        if fit is not None and fit[2] < 0 < fit[3]:
             return fit[:2]
     return tuple(mesh.nodes[node]), float(psi[node])
 
@@ -81,9 +91,10 @@ def saddle_candidates(mesh, psi, scale):
     psi rises (or falls) into it and on out of it; tied nodes take the
     ring scan."""
     tri, edges = mesh.triangles, mesh.edge_index()[0]
-    rise = psi[tri[:, [1, 2, 0]]] > psi[tri]     # corner k to k + 1
-    saddle = np.bincount(tri[rise == rise[:, [2, 0, 1]]],
-                         minlength=len(psi)) >= 4
+    corner = psi[tri]
+    rise = corner[:, [1, 2, 0]] > corner         # corner k to k + 1
+    saddle = np.bincount(tri.ravel(), (rise == rise[:, [2, 0, 1]]).ravel(),
+                         len(psi)) >= 4
     tie = np.zeros(len(psi), dtype=bool)
     tie[edges[~(np.abs(np.diff(psi[edges])[:, 0]) > 1e-14 * scale)]] = True
     saddle[mesh.boundary] = tie[mesh.boundary] = False
@@ -123,11 +134,7 @@ def find_xpoint(mesh, psi):
     candidates = []
     for node in saddle_candidates(mesh, psi, scale):
         fit = _refine(mesh, psi, int(node))
-        if fit is None:
-            continue
-        (hrr, hrz), (_, hzz) = fit[2]
-        # the explicit determinant: np.linalg.det rounds differently
-        if hrr * hzz - hrz ** 2 < -1e-12 * scale ** 2:
+        if fit is not None and fit[3] < -1e-12 * scale ** 2:
             candidates.append(fit[:2])
     return max(candidates, key=lambda c: c[1], default=None)
 

@@ -159,6 +159,7 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
     w = np.repeat([weights.w_mag, weights.w_polar],
                   [setup.c0.shape[0], n_c if use_internal else 0])
     k_inv_g = setup.fact.lift(ms.g_d)
+    f_mag = ms.g_n - setup.c0 @ k_inv_g    # observation_state's f
     chords, free = setup.chord_geoms, setup.free_idx
 
     start_domain = warm_start.domain if warm_start is not None else None
@@ -201,7 +202,8 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
         Y *= lam
         lam_history.append(lam)
 
-        k_inv_y, E, f = observation_state(setup, Y, ms.g_n, k_inv_g)
+        k_inv_y = setup.fact.solve_multi(Y)
+        E, f = setup.c0 @ k_inv_y, f_mag
         ne_misfit, ne_seminorm = np.zeros(0), 0.0
         if use_internal:
             b_int, G = build_interferometry_matrix(chords, basis,

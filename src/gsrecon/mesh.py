@@ -108,7 +108,9 @@ class Mesh:
         return self._cache["areas"]
 
     def area(self):
-        return float(self.areas().sum())
+        if "area" not in self._cache:
+            self._cache["area"] = float(self.areas().sum())
+        return self._cache["area"]
 
     def boundary_length(self):
         pts = self.nodes[self.boundary]

@@ -216,7 +216,12 @@ def default_weights(ms, boundary_length):
 
 def save_measurements(ms, chords, path):
     """Write ``ms`` with the (r1, z1, r2, z2) rows ``chords`` of its
-    internal measurements (see :func:`load_measurements`)."""
+    internal measurements (see :func:`load_measurements`); ValueError
+    before any write when the rows do not match ``ms.gamma`` in number."""
+    chords = np.reshape(chords, (-1, 4))
+    if len(chords) != len(ms.gamma):
+        raise ValueError(f"{len(chords)} chord rows, {len(ms.gamma)} "
+                         "gamma values")
     pts = ms.gn_points if ms.gn_points is not None \
         else np.zeros((len(ms.g_n), 2))
     write_rows(path, [
@@ -224,8 +229,7 @@ def save_measurements(ms, chords, path):
         ["gD", len(ms.g_d)], *([v] for v in ms.g_d),
         ["gN", len(ms.g_n)], *([*p, v] for p, v in zip(pts, ms.g_n)),
         ["chords", len(ms.gamma)],
-        *([*c, gam, al] for c, gam, al in
-          zip(np.reshape(chords, (-1, 4)), ms.gamma, ms.alpha))])
+        *([*c, gam, al] for c, gam, al in zip(chords, ms.gamma, ms.alpha))])
 
 
 def load_measurements(path):

@@ -8,6 +8,7 @@ setup, synthetic measurements) are session-scoped so each is built once.
 import numpy as np
 import pytest
 from hypothesis import settings
+from scipy.spatial import Delaunay
 
 import gsrecon
 from gsrecon.basis import SplineBasis
@@ -99,3 +100,30 @@ def reference_table(twin_mesh, reference_eq, machine):
 def small_mesh():
     """Cheap structured mesh without a dedicated limiter contour."""
     return gsrecon.build_rect_mesh(2.0, 3.0, -1.0, 1.0, 8, 8)
+
+
+@pytest.fixture(scope="session")
+def delaunay_mesh():
+    """Delaunay mesh of the rectangle [2, 3] x [-1, 1]: 14 boundary
+    segments a side around a lattice jittered by 0.3 cell, interior node
+    degrees 4 to 9."""
+    n, rng = 14, np.random.default_rng(3)
+    r, z = np.linspace(2.0, 3.0, n + 1), np.linspace(-1.0, 1.0, n + 1)
+    loop = np.concatenate([
+        np.column_stack([r[:-1], np.full(n, z[0])]),
+        np.column_stack([np.full(n, r[-1]), z[:-1]]),
+        np.column_stack([r[:0:-1], np.full(n, z[-1])]),
+        np.column_stack([np.full(n, r[0]), z[:0:-1]])])
+    R, Z = np.meshgrid(r[1:-1], z[1:-1], indexing="ij")
+    inner = np.column_stack([R.ravel(), Z.ravel()]) + 0.3 * rng.uniform(
+        -1.0, 1.0, (R.size, 2)) * [r[1] - r[0], z[1] - z[0]]
+    nodes = np.vstack([loop, inner])
+    tris = Delaunay(nodes).simplices
+    d = nodes[tris[:, 1:]] - nodes[tris[:, :1]]
+    clockwise = d[:, 0, 0] * d[:, 1, 1] < d[:, 0, 1] * d[:, 1, 0]
+    tris[clockwise] = tris[clockwise][:, [0, 2, 1]]
+    mesh = gsrecon.Mesh(nodes, tris, np.arange(len(loop)),
+                        [[2.3, -0.5], [2.7, -0.5], [2.7, 0.5], [2.3, 0.5]])
+    degrees = (mesh.node_neighbors()[mesh.interior_nodes()] >= 0).sum(axis=1)
+    assert (degrees.min(), degrees.max()) == (4, 9)
+    return mesh

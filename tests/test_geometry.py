@@ -3,8 +3,8 @@ import pytest
 
 import gsrecon
 from gsrecon.errors import DegeneratePlasmaError, NoPlasmaError
-from gsrecon.geometry import (_refine, boundary_flux, find_axis,
-                              find_xpoint, make_plasma_domain,
+from gsrecon.geometry import (_fit_operator, _refine, boundary_flux,
+                              find_axis, find_xpoint, make_plasma_domain,
                               normalized_flux, quadrature_points)
 
 
@@ -45,6 +45,93 @@ def test_refine_reaches_one_and_a_half_ring_radii(mesh, t):
         assert fit[1] == pytest.approx(1.0, abs=1e-8)
     else:
         assert fit is None
+
+
+@pytest.mark.parametrize("two_ring", [False, True])
+@pytest.mark.parametrize("which", ["rect", "delaunay"])
+def test_fit_operator_recovers_any_quadratic(mesh, delaunay_mesh, which,
+                                            two_ring):
+    # the value, gradient and Hessian of a quadratic at every interior node,
+    # in ring-radius units
+    mesh = {"rect": mesh, "delaunay": delaunay_mesh}[which]
+    a = np.random.default_rng(5).uniform(-1.0, 1.0, 6)
+    r, z = mesh.nodes.T
+    q = a[0] + a[1] * r + a[2] * z + a[3] * r * r + a[4] * r * z + a[5] * z * z
+    degree = (mesh.node_neighbors() >= 0).sum(axis=1)
+    for node in mesh.interior_nodes():
+        ids, pinv, s = _fit_operator(mesh, int(node), two_ring)
+        # only a one ring of four nodes has fewer than six fit nodes
+        if not two_ring and degree[node] < 5:
+            assert len(ids) == 5 and not pinv.any()
+            continue
+        rn, zn = mesh.nodes[node]
+        exact = [q[node], s * (a[1] + 2 * a[3] * rn + a[4] * zn),
+                 s * (a[2] + a[4] * rn + 2 * a[5] * zn), s * s * 2 * a[3],
+                 s * s * a[4], s * s * 2 * a[5]]
+        assert ids[0] == node
+        np.testing.assert_allclose(pinv @ q[ids], exact, rtol=0,
+                                   atol=1e-12 * np.abs(exact).max())
+
+
+@pytest.mark.parametrize("two_ring", [False, True])
+def test_refine_returns_hessian_in_mesh_units(mesh, delaunay_mesh, two_ring):
+    # psi = -(3 dr^2 + dr dz + 2 dz^2) / 2 about (2.5, 0.1): h_rr = -3,
+    # det H = 3 * 2 - 1 / 4
+    for m in (mesh, delaunay_mesh):
+        dr, dz = (m.nodes - (2.5, 0.1)).T
+        psi = -(3.0 * dr * dr + dr * dz + 2.0 * dz * dz) / 2.0
+        degree = (m.node_neighbors() >= 0).sum(axis=1)
+        node = int(np.argmin(np.where(degree >= 5, np.hypot(dr, dz), np.inf)))
+        (r, z), value, hrr, det = _refine(m, psi, node, two_ring)
+        assert (r, z, value) == pytest.approx((2.5, 0.1, 0.0), abs=1e-12)
+        assert (hrr, det) == pytest.approx((-3.0, 5.75), rel=1e-12)
+
+
+def _rect():
+    return gsrecon.build_rect_mesh(2.0, 3.0, -1.0, 1.0, 16, 16)
+
+
+def test_fit_operator_built_once_per_mesh(monkeypatch):
+    built = []
+    pinv = np.linalg.pinv
+    monkeypatch.setattr(np.linalg, "pinv",
+                        lambda a: built.append(a.shape) or pinv(a))
+    first, second = _rect(), _rect()
+    nodes = [int(k) for k in first.interior_nodes()]
+    keys = [("fit", k, two_ring) for k in nodes for two_ring in (False, True)]
+    for _ in range(2):
+        for m in (first, second):
+            for key in keys:
+                _refine(m, paraboloid(m), *key[1:])
+    # one pseudo-inverse per (node, ring) and mesh, none on later calls
+    assert len(built) == 2 * len(keys)
+    for key in keys:
+        assert first._cache[key][1] is not second._cache[key][1]
+        np.testing.assert_array_equal(first._cache[key][1],
+                                      second._cache[key][1])
+
+
+def test_warm_fit_matches_cold_fit():
+    warm = _rect()
+    psi = np.random.default_rng(1).standard_normal(warm.n_nodes)
+    for node in warm.interior_nodes():
+        for two_ring in (False, True):
+            cold = _refine(warm, psi, int(node), two_ring)
+            assert _refine(warm, psi, int(node), two_ring) == cold
+            assert _refine(_rect(), psi, int(node), two_ring) == cold
+
+
+def test_fit_needs_six_nodes(delaunay_mesh):
+    mesh = delaunay_mesh
+    degree = (mesh.node_neighbors() >= 0).sum(axis=1)
+    node = int(mesh.interior_nodes()[np.argmin(
+        degree[mesh.interior_nodes()])])           # a one ring of 4 nodes
+    assert degree[node] == 4
+    psi = paraboloid(mesh, *mesh.nodes[node])
+    assert not _fit_operator(mesh, node, False)[1].any()
+    assert _refine(mesh, psi, node) is None
+    assert _refine(mesh, psi, node, two_ring=True)[0] == pytest.approx(
+        tuple(mesh.nodes[node]), abs=1e-12)
 
 
 def test_axis_requires_interior_maximum(mesh):

@@ -224,6 +224,21 @@ def test_measurements_roundtrip(tmp_path, clean_measurements, setup):
     np.testing.assert_array_equal(chords2, chords)
 
 
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_save_measurements_refuses_chord_count_mismatch(tmp_path, extra,
+                                                       clean_measurements,
+                                                       setup):
+    # one chord row too few or too many: nothing is written
+    chords = setup.chord_geoms.endpoints
+    chords = chords[:-1] if extra < 0 else np.vstack([chords, chords[:1]])
+    n = len(clean_measurements.gamma)
+    path = tmp_path / "ms.txt"
+    with pytest.raises(ValueError,
+                       match=f"^{n + extra} chord rows, {n} gamma values$"):
+        save_measurements(clean_measurements, chords, path)
+    assert not path.exists()
+
+
 def test_load_measurements_malformed(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("Ip 1e6\nB0 2.0\ngD 2\n0.0\nnot_a_number\n")
