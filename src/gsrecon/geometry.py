@@ -49,13 +49,13 @@ def _refine(mesh, psi, node, two_ring=False):
     """Stationary point of the least-squares quadratic psi(dr, dz) fitted
     about a node over its ring (or two-ring) neighborhood: ((r, z), fitted
     value, h_rr, det H) in the mesh's units, or None when fewer than six
-    nodes support the fit, the Hessian is singular or the stationary point
-    lies farther than 1.5 ring radii from the node."""
+    nodes support the fit, the Hessian is flat (|det H| <= 1e-6 |H|^2) or
+    the stationary point lies farther than 1.5 ring radii from the node."""
     ids, pinv, radius = _fit_operator(mesh, node, two_ring)
     # coefficients and stationary point in ring radii
     c, gr, gz, hrr, hrz, hzz = (pinv @ psi[ids]).tolist()
     det = hrr * hzz - hrz * hrz
-    if det == 0.0:
+    if not abs(det) > 1e-6 * (hrr * hrr + 2.0 * hrz * hrz + hzz * hzz):
         return None
     dr, dz = (hrz * gz - hzz * gr) / det, (hrz * gr - hrr * gz) / det
     if not dr * dr + dz * dz <= 2.25:

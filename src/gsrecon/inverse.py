@@ -107,15 +107,16 @@ class ReconstructionSetup:
         return out
 
 
-def observation_state(setup, Y, g_n, k_inv_g):
+def observation_state(setup, Y, g_n, k_inv_g, f=None):
     """Observation state of one flux iterate: (K^-1 Y, E, f).
 
     K^-1 Y is zero on the boundary, so psi(u) = K^-1 Y u + K^-1 g keeps the
     boundary flux of the lift ``k_inv_g``; E = C0 K^-1 Y and
-    f = g_n - C0 K^-1 g, so E u - f = C0 psi(u) - g_n.
-    """
+    f = g_n - C0 K^-1 g, so E u - f = C0 psi(u) - g_n.  An ``f`` from an
+    earlier call with the same ``g_n`` and ``k_inv_g`` is passed through."""
     k_inv_y = setup.fact.solve_multi(Y)
-    return k_inv_y, setup.c0 @ k_inv_y, g_n - setup.c0 @ k_inv_g
+    f = g_n - setup.c0 @ k_inv_g if f is None else f
+    return k_inv_y, setup.c0 @ k_inv_y, f
 
 
 def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
@@ -159,7 +160,7 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
     w = np.repeat([weights.w_mag, weights.w_polar],
                   [setup.c0.shape[0], n_c if use_internal else 0])
     k_inv_g = setup.fact.lift(ms.g_d)
-    f_mag = ms.g_n - setup.c0 @ k_inv_g    # observation_state's f
+    f_mag = None            # observation_state's f, formed once per call
     chords, free = setup.chord_geoms, setup.free_idx
 
     start_domain = warm_start.domain if warm_start is not None else None
@@ -180,7 +181,7 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
     iterations, last = 0, None
 
     def step(psi_in):
-        nonlocal psi, iterations, u, lam, ne_coeffs, last
+        nonlocal psi, iterations, u, lam, ne_coeffs, last, f_mag
         psi, iterations = psi_in, iterations + 1
         try:
             psibar_nodal = (
@@ -202,9 +203,8 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
         Y *= lam
         lam_history.append(lam)
 
-        k_inv_y = setup.fact.solve_multi(Y)
-        E, f = setup.c0 @ k_inv_y, f_mag
-        ne_misfit, ne_seminorm = np.zeros(0), 0.0
+        k_inv_y, E, f_mag = observation_state(setup, Y, ms.g_n, k_inv_g, f_mag)
+        f, ne_misfit, ne_seminorm = f_mag, np.zeros(0), 0.0
         if use_internal:
             b_int, G = build_interferometry_matrix(chords, basis,
                                                    psibar_nodal)

@@ -134,6 +134,25 @@ def test_fit_needs_six_nodes(delaunay_mesh):
         tuple(mesh.nodes[node]), abs=1e-12)
 
 
+@pytest.mark.parametrize("ratio", [1e-5, 1e-7, 1e-12])
+def test_flat_fit_is_refused(mesh, ratio):
+    # a saddle and a maximum whose Hessian eigenvalues are 1 / ratio apart:
+    # fitted to 1e-9 h down to a ratio of 1e-6, refused below it (the
+    # saddle although its det H passes find_xpoint's test; the axis falls
+    # back to the node)
+    r, z = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    h = 1.0 / 16
+    xpoint = find_xpoint(mesh, (r - 2.5) ** 2 - ratio * z ** 2)
+    (ra, za), _ = find_axis(mesh, -(r - 2.5) ** 2
+                            - ratio * (z - 0.03) ** 2)
+    if ratio > 1e-6:
+        assert xpoint[0] == pytest.approx((2.5, 0.0), abs=1e-9 * h)
+        assert (ra, za) == pytest.approx((2.5, 0.03), abs=1e-9 * h)
+    else:
+        assert xpoint is None
+        assert (ra, za) == (2.5, 0.0)
+
+
 def test_axis_requires_interior_maximum(mesh):
     with pytest.raises(NoPlasmaError):
         find_axis(mesh, mesh.nodes[:, 0])      # maximal on the boundary

@@ -18,8 +18,8 @@ import gsrecon
 from gsrecon.forward import (SourceQuadrature, assemble_source_matrix,
                              assemble_source_vector)
 from gsrecon.errors import NoPlasmaError
-from gsrecon.geometry import (_fit_operator, _refine, boundary_flux,
-                              find_axis, find_xpoint, saddle_candidates)
+from gsrecon.geometry import (_refine, boundary_flux, find_axis, find_xpoint,
+                              saddle_candidates)
 from gsrecon.mesh import interpolation_matrix
 from gsrecon.observation import (build_chord_geometries,
                                  build_interferometry_matrix,
@@ -462,7 +462,8 @@ def _fields(mesh):
     rng = np.random.default_rng(20240917)
     return {"paraboloid": 1.0 - (r - 2.5) ** 2 - z ** 2,
             "saddle": (r - 2.5) ** 2 - z ** 2,
-            # Hessian determinant -4e-12, just past the -1e-12 scale^2 test
+            # det H = -4e-12 passes the -1e-12 scale^2 test, but the
+            # eigenvalues 1e12 apart leave the fit flat: no X-point
             "flat_saddle": (r - 2.5) ** 2 - 1e-12 * z ** 2,
             "noise": rng.standard_normal(mesh.n_nodes)}
 
@@ -478,39 +479,52 @@ def test_node_neighbors_match_loop(twin_mesh):
         assert np.all(row[len(ring):] == -1)
 
 
-def _fit_matches(mesh, psi, node, pos, value, two_ring=False):
-    """Whether the fit about ``node`` matches a frozen (pos, value) within
-    the rounding of a pseudo-inverse product against lstsq: the value
-    within 1e-11 max|psi|, the position within 1e-9 h (h the shortest
-    edge) along the Hessian's stiffest direction and 1e-9 h times the
-    eigenvalue ratio along the other, where a rounding error in the
-    gradient moves the stationary point by the inverse eigenvalue."""
-    fit = _refine(mesh, psi, node, two_ring)
-    if fit is None:
-        return False
-    ids, pinv, _ = _fit_operator(mesh, node, two_ring)
-    _, _, _, hrr, hrz, hzz = pinv @ psi[ids]
+def _near(mesh, pos, ref):
+    """Whether two points agree within 1e-9 h, h the shortest edge."""
     edge = mesh.nodes[mesh.edge_index()[0]]
     h = np.hypot(*(edge[:, 1] - edge[:, 0]).T).min()
-    eig, vec = np.linalg.eigh([[hrr, hrz], [hrz, hzz]])
-    offset = np.abs(vec.T @ np.subtract(fit[0], pos))
-    return (abs(fit[1] - value) <= 1e-11 * np.abs(psi).max()
-            and bool(np.all(offset * np.abs(eig)
-                            <= 1e-9 * h * np.abs(eig).max())))
+    return bool(np.hypot(*np.subtract(pos, ref)) <= 1e-9 * h)
+
+
+def _frozen_saddles(mesh, psi):
+    """(position, value, flat) of each saddle the frozen loop accepts, from
+    the same fit helpers; flat marks a Hessian that the program's fit
+    refuses (|det H| at most 1e-6 of its squared norm)."""
+    scale = np.abs(psi).max() or 1.0
+    out = []
+    for node in _saddle_candidates_loop(mesh, psi, scale):
+        coef = _quadratic_fit(mesh, psi, node)
+        if coef is None:
+            continue
+        dx, H = _critical_point(coef)
+        det = H[0, 0] * H[1, 1] - H[0, 1] ** 2
+        if (dx is None or det >= -1e-12 * scale ** 2
+                or np.linalg.norm(dx) > 1.5 * _ring_radius(mesh, node)):
+            continue
+        out.append((tuple(mesh.nodes[node] + dx),
+                    float(_fit_value(coef, dx)),
+                    not abs(det) > 1e-6 * (H ** 2).sum()))
+    return out
 
 
 def _assert_xpoint_matches(mesh, psi):
-    """find_xpoint against the frozen loop: None exactly where it is None,
-    the value within the tolerance of :func:`_fit_matches`, and the frozen
-    pick matching the fit at one candidate node.  Saddles whose values tie
-    to rounding (mirror images of a symmetric field) may be taken in
-    either order."""
-    new, ref = find_xpoint(mesh, psi), _find_xpoint_loop(mesh, psi)
+    """find_xpoint against the frozen loop's saddles less the flat ones:
+    None exactly where none is left, else the value within 1e-11 max|psi|
+    and the position within 1e-9 h of the highest, or of another whose
+    value ties it within 1e-11 max|psi| (mirror images of a symmetric
+    field, ordered by rounding)."""
+    saddles = _frozen_saddles(mesh, psi)
+    assert _find_xpoint_loop(mesh, psi) == max(
+        [s[:2] for s in saddles], key=lambda c: c[1], default=None)
+    kept = [s[:2] for s in saddles if not s[2]]
+    ref = max(kept, key=lambda c: c[1], default=None)
+    new = find_xpoint(mesh, psi)
     assert (new is None) == (ref is None)
     if ref is not None:
-        assert abs(new[1] - ref[1]) <= 1e-11 * np.abs(psi).max()
-        assert any(_fit_matches(mesh, psi, int(node), *ref) for node in
-                   saddle_candidates(mesh, psi, np.abs(psi).max()))
+        tol = 1e-11 * np.abs(psi).max()
+        assert abs(new[1] - ref[1]) <= tol
+        assert any(_near(mesh, new[0], pos) for pos, value in kept
+                   if abs(value - ref[1]) <= tol)
 
 
 @pytest.mark.parametrize("name", ["paraboloid", "saddle", "flat_saddle",
@@ -525,18 +539,18 @@ def test_xpoint_matches_loop(mesh16, name):
 
 def _assert_axis_matches(mesh, psi):
     """find_axis against the frozen copy: the node fallback bit for bit
-    where the frozen copy takes it, else the fit of the ring it took,
-    matching within the tolerance of :func:`_fit_matches`.  Returns the
-    branch taken."""
+    where the frozen copy takes it, else the fit of the ring it took, its
+    position within 1e-9 h and its value within 1e-11 max|psi| of the
+    frozen one.  Returns the branch taken."""
     ref, taken = _find_axis_frozen(mesh, psi)
     new = find_axis(mesh, psi)
     node = int(mesh.interior_nodes()[np.argmax(psi[mesh.interior_nodes()])])
     if taken == "node":
         assert new == ref
     else:
-        two_ring = taken == "two"
-        assert new == _refine(mesh, psi, node, two_ring)[:2]
-        assert _fit_matches(mesh, psi, node, *ref, two_ring=two_ring)
+        assert new == _refine(mesh, psi, node, taken == "two")[:2]
+        assert _near(mesh, new[0], ref[0])
+        assert abs(new[1] - ref[1]) <= 1e-11 * np.abs(psi).max()
     return taken
 
 
