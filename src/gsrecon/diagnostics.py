@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import DegeneratePlasmaError, NonPhysicalProfileError, OpenContourError
+from .geometry import ring_sign_changes
 from .mesh import crosses_ray
 from .textio import write_rows
 
@@ -25,6 +26,17 @@ class FluxContour:
         return float(self.seg_len.sum())
 
 
+def _one_cycle(mesh, psibar, top):
+    """Whether each level up to top is one closed curve or none (Banchoff
+    1967): no NaN node, no boundary node or tied side below top, and no
+    PL-critical node below top but the minimum."""
+    below = psibar < top
+    a, b = np.take(psibar, mesh.edge_index()[0].T)
+    return bool(not np.isnan(psibar).any() and not below[mesh.boundary].any()
+                and not np.any((a == b) & (a < top))
+                and (ring_sign_changes(mesh, psibar)[below] != 2).sum() == 1)
+
+
 def _closed_contours(mesh, psibar, levels, axis):
     """Segments of the closed contour around the axis at all levels at once.
 
@@ -35,7 +47,8 @@ def _closed_contours(mesh, psibar, levels, axis):
     node, so both its triangles share the point; the keys run edge by edge,
     (L, e) at e's offset plus L.  A crossed triangle joins its two crossed
     sides by a segment.  The joined groups are paths (one key more than
-    segments) or cycles; a level's contour is the cycle around the axis by
+    segments) or cycles, or where :func:`_one_cycle` holds one cycle a level
+    without grouping; a level's contour is the cycle around the axis by
     ray-crossing parity, of several the one with the smallest triangle.
     Returns the raised levels, whether each has a contour, and for the
     contours' segments, sorted by level then triangle: level index,
@@ -73,19 +86,29 @@ def _closed_contours(mesh, psibar, levels, axis):
     order = np.argsort(seg_level.astype(np.min_scalar_type(len(levels))),
                        kind="stable")
     seg_tri, seg_level = seg_tri[order], seg_level[order]
-    neg = np.take(psibar, np.take(mesh.triangles, seg_tri, axis=0)) \
-        < levels[seg_level, None]
-    seg_edges = np.take(tri_edges, seg_tri, axis=0)[
-        neg != np.roll(neg, -1, axis=1)].reshape(-1, 2)
+    # levels up to a triangle's middle value cross the sides at its lowest
+    # corner, the rest those at its highest (corner k: sides k - 1 and k)
+    rank = np.argsort(np.take(psibar, mesh.triangles), axis=1)
+    sides = np.take_along_axis(tri_edges[:, None], np.array(
+        [[0, 2], [0, 1], [1, 2]])[rank[:, ::2]], axis=2).reshape(-1, 2)
+    mid = np.take(psibar, np.take_along_axis(mesh.triangles, rank[:, 1:2], 1))
+    seg_edges = np.take(sides, 2 * seg_tri + (seg_level >= np.take(
+        np.searchsorted(levels, mid[:, 0], "right"), seg_tri)), axis=0)
     seg_keys = key_offset[seg_edges] + seg_level[:, None]
+    seg_pts = np.take(key_pts, seg_keys, axis=0)
+    crosses = crosses_ray(seg_pts[:, 0], seg_pts[:, 1], *axis)
+    segs = (seg_level, seg_tri, seg_edges, seg_pts)
+    if _one_cycle(mesh, psibar, levels[-1]):
+        found = np.bincount(seg_level, weights=crosses,
+                            minlength=len(levels)) % 2 == 1
+        return levels, found, *(segs if found.all() else (
+            np.compress(found[seg_level], a, axis=0) for a in segs))
     n_groups, group = connected_components(sp.coo_matrix(
         (np.ones(len(seg_keys)), (seg_keys[:, 0], seg_keys[:, 1])),
         shape=(len(key_level),) * 2), directed=False)
     seg_group = group[seg_keys[:, 0]]
     closed = (np.bincount(group, minlength=n_groups)
               == np.bincount(seg_group, minlength=n_groups))
-    seg_pts = np.take(key_pts, seg_keys, axis=0)
-    crosses = crosses_ray(seg_pts[:, 0], seg_pts[:, 1], *axis)
     odd = np.bincount(seg_group, weights=crosses, minlength=n_groups) % 2 == 1
 
     # every group has segments; its first one holds its smallest triangle
@@ -94,8 +117,7 @@ def _closed_contours(mesh, psibar, levels, axis):
     cand = cand[np.unique(seg_level[cand], return_index=True)[1]]
     on = np.bincount(seg_group[cand], minlength=n_groups)[seg_group] > 0
     return (levels, np.bincount(seg_level[cand], minlength=len(levels)) > 0,
-            *(np.compress(on, a, axis=0)
-              for a in (seg_level, seg_tri, seg_edges, seg_pts)))
+            *(np.compress(on, a, axis=0) for a in segs))
 
 
 def _grad_norm(mesh, field):

@@ -83,18 +83,23 @@ def find_axis(mesh, psi):
     return tuple(mesh.nodes[node]), float(psi[node])
 
 
+def ring_sign_changes(mesh, psi):
+    """Per node, its triangles in which psi rises (or falls) through it: at
+    an interior node with no tied neighbour, the sign changes of psi around
+    its ring (PL extremum 0, regular node 2, saddle 4 or more)."""
+    corner = psi[mesh.triangles]
+    rise = corner[:, [1, 2, 0]] > corner         # corner k to k + 1
+    return np.bincount(mesh.triangles.ravel(),
+                       (rise == rise[:, [2, 0, 1]]).ravel(), len(psi))
+
+
 def saddle_candidates(mesh, psi, scale):
     """Interior nodes around whose ordered ring the sign of (psi_neighbor -
     psi_node) alternates at least four times, ignoring differences below
-    1e-14 * scale.  An interior node's triangles fan once around it in
-    ring order, so without ties its sign changes are its triangles in which
-    psi rises (or falls) into it and on out of it; tied nodes take the
-    ring scan."""
-    tri, edges = mesh.triangles, mesh.edge_index()[0]
-    corner = psi[tri]
-    rise = corner[:, [1, 2, 0]] > corner         # corner k to k + 1
-    saddle = np.bincount(tri.ravel(), (rise == rise[:, [2, 0, 1]]).ravel(),
-                         len(psi)) >= 4
+    1e-14 * scale.  Without ties the alternations are
+    :func:`ring_sign_changes`; tied nodes take the ring scan."""
+    edges = mesh.edge_index()[0]
+    saddle = ring_sign_changes(mesh, psi) >= 4
     tie = np.zeros(len(psi), dtype=bool)
     tie[edges[~(np.abs(np.diff(psi[edges])[:, 0]) > 1e-14 * scale)]] = True
     saddle[mesh.boundary] = tie[mesh.boundary] = False
@@ -127,7 +132,8 @@ def find_xpoint(mesh, psi):
     """Saddle of the flux map, or None.
 
     Each discrete saddle candidate (see :func:`saddle_candidates`) is
-    refined with the local quadratic fit.
+    refined with the local quadratic fit; of the fits within 1e-12 * max|psi|
+    of the highest value (tied mirror saddles) the least z, then r, wins.
     """
     psi = np.asarray(psi, dtype=np.float64)
     scale = np.abs(psi).max() or 1.0
@@ -136,7 +142,9 @@ def find_xpoint(mesh, psi):
         fit = _refine(mesh, psi, int(node))
         if fit is not None and fit[3] < -1e-12 * scale ** 2:
             candidates.append(fit[:2])
-    return max(candidates, key=lambda c: c[1], default=None)
+    top = max((c[1] for c in candidates), default=None)
+    return min((c for c in candidates if c[1] >= top - 1e-12 * scale),
+               key=lambda c: c[0][::-1], default=None)
 
 
 def boundary_flux(mesh, psi, xpoint=None):

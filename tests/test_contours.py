@@ -1,7 +1,15 @@
 """The all-levels contour pass behind ``extract_contour`` and
 ``profile_table`` against frozen copies of the per-level triangle loop it
 replaced, and against the level x edge mask pass that preceded the run
-enumeration."""
+enumeration.
+
+``_closed_contours`` has two branches: when the one-cycle condition holds
+(``diagnostics._one_cycle``: the minimum is the only PL-critical node
+below the top level, and no boundary node and no tied side lies below it)
+every level is one closed curve and the connected-components step is
+skipped; otherwise the contour pass runs.  Spies on ``_one_cycle`` and
+``connected_components`` show which branch each field takes, and both
+match the frozen mask pass bit for bit."""
 
 from types import SimpleNamespace
 
@@ -12,11 +20,14 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import connected_components
 
 import gsrecon
+from gsrecon import diagnostics, twin
 from gsrecon.diagnostics import (FluxContour, _closed_contours, _fill_ends,
                                  extract_contour, flux_surface_average,
                                  integrate_f, mean_current_density,
                                  profile_table, table_grid)
 from gsrecon.errors import OpenContourError
+from gsrecon.geometry import ring_sign_changes
+from gsrecon.inverse import RegularizationConfig
 
 from frozen_primitives import point_in_polygon_scalar
 
@@ -394,3 +405,154 @@ def test_levels_must_ascend(mesh24):
         with pytest.raises(ValueError, match="ascend"):
             _closed_contours(mesh24, psibar, levels, (2.5, 0.0))
     _same_pass(mesh24, psibar, [0.5 - 5e-12, 0.5, 0.5 + 2e-11], (2.5, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# The one-cycle branch and the contour pass
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def branches(monkeypatch):
+    """Counts the calls of _closed_contours that take the one-cycle branch
+    (its condition held) and those that take the contour pass (they call
+    connected_components)."""
+    taken = SimpleNamespace(one_cycle=0, contour=0)
+    one_cycle = diagnostics._one_cycle
+    components = diagnostics.connected_components
+
+    def spy_one_cycle(*args):
+        held = one_cycle(*args)
+        taken.one_cycle += held
+        return held
+
+    def spy_components(*args, **kwargs):
+        taken.contour += 1
+        return components(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "_one_cycle", spy_one_cycle)
+    monkeypatch.setattr(diagnostics, "connected_components", spy_components)
+    return taken
+
+
+def test_random_fields_take_both_branches(branches):
+    test_runs_match_masks_on_random_fields()
+    assert branches.one_cycle > 0 and branches.contour > 0
+
+
+@pytest.mark.parametrize("n_grid", [101, 301])
+def test_twin_table_takes_one_cycle(branches, twin_mesh, reference_eq,
+                                    machine, n_grid):
+    eq = reference_eq
+    profile_table(twin_mesh, eq.psi, eq.domain, eq.profiles, eq.lam, machine,
+                  n_grid=n_grid)
+    assert (branches.one_cycle, branches.contour) == (1, 0)
+
+
+def _critical_fields(mesh):
+    """Fields on mesh24 that break one part of the one-cycle condition at
+    the table's top level 0.98."""
+    r, z = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    circle = _circle(mesh)
+
+    def wells(z0, width):
+        return 1.0 - np.exp(-((r - 2.5) ** 2 + (z - z0) ** 2) / width) \
+            - 0.8 * np.exp(-((r - 2.5) ** 2 + (z + z0) ** 2) / width)
+
+    # the shallow well's bottom flattened to one triangle of equal nodes,
+    # which the sign-change counts read as regular
+    flat = wells(0.4, 0.02)
+    low = np.argmin(np.where(z < 0, flat, np.inf))
+    flat[mesh.triangles[(mesh.triangles == low).any(axis=1)][0]] = flat[low]
+    return {
+        # psi with two maxima: two wells of psibar, a saddle between them
+        "two_maxima": wells(0.3, 0.03),
+        # one well with a bump on its side: a maximum and a saddle
+        "saddle": circle + 0.3 * np.exp(-((r - 2.5) ** 2 + (z - 0.25) ** 2)
+                                        / 0.08 ** 2),
+        # one well whose level sets reach the boundary from 0.3 on
+        "boundary": ((r - 2.5) / 0.5) ** 2 + 0.3 * z ** 2,
+        # two wells, their saddle above the top level, one of them flat
+        "tied": flat,
+    }
+
+
+@pytest.mark.parametrize("name", ["two_maxima", "saddle", "boundary",
+                                  "tied"])
+def test_critical_fields_take_contour_pass(branches, mesh24, name):
+    psibar = _critical_fields(mesh24)[name]
+    grid, at = table_grid(101)
+    top = grid[at][-1]
+    edges = mesh24.edge_index()[0]
+    tied = (psibar[edges[:, 0]] == psibar[edges[:, 1]]) \
+        & (psibar[edges[:, 0]] < top)
+    inner = mesh24.interior_nodes()
+    changes = ring_sign_changes(mesh24, psibar)[inner[psibar[inner] < top]]
+    assert (psibar[mesh24.boundary] < top).any() == (name == "boundary")
+    assert tied.any() == (name == "tied")
+    if name in ("two_maxima", "saddle"):
+        assert (changes == 0).sum() == 2 and (changes >= 4).sum() == 1
+    else:                               # only the tie or the boundary tells
+        assert (changes != 2).sum() == 1
+    axis = tuple(mesh24.nodes[np.argmin(psibar)])
+    _, found, *_ = _same_pass(mesh24, psibar, grid[at], axis)
+    assert found.any()
+    assert (branches.one_cycle, branches.contour) == (0, 1)
+
+
+def test_nan_field_takes_contour_pass(branches):
+    # the level sets stop short of NaN nodes, while the nodes around them
+    # read as regular: only the NaN test keeps the field off the branch
+    mesh = gsrecon.build_rect_mesh(2.0, 3.0, -1.0, 1.0, 8, 4)
+    psibar = _circle(mesh)
+    psibar[[17, 18]] = np.nan           # (2.375, 0) and (2.375, 0.5)
+    grid, at = table_grid(101)
+    top = grid[at][-1]
+    assert (psibar[mesh.boundary] >= top).all()
+    assert (ring_sign_changes(mesh, psibar)[psibar < top] != 2).sum() == 1
+    _closed_contours(mesh, psibar, grid[at], (2.5, 0.0))
+    assert (branches.one_cycle, branches.contour) == (0, 1)
+
+
+def test_one_cycle_branch_is_bit_identical(branches, monkeypatch, setup,
+                                           clean_measurements, twin_mesh,
+                                           reference_eq, machine):
+    # criterion 6's set-up with a few replicates, the twin's table and
+    # contours, with the branch and then with it forced off
+    reconstruct = twin.reconstruct
+    eq = reference_eq
+    psibar = eq.domain.normalize(eq.psi)
+
+    def run():
+        iterations = []
+
+        def recording(*args, **kwargs):
+            res = reconstruct(*args, **kwargs)
+            iterations.append(res.iterations)
+            return res
+
+        monkeypatch.setattr(twin, "reconstruct", recording)
+        out = [iterations]
+        for internal, cfg in ((False, RegularizationConfig(eps=5e-2)),
+                              (True, RegularizationConfig(eps=5e-2,
+                                                          eps_ne=2e-1))):
+            st, = twin.replicate_stats(setup, clean_measurements, cfg,
+                                       [5e-2], n_replicates=3,
+                                       use_internal=internal, seed=777)
+            out += [st.n_converged, st.n_failed, st.warm_start]
+            out += [getattr(st, f)[k] for f in ("mean", "median", "std")
+                    for k in sorted(st.mean)]
+        out += list(profile_table(twin_mesh, eq.psi, eq.domain, eq.profiles,
+                                  eq.lam, machine).values())
+        for level in (0.02, 0.5, 0.98):
+            c = extract_contour(twin_mesh, psibar, level, eq.domain.axis,
+                                psi=eq.psi)
+            out += [c.level, c.points, c.seg_mid, c.seg_len, c.bp]
+        return out
+
+    fast = run()
+    assert branches.one_cycle > 0 and branches.contour == 0
+    monkeypatch.setattr(diagnostics, "_one_cycle", lambda *args: False)
+    slow = run()
+    assert branches.contour > 0 and len(fast) == len(slow)
+    for a, b in zip(fast, slow):
+        assert np.array_equal(a, b, equal_nan=True)

@@ -167,6 +167,41 @@ def test_saddle_point_detected(mesh):
     assert xp[1] == pytest.approx(0.0, abs=1e-8)
 
 
+def _mirror_mesh(n):
+    """build_rect_mesh(2, 3, -1, 1, n, n) with the diagonals of its lower
+    half flipped, so that z -> -z maps the mesh onto itself."""
+    mesh = gsrecon.build_rect_mesh(2.0, 3.0, -1.0, 1.0, n, n)
+    ids = np.arange(mesh.n_nodes).reshape(n + 1, n + 1)
+    a, b, c, d = ids[:-1, :-1], ids[1:, :-1], ids[1:, 1:], ids[:-1, 1:]
+    lower = (np.arange(n) < n // 2)[None, :, None]
+    tris = np.where(lower, np.stack([a, b, d, b, c, d], axis=-1),
+                    np.stack([a, b, c, a, c, d], axis=-1)).reshape(-1, 3)
+    return gsrecon.Mesh(mesh.nodes, tris, mesh.boundary, mesh.limiter)
+
+
+def test_mirror_saddles_tie_to_the_lower():
+    # a double null: the axis at z = 0, saddles of one value at z = +-0.5
+    mesh = _mirror_mesh(16)
+
+    def corner_sets(sign):
+        pts = np.round(mesh.nodes * [1.0, sign], 12) + 0.0
+        return {frozenset(map(tuple, pts[t])) for t in mesh.triangles}
+
+    assert corner_sets(1.0) == corner_sets(-1.0)
+    r, z = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    psi = (z * z - 0.25) ** 2 - (r - 2.5) ** 2
+    upper = int(np.argmin(np.hypot(r - 2.5, z - 0.5)))
+    rng = np.random.default_rng(0)
+    for field in (psi, np.nextafter(psi, psi + rng.choice([-1.0, 1.0],
+                                                           len(psi)))):
+        (xr, xz), value = find_xpoint(mesh, field)
+        assert xr == pytest.approx(2.5, abs=1e-12) and -0.5 < xz < -0.45
+        # the upper saddle is found too, and ties the lower one
+        (_, uz), upper_value, *_ = _refine(mesh, field, upper)
+        assert uz == pytest.approx(-xz, abs=1e-12)
+        assert abs(upper_value - value) <= 1e-12 * np.abs(field).max()
+
+
 def test_no_saddle_in_paraboloid(mesh):
     assert find_xpoint(mesh, paraboloid(mesh)) is None
 
