@@ -120,6 +120,13 @@ def _closed_contours(mesh, psibar, levels, axis):
             *(np.compress(on, a, axis=0) for a in segs))
 
 
+def _finite(psibar):
+    bad = np.count_nonzero(~np.isfinite(psibar))
+    if bad:
+        raise DegeneratePlasmaError(f"flux not finite at {bad} nodes")
+    return psibar
+
+
 def _grad_norm(mesh, field):
     """|grad field| of a nodal field on every triangle."""
     field = np.asarray(field, dtype=np.float64)
@@ -132,14 +139,15 @@ def extract_contour(mesh, psibar, level, axis, psi=None, scale=None):
 
     B_p along the contour needs the physical flux gradient: pass either the
     nodal ``psi`` or the factor ``scale`` = psi_b - psi_a multiplying the
-    normalized-flux gradient.
+    normalized-flux gradient.  A psibar not finite at every node raises
+    :class:`DegeneratePlasmaError`.
     """
     if not (0 < level < 1):
         raise ValueError("contour level must lie strictly inside (0, 1)")
     if psi is None and scale is None:
         raise ValueError("pass psi or scale for the poloidal field")
     (level,), found, _, tris, ends, pts = _closed_contours(
-        mesh, psibar, [level], axis)
+        mesh, _finite(psibar), [level], axis)
     if not found[0]:
         raise OpenContourError(
             f"level {level:g} has no closed contour around the axis")
@@ -260,10 +268,11 @@ def profile_table(mesh, psi, domain, profiles, lam, machine, n_grid=101,
     linearly extrapolated (degenerate axis contour, X-point singularity);
     see :func:`table_grid` for the grids it accepts.  Returns a dict of
     equal-length arrays; entries are NaN where no closed contour exists.
+    A psi not finite at every node raises :class:`DegeneratePlasmaError`.
     """
     grid, at = table_grid(n_grid, margin)
     _, found, level, tri, _, pts = _closed_contours(
-        mesh, domain.normalize(psi), grid[at], domain.axis)
+        mesh, _finite(domain.normalize(psi)), grid[at], domain.axis)
     d = pts[:, 1] - pts[:, 0]
     r = 0.5 * (pts[:, 0, 0] + pts[:, 1, 0])
     wd = np.hypot(d[:, 0], d[:, 1]) / (_grad_norm(mesh, psi)[tri] / r)

@@ -79,9 +79,9 @@ def rescale_dofs(u, lam):
 
 
 class ReconstructionSetup:
-    """Mesh-bound immutable state shared by many reconstructions: the
-    factorized stiffness matrix, the boundary observer, chord geometry and
-    the penalty matrices."""
+    """Mesh-bound state shared by many reconstructions: the factorized
+    stiffness matrix, the boundary observer, chord geometry, the penalty
+    matrices and a one-slot memo of :meth:`first_iteration`."""
 
     def __init__(self, mesh, machine, chords=(), basis=None):
         self.mesh = mesh
@@ -100,23 +100,59 @@ class ReconstructionSetup:
         self.lam_free = block_diag(self.lam_block, self.lam_block)[
             np.ix_(self.free_idx, self.free_idx)]
         self._node_in_limiter = point_in_polygon(mesh.nodes, mesh.limiter)
+        self._first = None      # (key, flux_state) of the last first iteration
 
-    def bootstrap_psibar_nodal(self):
-        out = np.full(self.mesh.n_nodes, 2.0)
-        out[self._node_in_limiter] = 0.0
-        return out
+    def first_iteration(self, psi, domain, u, lam, use_internal):
+        """:func:`flux_state` of psi and plasma ``domain`` (found when None;
+        psibar 0 in the limiter, 2 outside without an axis), held read-only
+        in one slot keyed by value (floats by repr); u comes as a copy."""
+        key = (psi.tobytes(), u.tobytes(), repr((lam, domain)), use_internal)
+        if self._first is None or self._first[0] != key:
+            try:
+                psibar = (domain or make_plasma_domain(
+                    self.mesh, psi)).normalize(psi)
+            except NoPlasmaError:
+                psibar = np.where(self._node_in_limiter, 0.0, 2.0)
+            state = flux_state(self, psibar, u.copy(), lam, use_internal)
+            for a in (*state[1:4], *(state[4:] if use_internal else ())):
+                a.flags.writeable = False
+            self._first = (key, state)
+        lam, u, *rest = self._first[1]
+        return (lam, u.copy(), *rest)
 
 
-def observation_state(setup, Y, g_n, k_inv_g, f=None):
+def source_response(setup, Y):
+    k_inv_y = setup.fact.solve_multi(Y)
+    return k_inv_y, setup.c0 @ k_inv_y
+
+
+def neumann_target(setup, g_n, k_inv_g):
+    return g_n - setup.c0 @ k_inv_g
+
+
+def observation_state(setup, Y, g_n, k_inv_g):
     """Observation state of one flux iterate: (K^-1 Y, E, f).
 
     K^-1 Y is zero on the boundary, so psi(u) = K^-1 Y u + K^-1 g keeps the
     boundary flux of the lift ``k_inv_g``; E = C0 K^-1 Y and
-    f = g_n - C0 K^-1 g, so E u - f = C0 psi(u) - g_n.  An ``f`` from an
-    earlier call with the same ``g_n`` and ``k_inv_g`` is passed through."""
-    k_inv_y = setup.fact.solve_multi(Y)
-    f = g_n - setup.c0 @ k_inv_g if f is None else f
-    return k_inv_y, setup.c0 @ k_inv_y, f
+    f = g_n - C0 K^-1 g, so E u - f = C0 psi(u) - g_n."""
+    return (*source_response(setup, Y), neumann_target(setup, g_n, k_inv_g))
+
+
+def flux_state(setup, psibar_nodal, u, lam, use_internal):
+    """(lam, u, K^-1 Y, E, B, G) of an iteration, free of the measurements:
+    lam scales the last u to Ip by the column sums of the source matrix Y of
+    psibar, then both are rescaled; K^-1 Y and E are of lam Y, B and G of
+    :func:`build_interferometry_matrix` (None without ``use_internal``)."""
+    Y = assemble_source_matrix(
+        setup.squad, setup.squad.psibar_qp(psibar_nodal), setup.basis)
+    lam = lambda_from_integral(setup.machine.ip, float(
+        Y.sum(axis=0) @ u[setup.free_idx]), setup.mesh.area())
+    u, lam = rescale_dofs(u, lam)
+    Y *= lam
+    chord = (None, None) if not use_internal else build_interferometry_matrix(
+        setup.chord_geoms, setup.basis, psibar_nodal)
+    return (lam, u, *source_response(setup, Y), *chord)
 
 
 def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
@@ -125,17 +161,18 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
     returned as an :class:`~gsrecon.forward.Equilibrium`.
 
     Measurement vectors whose lengths do not match the setup raise
-    :class:`MeasurementCountError` before the loop.  Any other
+    :class:`MeasurementCountError`, and a warm start not fitting the mesh
+    or basis :class:`StateError`, before any solve.  Any other
     :class:`GsReconError` raised by an iteration, or by the domain search
     on the final flux, comes back as ``result.error``: ``psi`` is then the
     iterate reached, ``iterations`` counts the failing one, ``domain`` is
     None and ``costs`` is empty.  Non-convergence (the real-time regime
     truncates the loop on purpose) is reported by ``converged``.
 
-    The first iteration takes a warm start's ``domain`` as the plasma
-    domain of its ``psi`` and computes it when None.  A warm start's last
-    A and B coefficients are read as zero, as A(1) = B(1) = 0 pins them.
-    ``lam`` is the scale of ``profiles``: the last iteration's u is
+    The first iteration depends only on the start (the setup memoizes it): a
+    warm start's ``domain`` is the plasma domain of its ``psi``, found when
+    None, and its last A and B coefficients are zero, as A(1) = B(1) = 0 pins
+    them.  ``lam`` is the scale of ``profiles``: the last iteration's u is
     returned rescaled to max|a| = 1, with lam * u kept.
     ``costs`` holds the terms of the last iteration's two solves: J0 and
     J1 are the magnetic and polarimetric rows of 1/2 |W (E u - f)|^2, J2
@@ -156,58 +193,42 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
         if len(values) != expected:
             raise MeasurementCountError(
                 f"{name} has {len(values)} values for {expected} {what}")
-    weights = default_weights(ms, mesh.boundary_length())
-    w = np.repeat([weights.w_mag, weights.w_polar],
-                  [setup.c0.shape[0], n_c if use_internal else 0])
-    k_inv_g = setup.fact.lift(ms.g_d)
-    f_mag = None            # observation_state's f, formed once per call
-    chords, free = setup.chord_geoms, setup.free_idx
-
-    start_domain = warm_start.domain if warm_start is not None else None
     if warm_start is not None:
-        psi = np.array(warm_start.psi, dtype=np.float64)
-        u = np.concatenate([warm_start.profiles.a, warm_start.profiles.b])
+        p, psi = warm_start.profiles, np.array(warm_start.psi, dtype=float)
+        if psi.shape != (mesh.n_nodes,) or {np.shape(x) for x in (
+                p.a, p.b, p.c) if x is not None} != {(basis.m,)}:
+            raise StateError(f"warm start: {psi.size} flux values, {len(p.a)} "
+                             f"coefficients, not {mesh.n_nodes} and {basis.m}")
+        u = np.concatenate([p.a, p.b])
         u[setup.pinned] = 0.0
         lam = warm_start.lam
-        ne_coeffs = warm_start.profiles.c   # carried; adds no cost
+        ne_coeffs = p.c     # carried; adds no cost
     else:
         psi = np.zeros(mesh.n_nodes)
         exp = first_guess_expansion(basis)
         u = np.concatenate([exp.a, exp.b])
         lam = 1.0
         ne_coeffs = None
+    weights = default_weights(ms, mesh.boundary_length())
+    w = np.repeat([weights.w_mag, weights.w_polar],
+                  [setup.c0.shape[0], n_c if use_internal else 0])
+    k_inv_g = setup.fact.lift(ms.g_d)
+    f_mag = neumann_target(setup, ms.g_n, k_inv_g)
+    chords, free = setup.chord_geoms, setup.free_idx
 
     residuals, lam_history = [], []
     iterations, last = 0, None
 
     def step(psi_in):
-        nonlocal psi, iterations, u, lam, ne_coeffs, last, f_mag
+        nonlocal psi, iterations, u, lam, ne_coeffs, last
         psi, iterations = psi_in, iterations + 1
-        try:
-            psibar_nodal = (
-                start_domain if iterations == 1 and start_domain is not None
-                else make_plasma_domain(mesh, psi)).normalize(psi)
-        except NoPlasmaError:
-            if residuals:
-                raise
-            psibar_nodal = setup.bootstrap_psibar_nodal()
-        pq = setup.squad.psibar_qp(psibar_nodal)
-
-        # total-current scale from the previous-iterate profiles (the
-        # column sums of Y give the current integral), then dof
-        # normalization to pin lambda*u
-        Y = assemble_source_matrix(setup.squad, pq, basis)
-        lam = lambda_from_integral(
-            machine.ip, float(Y.sum(axis=0) @ u[free]), mesh.area())
-        u, lam = rescale_dofs(u, lam)
-        Y *= lam
+        lam, u, k_inv_y, E, b_int, G = (setup.first_iteration(
+            psi, getattr(warm_start, "domain", None), u, lam, use_internal)
+            if iterations == 1 else flux_state(setup, make_plasma_domain(
+                mesh, psi).normalize(psi), u, lam, use_internal))
         lam_history.append(lam)
-
-        k_inv_y, E, f_mag = observation_state(setup, Y, ms.g_n, k_inv_g, f_mag)
         f, ne_misfit, ne_seminorm = f_mag, np.zeros(0), 0.0
         if use_internal:
-            b_int, G = build_interferometry_matrix(chords, basis,
-                                                   psibar_nodal)
             ne_coeffs, ne_misfit, ne_seminorm = identify_ne(
                 b_int, ms.gamma, weights.w_inter, reg.eps_ne,
                 setup.lam_block, reg.alpha_scale)

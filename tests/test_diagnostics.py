@@ -6,7 +6,9 @@ from gsrecon.diagnostics import (extract_contour, flux_surface_average,
                                  integrate_f, mean_current_density,
                                  profile_table, safety_factor, table_grid,
                                  write_profile_csv)
-from gsrecon.errors import NonPhysicalProfileError, OpenContourError
+from gsrecon.errors import (DegeneratePlasmaError, NonPhysicalProfileError,
+                            OpenContourError)
+from gsrecon.geometry import PlasmaDomain
 
 
 @pytest.fixture(scope="module")
@@ -161,3 +163,23 @@ def test_profile_table_rejects_degenerate_grid(twin_mesh, reference_eq,
 def test_smallest_table_grid():
     grid, at = table_grid(4)
     np.testing.assert_array_equal(grid[at], [1 / 3, 2 / 3])
+
+
+def test_non_finite_flux_is_refused_by_name(basis, machine):
+    # a bowl with two NaN nodes: the contour pass would meet crossed edges
+    # without segments, so both entry points refuse the flux up front
+    mesh = gsrecon.build_rect_mesh(2.0, 3.0, -1.0, 1.0, 8, 8)
+    r, z = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    psi = ((r - 2.5) ** 2 + z ** 2) / 0.25
+    for at in [(2.125, -0.5), (2.25, 0.0)]:
+        psi[np.flatnonzero(np.isclose(r, at[0]) & np.isclose(z, at[1]))] = \
+            np.nan
+    profiles = gsrecon.ProfileExpansion(basis, np.ones(basis.m),
+                                        np.ones(basis.m))
+    with pytest.raises(DegeneratePlasmaError, match="not finite at 2 nodes"):
+        profile_table(mesh, psi, PlasmaDomain(0.0, 1.0, (2.5, 0.0)),
+                      profiles, 1.0, machine)
+    for level in (0.5, 0.98):
+        with pytest.raises(DegeneratePlasmaError,
+                           match="not finite at 2 nodes"):
+            extract_contour(mesh, psi, level, (2.5, 0.0), psi=psi)

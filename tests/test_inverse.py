@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import gsrecon
-from gsrecon.basis import SplineBasis, regularization_matrix
+from gsrecon.basis import (SplineBasis, first_guess_expansion,
+                           regularization_matrix)
 from gsrecon import inverse
-from gsrecon.errors import (MeasurementCountError, RegularizationError,
-                            StateError)
+from gsrecon.errors import (EmptySourceError, MeasurementCountError,
+                            RegularizationError, StateError)
 from gsrecon.fem import Factorization
 from gsrecon.forward import assemble_source_matrix, assemble_source_vector
 from gsrecon.geometry import make_plasma_domain
@@ -373,11 +374,14 @@ def _count_basis_and_solves(monkeypatch):
 
 
 def test_reconstruct_one_basis_evaluation_and_one_solve(
-        setup, clean_measurements, reference_eq, monkeypatch):
+        twin_mesh, machine, basis, clean_measurements, reference_eq,
+        monkeypatch):
     # per iteration: one source-matrix assembly (the only basis evaluation
     # on a magnetics-only run), one solve of the 2m - 2 free columns and
     # no single-column solve; the one other solve is the lift K^-1 g
-    # before the loop
+    # before the loop.  A second call from the same (cold) start takes its
+    # first iteration from the setup's memo.
+    setup = ReconstructionSetup(twin_mesh, machine, CHORDS, basis=basis)
     calls, columns = _count_basis_and_solves(monkeypatch)
     res = reconstruct(setup, clean_measurements, RegularizationConfig(),
                       use_internal=False)
@@ -385,6 +389,14 @@ def test_reconstruct_one_basis_evaluation_and_one_solve(
     assert res.converged and n > 2
     assert calls == {"eval_many": n, "solve": 0, "lift": 1, "solve_multi": n}
     assert columns == [2 * setup.basis.m - 2] * n
+    calls.update(dict.fromkeys(calls, 0))
+    columns.clear()
+    again = reconstruct(setup, clean_measurements, RegularizationConfig(),
+                        use_internal=False)
+    assert again.iterations == n
+    assert calls == {"eval_many": n - 1, "solve": 0, "lift": 1,
+                     "solve_multi": n - 1}
+    assert columns == [2 * setup.basis.m - 2] * (n - 1)
 
     # lambda comes from the column sums of the unscaled source matrix
     eq = reference_eq
@@ -398,11 +410,15 @@ def test_reconstruct_one_basis_evaluation_and_one_solve(
         integral, rel=1e-12)
 
 
-def test_reconstruct_costs_reuse_last_iteration(setup, clean_measurements,
-                                                monkeypatch):
+def test_reconstruct_costs_reuse_last_iteration(
+        twin_mesh, machine, basis, clean_measurements, monkeypatch):
     # the chord operators are built once per iteration, none for the costs;
     # the basis is evaluated once at the chord points and once for the
-    # source matrix in each iteration
+    # source matrix in each iteration.  A second call from the same start
+    # takes the first iteration's chord matrices, source matrix and solve
+    # from the setup's memo; the polarimetry observer depends on the
+    # measured density and is built in every iteration.
+    setup = ReconstructionSetup(twin_mesh, machine, CHORDS, basis=basis)
     counts, columns = _count_basis_and_solves(monkeypatch)
     names = ("build_polarimetry_observer", "build_interferometry_matrix")
     calls = dict.fromkeys(names, 0)
@@ -417,6 +433,17 @@ def test_reconstruct_costs_reuse_last_iteration(setup, clean_measurements,
     assert counts == {"eval_many": 2 * n, "solve": 0, "lift": 1,
                       "solve_multi": n}
     assert columns == [2 * setup.basis.m - 2] * n
+    for tally in (calls, counts):
+        tally.update(dict.fromkeys(tally, 0))
+    columns.clear()
+    again = reconstruct(setup, clean_measurements, RegularizationConfig(),
+                        use_internal=True)
+    assert again.iterations == n
+    assert calls == {"build_polarimetry_observer": n,
+                     "build_interferometry_matrix": n - 1}
+    assert counts == {"eval_many": 2 * (n - 1), "solve": 0, "lift": 1,
+                      "solve_multi": n - 1}
+    assert columns == [2 * setup.basis.m - 2] * (n - 1)
 
 
 def test_reconstruct_reports_step_failure(setup, clean_measurements,
@@ -522,3 +549,213 @@ def test_iteration_counts_do_not_grow(reference_eq, setup,
     res = reconstruct(setup, clean_measurements, RegularizationConfig(),
                       use_internal=False)
     assert res.converged and res.iterations <= 9
+
+
+# ---------------------------------------------------------------------------
+# The first iteration's memo
+# ---------------------------------------------------------------------------
+
+def _result_arrays(res):
+    p = res.profiles
+    return [res.psi, [res.lam], p.a, p.b, [] if p.c is None else p.c,
+            res.residuals, res.lam_history,
+            [res.costs[k] for k in sorted(res.costs)], [res.iterations]]
+
+
+def _assert_same_result(one, two):
+    assert one.error is None and two.error is None
+    assert sorted(one.costs) == sorted(two.costs)
+    for x, y in zip(_result_arrays(one), _result_arrays(two)):
+        assert np.asarray(x, float).tobytes() == np.asarray(y, float).tobytes()
+
+
+def _count_iteration_work(monkeypatch):
+    """Counts of the source-matrix assemblies, the K^-1 Y solves and the
+    chord-matrix builds of reconstruct."""
+    calls = dict.fromkeys(("assemble_source_matrix", "solve_multi",
+                           "build_interferometry_matrix"), 0)
+    for name in ("assemble_source_matrix", "build_interferometry_matrix"):
+        monkeypatch.setattr(inverse, name,
+                            _counted(calls, name, getattr(inverse, name)))
+    monkeypatch.setattr(Factorization, "solve_multi", _counted(
+        calls, "solve_multi", Factorization.solve_multi))
+    return calls
+
+
+@pytest.fixture
+def fresh_setup(twin_mesh, machine, basis):
+    """A new setup on the twin mesh for each call: its memo is empty."""
+    return lambda: ReconstructionSetup(twin_mesh, machine, CHORDS, basis=basis)
+
+
+def test_cold_reconstruct_reuses_first_iteration(fresh_setup,
+                                                 clean_measurements,
+                                                 monkeypatch):
+    # a cold start is the same on every call: the second call takes the
+    # first iteration from the memo and returns the same result bit for bit
+    setup = fresh_setup()
+    calls, _ = _count_basis_and_solves(monkeypatch)
+    work = _count_iteration_work(monkeypatch)
+    runs = []
+    for _ in range(2):
+        calls.update(dict.fromkeys(calls, 0))
+        work.update(dict.fromkeys(work, 0))
+        runs.append((reconstruct(setup, clean_measurements,
+                                 RegularizationConfig(), use_internal=False),
+                     dict(calls), dict(work)))
+    (one, calls1, work1), (two, calls2, work2) = runs
+    assert one.converged
+    _assert_same_result(one, two)
+    for key in ("eval_many", "solve_multi"):
+        assert calls2[key] == calls1[key] - 1
+    assert work2["assemble_source_matrix"] == \
+        work1["assemble_source_matrix"] - 1 == one.iterations - 1
+
+
+def test_warm_realtime_regime_shares_first_iteration(fresh_setup,
+                                                     clean_measurements,
+                                                     monkeypatch):
+    # criterion 9's regime: warm two-iteration reconstructions of noisy
+    # copies of one measurement set from one base; after the first call,
+    # only the second iteration assembles, solves and builds chord matrices
+    setup = fresh_setup()
+    reg = RegularizationConfig()
+    base = reconstruct(setup, clean_measurements, reg, use_internal=True)
+    draws = [perturb(clean_measurements, 0.01, seed=s) for s in (5, 6)]
+    work = _count_iteration_work(monkeypatch)
+    for i, ms in enumerate(draws + draws):
+        work.update(dict.fromkeys(work, 0))
+        res = reconstruct(setup, ms, reg, use_internal=True, warm_start=base,
+                          tol=0.0, max_iter=2)
+        assert res.iterations == 2
+        assert work == dict.fromkeys(work, 2 if i == 0 else 1)
+        _assert_same_result(res, reconstruct(
+            fresh_setup(), ms, reg, use_internal=True, warm_start=base,
+            tol=0.0, max_iter=2))
+
+
+@pytest.mark.parametrize("edit", ["psi", "lam", "a", "use_internal"])
+def test_changed_start_misses_the_memo(fresh_setup, clean_measurements,
+                                       monkeypatch, edit):
+    # the memo is keyed by value: an in-place edit of the warm start, or
+    # another use_internal, computes the first iteration anew
+    setup = fresh_setup()
+    reg = RegularizationConfig()
+    base = reconstruct(setup, clean_measurements, reg, use_internal=True)
+    start = dataclasses.replace(base, psi=base.psi.copy(),
+                                profiles=dataclasses.replace(
+                                    base.profiles, a=base.profiles.a.copy()))
+    ms = perturb(clean_measurements, 0.01, seed=5)
+
+    def run(s, internal=True):
+        return reconstruct(s, ms, reg, use_internal=internal,
+                           warm_start=start, tol=0.0, max_iter=2)
+
+    run(setup)
+    use_internal = True
+    if edit == "psi":
+        start.psi[np.argmax(start.psi)] *= 1.0 + 1e-9
+    elif edit == "lam":
+        start.lam *= 1.0 + 1e-9
+    elif edit == "a":
+        start.profiles.a[0] *= 1.0 + 1e-9
+    else:
+        use_internal = False
+    work = _count_iteration_work(monkeypatch)
+    res = run(setup, use_internal)
+    assert work["assemble_source_matrix"] == work["solve_multi"] == 2
+    _assert_same_result(res, run(fresh_setup(), use_internal))
+
+
+def test_memo_holds_one_read_only_entry(fresh_setup, clean_measurements,
+                                        monkeypatch):
+    setup = fresh_setup()
+    m = setup.basis.m
+    exp = first_guess_expansion(setup.basis)
+    cold = (np.zeros(setup.mesh.n_nodes), None,
+            np.concatenate([exp.a, exp.b]), 1.0, True)
+    lam, u, k_inv_y, E, B, G = setup.first_iteration(*cold)
+    for held in (k_inv_y, E, B, G):
+        with pytest.raises(ValueError, match="read-only"):
+            held[0] = 0.0
+    # u is the caller's copy: writing it leaves the held u as it was
+    u[:] = 0.0
+    again = setup.first_iteration(*cold)
+    assert again[2] is k_inv_y and np.abs(again[1][:m]).max() == 1.0
+    # one slot: another start replaces the entry, so the first misses
+    reg = RegularizationConfig()
+    work = _count_iteration_work(monkeypatch)
+    for internal, computed in [(False, 1), (True, 1), (True, 0)]:
+        work["assemble_source_matrix"] = 0
+        setup.first_iteration(*cold[:4], internal)
+        assert work["assemble_source_matrix"] == computed
+    res = reconstruct(setup, clean_measurements, reg, use_internal=True)
+    _assert_same_result(res, reconstruct(fresh_setup(), clean_measurements,
+                                         reg, use_internal=True))
+
+
+def test_failed_first_iteration_is_not_memoized(fresh_setup,
+                                                clean_measurements,
+                                                monkeypatch):
+    setup = fresh_setup()
+    reg = RegularizationConfig()
+    real = inverse.assemble_source_matrix
+    failures = [EmptySourceError("no plasma point (patched)")]
+
+    def assemble(*args):
+        if failures:
+            raise failures.pop()
+        return real(*args)
+
+    monkeypatch.setattr(inverse, "assemble_source_matrix", assemble)
+    failed = reconstruct(setup, clean_measurements, reg, use_internal=False)
+    assert failed.error == "no plasma point (patched)"
+    assert failed.iterations == 1
+    monkeypatch.setattr(inverse, "assemble_source_matrix", real)
+    work = _count_iteration_work(monkeypatch)
+    res = reconstruct(setup, clean_measurements, reg, use_internal=False)
+    assert work["assemble_source_matrix"] == res.iterations
+    _assert_same_result(res, reconstruct(fresh_setup(), clean_measurements,
+                                         reg, use_internal=False))
+
+
+# ---------------------------------------------------------------------------
+# Warm starts checked up front
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", ["short_psi", "basis_10"])
+def test_reconstruct_rejects_unfit_warm_start(fresh_setup, clean_measurements,
+                                              monkeypatch, bad):
+    # a warm start that does not fit the mesh or the basis raises before
+    # any solve
+    setup = fresh_setup()
+    base = reconstruct(setup, clean_measurements, RegularizationConfig(),
+                       use_internal=False)
+    if bad == "short_psi":
+        start = dataclasses.replace(base, psi=base.psi[:-5])
+    else:
+        b10 = SplineBasis(m=10, end_constraint=True)
+        xs = np.linspace(0.0, 1.0, 51)
+        start = dataclasses.replace(base, profiles=gsrecon.ProfileExpansion(
+            b10, b10.fit(xs, 1.0 - xs), b10.fit(xs, 1.0 - xs)))
+    calls, _ = _count_basis_and_solves(monkeypatch)
+    with pytest.raises(StateError, match="warm start"):
+        reconstruct(setup, clean_measurements, RegularizationConfig(),
+                    use_internal=False, warm_start=start)
+    assert calls == dict.fromkeys(calls, 0)
+
+
+def test_reconstruct_reports_nan_warm_start(fresh_setup, clean_measurements):
+    # a NaN flux fits the mesh: the domain search on it fails inside the
+    # loop, which the result reports
+    setup = fresh_setup()
+    base = reconstruct(setup, clean_measurements, RegularizationConfig(),
+                       use_internal=False)
+    psi = base.psi.copy()
+    psi[np.argmax(psi)] = np.nan
+    res = reconstruct(setup, clean_measurements, RegularizationConfig(),
+                      use_internal=False,
+                      warm_start=dataclasses.replace(base, psi=psi,
+                                                     domain=None))
+    assert res.error is not None and res.iterations == 1
+    assert not res.converged and res.domain is None

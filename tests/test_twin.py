@@ -155,6 +155,27 @@ def test_replicate_stats_start_rule(setup, clean_measurements, monkeypatch,
     assert all(kw["warm_start"] is start for _, _, kw in calls[1:])
 
 
+def test_replicate_with_non_finite_flux_counts_as_failed(
+        setup, clean_measurements, monkeypatch):
+    # the table refuses a flux with a NaN node by a typed error, which the
+    # statistics count as a failed replicate
+    calls = []
+
+    def nan_second_replicate(*args, **kwargs):
+        res = reconstruct(*args, **kwargs)
+        calls.append(res)
+        if len(calls) == 3:
+            psi = res.psi.copy()
+            psi[np.argmax(psi) - 1] = np.nan
+            res = dataclasses.replace(res, psi=psi)
+        return res
+
+    monkeypatch.setattr(twin, "reconstruct", nan_second_replicate)
+    st, = replicate_stats(setup, clean_measurements, RegularizationConfig(),
+                          [5e-2], n_replicates=3, use_internal=False)
+    assert (st.n_failed, st.n_converged) == (1, 2)
+
+
 @pytest.mark.parametrize("use_internal, eps_ne", [(False, 1e-2),
                                                   (True, 2e-1)])
 def test_warm_started_statistics_match_cold_starts(
