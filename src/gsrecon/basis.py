@@ -1,7 +1,7 @@
 """Spline basis on [0,1] for the profile functions and its curvature
 penalty matrix."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import BSpline
@@ -20,7 +20,8 @@ def open_uniform_knots(degree, m):
 
 @dataclass
 class SplineBasis:
-    """Cubic (by default) B-spline basis of dimension m on [0,1].
+    """Cubic (by default) B-spline basis of dimension m on [0,1], on the
+    clamped uniform knots of :func:`open_uniform_knots`.
 
     ``end_constraint`` marks bases used for profiles pinned to zero at x=1;
     the constraint itself is enforced by zeroing the last coefficient.
@@ -29,21 +30,11 @@ class SplineBasis:
     degree: int = 3
     m: int = 8
     end_constraint: bool = False
-    knots: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        if self.knots is None:
-            self.knots = open_uniform_knots(self.degree, self.m)
-        self.knots = np.asarray(self.knots, dtype=np.float64)
-        p = self.degree + 1
-        if (self.knots.shape != (self.m + p,)
-                or np.any(np.diff(self.knots) < 0)):
-            raise ValueError("knots must be m + degree + 1 nondecreasing")
         # clamped: only the last basis function is alive at x = 1, which
         # the zeroed last coefficient of an end-constrained profile relies on
-        if np.any(self.knots[:p] != 0.0) or np.any(self.knots[-p:] != 1.0):
-            raise ValueError("knots must start with degree + 1 zeros and "
-                             "end with degree + 1 ones")
+        self.knots = open_uniform_knots(self.degree, self.m)
         # basis function j: the spline with coefficients e_j
         self._spline = BSpline(self.knots, np.eye(self.m), self.degree)
 

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import DegeneratePlasmaError, NonPhysicalProfileError, OpenContourError
-from .geometry import ring_sign_changes
+from .geometry import finite_flux, ring_sign_changes
 from .mesh import crosses_ray
 from .textio import write_rows
 
@@ -120,13 +120,6 @@ def _closed_contours(mesh, psibar, levels, axis):
             *(np.compress(on, a, axis=0) for a in segs))
 
 
-def _finite(psibar):
-    bad = np.count_nonzero(~np.isfinite(psibar))
-    if bad:
-        raise DegeneratePlasmaError(f"flux not finite at {bad} nodes")
-    return psibar
-
-
 def _grad_norm(mesh, field):
     """|grad field| of a nodal field on every triangle."""
     field = np.asarray(field, dtype=np.float64)
@@ -134,20 +127,16 @@ def _grad_norm(mesh, field):
     return np.hypot(g[:, 0], g[:, 1])
 
 
-def extract_contour(mesh, psibar, level, axis, psi=None, scale=None):
+def extract_contour(mesh, psibar, level, axis, psi):
     """Closed level-set polyline of the normalized flux enclosing the axis.
 
-    B_p along the contour needs the physical flux gradient: pass either the
-    nodal ``psi`` or the factor ``scale`` = psi_b - psi_a multiplying the
-    normalized-flux gradient.  A psibar not finite at every node raises
-    :class:`DegeneratePlasmaError`.
+    B_p along the contour is |grad psi| / r of the nodal flux ``psi``.  A
+    psibar not finite at every node raises :class:`DegeneratePlasmaError`.
     """
     if not (0 < level < 1):
         raise ValueError("contour level must lie strictly inside (0, 1)")
-    if psi is None and scale is None:
-        raise ValueError("pass psi or scale for the poloidal field")
     (level,), found, _, tris, ends, pts = _closed_contours(
-        mesh, _finite(psibar), [level], axis)
+        mesh, finite_flux(psibar), [level], axis)
     if not found[0]:
         raise OpenContourError(
             f"level {level:g} has no closed contour around the axis")
@@ -165,22 +154,14 @@ def extract_contour(mesh, psibar, level, axis, psi=None, scale=None):
     pts = np.vstack([pts[0, :1], pts[order, side]])
     d = np.diff(pts, axis=0)
     seg_mid = 0.5 * (pts[:-1] + pts[1:])
-    field, factor = (psi, 1.0) if psi is not None else (psibar, abs(scale))
     return FluxContour(level, pts, seg_mid, np.hypot(d[:, 0], d[:, 1]),
-                       factor * _grad_norm(mesh, field)[tris[order]]
-                       / seg_mid[:, 0])
+                       _grad_norm(mesh, psi)[tris[order]] / seg_mid[:, 0])
 
 
 def flux_surface_average(contour, quantity):
-    """dl/B_p weighted contour average of a pointwise quantity.
-
-    ``quantity`` is either a callable of (r, z) or an array of per-segment
-    values at the segment midpoints.
-    """
-    if callable(quantity):
-        vals = np.array([quantity(r, z) for r, z in contour.seg_mid])
-    else:
-        vals = np.asarray(quantity, dtype=np.float64)
+    """dl/B_p weighted contour average of ``quantity``, a callable of
+    (r, z), taken at the segment midpoints."""
+    vals = np.array([quantity(r, z) for r, z in contour.seg_mid])
     wd = contour.seg_len / contour.bp
     denom = wd.sum()
     if denom <= 0 or not np.isfinite(denom):
@@ -219,14 +200,11 @@ def mean_current_density(lam, a_vals, b_vals, inv_r2, r0):
 
 
 def safety_factor(contours, f_vals):
-    """q = (1/2pi) closed integral of f/(r^2 B_p) dl per flux surface."""
-    q = np.full(len(contours), np.nan)
-    for i, c in enumerate(contours):
-        if c is None:
-            continue
-        geom = float((c.seg_len / (c.seg_mid[:, 0] ** 2 * c.bp)).sum())
-        q[i] = f_vals[i] * geom / (2.0 * np.pi)
-    return q
+    """q = (1/2pi) closed integral of f/(r^2 B_p) dl on each contour, with
+    ``f_vals`` one value of f per contour."""
+    geom = np.array([(c.seg_len / (c.seg_mid[:, 0] ** 2 * c.bp)).sum()
+                     for c in contours])
+    return np.asarray(f_vals, dtype=np.float64) * geom / (2.0 * np.pi)
 
 
 def _fill_ends(grid, vals, valid):
@@ -272,7 +250,7 @@ def profile_table(mesh, psi, domain, profiles, lam, machine, n_grid=101,
     """
     grid, at = table_grid(n_grid, margin)
     _, found, level, tri, _, pts = _closed_contours(
-        mesh, _finite(domain.normalize(psi)), grid[at], domain.axis)
+        mesh, finite_flux(domain.normalize(psi)), grid[at], domain.axis)
     d = pts[:, 1] - pts[:, 0]
     r = 0.5 * (pts[:, 0, 0] + pts[:, 1, 0])
     wd = np.hypot(d[:, 0], d[:, 1]) / (_grad_norm(mesh, psi)[tri] / r)

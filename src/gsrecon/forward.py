@@ -234,7 +234,7 @@ def save_equilibrium(eq, path):
             ["lambda", eq.lam], ["converged", eq.converged],
             ["iterations", eq.iterations], ["psi_a", d.psi_a],
             ["psi_b", d.psi_b], ["mode", d.mode], ["axis", *d.axis],
-            ["coeff_a", *p.a], ["coeff_b", *p.b]]
+            ["degree", p.basis.degree], ["coeff_a", *p.a], ["coeff_b", *p.b]]
     if p.c is not None:
         rows.append(["coeff_c", *p.c])
     write_rows(path, [*rows, ["psi", len(eq.psi)], *([v] for v in eq.psi)])
@@ -244,9 +244,9 @@ def save_equilibrium(eq, path):
 EQUILIBRIUM_FIELDS = {"r0": 1, "b0": 1, "ip": 1, "mu0": 1, "lambda": 1,
                       "psi_a": 1, "psi_b": 1, "mode": 1, "axis": 2, "psi": 1,
                       "coeff_a": None, "coeff_b": None, "coeff_c": None,
-                      "converged": 1, "iterations": 1}
+                      "converged": 1, "iterations": 1, "degree": 1}
 # optional fields: integers below these bounds
-OPTIONAL_INTS = {"converged": 2, "iterations": np.inf}
+OPTIONAL_INTS = {"converged": 2, "iterations": np.inf, "degree": np.inf}
 
 
 def load_equilibrium(path, mesh=None, basis=None):
@@ -254,9 +254,11 @@ def load_equilibrium(path, mesh=None, basis=None):
     order.  Raises :class:`MeshParseError` for a line the
     :class:`~gsrecon.textio.LineReader` rule rejects, an unknown, repeated
     or missing field, a mode other than ``limiter`` or ``xpoint``, a psi
-    block whose length is not the node count of ``mesh`` (when given) and
+    block whose length is not the node count of ``mesh`` (when given), a
+    ``basis`` (when given) whose degree or dimension is not the file's and
     values the equilibrium rejects.  Files without ``converged`` and
-    ``iterations`` load as converged after 0 iterations.
+    ``iterations`` load as converged after 0 iterations, and without
+    ``degree`` as cubic.
     """
     rd = LineReader(path)
     data = {}
@@ -279,8 +281,12 @@ def load_equilibrium(path, mesh=None, basis=None):
     try:
         machine = MachineParams(*(data[k][0] for k in ("r0", "b0", "ip",
                                                        "mu0")))
+        shape = (data.get("degree", [3])[0], len(data["coeff_a"]))
         if basis is None:
-            basis = SplineBasis(m=len(data["coeff_a"]))
+            basis = SplineBasis(*shape)
+        elif (basis.degree, basis.m) != shape:
+            raise MeshParseError(f"degree and dimension {shape} do not fit "
+                                 f"the basis {(basis.degree, basis.m)}")
         prof = ProfileExpansion(basis, data["coeff_a"], data["coeff_b"],
                                 data.get("coeff_c"))
     except ValueError as exc:

@@ -177,6 +177,15 @@ def make_plasma_domain(mesh, psi):
                         mode=mode)
 
 
+def finite_flux(psi):
+    """``psi``, after raising :class:`DegeneratePlasmaError` unless it is
+    finite at every node."""
+    bad = np.count_nonzero(~np.isfinite(psi))
+    if bad:
+        raise DegeneratePlasmaError(f"flux not finite at {bad} nodes")
+    return psi
+
+
 def normalized_flux(psi, psi_a, psi_b):
     if psi_a == psi_b:
         raise DegeneratePlasmaError("psi_a equals psi_b")

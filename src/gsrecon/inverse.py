@@ -9,11 +9,11 @@ from scipy.linalg import block_diag
 
 from .basis import (ProfileExpansion, SplineBasis, first_guess_expansion,
                     regularization_matrix)
-from .errors import (GsReconError, MeasurementCountError, NoPlasmaError,
+from .errors import (GsReconError, MeasurementCountError,
                      RegularizationError, StateError)
 from .forward import (Equilibrium, assemble_source_matrix,
                       lambda_from_integral, mesh_operators, picard)
-from .geometry import make_plasma_domain
+from .geometry import finite_flux, make_plasma_domain
 from .mesh import point_in_polygon
 from .observation import (build_chord_geometries, build_interferometry_matrix,
                           build_neumann_observer, build_polarimetry_observer,
@@ -103,16 +103,19 @@ class ReconstructionSetup:
         self._first = None      # (key, flux_state) of the last first iteration
 
     def first_iteration(self, psi, domain, u, lam, use_internal):
-        """:func:`flux_state` of psi and plasma ``domain`` (found when None;
-        psibar 0 in the limiter, 2 outside without an axis), held read-only
-        in one slot keyed by value (floats by repr); u comes as a copy."""
+        """:func:`flux_state` of psi and plasma ``domain`` (found when None),
+        held read-only in one slot keyed by value (floats by repr); u comes
+        as a copy.  A psi not finite at every node raises
+        :class:`DegeneratePlasmaError`; psi = 0, the cold start, takes
+        psibar 0 in the limiter and 2 outside."""
         key = (psi.tobytes(), u.tobytes(), repr((lam, domain)), use_internal)
         if self._first is None or self._first[0] != key:
-            try:
+            finite_flux(psi)
+            if np.linalg.norm(psi) == 0:
+                psibar = np.where(self._node_in_limiter, 0.0, 2.0)
+            else:
                 psibar = (domain or make_plasma_domain(
                     self.mesh, psi)).normalize(psi)
-            except NoPlasmaError:
-                psibar = np.where(self._node_in_limiter, 0.0, 2.0)
             state = flux_state(self, psibar, u.copy(), lam, use_internal)
             for a in (*state[1:4], *(state[4:] if use_internal else ())):
                 a.flags.writeable = False
@@ -172,8 +175,11 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
     The first iteration depends only on the start (the setup memoizes it): a
     warm start's ``domain`` is the plasma domain of its ``psi``, found when
     None, and its last A and B coefficients are zero, as A(1) = B(1) = 0 pins
-    them.  ``lam`` is the scale of ``profiles``: the last iteration's u is
-    returned rescaled to max|a| = 1, with lam * u kept.
+    them.  Only psi = 0, the cold start, takes the limiter as the first
+    plasma region.  A start psi that is not finite at every node, or that is
+    nonzero without an interior flux maximum, comes back as ``result.error``
+    of iteration 1.  ``lam`` is the scale of ``profiles``: the last
+    iteration's u is returned rescaled to max|a| = 1, with lam * u kept.
     ``costs`` holds the terms of the last iteration's two solves: J0 and
     J1 are the magnetic and polarimetric rows of 1/2 |W (E u - f)|^2, J2
     the weighted interferometry misfit 1/2 |w (B c - gamma)|^2, and Jeps

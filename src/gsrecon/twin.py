@@ -153,13 +153,16 @@ class LCurveResult:
     flat: bool               # corner location unreliable (near-vertical L)
 
 
-def l_curve(solver, eps_grid, flat_span=0.3):
+FLAT_SPAN = 0.3
+
+
+def l_curve(solver, eps_grid):
     """Parametric L-curve over a log-spaced grid of regularization values.
 
     ``solver(eps)`` must return (misfit, penalty).  The corner is the point
     of maximum curvature of (log misfit, log penalty) parametrized by
     log eps (Hansen's criterion).  The flat flag is raised when the misfit
-    barely varies over the whole scan (log span below ``flat_span``): the
+    barely varies over the whole scan (log span below ``FLAT_SPAN``): the
     curve is then a near-vertical line and its corner is uninformative.
     """
     eps_grid = np.asarray(eps_grid, dtype=np.float64)
@@ -182,7 +185,7 @@ def l_curve(solver, eps_grid, flat_span=0.3):
     # information and their near-0/0 curvature is numerically unstable
     kappa = np.where(speed > 1e-3 * speed.max(), kappa, 0.0)
     idx = int(np.argmax(kappa))
-    flat = bool(x.max() - x.min() < flat_span)
+    flat = bool(x.max() - x.min() < FLAT_SPAN)
     return LCurveResult(eps_grid, x, y, float(eps_grid[idx]), idx, flat)
 
 

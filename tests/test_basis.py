@@ -23,20 +23,11 @@ def test_knot_vector_rejects_small_m():
         open_uniform_knots(3, 3)
 
 
-@pytest.mark.parametrize("knots", [
-    open_uniform_knots(3, 8)[:-1], np.append(open_uniform_knots(3, 8), 1.0),
-    open_uniform_knots(3, 8)[::-1],
-    [0, 0, 0, 0, .2, .4, .6, .8, 1.1, 1.2, 1.3, 1.4]],
-    ids=["short", "long", "decreasing", "unclamped"])
-def test_basis_rejects_bad_knots(knots):
-    with pytest.raises(ValueError, match="knots"):
-        SplineBasis(m=8, knots=knots)
-
-
-def test_basis_rejects_knots_of_another_dimension():
-    # replace() hands the built basis' 12 knots to a basis of dimension 10
-    with pytest.raises(ValueError, match="knots"):
-        dataclasses.replace(BASIS, m=10)
+def test_replace_builds_open_uniform_basis():
+    basis = dataclasses.replace(BASIS, m=10)
+    assert (basis.degree, basis.m, basis.end_constraint) == (3, 10, True)
+    np.testing.assert_array_equal(basis.knots, open_uniform_knots(3, 10))
+    assert basis.eval_many([0.3]).shape == (1, 10)
 
 
 @given(st.floats(0.0, 1.0))

@@ -291,7 +291,7 @@ def test_circle_matches_loop(mesh24, reference_eq, machine):
     psibar = _circle(mesh24)
     for level in (0.01, 0.2, 0.49, 0.8, 0.99):
         assert _same_contour(mesh24, psibar, level, (2.5, 0.0),
-                             scale=1.0) is not None
+                             psi=psibar) is not None
     psi, domain = _synthetic_domain(psibar, (2.5, 0.0), reference_eq)
     _same_table(mesh24, psi, domain, reference_eq.profiles, reference_eq.lam,
                 machine)
@@ -303,8 +303,8 @@ def test_two_islands_match_loop(mesh24, reference_eq, machine):
     # below the saddle both wells hold a closed island; each axis picks its
     # own, and only the first is the flux surface around the plasma axis
     for level in (0.35, 0.5, 0.6):
-        mine = _same_contour(mesh24, psibar, level, axis, scale=1.0)
-        theirs = _same_contour(mesh24, psibar, level, other, scale=1.0)
+        mine = _same_contour(mesh24, psibar, level, axis, psi=psibar)
+        theirs = _same_contour(mesh24, psibar, level, other, psi=psibar)
         assert mine is not None and theirs is not None
         assert mine.seg_mid[:, 1].min() > theirs.seg_mid[:, 1].max()
     psi, domain = _synthetic_domain(psibar, axis, reference_eq)
@@ -319,7 +319,7 @@ def test_nested_cycles_match_loop(mesh24):
     r, z = mesh24.nodes[:, 0], mesh24.nodes[:, 1]
     psibar = 0.5 - 0.45 * np.cos(2 * np.pi * np.hypot(r - 2.5, z) / 0.4)
     for level in (0.3, 0.5, 0.7):
-        c = _same_contour(mesh24, psibar, level, (2.5, 0.0), scale=1.0)
+        c = _same_contour(mesh24, psibar, level, (2.5, 0.0), psi=psibar)
         assert np.hypot(c.seg_mid[:, 0] - 2.5, c.seg_mid[:, 1]).min() > 0.2
 
 
@@ -329,9 +329,9 @@ def test_boundary_contours_match_loop(mesh24, reference_eq, machine):
     r, z = mesh24.nodes[:, 0], mesh24.nodes[:, 1]
     psibar = ((r - 2.5) / 0.5) ** 2 + 0.3 * z ** 2
     for level in (0.2, 0.29, 0.31, 0.6):
-        _same_contour(mesh24, psibar, level, (2.5, 0.0), scale=1.0)
+        _same_contour(mesh24, psibar, level, (2.5, 0.0), psi=psibar)
     with pytest.raises(OpenContourError):
-        extract_contour(mesh24, psibar, 0.6, (2.5, 0.0), scale=1.0)
+        extract_contour(mesh24, psibar, 0.6, (2.5, 0.0), psi=psibar)
     psi, domain = _synthetic_domain(psibar, (2.5, 0.0), reference_eq)
     valid = _same_table(mesh24, psi, domain, reference_eq.profiles,
                         reference_eq.lam, machine)
@@ -342,7 +342,7 @@ def test_nodal_level_matches_loop(mesh24, reference_eq, machine):
     psibar = _circle(mesh24)
     node = int(np.argmin(np.abs(psibar - 0.5)))
     assert psibar[node] == 0.5          # grid level 50 of the table
-    c = _same_contour(mesh24, psibar, 0.5, (2.5, 0.0), scale=1.0)
+    c = _same_contour(mesh24, psibar, 0.5, (2.5, 0.0), psi=psibar)
     assert c.level == 0.5 + 1e-11
     psi, domain = _synthetic_domain(psibar, (2.5, 0.0), reference_eq)
     assert domain.normalize(psi)[node] == 0.5

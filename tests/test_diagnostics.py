@@ -21,7 +21,7 @@ def circle_case():
 
 def test_contour_is_circle(circle_case):
     mesh, psibar = circle_case
-    c = extract_contour(mesh, psibar, 0.49, (2.5, 0.0), scale=1.0)
+    c = extract_contour(mesh, psibar, 0.49, (2.5, 0.0), psi=psibar)
     rho = 0.5 * np.sqrt(0.49)
     # the polyline is inscribed, so it slightly undershoots the circle
     assert c.length == pytest.approx(2 * np.pi * rho, rel=1e-2)
@@ -33,28 +33,27 @@ def test_contour_is_circle(circle_case):
 def test_contour_level_validation(circle_case):
     mesh, psibar = circle_case
     with pytest.raises(ValueError):
-        extract_contour(mesh, psibar, 1.5, (2.5, 0.0), scale=1.0)
-    with pytest.raises(ValueError):
-        extract_contour(mesh, psibar, 0.5, (2.5, 0.0))   # no psi, no scale
+        extract_contour(mesh, psibar, 1.5, (2.5, 0.0), psi=psibar)
 
 
 def test_contour_requires_closed_loop(circle_case):
     mesh, psibar = circle_case
     # levels beyond the domain rim cannot close around the axis
     with pytest.raises(OpenContourError):
-        extract_contour(mesh, 0.05 * psibar, 0.9, (2.5, 0.0), scale=1.0)
+        extract_contour(mesh, 0.05 * psibar, 0.9, (2.5, 0.0),
+                        psi=0.05 * psibar)
 
 
 def test_average_of_constant_is_exact(circle_case):
     mesh, psibar = circle_case
-    c = extract_contour(mesh, psibar, 0.4, (2.5, 0.0), scale=1.0)
+    c = extract_contour(mesh, psibar, 0.4, (2.5, 0.0), psi=psibar)
     assert flux_surface_average(c, lambda r, z: 4.25) \
         == pytest.approx(4.25, abs=1e-12)
 
 
 def test_average_bounded_by_extremes(circle_case):
     mesh, psibar = circle_case
-    c = extract_contour(mesh, psibar, 0.4, (2.5, 0.0), scale=1.0)
+    c = extract_contour(mesh, psibar, 0.4, (2.5, 0.0), psi=psibar)
     avg = flux_surface_average(c, lambda r, z: r)
     assert c.seg_mid[:, 0].min() <= avg <= c.seg_mid[:, 0].max()
 
@@ -87,19 +86,12 @@ def test_mean_current_density_formula():
 
 def test_safety_factor_linear_in_f(circle_case):
     mesh, psibar = circle_case
-    contours = [extract_contour(mesh, psibar, lev, (2.5, 0.0), scale=1.0)
+    contours = [extract_contour(mesh, psibar, lev, (2.5, 0.0), psi=psibar)
                 for lev in (0.2, 0.4, 0.6)]
     f = np.array([5.0, 5.0, 5.0])
     q1 = safety_factor(contours, f)
     q2 = safety_factor(contours, 2.0 * f)
     np.testing.assert_allclose(q2, 2.0 * q1, rtol=1e-14)
-
-
-def test_safety_factor_skips_missing_contours(circle_case):
-    mesh, psibar = circle_case
-    c = extract_contour(mesh, psibar, 0.4, (2.5, 0.0), scale=1.0)
-    q = safety_factor([c, None], np.array([5.0, 5.0]))
-    assert np.isfinite(q[0]) and np.isnan(q[1])
 
 
 def test_profile_table_shapes(reference_table):

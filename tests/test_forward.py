@@ -247,6 +247,27 @@ def test_equilibrium_roundtrip(tmp_path, reference_eq, basis):
     assert eq2.converged and eq2.iterations == reference_eq.iterations > 0
 
 
+def test_equilibrium_roundtrip_keeps_degree(tmp_path, twin_mesh, machine):
+    # a quadratic basis loads back quadratic, and a basis of another degree
+    # or dimension does not fit the file
+    quad = SplineBasis(degree=2, m=8)
+    eq = forward_fixed_point(twin_mesh, machine, a_ref, b_ref,
+                             np.zeros(len(twin_mesh.boundary)), basis=quad)
+    path = tmp_path / "eq.txt"
+    save_equilibrium(eq, path)
+    back = load_equilibrium(path)
+    assert (back.profiles.basis.degree, back.profiles.basis.m) == (2, 8)
+    assert back.profiles.eval("A", 0.25) == eq.profiles.eval("A", 0.25)
+    assert load_equilibrium(path, basis=quad).profiles.basis is quad
+    for other in (SplineBasis(), SplineBasis(degree=2, m=9)):
+        with pytest.raises(MeshParseError, match="do not fit the basis"):
+            load_equilibrium(path, basis=other)
+    # a file without the degree line is cubic
+    path.write_text("\n".join(ln for ln in path.read_text().splitlines()
+                              if not ln.startswith("degree ")))
+    assert load_equilibrium(path).profiles.basis.degree == 3
+
+
 @pytest.mark.parametrize("edit", [
     lambda lines: lines[:2],                               # r0 and b0 only
     lambda lines: lines[:-1],                              # short psi block

@@ -745,17 +745,43 @@ def test_reconstruct_rejects_unfit_warm_start(fresh_setup, clean_measurements,
     assert calls == dict.fromkeys(calls, 0)
 
 
-def test_reconstruct_reports_nan_warm_start(fresh_setup, clean_measurements):
-    # a NaN flux fits the mesh: the domain search on it fails inside the
-    # loop, which the result reports
+def test_reconstruct_reports_nan_warm_start(fresh_setup, clean_measurements,
+                                            monkeypatch):
+    # a NaN flux fits the mesh: the first iteration refuses it inside the
+    # loop, before any assembly, with or without a carried domain, and the
+    # result reports it
     setup = fresh_setup()
     base = reconstruct(setup, clean_measurements, RegularizationConfig(),
                        use_internal=False)
     psi = base.psi.copy()
     psi[np.argmax(psi)] = np.nan
+    work = _count_iteration_work(monkeypatch)
+    for domain in (None, base.domain):
+        res = reconstruct(setup, clean_measurements, RegularizationConfig(),
+                          use_internal=False,
+                          warm_start=dataclasses.replace(base, psi=psi,
+                                                         domain=domain))
+        assert res.error == "flux not finite at 1 nodes"
+        assert res.iterations == 1
+        assert not res.converged and res.domain is None
+    assert work == dict.fromkeys(work, 0)
+
+
+def test_reconstruct_reports_warm_start_without_axis(fresh_setup,
+                                                     clean_measurements,
+                                                     monkeypatch):
+    # only psi = 0 is the cold start: a nonzero constant flux has no
+    # interior maximum, and the domain search's error comes back at
+    # iteration 1 instead of a run from the limiter surrogate
+    setup = fresh_setup()
+    base = reconstruct(setup, clean_measurements, RegularizationConfig(),
+                       use_internal=False)
+    work = _count_iteration_work(monkeypatch)
     res = reconstruct(setup, clean_measurements, RegularizationConfig(),
-                      use_internal=False,
-                      warm_start=dataclasses.replace(base, psi=psi,
-                                                     domain=None))
-    assert res.error is not None and res.iterations == 1
+                      use_internal=False, warm_start=dataclasses.replace(
+                          base, psi=np.full_like(base.psi, 0.01),
+                          domain=None))
+    assert res.error == "flux maximum attained on the boundary"
+    assert res.iterations == 1
     assert not res.converged and res.domain is None
+    assert work == dict.fromkeys(work, 0)

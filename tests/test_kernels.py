@@ -20,8 +20,6 @@ def _design_matrix_eval(basis, xs):
 def test_bspline_batch_matches_scipy():
     bases = [SplineBasis(degree=p, m=m) for p in range(1, 6)
              for m in range(p + 1, p + 12)]
-    bases.append(SplineBasis(knots=[0, 0, 0, 0, 0.3, 0.5, 0.5, 0.8,
-                                    1, 1, 1, 1]))      # doubled interior knot
     rng = np.random.default_rng(0)
     for basis in bases:
         t = basis.knots
