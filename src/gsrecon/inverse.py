@@ -143,19 +143,23 @@ def observation_state(setup, Y, g_n, k_inv_g):
 
 
 def flux_state(setup, psibar_nodal, u, lam, use_internal):
-    """(lam, u, K^-1 Y, E, B, G) of an iteration, free of the measurements:
-    lam scales the last u to Ip by the column sums of the source matrix Y of
-    psibar, then both are rescaled; K^-1 Y and E are of lam Y, B and G of
-    :func:`build_interferometry_matrix` (None without ``use_internal``)."""
+    """(lam, u, K^-1 Y, E, B, G, D K^-1 Y) of an iteration, free of the
+    measurements: lam scales the last u to Ip by the column sums of the
+    source matrix Y of psibar, then both are rescaled; K^-1 Y and E are of
+    lam Y, B and G of :func:`build_interferometry_matrix`, D the chords'
+    normal derivative (the last three None without ``use_internal``)."""
     Y = assemble_source_matrix(
         setup.squad, setup.squad.psibar_qp(psibar_nodal), setup.basis)
     lam = lambda_from_integral(setup.machine.ip, float(
         Y.sum(axis=0) @ u[setup.free_idx]), setup.mesh.area())
     u, lam = rescale_dofs(u, lam)
     Y *= lam
-    chord = (None, None) if not use_internal else build_interferometry_matrix(
-        setup.chord_geoms, setup.basis, psibar_nodal)
-    return (lam, u, *source_response(setup, Y), *chord)
+    k_inv_y, E = source_response(setup, Y)
+    chord = (None, None, None) if not use_internal else (
+        *build_interferometry_matrix(setup.chord_geoms, setup.basis,
+                                     psibar_nodal),
+        setup.chord_geoms.D @ k_inv_y)
+    return (lam, u, k_inv_y, E, *chord)
 
 
 def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
@@ -228,7 +232,7 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
     def step(psi_in):
         nonlocal psi, iterations, u, lam, ne_coeffs, last
         psi, iterations = psi_in, iterations + 1
-        lam, u, k_inv_y, E, b_int, G = (setup.first_iteration(
+        lam, u, k_inv_y, E, b_int, G, dk = (setup.first_iteration(
             psi, getattr(warm_start, "domain", None), u, lam, use_internal)
             if iterations == 1 else flux_state(setup, make_plasma_domain(
                 mesh, psi).normalize(psi), u, lam, use_internal))
@@ -238,9 +242,9 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
             ne_coeffs, ne_misfit, ne_seminorm = identify_ne(
                 b_int, ms.gamma, weights.w_inter, reg.eps_ne,
                 setup.lam_block, reg.alpha_scale)
-            observe = build_polarimetry_observer(chords, G, ne_coeffs)
-            E = np.vstack([E, observe(k_inv_y)])
-            f = np.concatenate([f, ms.alpha - observe(k_inv_g)])
+            E = np.vstack([E, chords.R @ ((G @ ne_coeffs) * dk.T).T])
+            f = np.concatenate([f, ms.alpha - build_polarimetry_observer(
+                chords, G, ne_coeffs)(k_inv_g)])
         u[free], misfit, _ = identify_ab(E, f, w, reg.eps, setup.lam_free)
         last = (misfit, ne_misfit, ne_seminorm)
         return k_inv_y @ u[free] + k_inv_g

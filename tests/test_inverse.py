@@ -674,10 +674,11 @@ def test_memo_holds_one_read_only_entry(fresh_setup, clean_measurements,
     exp = first_guess_expansion(setup.basis)
     cold = (np.zeros(setup.mesh.n_nodes), None,
             np.concatenate([exp.a, exp.b]), 1.0, True)
-    lam, u, k_inv_y, E, B, G = setup.first_iteration(*cold)
-    for held in (k_inv_y, E, B, G):
+    lam, u, k_inv_y, E, B, G, dk = setup.first_iteration(*cold)
+    for held in (k_inv_y, E, B, G, dk):
         with pytest.raises(ValueError, match="read-only"):
             held[0] = 0.0
+    np.testing.assert_array_equal(dk, setup.chord_geoms.D @ k_inv_y)
     # u is the caller's copy: writing it leaves the held u as it was
     u[:] = 0.0
     again = setup.first_iteration(*cold)
