@@ -7,6 +7,7 @@ overrides (``--set key=value``).  Exit codes: 0 success, 1 input error,
 """
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -291,10 +292,8 @@ def cmd_twin(args):
                              _get(cfg, "seed", int))
     ms_path = _out(cfg, "measurements.txt")
     save_measurements(ms, setup.chord_geoms.endpoints, ms_path)
-    table = profile_table(mesh, eq.psi, eq.domain, eq.profiles, eq.lam,
-                          machine)
-    if ne_coeffs is not None:
-        table["ne"] = basis.eval_many(table["psibar"]) @ ne_coeffs
+    table = profile_table(mesh, eq.psi, eq.domain, dataclasses.replace(
+        eq.profiles, c=ne_coeffs), eq.lam, machine)
     ref_path = _out(cfg, "reference_profiles.csv")
     write_profile_csv(ref_path, table)
     print(f"wrote {ms_path} and {ref_path}")

@@ -20,7 +20,8 @@ class MeshParseError(GsReconError):
 
 
 class MeasurementCountError(GsReconError):
-    """A measurement vector's length does not match the setup."""
+    """A measurement set does not fit the setup: a vector's length, or
+    the points of its boundary measurements."""
 
 
 class StateError(GsReconError):

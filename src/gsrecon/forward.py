@@ -165,7 +165,6 @@ def picard(step, psi, tol, max_iter, residuals):
         if d_r:
             gamma = np.linalg.lstsq(np.column_stack(d_r), r, rcond=None)[0]
             psi = g - np.column_stack(d_g) @ gamma
-    return psi
 
 
 def forward_fixed_point(mesh, machine, a_func, b_func, g_d, tol=1e-6,

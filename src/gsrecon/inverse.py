@@ -68,13 +68,14 @@ def identify_ab(E, f, w, eps, lam_free):
 def rescale_dofs(u, lam):
     """Normalize max|a_i| to one, moving the scale into lambda.
 
-    Returns (u, lam), both unchanged when every a_i is zero.  The product
+    Returns (u, lam), both unchanged when every a_i is zero; u is never the
+    caller's array, which the first-iteration memo would freeze.  The product
     lam*u is preserved exactly up to one floating-point division per entry.
     """
     u = np.asarray(u, dtype=np.float64)
     m_hat = np.abs(u[:len(u) // 2]).max()
     if m_hat == 0.0:
-        return u, lam
+        return u.copy(), lam
     return u / m_hat, lam * m_hat
 
 
@@ -92,23 +93,19 @@ class ReconstructionSetup:
         self.c0, self.gn_points = build_neumann_observer(mesh)
         self.chord_geoms = build_chord_geometries(mesh, chords)
         self.lam_block = regularization_matrix(self.basis)
-        m = self.basis.m
-        # A(1)=B(1)=0 by eliminating the one basis function alive at x=1
-        self.pinned = [m - 1, 2 * m - 1]
-        self.free_idx = np.delete(np.arange(2 * m), self.pinned)
-        # the A and B curvature penalties over the free coefficients
-        self.lam_free = block_diag(self.lam_block, self.lam_block)[
-            np.ix_(self.free_idx, self.free_idx)]
+        # A(1)=B(1)=0 pins the last coefficients (of the one basis function
+        # alive at x=1): the penalty of the free ones u = (a[:-1], b[:-1])
+        self.lam_free = block_diag(*[self.lam_block[:-1, :-1]] * 2)
         self._node_in_limiter = point_in_polygon(mesh.nodes, mesh.limiter)
         self._first = None      # (key, flux_state) of the last first iteration
 
-    def first_iteration(self, psi, domain, u, lam, use_internal):
-        """:func:`flux_state` of psi and plasma ``domain`` (found when None),
-        held read-only in one slot keyed by value (floats by repr); u comes
-        as a copy.  A psi not finite at every node raises
-        :class:`DegeneratePlasmaError`; psi = 0, the cold start, takes
-        psibar 0 in the limiter and 2 outside."""
-        key = (psi.tobytes(), u.tobytes(), repr((lam, domain)), use_internal)
+    def first_iteration(self, psi, domain, u, use_internal):
+        """:func:`flux_state` of psi, plasma ``domain`` (found when None) and
+        free coefficients u, held in one slot keyed by value (domain by repr)
+        and returned as held, every array read-only.  A psi not finite at
+        every node raises :class:`DegeneratePlasmaError`; psi = 0, the cold
+        start, takes psibar 0 in the limiter and 2 outside."""
+        key = (psi.tobytes(), u.tobytes(), repr(domain), use_internal)
         if self._first is None or self._first[0] != key:
             finite_flux(psi)
             if np.linalg.norm(psi) == 0:
@@ -116,12 +113,11 @@ class ReconstructionSetup:
             else:
                 psibar = (domain or make_plasma_domain(
                     self.mesh, psi)).normalize(psi)
-            state = flux_state(self, psibar, u.copy(), lam, use_internal)
-            for a in (*state[1:4], *(state[4:] if use_internal else ())):
+            state = flux_state(self, psibar, u, use_internal)
+            for a in (a for a in state[1:] if a is not None):
                 a.flags.writeable = False
             self._first = (key, state)
-        lam, u, *rest = self._first[1]
-        return (lam, u.copy(), *rest)
+        return self._first[1]
 
 
 def source_response(setup, Y):
@@ -142,17 +138,16 @@ def observation_state(setup, Y, g_n, k_inv_g):
     return (*source_response(setup, Y), neumann_target(setup, g_n, k_inv_g))
 
 
-def flux_state(setup, psibar_nodal, u, lam, use_internal):
+def flux_state(setup, psibar_nodal, u, use_internal):
     """(lam, u, K^-1 Y, E, B, G, D K^-1 Y) of an iteration, free of the
-    measurements: lam scales the last u to Ip by the column sums of the
+    measurements: lam scales the last free u to Ip by the column sums of the
     source matrix Y of psibar, then both are rescaled; K^-1 Y and E are of
     lam Y, B and G of :func:`build_interferometry_matrix`, D the chords'
     normal derivative (the last three None without ``use_internal``)."""
     Y = assemble_source_matrix(
         setup.squad, setup.squad.psibar_qp(psibar_nodal), setup.basis)
-    lam = lambda_from_integral(setup.machine.ip, float(
-        Y.sum(axis=0) @ u[setup.free_idx]), setup.mesh.area())
-    u, lam = rescale_dofs(u, lam)
+    u, lam = rescale_dofs(u, lambda_from_integral(
+        setup.machine.ip, float(Y.sum(axis=0) @ u), setup.mesh.area()))
     Y *= lam
     k_inv_y, E = source_response(setup, Y)
     chord = (None, None, None) if not use_internal else (
@@ -167,22 +162,25 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
     """Fixed-point reconstruction of (psi, domain, A, B, lambda[, n_e]),
     returned as an :class:`~gsrecon.forward.Equilibrium`.
 
-    Measurement vectors whose lengths do not match the setup raise
-    :class:`MeasurementCountError`, and a warm start not fitting the mesh
-    or basis :class:`StateError`, before any solve.  Any other
-    :class:`GsReconError` raised by an iteration, or by the domain search
-    on the final flux, comes back as ``result.error``: ``psi`` is then the
-    iterate reached, ``iterations`` counts the failing one, ``domain`` is
-    None and ``costs`` is empty.  Non-convergence (the real-time regime
-    truncates the loop on purpose) is reported by ``converged``.
+    Measurement vectors whose lengths do not match the setup, or gN points
+    (when given) off the setup's boundary nodes by more than 1e-9 of the
+    shortest boundary edge, raise :class:`MeasurementCountError`, and a
+    warm start not fitting the mesh or basis :class:`StateError`, before
+    any solve.  Any other :class:`GsReconError` raised by an iteration, or
+    by the domain search on the final flux, comes back as ``result.error``:
+    ``psi`` is then the iterate reached, ``iterations`` counts the failing
+    one, ``domain`` is None and ``costs`` is empty.  Non-convergence (the
+    real-time regime truncates the loop on purpose) is reported by
+    ``converged``.
 
-    The first iteration depends only on the start (the setup memoizes it): a
-    warm start's ``domain`` is the plasma domain of its ``psi``, found when
-    None, and its last A and B coefficients are zero, as A(1) = B(1) = 0 pins
-    them.  Only psi = 0, the cold start, takes the limiter as the first
-    plasma region.  A start psi that is not finite at every node, or that is
-    nonzero without an interior flux maximum, comes back as ``result.error``
-    of iteration 1.  ``lam`` is the scale of ``profiles``: the last
+    The first iteration depends only on the start's psi, domain and free
+    coefficients a[:-1], b[:-1] (the setup memoizes it; A(1) = B(1) = 0
+    pins the last ones to zero): a warm start's ``domain`` is the plasma
+    domain of its ``psi``, found when None.  Only psi = 0, the cold start,
+    takes the limiter as the first plasma region.  A start psi that is not
+    finite at every node, or that is nonzero without an interior flux
+    maximum, comes back as ``result.error`` of iteration 1, with the
+    start's ``lam``.  ``lam`` is the scale of ``profiles``: the last
     iteration's u is returned rescaled to max|a| = 1, with lam * u kept.
     ``costs`` holds the terms of the last iteration's two solves: J0 and
     J1 are the magnetic and polarimetric rows of 1/2 |W (E u - f)|^2, J2
@@ -203,28 +201,30 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
         if len(values) != expected:
             raise MeasurementCountError(
                 f"{name} has {len(values)} values for {expected} {what}")
+    if ms.gn_points is not None:
+        pts = setup.gn_points
+        edge = np.hypot(*(np.roll(pts, -1, axis=0) - pts).T).min()
+        if np.shape(ms.gn_points) != pts.shape or not np.all(
+                np.abs(ms.gn_points - pts) <= 1e-9 * edge):
+            raise MeasurementCountError(
+                "gN points are not the boundary nodes of the setup's mesh")
     if warm_start is not None:
         p, psi = warm_start.profiles, np.array(warm_start.psi, dtype=float)
         if psi.shape != (mesh.n_nodes,) or {np.shape(x) for x in (
                 p.a, p.b, p.c) if x is not None} != {(basis.m,)}:
             raise StateError(f"warm start: {psi.size} flux values, {len(p.a)} "
                              f"coefficients, not {mesh.n_nodes} and {basis.m}")
-        u = np.concatenate([p.a, p.b])
-        u[setup.pinned] = 0.0
         lam = warm_start.lam
-        ne_coeffs = p.c     # carried; adds no cost
     else:
-        psi = np.zeros(mesh.n_nodes)
-        exp = first_guess_expansion(basis)
-        u = np.concatenate([exp.a, exp.b])
-        lam = 1.0
-        ne_coeffs = None
+        p, psi, lam = first_guess_expansion(basis), np.zeros(mesh.n_nodes), 1.0
+    # the free coefficients; a warm start's c is carried and adds no cost
+    u, ne_coeffs = np.concatenate([p.a[:-1], p.b[:-1]]), p.c
     weights = default_weights(ms, mesh.boundary_length())
     w = np.repeat([weights.w_mag, weights.w_polar],
                   [setup.c0.shape[0], n_c if use_internal else 0])
     k_inv_g = setup.fact.lift(ms.g_d)
     f_mag = neumann_target(setup, ms.g_n, k_inv_g)
-    chords, free = setup.chord_geoms, setup.free_idx
+    dk_inv_g = setup.chord_geoms.D @ k_inv_g if use_internal else None
 
     residuals, lam_history = [], []
     iterations, last = 0, None
@@ -233,21 +233,22 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
         nonlocal psi, iterations, u, lam, ne_coeffs, last
         psi, iterations = psi_in, iterations + 1
         lam, u, k_inv_y, E, b_int, G, dk = (setup.first_iteration(
-            psi, getattr(warm_start, "domain", None), u, lam, use_internal)
+            psi, getattr(warm_start, "domain", None), u, use_internal)
             if iterations == 1 else flux_state(setup, make_plasma_domain(
-                mesh, psi).normalize(psi), u, lam, use_internal))
+                mesh, psi).normalize(psi), u, use_internal))
         lam_history.append(lam)
         f, ne_misfit, ne_seminorm = f_mag, np.zeros(0), 0.0
         if use_internal:
             ne_coeffs, ne_misfit, ne_seminorm = identify_ne(
                 b_int, ms.gamma, weights.w_inter, reg.eps_ne,
                 setup.lam_block, reg.alpha_scale)
-            E = np.vstack([E, chords.R @ ((G @ ne_coeffs) * dk.T).T])
-            f = np.concatenate([f, ms.alpha - build_polarimetry_observer(
-                chords, G, ne_coeffs)(k_inv_g)])
-        u[free], misfit, _ = identify_ab(E, f, w, reg.eps, setup.lam_free)
+            polar = build_polarimetry_observer(setup.chord_geoms, G,
+                                               ne_coeffs)
+            E = np.vstack([E, polar(dk)])
+            f = np.concatenate([f, ms.alpha - polar(dk_inv_g)])
+        u, misfit, _ = identify_ab(E, f, w, reg.eps, setup.lam_free)
         last = (misfit, ne_misfit, ne_seminorm)
-        return k_inv_y @ u[free] + k_inv_g
+        return k_inv_y @ u + k_inv_g
 
     error = domain = None
     try:
@@ -265,10 +266,10 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
         costs = {"J0": 0.5 * float(np.sum(misfit[:n_mag] ** 2)),
                  "J1": 0.5 * float(np.sum(misfit[n_mag:] ** 2)),
                  "J2": 0.5 * float(np.sum(ne_misfit ** 2)),
-                 "Jeps": 0.5 * reg.eps * float(u[free] @ setup.lam_free
-                                               @ u[free])
+                 "Jeps": 0.5 * reg.eps * float(u @ setup.lam_free @ u)
                  + 0.5 * reg.eps_ne * ne_seminorm}
 
-    profiles = ProfileExpansion(basis, u[:basis.m], u[basis.m:], ne_coeffs)
+    a, b = (np.append(x, 0.0) for x in np.split(u, 2))
+    profiles = ProfileExpansion(basis, a, b, ne_coeffs)
     return Equilibrium(psi, domain, profiles, lam, machine, residuals,
                        converged, iterations, lam_history, costs, error)

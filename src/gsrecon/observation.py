@@ -172,11 +172,12 @@ def build_interferometry_matrix(chords, basis, psibar_nodal):
 
 
 def build_polarimetry_observer(chords, weights, ne_coeffs):
-    """The polarimetry observer R diag(coef) D of the density ``ne_coeffs``
-    as a function of nodal field(s) X: R (coef * D X), the chord integrals
-    of n_e/r times dX/dn, with coef = ``weights`` @ ne_coeffs = w n_e / r."""
+    """The polarimetry rows of the density ``ne_coeffs`` as a function of
+    the chord-normal derivatives dX = ``chords.D`` @ X of nodal field(s) X:
+    R (coef * dX), the chord integrals of n_e/r times dX/dn, with
+    coef = ``weights`` @ ne_coeffs = w n_e / r."""
     coef = weights @ ne_coeffs
-    return lambda X: chords.R @ (coef * (chords.D @ X).T).T
+    return lambda dX: chords.R @ (coef * dX.T).T
 
 
 # ---------------------------------------------------------------------------
@@ -217,17 +218,21 @@ def default_weights(ms, boundary_length):
 def save_measurements(ms, chords, path):
     """Write ``ms`` with the (r1, z1, r2, z2) rows ``chords`` of its
     internal measurements (see :func:`load_measurements`); ValueError
-    before any write when the rows do not match ``ms.gamma`` in number."""
+    before any write when the rows do not match ``ms.gamma`` in number, or
+    when ``ms`` has no finite gN point per gN value."""
     chords = np.reshape(chords, (-1, 4))
     if len(chords) != len(ms.gamma):
         raise ValueError(f"{len(chords)} chord rows, {len(ms.gamma)} "
                          "gamma values")
-    pts = ms.gn_points if ms.gn_points is not None \
-        else np.zeros((len(ms.g_n), 2))
+    if np.shape(ms.gn_points) != (len(ms.g_n), 2) or not np.isfinite(
+            ms.gn_points).all():
+        raise ValueError(f"{len(ms.g_n)} gN values need as many finite "
+                         f"(r, z) points, not {np.shape(ms.gn_points)}")
     write_rows(path, [
         ["Ip", ms.ip], ["B0", ms.b0],
         ["gD", len(ms.g_d)], *([v] for v in ms.g_d),
-        ["gN", len(ms.g_n)], *([*p, v] for p, v in zip(pts, ms.g_n)),
+        ["gN", len(ms.g_n)],
+        *([*p, v] for p, v in zip(ms.gn_points, ms.g_n)),
         ["chords", len(ms.gamma)],
         *([*c, gam, al] for c, gam, al in zip(chords, ms.gamma, ms.alpha))])
 

@@ -27,7 +27,8 @@ def synthesize_measurements(setup, eq, ne_coeffs=None):
         chords = setup.chord_geoms
         b_int, G = build_interferometry_matrix(chords, setup.basis, psibar)
         gamma = b_int @ ne_coeffs
-        alpha = build_polarimetry_observer(chords, G, ne_coeffs)(eq.psi)
+        alpha = build_polarimetry_observer(chords, G, ne_coeffs)(
+            chords.D @ eq.psi)
     else:
         gamma = np.zeros(n_c)
         alpha = np.zeros(n_c)

@@ -1,0 +1,94 @@
+"""Bit-level fingerprint of the pipeline's outputs on the conftest twin.
+
+Prints one sha256 per mesh size (20x20, 40x40, 80x80) over: the forward
+flux, the synthesized measurements, cold, repeated cold and warm
+reconstructions (magnetics only and internal data, clean and 1 % noise:
+psi, lam, a, b, c, residuals, lam history, costs and iteration count),
+the profile table of the reference and of each reconstruction, and, at
+20x20, a replicate_stats batch.  A change that claims identical outputs
+prints the same lines as its parent.  Run from the repository root:
+
+    python tests/fingerprint.py
+
+The name does not match pytest's test_*.py pattern, so the suite does not
+collect it.
+"""
+
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import gsrecon  # noqa: E402
+from conftest import CHORDS, LIMITER, a_ref, b_ref, ne_ref  # noqa: E402
+from gsrecon.basis import SplineBasis  # noqa: E402
+from gsrecon.diagnostics import profile_table  # noqa: E402
+from gsrecon.forward import MachineParams, forward_fixed_point  # noqa: E402
+from gsrecon.inverse import (ReconstructionSetup,  # noqa: E402
+                             RegularizationConfig, reconstruct)
+from gsrecon.twin import (perturb, replicate_stats,  # noqa: E402
+                          synthesize_measurements)
+
+SIZES = (20, 40, 80)
+
+
+def feed(h, *values):
+    """Add each value's bytes to the hash: arrays as float64, None and
+    strings by name, dicts by sorted items."""
+    for v in values:
+        if v is None or isinstance(v, str):
+            h.update(repr(v).encode())
+        elif isinstance(v, dict):
+            for k in sorted(v):
+                feed(h, k, v[k])
+        else:
+            h.update(np.asarray(v, dtype=np.float64).tobytes())
+
+
+def feed_result(h, res, setup):
+    p = res.profiles
+    feed(h, res.psi, res.lam, p.a, p.b, p.c, res.residuals,
+         res.lam_history, res.costs, res.iterations, res.error)
+    if res.error is None:
+        feed(h, profile_table(setup.mesh, res.psi, res.domain, p, res.lam,
+                              setup.machine))
+
+
+def fingerprint(n):
+    h = hashlib.sha256()
+    mesh = gsrecon.build_rect_mesh(2.0, 3.0, -1.2, 1.2, n, n,
+                                   limiter=LIMITER)
+    machine = MachineParams(2.5, 2.0, 1.0e6)
+    basis = SplineBasis(end_constraint=True)
+    eq = forward_fixed_point(mesh, machine, a_ref, b_ref,
+                             np.zeros(len(mesh.boundary)), basis=basis)
+    xs = np.linspace(0.0, 1.0, 201)
+    ne_coeffs = basis.fit(xs, ne_ref(xs))
+    setup = ReconstructionSetup(mesh, machine, CHORDS, basis=basis)
+    ms = synthesize_measurements(setup, eq, ne_coeffs)
+    feed(h, eq.psi, eq.lam, eq.residuals, ms.g_d, ms.g_n, ms.gamma, ms.alpha,
+         profile_table(mesh, eq.psi, eq.domain, eq.profiles, eq.lam,
+                       machine))
+    reg = RegularizationConfig()
+    for internal in (False, True):
+        for data in (ms, perturb(ms, 0.01, seed=7)):
+            cold = reconstruct(setup, data, reg, use_internal=internal)
+            again = reconstruct(setup, data, reg, use_internal=internal)
+            warm = reconstruct(setup, data, reg, use_internal=internal,
+                               tol=0.0, max_iter=2, warm_start=cold)
+            for res in (cold, again, warm):
+                feed_result(h, res, setup)
+    if n == SIZES[0]:
+        for st in replicate_stats(setup, ms, reg, [1e-2, 5e-2],
+                                  n_replicates=3, seed=11):
+            feed(h, st.grid, st.mean, st.median, st.std, st.n_converged,
+                 st.n_failed, st.warm_start)
+    return h.hexdigest()
+
+
+if __name__ == "__main__":
+    for n in SIZES:
+        print(f"{n}x{n} {fingerprint(n)}", flush=True)

@@ -157,6 +157,21 @@ def test_reconstruct_truncated_measurements(workspace, tmp_path):
                      "--measurements", str(cut)]) == cli.EXIT_INPUT
 
 
+def test_reconstruct_on_another_box_is_input_error(workspace, tmp_path,
+                                                  capsys):
+    # the twin's file on a mesh of the same node counts over a larger box:
+    # its gN points are not the mesh's boundary nodes
+    ws, cfg = workspace
+    box = ["r_min=1.9", "r_max=3.1", "z_min=-1.3", "z_max=1.3"]
+    assert cli.main(["reconstruct", "--config", str(cfg),
+                     "--measurements", str(ws / "measurements.txt"),
+                     *(a for kv in box for a in ("--set", kv)),
+                     "--set", f"out_dir={tmp_path}"]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "gN points" in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_forward_failure_is_nonconvergence(tmp_path):
     # a negative current puts the flux maximum on the boundary in the
     # first iteration: a numerical failure, not an input error

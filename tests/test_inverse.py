@@ -51,6 +51,8 @@ def test_rescale_dofs_zero_vector():
     u = np.zeros(6)
     u2, lam2 = rescale_dofs(u, 2.0)
     assert lam2 == 2.0 and np.all(u2 == 0.0)
+    # a new array, as for any other u: the memo freezes what it holds
+    assert u2 is not u
 
 
 def test_free_penalty_is_two_pinned_blocks(setup):
@@ -172,7 +174,7 @@ def test_reconstruct_with_internal_data(setup, clean_measurements,
     assert res.costs["J1"] >= 0.0 and res.costs["J2"] >= 0.0
     # the density penalty acts on v / alpha_scale, as in identify_ne
     reg = RegularizationConfig()
-    u = np.concatenate([res.profiles.a, res.profiles.b])[setup.free_idx]
+    u = np.concatenate([res.profiles.a[:-1], res.profiles.b[:-1]])
     v_hat = res.profiles.c / reg.alpha_scale
     j_eps = (0.5 * reg.eps * u @ setup.lam_free @ u
              + 0.5 * reg.eps_ne * v_hat @ setup.lam_block @ v_hat)
@@ -402,12 +404,11 @@ def test_reconstruct_one_basis_evaluation_and_one_solve(
     eq = reference_eq
     pq = setup.squad.psibar_qp(eq.domain.normalize(eq.psi))
     Y = assemble_source_matrix(setup.squad, pq, setup.basis)
-    u = np.concatenate([eq.profiles.a, eq.profiles.b])
+    u = np.concatenate([eq.profiles.a[:-1], eq.profiles.b[:-1]])
     phi = setup.basis.eval_many(pq)
     integral = assemble_source_vector(setup.squad, pq, phi @ eq.profiles.a,
                                       phi @ eq.profiles.b).sum()
-    assert Y.sum(axis=0) @ u[setup.free_idx] == pytest.approx(
-        integral, rel=1e-12)
+    assert Y.sum(axis=0) @ u == pytest.approx(integral, rel=1e-12)
 
 
 def test_reconstruct_costs_reuse_last_iteration(
@@ -532,6 +533,32 @@ def test_reconstruct_rejects_measurement_count_mismatch(machine, offsets,
         reconstruct(setup, ms, RegularizationConfig())
 
 
+@pytest.mark.parametrize("shift,refused", [(1e-12, False), ("drop", True)])
+def test_reconstruct_checks_neumann_points(machine, shift, refused):
+    # gN points must be the setup's boundary nodes, to 1e-9 of the shortest
+    # boundary edge (1/12 m here); a set without points is not checked
+    setup = _setup12(machine)
+    pts = setup.gn_points[:-1] if shift == "drop" else setup.gn_points + shift
+    ms = dataclasses.replace(_zero_measurements(setup), gn_points=pts)
+    if refused:
+        with pytest.raises(MeasurementCountError, match="gN points"):
+            reconstruct(setup, ms, RegularizationConfig())
+    else:
+        assert reconstruct(setup, ms, RegularizationConfig(),
+                           max_iter=1).iterations == 1
+
+
+def test_reconstruct_refuses_measurements_of_another_mesh(
+        machine, basis, clean_measurements):
+    # the 20 x 20 twin's data on a 20 x 20 mesh of a larger box: the counts
+    # fit, the points do not
+    mesh = gsrecon.build_rect_mesh(1.9, 3.1, -1.3, 1.3, 20, 20,
+                                   limiter=LIMITER)
+    setup = ReconstructionSetup(mesh, machine, CHORDS, basis=basis)
+    with pytest.raises(MeasurementCountError, match="gN points"):
+        reconstruct(setup, clean_measurements, RegularizationConfig())
+
+
 def test_reconstruct_magnetics_only_ignores_chord_count(machine):
     # chord data is not read without internal measurements
     setup = _setup12(machine)
@@ -634,12 +661,10 @@ def test_warm_realtime_regime_shares_first_iteration(fresh_setup,
             tol=0.0, max_iter=2))
 
 
-@pytest.mark.parametrize("edit", ["psi", "lam", "a", "use_internal"])
-def test_changed_start_misses_the_memo(fresh_setup, clean_measurements,
-                                       monkeypatch, edit):
-    # the memo is keyed by value: an in-place edit of the warm start, or
-    # another use_internal, computes the first iteration anew
-    setup = fresh_setup()
+def _editable_start(setup, clean_measurements):
+    """(start, run): a converged internal-data reconstruction with its own
+    psi and a, to edit in place, and run(setup, internal=True), a warm
+    two-iteration reconstruction from it of the 1 % noise draw of seed 5."""
     reg = RegularizationConfig()
     base = reconstruct(setup, clean_measurements, reg, use_internal=True)
     start = dataclasses.replace(base, psi=base.psi.copy(),
@@ -651,12 +676,20 @@ def test_changed_start_misses_the_memo(fresh_setup, clean_measurements,
         return reconstruct(s, ms, reg, use_internal=internal,
                            warm_start=start, tol=0.0, max_iter=2)
 
+    return start, run
+
+
+@pytest.mark.parametrize("edit", ["psi", "a", "use_internal"])
+def test_changed_start_misses_the_memo(fresh_setup, clean_measurements,
+                                       monkeypatch, edit):
+    # the memo is keyed by value: an in-place edit of the warm start, or
+    # another use_internal, computes the first iteration anew
+    setup = fresh_setup()
+    start, run = _editable_start(setup, clean_measurements)
     run(setup)
     use_internal = True
     if edit == "psi":
         start.psi[np.argmax(start.psi)] *= 1.0 + 1e-9
-    elif edit == "lam":
-        start.lam *= 1.0 + 1e-9
     elif edit == "a":
         start.profiles.a[0] *= 1.0 + 1e-9
     else:
@@ -667,32 +700,71 @@ def test_changed_start_misses_the_memo(fresh_setup, clean_measurements,
     _assert_same_result(res, run(fresh_setup(), use_internal))
 
 
+def test_start_lambda_shares_the_first_iteration(fresh_setup,
+                                                 clean_measurements,
+                                                 monkeypatch):
+    # lambda comes from Ip and the column sums of Y in every iteration, so
+    # a start that differs only in lam hits the memo: only the second
+    # iteration assembles, and the result is that of a fresh setup
+    setup = fresh_setup()
+    start, run = _editable_start(setup, clean_measurements)
+    run(setup)
+    start.lam *= 1.0 + 1e-9
+    work = _count_iteration_work(monkeypatch)
+    res = run(setup)
+    assert work == dict.fromkeys(work, 1)
+    _assert_same_result(res, run(fresh_setup()))
+
+
 def test_memo_holds_one_read_only_entry(fresh_setup, clean_measurements,
                                         monkeypatch):
     setup = fresh_setup()
     m = setup.basis.m
     exp = first_guess_expansion(setup.basis)
     cold = (np.zeros(setup.mesh.n_nodes), None,
-            np.concatenate([exp.a, exp.b]), 1.0, True)
+            np.concatenate([exp.a[:-1], exp.b[:-1]]), True)
     lam, u, k_inv_y, E, B, G, dk = setup.first_iteration(*cold)
-    for held in (k_inv_y, E, B, G, dk):
+    assert u.shape == (2 * m - 2,) == (k_inv_y.shape[1],)
+    # every held array is handed out as held, and read-only
+    for held in (u, k_inv_y, E, B, G, dk):
         with pytest.raises(ValueError, match="read-only"):
             held[0] = 0.0
     np.testing.assert_array_equal(dk, setup.chord_geoms.D @ k_inv_y)
-    # u is the caller's copy: writing it leaves the held u as it was
-    u[:] = 0.0
     again = setup.first_iteration(*cold)
-    assert again[2] is k_inv_y and np.abs(again[1][:m]).max() == 1.0
+    assert again[1] is u and again[2] is k_inv_y
+    assert np.abs(u[:m - 1]).max() == 1.0
     # one slot: another start replaces the entry, so the first misses
     reg = RegularizationConfig()
     work = _count_iteration_work(monkeypatch)
     for internal, computed in [(False, 1), (True, 1), (True, 0)]:
         work["assemble_source_matrix"] = 0
-        setup.first_iteration(*cold[:4], internal)
+        setup.first_iteration(*cold[:3], internal)
         assert work["assemble_source_matrix"] == computed
     res = reconstruct(setup, clean_measurements, reg, use_internal=True)
     _assert_same_result(res, reconstruct(fresh_setup(), clean_measurements,
                                          reg, use_internal=True))
+
+
+def test_memo_hit_leaves_held_arrays_unchanged(fresh_setup,
+                                              clean_measurements):
+    # reconstructions that take their first iteration from the memo (cold
+    # and warm, with and without internal data) read the held arrays and
+    # write none of them, bit for bit
+    setup = fresh_setup()
+    reg = RegularizationConfig()
+    base = reconstruct(setup, clean_measurements, reg, use_internal=True)
+    ms = perturb(clean_measurements, 0.01, seed=6)
+    for kwargs in ({}, {"warm_start": base, "tol": 0.0, "max_iter": 2}):
+        for internal in (False, True):
+            reconstruct(setup, ms, reg, use_internal=internal, **kwargs)
+            state = setup._first[1]
+            held = [a.copy() for a in state[1:] if a is not None]
+            res = reconstruct(setup, ms, reg, use_internal=internal,
+                              **kwargs)
+            assert res.error is None and setup._first[1] is state
+            for a, before in zip((a for a in state[1:] if a is not None),
+                                 held):
+                assert a.tobytes() == before.tobytes()
 
 
 def test_failed_first_iteration_is_not_memoized(fresh_setup,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -51,9 +53,11 @@ def test_chord_geometry_values(mesh):
 
 
 def _polarimetry(geoms, basis, ne_coeffs, psibar, psi):
-    """Polarimetry signals of the density ne_coeffs on the flux psi."""
+    """Polarimetry signals of the density ne_coeffs on the flux psi: the
+    observer takes its chord-normal derivatives D psi."""
     weights = build_interferometry_matrix(geoms, basis, psibar)[1]
-    return build_polarimetry_observer(geoms, weights, ne_coeffs)(psi)
+    return build_polarimetry_observer(geoms, weights, ne_coeffs)(
+        geoms.D @ psi)
 
 
 def _chord_signals(mesh, chords, basis, eq, ne_coeffs):
@@ -237,6 +241,21 @@ def test_save_measurements_refuses_chord_count_mismatch(tmp_path, extra,
                        match=f"^{n + extra} chord rows, {n} gamma values$"):
         save_measurements(clean_measurements, chords, path)
     assert not path.exists()
+
+
+def test_save_measurements_refuses_a_set_without_points(
+        tmp_path, clean_measurements, setup):
+    # the file records each gN value at its point; zero rows could never
+    # match a mesh, and a NaN point could not be read back, so nothing is
+    # written
+    path = tmp_path / "ms.txt"
+    nan_point = clean_measurements.gn_points.copy()
+    nan_point[3, 1] = np.nan
+    for pts in (None, clean_measurements.gn_points[:-1], nan_point):
+        ms = dataclasses.replace(clean_measurements, gn_points=pts)
+        with pytest.raises(ValueError, match="gN values need"):
+            save_measurements(ms, setup.chord_geoms.endpoints, path)
+        assert not path.exists()
 
 
 def test_load_measurements_malformed(tmp_path):

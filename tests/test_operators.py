@@ -406,9 +406,10 @@ def _polarimetry_observer_sparse(chords, basis, ne_coeffs, psibar_nodal):
 
 def _polarimetry(chords, basis, ne_coeffs, psibar_nodal, X):
     """R (coef * D X) for the nodal field(s) X, as the reconstruction step
-    forms it."""
+    forms it: the observer takes the chord-normal derivatives D X."""
     weights = build_interferometry_matrix(chords, basis, psibar_nodal)[1]
-    return build_polarimetry_observer(chords, weights, ne_coeffs)(X)
+    return build_polarimetry_observer(chords, weights, ne_coeffs)(
+        chords.D @ X)
 
 
 def _interferometry_loop(geoms, basis, psibar_nodal):
@@ -733,7 +734,7 @@ def test_step_products_match_parent_assembly(setup, basis, reference_eq,
     parent = _source_matrix_f_fill(squad, pq, basis, 1.0, 2.5, [])
     Y = assemble_source_matrix(squad, pq, basis)
     assert Y.shape == (setup.mesh.n_nodes, 2 * basis.m - 2)
-    _close(Y, parent[:, setup.free_idx], rtol=1e-13)
+    _close(Y, parent[:, _free(basis)], rtol=1e-13)
     k_inv_y = setup.fact.solve_multi(eq.lam * Y)
     chords = setup.chord_geoms
     observer = _polarimetry_observer_sparse(chords, basis, ne_coeffs, psibar)
