@@ -102,12 +102,13 @@ def assemble_stiffness(mesh, mu0=MU0):
     """Stiffness matrix of the Neumann problem: entries are the integrals of
     (1/(mu0 r)) grad v_i . grad v_j, assembled triangle by triangle."""
     tris = mesh.triangles
-    areas = mesh.areas()
     grads = mesh.grads()                     # (T, 2, 3)
-    r_c = mesh.nodes[tris][:, :, 0].mean(axis=1)
-    coef = areas / (mu0 * r_c)               # (T,)
+    ra, rb, rc = np.take(mesh.nodes[:, 0], tris.T)   # corner radii
+    coef = mesh.areas() / (mu0 * ((ra + rb + rc) / 3))   # (T,)
     # element matrices: coef * G^T G, shape (T, 3, 3)
-    local = coef[:, None, None] * np.einsum("tka,tkb->tab", grads, grads)
+    local = grads[:, 0, :, None] * grads[:, 0, None, :]
+    local += grads[:, 1, :, None] * grads[:, 1, None, :]
+    local *= coef[:, None, None]
     rows = np.repeat(tris, 3, axis=1).reshape(-1)
     cols = np.tile(tris, (1, 3)).reshape(-1)
     K = sp.coo_matrix((local.reshape(-1), (rows, cols)),

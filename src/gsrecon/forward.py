@@ -66,8 +66,9 @@ class SourceQuadrature:
          self.qp_z) = quadrature_points(mesh)
         self.P = interpolation_matrix(self.qp_nodes, self.qp_bary,
                                       mesh.n_nodes)
-        self.Pa = self.P.T.multiply(self.qp_w * self.qp_r / r0).tocsr()
-        self.Pb = self.P.T.multiply(self.qp_w * r0 / self.qp_r).tocsr()
+        self.Pa, self.Pb = self.P.T.tocsr(), self.P.T.tocsr()
+        self.Pa.data *= (self.qp_w * self.qp_r / r0)[self.Pa.indices]
+        self.Pb.data *= (self.qp_w * r0 / self.qp_r)[self.Pb.indices]
         pts = np.column_stack([self.qp_r, self.qp_z])
         self._inside_limiter = point_in_polygon(pts, mesh.limiter)
 

@@ -204,5 +204,6 @@ def quadrature_points(mesh):
     edges, tri_edges = mesh.edge_index()
     w = np.bincount(tri_edges.ravel(),
                     weights=np.repeat(mesh.areas() / 3.0, 3))
-    r, z = mesh.nodes[edges].mean(axis=1).T
+    r, z = ((np.take(mesh.nodes, edges[:, 0], axis=0)
+             + np.take(mesh.nodes, edges[:, 1], axis=0)) / 2).T
     return edges, np.full(edges.shape, 0.5), w, r, z

@@ -17,9 +17,7 @@ from .textio import LineReader, write_rows
 
 
 def triangle_areas(nodes, triangles):
-    p0 = nodes[triangles[:, 0]]
-    p1 = nodes[triangles[:, 1]]
-    p2 = nodes[triangles[:, 2]]
+    p0, p1, p2 = (np.take(nodes, v, axis=0) for v in triangles.T)
     return 0.5 * ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
                   - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1]))
 
@@ -76,9 +74,18 @@ class Mesh:
         if self.boundary.size and (self.boundary.min() < 0
                                    or self.boundary.max() >= n):
             raise MeshValidationError("boundary references node index out of range")
-        # refused, never reordered: gD blocks follow the loop order
+        lone = np.flatnonzero(np.bincount(self.triangles.ravel(),
+                                          minlength=n) == 0)
+        if len(lone):
+            raise MeshValidationError(f"node {lone[0]} is in no triangle")
         edges, sides = self.edge_index()
-        outer = edges[np.bincount(sides.ravel()) == 1] @ [n, 1]
+        share = np.bincount(sides.ravel())
+        if share.max() > 2:
+            a, b = edges[np.argmax(share)]
+            raise MeshValidationError(f"edge ({a}, {b}) is in "
+                                      f"{share.max()} triangles")
+        # refused, never reordered: gD blocks follow the loop order
+        outer = edges[share == 1] @ [n, 1]
         a, b = self.boundary, np.roll(self.boundary, -1)
         if not np.array_equal(np.sort(np.minimum(a, b) * n + np.maximum(a, b)),
                               outer):
@@ -88,7 +95,8 @@ class Mesh:
         if np.dot(r, np.roll(z, -1)) - np.dot(np.roll(r, -1), z) <= 0:
             raise MeshValidationError("boundary loop must be counter-clockwise")
         point, tri, bary = self.locator().locate(self.limiter)
-        outside = np.setdiff1d(np.arange(len(self.limiter)), point)
+        outside = np.flatnonzero(np.bincount(point,
+                                             minlength=len(self.limiter)) == 0)
         if len(outside):
             r, z = self.limiter[outside[0]]
             raise MeshValidationError(
@@ -140,16 +148,17 @@ class Mesh:
         """(n, max degree) table: row k lists the edge-connected neighbors
         of node k ordered by angle around it, padded with -1."""
         if "neighbors" not in self._cache:
-            n, t = self.n_nodes, self.triangles
-            key = np.unique(t[:, [0, 0, 1, 1, 2, 2]].ravel() * n
-                            + t[:, [1, 2, 0, 2, 0, 1]].ravel())
-            src, dst = key // n, key % n
-            d = self.nodes[dst] - self.nodes[src]
-            order = np.lexsort((np.arctan2(d[:, 1], d[:, 0]), src))
-            src, dst = src[order], dst[order]
-            slot = np.arange(len(src)) - np.searchsorted(src, src)
-            table = np.full((n, slot.max(initial=0) + 1), -1, dtype=np.int64)
-            table[src, slot] = dst
+            # each edge both ways, (upper, lower) pairs first: a node's
+            # neighbors enter in increasing order, which lexsort keeps for
+            # equal angles
+            e = self.edge_index()[0]
+            src, dst = np.concatenate([e[:, 1], e[:, 0]]), e.T.ravel()
+            r, z = self.nodes.T
+            order = np.lexsort((np.arctan2(z[dst] - z[src], r[dst] - r[src]),
+                                src))
+            count = np.bincount(src, minlength=self.n_nodes)
+            table = np.full((self.n_nodes, count.max()), -1, dtype=np.int64)
+            table[_expand(count)] = dst[order]
             self._cache["neighbors"] = table
         return self._cache["neighbors"]
 
@@ -171,9 +180,8 @@ class Mesh:
         nodal field on triangle t.
         """
         if "grads" not in self._cache:
-            p0 = self.nodes[self.triangles[:, 0]]
-            p1 = self.nodes[self.triangles[:, 1]]
-            p2 = self.nodes[self.triangles[:, 2]]
+            p0, p1, p2 = (np.take(self.nodes, v, axis=0)
+                          for v in self.triangles.T)
             two_a = 2.0 * self.areas()
             g = np.empty((len(self.triangles), 2, 3))
             # gradient of barycentric coordinate of vertex a is the rotated
@@ -319,15 +327,16 @@ class PointLocator:
         self._lo = self._nodes.min(axis=0)
         span = self._nodes.max(axis=0) - self._lo
         self._h = np.where(span > 0, span / self._nb, 1.0)
-        corners = self._nodes[self._tris]                # (T, 3, 2)
-        b0, b1 = self._bin(corners.min(axis=1)), self._bin(corners.max(axis=1))
-        extent = b1 - b0 + 1
+        c0, c1, c2 = (np.take(self._nodes, v, axis=0) for v in self._tris.T)
+        b0 = self._bin(np.minimum(np.minimum(c0, c1), c2))
+        extent = self._bin(np.maximum(np.maximum(c0, c1), c2)) - b0 + 1
         t, k = _expand(extent[:, 0] * extent[:, 1])
-        height = extent[t, 1]
-        key = (b0[t, 0] + k // height) * self._nb + b0[t, 1] + k % height
-        order = np.argsort(key, kind="stable")
-        self._bin_tri = t[order]
-        self._start = np.searchsorted(key[order], np.arange(self._nb ** 2 + 1))
+        height = extent[:, 1][t]
+        key = (b0[:, 0][t] + k // height) * self._nb + b0[:, 1][t] + k % height
+        self._bin_tri = t[np.argsort(key, kind="stable")]
+        # bin b lists _bin_tri[_start[b]:_start[b + 1]]
+        self._start = np.cumsum(np.bincount(key + 1,
+                                            minlength=self._nb ** 2 + 1))
 
     def _bin(self, points):
         """(i, j) bin of each point, clipped to the grid."""
@@ -345,17 +354,19 @@ class PointLocator:
         key = ij[:, 0] * self._nb + ij[:, 1]
         point, k = _expand(self._start[key + 1] - self._start[key])
         tri = self._bin_tri[self._start[key[point]] + k]
-        a, b, c = np.moveaxis(self._nodes[self._tris[tri]], 1, 0)
-        p = points[point]
+        a, b, c = (np.take(self._nodes, v, axis=0)
+                   for v in np.take(self._tris, tri, axis=0).T)
+        p = np.take(points, point, axis=0)
         det = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) \
             - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1])
         l1 = ((p[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
               - (c[:, 0] - a[:, 0]) * (p[:, 1] - a[:, 1])) / det
         l2 = ((b[:, 0] - a[:, 0]) * (p[:, 1] - a[:, 1])
               - (p[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1])) / det
-        bary = np.column_stack([1.0 - l1 - l2, l1, l2])
-        hit = np.all(bary >= -1e-12, axis=1)
-        return point[hit], tri[hit], bary[hit]
+        l0 = 1.0 - l1 - l2
+        hit = np.flatnonzero(np.minimum(np.minimum(l0, l1), l2) >= -1e-12)
+        return point[hit], tri[hit], np.column_stack([l0[hit], l1[hit],
+                                                      l2[hit]])
 
 
 def _expand(counts):

@@ -5,8 +5,12 @@ flux, the synthesized measurements, cold, repeated cold and warm
 reconstructions (magnetics only and internal data, clean and 1 % noise:
 psi, lam, a, b, c, residuals, lam history, costs and iteration count),
 the profile table of the reference and of each reconstruction, and, at
-20x20, a replicate_stats batch.  A change that claims identical outputs
-prints the same lines as its parent.  Run from the repository root:
+20x20, a replicate_stats batch.  A second line per mesh size hashes the
+mesh-fixed set-up tables: the edge index, the node neighbors, the point
+locator's bins, the limiter matrix, the mid-edge quadrature with its P, Pa
+and Pb, the stiffness matrix, the Neumann observer C0 and the chords' S, D
+and R.  A change that claims identical outputs prints the same lines as its
+parent.  Run from the repository root:
 
     python tests/fingerprint.py
 
@@ -26,6 +30,7 @@ import gsrecon  # noqa: E402
 from conftest import CHORDS, LIMITER, a_ref, b_ref, ne_ref  # noqa: E402
 from gsrecon.basis import SplineBasis  # noqa: E402
 from gsrecon.diagnostics import profile_table  # noqa: E402
+from gsrecon.fem import assemble_stiffness  # noqa: E402
 from gsrecon.forward import MachineParams, forward_fixed_point  # noqa: E402
 from gsrecon.inverse import (ReconstructionSetup,  # noqa: E402
                              RegularizationConfig, reconstruct)
@@ -48,6 +53,26 @@ def feed(h, *values):
             h.update(np.asarray(v, dtype=np.float64).tobytes())
 
 
+def feed_sparse(h, *mats):
+    """Add each sparse matrix's shape and CSR arrays, in stored order."""
+    for mat in mats:
+        feed(h, mat.shape, mat.data, mat.indices, mat.indptr)
+
+
+def setup_fingerprint(setup):
+    """sha256 over the mesh-fixed tables of ``setup`` and its mesh."""
+    h = hashlib.sha256()
+    mesh, squad, chords = setup.mesh, setup.squad, setup.chord_geoms
+    locator = mesh.locator()
+    feed(h, *mesh.edge_index(), mesh.node_neighbors(), locator._bin_tri,
+         locator._start, squad.qp_nodes, squad.qp_bary, squad.qp_w,
+         squad.qp_r, squad.qp_z)
+    feed_sparse(h, mesh.limiter_matrix(), squad.P, squad.Pa, squad.Pb,
+                assemble_stiffness(mesh, setup.machine.mu0).mat, setup.c0,
+                chords.S, chords.D, chords.R)
+    return h.hexdigest()
+
+
 def feed_result(h, res, setup):
     p = res.profiles
     feed(h, res.psi, res.lam, p.a, p.b, p.c, res.residuals,
@@ -68,6 +93,7 @@ def fingerprint(n):
     xs = np.linspace(0.0, 1.0, 201)
     ne_coeffs = basis.fit(xs, ne_ref(xs))
     setup = ReconstructionSetup(mesh, machine, CHORDS, basis=basis)
+    tables = setup_fingerprint(setup)
     ms = synthesize_measurements(setup, eq, ne_coeffs)
     feed(h, eq.psi, eq.lam, eq.residuals, ms.g_d, ms.g_n, ms.gamma, ms.alpha,
          profile_table(mesh, eq.psi, eq.domain, eq.profiles, eq.lam,
@@ -86,9 +112,11 @@ def fingerprint(n):
                                   n_replicates=3, seed=11):
             feed(h, st.grid, st.mean, st.median, st.std, st.n_converged,
                  st.n_failed, st.warm_start)
-    return h.hexdigest()
+    return h.hexdigest(), tables
 
 
 if __name__ == "__main__":
     for n in SIZES:
-        print(f"{n}x{n} {fingerprint(n)}", flush=True)
+        outputs, tables = fingerprint(n)
+        print(f"{n}x{n} {outputs}", flush=True)
+        print(f"{n}x{n} setup {tables}", flush=True)

@@ -1,12 +1,16 @@
-"""Frozen loop versions of the geometric primitives the package now builds
-with array code: the scalar ray-crossing test, the mid-edge rule with three
-points per triangle, and the rectangle mesh built in nested loops.  Tests
+"""Frozen versions of primitives the package now builds another way: loop
+versions of the scalar ray-crossing test, the mid-edge rule with three
+points per triangle and the rectangle mesh built in nested loops, and the
+earlier array constructions of the mesh-fixed tables (node neighbors, the
+point locator's bins, the mid-edge quadrature and the stiffness matrix),
+built with hash-based np.unique, middle-axis reductions and einsum.  Tests
 use them as references; nothing in ``src/`` imports them."""
 
 import numpy as np
+import scipy.sparse as sp
 
 from gsrecon.errors import MeshValidationError
-from gsrecon.mesh import Mesh
+from gsrecon.mesh import Mesh, _expand
 
 MIDEDGE_BARY = np.array([[0.5, 0.5, 0.0],
                          [0.0, 0.5, 0.5],
@@ -99,3 +103,64 @@ def build_rect_mesh_loop(r_min, r_max, z_min, z_max, nr, nz, limiter=None):
             limiter = nodes[boundary]
 
     return Mesh(nodes, triangles, boundary, np.asarray(limiter))
+
+
+def node_neighbors_unique(mesh):
+    """The (n, max degree) neighbor table from the np.unique of the 6T
+    directed corner pairs, each row ordered by angle, padded with -1."""
+    n, t = mesh.n_nodes, mesh.triangles
+    key = np.unique(t[:, [0, 0, 1, 1, 2, 2]].ravel() * n
+                    + t[:, [1, 2, 0, 2, 0, 1]].ravel())
+    src, dst = key // n, key % n
+    d = mesh.nodes[dst] - mesh.nodes[src]
+    order = np.lexsort((np.arctan2(d[:, 1], d[:, 0]), src))
+    src, dst = src[order], dst[order]
+    slot = np.arange(len(src)) - np.searchsorted(src, src)
+    table = np.full((n, slot.max(initial=0) + 1), -1, dtype=np.int64)
+    table[src, slot] = dst
+    return table
+
+
+def locator_bins(mesh):
+    """The point locator's (bin_tri, start): the triangles listed bin after
+    bin, and the offset of each of the nb^2 bins in that list."""
+    nodes, tris = mesh.nodes, mesh.triangles
+    nb = max(4, int(np.sqrt(len(tris))))
+    lo = nodes.min(axis=0)
+    span = nodes.max(axis=0) - lo
+    h = np.where(span > 0, span / nb, 1.0)
+
+    def to_bin(points):
+        return np.clip((points - lo) / h, 0, nb - 1).astype(np.int64)
+
+    corners = nodes[tris]                                # (T, 3, 2)
+    b0, b1 = to_bin(corners.min(axis=1)), to_bin(corners.max(axis=1))
+    extent = b1 - b0 + 1
+    t, k = _expand(extent[:, 0] * extent[:, 1])
+    height = extent[t, 1]
+    key = (b0[t, 0] + k // height) * nb + b0[t, 1] + k % height
+    order = np.argsort(key, kind="stable")
+    return t[order], np.searchsorted(key[order], np.arange(nb ** 2 + 1))
+
+
+def quadrature_points_mean(mesh):
+    """The mid-edge rule with its midpoints as the mean of the end nodes."""
+    edges, tri_edges = mesh.edge_index()
+    w = np.bincount(tri_edges.ravel(),
+                    weights=np.repeat(mesh.areas() / 3.0, 3))
+    r, z = mesh.nodes[edges].mean(axis=1).T
+    return edges, np.full(edges.shape, 0.5), w, r, z
+
+
+def assemble_stiffness_einsum(mesh, mu0):
+    """The stiffness CSR matrix with einsum element matrices and the
+    centroid radius as a mean."""
+    tris = mesh.triangles
+    grads = mesh.grads()
+    r_c = mesh.nodes[tris][:, :, 0].mean(axis=1)
+    coef = mesh.areas() / (mu0 * r_c)
+    local = coef[:, None, None] * np.einsum("tka,tkb->tab", grads, grads)
+    rows = np.repeat(tris, 3, axis=1).reshape(-1)
+    cols = np.tile(tris, (1, 3)).reshape(-1)
+    return sp.coo_matrix((local.reshape(-1), (rows, cols)),
+                         shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()

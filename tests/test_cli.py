@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -290,6 +291,21 @@ def test_mesh_file_without_limiter_is_input_error(tmp_path, capsys):
                      "--set", f"out_dir={tmp_path}"]) == cli.EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: limiter has no points")
+    assert "Traceback" not in err
+
+
+def test_mesh_file_with_triangle_twice_is_input_error(tmp_path, capsys):
+    # every edge of a triangle listed twice is in three triangles
+    path = tmp_path / "mesh.txt"
+    mesh = build_rect_mesh(2.0, 3.0, -1.2, 1.2, 12, 12)
+    save_mesh(SimpleNamespace(
+        nodes=mesh.nodes, n_nodes=mesh.n_nodes, boundary=mesh.boundary,
+        triangles=np.vstack([mesh.triangles, mesh.triangles[100]]),
+        limiter=mesh.limiter), path)
+    assert cli.main(["forward", "--set", f"mesh_file={path}",
+                     "--set", f"out_dir={tmp_path}"]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "is in 3 triangles" in err
     assert "Traceback" not in err
 
 

@@ -1,17 +1,23 @@
 import gc
 import warnings
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import gsrecon
 from gsrecon.errors import MeshParseError, MeshValidationError
+from gsrecon.fem import MU0, assemble_stiffness
+from gsrecon.geometry import quadrature_points
 from gsrecon.mesh import (Mesh, build_rect_mesh, load_mesh, point_in_polygon,
                           point_matrix, save_mesh, triangle_areas)
 
-from frozen_primitives import (build_rect_mesh_loop, point_in_polygon_scalar,
+from frozen_primitives import (assemble_stiffness_einsum,
+                               build_rect_mesh_loop, locator_bins,
+                               node_neighbors_unique, point_in_polygon_scalar,
+                               quadrature_points_mean,
                                quadrature_points_per_triangle)
 
 RECT = dict(r_min=2.0, r_max=3.0, z_min=-1.0, z_max=1.0)
@@ -81,6 +87,39 @@ def test_mesh_validation_rejects_bad_boundary_loop(loop):
     assert len(m.boundary) == 32
     with pytest.raises(MeshValidationError, match="boundary loop"):
         Mesh(m.nodes, m.triangles, loop(m.boundary), m.limiter)
+
+
+def _with_duplicate_triangle(mesh):
+    """The 20x20 twin mesh with a copy of interior triangle 420 appended:
+    each of its edges is then in three triangles, the boundary unchanged."""
+    return (mesh.nodes, np.vstack([mesh.triangles, mesh.triangles[420]]),
+            mesh.boundary, mesh.limiter)
+
+
+def _with_lone_node(mesh):
+    """The 20x20 twin mesh with one more node, inside the box and in no
+    triangle."""
+    return (np.vstack([mesh.nodes, [2.55, 0.05]]), mesh.triangles,
+            mesh.boundary, mesh.limiter)
+
+
+@pytest.mark.parametrize("change, message", [
+    (_with_duplicate_triangle, r"edge \(\d+, \d+\) is in 3 triangles"),
+    (_with_lone_node, "node 441 is in no triangle"),
+], ids=["triangle_twice", "lone_node"])
+def test_mesh_rejects_overlap_and_lone_node(tmp_path, twin_mesh, change,
+                                            message):
+    # a triangle listed twice would add its area (2.403 for 2.400) and its
+    # load; a lone node would leave the stiffness matrix singular
+    nodes, triangles, boundary, limiter = change(twin_mesh)
+    with pytest.raises(MeshValidationError, match=message):
+        Mesh(nodes, triangles, boundary, limiter)
+    path = tmp_path / "mesh.txt"
+    save_mesh(SimpleNamespace(nodes=nodes, triangles=triangles,
+                              boundary=boundary, limiter=limiter,
+                              n_nodes=len(nodes)), path)
+    with pytest.raises(MeshValidationError, match=message):
+        load_mesh(path)
 
 
 def test_load_mesh_rejects_clockwise_loop(tmp_path):
@@ -335,3 +374,69 @@ def test_load_mesh_every_prefix_and_mutation(tmp_path):
         except gsrecon.GsReconError:
             pass
     assert loaded > 1          # the full file and harmless mutations
+
+
+# ---------------------------------------------------------------------------
+# Mesh-fixed tables against their frozen constructions
+# ---------------------------------------------------------------------------
+
+def _assert_same(new, old):
+    np.testing.assert_array_equal(new, old, strict=True)
+    assert np.ascontiguousarray(new).tobytes() == \
+        np.ascontiguousarray(old).tobytes()
+
+
+def _assert_tables_match_frozen(mesh):
+    _assert_same(mesh.node_neighbors(), node_neighbors_unique(mesh))
+    locator = mesh.locator()
+    for new, old in zip((locator._bin_tri, locator._start),
+                        locator_bins(mesh)):
+        _assert_same(new, old)
+    for new, old in zip(quadrature_points(mesh),
+                        quadrature_points_mean(mesh)):
+        _assert_same(new, old)
+    new, old = assemble_stiffness(mesh, MU0).mat, \
+        assemble_stiffness_einsum(mesh, MU0)
+    for name in ("data", "indices", "indptr"):
+        _assert_same(getattr(new, name), getattr(old, name))
+
+
+@pytest.mark.parametrize("nr, nz", [(1, 1), (3, 5), (20, 20)])
+def test_tables_match_frozen_on_rect_mesh(nr, nz):
+    _assert_tables_match_frozen(build_rect_mesh(**RECT, nr=nr, nz=nz))
+
+
+def test_tables_match_frozen_on_delaunay_mesh(delaunay_mesh):
+    _assert_tables_match_frozen(delaunay_mesh)
+
+
+def _jittered_mesh(nr, nz, rng, flip):
+    """build_rect_mesh(**RECT) with each interior node moved by up to 0.3
+    of the shorter cell side and each cell split along its other diagonal
+    with probability ``flip``.  A right triangle of legs h_r, h_z has no
+    height below min(h_r, h_z) / sqrt(2) > 0.6 min(h_r, h_z), so every
+    triangle keeps a positive area."""
+    base = build_rect_mesh(**RECT, nr=nr, nz=nz)
+    inner = base.interior_nodes()
+    step = 0.3 * min(1.0 / nr, 2.0 / nz) * rng.uniform(0.0, 1.0, len(inner))
+    angle = rng.uniform(0.0, 2.0 * np.pi, len(inner))
+    nodes = base.nodes.copy()
+    nodes[inner] += step[:, None] * np.column_stack([np.cos(angle),
+                                                     np.sin(angle)])
+    cells = base.triangles.reshape(-1, 2, 3).copy()   # (a, b, c), (a, c, d)
+    flipped = rng.random(len(cells)) < flip
+    a, b, c = cells[flipped, 0].T
+    d = cells[flipped, 1, 2]
+    cells[flipped, 0] = np.column_stack([a, b, d])
+    cells[flipped, 1] = np.column_stack([b, c, d])
+    return Mesh(nodes, cells.reshape(-1, 3), base.boundary, base.limiter)
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_tables_match_frozen_on_jittered_meshes(data):
+    nr, nz = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    mesh = _jittered_mesh(nr, nz, rng, data.draw(st.sampled_from([0.0, 0.3,
+                                                                  1.0])))
+    _assert_tables_match_frozen(mesh)
