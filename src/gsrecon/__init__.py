@@ -6,7 +6,7 @@ density) from boundary magnetic and line-integrated internal measurements.
 """
 
 from .basis import ProfileExpansion, SplineBasis
-from .diagnostics import (FluxContour, extract_contour, flux_surface_average,
+from .diagnostics import (extract_contour, flux_surface_average,
                           profile_table, write_profile_csv)
 from .errors import GsReconError
 from .fem import MU0, assemble_stiffness, factorize, impose_dirichlet
@@ -23,7 +23,7 @@ from .twin import (LCurveResult, ReplicateStats, l_curve, l_curve_ab,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Equilibrium", "FluxContour", "GsReconError", "LCurveResult", "MU0",
+    "Equilibrium", "GsReconError", "LCurveResult", "MU0",
     "MachineParams", "MeasurementSet", "Mesh", "PlasmaDomain",
     "PointLocator", "ProfileExpansion",
     "ReconstructionSetup", "RegularizationConfig",

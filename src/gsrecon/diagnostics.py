@@ -1,29 +1,14 @@
 """Derived physics quantities: flux-surface contours and averages, mean
 current density, diamagnetic-function integration and the safety factor."""
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .errors import DegeneratePlasmaError, NonPhysicalProfileError, OpenContourError
+from .errors import DegeneratePlasmaError, NonPhysicalProfileError
 from .geometry import finite_flux, ring_sign_changes
 from .mesh import crosses_ray
 from .textio import write_rows
-
-
-@dataclass
-class FluxContour:
-    level: float
-    points: np.ndarray      # (P+1, 2), closed: first point repeated last
-    seg_mid: np.ndarray     # (P, 2)
-    seg_len: np.ndarray     # (P,)
-    bp: np.ndarray          # (P,) poloidal field |grad psi|/r per segment
-
-    @property
-    def length(self):
-        return float(self.seg_len.sum())
 
 
 def _one_cycle(mesh, psibar, top):
@@ -120,53 +105,50 @@ def _closed_contours(mesh, psibar, levels, axis):
             *(np.compress(on, a, axis=0) for a in segs))
 
 
-def _grad_norm(mesh, field):
-    """|grad field| of a nodal field on every triangle."""
-    field = np.asarray(field, dtype=np.float64)
-    g = np.einsum("tij,tj->ti", mesh.grads(), field[mesh.triangles])
-    return np.hypot(g[:, 0], g[:, 1])
+def extract_contour(mesh, psibar, levels, axis, psi):
+    """Closed contours of the normalized flux around the axis at all
+    ``levels`` at once, a nonempty 1-d array strictly ascending inside
+    (0, 1) (ValueError otherwise); see :func:`_closed_contours`.
 
-
-def extract_contour(mesh, psibar, level, axis, psi):
-    """Closed level-set polyline of the normalized flux enclosing the axis.
-
-    B_p along the contour is |grad psi| / r of the nodal flux ``psi``.  A
-    psibar not finite at every node raises :class:`DegeneratePlasmaError`.
+    Returns ``(found, level, mid, dl_bp)``: whether each level has a
+    contour, and for the segments of the contours, sorted by level, the
+    level index, the midpoint (S, 2) as (r, z) and |segment| / B_p, with B_p
+    = |grad psi| / r of the nodal flux ``psi`` at the midpoint.  A psibar not
+    finite at every node, or a B_p that vanishes on a contour, raises
+    :class:`DegeneratePlasmaError`.
     """
-    if not (0 < level < 1):
-        raise ValueError("contour level must lie strictly inside (0, 1)")
-    (level,), found, _, tris, ends, pts = _closed_contours(
-        mesh, finite_flux(psibar), [level], axis)
-    if not found[0]:
-        raise OpenContourError(
-            f"level {level:g} has no closed contour around the axis")
-    # walk the cycle from its smallest triangle, leaving by its second
-    # side; an edge is on two segments, so the next is their index sum
-    # minus the current one
-    at = {}
-    for i, e in enumerate(ends.ravel()):
-        at[e] = at.get(e, 0) + i // 2
-    order, side = [0], [1]
-    for _ in range(len(tris) - 1):
-        edge = ends[order[-1], side[-1]]
-        order.append(at[edge] - order[-1])
-        side.append(int(ends[order[-1], 0] == edge))
-    pts = np.vstack([pts[0, :1], pts[order, side]])
-    d = np.diff(pts, axis=0)
-    seg_mid = 0.5 * (pts[:-1] + pts[1:])
-    return FluxContour(level, pts, seg_mid, np.hypot(d[:, 0], d[:, 1]),
-                       _grad_norm(mesh, psi)[tris[order]] / seg_mid[:, 0])
+    levels = np.asarray(levels, dtype=np.float64)
+    if levels.ndim != 1 or not levels.size or not np.all(
+            (levels > 0) & (levels < 1)):
+        raise ValueError("contour levels must be 1-d, nonempty, in (0, 1)")
+    _, found, level, tri, _, pts = _closed_contours(
+        mesh, finite_flux(psibar), levels, axis)
+    d = pts[:, 1] - pts[:, 0]
+    mid = 0.5 * (pts[:, 0] + pts[:, 1])
+    g = np.einsum("tij,tj->ti", mesh.grads(),
+                  np.asarray(psi, dtype=np.float64)[mesh.triangles])
+    dl_bp = np.hypot(d[:, 0], d[:, 1]) / (np.hypot(g[:, 0], g[:, 1])[tri]
+                                          / mid[:, 0])
+    if not np.isfinite(dl_bp).all():
+        raise DegeneratePlasmaError("degenerate flux surface (vanishing B_p)")
+    return found, level, mid, dl_bp
 
 
-def flux_surface_average(contour, quantity):
-    """dl/B_p weighted contour average of ``quantity``, a callable of
-    (r, z), taken at the segment midpoints."""
-    vals = np.array([quantity(r, z) for r, z in contour.seg_mid])
-    wd = contour.seg_len / contour.bp
-    denom = wd.sum()
-    if denom <= 0 or not np.isfinite(denom):
-        raise DegeneratePlasmaError("degenerate flux surface (vanishing dl/Bp)")
-    return float((wd * vals).sum() / denom)
+def _loop_sums(contours, weights):
+    """Per level of ``contours`` (see :func:`extract_contour`), the sum of
+    per-segment ``weights`` over its contour; NaN where it has none."""
+    found, level = contours[:2]
+    return np.where(found, np.bincount(level, weights=weights,
+                                       minlength=len(found)), np.nan)
+
+
+def flux_surface_average(contours, quantity):
+    """Per level of ``contours`` (see :func:`extract_contour`), the dl/B_p
+    weighted average of ``quantity``, a callable of the midpoint arrays
+    (r, z); NaN where a level has no contour."""
+    _, _, mid, dl_bp = contours
+    return (_loop_sums(contours, dl_bp * quantity(mid[:, 0], mid[:, 1]))
+            / _loop_sums(contours, dl_bp))
 
 
 def integrate_f(b_vals, lam, psi_a, psi_b, b0, r0, mu0, grid):
@@ -200,28 +182,26 @@ def mean_current_density(lam, a_vals, b_vals, inv_r2, r0):
 
 
 def safety_factor(contours, f_vals):
-    """q = (1/2pi) closed integral of f/(r^2 B_p) dl on each contour, with
-    ``f_vals`` one value of f per contour."""
-    geom = np.array([(c.seg_len / (c.seg_mid[:, 0] ** 2 * c.bp)).sum()
-                     for c in contours])
-    return np.asarray(f_vals, dtype=np.float64) * geom / (2.0 * np.pi)
+    """q = (1/2pi) closed integral of f/(r^2 B_p) dl per level, ``f_vals``
+    one f per level.  ``contours`` is the result of :func:`extract_contour`
+    (q is NaN where a level has no contour) or the integrals of dl/(r^2 B_p)
+    themselves, as :func:`profile_table` passes them filled to its grid."""
+    if isinstance(contours, tuple):
+        _, _, mid, dl_bp = contours
+        contours = _loop_sums(contours, dl_bp / mid[:, 0] ** 2)
+    return np.asarray(f_vals, dtype=np.float64) * contours / (2.0 * np.pi)
 
 
-def _fill_ends(grid, vals, valid):
-    """Linear extrapolation of missing end entries from the two nearest
-    computed levels; interior gaps are interpolated."""
-    out = np.array(vals, dtype=np.float64)
-    good = np.nonzero(valid)[0]
-    if len(good) < 2:
-        return out
-    out[~valid] = np.interp(grid[~valid], grid[good], out[good])
-    lo, hi = good[0], good[-1]
-    if lo > 0:
-        s = (out[good[1]] - out[lo]) / (grid[good[1]] - grid[lo])
-        out[:lo] = out[lo] + s * (grid[:lo] - grid[lo])
-    if hi < len(grid) - 1:
-        s = (out[hi] - out[good[-2]]) / (grid[hi] - grid[good[-2]])
-        out[hi + 1:] = out[hi] + s * (grid[hi + 1:] - grid[hi])
+def _fill_ends(grid, at, vals):
+    """``vals`` of the contoured rows ``at`` on the whole grid, the rows
+    outside them linearly extrapolated from the two nearest contoured
+    levels: NaN where one of those, or a contoured level, has no value."""
+    out = np.full(len(grid), np.nan)
+    out[at] = vals
+    for end, a, b in ((slice(at[0]), at[0], at[1]),
+                      (slice(at[-1] + 1, None), at[-1], at[-2])):
+        s = (out[a] - out[b]) / (grid[a] - grid[b])
+        out[end] = out[a] + s * (grid[end] - grid[a])
     return out
 
 
@@ -242,45 +222,39 @@ def profile_table(mesh, psi, domain, profiles, lam, machine, n_grid=101,
                   margin=0.02):
     """Uniform psibar table of the identified and derived profiles.
 
-    Levels outside [margin, 1-margin], and the end levels 0 and 1, are
-    linearly extrapolated (degenerate axis contour, X-point singularity);
-    see :func:`table_grid` for the grids it accepts.  Returns a dict of
-    equal-length arrays; entries are NaN where no closed contour exists.
-    A psi not finite at every node raises :class:`DegeneratePlasmaError`.
+    One :func:`extract_contour` call contours the levels in [margin,
+    1-margin] (see :func:`table_grid`); <1/r^2> and the integral of
+    dl/(r^2 B_p) of the other rows, the ends 0 and 1 among them (degenerate
+    axis contour, X-point singularity), are extrapolated linearly from the
+    two nearest contoured levels, and q is :func:`safety_factor` of the
+    latter.  Returns a dict of equal-length arrays, the contour-derived
+    entries NaN at a level without a closed contour and at the end rows
+    extrapolated from one.  A psi not finite at every node raises
+    :class:`DegeneratePlasmaError`.
     """
     grid, at = table_grid(n_grid, margin)
-    _, found, level, tri, _, pts = _closed_contours(
-        mesh, finite_flux(domain.normalize(psi)), grid[at], domain.axis)
-    d = pts[:, 1] - pts[:, 0]
-    r = 0.5 * (pts[:, 0, 0] + pts[:, 1, 0])
-    wd = np.hypot(d[:, 0], d[:, 1]) / (_grad_norm(mesh, psi)[tri] / r)
-    valid = np.isin(np.arange(n_grid), at[found])
-    dl_bp = np.bincount(at[level], weights=wd, minlength=n_grid)
-    if not np.all(np.isfinite(dl_bp[valid]) & (dl_bp[valid] > 0)):
-        raise DegeneratePlasmaError("degenerate flux surface (vanishing dl/Bp)")
-    qgeom = np.where(valid, np.bincount(at[level], weights=wd / r ** 2,
-                                        minlength=n_grid), np.nan)
-    inv_r2 = _fill_ends(grid, qgeom / dl_bp, valid)
-    qgeom = _fill_ends(grid, qgeom, valid)
+    contours = extract_contour(mesh, domain.normalize(psi), grid[at],
+                               domain.axis, psi)
+    _, _, mid, dl_bp = contours
+    geom = _loop_sums(contours, dl_bp / mid[:, 0] ** 2)
+    inv_r2 = _fill_ends(grid, at, geom / _loop_sums(contours, dl_bp))
+    qgeom = _fill_ends(grid, at, geom)
 
     a_vals = profiles.eval("A", grid)
     b_vals = profiles.eval("B", grid)
     f_vals = integrate_f(b_vals, lam, domain.psi_a, domain.psi_b,
                          machine.b0, machine.r0, machine.mu0, grid)
-    table = {
+    return {
         "psibar": grid,
         "lambdaA": lam * a_vals,
         "lambdaB_weighted": lam * machine.r0 ** 2 * inv_r2 * b_vals,
         "j_mean": mean_current_density(lam, a_vals, b_vals, inv_r2,
                                        machine.r0),
-        "q": f_vals * qgeom / (2.0 * np.pi),
+        "q": safety_factor(qgeom, f_vals),
         "f": f_vals,
+        "ne": (np.full(n_grid, np.nan) if profiles.c is None
+               else profiles.eval("ne", grid)),
     }
-    if profiles.c is not None:
-        table["ne"] = profiles.eval("ne", grid)
-    else:
-        table["ne"] = np.full(n_grid, np.nan)
-    return table
 
 
 def write_profile_csv(path, table):

@@ -60,9 +60,5 @@ class RegularizationError(GsReconError):
     """A normal system is singular for the requested regularization."""
 
 
-class OpenContourError(GsReconError):
-    """A flux-surface contour does not close inside the domain."""
-
-
 class NonPhysicalProfileError(GsReconError):
     """A derived physical quantity left its admissible range."""

@@ -165,13 +165,17 @@ def boundary_flux(mesh, psi, xpoint=None):
 
 
 def make_plasma_domain(mesh, psi):
+    """The plasma domain of ``psi``; an axis flux within 1e-12 * max|psi|
+    of the boundary flux (rounding noise, as :func:`find_xpoint` ties)
+    raises :class:`DegeneratePlasmaError`."""
     axis, psi_a = find_axis(mesh, psi)
     xp = find_xpoint(mesh, psi)
     if xp is not None and xp[1] >= psi_a:
         xp = None
     psi_b, mode = boundary_flux(mesh, psi, xpoint=xp)
-    if psi_b == psi_a:
-        raise DegeneratePlasmaError("boundary flux equals axis flux")
+    if abs(psi_a - psi_b) <= 1e-12 * np.abs(psi).max():
+        raise DegeneratePlasmaError(
+            "axis flux equals boundary flux within 1e-12 max|psi|")
     return PlasmaDomain(psi_a, psi_b, axis,
                         xpoint=xp[0] if (xp and mode == "xpoint") else None,
                         mode=mode)

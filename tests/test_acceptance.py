@@ -204,10 +204,10 @@ def test_criterion_8_derived_quantity_identities(twin_mesh, reference_eq,
                                                  machine, basis):
     t0 = time.perf_counter()
     psibar = reference_eq.domain.normalize(reference_eq.psi)
-    contour = extract_contour(twin_mesh, psibar, 0.5,
-                              reference_eq.domain.axis,
-                              psi=reference_eq.psi)
-    avg_defect = abs(flux_surface_average(contour, lambda r, z: 4.25) - 4.25)
+    contours = extract_contour(twin_mesh, psibar, [0.5],
+                               reference_eq.domain.axis, psi=reference_eq.psi)
+    avg_defect = abs(flux_surface_average(contours,
+                                          lambda r, z: 4.25)[0] - 4.25)
 
     grid = np.linspace(0.0, 1.0, 21)
     b_vals = reference_eq.profiles.eval("B", grid)
@@ -222,8 +222,8 @@ def test_criterion_8_derived_quantity_identities(twin_mesh, reference_eq,
     affine_defect = max(np.abs(lam_mat @ np.ones(basis.m)).max(),
                         np.abs(lam_mat @ (2.0 * g - 0.7)).max())
 
-    q1 = safety_factor([contour], np.array([f_vals[10]]))[0]
-    q2 = safety_factor([contour], np.array([2.0 * f_vals[10]]))[0]
+    q1 = safety_factor(contours, np.array([f_vals[10]]))[0]
+    q2 = safety_factor(contours, np.array([2.0 * f_vals[10]]))[0]
     q_ratio = q2 / q1
     dt = time.perf_counter() - t0
     ok = (avg_defect < 1e-12 and edge_exact and affine_defect < 1e-12

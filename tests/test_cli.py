@@ -180,6 +180,15 @@ def test_forward_failure_is_nonconvergence(tmp_path):
                      "--set", f"out_dir={tmp_path}"]) == cli.EXIT_NOCONV
 
 
+def test_forward_flux_of_rounding_noise_is_nonconvergence(tmp_path, capsys):
+    # a boundary flux of 1e150 leaves a plasma well of a few ulps: the
+    # domain is refused, not reported as converged
+    assert cli.main(["forward", "--set", "g_d_const=1e150",
+                     "--set", f"out_dir={tmp_path}"]) == cli.EXIT_NOCONV
+    assert "within 1e-12 max|psi|" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_stats_writes_csv(workspace):
     ws, cfg = workspace
     code = cli.main(["stats", "--config", str(cfg),

@@ -1,7 +1,7 @@
 """The all-levels contour pass behind ``extract_contour`` and
 ``profile_table`` against frozen copies of the per-level triangle loop it
-replaced, and against the level x edge mask pass that preceded the run
-enumeration.
+replaced, each level's segments compared as a set, and against the level x
+edge mask pass that preceded the run enumeration.
 
 ``_closed_contours`` has two branches: when the one-cycle condition holds
 (``diagnostics._one_cycle``: the minimum is the only PL-critical node
@@ -21,11 +21,10 @@ from scipy.sparse.csgraph import connected_components
 
 import gsrecon
 from gsrecon import diagnostics, twin
-from gsrecon.diagnostics import (FluxContour, _closed_contours, _fill_ends,
-                                 extract_contour, flux_surface_average,
-                                 integrate_f, mean_current_density,
-                                 profile_table, table_grid)
-from gsrecon.errors import OpenContourError
+from gsrecon.diagnostics import (_closed_contours, _fill_ends,
+                                 extract_contour, integrate_f,
+                                 mean_current_density, profile_table,
+                                 table_grid)
 from gsrecon.geometry import ring_sign_changes
 from gsrecon.inverse import RegularizationConfig
 
@@ -35,6 +34,10 @@ from frozen_primitives import point_in_polygon_scalar
 # ---------------------------------------------------------------------------
 # Frozen versions
 # ---------------------------------------------------------------------------
+
+class _NoContour(Exception):
+    """The frozen loop found no closed contour around the axis."""
+
 
 def _closed_contours_masks(mesh, psibar, levels, axis):
     """The all-levels pass over dense level x edge and level x triangle
@@ -85,7 +88,7 @@ def _closed_contours_masks(mesh, psibar, levels, axis):
             np.stack([pa[on], pb[on]], axis=1))
 
 
-def _extract_contour_loop(mesh, psibar, level, axis, psi=None, scale=None):
+def _extract_contour_loop(mesh, psibar, level, axis, psi):
     if not (0 < level < 1):
         raise ValueError("contour level must lie strictly inside (0, 1)")
     psibar = np.asarray(psibar, dtype=np.float64)
@@ -98,7 +101,7 @@ def _extract_contour_loop(mesh, psibar, level, axis, psi=None, scale=None):
     crossing = neg.sum(axis=1) % 3 != 0
     tri_ids = np.nonzero(crossing)[0]
     if len(tri_ids) == 0:
-        raise OpenContourError(f"no crossings for level {level:g}")
+        raise _NoContour(f"no crossings for level {level:g}")
 
     edge_pts = {}
     segments = []
@@ -155,7 +158,7 @@ def _extract_contour_loop(mesh, psibar, level, axis, psi=None, scale=None):
             chosen = (poly, tris)
             break
     if chosen is None:
-        raise OpenContourError(
+        raise _NoContour(
             f"level {level:g} has no closed contour around the axis")
 
     poly, tris = chosen
@@ -165,40 +168,35 @@ def _extract_contour_loop(mesh, psibar, level, axis, psi=None, scale=None):
     seg_mid = 0.5 * (pts[:-1] + pts[1:])
 
     grads = mesh.grads()
-    if psi is not None:
-        field = np.asarray(psi, dtype=np.float64)
-        factor = 1.0
-    elif scale is not None:
-        field = psibar
-        factor = abs(scale)
-    else:
-        raise ValueError("pass psi or scale for the poloidal field")
+    field = np.asarray(psi, dtype=np.float64)
     bp = np.empty(len(seg_len))
     for i, t in enumerate(tris):
         gvec = grads[t] @ field[mesh.triangles[t]]
-        bp[i] = factor * np.hypot(gvec[0], gvec[1]) / seg_mid[i, 0]
-    return FluxContour(level, pts, seg_mid, seg_len, bp)
+        bp[i] = np.hypot(gvec[0], gvec[1]) / seg_mid[i, 0]
+    return SimpleNamespace(level=level, seg_mid=seg_mid, seg_len=seg_len,
+                           bp=bp)
 
 
 def _profile_table_loop(mesh, psi, domain, profiles, lam, machine,
                         n_grid=101, margin=0.02):
-    grid = np.linspace(0.0, 1.0, n_grid)
+    grid, at = table_grid(n_grid, margin)
     psibar = domain.normalize(psi)
     inv_r2 = np.full(n_grid, np.nan)
     qgeom = np.full(n_grid, np.nan)
     valid = np.zeros(n_grid, dtype=bool)
-    for i, lev in enumerate(grid):
-        if not (margin <= lev <= 1.0 - margin):
-            continue
+    for i in at:
         try:
-            c = _extract_contour_loop(mesh, psibar, lev, domain.axis, psi=psi)
-        except OpenContourError:
+            c = _extract_contour_loop(mesh, psibar, grid[i], domain.axis,
+                                      psi=psi)
+        except _NoContour:
             continue
-        inv_r2[i] = flux_surface_average(c, lambda r, z: 1.0 / r ** 2)
+        wd = c.seg_len / c.bp
+        inv_r2[i] = float((wd * (1.0 / c.seg_mid[:, 0] ** 2)).sum()
+                          / wd.sum())
         qgeom[i] = float((c.seg_len / (c.seg_mid[:, 0] ** 2 * c.bp)).sum())
         valid[i] = True
-    inv_r2 = _fill_ends(grid, inv_r2, valid)
-    qgeom = _fill_ends(grid, qgeom, valid)
+    inv_r2 = _fill_ends(grid, at, inv_r2[at])
+    qgeom = _fill_ends(grid, at, qgeom[at])
 
     a_vals = profiles.eval("A", grid)
     b_vals = profiles.eval("B", grid)
@@ -250,19 +248,31 @@ def _synthetic_domain(psibar, axis, reference_eq):
     return psi_a + psibar * (psi_b - psi_a), domain
 
 
-def _same_contour(mesh, psibar, level, axis, **field):
-    try:
-        ref = _extract_contour_loop(mesh, psibar, level, axis, **field)
-    except OpenContourError:
-        with pytest.raises(OpenContourError):
-            extract_contour(mesh, psibar, level, axis, **field)
-        return None
-    new = extract_contour(mesh, psibar, level, axis, **field)
-    assert new.level == ref.level
-    for name in ("points", "seg_mid", "seg_len", "bp"):
-        np.testing.assert_allclose(getattr(new, name), getattr(ref, name),
+def _same_contours(mesh, psibar, levels, axis, psi):
+    """One extract_contour call on all levels against the loop level by
+    level, each level's segments compared as a set, matched by nearest
+    midpoint.  Returns the midpoints of each level, None where the loop
+    finds no contour."""
+    found, level, mid, dl_bp = extract_contour(mesh, psibar, levels, axis,
+                                               psi)
+    out = []
+    for i, lev in enumerate(levels):
+        try:
+            ref = _extract_contour_loop(mesh, psibar, lev, axis, psi)
+        except _NoContour:
+            assert not found[i] and not np.any(level == i)
+            out.append(None)
+            continue
+        assert found[i]
+        m, w = mid[level == i], dl_bp[level == i]
+        diff = m[:, None] - ref.seg_mid[None]
+        match = np.hypot(diff[..., 0], diff[..., 1]).argmin(axis=0)
+        np.testing.assert_array_equal(np.sort(match), np.arange(len(m)))
+        np.testing.assert_allclose(m[match], ref.seg_mid, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(w[match], ref.seg_len / ref.bp,
                                    rtol=1e-12, atol=0)
-    return new
+        out.append(m)
+    return out
 
 
 def _same_table(mesh, psi, domain, profiles, lam, machine):
@@ -279,9 +289,9 @@ def _same_table(mesh, psi, domain, profiles, lam, machine):
 def test_twin_matches_loop(twin_mesh, reference_eq, machine):
     eq = reference_eq
     psibar = eq.domain.normalize(eq.psi)
-    for level in (0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.98):
-        assert _same_contour(twin_mesh, psibar, level, eq.domain.axis,
-                             psi=eq.psi) is not None
+    assert all(m is not None for m in _same_contours(
+        twin_mesh, psibar, (0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.98),
+        eq.domain.axis, psi=eq.psi))
     valid = _same_table(twin_mesh, eq.psi, eq.domain, eq.profiles, eq.lam,
                         machine)
     assert valid.sum() >= 90
@@ -289,9 +299,9 @@ def test_twin_matches_loop(twin_mesh, reference_eq, machine):
 
 def test_circle_matches_loop(mesh24, reference_eq, machine):
     psibar = _circle(mesh24)
-    for level in (0.01, 0.2, 0.49, 0.8, 0.99):
-        assert _same_contour(mesh24, psibar, level, (2.5, 0.0),
-                             psi=psibar) is not None
+    assert all(m is not None for m in _same_contours(
+        mesh24, psibar, (0.01, 0.2, 0.49, 0.8, 0.99), (2.5, 0.0),
+        psi=psibar))
     psi, domain = _synthetic_domain(psibar, (2.5, 0.0), reference_eq)
     _same_table(mesh24, psi, domain, reference_eq.profiles, reference_eq.lam,
                 machine)
@@ -302,11 +312,12 @@ def test_two_islands_match_loop(mesh24, reference_eq, machine):
     axis, other = (2.5, 0.4), (2.5, -0.5)
     # below the saddle both wells hold a closed island; each axis picks its
     # own, and only the first is the flux surface around the plasma axis
-    for level in (0.35, 0.5, 0.6):
-        mine = _same_contour(mesh24, psibar, level, axis, psi=psibar)
-        theirs = _same_contour(mesh24, psibar, level, other, psi=psibar)
+    levels = (0.35, 0.5, 0.6)
+    for mine, theirs in zip(
+            _same_contours(mesh24, psibar, levels, axis, psi=psibar),
+            _same_contours(mesh24, psibar, levels, other, psi=psibar)):
         assert mine is not None and theirs is not None
-        assert mine.seg_mid[:, 1].min() > theirs.seg_mid[:, 1].max()
+        assert mine[:, 1].min() > theirs[:, 1].max()
     psi, domain = _synthetic_domain(psibar, axis, reference_eq)
     _same_table(mesh24, psi, domain, reference_eq.profiles, reference_eq.lam,
                 machine)
@@ -318,9 +329,9 @@ def test_nested_cycles_match_loop(mesh24):
     # triangle, which is never the innermost ring here
     r, z = mesh24.nodes[:, 0], mesh24.nodes[:, 1]
     psibar = 0.5 - 0.45 * np.cos(2 * np.pi * np.hypot(r - 2.5, z) / 0.4)
-    for level in (0.3, 0.5, 0.7):
-        c = _same_contour(mesh24, psibar, level, (2.5, 0.0), psi=psibar)
-        assert np.hypot(c.seg_mid[:, 0] - 2.5, c.seg_mid[:, 1]).min() > 0.2
+    for mid in _same_contours(mesh24, psibar, (0.3, 0.5, 0.7), (2.5, 0.0),
+                              psi=psibar):
+        assert np.hypot(mid[:, 0] - 2.5, mid[:, 1]).min() > 0.2
 
 
 def test_boundary_contours_match_loop(mesh24, reference_eq, machine):
@@ -328,22 +339,43 @@ def test_boundary_contours_match_loop(mesh24, reference_eq, machine):
     # right one crosses the parity ray from the axis an odd number of times
     r, z = mesh24.nodes[:, 0], mesh24.nodes[:, 1]
     psibar = ((r - 2.5) / 0.5) ** 2 + 0.3 * z ** 2
-    for level in (0.2, 0.29, 0.31, 0.6):
-        _same_contour(mesh24, psibar, level, (2.5, 0.0), psi=psibar)
-    with pytest.raises(OpenContourError):
-        extract_contour(mesh24, psibar, 0.6, (2.5, 0.0), psi=psibar)
+    mids = _same_contours(mesh24, psibar, (0.2, 0.29, 0.31, 0.6),
+                          (2.5, 0.0), psi=psibar)
+    assert mids[-1] is None
     psi, domain = _synthetic_domain(psibar, (2.5, 0.0), reference_eq)
     valid = _same_table(mesh24, psi, domain, reference_eq.profiles,
                         reference_eq.lam, machine)
     assert 20 < valid.sum() < 30
 
 
+def test_table_rows_without_contour_are_nan(mesh24, reference_eq, machine):
+    # above 0.3 the boundary-arcs field has no closed surface: those rows,
+    # and the end rows extrapolated from them, are NaN, not values spread
+    # from the last level found; the rows below extrapolate from two found
+    psibar = _critical_fields(mesh24)["boundary"]
+    psi, domain = _synthetic_domain(psibar, (2.5, 0.0), reference_eq)
+    table = profile_table(mesh24, psi, domain, reference_eq.profiles,
+                          reference_eq.lam, machine)
+    grid, at = table_grid(101)
+    found = extract_contour(mesh24, domain.normalize(psi), grid[at],
+                            (2.5, 0.0), psi)[0]
+    assert 20 < found.sum() < 30
+    np.testing.assert_array_equal(found, grid[at] < 0.3)
+    for key in ("lambdaB_weighted", "j_mean", "q"):
+        np.testing.assert_array_equal(np.isnan(table[key]), grid >= 0.3)
+    for key in ("psibar", "lambdaA", "f"):
+        assert np.isfinite(table[key]).all()
+
+
 def test_nodal_level_matches_loop(mesh24, reference_eq, machine):
     psibar = _circle(mesh24)
     node = int(np.argmin(np.abs(psibar - 0.5)))
     assert psibar[node] == 0.5          # grid level 50 of the table
-    c = _same_contour(mesh24, psibar, 0.5, (2.5, 0.0), psi=psibar)
-    assert c.level == 0.5 + 1e-11
+    _same_contours(mesh24, psibar, [0.5], (2.5, 0.0), psi=psibar)
+    assert _extract_contour_loop(mesh24, psibar, 0.5, (2.5, 0.0),
+                                 psibar).level == 0.5 + 1e-11
+    assert _closed_contours(mesh24, psibar, [0.5], (2.5, 0.0))[0] \
+        == [0.5 + 1e-11]
     psi, domain = _synthetic_domain(psibar, (2.5, 0.0), reference_eq)
     assert domain.normalize(psi)[node] == 0.5
     _same_table(mesh24, psi, domain, reference_eq.profiles, reference_eq.lam,
@@ -543,10 +575,8 @@ def test_one_cycle_branch_is_bit_identical(branches, monkeypatch, setup,
                     for k in sorted(st.mean)]
         out += list(profile_table(twin_mesh, eq.psi, eq.domain, eq.profiles,
                                   eq.lam, machine).values())
-        for level in (0.02, 0.5, 0.98):
-            c = extract_contour(twin_mesh, psibar, level, eq.domain.axis,
-                                psi=eq.psi)
-            out += [c.level, c.points, c.seg_mid, c.seg_len, c.bp]
+        out += list(extract_contour(twin_mesh, psibar, [0.02, 0.5, 0.98],
+                                    eq.domain.axis, psi=eq.psi))
         return out
 
     fast = run()

@@ -6,8 +6,7 @@ from gsrecon.diagnostics import (extract_contour, flux_surface_average,
                                  integrate_f, mean_current_density,
                                  profile_table, safety_factor, table_grid,
                                  write_profile_csv)
-from gsrecon.errors import (DegeneratePlasmaError, NonPhysicalProfileError,
-                            OpenContourError)
+from gsrecon.errors import DegeneratePlasmaError, NonPhysicalProfileError
 from gsrecon.geometry import PlasmaDomain
 
 
@@ -21,41 +20,56 @@ def circle_case():
 
 def test_contour_is_circle(circle_case):
     mesh, psibar = circle_case
-    c = extract_contour(mesh, psibar, 0.49, (2.5, 0.0), psi=psibar)
     rho = 0.5 * np.sqrt(0.49)
+    # with psi = r, |grad psi| = 1 exactly, so dl/B_p = dl r
+    found, level, mid, dl_bp = extract_contour(
+        mesh, psibar, [0.49], (2.5, 0.0), psi=mesh.nodes[:, 0])
+    assert found.tolist() == [True] and not level.any()
     # the polyline is inscribed, so it slightly undershoots the circle
-    assert c.length == pytest.approx(2 * np.pi * rho, rel=1e-2)
+    assert (dl_bp / mid[:, 0]).sum() == pytest.approx(2 * np.pi * rho,
+                                                      rel=1e-2)
     # chord midpoints sit a sagitta inside the true circle
-    rad = np.hypot(c.seg_mid[:, 0] - 2.5, c.seg_mid[:, 1])
+    rad = np.hypot(mid[:, 0] - 2.5, mid[:, 1])
     np.testing.assert_allclose(rad, rho, rtol=2e-2)
 
 
 def test_contour_level_validation(circle_case):
     mesh, psibar = circle_case
-    with pytest.raises(ValueError):
-        extract_contour(mesh, psibar, 1.5, (2.5, 0.0), psi=psibar)
+    for levels in ([1.5], [0.0, 0.5], [0.5, np.nan], [0.5, 0.4], [0.4, 0.4],
+                   [], 0.5, [[0.5]]):
+        with pytest.raises(ValueError):
+            extract_contour(mesh, psibar, levels, (2.5, 0.0), psi=psibar)
 
 
 def test_contour_requires_closed_loop(circle_case):
     mesh, psibar = circle_case
-    # levels beyond the domain rim cannot close around the axis
-    with pytest.raises(OpenContourError):
-        extract_contour(mesh, 0.05 * psibar, 0.9, (2.5, 0.0),
-                        psi=0.05 * psibar)
+    # levels beyond the domain rim cannot close around the axis: they have
+    # no segments, and the derived quantities are NaN there
+    contours = extract_contour(mesh, 0.05 * psibar, [0.04, 0.9], (2.5, 0.0),
+                               psi=0.05 * psibar)
+    found, level = contours[:2]
+    assert found.tolist() == [True, False] and not level.any()
+    avg = flux_surface_average(contours, lambda r, z: r)
+    q = safety_factor(contours, [5.0, 5.0])
+    assert np.isfinite(avg[0]) and np.isnan(avg[1])
+    assert np.isfinite(q[0]) and np.isnan(q[1])
 
 
 def test_average_of_constant_is_exact(circle_case):
     mesh, psibar = circle_case
-    c = extract_contour(mesh, psibar, 0.4, (2.5, 0.0), psi=psibar)
-    assert flux_surface_average(c, lambda r, z: 4.25) \
-        == pytest.approx(4.25, abs=1e-12)
+    c = extract_contour(mesh, psibar, [0.2, 0.4, 0.6], (2.5, 0.0), psi=psibar)
+    np.testing.assert_allclose(flux_surface_average(c, lambda r, z: 4.25),
+                               4.25, rtol=0, atol=1e-12)
 
 
 def test_average_bounded_by_extremes(circle_case):
     mesh, psibar = circle_case
-    c = extract_contour(mesh, psibar, 0.4, (2.5, 0.0), psi=psibar)
+    c = extract_contour(mesh, psibar, [0.2, 0.4, 0.6], (2.5, 0.0), psi=psibar)
     avg = flux_surface_average(c, lambda r, z: r)
-    assert c.seg_mid[:, 0].min() <= avg <= c.seg_mid[:, 0].max()
+    _, level, mid, _ = c
+    for i in range(3):
+        r = mid[level == i, 0]
+        assert r.min() <= avg[i] <= r.max()
 
 
 def test_diamagnetic_function_boundary_value_exact():
@@ -86,12 +100,31 @@ def test_mean_current_density_formula():
 
 def test_safety_factor_linear_in_f(circle_case):
     mesh, psibar = circle_case
-    contours = [extract_contour(mesh, psibar, lev, (2.5, 0.0), psi=psibar)
-                for lev in (0.2, 0.4, 0.6)]
+    contours = extract_contour(mesh, psibar, [0.2, 0.4, 0.6], (2.5, 0.0),
+                               psi=psibar)
     f = np.array([5.0, 5.0, 5.0])
     q1 = safety_factor(contours, f)
     q2 = safety_factor(contours, 2.0 * f)
     np.testing.assert_allclose(q2, 2.0 * q1, rtol=1e-14)
+
+
+def test_table_reads_the_contour_functions(twin_mesh, reference_eq, machine,
+                                          reference_table):
+    # at every contoured level the table's q is safety_factor's bit for
+    # bit, and its <1/r^2> (lambdaB_weighted / (lambda r0^2 B)) is
+    # flux_surface_average's of 1/r^2 to rounding
+    eq, table = reference_eq, reference_table
+    grid, at = table_grid(len(table["psibar"]))
+    contours = extract_contour(twin_mesh, eq.domain.normalize(eq.psi),
+                               grid[at], eq.domain.axis, eq.psi)
+    assert contours[0].all()
+    np.testing.assert_array_equal(table["q"][at],
+                                  safety_factor(contours, table["f"][at]))
+    inv_r2 = table["lambdaB_weighted"][at] / (
+        eq.lam * machine.r0 ** 2 * eq.profiles.eval("B", grid[at]))
+    np.testing.assert_allclose(
+        inv_r2, flux_surface_average(contours, lambda r, z: 1.0 / r ** 2),
+        rtol=1e-14, atol=0)
 
 
 def test_profile_table_shapes(reference_table):
@@ -171,7 +204,7 @@ def test_non_finite_flux_is_refused_by_name(basis, machine):
     with pytest.raises(DegeneratePlasmaError, match="not finite at 2 nodes"):
         profile_table(mesh, psi, PlasmaDomain(0.0, 1.0, (2.5, 0.0)),
                       profiles, 1.0, machine)
-    for level in (0.5, 0.98):
+    for levels in ([0.5], [0.5, 0.98]):
         with pytest.raises(DegeneratePlasmaError,
                            match="not finite at 2 nodes"):
-            extract_contour(mesh, psi, level, (2.5, 0.0), psi=psi)
+            extract_contour(mesh, psi, levels, (2.5, 0.0), psi=psi)

@@ -232,6 +232,17 @@ def test_make_plasma_domain(mesh):
     assert pb.min() == pytest.approx(0.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("depth", [1e-14, 1e-12])
+def test_plasma_domain_of_rounding_noise_is_refused(mesh, depth):
+    # a well whose depth is rounding noise on the flux level: the axis and
+    # boundary fluxes (1 and 0.75 of the paraboloid) agree within
+    # 1e-12 max|psi|
+    with pytest.raises(DegeneratePlasmaError, match="within 1e-12"):
+        make_plasma_domain(mesh, 1e150 * (1.0 + depth * paraboloid(mesh)))
+    assert make_plasma_domain(mesh, 1e150 * (1.0 + 1e-11 * paraboloid(
+        mesh))).mode == "limiter"
+
+
 def test_normalized_flux_endpoints():
     psi = np.array([5.0, 3.0, 1.0])
     pb = normalized_flux(psi, 5.0, 1.0)

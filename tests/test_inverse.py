@@ -858,3 +858,15 @@ def test_reconstruct_reports_warm_start_without_axis(fresh_setup,
     assert res.iterations == 1
     assert not res.converged and res.domain is None
     assert work == dict.fromkeys(work, 0)
+
+
+def test_reconstruct_reports_flux_of_rounding_noise(setup, clean_measurements):
+    # a boundary flux of 1e150 leaves a plasma well of a few ulps after the
+    # cold iteration: the domain search refuses it, and the result says so
+    # instead of a converged reconstruction on noise
+    ms = dataclasses.replace(clean_measurements,
+                             g_d=np.full_like(clean_measurements.g_d, 1e150))
+    res = reconstruct(setup, ms, RegularizationConfig(), use_internal=False)
+    assert "within 1e-12 max|psi|" in res.error
+    assert res.iterations == 2
+    assert not res.converged and res.domain is None
