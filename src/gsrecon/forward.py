@@ -1,7 +1,7 @@
 """Direct free-boundary solve: plasma-current source assembly, total-current
 scaling and the Picard fixed point producing reference equilibria."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,24 +30,38 @@ class MachineParams:
             raise ValueError("b0 must be finite")
 
 
+@dataclass(frozen=True)
+class Iteration:
+    """One step of :func:`picard`: its ``residual``, the scale ``lam``, the
+    plasma ``domain`` that normalized its input (None for the cold start)
+    and, for a reconstruction, the free coefficients ``u`` and the
+    ``ne_coeffs`` the next step starts from and its solves' ``costs``."""
+    lam: float
+    domain: PlasmaDomain = None
+    u: np.ndarray = None
+    ne_coeffs: np.ndarray = None
+    costs: dict = field(default_factory=dict)
+    residual: float = None
+
+
 @dataclass
 class Equilibrium:
-    """A forward solve or a reconstruction: the flux, its plasma domain, the
-    profiles and their scale ``lam``, the residual and ``lam_history`` of
-    every iteration, and, for a reconstruction, the costs of the last
-    iteration and the error that stopped it (see :func:`inverse.reconstruct`).
-    """
+    """A forward solve or a reconstruction: its flux, plasma domain, profiles
+    and their scale ``lam``, and the :class:`Iteration` ``records`` (none
+    when loaded) that ``residuals``, ``lam_history`` and ``costs`` read."""
     psi: np.ndarray
     domain: object
     profiles: ProfileExpansion
     lam: float
     machine: MachineParams
-    residuals: list = field(default_factory=list)
+    records: list = field(default_factory=list)
     converged: bool = True
     iterations: int = 0
-    lam_history: list = field(default_factory=list)
-    costs: dict = field(default_factory=dict)
     error: str = None
+    residuals = property(lambda self: [r.residual for r in self.records])
+    lam_history = property(lambda self: [r.lam for r in self.records])
+    costs = property(lambda self: dict(self.records[-1].costs) if
+                     self.records and self.error is None else {})
 
 
 class SourceQuadrature:
@@ -130,31 +144,36 @@ def assemble_source_matrix(squad, psibar_qp, basis):
 ANDERSON_DEPTH = 3
 
 
-def picard(step, psi, tol, max_iter, residuals):
+def picard(step, psi, tol, max_iter, records):
     """Anderson-mixed fixed-point iteration of psi = step(psi).
 
-    Appends the relative residual |step(psi) - psi| / |psi| (absolute
-    while psi is zero) of every iteration to ``residuals`` and stops once
-    it is at most ``tol`` or after ``max_iter`` steps, returning the last
-    step's output.  Otherwise the next iterate is the type-II Anderson
-    update g - dG gamma (Walker & Ni 2011), g = step(psi), r = g - psi,
-    where gamma is the least-squares fit dR gamma ~ r over the differences
-    of the last ``ANDERSON_DEPTH`` (r, g) pairs.  The history is cleared
-    while psi is zero and whenever |r| grows, so the next iterate is then
-    plain g.  Exceptions raised by ``step`` propagate, with ``residuals``
-    holding the iterations completed.  A NaN or negative ``tol`` or a
-    ``max_iter`` below one raises ValueError before the first step.
+    ``step(psi, rec)`` returns the next flux g and its :class:`Iteration`,
+    ``rec`` being the previous one (None at first); each is appended to
+    ``records`` with its relative residual |g - psi| / |psi| (absolute
+    while psi is zero), and the loop stops once that is at most ``tol`` or
+    after ``max_iter`` steps, returning the last g.  Otherwise the next
+    iterate is the type-II Anderson update g - dG gamma (Walker & Ni 2011),
+    r = g - psi, gamma the least-squares fit dR gamma ~ r over the
+    differences of the last ``ANDERSON_DEPTH`` (r, g) pairs, whose history
+    is cleared while psi is zero and whenever |r| grows.  A GsReconError
+    from ``step`` propagates with the flux it was called on as its ``psi``;
+    a NaN or negative ``tol`` or a ``max_iter`` below one is a ValueError.
     """
     if not (tol >= 0 and max_iter >= 1):
         raise ValueError(f"need tol >= 0 and max_iter >= 1, "
                          f"got tol={tol!r}, max_iter={max_iter!r}")
-    d_r, d_g, prev = [], [], None    # prev: (r, g, |r|) from a nonzero psi
+    d_r, d_g, prev, rec = [], [], None, None   # prev: (r, g, |r|), psi != 0
     for it in range(max_iter):
-        g = step(psi)
+        try:
+            g, rec = step(psi, rec)
+        except GsReconError as exc:
+            exc.psi = psi
+            raise
         r = g - psi
         norm, r_norm = np.linalg.norm(psi), np.linalg.norm(r)
-        residuals.append(r_norm / (norm if norm > 0 else 1.0))
-        if residuals[-1] <= tol or it == max_iter - 1:
+        rec = replace(rec, residual=r_norm / (norm if norm > 0 else 1.0))
+        records.append(rec)
+        if rec.residual <= tol or it == max_iter - 1:
             return g
         if norm == 0 or (prev is not None and r_norm > prev[2]):
             d_r, d_g = [], []
@@ -180,45 +199,36 @@ def forward_fixed_point(mesh, machine, a_func, b_func, g_d, tol=1e-6,
     """
     fact, squad = mesh_operators(mesh, machine.mu0, machine.r0)
     lift = fact.lift(g_d)
-    lam_history = []
 
-    def picard_map(pq):
+    def picard_map(pq, domain=None):
         x = np.clip(pq, 0.0, 1.0)
         y = assemble_source_vector(squad, pq, np.asarray(a_func(x), float),
                                    np.asarray(b_func(x), float))
-        lam_history.append(lambda_from_integral(machine.ip, float(y.sum()),
-                                                mesh.area()))
-        return fact.solve(lam_history[-1] * y) + lift
+        lam = lambda_from_integral(machine.ip, float(y.sum()), mesh.area())
+        return fact.solve(lam * y) + lift, Iteration(lam, domain)
 
-    def step(psi):
-        return picard_map(squad.psibar_qp(
-            make_plasma_domain(mesh, psi).normalize(psi)))
+    def step(psi, _):
+        domain = make_plasma_domain(mesh, psi)
+        return picard_map(squad.psibar_qp(domain.normalize(psi)), domain)
 
-    # uncounted initialization solve: a constant flux map carries no axis
-    # yet, so the source is seeded with psibar 0 inside the limiter contour
-    # (fully covered plasma) and 2 outside
-    psi = picard_map(squad.bootstrap_psibar_qp())
-
-    residuals = []
+    # the cold-start surrogate's solve, not an iteration: it has no record
+    psi, records = picard_map(squad.bootstrap_psibar_qp())[0], []
     try:
-        psi = picard(step, psi, tol, max_iter, residuals)
+        psi = picard(step, psi, tol, max_iter, records)
     except GsReconError as exc:
-        raise ConvergenceError(
-            f"iteration {len(residuals) + 1}: {exc}",
-            residuals) from exc
-    if not residuals or residuals[-1] > tol:
-        last = f" (last residual {residuals[-1]:.3e})" if residuals else ""
-        raise ConvergenceError(
-            f"no convergence after {max_iter} iterations{last}", residuals)
+        raise ConvergenceError(f"iteration {len(records) + 1}: {exc}",
+                               [r.residual for r in records]) from exc
+    if records[-1].residual > tol:
+        raise ConvergenceError(f"no convergence after {max_iter} iterations "
+                               f"(last residual {records[-1].residual:.3e})",
+                               [r.residual for r in records])
     if basis is None:
         basis = SplineBasis()
     xs = np.linspace(0.0, 1.0, 201)
     profiles = ProfileExpansion(basis, basis.fit(xs, a_func(xs)),
                                 basis.fit(xs, b_func(xs)))
-    # the initialization solve is not an iteration: its lambda is left out
     return Equilibrium(psi, make_plasma_domain(mesh, psi), profiles,
-                       lam_history[-1], machine, residuals, True,
-                       len(residuals), lam_history[1:])
+                       records[-1].lam, machine, records, True, len(records))
 
 
 # ---------------------------------------------------------------------------

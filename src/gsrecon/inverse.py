@@ -11,7 +11,7 @@ from .basis import (ProfileExpansion, SplineBasis, first_guess_expansion,
                     regularization_matrix)
 from .errors import (GsReconError, MeasurementCountError,
                      RegularizationError, StateError)
-from .forward import (Equilibrium, assemble_source_matrix,
+from .forward import (Equilibrium, Iteration, assemble_source_matrix,
                       lambda_from_integral, mesh_operators, picard)
 from .geometry import finite_flux, make_plasma_domain
 from .mesh import point_in_polygon
@@ -44,12 +44,18 @@ def penalized_lsq(E, f, w, eps, lam, scale=1.0):
     if not np.all(np.isfinite(E)):
         raise StateError("non-finite observation matrix (plasma lost?)")
     et = np.reshape(w, (-1, 1)) * E
-    lhs = scale * scale * (et.T @ et) + eps * lam
-    try:
-        x = np.linalg.solve(lhs, scale * (et.T @ (w * f)))
-    except np.linalg.LinAlgError as exc:
-        raise RegularizationError(f"penalized normal system singular: {exc}")
-    return scale * x, w * (E @ (scale * x) - f), float(x @ lam @ x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = scale * scale * (et.T @ et) + eps * lam
+        try:
+            x = np.linalg.solve(lhs, scale * (et.T @ (w * f)))
+        except np.linalg.LinAlgError as exc:
+            raise RegularizationError(f"penalized normal system singular: "
+                                      f"{exc}")
+        v, misfit, seminorm = scale * x, w * (E @ (scale * x) - f), x @ lam @ x
+        if not np.isfinite([*v, misfit @ misfit, seminorm]).all():
+            raise RegularizationError("penalized least squares overflow at "
+                                      "this data scale")
+    return v, misfit, float(seminorm)
 
 
 # the two solves keep their own names: perfbench times each one by name
@@ -97,27 +103,24 @@ class ReconstructionSetup:
         # alive at x=1): the penalty of the free ones u = (a[:-1], b[:-1])
         self.lam_free = block_diag(*[self.lam_block[:-1, :-1]] * 2)
         self._node_in_limiter = point_in_polygon(mesh.nodes, mesh.limiter)
-        self._first = None      # (key, flux_state) of the last first iteration
+        self._first = None      # (key, flux_state, domain) of the last one
 
-    def first_iteration(self, psi, domain, u, use_internal):
-        """:func:`flux_state` of psi, plasma ``domain`` (found when None) and
-        free coefficients u, held in one slot keyed by value (domain by repr)
-        and returned as held, every array read-only.  A psi not finite at
-        every node raises :class:`DegeneratePlasmaError`; psi = 0, the cold
-        start, takes psibar 0 in the limiter and 2 outside."""
-        key = (psi.tobytes(), u.tobytes(), repr(domain), use_internal)
+    def first_iteration(self, psi, domain, u, use_internal, ip):
+        """:func:`flux_state` of psi, its ``domain`` (found when None; none
+        for psi = 0, the cold start), free coefficients u and current ``ip``,
+        held in one slot keyed by value (domain by repr) and returned as
+        held, arrays read-only.  A psi not finite at every node raises
+        :class:`DegeneratePlasmaError`."""
+        key = (psi.tobytes(), u.tobytes(), repr(domain), use_internal, ip)
         if self._first is None or self._first[0] != key:
             finite_flux(psi)
-            if np.linalg.norm(psi) == 0:
-                psibar = np.where(self._node_in_limiter, 0.0, 2.0)
-            else:
-                psibar = (domain or make_plasma_domain(
-                    self.mesh, psi)).normalize(psi)
-            state = flux_state(self, psibar, u, use_internal)
+            state, domain = flux_state(self, psi, None if np.linalg.norm(
+                psi) == 0 else domain or make_plasma_domain(self.mesh, psi),
+                u, use_internal, ip)
             for a in (a for a in state[1:] if a is not None):
                 a.flags.writeable = False
-            self._first = (key, state)
-        return self._first[1]
+            self._first = (key, state, domain)
+        return self._first[1:]
 
 
 def source_response(setup, Y):
@@ -138,29 +141,34 @@ def observation_state(setup, Y, g_n, k_inv_g):
     return (*source_response(setup, Y), neumann_target(setup, g_n, k_inv_g))
 
 
-def flux_state(setup, psibar_nodal, u, use_internal):
-    """(lam, u, K^-1 Y, E, B, G, D K^-1 Y) of an iteration, free of the
-    measurements: lam scales the last free u to Ip by the column sums of the
-    source matrix Y of psibar, then both are rescaled; K^-1 Y and E are of
-    lam Y, B and G of :func:`build_interferometry_matrix`, D the chords'
-    normal derivative (the last three None without ``use_internal``)."""
+def flux_state(setup, psi, domain, u, use_internal, ip):
+    """((lam, u, K^-1 Y, E, B, G, D K^-1 Y), domain) of an iteration on psi
+    normalized by ``domain`` (psibar 0 in the limiter and 2 outside when
+    None), of the data only through their current ``ip``: lam scales the
+    last free u to ``ip`` by the column sums of the source matrix Y of
+    psibar, then both are rescaled; K^-1 Y and E are of lam Y, B and G of
+    :func:`build_interferometry_matrix`, D the chords' normal derivative
+    (the last three None without ``use_internal``)."""
+    psibar_nodal = (domain.normalize(psi) if domain is not None
+                    else np.where(setup._node_in_limiter, 0.0, 2.0))
     Y = assemble_source_matrix(
         setup.squad, setup.squad.psibar_qp(psibar_nodal), setup.basis)
     u, lam = rescale_dofs(u, lambda_from_integral(
-        setup.machine.ip, float(Y.sum(axis=0) @ u), setup.mesh.area()))
+        ip, float(Y.sum(axis=0) @ u), setup.mesh.area()))
     Y *= lam
     k_inv_y, E = source_response(setup, Y)
     chord = (None, None, None) if not use_internal else (
         *build_interferometry_matrix(setup.chord_geoms, setup.basis,
                                      psibar_nodal),
         setup.chord_geoms.D @ k_inv_y)
-    return (lam, u, k_inv_y, E, *chord)
+    return (lam, u, k_inv_y, E, *chord), domain
 
 
 def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
                 max_iter=30, warm_start=None):
-    """Fixed-point reconstruction of (psi, domain, A, B, lambda[, n_e]),
-    returned as an :class:`~gsrecon.forward.Equilibrium`.
+    """Fixed-point reconstruction of (psi, domain, A, B, lambda[, n_e]):
+    an :class:`~gsrecon.forward.Equilibrium` with one
+    :class:`~gsrecon.forward.Iteration` record per completed iteration.
 
     Measurement vectors whose lengths do not match the setup, or gN points
     (when given) off the setup's boundary nodes by more than 1e-9 of the
@@ -168,26 +176,24 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
     warm start not fitting the mesh or basis :class:`StateError`, before
     any solve.  Any other :class:`GsReconError` raised by an iteration, or
     by the domain search on the final flux, comes back as ``result.error``:
-    ``psi`` is then the iterate reached, ``iterations`` counts the failing
-    one, ``domain`` is None and ``costs`` is empty.  Non-convergence (the
-    real-time regime truncates the loop on purpose) is reported by
-    ``converged``.
+    ``psi`` is then the failing iteration's input (or the final flux),
+    ``iterations`` counts the failing one, ``domain`` is None and ``costs``
+    is empty.  ``converged`` is False after ``max_iter`` iterations (the
+    real-time regime truncates the loop on purpose).
 
-    The first iteration depends only on the start's psi, domain and free
-    coefficients a[:-1], b[:-1] (the setup memoizes it; A(1) = B(1) = 0
-    pins the last ones to zero): a warm start's ``domain`` is the plasma
-    domain of its ``psi``, found when None.  Only psi = 0, the cold start,
-    takes the limiter as the first plasma region.  A start psi that is not
-    finite at every node, or that is nonzero without an interior flux
-    maximum, comes back as ``result.error`` of iteration 1, with the
-    start's ``lam``.  ``lam`` is the scale of ``profiles``: the last
-    iteration's u is returned rescaled to max|a| = 1, with lam * u kept.
-    ``costs`` holds the terms of the last iteration's two solves: J0 and
-    J1 are the magnetic and polarimetric rows of 1/2 |W (E u - f)|^2, J2
-    the weighted interferometry misfit 1/2 |w (B c - gamma)|^2, and Jeps
-    is eps/2 u^T Lambda u of the returned (rescaled) u plus the density
-    solve's eps_ne/2 v^T Lambda v, v = c / alpha_scale.  A term whose
-    solve did not run is 0: a warm start's carried c adds nothing.
+    lambda scales the current to the measured ``ip``.  The first iteration
+    depends only on ``ip`` and the start's psi, domain (a warm start's is
+    that of its psi, found when None) and free coefficients a[:-1], b[:-1]
+    (A(1) = B(1) = 0 pins the last ones); the setup memoizes it.  Only
+    psi = 0, the cold start, takes the limiter as the first plasma region;
+    a psi not finite at every node, or without an interior maximum, fails
+    iteration 1.  ``lam`` is the scale of ``profiles``: the last record's u
+    (the start's without one) rescaled to max|a| = 1, lam * u kept.  A
+    record's ``costs`` are its two solves' terms: J0 and J1 the magnetic
+    and polarimetric rows of 1/2 |W (E u - f)|^2, J2 the interferometry
+    misfit 1/2 |w (B c - gamma)|^2 and Jeps eps/2 u^T Lambda u of u so
+    rescaled plus the density solve's eps_ne/2 v^T Lambda v, v = c /
+    alpha_scale, 0 when that did not run (a warm start's c is carried).
     """
     mesh, machine, basis = setup.mesh, setup.machine, setup.basis
     ms = measurements
@@ -214,30 +220,23 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
                 p.a, p.b, p.c) if x is not None} != {(basis.m,)}:
             raise StateError(f"warm start: {psi.size} flux values, {len(p.a)} "
                              f"coefficients, not {mesh.n_nodes} and {basis.m}")
-        lam = warm_start.lam
     else:
-        p, psi, lam = first_guess_expansion(basis), np.zeros(mesh.n_nodes), 1.0
-    # the free coefficients; a warm start's c is carried and adds no cost
-    u, ne_coeffs = np.concatenate([p.a[:-1], p.b[:-1]]), p.c
-    weights = default_weights(ms, mesh.boundary_length())
+        p, psi = first_guess_expansion(basis), np.zeros(mesh.n_nodes)
+    start = Iteration(getattr(warm_start, "lam", 1.0), getattr(
+        warm_start, "domain", None), np.concatenate([p.a[:-1], p.b[:-1]]), p.c)
+    weights, n_mag = default_weights(ms, mesh.boundary_length()), len(ms.g_n)
     w = np.repeat([weights.w_mag, weights.w_polar],
-                  [setup.c0.shape[0], n_c if use_internal else 0])
+                  [n_mag, n_c if use_internal else 0])
     k_inv_g = setup.fact.lift(ms.g_d)
     f_mag = neumann_target(setup, ms.g_n, k_inv_g)
     dk_inv_g = setup.chord_geoms.D @ k_inv_g if use_internal else None
 
-    residuals, lam_history = [], []
-    iterations, last = 0, None
-
-    def step(psi_in):
-        nonlocal psi, iterations, u, lam, ne_coeffs, last
-        psi, iterations = psi_in, iterations + 1
-        lam, u, k_inv_y, E, b_int, G, dk = (setup.first_iteration(
-            psi, getattr(warm_start, "domain", None), u, use_internal)
-            if iterations == 1 else flux_state(setup, make_plasma_domain(
-                mesh, psi).normalize(psi), u, use_internal))
-        lam_history.append(lam)
-        f, ne_misfit, ne_seminorm = f_mag, np.zeros(0), 0.0
+    def step(psi, prev):
+        (lam, u, k_inv_y, E, b_int, G, dk), domain = (setup.first_iteration(
+            psi, start.domain, start.u, use_internal, ms.ip) if prev is None
+            else flux_state(setup, psi, make_plasma_domain(mesh, psi),
+                            prev.u, use_internal, ms.ip))
+        ne_coeffs, f, ne_misfit, ne_seminorm = p.c, f_mag, np.zeros(0), 0.0
         if use_internal:
             ne_coeffs, ne_misfit, ne_seminorm = identify_ne(
                 b_int, ms.gamma, weights.w_inter, reg.eps_ne,
@@ -247,29 +246,26 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
             E = np.vstack([E, polar(dk)])
             f = np.concatenate([f, ms.alpha - polar(dk_inv_g)])
         u, misfit, _ = identify_ab(E, f, w, reg.eps, setup.lam_free)
-        last = (misfit, ne_misfit, ne_seminorm)
-        return k_inv_y @ u + k_inv_g
-
-    error = domain = None
-    try:
-        psi = picard(step, psi, tol, max_iter, residuals)
-        domain = make_plasma_domain(mesh, psi)
-    except GsReconError as exc:
-        error = str(exc)
-    converged = error is None and bool(residuals) and residuals[-1] <= tol
-
-    u, lam = rescale_dofs(u, lam)
-    costs = {}
-    if error is None and residuals:
-        misfit, ne_misfit, ne_seminorm = last
-        n_mag = setup.c0.shape[0]
+        u_hat = rescale_dofs(u, lam)[0]
         costs = {"J0": 0.5 * float(np.sum(misfit[:n_mag] ** 2)),
                  "J1": 0.5 * float(np.sum(misfit[n_mag:] ** 2)),
                  "J2": 0.5 * float(np.sum(ne_misfit ** 2)),
-                 "Jeps": 0.5 * reg.eps * float(u @ setup.lam_free @ u)
+                 "Jeps": 0.5 * reg.eps * float(u_hat @ setup.lam_free @ u_hat)
                  + 0.5 * reg.eps_ne * ne_seminorm}
+        return k_inv_y @ u + k_inv_g, Iteration(lam, domain, u, ne_coeffs,
+                                                costs)
 
+    records, error, domain, failed = [], None, None, False
+    try:
+        psi = picard(step, psi, tol, max_iter, records)
+        domain = make_plasma_domain(mesh, psi)
+    except GsReconError as exc:     # a failed step's error carries its input
+        error, failed = str(exc), hasattr(exc, "psi")
+        psi = getattr(exc, "psi", psi)
+    end = records[-1] if records else start
+    u, lam = rescale_dofs(end.u, end.lam)
     a, b = (np.append(x, 0.0) for x in np.split(u, 2))
-    profiles = ProfileExpansion(basis, a, b, ne_coeffs)
-    return Equilibrium(psi, domain, profiles, lam, machine, residuals,
-                       converged, iterations, lam_history, costs, error)
+    profiles = ProfileExpansion(basis, a, b, end.ne_coeffs)
+    converged = error is None and records[-1].residual <= tol
+    return Equilibrium(psi, domain, profiles, lam, machine, records,
+                       converged, len(records) + failed, error)

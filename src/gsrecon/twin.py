@@ -80,14 +80,15 @@ def replicate_stats(setup, ms_clean, reg, eps_values, n_replicates=50,
     :func:`reconstruct` propagates.
 
     Start rule: each eps first reconstructs ``ms_clean`` with the
-    replicates' settings.  When that clean run converges, every replicate
-    of the eps is warm-started from it (the real-time regime's start from
-    an equilibrium already found); otherwise every replicate starts cold.
-    The rule is the same for any ``n_replicates``, and
-    ``ReplicateStats.warm_start`` records which start was taken.  Against
-    cold starts the statistics move far below their noise (every mean by
-    under 1e-3 of its std on the 20x20 twin) while each replicate needs
-    about half the Picard iterations.
+    replicates' settings, every eps before any replicate, so that the setup
+    computes their shared cold first iteration once.  When that clean run
+    converges, every replicate of the eps is warm-started from it (the
+    real-time regime's start from an equilibrium already found); otherwise
+    every replicate starts cold.  The rule is the same for any
+    ``n_replicates``, and ``ReplicateStats.warm_start`` records which start
+    was taken.  Against cold starts the statistics move far below their
+    noise (every mean by under 1e-3 of its std on the 20x20 twin) while
+    each replicate needs about half the Picard iterations.
     """
     grid, _ = table_grid(n_grid)
     if n_replicates < 1:
@@ -95,10 +96,10 @@ def replicate_stats(setup, ms_clean, reg, eps_values, n_replicates=50,
     results = []
     ss = np.random.SeedSequence(seed)
     child_seeds = ss.spawn(len(eps_values) * n_replicates)
-    for ei, eps in enumerate(eps_values):
-        cfg = replace(reg, eps=eps)
-        clean = reconstruct(setup, ms_clean, cfg, use_internal=use_internal,
-                            tol=tol, max_iter=max_iter)
+    cfgs = [replace(reg, eps=eps) for eps in eps_values]
+    cleans = [reconstruct(setup, ms_clean, cfg, use_internal=use_internal,
+                          tol=tol, max_iter=max_iter) for cfg in cfgs]
+    for ei, (eps, cfg, clean) in enumerate(zip(eps_values, cfgs, cleans)):
         start = clean if clean.converged else None
         samples = {k: [] for k in PROFILE_KEYS}
         n_ok = 0

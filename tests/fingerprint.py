@@ -9,10 +9,11 @@ the profile table of the reference and of each reconstruction, and, at
 mesh-fixed set-up tables: the edge index, the node neighbors, the point
 locator's bins, the limiter matrix, the mid-edge quadrature with its P, Pa
 and Pb, the stiffness matrix, the Neumann observer C0 and the chords' S, D
-and R.  A change that claims identical outputs prints the same lines as its
-parent.  Run from the repository root:
+and R.  ``tests/fingerprint.txt`` holds the lines of the committed code; a
+change that moves bits updates it and says why.  Run from the repository
+root and compare:
 
-    python tests/fingerprint.py
+    python tests/fingerprint.py | diff tests/fingerprint.txt -
 
 The name does not match pytest's test_*.py pattern, so the suite does not
 collect it.

@@ -7,10 +7,11 @@ from gsrecon.basis import ProfileExpansion, SplineBasis
 from gsrecon.errors import (DivergentLambdaError, EmptySourceError,
                             MeshParseError)
 from gsrecon.fem import Factorization
-from gsrecon.forward import (ANDERSON_DEPTH, MachineParams, SourceQuadrature,
-                             assemble_source_matrix, assemble_source_vector,
-                             forward_fixed_point, lambda_from_integral,
-                             load_equilibrium, picard, save_equilibrium)
+from gsrecon.forward import (ANDERSON_DEPTH, Iteration, MachineParams,
+                             SourceQuadrature, assemble_source_matrix,
+                             assemble_source_vector, forward_fixed_point,
+                             lambda_from_integral, load_equilibrium, picard,
+                             save_equilibrium)
 from conftest import a_ref, b_ref
 
 
@@ -59,13 +60,14 @@ def test_total_current_constraint(ca, cb):
 
 
 def _recorded_affine_step(a, b):
-    """The step psi -> a @ psi + b, recording its inputs and outputs."""
+    """The step psi -> a @ psi + b, recording its inputs and outputs; its
+    record's lam counts the steps through the previous record."""
     seen = {"in": [], "out": []}
 
-    def step(psi):
+    def step(psi, rec):
         seen["in"].append(psi)
         seen["out"].append(a @ psi + b)
-        return seen["out"][-1]
+        return seen["out"][-1], Iteration(1.0 if rec is None else rec.lam + 1)
 
     return step, seen
 
@@ -87,10 +89,13 @@ def _anderson_update(psi_in, out, pairs):
 
 def test_picard_returns_last_step_output():
     step, seen = _recorded_affine_step(_A, _B)
-    residuals = []
-    psi = picard(step, np.zeros(3), 0.0, 4, residuals)
+    records = []
+    psi = picard(step, np.zeros(3), 0.0, 4, records)
     # max_iter reached: the last step's output, not a mixed update
-    assert psi is seen["out"][-1] and len(residuals) == 4
+    assert psi is seen["out"][-1] and len(records) == 4
+    # each step is handed the record of the one before
+    assert [r.lam for r in records] == [1.0, 2.0, 3.0, 4.0]
+    residuals = [r.residual for r in records]
     psi_in, out = seen["in"], seen["out"]
     assert residuals[0] == np.linalg.norm(out[0])    # absolute from zero flux
     assert residuals[1] == (np.linalg.norm(out[1] - psi_in[1])
@@ -114,23 +119,41 @@ def test_picard_rejects_bad_stop_test_before_first_step(tol, max_iter):
 
 def test_picard_solves_affine_map_within_depth_plus_two():
     step, seen = _recorded_affine_step(_A, _B)
-    residuals = []
-    psi = picard(step, np.ones(3), 1e-12, ANDERSON_DEPTH + 2, residuals)
+    records = []
+    psi = picard(step, np.ones(3), 1e-12, ANDERSON_DEPTH + 2, records)
     fixed = np.linalg.solve(np.eye(3) - _A, _B)
-    assert residuals[-1] <= 1e-12
+    assert records[-1].residual <= 1e-12
     np.testing.assert_allclose(psi, fixed, rtol=0, atol=1e-12)
     assert not np.allclose(seen["in"][1:], seen["out"][:-1])   # mixed
+
+
+def test_picard_step_error_carries_its_input():
+    # a step's GsReconError propagates with the flux that step was called
+    # on, the completed steps' records kept
+    affine, seen = _recorded_affine_step(_A, _B)
+
+    def step(psi, rec):
+        if len(seen["in"]) == 3:
+            raise EmptySourceError("no plasma point")
+        return affine(psi, rec)
+
+    records = []
+    with pytest.raises(EmptySourceError) as info:
+        picard(step, np.ones(3), 0.0, 6, records)
+    assert len(records) == 3 and info.value.psi is not seen["out"][-1]
+    np.testing.assert_allclose(info.value.psi, _anderson_update(
+        seen["in"], seen["out"], 2), rtol=1e-14, atol=0)
 
 
 def test_picard_growing_residual_clears_history():
     # a contraction for three steps, then a jump that grows the residual
     affine, seen = _recorded_affine_step(_A, _B)
 
-    def step(psi):
-        out = affine(psi)
+    def step(psi, rec):
+        out, rec = affine(psi, rec)
         if len(seen["out"]) == 4:                 # the fourth step
             out = seen["out"][-1] = psi + 100.0
-        return out
+        return out, rec
 
     picard(step, np.ones(3), 0.0, 6, [])
     psi_in, out = seen["in"], seen["out"]

@@ -722,15 +722,16 @@ def test_memo_holds_one_read_only_entry(fresh_setup, clean_measurements,
     m = setup.basis.m
     exp = first_guess_expansion(setup.basis)
     cold = (np.zeros(setup.mesh.n_nodes), None,
-            np.concatenate([exp.a[:-1], exp.b[:-1]]), True)
-    lam, u, k_inv_y, E, B, G, dk = setup.first_iteration(*cold)
+            np.concatenate([exp.a[:-1], exp.b[:-1]]), True, setup.machine.ip)
+    (lam, u, k_inv_y, E, B, G, dk), domain = setup.first_iteration(*cold)
+    assert domain is None       # the cold start normalizes by no domain
     assert u.shape == (2 * m - 2,) == (k_inv_y.shape[1],)
     # every held array is handed out as held, and read-only
     for held in (u, k_inv_y, E, B, G, dk):
         with pytest.raises(ValueError, match="read-only"):
             held[0] = 0.0
     np.testing.assert_array_equal(dk, setup.chord_geoms.D @ k_inv_y)
-    again = setup.first_iteration(*cold)
+    again = setup.first_iteration(*cold)[0]
     assert again[1] is u and again[2] is k_inv_y
     assert np.abs(u[:m - 1]).max() == 1.0
     # one slot: another start replaces the entry, so the first misses
@@ -738,7 +739,7 @@ def test_memo_holds_one_read_only_entry(fresh_setup, clean_measurements,
     work = _count_iteration_work(monkeypatch)
     for internal, computed in [(False, 1), (True, 1), (True, 0)]:
         work["assemble_source_matrix"] = 0
-        setup.first_iteration(*cold[:3], internal)
+        setup.first_iteration(*cold[:3], internal, cold[4])
         assert work["assemble_source_matrix"] == computed
     res = reconstruct(setup, clean_measurements, reg, use_internal=True)
     _assert_same_result(res, reconstruct(fresh_setup(), clean_measurements,
@@ -858,6 +859,41 @@ def test_reconstruct_reports_warm_start_without_axis(fresh_setup,
     assert res.iterations == 1
     assert not res.converged and res.domain is None
     assert work == dict.fromkeys(work, 0)
+
+
+def test_lambda_scales_to_the_measured_current(fresh_setup,
+                                               clean_measurements):
+    # lambda takes Ip from the measurement set, and the first iteration's
+    # memo tells the two currents apart: on one setup, cold runs at 1.0 and
+    # 1.3 MA start from lambdas in the ratio 1.3
+    setup = fresh_setup()
+    runs = [reconstruct(setup, dataclasses.replace(clean_measurements, ip=ip),
+                        RegularizationConfig(), use_internal=False)
+            for ip in (1.0e6, 1.3e6)]
+    assert all(res.converged for res in runs)
+    ratio = runs[1].lam_history[0] / runs[0].lam_history[0]
+    assert ratio == pytest.approx(1.3, rel=1e-14)
+
+
+def test_reconstruct_reports_overflowing_normal_equations(setup,
+                                                          clean_measurements):
+    # a boundary flux of 1e300 overflows the first A/B solve's misfit: the
+    # solve refuses it, without a floating-point warning (an error under
+    # the test configuration), and the run ends at iteration 1
+    ms = dataclasses.replace(clean_measurements,
+                             g_d=np.full_like(clean_measurements.g_d, 1e300))
+    res = reconstruct(setup, ms, RegularizationConfig(), use_internal=False)
+    assert res.error == "penalized least squares overflow at this data scale"
+    assert res.iterations == 1 and res.records == []
+    assert not res.converged and res.domain is None
+
+
+def test_penalized_lsq_refuses_overflow():
+    E = np.eye(3)
+    with pytest.raises(RegularizationError, match="overflow"):
+        penalized_lsq(E, np.full(3, 1e300), np.full(3, 1e10), 1.0, E)
+    with pytest.raises(RegularizationError, match="overflow"):
+        penalized_lsq(E, np.full(3, 1e200), np.ones(3), 1.0, E)
 
 
 def test_reconstruct_reports_flux_of_rounding_noise(setup, clean_measurements):

@@ -1,0 +1,195 @@
+"""The per-iteration records of the forward solve and of reconstruct.
+
+The frozen values are those the 20x20 twin gave before the iterations
+became records (the residual, lambda and cost attributes were then side
+lists and an after-loop rebuild), as float.hex strings: reading them from
+the records must not move a bit.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import gsrecon
+from gsrecon import inverse
+from gsrecon.errors import RegularizationError
+from gsrecon.forward import Iteration
+from gsrecon.geometry import PlasmaDomain
+from gsrecon.inverse import RegularizationConfig, reconstruct
+from gsrecon.twin import perturb
+
+FROZEN = {
+    "forward": {
+        "iterations": 8,
+        "residuals": [
+            "0x1.82cbddd8c27bep-3", "0x1.93cc6fbbb0ce7p-5",
+            "0x1.61a25d3628718p-7", "0x1.576e2640e4d7bp-11",
+            "0x1.12d183cca37e7p-13", "0x1.2cfead1b98cabp-17",
+            "0x1.1b669761bac30p-19", "0x1.d0142d178ce1ap-21"],
+        "lam_history": [
+            "0x1.cfb9f06f79fb2p+18", "0x1.040a1129a9957p+19",
+            "0x1.12fc482a69247p+19", "0x1.184acb2a7509dp+19",
+            "0x1.18b29ca19e07ep+19", "0x1.18a577be89938p+19",
+            "0x1.18a5d6b6bc8e8p+19", "0x1.18a59e8513bfcp+19"],
+        "costs": {},
+    },
+    "cold": {
+        "iterations": 10,
+        "residuals": [
+            "0x1.7551b39e01cebp+1", "0x1.49e21a657cf01p-3",
+            "0x1.d05689ea15c7ap-5", "0x1.1b8ef8f39dfd6p-6",
+            "0x1.4f04edd72e1e3p-12", "0x1.daf4d7112f734p-15",
+            "0x1.867a6ec4daaf7p-18", "0x1.c5e925d9e12c5p-19",
+            "0x1.c975511477e5cp-20", "0x1.e659140f91900p-24"],
+        "lam_history": [
+            "0x1.43bf621e022efp+18", "0x1.13b522f94d577p+20",
+            "0x1.03f94250bc46dp+19", "0x1.4665f5a872ae5p+19",
+            "0x1.327f184efbce6p+19", "0x1.29fae4eb2cbf2p+19",
+            "0x1.296ca41753bd5p+19", "0x1.295fdcd099eeep+19",
+            "0x1.295be3fd6aa4fp+19", "0x1.2959c6de6f37bp+19"],
+        "costs": {"J0": "0x1.e683622964227p-10", "J1": "0x1.13aeffbb2da96p-7",
+                  "J2": "0x1.cc08238515de6p-11",
+                  "Jeps": "0x1.20696026673ccp-6"},
+    },
+    "warm": {
+        "iterations": 2,
+        "residuals": ["0x1.6ef948e301807p-9", "0x1.2880bfc8927edp-11"],
+        "lam_history": ["0x1.29583d5ca85b7p+19", "0x1.0b9e105115d20p+19"],
+        "costs": {"J0": "0x1.3d10a90e063e0p-1", "J1": "0x1.7608d7b0fd7d7p+0",
+                  "J2": "0x1.849e8455489c9p-1",
+                  "Jeps": "0x1.0f90add9d064dp-4"},
+    },
+    # the lambda of the failing iteration itself (0x1.70cfa8c7c8e13p+20)
+    # was listed too while lam_history was a side list filled before the
+    # solves; a record exists only for a completed iteration
+    "failed": {
+        "iterations": 2,
+        "residuals": ["0x1.5a578e2f5c107p+1"],
+        "lam_history": ["0x1.43bf621e022efp+18"],
+        "costs": {},
+    },
+}
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def _assert_frozen(res, name):
+    want = FROZEN[name]
+    assert res.iterations == want["iterations"]
+    assert _hex(res.residuals) == want["residuals"]
+    assert _hex(res.lam_history) == want["lam_history"]
+    assert {k: float(v).hex() for k, v in res.costs.items()} == want["costs"]
+
+
+def _fail_identify_ab_at(monkeypatch, call):
+    """Make inverse.identify_ab raise a RegularizationError on its
+    ``call``-th call; returns the list of the fluxes that flux_state is
+    given, filled as it is called."""
+    calls, seen = [0], []
+    real_ab, real_state = inverse.identify_ab, inverse.flux_state
+
+    def identify_ab(*args):
+        calls[0] += 1
+        if calls[0] == call:
+            raise RegularizationError(f"singular at iteration {call}")
+        return real_ab(*args)
+
+    def flux_state(setup, psi, *args):
+        seen.append(psi)
+        return real_state(setup, psi, *args)
+
+    monkeypatch.setattr(inverse, "identify_ab", identify_ab)
+    monkeypatch.setattr(inverse, "flux_state", flux_state)
+    return seen
+
+
+def test_forward_records_match_frozen(reference_eq):
+    eq = reference_eq
+    _assert_frozen(eq, "forward")
+    assert len(eq.records) == eq.iterations
+    # each step records the domain it normalized its input by
+    assert all(isinstance(r.domain, PlasmaDomain) for r in eq.records)
+    assert eq.records[-1].lam == eq.lam and eq.records[-1].u is None
+
+
+def test_reconstruct_records_match_frozen(setup, clean_measurements):
+    reg = RegularizationConfig()
+    cold = reconstruct(setup, clean_measurements, reg, use_internal=True)
+    _assert_frozen(cold, "cold")
+    warm = reconstruct(setup, perturb(clean_measurements, 0.01, seed=5), reg,
+                       use_internal=True, warm_start=cold, tol=0.0,
+                       max_iter=2)
+    _assert_frozen(warm, "warm")
+    for res in (cold, warm):
+        assert len(res.records) == res.iterations
+        assert res.costs == res.records[-1].costs
+        assert res.costs is not res.records[-1].costs
+    # the cold start normalizes by the limiter region, not by a domain; a
+    # warm start by its carried domain
+    assert cold.records[0].domain is None
+    assert warm.records[0].domain == cold.domain
+    assert all(isinstance(r.domain, PlasmaDomain) for r in cold.records[1:])
+    # the returned profiles are the last record's u and c, rescaled
+    end = cold.records[-1]
+    u, lam = inverse.rescale_dofs(end.u, end.lam)
+    np.testing.assert_array_equal(cold.profiles.a[:-1], u[:len(u) // 2])
+    np.testing.assert_array_equal(cold.profiles.c, end.ne_coeffs)
+    assert cold.lam == lam
+
+
+def test_records_are_frozen(reference_eq):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        reference_eq.records[0].lam = 1.0
+
+
+def test_step_failure_records_completed_iterations(setup, clean_measurements,
+                                                  monkeypatch):
+    # test_reconstruct_reports_step_failure's set-up: the second A/B solve
+    # fails; the first iteration's record stays, the failing one counts
+    one = reconstruct(setup, clean_measurements, RegularizationConfig(),
+                      use_internal=False, max_iter=1)
+    seen = _fail_identify_ab_at(monkeypatch, 2)
+    res = reconstruct(setup, clean_measurements, RegularizationConfig(),
+                      use_internal=False)
+    _assert_frozen(res, "failed")
+    assert res.error == "singular at iteration 2" and len(res.records) == 1
+    # psi is the failing iteration's input, here the first one's output
+    assert res.psi is seen[-1]
+    np.testing.assert_array_equal(res.psi, one.psi)
+    # lam and the profiles are the last record's
+    assert res.lam == one.lam
+    np.testing.assert_array_equal(res.profiles.a, one.profiles.a)
+
+
+def test_step_failure_returns_the_mixed_input(setup, clean_measurements,
+                                              monkeypatch):
+    # from the third iteration on, an iteration's input is the Anderson
+    # update, not the last output: a failure in the fourth returns that
+    three = reconstruct(setup, clean_measurements, RegularizationConfig(),
+                        use_internal=False, tol=0.0, max_iter=3)
+    seen = _fail_identify_ab_at(monkeypatch, 4)
+    res = reconstruct(setup, clean_measurements, RegularizationConfig(),
+                      use_internal=False, tol=0.0)
+    assert res.error == "singular at iteration 4"
+    assert res.iterations == 4 and res.residuals == three.residuals
+    assert res.psi is seen[-1] and not np.array_equal(res.psi, three.psi)
+
+
+def test_loaded_equilibrium_has_no_records(tmp_path, setup,
+                                           clean_measurements, basis):
+    res = reconstruct(setup, clean_measurements, RegularizationConfig(),
+                      tol=0.0, max_iter=2)
+    gsrecon.save_equilibrium(res, tmp_path / "eq.txt")
+    back = gsrecon.load_equilibrium(tmp_path / "eq.txt", setup.mesh, basis)
+    assert back.iterations == 2 and back.converged is False
+    assert back.records == [] and back.residuals == []
+    assert back.lam_history == [] and back.costs == {}
+
+
+def test_iteration_record_defaults():
+    rec = Iteration(2.0)
+    assert (rec.domain, rec.u, rec.ne_coeffs, rec.residual) == (None,) * 4
+    assert rec.costs == {} and rec.costs is not Iteration(2.0).costs

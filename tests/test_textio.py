@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 import gsrecon
 from gsrecon import cli
 from gsrecon.errors import MeshParseError
-from gsrecon.forward import load_equilibrium, picard, save_equilibrium
+from gsrecon.forward import (Iteration, load_equilibrium, picard,
+                             save_equilibrium)
 from gsrecon.inverse import RegularizationConfig
 from gsrecon.observation import (MeasurementSet, load_measurements,
                                  save_measurements)
@@ -198,7 +199,8 @@ def _config_numbers(cfg):
     for tol, max_iter in [(cli._get(cfg, "tol"),
                            cli._get(cfg, "max_iter", int)),
                           (0.0, cli._get(cfg, "realtime_iters", int))]:
-        picard(lambda psi: psi, np.ones(1), tol, max_iter, [])
+        picard(lambda psi, _: (psi, Iteration(1.0)), np.ones(1), tol,
+               max_iter, [])
     return numbers
 
 

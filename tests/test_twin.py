@@ -8,10 +8,13 @@ import pytest
 from gsrecon import twin
 from gsrecon.diagnostics import profile_table
 from gsrecon.errors import GsReconError, MeasurementCountError
-from gsrecon.inverse import RegularizationConfig, reconstruct
+from gsrecon.inverse import (ReconstructionSetup, RegularizationConfig,
+                             reconstruct)
 from gsrecon.twin import (l_curve, perturb, replicate_stats,
                           synthesize_measurements, write_lcurve_csv,
                           write_stats_csv)
+
+from conftest import CHORDS
 
 
 def test_synthesized_measurements_match_equilibrium(setup, reference_eq,
@@ -153,6 +156,44 @@ def test_replicate_stats_start_rule(setup, clean_measurements, monkeypatch,
     assert len(calls) == 4 and "warm_start" not in calls[0][2]
     start = results[0] if clean_converged else None
     assert all(kw["warm_start"] is start for _, _, kw in calls[1:])
+
+
+def test_replicate_stats_builds_one_cold_first_iteration(
+        twin_mesh, machine, basis, clean_measurements, monkeypatch):
+    # every clean run comes before any replicate, so a three-eps call builds
+    # the cold first iteration once (then holds it for the other two clean
+    # runs) and one warm first iteration per eps; the statistics are those
+    # of a call that builds every first iteration anew, bit for bit
+    builds = {"cold": 0, "warm": 0}
+    real = ReconstructionSetup.first_iteration
+
+    def counted(self, psi, *args):
+        held = self._first
+        out = real(self, psi, *args)
+        if self._first is not held:
+            builds["warm" if psi.any() else "cold"] += 1
+        return out
+
+    def uncached(self, *args):
+        self._first = None
+        return real(self, *args)
+
+    runs = []
+    for first_iteration in (counted, uncached):
+        monkeypatch.setattr(ReconstructionSetup, "first_iteration",
+                            first_iteration)
+        runs.append(replicate_stats(
+            ReconstructionSetup(twin_mesh, machine, CHORDS, basis=basis),
+            clean_measurements, RegularizationConfig(), [1e-2, 5e-2, 1e-1],
+            n_replicates=2, seed=5, use_internal=False))
+        if first_iteration is counted:
+            assert builds == {"cold": 1, "warm": 3}
+    for st, ref in zip(*runs):
+        assert st.warm_start and (st.n_converged, st.n_failed) == (2, 0)
+        for k in twin.PROFILE_KEYS:
+            for kind in ("mean", "median", "std"):
+                assert (getattr(st, kind)[k].tobytes()
+                        == getattr(ref, kind)[k].tobytes()), (st.eps, k)
 
 
 def test_replicate_with_non_finite_flux_counts_as_failed(
