@@ -5,7 +5,9 @@ flux, the synthesized measurements, cold, repeated cold and warm
 reconstructions (magnetics only and internal data, clean and 1 % noise:
 psi, lam, a, b, c, residuals, lam history, costs and iteration count),
 the profile table of the reference and of each reconstruction, and, at
-20x20, a replicate_stats batch.  A second line per mesh size hashes the
+20x20, a replicate_stats batch.  At 20x20 an L-curve line hashes x, y,
+corner_eps and flat of the density and A/B L-curves on the 1 %-noise data
+over 21 log-spaced eps from 1e-5 to 1.  A second line per mesh size hashes the
 mesh-fixed set-up tables: the edge index, the node neighbors, the point
 locator's bins, the limiter matrix, the mid-edge quadrature with its P, Pa
 and Pb, the stiffness matrix, the Neumann observer C0 and the chords' S, D
@@ -32,11 +34,13 @@ from conftest import CHORDS, LIMITER, a_ref, b_ref, ne_ref  # noqa: E402
 from gsrecon.basis import SplineBasis  # noqa: E402
 from gsrecon.diagnostics import profile_table  # noqa: E402
 from gsrecon.fem import assemble_stiffness  # noqa: E402
-from gsrecon.forward import MachineParams, forward_fixed_point  # noqa: E402
+from gsrecon.forward import (MachineParams,  # noqa: E402
+                             assemble_source_matrix, forward_fixed_point)
 from gsrecon.inverse import (ReconstructionSetup,  # noqa: E402
-                             RegularizationConfig, reconstruct)
-from gsrecon.twin import (perturb, replicate_stats,  # noqa: E402
-                          synthesize_measurements)
+                             RegularizationConfig, observation_state,
+                             reconstruct)
+from gsrecon.twin import (l_curve_ab, l_curve_ne, perturb,  # noqa: E402
+                          replicate_stats, synthesize_measurements)
 
 SIZES = (20, 40, 80)
 
@@ -83,6 +87,21 @@ def feed_result(h, res, setup):
                               setup.machine))
 
 
+def lcurve_fingerprint(setup, eq, ms):
+    """sha256 over both L-curves of ``ms`` at the reference ``eq``."""
+    h = hashlib.sha256()
+    grid = np.logspace(-5, 0, 21)
+    psibar = eq.domain.normalize(eq.psi)
+    Y = assemble_source_matrix(setup.squad, setup.squad.psibar_qp(psibar),
+                               setup.basis)
+    _, E, f = observation_state(setup, eq.lam * Y, ms.g_n,
+                                setup.fact.lift(ms.g_d))
+    for lc in (l_curve_ne(setup, ms, psibar, grid),
+               l_curve_ab(setup, ms, E, f, grid)):
+        feed(h, lc.x, lc.y, lc.corner_eps, lc.flat)
+    return h.hexdigest()
+
+
 def fingerprint(n):
     h = hashlib.sha256()
     mesh = gsrecon.build_rect_mesh(2.0, 3.0, -1.2, 1.2, n, n,
@@ -100,6 +119,8 @@ def fingerprint(n):
          profile_table(mesh, eq.psi, eq.domain, eq.profiles, eq.lam,
                        machine))
     reg = RegularizationConfig()
+    lcurves = (lcurve_fingerprint(setup, eq, perturb(ms, 0.01, seed=7))
+               if n == SIZES[0] else None)
     for internal in (False, True):
         for data in (ms, perturb(ms, 0.01, seed=7)):
             cold = reconstruct(setup, data, reg, use_internal=internal)
@@ -113,11 +134,13 @@ def fingerprint(n):
                                   n_replicates=3, seed=11):
             feed(h, st.grid, st.mean, st.median, st.std, st.n_converged,
                  st.n_failed, st.warm_start)
-    return h.hexdigest(), tables
+    return h.hexdigest(), tables, lcurves
 
 
 if __name__ == "__main__":
     for n in SIZES:
-        outputs, tables = fingerprint(n)
+        outputs, tables, lcurves = fingerprint(n)
         print(f"{n}x{n} {outputs}", flush=True)
         print(f"{n}x{n} setup {tables}", flush=True)
+        if lcurves is not None:
+            print(f"{n}x{n} lcurve {lcurves}", flush=True)
