@@ -43,9 +43,6 @@ class SplineBasis:
         return self._spline(np.clip(np.atleast_1d(np.asarray(xs, float)),
                                     0.0, 1.0))
 
-    def eval(self, x):
-        return self.eval_many([x])[0]
-
     def greville(self):
         """Abscissae whose coefficients reproduce affine functions."""
         t, p = self.knots, self.degree

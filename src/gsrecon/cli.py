@@ -22,8 +22,7 @@ from .diagnostics import profile_table, write_profile_csv
 from .errors import (ConvergenceError, DivergentLambdaError, GsReconError,
                      MeshValidationError)
 from .forward import MachineParams, forward_fixed_point
-from .inverse import (ReconstructionSetup, RegularizationConfig,
-                      observation_state, reconstruct)
+from .inverse import ReconstructionSetup, RegularizationConfig, reconstruct
 from .observation import chord_lengths, load_measurements, save_measurements
 from .textio import write_rows
 from .twin import (l_curve_ab, l_curve_ne, replicate_stats, synthesize_measurements,
@@ -331,24 +330,16 @@ def cmd_lcurve(args):
     eps_grid = np.logspace(np.log10(lo), np.log10(hi),
                            _get(cfg, "lcurve_points", int))
     if "profile_ne" not in cfg or not cfg["chords"]:
-        print("lcurve requires profile_ne and at least one chord",
-              file=sys.stderr)
-        return EXIT_INPUT
+        raise ConfigError("lcurve requires profile_ne and at least one chord")
     eq, setup, _, ms = _reference_twin(cfg, mesh, machine, basis)
     ms = twinmod.perturb(ms, _get(cfg, "noise_rate"), _get(cfg, "seed", int))
-    psibar = eq.domain.normalize(eq.psi)
-    res_ne = l_curve_ne(setup, ms, psibar, eps_grid,
+    res_ne = l_curve_ne(setup, ms, eq, eps_grid,
                         alpha_scale=_get(cfg, "alpha_scale"))
     ne_path = _out(cfg, "lcurve_ne.csv")
     write_lcurve_csv(ne_path, res_ne)
     print(f"ne corner at eps={res_ne.corner_eps:g} (flat={res_ne.flat}) "
           f"-> {ne_path}")
-    # A/B curve at the reference observation state
-    squad = setup.squad
-    Y = forward.assemble_source_matrix(squad, squad.psibar_qp(psibar), basis)
-    _, E, f = observation_state(setup, eq.lam * Y, ms.g_n,
-                                setup.fact.lift(ms.g_d))
-    res_ab = l_curve_ab(setup, ms, E, f, eps_grid)
+    res_ab = l_curve_ab(setup, ms, eq, eps_grid)
     ab_path = _out(cfg, "lcurve_ab.csv")
     write_lcurve_csv(ab_path, res_ab)
     print(f"ab corner at eps={res_ab.corner_eps:g} (flat={res_ab.flat}) "

@@ -51,10 +51,6 @@ class EmptySourceError(GsReconError):
 class ConvergenceError(GsReconError):
     """A fixed-point loop failed to converge."""
 
-    def __init__(self, message, history=None):
-        super().__init__(message)
-        self.history = list(history) if history is not None else []
-
 
 class RegularizationError(GsReconError):
     """A normal system is singular for the requested regularization."""

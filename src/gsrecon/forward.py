@@ -216,12 +216,10 @@ def forward_fixed_point(mesh, machine, a_func, b_func, g_d, tol=1e-6,
     try:
         psi = picard(step, psi, tol, max_iter, records)
     except GsReconError as exc:
-        raise ConvergenceError(f"iteration {len(records) + 1}: {exc}",
-                               [r.residual for r in records]) from exc
+        raise ConvergenceError(f"iteration {len(records) + 1}: {exc}") from exc
     if records[-1].residual > tol:
         raise ConvergenceError(f"no convergence after {max_iter} iterations "
-                               f"(last residual {records[-1].residual:.3e})",
-                               [r.residual for r in records])
+                               f"(last residual {records[-1].residual:.3e})")
     if basis is None:
         basis = SplineBasis()
     xs = np.linspace(0.0, 1.0, 201)

@@ -22,7 +22,12 @@ class PlasmaDomain:
     mode: str = "limiter"
 
     def normalize(self, psi):
-        return normalized_flux(psi, self.psi_a, self.psi_b)
+        """psibar = (psi - psi_a) / (psi_b - psi_a): 0 on the axis and 1 on
+        the boundary; :class:`DegeneratePlasmaError` when psi_a = psi_b."""
+        if self.psi_a == self.psi_b:
+            raise DegeneratePlasmaError("psi_a equals psi_b")
+        return ((np.asarray(psi, dtype=np.float64) - self.psi_a)
+                / (self.psi_b - self.psi_a))
 
 
 def _fit_operator(mesh, node, two_ring):
@@ -188,12 +193,6 @@ def finite_flux(psi):
     if bad:
         raise DegeneratePlasmaError(f"flux not finite at {bad} nodes")
     return psi
-
-
-def normalized_flux(psi, psi_a, psi_b):
-    if psi_a == psi_b:
-        raise DegeneratePlasmaError("psi_a equals psi_b")
-    return (np.asarray(psi, dtype=np.float64) - psi_a) / (psi_b - psi_a)
 
 
 def quadrature_points(mesh):

@@ -123,24 +123,6 @@ class ReconstructionSetup:
         return self._first[1:]
 
 
-def source_response(setup, Y):
-    k_inv_y = setup.fact.solve_multi(Y)
-    return k_inv_y, setup.c0 @ k_inv_y
-
-
-def neumann_target(setup, g_n, k_inv_g):
-    return g_n - setup.c0 @ k_inv_g
-
-
-def observation_state(setup, Y, g_n, k_inv_g):
-    """Observation state of one flux iterate: (K^-1 Y, E, f).
-
-    K^-1 Y is zero on the boundary, so psi(u) = K^-1 Y u + K^-1 g keeps the
-    boundary flux of the lift ``k_inv_g``; E = C0 K^-1 Y and
-    f = g_n - C0 K^-1 g, so E u - f = C0 psi(u) - g_n."""
-    return (*source_response(setup, Y), neumann_target(setup, g_n, k_inv_g))
-
-
 def flux_state(setup, psi, domain, u, use_internal, ip):
     """((lam, u, K^-1 Y, E, B, G, D K^-1 Y), domain) of an iteration on psi
     normalized by ``domain`` (psibar 0 in the limiter and 2 outside when
@@ -148,7 +130,8 @@ def flux_state(setup, psi, domain, u, use_internal, ip):
     last free u to ``ip`` by the column sums of the source matrix Y of
     psibar, then both are rescaled; K^-1 Y and E are of lam Y, B and G of
     :func:`build_interferometry_matrix`, D the chords' normal derivative
-    (the last three None without ``use_internal``)."""
+    (the last three None without ``use_internal``).  K^-1 Y is zero on the
+    boundary: E u - f = C0 psi(u) - g_n, f = g_n - C0 K^-1 g of the lift."""
     psibar_nodal = (domain.normalize(psi) if domain is not None
                     else np.where(setup._node_in_limiter, 0.0, 2.0))
     Y = assemble_source_matrix(
@@ -156,7 +139,8 @@ def flux_state(setup, psi, domain, u, use_internal, ip):
     u, lam = rescale_dofs(u, lambda_from_integral(
         ip, float(Y.sum(axis=0) @ u), setup.mesh.area()))
     Y *= lam
-    k_inv_y, E = source_response(setup, Y)
+    k_inv_y = setup.fact.solve_multi(Y)
+    E = setup.c0 @ k_inv_y
     chord = (None, None, None) if not use_internal else (
         *build_interferometry_matrix(setup.chord_geoms, setup.basis,
                                      psibar_nodal),
@@ -228,7 +212,7 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
     w = np.repeat([weights.w_mag, weights.w_polar],
                   [n_mag, n_c if use_internal else 0])
     k_inv_g = setup.fact.lift(ms.g_d)
-    f_mag = neumann_target(setup, ms.g_n, k_inv_g)
+    f_mag = ms.g_n - setup.c0 @ k_inv_g
     dk_inv_g = setup.chord_geoms.D @ k_inv_g if use_internal else None
 
     def step(psi, prev):

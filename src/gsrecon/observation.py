@@ -99,11 +99,6 @@ class ChordSet:
     def __len__(self):
         return len(self.endpoints)
 
-    def plasma_points(self, psibar_nodal):
-        """Normalized flux at the points and the mask psibar <= 1."""
-        pb = self.S @ np.asarray(psibar_nodal, dtype=np.float64)
-        return pb, pb <= 1.0
-
 
 def chord_lengths(endpoints):
     """Length of each (r1, z1, r2, z2) row, as np.linalg.norm of the lone
@@ -165,7 +160,8 @@ def build_interferometry_matrix(chords, basis, psibar_nodal):
     N_c x m interferometry matrix B gives the chord integral of each basis
     function of the normalized flux over the plasma region; G holds the
     Q x m polarimetry weights w phi_j(psibar) / r, zero outside it."""
-    pb, mask = chords.plasma_points(psibar_nodal)
+    pb = chords.S @ np.asarray(psibar_nodal, dtype=np.float64)
+    mask = pb <= 1.0
     F = np.zeros((len(pb), basis.m))
     F[mask] = chords.w[mask, None] * basis.eval_many(pb[mask])
     return chords.R @ F, F / chords.r[:, None]

@@ -8,6 +8,7 @@ import numpy as np
 
 from .diagnostics import profile_table, table_grid
 from .errors import GsReconError
+from .forward import assemble_source_matrix
 from .inverse import identify_ab, identify_ne, reconstruct
 from .observation import (MeasurementSet, build_interferometry_matrix,
                           build_polarimetry_observer, default_weights)
@@ -191,11 +192,12 @@ def l_curve(solver, eps_grid):
     return LCurveResult(eps_grid, x, y, float(eps_grid[idx]), idx, flat)
 
 
-def l_curve_ne(setup, ms, psibar_nodal, eps_grid, alpha_scale=1e19):
-    """L-curve of the density identification at a fixed flux iterate."""
+def l_curve_ne(setup, ms, eq, eps_grid, alpha_scale=1e19):
+    """L-curve of the density identification at the flux of the reference
+    equilibrium ``eq``."""
     weights = default_weights(ms, setup.mesh.boundary_length())
     b_int = build_interferometry_matrix(setup.chord_geoms, setup.basis,
-                                        psibar_nodal)[0]
+                                        eq.domain.normalize(eq.psi))[0]
 
     def solver(eps):
         _, misfit, penalty = identify_ne(b_int, ms.gamma, weights.w_inter,
@@ -205,9 +207,16 @@ def l_curve_ne(setup, ms, psibar_nodal, eps_grid, alpha_scale=1e19):
     return l_curve(solver, eps_grid)
 
 
-def l_curve_ab(setup, ms, E, f, eps_grid):
-    """L-curve of the A/B identification at a fixed observation state."""
+def l_curve_ab(setup, ms, eq, eps_grid):
+    """L-curve of the A/B identification from the magnetic rows at the
+    reference equilibrium ``eq``: E = C0 K^-1 (lam Y) of its flux and
+    lambda, f = g_n - C0 K^-1 g, as in :func:`reconstruct`."""
     weights = default_weights(ms, setup.mesh.boundary_length())
+    squad = setup.squad
+    Y = assemble_source_matrix(
+        squad, squad.psibar_qp(eq.domain.normalize(eq.psi)), setup.basis)
+    E = setup.c0 @ setup.fact.solve_multi(eq.lam * Y)
+    f = ms.g_n - setup.c0 @ setup.fact.lift(ms.g_d)
     w_vec = np.full(E.shape[0], weights.w_mag)
 
     def solver(eps):

@@ -34,11 +34,9 @@ from conftest import CHORDS, LIMITER, a_ref, b_ref, ne_ref  # noqa: E402
 from gsrecon.basis import SplineBasis  # noqa: E402
 from gsrecon.diagnostics import profile_table  # noqa: E402
 from gsrecon.fem import assemble_stiffness  # noqa: E402
-from gsrecon.forward import (MachineParams,  # noqa: E402
-                             assemble_source_matrix, forward_fixed_point)
+from gsrecon.forward import MachineParams, forward_fixed_point  # noqa: E402
 from gsrecon.inverse import (ReconstructionSetup,  # noqa: E402
-                             RegularizationConfig, observation_state,
-                             reconstruct)
+                             RegularizationConfig, reconstruct)
 from gsrecon.twin import (l_curve_ab, l_curve_ne, perturb,  # noqa: E402
                           replicate_stats, synthesize_measurements)
 
@@ -91,13 +89,8 @@ def lcurve_fingerprint(setup, eq, ms):
     """sha256 over both L-curves of ``ms`` at the reference ``eq``."""
     h = hashlib.sha256()
     grid = np.logspace(-5, 0, 21)
-    psibar = eq.domain.normalize(eq.psi)
-    Y = assemble_source_matrix(setup.squad, setup.squad.psibar_qp(psibar),
-                               setup.basis)
-    _, E, f = observation_state(setup, eq.lam * Y, ms.g_n,
-                                setup.fact.lift(ms.g_d))
-    for lc in (l_curve_ne(setup, ms, psibar, grid),
-               l_curve_ab(setup, ms, E, f, grid)):
+    for lc in (l_curve_ne(setup, ms, eq, grid),
+               l_curve_ab(setup, ms, eq, grid)):
         feed(h, lc.x, lc.y, lc.corner_eps, lc.flat)
     return h.hexdigest()
 

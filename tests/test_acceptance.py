@@ -15,10 +15,9 @@ from gsrecon import fem
 from gsrecon.basis import SplineBasis, regularization_matrix
 from gsrecon.diagnostics import (extract_contour, flux_surface_average,
                                  integrate_f, profile_table, safety_factor)
-from gsrecon.forward import (SourceQuadrature, assemble_source_matrix,
-                             assemble_source_vector, forward_fixed_point)
-from gsrecon.inverse import (RegularizationConfig, observation_state,
-                             reconstruct)
+from gsrecon.forward import (SourceQuadrature, assemble_source_vector,
+                             forward_fixed_point)
+from gsrecon.inverse import RegularizationConfig, reconstruct
 from gsrecon.twin import l_curve_ab, l_curve_ne, perturb, replicate_stats
 from conftest import a_ref, b_ref
 
@@ -180,17 +179,11 @@ def test_criterion_7_l_curves(setup, clean_measurements, reference_eq,
                               twin_mesh, machine, basis):
     t0 = time.perf_counter()
     ms = perturb(clean_measurements, 0.01, seed=7)
-    psibar = reference_eq.domain.normalize(reference_eq.psi)
     grid = np.logspace(-5, 0, 21)
-    lc = l_curve_ne(setup, ms, psibar, grid)
+    lc = l_curve_ne(setup, ms, reference_eq, grid)
     x_mono = bool(np.all(np.diff(lc.x) >= -1e-9))
     y_mono = bool(np.all(np.diff(lc.y) <= 1e-9))
-
-    pq = setup.squad.psibar_qp(psibar)
-    Y = assemble_source_matrix(setup.squad, pq, basis)
-    _, E, f = observation_state(setup, reference_eq.lam * Y, ms.g_n,
-                                setup.fact.lift(ms.g_d))
-    lab = l_curve_ab(setup, ms, E, f, grid)
+    lab = l_curve_ab(setup, ms, reference_eq, grid)
     dt = time.perf_counter() - t0
     ok = (1e-3 <= lc.corner_eps <= 1e-1 and not lc.flat and x_mono
           and y_mono and lab.flat and dt < 120.0)

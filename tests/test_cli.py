@@ -226,17 +226,18 @@ def test_lcurve_writes_curves(workspace):
     assert (ws / "lc" / "lcurve_ab.csv").exists()
 
 
-def test_lcurve_requires_density_profile(tmp_path, monkeypatch):
+def test_lcurve_requires_density_profile(tmp_path, monkeypatch, capsys):
     # checked before the reference forward solve, which would raise here
     def no_solve(*args, **kwargs):
         raise AssertionError("forward solve before the input check")
 
     monkeypatch.setattr(cli, "forward_fixed_point", no_solve)
     cfg = tmp_path / "nolc.cfg"
-    cfg.write_text(f"out_dir = {tmp_path}\n")
-    assert cli.main(["lcurve", "--config", str(cfg)]) == cli.EXIT_INPUT
-    cfg.write_text(CONFIG.split("chord")[0] + f"out_dir = {tmp_path}\n")
-    assert cli.main(["lcurve", "--config", str(cfg)]) == cli.EXIT_INPUT
+    for text in ("", CONFIG.split("chord")[0]):
+        cfg.write_text(text + f"out_dir = {tmp_path}\n")
+        assert cli.main(["lcurve", "--config", str(cfg)]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: lcurve requires profile_ne and at least one chord\n")
 
 
 def test_zero_length_chord_in_config_is_input_error(tmp_path, capsys):

@@ -3,9 +3,9 @@ import pytest
 
 import gsrecon
 from gsrecon.errors import DegeneratePlasmaError, NoPlasmaError
-from gsrecon.geometry import (_fit_operator, _refine, boundary_flux,
-                              find_axis, find_xpoint, make_plasma_domain,
-                              normalized_flux, quadrature_points)
+from gsrecon.geometry import (PlasmaDomain, _fit_operator, _refine,
+                              boundary_flux, find_axis, find_xpoint,
+                              make_plasma_domain, quadrature_points)
 
 
 def paraboloid(mesh, r0=2.5, z0=0.0):
@@ -245,10 +245,10 @@ def test_plasma_domain_of_rounding_noise_is_refused(mesh, depth):
 
 def test_normalized_flux_endpoints():
     psi = np.array([5.0, 3.0, 1.0])
-    pb = normalized_flux(psi, 5.0, 1.0)
+    pb = PlasmaDomain(5.0, 1.0, (2.5, 0.0)).normalize(psi)
     np.testing.assert_allclose(pb, [0.0, 0.5, 1.0])
     with pytest.raises(DegeneratePlasmaError):
-        normalized_flux(psi, 2.0, 2.0)
+        PlasmaDomain(2.0, 2.0, (2.5, 0.0)).normalize(psi)
 
 
 def test_quadrature_weights_sum_to_area(mesh):

@@ -397,7 +397,8 @@ def _source_matrix_f_fill(squad, psibar_qp, basis, lam, r0, rows):
 
 def _polarimetry_observer_sparse(chords, basis, ne_coeffs, psibar_nodal):
     """The polarimetry rows as the sparse N_c x n matrix R diag(coef) D."""
-    pb, mask = chords.plasma_points(psibar_nodal)
+    pb = chords.S @ psibar_nodal
+    mask = pb <= 1.0
     ne_vals = basis.eval_many(pb[mask]) @ ne_coeffs
     coef = np.zeros(len(pb))
     coef[mask] = chords.w[mask] * ne_vals / chords.r[mask]
