@@ -149,11 +149,12 @@ def picard(step, psi, tol, max_iter, records):
 
     ``step(psi, rec)`` returns the next flux g and its :class:`Iteration`,
     ``rec`` being the previous one (None at first); each is appended to
-    ``records`` with its relative residual |g - psi| / |psi| (absolute
-    while psi is zero), and the loop stops once that is at most ``tol`` or
-    after ``max_iter`` steps, returning the last g.  Otherwise the next
-    iterate is the type-II Anderson update g - dG gamma (Walker & Ni 2011),
-    r = g - psi, gamma the least-squares fit dR gamma ~ r over the
+    ``records`` with its relative residual |g - psi| / |psi|, 1 for a step
+    from psi = 0 (|g - psi| / |g| for any g != 0, so a cold start never
+    stops at its first step), and the loop stops once that is at most
+    ``tol`` or after ``max_iter`` steps, returning the last g.  Otherwise
+    the next iterate is the type-II Anderson update g - dG gamma (Walker &
+    Ni 2011), r = g - psi, gamma the least-squares fit dR gamma ~ r over the
     differences of the last ``ANDERSON_DEPTH`` (r, g) pairs, whose history
     is cleared while psi is zero and whenever |r| grows.  A GsReconError
     from ``step`` propagates with the flux it was called on as its ``psi``;
@@ -171,7 +172,7 @@ def picard(step, psi, tol, max_iter, records):
             raise
         r = g - psi
         norm, r_norm = np.linalg.norm(psi), np.linalg.norm(r)
-        rec = replace(rec, residual=r_norm / (norm if norm > 0 else 1.0))
+        rec = replace(rec, residual=r_norm / norm if norm > 0 else 1.0)
         records.append(rec)
         if rec.residual <= tol or it == max_iter - 1:
             return g

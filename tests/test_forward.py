@@ -97,7 +97,7 @@ def test_picard_returns_last_step_output():
     assert [r.lam for r in records] == [1.0, 2.0, 3.0, 4.0]
     residuals = [r.residual for r in records]
     psi_in, out = seen["in"], seen["out"]
-    assert residuals[0] == np.linalg.norm(out[0])    # absolute from zero flux
+    assert residuals[0] == 1.0     # |g - psi| / |g| from zero flux
     assert residuals[1] == (np.linalg.norm(out[1] - psi_in[1])
                             / np.linalg.norm(psi_in[1]))
     # no mixing while psi = 0: the step from zero flux leaves no pair, so
