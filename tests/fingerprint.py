@@ -7,8 +7,8 @@ psi, lam, a, b, c, residuals, lam history, costs and iteration count),
 the profile table of the reference and of each reconstruction, and, at
 20x20, a replicate_stats batch.  At 20x20 an L-curve line hashes x, y,
 corner_eps and flat of the density and A/B L-curves on the 1 %-noise data
-over 21 log-spaced eps from 1e-5 to 1.  A second line per mesh size hashes the
-mesh-fixed set-up tables: the edge index, the node neighbors, the point
+over 21 log-spaced eps from 1e-5 to 1.  A second line per mesh size hashes
+the mesh-fixed set-up tables: the edge index, the node neighbors, the point
 locator's bins, the limiter matrix, the mid-edge quadrature with its P, Pa
 and Pb, the stiffness matrix, the Neumann observer C0 and the chords' S, D
 and R.  ``tests/fingerprint.txt`` holds the lines of the committed code; a

@@ -5,7 +5,7 @@ became records (the residual, lambda and cost attributes were then side
 lists and an after-loop rebuild), as float.hex strings: reading them from
 the records must not move a bit.  The one exception is the first residual
 of a cold start, a step from zero flux, which is 1 since the stop rule
-measures it relative to the step's output (it was |g|, absolute).
+measures it relative to the step's output.
 """
 
 import dataclasses
