@@ -134,6 +134,37 @@ def test_reconstruct_realtime_runs_two_iterations(workspace, capsys):
     assert "iteration 2:" in out and "iteration 3:" not in out
 
 
+def test_reconstruct_without_convergence_exits_2(workspace, tmp_path):
+    ws, cfg = workspace
+    code = cli.main(["reconstruct", "--config", str(cfg),
+                     "--measurements", str(ws / "measurements.txt"),
+                     "--set", "max_iter=2", "--set", f"out_dir={tmp_path}"])
+    assert code == cli.EXIT_NOCONV
+    summary = (tmp_path / "reconstruction_summary.txt").read_text()
+    assert "converged False" in summary.splitlines()
+
+
+def test_reconstruct_failure_exits_2_without_output(workspace, tmp_path,
+                                                    capsys):
+    # boundary flux values of 1e300 overflow the normal equation: the
+    # failure comes back as result.error, and nothing is written
+    ws, cfg = workspace
+    lines = (ws / "measurements.txt").read_text().splitlines()
+    k = next(i for i, ln in enumerate(lines) if ln.startswith("gD "))
+    n = int(lines[k].split()[1])
+    lines[k + 1:k + 1 + n] = ["1e300"] * n
+    big = tmp_path / "big.txt"
+    big.write_text("\n".join(lines))
+    out = tmp_path / "out"
+    code = cli.main(["reconstruct", "--config", str(cfg),
+                     "--measurements", str(big), "--set", f"out_dir={out}"])
+    assert code == cli.EXIT_NOCONV
+    assert capsys.readouterr().err == ("reconstruction failed: penalized "
+                                       "least squares overflow at this data "
+                                       "scale\n")
+    assert not out.exists()
+
+
 def test_reconstruct_missing_measurements(workspace):
     _, cfg = workspace
     assert cli.main(["reconstruct", "--config", str(cfg),
