@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 import gsrecon
 from gsrecon.basis import ProfileExpansion, SplineBasis
-from gsrecon.errors import (DivergentLambdaError, EmptySourceError,
-                            MeshParseError)
+from gsrecon.errors import (ConvergenceError, DivergentLambdaError,
+                            EmptySourceError, MeshParseError)
 from gsrecon.fem import Factorization
 from gsrecon.forward import (ANDERSON_DEPTH, Iteration, MachineParams,
                              SourceQuadrature, assemble_source_matrix,
@@ -32,8 +32,15 @@ def test_machine_params_reject_non_finite(field, value):
 
 
 def test_lambda_from_integral_rejects_vanishing():
-    with pytest.raises(DivergentLambdaError):
-        lambda_from_integral(1e6, 0.0, 2.0)
+    # an integral at rounding level of the size of its terms, or zero
+    for integral, size in ((0.0, 2.0), (1e-20, 1.0), (0.0, 0.0)):
+        with pytest.raises(DivergentLambdaError):
+            lambda_from_integral(1e6, integral, size)
+
+
+def test_lambda_from_integral_accepts_any_scale():
+    # the guard is relative to the terms' size, not to the mesh's units
+    assert lambda_from_integral(1e6, 1e-300, 1e-300) == 1e6 / 1e-300
 
 
 _COEF = st.floats(0.1, 2.0)
@@ -236,6 +243,16 @@ def test_forward_rejects_bad_boundary_flux(twin_mesh, machine, monkeypatch,
     monkeypatch.setattr(Factorization, "solve", no_solve)
     with pytest.raises(ValueError, match="one finite value per boundary"):
         forward_fixed_point(twin_mesh, machine, a_ref, b_ref, g_d)
+
+
+def test_forward_without_convergence_raises(twin_mesh, machine, basis):
+    g_d = np.zeros(len(twin_mesh.boundary))
+    with pytest.raises(ConvergenceError) as info:
+        forward_fixed_point(twin_mesh, machine, a_ref, b_ref, g_d,
+                            max_iter=2, basis=basis)
+    assert str(info.value) == ("no convergence after 2 iterations "
+                               "(last residual 4.929e-02)")
+    assert info.value.__cause__ is None
 
 
 def test_boundary_flux_shift_shifts_forward_solution(twin_mesh, machine,

@@ -32,7 +32,8 @@ def unscaled(setup, clean_measurements):
     return out
 
 
-@pytest.mark.parametrize("k", [-40, -27, 27, 40])
+@pytest.mark.parametrize(
+    "k", [-200, -60, -46, -45, -40, -27, 27, 40, 60, 200])
 @pytest.mark.parametrize("data", list(NOISE))
 def test_magnetic_data_scaling_scales_psi_and_lambda(setup, unscaled, data,
                                                      k):
