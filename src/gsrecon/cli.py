@@ -122,8 +122,6 @@ def _get_list(cfg, key):
 
 def _profile_func(cfg, key, default=None):
     if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing profile samples: {key}")
         return default
     with _config_values(key):
         vals = np.array([float(v) for v in str(cfg[key]).split(",")])

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .errors import FactorizationError, StateError
+from .errors import FactorizationError
 
 MU0 = 4e-7 * np.pi
 # on 2 vCPUs the split gains nothing at 39 k nonzeros (40x40) and 15 % at 67 k
@@ -28,10 +28,11 @@ _workers = {}   # pid -> worker; a forked child's inherited one never runs
 
 @dataclass
 class StiffnessMatrix:
+    """The stiffness matrix with its Dirichlet rows imposed, as
+    :func:`impose_dirichlet` gives it and :func:`factorize` takes it."""
     mat: sp.csr_matrix
-    dirichlet_applied: bool
     constrained_rows: np.ndarray
-    dirichlet_scale: float = 1.0
+    dirichlet_scale: float
 
 
 class Factorization:
@@ -111,34 +112,29 @@ def assemble_stiffness(mesh, mu0=MU0):
     local *= coef[:, None, None]
     rows = np.repeat(tris, 3, axis=1).reshape(-1)
     cols = np.tile(tris, (1, 3)).reshape(-1)
-    K = sp.coo_matrix((local.reshape(-1), (rows, cols)),
-                      shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
-    return StiffnessMatrix(K, False, np.array([], dtype=np.int64))
+    return sp.coo_matrix((local.reshape(-1), (rows, cols)),
+                         shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
 
 
-def impose_dirichlet(stiff, boundary_ids):
-    """Replace each constrained row by a scaled identity row.
+def impose_dirichlet(K, boundary_ids):
+    """:class:`StiffnessMatrix` of ``K`` with each constrained row replaced
+    by a scaled identity row.
 
     The scale matches the typical stiffness diagonal so the modified matrix
     stays well conditioned; :meth:`Factorization.lift` reapplies it to the
     boundary values."""
-    if stiff.dirichlet_applied:
-        raise StateError("Dirichlet rows already imposed")
     boundary_ids = np.asarray(boundary_ids, dtype=np.int64)
-    n = stiff.mat.shape[0]
-    scale = float(np.abs(stiff.mat.diagonal()).mean()) or 1.0
+    n = K.shape[0]
+    scale = float(np.abs(K.diagonal()).mean()) or 1.0
     keep = np.ones(n)
     keep[boundary_ids] = 0.0
-    zero_rows = sp.diags(keep) @ stiff.mat
     ident = sp.coo_matrix((np.full(len(boundary_ids), scale),
                            (boundary_ids, boundary_ids)), shape=(n, n))
-    K = (zero_rows + ident).tocsr()
-    return StiffnessMatrix(K, True, boundary_ids, scale)
+    return StiffnessMatrix((sp.diags(keep) @ K + ident).tocsr(),
+                           boundary_ids, scale)
 
 
 def factorize(stiff):
-    if not stiff.dirichlet_applied:
-        raise StateError("factorize requires the Dirichlet-modified matrix")
     try:
         # minimum degree on A^T + A (symmetric but for the Dirichlet rows)
         lu = splu(stiff.mat.tocsc(), permc_spec="MMD_AT_PLUS_A")

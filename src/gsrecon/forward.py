@@ -111,8 +111,10 @@ def mesh_operators(mesh, mu0, r0):
     return mesh._cache[key]
 
 
-def lambda_from_integral(ip, integral, area):
-    if abs(integral) < 1e-14 * max(area, 1.0):
+def lambda_from_integral(ip, integral, size):
+    """ip / integral; DivergentLambdaError unless the integral exceeds
+    1e-14 of ``size``, the sum of its terms' magnitudes."""
+    if abs(integral) <= 1e-14 * size:
         raise DivergentLambdaError(
             "plasma-current integral vanishes; cannot scale to Ip")
     return ip / integral
@@ -205,7 +207,8 @@ def forward_fixed_point(mesh, machine, a_func, b_func, g_d, tol=1e-6,
         x = np.clip(pq, 0.0, 1.0)
         y = assemble_source_vector(squad, pq, np.asarray(a_func(x), float),
                                    np.asarray(b_func(x), float))
-        lam = lambda_from_integral(machine.ip, float(y.sum()), mesh.area())
+        lam = lambda_from_integral(machine.ip, float(y.sum()),
+                                   np.abs(y).sum())
         return fact.solve(lam * y) + lift, Iteration(lam, domain)
 
     def step(psi, _):

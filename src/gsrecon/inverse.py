@@ -136,8 +136,9 @@ def flux_state(setup, psi, domain, u, use_internal, ip):
                     else np.where(setup._node_in_limiter, 0.0, 2.0))
     Y = assemble_source_matrix(
         setup.squad, setup.squad.psibar_qp(psibar_nodal), setup.basis)
+    col = Y.sum(axis=0)
     u, lam = rescale_dofs(u, lambda_from_integral(
-        ip, float(Y.sum(axis=0) @ u), setup.mesh.area()))
+        ip, float(col @ u), np.abs(col) @ np.abs(u)))
     Y *= lam
     k_inv_y = setup.fact.solve_multi(Y)
     E = setup.c0 @ k_inv_y

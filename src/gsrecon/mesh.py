@@ -115,11 +115,6 @@ class Mesh:
             self._cache["areas"] = triangle_areas(self.nodes, self.triangles)
         return self._cache["areas"]
 
-    def area(self):
-        if "area" not in self._cache:
-            self._cache["area"] = float(self.areas().sum())
-        return self._cache["area"]
-
     def boundary_length(self):
         pts = self.nodes[self.boundary]
         d = np.diff(np.vstack([pts, pts[:1]]), axis=0)

@@ -114,7 +114,7 @@ def build_chord_geometries(mesh, chords, step=None):
     with spacing <= ``step`` (default: half the typical edge length, which
     resolves the plasma cutoff)."""
     if step is None:
-        step = 0.5 * np.sqrt(2.0 * mesh.area() / len(mesh.triangles))
+        step = 0.5 * np.sqrt(2.0 * mesh.areas().sum() / len(mesh.triangles))
     return ChordSet(mesh, chords, step)
 
 
@@ -142,8 +142,6 @@ def build_neumann_observer(mesh):
     pairs = incidence[nodes].tocoo()
     k, t, area = pairs.row, pairs.col, pairs.data
     wsum = np.bincount(k, weights=area, minlength=len(nodes))
-    if np.any(wsum == 0):
-        raise ValueError("boundary node without an incident triangle")
     normals = mesh.boundary_normals()[k]
     grads = mesh.grads()[t]
     rows = ((normals[:, 0, None] * grads[:, 0]

@@ -71,7 +71,7 @@ def setup_fingerprint(setup):
          locator._start, squad.qp_nodes, squad.qp_bary, squad.qp_w,
          squad.qp_r, squad.qp_z)
     feed_sparse(h, mesh.limiter_matrix(), squad.P, squad.Pa, squad.Pb,
-                assemble_stiffness(mesh, setup.machine.mu0).mat, setup.c0,
+                assemble_stiffness(mesh, setup.machine.mu0), setup.c0,
                 chords.S, chords.D, chords.R)
     return h.hexdigest()
 

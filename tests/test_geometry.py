@@ -256,7 +256,7 @@ def test_quadrature_weights_sum_to_area(mesh):
     # one point per edge
     np.testing.assert_array_equal(nodes, mesh.edge_index()[0])
     assert len(w) == len(bary) == len(qr) == len(qz) == len(nodes)
-    assert w.sum() == pytest.approx(mesh.area(), rel=1e-12)
+    assert w.sum() == pytest.approx(mesh.areas().sum(), rel=1e-12)
     np.testing.assert_allclose(bary.sum(axis=1), 1.0, atol=1e-14)
     assert qr.min() >= 2.0 and qr.max() <= 3.0
 
@@ -265,5 +265,5 @@ def test_quadrature_is_degree_one_exact(mesh):
     # mid-edge rule integrates linear fields exactly
     _, bary, w, qr, qz = quadrature_points(mesh)
     integral = float(np.sum(w * (2.0 * qr + 3.0 * qz)))
-    exact = 2.0 * 2.5 * mesh.area()            # centroid r = 2.5, z = 0
+    exact = 2.0 * 2.5 * mesh.areas().sum()     # centroid r = 2.5, z = 0
     assert integral == pytest.approx(exact, rel=1e-12)

@@ -130,7 +130,7 @@ def _make_chord_loop(p0, p1, step):
 
 
 def _default_step(mesh):
-    return 0.5 * np.sqrt(2.0 * mesh.area() / len(mesh.triangles))
+    return 0.5 * np.sqrt(2.0 * mesh.areas().sum() / len(mesh.triangles))
 
 
 class _ChordGeometryLoop:
