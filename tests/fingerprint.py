@@ -11,7 +11,11 @@ over 21 log-spaced eps from 1e-5 to 1.  A second line per mesh size hashes
 the mesh-fixed set-up tables: the edge index, the node neighbors, the point
 locator's bins, the limiter matrix, the mid-edge quadrature with its P, Pa
 and Pb, the stiffness matrix, the Neumann observer C0 and the chords' S, D
-and R.  ``tests/fingerprint.txt`` holds the lines of the committed code; a
+and R.  A basis line, printed first, hashes ``SplineBasis.eval_many`` on a
+fixed point set (the knots, their floating-point neighbours, points outside
+[0, 1], a NaN and a uniform grid) for degrees 1 to 5, and
+``regularization_matrix`` for degrees 2 to 5, each at three dimensions m.
+``tests/fingerprint.txt`` holds the lines of the committed code; a
 change that moves bits updates it and says why.  Run from the repository
 root and compare:
 
@@ -31,7 +35,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import gsrecon  # noqa: E402
 from conftest import CHORDS, LIMITER, a_ref, b_ref, ne_ref  # noqa: E402
-from gsrecon.basis import SplineBasis  # noqa: E402
+from gsrecon.basis import (SplineBasis,  # noqa: E402
+                           regularization_matrix)
 from gsrecon.diagnostics import profile_table  # noqa: E402
 from gsrecon.fem import assemble_stiffness  # noqa: E402
 from gsrecon.forward import MachineParams, forward_fixed_point  # noqa: E402
@@ -95,6 +100,23 @@ def lcurve_fingerprint(setup, eq, ms):
     return h.hexdigest()
 
 
+def basis_fingerprint():
+    """sha256 over basis values and curvature penalties of degrees 1-5."""
+    h = hashlib.sha256()
+    for p in range(1, 6):
+        for m in (p + 1, p + 4, 12):
+            basis = SplineBasis(degree=p, m=m)
+            t = basis.knots
+            xs = np.concatenate([t, np.nextafter(t, -np.inf),
+                                 np.nextafter(t, np.inf),
+                                 [-0.5, 1.5, np.nan],
+                                 np.linspace(0.0, 1.0, 1001)])
+            feed(h, basis.eval_many(xs))
+            if p >= 2:
+                feed(h, regularization_matrix(basis))
+    return h.hexdigest()
+
+
 def fingerprint(n):
     h = hashlib.sha256()
     mesh = gsrecon.build_rect_mesh(2.0, 3.0, -1.2, 1.2, n, n,
@@ -131,6 +153,7 @@ def fingerprint(n):
 
 
 if __name__ == "__main__":
+    print(f"basis {basis_fingerprint()}", flush=True)
     for n in SIZES:
         outputs, tables, lcurves = fingerprint(n)
         print(f"{n}x{n} {outputs}", flush=True)
