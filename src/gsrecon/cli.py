@@ -14,7 +14,6 @@ import sys
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from . import forward, mesh as meshmod, twin as twinmod
 from .basis import SplineBasis
@@ -123,6 +122,7 @@ def _get_list(cfg, key):
 def _profile_func(cfg, key, default=None):
     if key not in cfg:
         return default
+    from scipy.interpolate import PchipInterpolator
     with _config_values(key):
         vals = np.array([float(v) for v in str(cfg[key]).split(",")])
         xs = np.linspace(0.0, 1.0, len(vals))

@@ -127,8 +127,10 @@ def extract_contour(mesh, psibar, levels, axis, psi):
     mid = 0.5 * (pts[:, 0] + pts[:, 1])
     g = np.einsum("tij,tj->ti", mesh.grads(),
                   np.asarray(psi, dtype=np.float64)[mesh.triangles])
-    dl_bp = np.hypot(d[:, 0], d[:, 1]) / (np.hypot(g[:, 0], g[:, 1])[tri]
-                                          / mid[:, 0])
+    # a vanishing B_p makes dl / B_p infinite: refused below, not warned of
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        dl_bp = np.hypot(d[:, 0], d[:, 1]) / (
+            np.hypot(g[:, 0], g[:, 1])[tri] / mid[:, 0])
     if not np.isfinite(dl_bp).all():
         raise DegeneratePlasmaError("degenerate flux surface (vanishing B_p)")
     return found, level, mid, dl_bp
@@ -240,8 +242,9 @@ def profile_table(mesh, psi, domain, profiles, lam, machine, n_grid=101,
     inv_r2 = _fill_ends(grid, at, geom / _loop_sums(contours, dl_bp))
     qgeom = _fill_ends(grid, at, geom)
 
-    a_vals = profiles.eval("A", grid)
-    b_vals = profiles.eval("B", grid)
+    # one basis evaluation for A, B and n_e: ProfileExpansion.eval's product
+    phi = profiles.basis.eval_many(grid)
+    a_vals, b_vals = phi @ profiles.a, phi @ profiles.b
     f_vals = integrate_f(b_vals, lam, domain.psi_a, domain.psi_b,
                          machine.b0, machine.r0, machine.mu0, grid)
     return {
@@ -253,7 +256,7 @@ def profile_table(mesh, psi, domain, profiles, lam, machine, n_grid=101,
         "q": safety_factor(qgeom, f_vals),
         "f": f_vals,
         "ne": (np.full(n_grid, np.nan) if profiles.c is None
-               else profiles.eval("ne", grid)),
+               else phi @ profiles.c),
     }
 
 

@@ -14,7 +14,8 @@ and Pb, the stiffness matrix, the Neumann observer C0 and the chords' S, D
 and R.  A basis line, printed first, hashes ``SplineBasis.eval_many`` on a
 fixed point set (the knots, their floating-point neighbours, points outside
 [0, 1], a NaN and a uniform grid) for degrees 1 to 5, and
-``regularization_matrix`` for degrees 2 to 5, each at three dimensions m.
+``regularization_matrix`` for degrees 2 to 5, each at three dimensions m:
+the bits of the package's own spline kernel, whatever scipy is installed.
 ``tests/fingerprint.txt`` holds the lines of the committed code; a
 change that moves bits updates it and says why.  Run from the repository
 root and compare:

@@ -23,6 +23,11 @@ def test_knot_vector_rejects_small_m():
         open_uniform_knots(3, 3)
 
 
+def test_negative_degree_is_refused():
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        SplineBasis(degree=-1, m=8)
+
+
 def test_replace_builds_open_uniform_basis():
     basis = dataclasses.replace(BASIS, m=10)
     assert (basis.degree, basis.m, basis.end_constraint) == (3, 10, True)

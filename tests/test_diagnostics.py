@@ -190,6 +190,17 @@ def test_smallest_table_grid():
     np.testing.assert_array_equal(grid[at], [1 / 3, 2 / 3])
 
 
+def test_vanishing_poloidal_field_is_refused_without_warning():
+    # a closed level of psibar on a flat psi: B_p = 0 on the whole contour
+    # gives the typed error, not a divide-by-zero warning (an error under
+    # the suite's warning filter)
+    mesh = gsrecon.build_rect_mesh(2.0, 3.0, -1.0, 1.0, 4, 4)
+    psibar = np.hypot(mesh.nodes[:, 0] - 2.5, mesh.nodes[:, 1]) / 0.8
+    with pytest.raises(DegeneratePlasmaError, match="vanishing B_p"):
+        extract_contour(mesh, psibar, [0.5], (2.5, 0.0),
+                        psi=np.zeros(mesh.n_nodes))
+
+
 def test_non_finite_flux_is_refused_by_name(basis, machine):
     # a bowl with two NaN nodes: the contour pass would meet crossed edges
     # without segments, so both entry points refuse the flux up front

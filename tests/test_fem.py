@@ -6,9 +6,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import gsrecon
 from gsrecon import fem
+from gsrecon.errors import FactorizationError
 
 
 def _solve_dirichlet(mesh, exact):
@@ -63,6 +65,22 @@ def test_solve_rejects_wrong_length(small_mesh):
     fact = fem.factorize(stiff)
     with pytest.raises(ValueError):
         fact.solve(np.zeros(3))
+
+
+def test_solve_multi_rejects_wrong_row_count(small_mesh):
+    stiff = fem.impose_dirichlet(fem.assemble_stiffness(small_mesh),
+                                 small_mesh.boundary)
+    fact = fem.factorize(stiff)
+    with pytest.raises(ValueError, match="columns must have"):
+        fact.solve_multi(np.zeros((small_mesh.n_nodes + 1, 2)))
+
+
+def test_singular_matrix_is_a_factorization_error(small_mesh):
+    n = small_mesh.n_nodes
+    stiff = fem.StiffnessMatrix(sp.csr_matrix((n, n)), small_mesh.boundary,
+                                1.0)
+    with pytest.raises(FactorizationError, match="exactly singular"):
+        fem.factorize(stiff)
 
 
 def test_solve_does_not_mutate_rhs(small_mesh):

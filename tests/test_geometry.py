@@ -158,6 +158,12 @@ def test_axis_requires_interior_maximum(mesh):
         find_axis(mesh, mesh.nodes[:, 0])      # maximal on the boundary
 
 
+def test_axis_needs_interior_nodes():
+    mesh = gsrecon.build_rect_mesh(2.0, 3.0, -1.0, 1.0, 1, 1)
+    with pytest.raises(NoPlasmaError, match="no interior nodes"):
+        find_axis(mesh, np.zeros(mesh.n_nodes))
+
+
 def test_saddle_point_detected(mesh):
     r, z = mesh.nodes[:, 0], mesh.nodes[:, 1]
     psi = (r - 2.5) ** 2 - z ** 2

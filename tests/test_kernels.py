@@ -1,10 +1,12 @@
 """Behaviour of the two numeric kernels: batch B-spline evaluation
-(``SplineBasis.eval_many``) and source-matrix assembly."""
+(``SplineBasis.eval_many``, with the curvature penalty built on it) and
+source-matrix assembly.  scipy's BSpline, which the package no longer
+imports, is the reference the basis values are compared with bit for bit."""
 
 import numpy as np
 from scipy.interpolate import BSpline
 
-from gsrecon.basis import SplineBasis
+from gsrecon.basis import _BLOCK, SplineBasis, regularization_matrix
 from gsrecon.forward import SourceQuadrature, assemble_source_matrix
 
 BASIS = SplineBasis(end_constraint=True)
@@ -18,7 +20,7 @@ def _design_matrix_eval(basis, xs):
 
 
 def test_bspline_batch_matches_scipy():
-    bases = [SplineBasis(degree=p, m=m) for p in range(1, 6)
+    bases = [SplineBasis(degree=p, m=m) for p in range(0, 6)
              for m in range(p + 1, p + 12)]
     rng = np.random.default_rng(0)
     for basis in bases:
@@ -30,6 +32,54 @@ def test_bspline_batch_matches_scipy():
         ref = _design_matrix_eval(basis, xs)
         assert ours.shape == ref.shape == (len(xs), basis.m)
         assert ours.dtype == ref.dtype and ours.tobytes() == ref.tobytes()
+
+
+def test_bspline_nan_gives_nan_row():
+    # as scipy's BSpline.__call__: the NaN rows are NaN in every column,
+    # the other rows keep their values
+    for p in range(0, 6):
+        basis = SplineBasis(degree=p, m=p + 4)
+        xs = np.array([0.3, np.nan, 1.0, np.nan])
+        ours = basis.eval_many(xs)
+        ref = BSpline(basis.knots, np.eye(basis.m), p)(xs)
+        assert np.isnan(ours[[1, 3]]).all()
+        assert ours.tobytes() == ref.tobytes()
+
+
+def test_bspline_batch_spans_blocks():
+    # more points than one de Boor pass takes, NaNs in two blocks
+    rng = np.random.default_rng(1)
+    xs = rng.random(2 * _BLOCK + 7)
+    xs[[5, _BLOCK + 3]] = np.nan
+    ref = BSpline(BASIS.knots, np.eye(BASIS.m), BASIS.degree)(xs)
+    assert BASIS.eval_many(xs).tobytes() == ref.tobytes()
+
+
+def _scipy_regularization_matrix(basis):
+    """The frozen penalty: scipy's second-derivative spline on the same
+    per-span Gauss rule."""
+    t, p, m = basis.knots, basis.degree, basis.m
+    npts = max(2, p - 1)
+    gx, gw = np.polynomial.legendre.leggauss(npts)
+    spans = np.unique(t)
+    lam = np.zeros((m, m))
+    d2 = BSpline(t, np.eye(m), p).derivative(2)
+    for a, b in zip(spans[:-1], spans[1:]):
+        xs = 0.5 * (b - a) * gx + 0.5 * (a + b)
+        ws = 0.5 * (b - a) * gw
+        vals = d2(xs).T
+        lam += (vals * ws) @ vals.T
+    return 0.5 * (lam + lam.T)
+
+
+def test_regularization_matrix_matches_scipy():
+    for p in range(2, 6):
+        for m in range(p + 1, p + 7):
+            basis = SplineBasis(degree=p, m=m)
+            ours = regularization_matrix(basis)
+            ref = _scipy_regularization_matrix(basis)
+            assert ours.shape == ref.shape == (m, m)
+            assert ours.tobytes() == ref.tobytes(), (p, m)
 
 
 def test_bspline_batch_clamps():

@@ -63,6 +63,13 @@ def test_mesh_validation_rejects_bad_triangle():
         Mesh(nodes, np.array([[0, 1, 9]]), np.array([0, 1, 2]), nodes)
 
 
+def test_mesh_validation_rejects_boundary_index_out_of_range():
+    nodes = np.array([[2.0, 0.0], [3.0, 0.0], [2.5, 1.0]])
+    with pytest.raises(MeshValidationError,
+                       match="boundary references node index out of range"):
+        Mesh(nodes, np.array([[0, 1, 2]]), np.array([0, 1, 3]), nodes)
+
+
 def test_mesh_validation_rejects_limiter_outside_mesh():
     with pytest.raises(MeshValidationError,
                        match=r"limiter point \(3\.5, 0\) outside"):

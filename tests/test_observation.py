@@ -209,6 +209,9 @@ def test_measurement_set_validation():
     with pytest.raises(ValueError):
         MeasurementSet(np.zeros(4), np.array([np.nan]), np.zeros(0),
                        np.zeros(0), 1e6, 2.0)
+    with pytest.raises(ValueError, match="at least one Neumann point"):
+        MeasurementSet(np.zeros(4), np.zeros(0), np.zeros(0), np.zeros(0),
+                       1e6, 2.0)
     for ip, b0 in [(0.0, 2.0), (np.nan, 2.0), (np.inf, 2.0), (1e6, np.nan)]:
         with pytest.raises(ValueError, match="Ip must be"):
             MeasurementSet(np.zeros(4), np.zeros(1), np.zeros(0),
