@@ -96,6 +96,17 @@ def parse_config(path=None, overrides=()):
             cfg[key] = val
         else:
             raise ConfigError(f"config line {ln}: unknown key {key!r}")
+    # every value through the reader its subcommands apply, numbers as the
+    # type of their default: a bad one is an input error whatever the command
+    for key, default in DEFAULTS.items():
+        if isinstance(default, (int, float)):
+            _get(cfg, key, type(default))
+    for key in ("profile_a", "profile_b", "profile_ne"):
+        _profile_func(cfg, key)
+    if "g_d_const" in cfg:
+        _get(cfg, "g_d_const")
+    _get_list(cfg, "eps_list"), _limiter(cfg), _machine(cfg), _reg(cfg)
+    _basis(cfg)
     return cfg
 
 
@@ -371,8 +382,8 @@ def build_parser():
     common(pr)
     pr.add_argument("--measurements", required=True)
     pr.add_argument("--realtime", action="store_true",
-                    help="cold start cut after realtime_iters iterations "
-                    "(exits 0 unconverged; not warm-started)")
+                    help="cold start cut after realtime_iters iterations, "
+                    "n_e from the second (exits 0 unconverged; no warm start)")
     pr.add_argument("--magnetics-only", action="store_true")
     pr.set_defaults(func=cmd_reconstruct)
 

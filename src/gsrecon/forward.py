@@ -66,13 +66,14 @@ class Equilibrium:
 
 class SourceQuadrature:
     """The mid-edge rule of :func:`geometry.quadrature_points` (one point
-    per mesh edge) with its operators, plus the normalized flux and mask
-    evaluation for the current iterate.
+    per mesh edge) with its operators and the one cold start.
 
     ``P`` is the sparse (Q, n) interpolation matrix to the midpoints (two
-    0.5 entries per row).  ``Pa`` = P^T diag(w r/r0) and ``Pb`` =
-    P^T diag(w r0/r) scatter the values of A and of B at the points onto
-    the nodal load.
+    0.5 entries per row), ``P @ psibar`` the normalized flux there.  ``Pa``
+    = P^T diag(w r/r0) and ``Pb`` = P^T diag(w r0/r) scatter the values of
+    A and of B at the points onto the nodal load.  ``cold_psibar``
+    (read-only) is 0 at the points inside the limiter contour and 2
+    outside: the first source of both Picard loops, whose flux has no axis.
     """
 
     def __init__(self, mesh, r0):
@@ -83,20 +84,9 @@ class SourceQuadrature:
         self.Pa, self.Pb = self.P.T.tocsr(), self.P.T.tocsr()
         self.Pa.data *= (self.qp_w * self.qp_r / r0)[self.Pa.indices]
         self.Pb.data *= (self.qp_w * r0 / self.qp_r)[self.Pb.indices]
-        pts = np.column_stack([self.qp_r, self.qp_z])
-        self._inside_limiter = point_in_polygon(pts, mesh.limiter)
-
-    def psibar_qp(self, psibar_nodal):
-        """Normalized flux at the quadrature points (P1 interpolation)."""
-        return self.P @ psibar_nodal
-
-    def bootstrap_psibar_qp(self):
-        """Cold-start surrogate: psibar 0 inside the limiter contour, 2
-        outside, used on the first iteration when the flux map is still
-        constant and carries no axis."""
-        out = np.full(len(self.qp_w), 2.0)
-        out[self._inside_limiter] = 0.0
-        return out
+        self.cold_psibar = np.where(point_in_polygon(np.column_stack(
+            [self.qp_r, self.qp_z]), mesh.limiter), 0.0, 2.0)
+        self.cold_psibar.flags.writeable = False
 
 
 def mesh_operators(mesh, mu0, r0):
@@ -213,10 +203,10 @@ def forward_fixed_point(mesh, machine, a_func, b_func, g_d, tol=1e-6,
 
     def step(psi, _):
         domain = make_plasma_domain(mesh, psi)
-        return picard_map(squad.psibar_qp(domain.normalize(psi)), domain)
+        return picard_map(squad.P @ domain.normalize(psi), domain)
 
-    # the cold-start surrogate's solve, not an iteration: it has no record
-    psi, records = picard_map(squad.bootstrap_psibar_qp())[0], []
+    # the cold start's solve, not an iteration: it has no record
+    psi, records = picard_map(squad.cold_psibar)[0], []
     try:
         psi = picard(step, psi, tol, max_iter, records)
     except GsReconError as exc:

@@ -14,7 +14,6 @@ from .errors import (GsReconError, MeasurementCountError,
 from .forward import (Equilibrium, Iteration, assemble_source_matrix,
                       lambda_from_integral, mesh_operators, picard)
 from .geometry import finite_flux, make_plasma_domain
-from .mesh import point_in_polygon
 from .observation import (build_chord_geometries, build_interferometry_matrix,
                           build_neumann_observer, build_polarimetry_observer,
                           default_weights)
@@ -102,15 +101,14 @@ class ReconstructionSetup:
         # A(1)=B(1)=0 pins the last coefficients (of the one basis function
         # alive at x=1): the penalty of the free ones u = (a[:-1], b[:-1])
         self.lam_free = block_diag(*[self.lam_block[:-1, :-1]] * 2)
-        self._node_in_limiter = point_in_polygon(mesh.nodes, mesh.limiter)
         self._first = None      # (key, flux_state, domain) of the last one
 
     def first_iteration(self, psi, domain, u, use_internal, ip):
         """:func:`flux_state` of psi, its ``domain`` (found when None; none
-        for psi = 0, the cold start), free coefficients u and current ``ip``,
-        held in one slot keyed by value (domain by repr) and returned as
-        held, arrays read-only.  A psi not finite at every node raises
-        :class:`DegeneratePlasmaError`."""
+        for psi = 0, the cold start, which holds no chord arrays), free
+        coefficients u and current ``ip``, held in one slot keyed by value
+        (domain by repr) and returned as held, arrays read-only.  A psi not
+        finite at every node raises :class:`DegeneratePlasmaError`."""
         key = (psi.tobytes(), u.tobytes(), repr(domain), use_internal, ip)
         if self._first is None or self._first[0] != key:
             finite_flux(psi)
@@ -125,26 +123,26 @@ class ReconstructionSetup:
 
 def flux_state(setup, psi, domain, u, use_internal, ip):
     """((lam, u, K^-1 Y, E, B, G, D K^-1 Y), domain) of an iteration on psi
-    normalized by ``domain`` (psibar 0 in the limiter and 2 outside when
-    None), of the data only through their current ``ip``: lam scales the
+    normalized by ``domain`` (at ``squad.cold_psibar`` when None, the cold
+    start), of the data only through their current ``ip``: lam scales the
     last free u to ``ip`` by the column sums of the source matrix Y of
     psibar, then both are rescaled; K^-1 Y and E are of lam Y, B and G of
     :func:`build_interferometry_matrix`, D the chords' normal derivative
-    (the last three None without ``use_internal``).  K^-1 Y is zero on the
-    boundary: E u - f = C0 psi(u) - g_n, f = g_n - C0 K^-1 g of the lift."""
-    psibar_nodal = (domain.normalize(psi) if domain is not None
-                    else np.where(setup._node_in_limiter, 0.0, 2.0))
-    Y = assemble_source_matrix(
-        setup.squad, setup.squad.psibar_qp(psibar_nodal), setup.basis)
+    (the last three None for the cold start or without ``use_internal``).
+    K^-1 Y is zero on the boundary: E u - f = C0 psi(u) - g_n, f = g_n -
+    C0 K^-1 g of the lift."""
+    squad = setup.squad
+    psibar = None if domain is None else domain.normalize(psi)
+    Y = assemble_source_matrix(squad, squad.cold_psibar if psibar is None
+                               else squad.P @ psibar, setup.basis)
     col = Y.sum(axis=0)
     u, lam = rescale_dofs(u, lambda_from_integral(
         ip, float(col @ u), np.abs(col) @ np.abs(u)))
     Y *= lam
     k_inv_y = setup.fact.solve_multi(Y)
     E = setup.c0 @ k_inv_y
-    chord = (None, None, None) if not use_internal else (
-        *build_interferometry_matrix(setup.chord_geoms, setup.basis,
-                                     psibar_nodal),
+    chord = (None, None, None) if psibar is None or not use_internal else (
+        *build_interferometry_matrix(setup.chord_geoms, setup.basis, psibar),
         setup.chord_geoms.D @ k_inv_y)
     return (lam, u, k_inv_y, E, *chord), domain
 
@@ -170,8 +168,9 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
     depends only on ``ip`` and the start's psi, domain (a warm start's is
     that of its psi, found when None) and free coefficients a[:-1], b[:-1]
     (A(1) = B(1) = 0 pins the last ones); the setup memoizes it.  Only
-    psi = 0, the cold start, takes the limiter as the first plasma region;
-    a psi not finite at every node, or without an interior maximum, fails
+    psi = 0, the cold start, takes the forward loop's start (the limiter
+    region) and fits the magnetic rows only: n_e from iteration 2 on.  A
+    psi not finite at every node, or without an interior maximum, fails
     iteration 1.  ``lam`` is the scale of ``profiles``: the last record's u
     (the start's without one) rescaled to max|a| = 1, lam * u kept.  A
     record's ``costs`` are its two solves' terms: J0 and J1 the magnetic
@@ -210,8 +209,6 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
     start = Iteration(getattr(warm_start, "lam", 1.0), getattr(
         warm_start, "domain", None), np.concatenate([p.a[:-1], p.b[:-1]]), p.c)
     weights, n_mag = default_weights(ms, mesh.boundary_length()), len(ms.g_n)
-    w = np.repeat([weights.w_mag, weights.w_polar],
-                  [n_mag, n_c if use_internal else 0])
     k_inv_g = setup.fact.lift(ms.g_d)
     f_mag = ms.g_n - setup.c0 @ k_inv_g
     dk_inv_g = setup.chord_geoms.D @ k_inv_g if use_internal else None
@@ -222,7 +219,7 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
             else flux_state(setup, psi, make_plasma_domain(mesh, psi),
                             prev.u, use_internal, ms.ip))
         ne_coeffs, f, ne_misfit, ne_seminorm = p.c, f_mag, np.zeros(0), 0.0
-        if use_internal:
+        if b_int is not None:
             ne_coeffs, ne_misfit, ne_seminorm = identify_ne(
                 b_int, ms.gamma, weights.w_inter, reg.eps_ne,
                 setup.lam_block, reg.alpha_scale)
@@ -230,6 +227,8 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
                                                ne_coeffs)
             E = np.vstack([E, polar(dk)])
             f = np.concatenate([f, ms.alpha - polar(dk_inv_g)])
+        w = np.repeat([weights.w_mag, weights.w_polar],
+                      [n_mag, len(f) - n_mag])
         u, misfit, _ = identify_ab(E, f, w, reg.eps, setup.lam_free)
         u_hat = rescale_dofs(u, lam)[0]
         costs = {"J0": 0.5 * float(np.sum(misfit[:n_mag] ** 2)),

@@ -212,9 +212,8 @@ def l_curve_ab(setup, ms, eq, eps_grid):
     reference equilibrium ``eq``: E = C0 K^-1 (lam Y) of its flux and
     lambda, f = g_n - C0 K^-1 g, as in :func:`reconstruct`."""
     weights = default_weights(ms, setup.mesh.boundary_length())
-    squad = setup.squad
     Y = assemble_source_matrix(
-        squad, squad.psibar_qp(eq.domain.normalize(eq.psi)), setup.basis)
+        setup.squad, setup.squad.P @ eq.domain.normalize(eq.psi), setup.basis)
     E = setup.c0 @ setup.fact.solve_multi(eq.lam * Y)
     f = ms.g_n - setup.c0 @ setup.fact.lift(ms.g_d)
     w_vec = np.full(E.shape[0], weights.w_mag)

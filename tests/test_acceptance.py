@@ -75,10 +75,10 @@ def test_criterion_3_total_current_invariant(twin_mesh, machine, basis,
     squad = SourceQuadrature(twin_mesh, machine.r0)
     g = basis.greville()
     states = [
-        squad.bootstrap_psibar_qp(),
-        squad.psibar_qp(reference_eq.domain.normalize(reference_eq.psi)),
-        squad.psibar_qp(reference_eq.domain.normalize(
-            reference_eq.psi * 1.07 + 0.01 * np.abs(reference_eq.psi).max())),
+        squad.cold_psibar,
+        squad.P @ reference_eq.domain.normalize(reference_eq.psi),
+        squad.P @ reference_eq.domain.normalize(
+            reference_eq.psi * 1.07 + 0.01 * np.abs(reference_eq.psi).max()),
     ]
     profiles = [reference_eq.profiles,
                 type(reference_eq.profiles)(basis, 1.0 - g,

@@ -73,6 +73,16 @@ def test_mesh_gen(tmp_path):
     assert mesh.n_nodes == 49
 
 
+def test_mesh_gen_without_limiter_writes_the_inset_ring(tmp_path):
+    # limiter_rect = none leaves the limiter to build_rect_mesh
+    out = tmp_path / "mesh.txt"
+    assert cli.main(["mesh-gen", "--set", "limiter_rect=none", "--set", "nr=6",
+                     "--set", "nz=6", "--out", str(out)]) == cli.EXIT_OK
+    np.testing.assert_array_equal(
+        load_mesh(out).limiter,
+        build_rect_mesh(2.0, 3.0, -1.2, 1.2, 6, 6).limiter)
+
+
 def test_mesh_gen_file_solves_like_the_built_mesh(tmp_path):
     # mesh-gen writes the configured mesh, limiter included, so a forward
     # solve on the written file equals the one on the mesh built in memory
@@ -367,6 +377,21 @@ def test_limiter_around_no_source_point_is_input_error(tmp_path, capsys):
     assert cli.main(["forward", "--set", "limiter_rect=2.49 2.51 0.01",
                      "--set", f"out_dir={tmp_path}"]) == cli.EXIT_INPUT
     assert "no quadrature point" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["forward", "mesh-gen"])
+@pytest.mark.parametrize("override", [
+    "eps=abc", "seed=-5", "replicates=0", "eps_list=nan", "lcurve_points=1",
+    "alpha_scale=-1", "profile_ne=abc"])
+def test_unread_config_value_is_checked(tmp_path, capsys, command, override):
+    # every configured value is read before any solve or output, also the
+    # ones the subcommand itself never uses
+    argv = [command, "--set", override, "--set", f"out_dir={tmp_path}/out"]
+    if command == "mesh-gen":
+        argv += ["--out", str(tmp_path / "mesh.txt")]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: bad ")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("override", [

@@ -58,7 +58,7 @@ def test_total_current_constraint(ca, cb):
     r, z = mesh.nodes[:, 0], mesh.nodes[:, 1]
     psibar = ((r - 2.5) ** 2 + z ** 2) / 0.2
     squad = SourceQuadrature(mesh, 2.5)
-    pq = squad.psibar_qp(psibar)
+    pq = squad.P @ psibar
     x = np.clip(pq, 0.0, 1.0)
     a_vals, b_vals = exp.eval("A", x), exp.eval("B", x)
     y = assemble_source_vector(squad, pq, a_vals, b_vals)
@@ -175,7 +175,7 @@ def test_picard_growing_residual_clears_history():
 def test_source_matrix_matches_vector(twin_mesh, basis, reference_eq):
     eq = reference_eq
     squad = SourceQuadrature(twin_mesh, 2.5)
-    pq = squad.psibar_qp(eq.domain.normalize(eq.psi))
+    pq = squad.P @ eq.domain.normalize(eq.psi)
     x = np.clip(pq, 0.0, 1.0)
     # the matrix acts on the free coefficients; the reference's pinned ones
     # are rounding-size, so its A(1) = B(1) = 0 profiles are compared
@@ -198,7 +198,7 @@ def test_empty_plasma_raises(small_mesh):
 
 def test_bootstrap_flux_covers_limiter(twin_mesh):
     squad = SourceQuadrature(twin_mesh, 2.5)
-    pq = squad.bootstrap_psibar_qp()
+    pq = squad.cold_psibar
     assert set(np.unique(pq)) == {0.0, 2.0}
     assert np.any(pq == 0.0)
 

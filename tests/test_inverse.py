@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 import gsrecon
 from gsrecon.basis import (SplineBasis, first_guess_expansion,
                            regularization_matrix)
-from gsrecon import inverse
+from gsrecon import forward, inverse
 from gsrecon.errors import (EmptySourceError, MeasurementCountError,
                             RegularizationError, StateError)
 from gsrecon.fem import Factorization
@@ -20,7 +20,7 @@ from gsrecon.mesh import PointLocator
 from gsrecon.observation import MeasurementSet
 from gsrecon.twin import perturb
 
-from conftest import CHORDS, LIMITER
+from conftest import CHORDS, LIMITER, a_ref, b_ref
 
 BASIS = SplineBasis(end_constraint=True)
 
@@ -402,7 +402,7 @@ def test_reconstruct_one_basis_evaluation_and_one_solve(
 
     # lambda comes from the column sums of the unscaled source matrix
     eq = reference_eq
-    pq = setup.squad.psibar_qp(eq.domain.normalize(eq.psi))
+    pq = setup.squad.P @ eq.domain.normalize(eq.psi)
     Y = assemble_source_matrix(setup.squad, pq, setup.basis)
     u = np.concatenate([eq.profiles.a[:-1], eq.profiles.b[:-1]])
     phi = setup.basis.eval_many(pq)
@@ -413,12 +413,13 @@ def test_reconstruct_one_basis_evaluation_and_one_solve(
 
 def test_reconstruct_costs_reuse_last_iteration(
         twin_mesh, machine, basis, clean_measurements, monkeypatch):
-    # the chord operators are built once per iteration, none for the costs;
-    # the basis is evaluated once at the chord points and once for the
-    # source matrix in each iteration.  A second call from the same start
-    # takes the first iteration's chord matrices, source matrix and solve
-    # from the setup's memo; the polarimetry observer depends on the
-    # measured density and is built in every iteration.
+    # the chord operators are built once per iteration after the cold one,
+    # which fits the magnetic rows only, and none for the costs; the basis
+    # is evaluated once for the source matrix in each iteration and once at
+    # the chord points in each but the cold one.  A second call from the
+    # same start takes the first iteration's source matrix and solve from
+    # the setup's memo; the polarimetry observer depends on the measured
+    # density and is built in every iteration that has chord matrices.
     setup = ReconstructionSetup(twin_mesh, machine, CHORDS, basis=basis)
     counts, columns = _count_basis_and_solves(monkeypatch)
     names = ("build_polarimetry_observer", "build_interferometry_matrix")
@@ -430,8 +431,8 @@ def test_reconstruct_costs_reuse_last_iteration(
                       use_internal=True)
     n = res.iterations
     assert res.converged
-    assert calls == dict.fromkeys(names, n)
-    assert counts == {"eval_many": 2 * n, "solve": 0, "lift": 1,
+    assert calls == dict.fromkeys(names, n - 1)
+    assert counts == {"eval_many": 2 * n - 1, "solve": 0, "lift": 1,
                       "solve_multi": n}
     assert columns == [2 * setup.basis.m - 2] * n
     for tally in (calls, counts):
@@ -440,8 +441,7 @@ def test_reconstruct_costs_reuse_last_iteration(
     again = reconstruct(setup, clean_measurements, RegularizationConfig(),
                         use_internal=True)
     assert again.iterations == n
-    assert calls == {"build_polarimetry_observer": n,
-                     "build_interferometry_matrix": n - 1}
+    assert calls == dict.fromkeys(names, n - 1)
     assert counts == {"eval_many": 2 * (n - 1), "solve": 0, "lift": 1,
                       "solve_multi": n - 1}
     assert columns == [2 * setup.basis.m - 2] * (n - 1)
@@ -511,10 +511,13 @@ def _zero_measurements(setup, n_gd=0, n_gn=0, n_chords=0):
 
 
 def test_reconstruct_without_plasma_point_reports_error(machine):
-    # no node inside the limiter: the cold-start source has no plasma
-    # quadrature point, which comes back through the result
-    setup = _setup12(machine)
-    setup._node_in_limiter[:] = False
+    # a limiter around the node (2.5, 0) that encloses no quadrature point:
+    # the cold-start source has no plasma point, which comes back through
+    # the result
+    mesh = gsrecon.build_rect_mesh(2.0, 3.0, -1.2, 1.2, 12, 12, limiter=[
+        [2.49, -0.01], [2.51, -0.01], [2.51, 0.01], [2.49, 0.01]])
+    setup = ReconstructionSetup(mesh, machine, CHORDS)
+    assert np.all(setup.squad.cold_psibar == 2.0)
     res = reconstruct(setup, _zero_measurements(setup),
                       RegularizationConfig())
     assert res.error is not None and "quadrature point" in res.error
@@ -576,6 +579,62 @@ def test_iteration_counts_do_not_grow(reference_eq, setup,
     res = reconstruct(setup, clean_measurements, RegularizationConfig(),
                       use_internal=False)
     assert res.converged and res.iterations <= 9
+
+
+# ---------------------------------------------------------------------------
+# The one cold start
+# ---------------------------------------------------------------------------
+
+def _record_sources(monkeypatch, module, name):
+    """Make ``module.name`` (a source assembly) append each call's psibar
+    argument and a copy of its output to the returned list."""
+    seen, real = [], getattr(module, name)
+
+    def wrapper(squad, psibar_qp, *args):
+        out = real(squad, psibar_qp, *args)
+        seen.append((psibar_qp, out.copy()))
+        return out
+
+    monkeypatch.setattr(module, name, wrapper)
+    return seen
+
+
+def test_both_loops_start_from_cold_psibar(fresh_setup, monkeypatch):
+    # the forward solve's first source and the cold flux state's source
+    # matrix are both taken at the quadrature rule's one cold start
+    setup = fresh_setup()
+    squad, n = setup.squad, setup.mesh.n_nodes
+    seen = _record_sources(monkeypatch, forward, "assemble_source_vector")
+    forward.forward_fixed_point(setup.mesh, setup.machine, a_ref, b_ref,
+                                np.zeros(len(setup.mesh.boundary)))
+    assert seen[0][0] is squad.cold_psibar
+    seen = _record_sources(monkeypatch, inverse, "assemble_source_matrix")
+    exp = first_guess_expansion(setup.basis)
+    (lam, u, k_inv_y, E, B, G, dk), domain = inverse.flux_state(
+        setup, np.zeros(n), None, np.concatenate([exp.a[:-1], exp.b[:-1]]),
+        True, setup.machine.ip)
+    assert len(seen) == 1 and seen[0][0] is squad.cold_psibar
+    Y = assemble_source_matrix(squad, squad.cold_psibar, setup.basis)
+    assert seen[0][1].tobytes() == Y.tobytes()
+    # no chord arrays, whatever use_internal says
+    assert (domain, B, G, dk) == (None, None, None, None)
+
+
+def test_cold_psibar_is_read_only(setup):
+    # it sits in the mesh cache that every set-up on the mesh shares
+    with pytest.raises(ValueError, match="read-only"):
+        setup.squad.cold_psibar[0] = 1.0
+
+
+def test_cold_run_cut_at_one_iteration_has_no_density(setup,
+                                                      clean_measurements):
+    # the cold step fits A and B to the magnetic rows only: the density
+    # solve and the polarimetry rows start at iteration 2
+    res = reconstruct(setup, clean_measurements, RegularizationConfig(),
+                      use_internal=True, max_iter=1)
+    assert res.error is None and res.iterations == 1 and not res.converged
+    assert res.profiles.c is None
+    assert res.costs["J1"] == res.costs["J2"] == 0.0 < res.costs["J0"]
 
 
 # ---------------------------------------------------------------------------
@@ -726,11 +785,12 @@ def test_memo_holds_one_read_only_entry(fresh_setup, clean_measurements,
     (lam, u, k_inv_y, E, B, G, dk), domain = setup.first_iteration(*cold)
     assert domain is None       # the cold start normalizes by no domain
     assert u.shape == (2 * m - 2,) == (k_inv_y.shape[1],)
+    # the cold step fits the magnetic rows only: it holds no chord arrays
+    assert (B, G, dk) == (None, None, None)
     # every held array is handed out as held, and read-only
-    for held in (u, k_inv_y, E, B, G, dk):
+    for held in (u, k_inv_y, E):
         with pytest.raises(ValueError, match="read-only"):
             held[0] = 0.0
-    np.testing.assert_array_equal(dk, setup.chord_geoms.D @ k_inv_y)
     again = setup.first_iteration(*cold)[0]
     assert again[1] is u and again[2] is k_inv_y
     assert np.abs(u[:m - 1]).max() == 1.0
@@ -744,6 +804,13 @@ def test_memo_holds_one_read_only_entry(fresh_setup, clean_measurements,
     res = reconstruct(setup, clean_measurements, reg, use_internal=True)
     _assert_same_result(res, reconstruct(fresh_setup(), clean_measurements,
                                          reg, use_internal=True))
+    # a warm entry holds the chord arrays too, each read-only
+    (_, *held), _ = setup.first_iteration(res.psi, res.domain, cold[2],
+                                          True, cold[4])
+    for a in held:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    np.testing.assert_array_equal(held[5], setup.chord_geoms.D @ held[1])
 
 
 def test_memo_hit_leaves_held_arrays_unchanged(fresh_setup,

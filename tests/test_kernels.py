@@ -103,7 +103,7 @@ def test_source_matrix_matches_masked_fill(twin_mesh, reference_eq):
     # fill, which evaluated only the plasma points
     squad = SourceQuadrature(twin_mesh, 2.5)
     eq = reference_eq
-    pq = squad.psibar_qp(eq.domain.normalize(eq.psi))
+    pq = squad.P @ eq.domain.normalize(eq.psi)
     mask = pq <= 1.0
     phi = np.zeros((len(pq), BASIS.m - 1))
     phi[mask] = BASIS.eval_many(pq[mask])[:, :-1]

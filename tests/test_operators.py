@@ -668,7 +668,7 @@ def test_source_operators_match_loop(twin_mesh, basis, reference_eq):
     eq = reference_eq
     squad = SourceQuadrature(twin_mesh, 2.5)
     psibar = eq.domain.normalize(eq.psi)
-    pq = squad.psibar_qp(psibar)
+    pq = squad.P @ psibar
     _close(pq, _psibar_qp_loop(squad, psibar))
     assert 0 < np.sum(pq <= 1.0) < len(pq)
 
@@ -694,7 +694,7 @@ def test_merged_rule_matches_seed_rule(twin_mesh, basis, reference_eq):
     assert squad.qp_w.sum() == pytest.approx(seed.qp_w.sum(), rel=1e-14)
 
     psibar = eq.domain.normalize(eq.psi)
-    pq, pq3 = squad.psibar_qp(psibar), _psibar_qp_loop(seed, psibar)
+    pq, pq3 = squad.P @ psibar, _psibar_qp_loop(seed, psibar)
     np.testing.assert_array_equal(pq3, pq[pick])
 
     _close(assemble_source_matrix(squad, pq, basis),
@@ -731,7 +731,7 @@ def test_step_products_match_parent_assembly(setup, basis, reference_eq,
     # against the sparse observer R diag(coef) D on psi, K^-1 Y and K^-1 g
     eq, squad = reference_eq, setup.squad
     psibar = eq.domain.normalize(eq.psi)
-    pq = squad.psibar_qp(psibar)
+    pq = squad.P @ psibar
     parent = _source_matrix_f_fill(squad, pq, basis, 1.0, 2.5, [])
     Y = assemble_source_matrix(squad, pq, basis)
     assert Y.shape == (setup.mesh.n_nodes, 2 * basis.m - 2)

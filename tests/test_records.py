@@ -1,11 +1,13 @@
 """The per-iteration records of the forward solve and of reconstruct.
 
-The frozen values are those the 20x20 twin gave before the iterations
-became records (the residual, lambda and cost attributes were then side
-lists and an after-loop rebuild), as float.hex strings: reading them from
-the records must not move a bit.  The one exception is the first residual
-of a cold start, a step from zero flux, which is 1 since the stop rule
-measures it relative to the step's output.
+The frozen values are those the 20x20 twin gave, as float.hex strings:
+reading them from the records must not move a bit.  The forward ones date
+from before the iterations became records (the residual, lambda and cost
+attributes were then side lists and an after-loop rebuild).  The
+reconstruction ones are those of the cold step on the forward loop's
+start (the limiter region at the quadrature points, the magnetic rows
+only).  The first residual of a cold start, a step from zero flux, is 1
+since the stop rule measures it relative to the step's output.
 """
 
 import dataclasses
@@ -37,38 +39,35 @@ FROZEN = {
         "costs": {},
     },
     "cold": {
-        "iterations": 10,
+        "iterations": 8,
         "residuals": [
-            "0x1.0000000000000p+0", "0x1.49e21a657cf01p-3",
-            "0x1.d05689ea15c7ap-5", "0x1.1b8ef8f39dfd6p-6",
-            "0x1.4f04edd72e1e3p-12", "0x1.daf4d7112f734p-15",
-            "0x1.867a6ec4daaf7p-18", "0x1.c5e925d9e12c5p-19",
-            "0x1.c975511477e5cp-20", "0x1.e659140f91900p-24"],
+            "0x1.0000000000000p+0", "0x1.6fc58cd66d1abp-2",
+            "0x1.5174ed1f6a985p-4", "0x1.760a595b6ab1fp-6",
+            "0x1.c530fc7dd71e0p-11", "0x1.62aebebded81ap-14",
+            "0x1.f2de230ac9ce5p-19", "0x1.017f31f8ee795p-22"],
         "lam_history": [
-            "0x1.43bf621e022efp+18", "0x1.13b522f94d577p+20",
-            "0x1.03f94250bc46dp+19", "0x1.4665f5a872ae5p+19",
-            "0x1.327f184efbce6p+19", "0x1.29fae4eb2cbf2p+19",
-            "0x1.296ca41753bd5p+19", "0x1.295fdcd099eeep+19",
-            "0x1.295be3fd6aa4fp+19", "0x1.2959c6de6f37bp+19"],
-        "costs": {"J0": "0x1.e683622964227p-10", "J1": "0x1.13aeffbb2da96p-7",
-                  "J2": "0x1.cc08238515de6p-11",
-                  "Jeps": "0x1.20696026673ccp-6"},
+            "0x1.1ea589e031084p+18", "0x1.de1793d409796p+19",
+            "0x1.2a108d2668babp+18", "0x1.3bdf73d69b955p+19",
+            "0x1.2c446bb873044p+19", "0x1.2ae6fedd5db47p+19",
+            "0x1.29a1d847b5241p+19", "0x1.295b13106aaabp+19"],
+        "costs": {"J0": "0x1.e6797d1616ba4p-10", "J1": "0x1.13bd0ba195f2bp-7",
+                  "J2": "0x1.cc0370b912607p-11",
+                  "Jeps": "0x1.2068f1e903439p-6"},
     },
     "warm": {
         "iterations": 2,
-        "residuals": ["0x1.6ef948e301807p-9", "0x1.2880bfc8927edp-11"],
-        "lam_history": ["0x1.29583d5ca85b7p+19", "0x1.0b9e105115d20p+19"],
-        "costs": {"J0": "0x1.3d10a90e063e0p-1", "J1": "0x1.7608d7b0fd7d7p+0",
-                  "J2": "0x1.849e8455489c9p-1",
-                  "Jeps": "0x1.0f90add9d064dp-4"},
+        "residuals": ["0x1.6efa16fff003ep-9", "0x1.287e7affde962p-11"],
+        "lam_history": ["0x1.29585efdd71d4p+19", "0x1.0b9e0a0f68a4fp+19"],
+        "costs": {"J0": "0x1.3d10544d4507ap-1", "J1": "0x1.7608ddfb4e2a8p+0",
+                  "J2": "0x1.849eadc8dec96p-1",
+                  "Jeps": "0x1.0f90d9b51144cp-4"},
     },
-    # the lambda of the failing iteration itself (0x1.70cfa8c7c8e13p+20)
-    # was listed too while lam_history was a side list filled before the
-    # solves; a record exists only for a completed iteration
+    # a record exists only for a completed iteration: the failing second
+    # one lists no lambda
     "failed": {
         "iterations": 2,
         "residuals": ["0x1.0000000000000p+0"],
-        "lam_history": ["0x1.43bf621e022efp+18"],
+        "lam_history": ["0x1.1ea589e031084p+18"],
         "costs": {},
     },
 }
