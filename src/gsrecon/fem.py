@@ -6,12 +6,8 @@ by replacing boundary rows with scaled identity rows.  A load carries no
 boundary values: its field with zero boundary flux comes from
 :meth:`Factorization.solve` and the field of the boundary flux from
 :meth:`Factorization.lift`, and the two add up to the Dirichlet solution.
-:meth:`Factorization.solve_multi` on a factor of ``SPLIT_NNZ`` nonzeros or
-more runs on two threads when the process may use two CPUs.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,9 +17,6 @@ from scipy.sparse.linalg import splu
 from .errors import FactorizationError
 
 MU0 = 4e-7 * np.pi
-# on 2 vCPUs the split gains nothing at 39 k nonzeros (40x40) and 15 % at 67 k
-SPLIT_NNZ = 50_000
-_workers = {}   # pid -> worker; a forked child's inherited one never runs
 
 
 @dataclass
@@ -59,28 +52,15 @@ class Factorization:
         return self._solve_homogeneous(load)
 
     def solve_multi(self, columns):
-        """:meth:`solve` of every column.  A split gives the worker the first
-        8 round(k / 16) of k columns: BLAS kernels treat right-hand sides in
-        groups (4 here), so each column has the bits of a one-call solve."""
+        """:meth:`solve` of every column, in one call on the factor."""
         columns = np.array(columns, dtype=np.float64)
         if columns.shape[0] != self.n:
             raise ValueError(f"columns must have {self.n} rows")
-        cut = 8 * round(columns.shape[1] / 16) if columns.ndim == 2 else 0
-        split = (self._lu.nnz >= SPLIT_NNZ and hasattr(os, "sched_getaffinity")
-                 and len(os.sched_getaffinity(0)) > 1)
-        return self._solve_homogeneous(columns, cut if split else 0)
+        return self._solve_homogeneous(columns)
 
-    def _solve_homogeneous(self, rhs, cut=0):
+    def _solve_homogeneous(self, rhs):
         rhs[self._rows] = 0.0
-        if cut:
-            worker = _workers.get(os.getpid()) or _workers.setdefault(
-                os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="lu"))
-            first = worker.submit(self._lu.solve, rhs[:, :cut])
-            x = np.empty(rhs.shape, order="F")    # the order lu.solve gives
-            x[:, cut:] = self._lu.solve(rhs[:, cut:])
-            x[:, :cut] = first.result()
-        else:
-            x = self._lu.solve(rhs)
+        x = self._lu.solve(rhs)
         x[self._rows] = 0.0
         return x
 

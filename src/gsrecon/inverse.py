@@ -107,14 +107,17 @@ class ReconstructionSetup:
         """:func:`flux_state` of psi, its ``domain`` (found when None; none
         for psi = 0, the cold start, which holds no chord arrays), free
         coefficients u and current ``ip``, held in one slot keyed by value
-        (domain by repr) and returned as held, arrays read-only.  A psi not
-        finite at every node raises :class:`DegeneratePlasmaError`."""
-        key = (psi.tobytes(), u.tobytes(), repr(domain), use_internal, ip)
+        (domain by repr; ``use_internal`` only for psi != 0) and returned as
+        held, arrays read-only.  A psi not finite at every node raises
+        :class:`DegeneratePlasmaError`."""
+        cold = np.linalg.norm(psi) == 0
+        key = (psi.tobytes(), u.tobytes(), repr(domain),
+               use_internal and not cold, ip)
         if self._first is None or self._first[0] != key:
             finite_flux(psi)
-            state, domain = flux_state(self, psi, None if np.linalg.norm(
-                psi) == 0 else domain or make_plasma_domain(self.mesh, psi),
-                u, use_internal, ip)
+            state, domain = flux_state(self, psi, None if cold else domain
+                                       or make_plasma_domain(self.mesh, psi),
+                                       u, use_internal, ip)
             for a in (a for a in state[1:] if a is not None):
                 a.flags.writeable = False
             self._first = (key, state, domain)

@@ -1,8 +1,5 @@
-import multiprocessing
-import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,7 +7,14 @@ import scipy.sparse as sp
 
 import gsrecon
 from gsrecon import fem
+from gsrecon.basis import SplineBasis
 from gsrecon.errors import FactorizationError
+from gsrecon.forward import MachineParams, forward_fixed_point
+from gsrecon.inverse import (ReconstructionSetup, RegularizationConfig,
+                             reconstruct)
+from gsrecon.twin import synthesize_measurements
+
+from conftest import CHORDS, LIMITER, a_ref, b_ref, ne_ref
 
 
 def _solve_dirichlet(mesh, exact):
@@ -131,7 +135,7 @@ def test_lift_is_exact_on_boundary(small_mesh):
         K.diagonal()).max()
 
 
-# --- solve_multi split over the worker thread --------------------------------
+# --- solve_multi: one call on the factor -------------------------------------
 
 def _factor(n):
     mesh = gsrecon.build_rect_mesh(2.0, 3.0, -1.2, 1.2, n, n)
@@ -144,37 +148,35 @@ def fact80():
     return _factor(80)
 
 
-class _CountingWorker:
-    """The worker, recording the column count of each solve handed to it."""
-
-    def __init__(self, worker):
-        self.worker, self.columns = worker, []
-
-    def submit(self, fn, rhs):
-        self.columns.append(rhs.shape[1])
-        return self.worker.submit(fn, rhs)
-
-
-@pytest.fixture
-def worker(monkeypatch):
-    # two CPUs whatever the machine has, so the split rule alone decides
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    with ThreadPoolExecutor(1) as executor:
-        counting = _CountingWorker(executor)
-        monkeypatch.setattr(fem, "_workers", {os.getpid(): counting})
-        yield counting
-
-
 def _loads(fact, seed, k=14):
     return np.random.default_rng(seed).normal(size=(fact.n, k))
 
 
-@pytest.mark.parametrize("n", [80, 45])
-def test_split_solve_has_the_bits_of_one_solve(n, fact80, worker):
-    fact = fact80 if n == 80 else _factor(n)
-    if n == 45:     # the first square mesh at or above the split size
-        assert fact._lu.nnz >= fem.SPLIT_NNZ > _factor(44)._lu.nnz
-    # at 80x80 a cut at 7 columns changes a bit in loads 8, 13 and 16
+def _twin80():
+    mesh = gsrecon.build_rect_mesh(2.0, 3.0, -1.2, 1.2, 80, 80,
+                                   limiter=LIMITER)
+    machine = MachineParams(2.5, 2.0, 1.0e6)
+    basis = SplineBasis(end_constraint=True)
+    eq = forward_fixed_point(mesh, machine, a_ref, b_ref,
+                             np.zeros(len(mesh.boundary)), basis=basis)
+    setup = ReconstructionSetup(mesh, machine, CHORDS, basis=basis)
+    xs = np.linspace(0.0, 1.0, 201)
+    return setup, synthesize_measurements(setup, eq, basis.fit(xs, ne_ref(xs)))
+
+
+def test_solve_multi_and_reconstruct_start_no_thread(fact80):
+    # first in this file: no 80x80 solve_multi has run before it
+    before = threading.enumerate()
+    fact80.solve_multi(_loads(fact80, 0))
+    assert threading.enumerate() == before
+    setup, ms = _twin80()
+    res = reconstruct(setup, ms, RegularizationConfig())
+    assert res.error is None and res.converged
+    assert threading.enumerate() == before
+
+
+def test_solve_multi_has_the_bits_of_one_solve(fact80):
+    fact = fact80
     for seed in range(20):
         cols = _loads(fact, seed)
         multi = fact.solve_multi(cols)
@@ -189,31 +191,17 @@ def test_split_solve_has_the_bits_of_one_solve(n, fact80, worker):
             np.testing.assert_allclose(multi[:, j], fact.solve(cols[:, j]),
                                        rtol=0, atol=1e-15 * np.abs(
                                            multi[:, j]).max())
-    assert worker.columns == [8] * 20
 
 
-def test_small_factor_and_one_cpu_start_no_thread(fact80, worker,
-                                                  monkeypatch):
-    small = _factor(20)
-    assert small._lu.nnz < fem.SPLIT_NNZ
-    small.solve_multi(_loads(small, 0))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    fact80.solve_multi(_loads(fact80, 0))
-    assert worker.columns == []
-
-
-def test_split_keeps_the_edge_cases(fact80, worker):
+def test_solve_multi_keeps_the_edge_cases(fact80):
     assert fact80.solve_multi(np.zeros((fact80.n, 0))).shape == (fact80.n, 0)
     load = _loads(fact80, 1, 1)[:, 0]
     np.testing.assert_array_equal(fact80.solve_multi(load), fact80.solve(load))
-    # below 9 columns the multiple of 8 nearest half the columns is 0
-    fact80.solve_multi(_loads(fact80, 2, 8))
     with pytest.raises(ValueError):
         fact80.solve_multi(np.zeros((fact80.n, 14, 2)))
-    assert worker.columns == []
 
 
-def test_concurrent_callers_share_the_worker(fact80, worker):
+def test_concurrent_callers_get_the_same_bits(fact80):
     cols = _loads(fact80, 3)
     expected = fact80.solve_multi(cols)
     results, barrier = [], threading.Barrier(4)
@@ -237,24 +225,3 @@ def test_concurrent_callers_share_the_worker(fact80, worker):
     assert len(results) == 20
     for x in results:
         np.testing.assert_array_equal(x, expected)
-
-
-def _child_solve(fact, cols, expected):
-    np.testing.assert_array_equal(fact.solve_multi(cols), expected)
-
-
-# Python 3.12 and later warn on fork in a process with threads
-@pytest.mark.filterwarnings("ignore:.*multi-threaded.*:DeprecationWarning")
-def test_forked_child_gets_its_own_worker(fact80, worker):
-    cols = _loads(fact80, 4)
-    expected = fact80.solve_multi(cols)      # the parent's worker has run
-    assert worker.columns == [8]
-    child = multiprocessing.get_context("fork").Process(
-        target=_child_solve, args=(fact80, cols, expected))
-    child.start()
-    child.join(timeout=60)
-    if child.is_alive():
-        child.kill()
-        child.join()
-        pytest.fail("the split solve in a forked child did not finish")
-    assert child.exitcode == 0

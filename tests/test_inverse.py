@@ -794,19 +794,25 @@ def test_memo_holds_one_read_only_entry(fresh_setup, clean_measurements,
     again = setup.first_iteration(*cold)[0]
     assert again[1] is u and again[2] is k_inv_y
     assert np.abs(u[:m - 1]).max() == 1.0
-    # one slot: another start replaces the entry, so the first misses
+    # one cold entry: it holds no chord arrays, so the internal-data
+    # switch is not part of its key
     reg = RegularizationConfig()
     work = _count_iteration_work(monkeypatch)
-    for internal, computed in [(False, 1), (True, 1), (True, 0)]:
+    for internal, computed in [(False, 0), (True, 0), (True, 0)]:
         work["assemble_source_matrix"] = 0
         setup.first_iteration(*cold[:3], internal, cold[4])
         assert work["assemble_source_matrix"] == computed
     res = reconstruct(setup, clean_measurements, reg, use_internal=True)
     _assert_same_result(res, reconstruct(fresh_setup(), clean_measurements,
                                          reg, use_internal=True))
-    # a warm entry holds the chord arrays too, each read-only
+    # one slot: a warm start replaces the entry, so the cold start misses
+    work["assemble_source_matrix"] = 0
     (_, *held), _ = setup.first_iteration(res.psi, res.domain, cold[2],
                                           True, cold[4])
+    assert work["assemble_source_matrix"] == 1
+    assert setup.first_iteration(*cold)[0][2] is not k_inv_y
+    assert work["assemble_source_matrix"] == 2
+    # a warm entry holds the chord arrays too, each read-only
     for a in held:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
