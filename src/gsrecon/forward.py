@@ -4,6 +4,7 @@ scaling and the Picard fixed point producing reference equilibria."""
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import fem
 from .basis import ProfileExpansion, SplineBasis
@@ -69,11 +70,13 @@ class SourceQuadrature:
     per mesh edge) with its operators and the one cold start.
 
     ``P`` is the sparse (Q, n) interpolation matrix to the midpoints (two
-    0.5 entries per row), ``P @ psibar`` the normalized flux there.  ``Pa``
-    = P^T diag(w r/r0) and ``Pb`` = P^T diag(w r0/r) scatter the values of
-    A and of B at the points onto the nodal load.  ``cold_psibar``
-    (read-only) is 0 at the points inside the limiter contour and 2
-    outside: the first source of both Picard loops, whose flux has no axis.
+    0.5 entries per row), ``P @ psibar`` the normalized flux there.  ``Pab``
+    is the (2n, Q) stack of Pa = P^T diag(w r/r0) over Pb = P^T diag(w
+    r0/r), which scatter the values of A and of B at the points onto the
+    nodal load: one product gives both, each row summed as alone.
+    ``cold_psibar`` (read-only) is 0 at the points inside the limiter
+    contour and 2 outside: the first source of both Picard loops, whose
+    flux has no axis.
     """
 
     def __init__(self, mesh, r0):
@@ -81,9 +84,12 @@ class SourceQuadrature:
          self.qp_z) = quadrature_points(mesh)
         self.P = interpolation_matrix(self.qp_nodes, self.qp_bary,
                                       mesh.n_nodes)
-        self.Pa, self.Pb = self.P.T.tocsr(), self.P.T.tocsr()
-        self.Pa.data *= (self.qp_w * self.qp_r / r0)[self.Pa.indices]
-        self.Pb.data *= (self.qp_w * r0 / self.qp_r)[self.Pb.indices]
+        pt = self.P.T.tocsr()
+        self.Pab = sp.vstack([pt, pt], format="csr")
+        for block, weight in zip(np.split(self.Pab.data, 2),
+                                 (self.qp_w * self.qp_r / r0,
+                                  self.qp_w * r0 / self.qp_r)):
+            block *= weight[pt.indices]
         self.cold_psibar = np.where(point_in_polygon(np.column_stack(
             [self.qp_r, self.qp_z]), mesh.limiter), 0.0, 2.0)
         self.cold_psibar.flags.writeable = False
@@ -116,8 +122,10 @@ def assemble_source_vector(squad, psibar_qp, a_vals, b_vals):
     mask = psibar_qp <= 1.0
     if not np.any(mask):
         raise EmptySourceError("plasma region contains no quadrature point")
-    return (squad.Pa @ np.where(mask, a_vals, 0.0)
-            + squad.Pb @ np.where(mask, b_vals, 0.0))
+    load = squad.Pab @ np.where(mask[:, None],
+                                np.column_stack([a_vals, b_vals]), 0.0)
+    n = len(load) // 2
+    return load[:n, 0] + load[n:, 1]
 
 
 def assemble_source_matrix(squad, psibar_qp, basis):
@@ -129,8 +137,11 @@ def assemble_source_matrix(squad, psibar_qp, basis):
     mask = psibar_qp <= 1.0
     if not np.any(mask):
         raise EmptySourceError("plasma region contains no quadrature point")
-    phi = basis.eval_many(np.where(mask, psibar_qp, 1.0))
-    return np.hstack([(squad.Pa @ phi)[:, :-1], (squad.Pb @ phi)[:, :-1]])
+    load = squad.Pab @ basis.eval_many(np.where(mask, psibar_qp, 1.0))
+    n, k = len(load) // 2, basis.m - 1
+    Y = np.empty((n, 2 * k))
+    Y[:, :k], Y[:, k:] = load[:n, :k], load[n:, :k]
+    return Y
 
 
 ANDERSON_DEPTH = 3

@@ -92,10 +92,11 @@ def ring_sign_changes(mesh, psi):
     """Per node, its triangles in which psi rises (or falls) through it: at
     an interior node with no tied neighbour, the sign changes of psi around
     its ring (PL extremum 0, regular node 2, saddle 4 or more)."""
-    corner = psi[mesh.triangles]
-    rise = corner[:, [1, 2, 0]] > corner         # corner k to k + 1
-    return np.bincount(mesh.triangles.ravel(),
-                       (rise == rise[:, [2, 0, 1]]).ravel(), len(psi))
+    corners = mesh.triangles.T
+    a, b, c = np.take(psi, corners)
+    ab, bc, ca = b > a, c > b, a > c             # rises along the sides
+    through = np.concatenate([ab == ca, bc == ab, ca == bc])
+    return np.bincount(np.compress(through, corners), minlength=len(psi))
 
 
 def saddle_candidates(mesh, psi, scale):
@@ -106,7 +107,8 @@ def saddle_candidates(mesh, psi, scale):
     edges = mesh.edge_index()[0]
     saddle = ring_sign_changes(mesh, psi) >= 4
     tie = np.zeros(len(psi), dtype=bool)
-    tie[edges[~(np.abs(np.diff(psi[edges])[:, 0]) > 1e-14 * scale)]] = True
+    lo, hi = np.take(psi, edges).T
+    tie[np.compress(~(np.abs(hi - lo) > 1e-14 * scale), edges, axis=0)] = True
     saddle[mesh.boundary] = tie[mesh.boundary] = False
     if tie.any():
         saddle[tie] = _ring_saddles(mesh, psi, np.flatnonzero(tie),

@@ -5,6 +5,7 @@ point."""
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import block_diag
 
 from .basis import (ProfileExpansion, SplineBasis, first_guess_expansion,
@@ -51,7 +52,8 @@ def penalized_lsq(E, f, w, eps, lam, scale=1.0):
             raise RegularizationError(f"penalized normal system singular: "
                                       f"{exc}")
         v, misfit, seminorm = scale * x, w * (E @ (scale * x) - f), x @ lam @ x
-        if not np.isfinite([*v, misfit @ misfit, seminorm]).all():
+        if not (np.isfinite(v).all() and np.isfinite(misfit @ misfit)
+                and np.isfinite(seminorm)):
             raise RegularizationError("penalized least squares overflow at "
                                       "this data scale")
     return v, misfit, float(seminorm)
@@ -86,8 +88,11 @@ def rescale_dofs(u, lam):
 
 class ReconstructionSetup:
     """Mesh-bound state shared by many reconstructions: the factorized
-    stiffness matrix, the boundary observer, chord geometry, the penalty
-    matrices and a one-slot memo of :meth:`first_iteration`."""
+    stiffness matrix, the boundary observer C0 with its points and their
+    tolerance ``gn_tol`` (1e-9 of the shortest boundary edge), chord
+    geometry, ``c0_d``, C0 stacked over the chord-normal derivative D
+    (both row blocks of one product, each row summed as alone), the
+    penalty matrices and a one-slot memo of :meth:`first_iteration`."""
 
     def __init__(self, mesh, machine, chords=(), basis=None):
         self.mesh = mesh
@@ -96,7 +101,10 @@ class ReconstructionSetup:
             end_constraint=True)
         self.fact, self.squad = mesh_operators(mesh, machine.mu0, machine.r0)
         self.c0, self.gn_points = build_neumann_observer(mesh)
+        self.gn_tol = 1e-9 * np.hypot(*(np.roll(self.gn_points, -1, axis=0)
+                                        - self.gn_points).T).min()
         self.chord_geoms = build_chord_geometries(mesh, chords)
+        self.c0_d = sp.vstack([self.c0, self.chord_geoms.D], format="csr")
         self.lam_block = regularization_matrix(self.basis)
         # A(1)=B(1)=0 pins the last coefficients (of the one basis function
         # alive at x=1): the penalty of the free ones u = (a[:-1], b[:-1])
@@ -131,7 +139,8 @@ def flux_state(setup, psi, domain, u, use_internal, ip):
     last free u to ``ip`` by the column sums of the source matrix Y of
     psibar, then both are rescaled; K^-1 Y and E are of lam Y, B and G of
     :func:`build_interferometry_matrix`, D the chords' normal derivative
-    (the last three None for the cold start or without ``use_internal``).
+    (the last three None for the cold start or without ``use_internal``;
+    else E and D K^-1 Y are the row blocks of ``setup.c0_d @ K^-1 Y``).
     K^-1 Y is zero on the boundary: E u - f = C0 psi(u) - g_n, f = g_n -
     C0 K^-1 g of the lift."""
     squad = setup.squad
@@ -143,11 +152,11 @@ def flux_state(setup, psi, domain, u, use_internal, ip):
         ip, float(col @ u), np.abs(col) @ np.abs(u)))
     Y *= lam
     k_inv_y = setup.fact.solve_multi(Y)
-    E = setup.c0 @ k_inv_y
-    chord = (None, None, None) if psibar is None or not use_internal else (
-        *build_interferometry_matrix(setup.chord_geoms, setup.basis, psibar),
-        setup.chord_geoms.D @ k_inv_y)
-    return (lam, u, k_inv_y, E, *chord), domain
+    if psibar is None or not use_internal:
+        return (lam, u, k_inv_y, setup.c0 @ k_inv_y, None, None, None), domain
+    E, dk = np.split(setup.c0_d @ k_inv_y, [setup.c0.shape[0]])
+    return (lam, u, k_inv_y, E, *build_interferometry_matrix(
+        setup.chord_geoms, setup.basis, psibar), dk), domain
 
 
 def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
@@ -194,13 +203,12 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
         if len(values) != expected:
             raise MeasurementCountError(
                 f"{name} has {len(values)} values for {expected} {what}")
-    if ms.gn_points is not None:
-        pts = setup.gn_points
-        edge = np.hypot(*(np.roll(pts, -1, axis=0) - pts).T).min()
-        if np.shape(ms.gn_points) != pts.shape or not np.all(
-                np.abs(ms.gn_points - pts) <= 1e-9 * edge):
-            raise MeasurementCountError(
-                "gN points are not the boundary nodes of the setup's mesh")
+    pts = setup.gn_points
+    if ms.gn_points is not None and (np.shape(ms.gn_points) != pts.shape
+                                     or not np.all(np.abs(ms.gn_points - pts)
+                                                   <= setup.gn_tol)):
+        raise MeasurementCountError(
+            "gN points are not the boundary nodes of the setup's mesh")
     if warm_start is not None:
         p, psi = warm_start.profiles, np.array(warm_start.psi, dtype=float)
         if psi.shape != (mesh.n_nodes,) or {np.shape(x) for x in (
@@ -213,8 +221,8 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
         warm_start, "domain", None), np.concatenate([p.a[:-1], p.b[:-1]]), p.c)
     weights, n_mag = default_weights(ms, mesh.boundary_length()), len(ms.g_n)
     k_inv_g = setup.fact.lift(ms.g_d)
-    f_mag = ms.g_n - setup.c0 @ k_inv_g
-    dk_inv_g = setup.chord_geoms.D @ k_inv_g if use_internal else None
+    c0_g, dk_inv_g = np.split(setup.c0_d @ k_inv_g, [n_mag])
+    f_mag = ms.g_n - c0_g
 
     def step(psi, prev):
         (lam, u, k_inv_y, E, b_int, G, dk), domain = (setup.first_iteration(
@@ -226,10 +234,10 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
             ne_coeffs, ne_misfit, ne_seminorm = identify_ne(
                 b_int, ms.gamma, weights.w_inter, reg.eps_ne,
                 setup.lam_block, reg.alpha_scale)
-            polar = build_polarimetry_observer(setup.chord_geoms, G,
-                                               ne_coeffs)
-            E = np.vstack([E, polar(dk)])
-            f = np.concatenate([f, ms.alpha - polar(dk_inv_g)])
+            rows = build_polarimetry_observer(setup.chord_geoms, G, ne_coeffs)(
+                np.column_stack([dk, dk_inv_g]))
+            E = np.vstack([E, rows[:, :-1]])
+            f = np.concatenate([f, ms.alpha - rows[:, -1]])
         w = np.repeat([weights.w_mag, weights.w_polar],
                       [n_mag, len(f) - n_mag])
         u, misfit, _ = identify_ab(E, f, w, reg.eps, setup.lam_free)

@@ -116,9 +116,12 @@ class Mesh:
         return self._cache["areas"]
 
     def boundary_length(self):
-        pts = self.nodes[self.boundary]
-        d = np.diff(np.vstack([pts, pts[:1]]), axis=0)
-        return float(np.hypot(d[:, 0], d[:, 1]).sum())
+        if "boundary_length" not in self._cache:
+            pts = self.nodes[self.boundary]
+            d = np.diff(np.vstack([pts, pts[:1]]), axis=0)
+            self._cache["boundary_length"] = float(np.hypot(d[:, 0],
+                                                            d[:, 1]).sum())
+        return self._cache["boundary_length"]
 
     def interior_nodes(self):
         if "interior" not in self._cache:
