@@ -11,9 +11,10 @@ over 21 log-spaced eps from 1e-5 to 1.  A second line per mesh size hashes
 the mesh-fixed set-up tables: the edge index, the node neighbors, the point
 locator's bins, the limiter matrix, the mid-edge quadrature with its P, Pa
 and Pb (the two row blocks of its stacked Pab), the stiffness matrix, the
-Neumann observer C0 and the chords' S, D and R.  A basis line, printed first, hashes ``SplineBasis.eval_many`` on a
-fixed point set (the knots, their floating-point neighbours, points outside
-[0, 1], a NaN and a uniform grid) for degrees 1 to 5, and
+Neumann observer C0 and the chords' S, D and R.  A basis line, printed
+first, hashes ``SplineBasis.eval_many`` on a fixed point set (the knots,
+their floating-point neighbours, points outside [0, 1], a NaN and a
+uniform grid) for degrees 1 to 5, and
 ``regularization_matrix`` for degrees 2 to 5, each at three dimensions m:
 the bits of the package's own spline kernel, whatever scipy is installed.
 ``tests/fingerprint.txt`` holds the lines of the committed code; a

@@ -1,16 +1,22 @@
 """Frozen versions of primitives the package now builds another way: loop
 versions of the scalar ray-crossing test, the mid-edge rule with three
-points per triangle and the rectangle mesh built in nested loops, and the
+points per triangle and the rectangle mesh built in nested loops, the
 earlier array constructions of the mesh-fixed tables (node neighbors, the
 point locator's bins, the mid-edge quadrature and the stiffness matrix),
-built with hash-based np.unique, middle-axis reductions and einsum.  Tests
-use them as references; nothing in ``src/`` imports them."""
+built with hash-based np.unique, middle-axis reductions and einsum, and the
+Picard step's operator stages as several passes each (the ring sign-change
+count from permutation copies, the saddle tie test from np.diff, the source
+matrix and load from two sparse products, and the observation rows from
+separate C0, D and polarimetry products).  Tests use them as references;
+nothing in ``src/`` imports them."""
 
 import numpy as np
 import scipy.sparse as sp
 
 from gsrecon.errors import MeshValidationError
+from gsrecon.geometry import _ring_saddles
 from gsrecon.mesh import Mesh, _expand
+from gsrecon.observation import build_polarimetry_observer
 
 MIDEDGE_BARY = np.array([[0.5, 0.5, 0.0],
                          [0.0, 0.5, 0.5],
@@ -164,3 +170,70 @@ def assemble_stiffness_einsum(mesh, mu0):
     cols = np.tile(tris, (1, 3)).reshape(-1)
     return sp.coo_matrix((local.reshape(-1), (rows, cols)),
                          shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
+
+
+def ring_sign_changes_permuted(mesh, psi):
+    """The ring sign-change count from two permutation copies of the corner
+    values and a float-weighted bincount."""
+    corner = psi[mesh.triangles]
+    rise = corner[:, [1, 2, 0]] > corner         # corner k to k + 1
+    return np.bincount(mesh.triangles.ravel(),
+                       (rise == rise[:, [2, 0, 1]]).ravel(), len(psi))
+
+
+def tie_nodes_diff(mesh, psi, scale):
+    """The interior nodes with an edge neighbour within 1e-14 * scale, from
+    the edge ends gathered as psi[edges] and differenced with np.diff."""
+    edges = mesh.edge_index()[0]
+    tie = np.zeros(len(psi), dtype=bool)
+    tie[edges[~(np.abs(np.diff(psi[edges])[:, 0]) > 1e-14 * scale)]] = True
+    tie[mesh.boundary] = False
+    return np.flatnonzero(tie)
+
+
+def saddle_candidates_diff(mesh, psi, scale):
+    """The saddle candidates of the two passes above, tied nodes taking the
+    ring scan."""
+    saddle = ring_sign_changes_permuted(mesh, psi) >= 4
+    saddle[mesh.boundary] = False
+    tie = tie_nodes_diff(mesh, psi, scale)
+    if len(tie):
+        saddle[tie] = _ring_saddles(mesh, psi, tie, 1e-14 * scale)
+    return np.flatnonzero(saddle)
+
+
+def weighted_scatter_pair(squad, r0):
+    """The separate (n, Q) scatter matrices Pa = P^T diag(w r/r0) and
+    Pb = P^T diag(w r0/r) of a source quadrature."""
+    pa, pb = squad.P.T.tocsr(), squad.P.T.tocsr()
+    pa.data *= (squad.qp_w * squad.qp_r / r0)[pa.indices]
+    pb.data *= (squad.qp_w * r0 / squad.qp_r)[pb.indices]
+    return pa, pb
+
+
+def source_matrix_two_products(pa, pb, psibar_qp, basis):
+    """The source matrix Y as one product with each scatter matrix, the
+    pinned last columns dropped and the halves joined by np.hstack."""
+    mask = psibar_qp <= 1.0
+    phi = basis.eval_many(np.where(mask, psibar_qp, 1.0))
+    return np.hstack([(pa @ phi)[:, :-1], (pb @ phi)[:, :-1]])
+
+
+def source_vector_two_products(pa, pb, psibar_qp, a_vals, b_vals):
+    """The nodal load Pa A + Pb B as two matrix-vector products."""
+    mask = psibar_qp <= 1.0
+    return pa @ np.where(mask, a_vals, 0.0) + pb @ np.where(mask, b_vals, 0.0)
+
+
+def step_rows_separate(setup, k_inv_y, k_inv_g, g_n, alpha=None, G=None,
+                       ne_coeffs=None):
+    """The rows (E, f) of the A/B solve as separate products: C0 and D
+    each on K^-1 Y and on K^-1 g, and with internal data (``G`` given) the
+    polarimetry observer on D K^-1 Y and on D K^-1 g in two calls."""
+    E, f = setup.c0 @ k_inv_y, g_n - setup.c0 @ k_inv_g
+    if G is None:
+        return E, f
+    D = setup.chord_geoms.D
+    polar = build_polarimetry_observer(setup.chord_geoms, G, ne_coeffs)
+    return (np.vstack([E, polar(D @ k_inv_y)]),
+            np.concatenate([f, alpha - polar(D @ k_inv_g)]))

@@ -5,16 +5,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import gsrecon
 from gsrecon import twin
 from gsrecon.diagnostics import profile_table
 from gsrecon.errors import GsReconError, MeasurementCountError
+from gsrecon.forward import forward_fixed_point
 from gsrecon.inverse import (ReconstructionSetup, RegularizationConfig,
                              reconstruct)
-from gsrecon.twin import (l_curve, perturb, replicate_stats,
-                          synthesize_measurements, write_lcurve_csv,
-                          write_stats_csv)
+from gsrecon.twin import (l_curve, l_curve_ab, l_curve_ne, perturb,
+                          replicate_stats, synthesize_measurements,
+                          write_lcurve_csv, write_stats_csv)
 
-from conftest import CHORDS
+from conftest import CHORDS, LIMITER, a_ref, b_ref
 
 
 def test_synthesized_measurements_match_equilibrium(setup, reference_eq,
@@ -306,3 +308,39 @@ def test_lcurve_csv_roundtrip(tmp_path):
     assert rows[0] == ["eps", "log_misfit", "log_penalty", "is_corner"]
     corners = [int(r[3]) for r in rows[1:]]
     assert sum(corners) == 1
+
+
+def test_boundary_length_computed_once_per_mesh(machine, basis, ne_coeffs,
+                                                monkeypatch):
+    # reconstruct and both L-curves weigh the magnetic rows by the boundary
+    # length, which the mesh computes on the first call and then keeps
+    mesh = gsrecon.build_rect_mesh(2.0, 3.0, -1.2, 1.2, 12, 12,
+                                   limiter=LIMITER)
+    eq = forward_fixed_point(mesh, machine, a_ref, b_ref,
+                             np.zeros(len(mesh.boundary)), basis=basis)
+    setup = ReconstructionSetup(mesh, machine, CHORDS, basis=basis)
+    ms = synthesize_measurements(setup, eq, ne_coeffs)
+    pts = mesh.nodes[mesh.boundary]
+    d = np.diff(np.vstack([pts, pts[:1]]), axis=0)
+    ref = float(np.hypot(d[:, 0], d[:, 1]).sum())
+    calls = []
+
+    class CountingNumpy:
+        """numpy for gsrecon.mesh, counting np.hypot: within mesh methods
+        not cached by the set-up, only boundary_length calls it."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def hypot(self, *args):
+            calls.append(args)
+            return np.hypot(*args)
+
+    monkeypatch.setattr(gsrecon.mesh, "np", CountingNumpy())
+    grid = np.logspace(-3, -1, 3)
+    for _ in range(2):
+        reconstruct(setup, ms, RegularizationConfig(), tol=0.0, max_iter=1)
+        l_curve_ne(setup, ms, eq, grid)
+        l_curve_ab(setup, ms, eq, grid)
+    assert len(calls) == 1
+    assert mesh.boundary_length() == ref and len(calls) == 1
