@@ -73,7 +73,8 @@ class SourceQuadrature:
     0.5 entries per row), ``P @ psibar`` the normalized flux there.  ``Pab``
     is the (2n, Q) stack of Pa = P^T diag(w r/r0) over Pb = P^T diag(w
     r0/r), which scatter the values of A and of B at the points onto the
-    nodal load: one product gives both, each row summed as alone.
+    nodal load: one product gives both, each row summed as alone.  ``Pa``
+    and ``Pb`` are its two row blocks, views of its arrays.
     ``cold_psibar`` (read-only) is 0 at the points inside the limiter
     contour and 2 outside: the first source of both Picard loops, whose
     flux has no axis.
@@ -86,10 +87,13 @@ class SourceQuadrature:
                                       mesh.n_nodes)
         pt = self.P.T.tocsr()
         self.Pab = sp.vstack([pt, pt], format="csr")
-        for block, weight in zip(np.split(self.Pab.data, 2),
-                                 (self.qp_w * self.qp_r / r0,
-                                  self.qp_w * r0 / self.qp_r)):
-            block *= weight[pt.indices]
+        self.Pa, self.Pb = (sp.csr_matrix((data, indices, pt.indptr),
+                                          shape=pt.shape, copy=False)
+                            for data, indices in zip(
+                                np.split(self.Pab.data, 2),
+                                np.split(self.Pab.indices, 2)))
+        self.Pa.data *= (self.qp_w * self.qp_r / r0)[pt.indices]
+        self.Pb.data *= (self.qp_w * r0 / self.qp_r)[pt.indices]
         self.cold_psibar = np.where(point_in_polygon(np.column_stack(
             [self.qp_r, self.qp_z]), mesh.limiter), 0.0, 2.0)
         self.cold_psibar.flags.writeable = False
@@ -122,10 +126,8 @@ def assemble_source_vector(squad, psibar_qp, a_vals, b_vals):
     mask = psibar_qp <= 1.0
     if not np.any(mask):
         raise EmptySourceError("plasma region contains no quadrature point")
-    load = squad.Pab @ np.where(mask[:, None],
-                                np.column_stack([a_vals, b_vals]), 0.0)
-    n = len(load) // 2
-    return load[:n, 0] + load[n:, 1]
+    return (squad.Pa @ np.where(mask, a_vals, 0.0)
+            + squad.Pb @ np.where(mask, b_vals, 0.0))
 
 
 def assemble_source_matrix(squad, psibar_qp, basis):

@@ -10,11 +10,10 @@ corner_eps and flat of the density and A/B L-curves on the 1 %-noise data
 over 21 log-spaced eps from 1e-5 to 1.  A second line per mesh size hashes
 the mesh-fixed set-up tables: the edge index, the node neighbors, the point
 locator's bins, the limiter matrix, the mid-edge quadrature with its P, Pa
-and Pb (the two row blocks of its stacked Pab), the stiffness matrix, the
-Neumann observer C0 and the chords' S, D and R.  A basis line, printed
-first, hashes ``SplineBasis.eval_many`` on a fixed point set (the knots,
-their floating-point neighbours, points outside [0, 1], a NaN and a
-uniform grid) for degrees 1 to 5, and
+and Pb, the stiffness matrix, the Neumann observer C0 and the chords' S, D
+and R.  A basis line, printed first, hashes ``SplineBasis.eval_many`` on a
+fixed point set (the knots, their floating-point neighbours, points outside
+[0, 1], a NaN and a uniform grid) for degrees 1 to 5, and
 ``regularization_matrix`` for degrees 2 to 5, each at three dimensions m:
 the bits of the package's own spline kernel, whatever scipy is installed.
 ``tests/fingerprint.txt`` holds the lines of the committed code; a
@@ -77,9 +76,7 @@ def setup_fingerprint(setup):
     feed(h, *mesh.edge_index(), mesh.node_neighbors(), locator._bin_tri,
          locator._start, squad.qp_nodes, squad.qp_bary, squad.qp_w,
          squad.qp_r, squad.qp_z)
-    n = mesh.n_nodes
-    feed_sparse(h, mesh.limiter_matrix(), squad.P, squad.Pab[:n],
-                squad.Pab[n:],
+    feed_sparse(h, mesh.limiter_matrix(), squad.P, squad.Pa, squad.Pb,
                 assemble_stiffness(mesh, setup.machine.mu0), setup.c0,
                 chords.S, chords.D, chords.R)
     return h.hexdigest()

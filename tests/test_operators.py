@@ -376,9 +376,8 @@ def _seed_rule(mesh, r0):
     nodes, bary, w, r, z = quadrature_points_per_triangle(mesh)
     P = interpolation_matrix(nodes, bary, mesh.n_nodes)
     return SimpleNamespace(P=P, qp_nodes=nodes, qp_bary=bary, qp_w=w,
-                           qp_r=r, qp_z=z, Pab=sp.vstack([
-                               P.T @ sp.diags(w * r / r0),
-                               P.T @ sp.diags(w * r0 / r)]).tocsr())
+                           qp_r=r, qp_z=z, Pa=P.T @ sp.diags(w * r / r0),
+                           Pb=P.T @ sp.diags(w * r0 / r))
 
 
 def _source_matrix_f_fill(squad, psibar_qp, basis, lam, r0, rows):

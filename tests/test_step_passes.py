@@ -74,9 +74,14 @@ def _assert_source_passes(squad, pq, basis, rng):
     versions bit for bit."""
     pa, pb = weighted_scatter_pair(squad, R0)
     n = pa.shape[0]
-    for block, ref in ((squad.Pab[:n], pa), (squad.Pab[n:], pb)):
+    for block, view, ref in ((squad.Pab[:n], squad.Pa, pa),
+                             (squad.Pab[n:], squad.Pb, pb)):
         for attr in ("data", "indices", "indptr"):
             _same(getattr(block, attr), getattr(ref, attr))
+            _same(getattr(view, attr), getattr(ref, attr))
+        # the row blocks hold no copy of the stack's entries
+        assert np.shares_memory(view.data, squad.Pab.data)
+        assert np.shares_memory(view.indices, squad.Pab.indices)
     _same(assemble_source_matrix(squad, pq, basis),
           source_matrix_two_products(pa, pb, pq, basis))
     a_vals, b_vals = rng.standard_normal((2, len(pq)))
