@@ -1,6 +1,8 @@
 """Derived physics quantities: flux-surface contours and averages, mean
 current density, diamagnetic-function integration and the safety factor."""
 
+from operator import itemgetter
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
@@ -57,16 +59,20 @@ def _closed_contours(mesh, psibar, levels, axis):
         row = np.repeat(np.arange(len(nodes)), stop - start)
         return row, np.arange(len(row)) - offset[row], offset
 
+    def crossing_points(edges):     # key offset per edge, point per key
+        key_edge, key_level, key_offset = crossings(edges)
+        na, nb = edges[key_edge, 0], edges[key_edge, 1]
+        va = psibar[na] - levels[key_level]
+        s = va / (va - (psibar[nb] - levels[key_level]))
+        xa, xb = (np.take(mesh.nodes, n, axis=0) for n in (na, nb))
+        xb -= xa        # xa + s (xb - xa) in place, the same bits: IEEE
+        xb *= s[:, None]            # sums and products commute
+        return key_offset, np.add(xb, xa, out=xb)
+
     # np.take and np.compress: row gathers by indexing cost ten times more
     edges, tri_edges = mesh.edge_index()
-    key_edge, key_level, key_offset = crossings(edges)
-    na, nb = edges[key_edge, 0], edges[key_edge, 1]
-    va = psibar[na] - levels[key_level]
-    s = va / (va - (psibar[nb] - levels[key_level]))
-    xa, xb = np.take(mesh.nodes, na, axis=0), np.take(mesh.nodes, nb, axis=0)
-    key_pts = xa + s[:, None] * (xb - xa)
-
-    seg_tri, seg_level, _ = crossings(mesh.triangles)
+    key_offset, key_pts = crossing_points(edges)
+    seg_tri, seg_level = crossings(mesh.triangles)[:2]
     # level-major order; numpy radix-sorts a narrow unsigned column
     order = np.argsort(seg_level.astype(np.min_scalar_type(len(levels))),
                        kind="stable")
@@ -79,18 +85,22 @@ def _closed_contours(mesh, psibar, levels, axis):
     mid = np.take(psibar, np.take_along_axis(mesh.triangles, rank[:, 1:2], 1))
     seg_edges = np.take(sides, 2 * seg_tri + (seg_level >= np.take(
         np.searchsorted(levels, mid[:, 0], "right"), seg_tri)), axis=0)
+    del order, rank, sides, mid     # each stage frees what it no longer needs
     seg_keys = key_offset[seg_edges] + seg_level[:, None]
     seg_pts = np.take(key_pts, seg_keys, axis=0)
+    n_keys = len(key_pts)
+    del key_offset, key_pts
     crosses = crosses_ray(seg_pts[:, 0], seg_pts[:, 1], *axis)
     segs = (seg_level, seg_tri, seg_edges, seg_pts)
     if _one_cycle(mesh, psibar, levels[-1]):
+        del seg_keys
         found = np.bincount(seg_level, weights=crosses,
                             minlength=len(levels)) % 2 == 1
         return levels, found, *(segs if found.all() else (
             np.compress(found[seg_level], a, axis=0) for a in segs))
     n_groups, group = connected_components(sp.coo_matrix(
         (np.ones(len(seg_keys)), (seg_keys[:, 0], seg_keys[:, 1])),
-        shape=(len(key_level),) * 2), directed=False)
+        shape=(n_keys,) * 2), directed=False)
     seg_group = group[seg_keys[:, 0]]
     closed = (np.bincount(group, minlength=n_groups)
               == np.bincount(seg_group, minlength=n_groups))
@@ -121,8 +131,8 @@ def extract_contour(mesh, psibar, levels, axis, psi):
     if levels.ndim != 1 or not levels.size or not np.all(
             (levels > 0) & (levels < 1)):
         raise ValueError("contour levels must be 1-d, nonempty, in (0, 1)")
-    _, found, level, tri, _, pts = _closed_contours(
-        mesh, finite_flux(psibar), levels, axis)
+    found, level, tri, pts = itemgetter(1, 2, 3, 5)(_closed_contours(
+        mesh, finite_flux(psibar), levels, axis))
     d = pts[:, 1] - pts[:, 0]
     mid = 0.5 * (pts[:, 0] + pts[:, 1])
     g = np.einsum("tij,tj->ti", mesh.grads(),

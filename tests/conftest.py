@@ -74,6 +74,20 @@ def reference_eq(twin_mesh, machine, basis):
 
 
 @pytest.fixture(scope="session")
+def twin_mesh_80():
+    """The twin configuration on 80x80 cells, the benchmark's size."""
+    return gsrecon.build_rect_mesh(2.0, 3.0, -1.2, 1.2, 80, 80,
+                                   limiter=LIMITER)
+
+
+@pytest.fixture(scope="session")
+def reference_eq_80(twin_mesh_80, machine, basis):
+    g_d = np.zeros(len(twin_mesh_80.boundary))
+    return forward_fixed_point(twin_mesh_80, machine, a_ref, b_ref, g_d,
+                               basis=basis)
+
+
+@pytest.fixture(scope="session")
 def setup(twin_mesh, machine, basis):
     return ReconstructionSetup(twin_mesh, machine, CHORDS, basis=basis)
 

@@ -11,6 +11,8 @@ skipped; otherwise the contour pass runs.  Spies on ``_one_cycle`` and
 ``connected_components`` show which branch each field takes, and both
 match the frozen mask pass bit for bit."""
 
+import gc
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -420,14 +422,57 @@ def test_runs_match_masks_on_random_fields(data):
         assert not np.all(np.diff(raised) > 0)
 
 
-@pytest.mark.parametrize("n_grid", [101, 301])
-def test_runs_match_masks_on_twin(twin_mesh, reference_eq, n_grid):
-    # 301 table levels leave more than 256 to contour: the 16-bit sort
-    eq = reference_eq
+def _twin(request, size):
+    """The conftest twin's mesh and reference equilibrium at 20 or 80
+    cells."""
+    suffix = {20: "", 80: "_80"}[size]
+    return (request.getfixturevalue("twin_mesh" + suffix),
+            request.getfixturevalue("reference_eq" + suffix))
+
+
+@pytest.mark.parametrize("size, n_grid", [
+    pytest.param(20, 101, id="101"), pytest.param(20, 301, id="301"),
+    pytest.param(80, 101, id="80x80-101")])
+def test_runs_match_masks_on_twin(request, size, n_grid):
+    # 301 table levels leave more than 256 to contour: the 16-bit sort;
+    # 80x80 is the size of the benchmark's twin rounds
+    mesh, eq = _twin(request, size)
     grid, at = table_grid(n_grid)
-    levels, found, *_ = _same_pass(twin_mesh, eq.domain.normalize(eq.psi),
+    levels, found, *_ = _same_pass(mesh, eq.domain.normalize(eq.psi),
                                    grid[at], eq.domain.axis)
     assert (len(levels) > 256) == (n_grid == 301) and found.sum() > 90
+
+
+@pytest.mark.parametrize("size, bound_mb", [(20, 1.1), (80, 4.5)])
+def test_table_working_set_is_bounded(request, machine, size, bound_mb):
+    """tracemalloc's peak over one profile_table call on the twin.
+
+    The contour pass's outputs take 64 B per segment (level and triangle
+    index, two side indices, two points): 2.12 MB for the 33 168 segments
+    of the 80x80 table, 0.53 MB for the 8 280 at 20x20.  Beside them the
+    pass holds at most the segments' side keys (16 B per segment) and one
+    stage's work arrays: the crossing points (16 B per key, about one key
+    per segment), the ray test's temporaries (8 B each per segment) or the
+    one-cycle test's per-edge and per-triangle arrays (about 1.2 MB for
+    the 12 800 triangles at 80x80).  That is about 3.9 MB at 80x80 and
+    1.0 MB at 20x20 (4.02 and 0.89 MB measured), and the bounds leave
+    about a tenth over it.  A pass that keeps the interpolation
+    temporaries of every crossed edge, or the ranks and sides of every
+    triangle, alive to its end peaks at 8.5 and 1.8 MB.
+    """
+    mesh, eq = _twin(request, size)
+    args = (mesh, eq.psi, eq.domain, eq.profiles, eq.lam, machine)
+    profile_table(*args)        # the mesh's cached tables are built once
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        profile_table(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 1e6
 
 
 def test_levels_must_ascend(mesh24):
