@@ -140,7 +140,8 @@ class ProfileExpansion:
     """Coefficients of the identified profile functions.
 
     a, b are dimensionless; c (electron density) carries physical units
-    after the nondimensionalizing scale has been applied.
+    after the nondimensionalizing scale has been applied.  A profile's
+    values at xs are ``basis.eval_many(xs) @ a`` (b, c).
     """
 
     basis: SplineBasis
@@ -157,16 +158,6 @@ class ProfileExpansion:
         if any(c is not None and c.shape != (m,)
                for c in (self.a, self.b, self.c)):
             raise ValueError("coefficient length must match basis dimension")
-
-    def coeffs(self, which):
-        c = {"A": self.a, "B": self.b, "ne": self.c}[which]
-        if c is None:
-            raise StateError("no electron-density coefficients present")
-        return c
-
-    def eval(self, which, xs):
-        vals = self.basis.eval_many(xs) @ self.coeffs(which)
-        return vals if np.ndim(xs) else float(vals[0])
 
 
 def first_guess_expansion(basis):

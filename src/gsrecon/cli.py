@@ -186,16 +186,12 @@ def _out(cfg, name):
     return os.path.join(out_dir, name)
 
 
-def _write_manifest(cfg, path, extra=None):
-    with open(path, "w") as fh:
-        for k in sorted(cfg):
-            if k == "chords":
-                for c in cfg["chords"]:
-                    fh.write(f"chord = {c[0]} {c[1]} {c[2]} {c[3]}\n")
-            else:
-                fh.write(f"{k} = {cfg[k]}\n")
-        for k, v in (extra or {}).items():
-            fh.write(f"{k} = {v}\n")
+def _write_manifest(cfg, path, extra):
+    rows = []
+    for k in sorted(cfg):
+        rows += ([["chord", "=", *c] for c in cfg[k]] if k == "chords"
+                 else [[k, "=", cfg[k]]])
+    write_rows(path, rows + [[k, "=", v] for k, v in extra.items()])
 
 
 def _settings(args):
@@ -408,7 +404,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except (DivergentLambdaError, ConvergenceError) as exc:
-        print(f"forward solve failed: {exc}", file=sys.stderr)
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NOCONV
     except (ConfigError, OSError, GsReconError) as exc:
         print(f"error: {exc}", file=sys.stderr)

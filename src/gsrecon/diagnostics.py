@@ -12,6 +12,13 @@ from .geometry import finite_flux, ring_sign_changes
 from .mesh import crosses_ray
 from .textio import write_rows
 
+# the psibar grid of every profile table, 101 rows, and the rows contoured,
+# 2..98 in [0.02, 0.98]; read-only, so the tables share them safely
+TABLE_GRID = np.linspace(0.0, 1.0, 101)
+CONTOURED_ROWS = np.nonzero((TABLE_GRID >= 0.02)
+                            & (TABLE_GRID <= 1.0 - 0.02))[0]
+TABLE_GRID.flags.writeable = CONTOURED_ROWS.flags.writeable = False
+
 
 def _one_cycle(mesh, psibar, top):
     """Whether each level up to top is one closed curve or none (Banchoff
@@ -50,6 +57,8 @@ def _closed_contours(mesh, psibar, levels, axis):
                                          np.abs(nodal[i] - given)) < 1e-14)
     if not np.all(np.diff([given, levels]) > 0):
         raise ValueError("contour levels must ascend strictly")
+    # tested first, so its per-edge arrays are freed before the segments
+    one_cycle = _one_cycle(mesh, psibar, levels[-1])
 
     def crossings(nodes):   # (row, level) row-major; key offset per row
         ends = np.take(psibar, nodes.T)
@@ -92,7 +101,7 @@ def _closed_contours(mesh, psibar, levels, axis):
     del key_offset, key_pts
     crosses = crosses_ray(seg_pts[:, 0], seg_pts[:, 1], *axis)
     segs = (seg_level, seg_tri, seg_edges, seg_pts)
-    if _one_cycle(mesh, psibar, levels[-1]):
+    if one_cycle:
         del seg_keys
         found = np.bincount(seg_level, weights=crosses,
                             minlength=len(levels)) % 2 == 1
@@ -217,34 +226,20 @@ def _fill_ends(grid, at, vals):
     return out
 
 
-def table_grid(n_grid, margin=0.02):
-    """The psibar grid of :func:`profile_table` and the indices of its
-    contoured levels, those strictly inside (0, 1) within [margin,
-    1 - margin]; ValueError unless margin is finite and there are two."""
-    grid = np.linspace(0.0, 1.0, n_grid)
-    at = np.nonzero((grid >= margin) & (grid <= 1.0 - margin)
-                    & (grid > 0.0) & (grid < 1.0))[0]
-    if len(at) < 2 or not np.isfinite(margin):
-        raise ValueError(f"a profile table needs a finite margin and two "
-                         f"levels to contour, not {n_grid}, {margin}")
-    return grid, at
+def profile_table(mesh, psi, domain, profiles, lam, machine):
+    """The identified and derived profiles on :data:`TABLE_GRID`.
 
-
-def profile_table(mesh, psi, domain, profiles, lam, machine, n_grid=101,
-                  margin=0.02):
-    """Uniform psibar table of the identified and derived profiles.
-
-    One :func:`extract_contour` call contours the levels in [margin,
-    1-margin] (see :func:`table_grid`); <1/r^2> and the integral of
-    dl/(r^2 B_p) of the other rows, the ends 0 and 1 among them (degenerate
-    axis contour, X-point singularity), are extrapolated linearly from the
-    two nearest contoured levels, and q is :func:`safety_factor` of the
-    latter.  Returns a dict of equal-length arrays, the contour-derived
-    entries NaN at a level without a closed contour and at the end rows
-    extrapolated from one.  A psi not finite at every node raises
+    One :func:`extract_contour` call contours the levels of
+    :data:`CONTOURED_ROWS`; <1/r^2> and the integral of dl/(r^2 B_p) of
+    the other rows, the ends 0 and 1 among them (degenerate axis contour,
+    X-point singularity), are extrapolated linearly from the two nearest
+    contoured levels, and q is :func:`safety_factor` of the latter.
+    Returns a dict of equal-length arrays, the contour-derived entries NaN
+    at a level without a closed contour and at the end rows extrapolated
+    from one.  A psi not finite at every node raises
     :class:`DegeneratePlasmaError`.
     """
-    grid, at = table_grid(n_grid, margin)
+    grid, at = TABLE_GRID, CONTOURED_ROWS
     contours = extract_contour(mesh, domain.normalize(psi), grid[at],
                                domain.axis, psi)
     _, _, mid, dl_bp = contours
@@ -252,7 +247,7 @@ def profile_table(mesh, psi, domain, profiles, lam, machine, n_grid=101,
     inv_r2 = _fill_ends(grid, at, geom / _loop_sums(contours, dl_bp))
     qgeom = _fill_ends(grid, at, geom)
 
-    # one basis evaluation for A, B and n_e: ProfileExpansion.eval's product
+    # one basis evaluation for A, B and n_e
     phi = profiles.basis.eval_many(grid)
     a_vals, b_vals = phi @ profiles.a, phi @ profiles.b
     f_vals = integrate_f(b_vals, lam, domain.psi_a, domain.psi_b,
@@ -265,7 +260,7 @@ def profile_table(mesh, psi, domain, profiles, lam, machine, n_grid=101,
                                        machine.r0),
         "q": safety_factor(qgeom, f_vals),
         "f": f_vals,
-        "ne": (np.full(n_grid, np.nan) if profiles.c is None
+        "ne": (np.full(len(grid), np.nan) if profiles.c is None
                else phi @ profiles.c),
     }
 

@@ -6,8 +6,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diagnostics import profile_table, table_grid
-from .errors import GsReconError
+from .diagnostics import TABLE_GRID, profile_table
+from .errors import ConvergenceError, GsReconError
 from .forward import assemble_source_matrix
 from .inverse import identify_ab, identify_ne, reconstruct
 from .observation import (MeasurementSet, build_interferometry_matrix,
@@ -65,20 +65,19 @@ class ReplicateStats:
     n_requested: int
     n_converged: int
     n_failed: int
-    seed: int
     warm_start: bool         # replicates started from the clean reconstruction
 
 
 def replicate_stats(setup, ms_clean, reg, eps_values, n_replicates=50,
                     rate=0.01, seed=12345, use_internal=True, tol=1e-6,
-                    max_iter=25, n_grid=101):
+                    max_iter=25):
     """Reconstruction statistics over randomly perturbed measurement sets.
 
     Runs n_replicates reconstructions per regularization value; replicates
-    that fail to converge are excluded from the statistics and counted.
-    A bad ``n_grid`` raises :func:`table_grid`'s ValueError up front, and
-    so does an ``n_replicates`` below 1; a measurement count error from
-    :func:`reconstruct` propagates.
+    that fail to converge are excluded from the statistics and counted,
+    and :class:`ConvergenceError` is raised when every replicate of an eps
+    fails.  An ``n_replicates`` below 1 raises ValueError up front; a
+    measurement count error from :func:`reconstruct` propagates.
 
     Start rule: each eps first reconstructs ``ms_clean`` with the
     replicates' settings, every eps before any replicate, so that the setup
@@ -91,7 +90,6 @@ def replicate_stats(setup, ms_clean, reg, eps_values, n_replicates=50,
     noise (every mean by under 1e-3 of its std on the 20x20 twin) while
     each replicate needs about half the Picard iterations.
     """
-    grid, _ = table_grid(n_grid)
     if n_replicates < 1:
         raise ValueError("n_replicates must be at least 1")
     results = []
@@ -114,8 +112,7 @@ def replicate_stats(setup, ms_clean, reg, eps_values, n_replicates=50,
                 continue
             try:
                 table = profile_table(setup.mesh, res.psi, res.domain,
-                                      res.profiles, res.lam, setup.machine,
-                                      n_grid=n_grid)
+                                      res.profiles, res.lam, setup.machine)
             except GsReconError:
                 n_fail += 1
                 continue
@@ -123,14 +120,14 @@ def replicate_stats(setup, ms_clean, reg, eps_values, n_replicates=50,
                 samples[k].append(table[k])
             n_ok += 1
         if n_ok == 0:
-            raise GsReconError(
+            raise ConvergenceError(
                 f"all {n_replicates} replicates failed at eps={eps:g}")
         stats = ReplicateStats(
-            eps, grid,
+            eps, TABLE_GRID,
             {k: np.mean(samples[k], axis=0) for k in PROFILE_KEYS},
             {k: np.median(samples[k], axis=0) for k in PROFILE_KEYS},
             {k: np.std(samples[k], axis=0) for k in PROFILE_KEYS},
-            n_replicates, n_ok, n_fail, seed, start is not None)
+            n_replicates, n_ok, n_fail, start is not None)
         results.append(stats)
     return results
 

@@ -87,8 +87,9 @@ def test_criterion_3_total_current_invariant(twin_mesh, machine, basis,
     for pq in states:
         x = np.clip(pq, 0.0, 1.0)
         for exp in profiles:
+            phi = exp.basis.eval_many(x)
             integral = assemble_source_vector(
-                squad, pq, exp.eval("A", x), exp.eval("B", x)).sum()
+                squad, pq, phi @ exp.a, phi @ exp.b).sum()
             lam = machine.ip / integral
             worst = max(worst,
                         abs(lam * integral - machine.ip) / abs(machine.ip))
@@ -203,7 +204,8 @@ def test_criterion_8_derived_quantity_identities(twin_mesh, reference_eq,
                                           lambda r, z: 4.25)[0] - 4.25)
 
     grid = np.linspace(0.0, 1.0, 21)
-    b_vals = reference_eq.profiles.eval("B", grid)
+    b_vals = reference_eq.profiles.basis.eval_many(grid) \
+        @ reference_eq.profiles.b
     f_vals = integrate_f(b_vals, reference_eq.lam,
                          reference_eq.domain.psi_a,
                          reference_eq.domain.psi_b, machine.b0, machine.r0,

@@ -100,21 +100,9 @@ def test_expansion_validates_coefficient_length():
         ProfileExpansion(BASIS, np.zeros(3), np.zeros(BASIS.m))
 
 
-def test_expansion_missing_density_raises():
-    exp = ProfileExpansion(BASIS, np.zeros(BASIS.m), np.zeros(BASIS.m))
-    with pytest.raises(StateError):
-        exp.eval("ne", 0.5)
-
-
-def test_expansion_scalar_eval():
-    exp = first_guess_expansion(BASIS)
-    v = exp.eval("A", 0.25)
-    assert isinstance(v, float)
-    assert v == pytest.approx(0.75, abs=1e-12)
-
-
 def test_first_guess_is_one_minus_x():
     exp = first_guess_expansion(BASIS)
     xs = np.linspace(0, 1, 51)
-    np.testing.assert_allclose(exp.eval("A", xs), 1.0 - xs, atol=1e-12)
-    np.testing.assert_allclose(exp.eval("B", xs), 1.0 - xs, atol=1e-12)
+    phi = BASIS.eval_many(xs)
+    np.testing.assert_allclose(phi @ exp.a, 1.0 - xs, atol=1e-12)
+    np.testing.assert_allclose(phi @ exp.b, 1.0 - xs, atol=1e-12)

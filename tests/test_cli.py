@@ -257,6 +257,59 @@ def test_stats_passes_stop_test_to_replicates(tmp_path, monkeypatch):
     assert seen == [(1e-6, 30), (1e-5, 17)]
 
 
+def test_stats_without_a_converged_replicate_exits_2(tmp_path, capsys):
+    # noise of 50 times each measurement: every replicate fails, a
+    # numerical failure and not an input error; nothing is written
+    assert cli.main(["stats", "--set", "nr=10", "--set", "nz=10",
+                     "--set", "replicates=1", "--set", "eps_list=0.05",
+                     "--set", "noise_rate=50",
+                     "--set", f"out_dir={tmp_path}"]) == cli.EXIT_NOCONV
+    err = capsys.readouterr().err
+    assert "all 1 replicates failed at eps=0.05" in err
+    assert "Traceback" not in err and "forward solve" not in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_stats_manifest_bytes(tmp_path):
+    # the configuration as parsed, keys sorted, one line per chord, then
+    # the per-eps counts; floats as repr
+    cfg = cli.parse_config(None, ["nr=10", "chord = 2.0 -0.9 3.0 0.3"])
+    path = tmp_path / "stats_manifest.txt"
+    cli._write_manifest(cfg, path, {"failed_eps_0.1": 0,
+                                    "warm_start_eps_0.1": 1})
+    assert path.read_bytes() == b"""\
+alpha_scale = 1e+19
+b0 = 2.0
+chord = 2.0 -0.9 3.0 0.3
+degree = 3
+eps = 0.05
+eps_list = 1e-2,1e-1,1
+eps_ne = 0.01
+ip = 1000000.0
+lcurve_eps_max = 1.0
+lcurve_eps_min = 1e-05
+lcurve_points = 13
+limiter_rect = 2.1 2.9 1.05
+m = 8
+max_iter = 30
+noise_rate = 0.01
+nr = 10
+nz = 20
+out_dir = .
+r0 = 2.5
+r_max = 3.0
+r_min = 2.0
+realtime_iters = 2
+replicates = 50
+seed = 12345
+tol = 1e-06
+z_max = 1.2
+z_min = -1.2
+failed_eps_0.1 = 0
+warm_start_eps_0.1 = 1
+"""
+
+
 def test_lcurve_writes_curves(workspace):
     ws, cfg = workspace
     code = cli.main(["lcurve", "--config", str(cfg),

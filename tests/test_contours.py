@@ -23,10 +23,10 @@ from scipy.sparse.csgraph import connected_components
 
 import gsrecon
 from gsrecon import diagnostics, twin
-from gsrecon.diagnostics import (_closed_contours, _fill_ends,
+from gsrecon.diagnostics import (CONTOURED_ROWS, TABLE_GRID,
+                                 _closed_contours, _fill_ends,
                                  extract_contour, integrate_f,
-                                 mean_current_density, profile_table,
-                                 table_grid)
+                                 mean_current_density, profile_table)
 from gsrecon.geometry import ring_sign_changes
 from gsrecon.inverse import RegularizationConfig
 
@@ -179,9 +179,9 @@ def _extract_contour_loop(mesh, psibar, level, axis, psi):
                            bp=bp)
 
 
-def _profile_table_loop(mesh, psi, domain, profiles, lam, machine,
-                        n_grid=101, margin=0.02):
-    grid, at = table_grid(n_grid, margin)
+def _profile_table_loop(mesh, psi, domain, profiles, lam, machine):
+    grid, at = TABLE_GRID, CONTOURED_ROWS
+    n_grid = len(grid)
     psibar = domain.normalize(psi)
     inv_r2 = np.full(n_grid, np.nan)
     qgeom = np.full(n_grid, np.nan)
@@ -200,8 +200,8 @@ def _profile_table_loop(mesh, psi, domain, profiles, lam, machine,
     inv_r2 = _fill_ends(grid, at, inv_r2[at])
     qgeom = _fill_ends(grid, at, qgeom[at])
 
-    a_vals = profiles.eval("A", grid)
-    b_vals = profiles.eval("B", grid)
+    a_vals = profiles.basis.eval_many(grid) @ profiles.a
+    b_vals = profiles.basis.eval_many(grid) @ profiles.b
     f_vals = integrate_f(b_vals, lam, domain.psi_a, domain.psi_b,
                          machine.b0, machine.r0, machine.mu0, grid)
     table = {
@@ -214,7 +214,7 @@ def _profile_table_loop(mesh, psi, domain, profiles, lam, machine,
         "f": f_vals,
     }
     if profiles.c is not None:
-        table["ne"] = profiles.eval("ne", grid)
+        table["ne"] = profiles.basis.eval_many(grid) @ profiles.c
     else:
         table["ne"] = np.full(n_grid, np.nan)
     return table, valid
@@ -358,7 +358,7 @@ def test_table_rows_without_contour_are_nan(mesh24, reference_eq, machine):
     psi, domain = _synthetic_domain(psibar, (2.5, 0.0), reference_eq)
     table = profile_table(mesh24, psi, domain, reference_eq.profiles,
                           reference_eq.lam, machine)
-    grid, at = table_grid(101)
+    grid, at = TABLE_GRID, CONTOURED_ROWS
     found = extract_contour(mesh24, domain.normalize(psi), grid[at],
                             (2.5, 0.0), psi)[0]
     assert 20 < found.sum() < 30
@@ -430,20 +430,26 @@ def _twin(request, size):
             request.getfixturevalue("reference_eq" + suffix))
 
 
+def _grid_levels(n_grid):
+    """The table's contoured levels at 101, else the n_grid - 2 levels
+    inside (0, 1) of an n_grid-point grid: 299 at 301, more than 256."""
+    return (TABLE_GRID[CONTOURED_ROWS] if n_grid == 101
+            else np.linspace(0.0, 1.0, n_grid)[1:-1])
+
+
 @pytest.mark.parametrize("size, n_grid", [
     pytest.param(20, 101, id="101"), pytest.param(20, 301, id="301"),
     pytest.param(80, 101, id="80x80-101")])
 def test_runs_match_masks_on_twin(request, size, n_grid):
-    # 301 table levels leave more than 256 to contour: the 16-bit sort;
-    # 80x80 is the size of the benchmark's twin rounds
+    # more than 256 levels to contour take the 16-bit sort; 80x80 is the
+    # size of the benchmark's twin rounds
     mesh, eq = _twin(request, size)
-    grid, at = table_grid(n_grid)
     levels, found, *_ = _same_pass(mesh, eq.domain.normalize(eq.psi),
-                                   grid[at], eq.domain.axis)
+                                   _grid_levels(n_grid), eq.domain.axis)
     assert (len(levels) > 256) == (n_grid == 301) and found.sum() > 90
 
 
-@pytest.mark.parametrize("size, bound_mb", [(20, 1.1), (80, 4.5)])
+@pytest.mark.parametrize("size, bound_mb", [(20, 1.1), (80, 3.9)])
 def test_table_working_set_is_bounded(request, machine, size, bound_mb):
     """tracemalloc's peak over one profile_table call on the twin.
 
@@ -452,13 +458,15 @@ def test_table_working_set_is_bounded(request, machine, size, bound_mb):
     of the 80x80 table, 0.53 MB for the 8 280 at 20x20.  Beside them the
     pass holds at most the segments' side keys (16 B per segment) and one
     stage's work arrays: the crossing points (16 B per key, about one key
-    per segment), the ray test's temporaries (8 B each per segment) or the
-    one-cycle test's per-edge and per-triangle arrays (about 1.2 MB for
-    the 12 800 triangles at 80x80).  That is about 3.9 MB at 80x80 and
-    1.0 MB at 20x20 (4.02 and 0.89 MB measured), and the bounds leave
-    about a tenth over it.  A pass that keeps the interpolation
-    temporaries of every crossed edge, or the ranks and sides of every
-    triangle, alive to its end peaks at 8.5 and 1.8 MB.
+    per segment) or the ray test's temporaries (8 B each per segment).
+    The one-cycle test runs before the segments are built, so its per-edge
+    and per-triangle arrays (about 1.2 MB for the 12 800 triangles at
+    80x80) are freed by then.  The peaks measured are 3.55 MB at 80x80 and
+    0.89 MB at 20x20, and the bounds leave about a tenth and a fifth over
+    them.  A one-cycle test after the segments peaks at 4.02 MB at 80x80;
+    a pass that keeps the interpolation temporaries of every crossed edge,
+    or the ranks and sides of every triangle, alive to its end peaks at
+    8.5 and 1.8 MB.
     """
     mesh, eq = _twin(request, size)
     args = (mesh, eq.psi, eq.domain, eq.profiles, eq.lam, machine)
@@ -520,8 +528,12 @@ def test_random_fields_take_both_branches(branches):
 def test_twin_table_takes_one_cycle(branches, twin_mesh, reference_eq,
                                     machine, n_grid):
     eq = reference_eq
-    profile_table(twin_mesh, eq.psi, eq.domain, eq.profiles, eq.lam, machine,
-                  n_grid=n_grid)
+    if n_grid == 101:
+        profile_table(twin_mesh, eq.psi, eq.domain, eq.profiles, eq.lam,
+                      machine)
+    else:
+        extract_contour(twin_mesh, eq.domain.normalize(eq.psi),
+                        _grid_levels(n_grid), eq.domain.axis, eq.psi)
     assert (branches.one_cycle, branches.contour) == (1, 0)
 
 
@@ -557,7 +569,7 @@ def _critical_fields(mesh):
                                   "tied"])
 def test_critical_fields_take_contour_pass(branches, mesh24, name):
     psibar = _critical_fields(mesh24)[name]
-    grid, at = table_grid(101)
+    grid, at = TABLE_GRID, CONTOURED_ROWS
     top = grid[at][-1]
     edges = mesh24.edge_index()[0]
     tied = (psibar[edges[:, 0]] == psibar[edges[:, 1]]) \
@@ -582,7 +594,7 @@ def test_nan_field_takes_contour_pass(branches):
     mesh = gsrecon.build_rect_mesh(2.0, 3.0, -1.0, 1.0, 8, 4)
     psibar = _circle(mesh)
     psibar[[17, 18]] = np.nan           # (2.375, 0) and (2.375, 0.5)
-    grid, at = table_grid(101)
+    grid, at = TABLE_GRID, CONTOURED_ROWS
     top = grid[at][-1]
     assert (psibar[mesh.boundary] >= top).all()
     assert (ring_sign_changes(mesh, psibar)[psibar < top] != 2).sum() == 1

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 import gsrecon
-from gsrecon.diagnostics import (extract_contour, flux_surface_average,
-                                 integrate_f, mean_current_density,
-                                 profile_table, safety_factor, table_grid,
-                                 write_profile_csv)
+from gsrecon.diagnostics import (CONTOURED_ROWS, TABLE_GRID, extract_contour,
+                                 flux_surface_average, integrate_f,
+                                 mean_current_density, profile_table,
+                                 safety_factor, write_profile_csv)
 from gsrecon.errors import DegeneratePlasmaError, NonPhysicalProfileError
 from gsrecon.geometry import PlasmaDomain
 
@@ -114,14 +114,15 @@ def test_table_reads_the_contour_functions(twin_mesh, reference_eq, machine,
     # bit, and its <1/r^2> (lambdaB_weighted / (lambda r0^2 B)) is
     # flux_surface_average's of 1/r^2 to rounding
     eq, table = reference_eq, reference_table
-    grid, at = table_grid(len(table["psibar"]))
+    grid, at = TABLE_GRID, CONTOURED_ROWS
     contours = extract_contour(twin_mesh, eq.domain.normalize(eq.psi),
                                grid[at], eq.domain.axis, eq.psi)
     assert contours[0].all()
     np.testing.assert_array_equal(table["q"][at],
                                   safety_factor(contours, table["f"][at]))
     inv_r2 = table["lambdaB_weighted"][at] / (
-        eq.lam * machine.r0 ** 2 * eq.profiles.eval("B", grid[at]))
+        eq.lam * machine.r0 ** 2
+        * (eq.profiles.basis.eval_many(grid[at]) @ eq.profiles.b))
     np.testing.assert_allclose(
         inv_r2, flux_surface_average(contours, lambda r, z: 1.0 / r ** 2),
         rtol=1e-14, atol=0)
@@ -142,7 +143,8 @@ def test_profile_table_matches_reference_profiles(reference_table,
                                                   reference_eq):
     # lambdaA on the table is lambda * A(psibar) of the stored expansion
     grid = reference_table["psibar"]
-    expected = reference_eq.lam * reference_eq.profiles.eval("A", grid)
+    expected = reference_eq.lam * (reference_eq.profiles.basis.eval_many(
+        grid) @ reference_eq.profiles.a)
     np.testing.assert_allclose(reference_table["lambdaA"], expected,
                                rtol=1e-12)
 
@@ -156,38 +158,6 @@ def test_profile_csv_roundtrip(tmp_path, reference_table):
     assert rows[0][0] == "psibar"
     assert len(rows) == 1 + len(reference_table["psibar"])
     assert float(rows[1][0]) == 0.0
-
-
-def test_profile_table_margin_zero(twin_mesh, reference_eq, machine,
-                                   reference_table):
-    # levels 0 and 1 are never contoured; their entries are extrapolated
-    eq = reference_eq
-    table = profile_table(twin_mesh, eq.psi, eq.domain, eq.profiles, eq.lam,
-                          machine, margin=0.0)
-    inner = slice(2, -2)
-    for key in ("lambdaB_weighted", "j_mean", "q", "f"):
-        assert np.all(np.isfinite(table[key]))
-        np.testing.assert_array_equal(table[key][inner],
-                                      reference_table[key][inner])
-
-
-@pytest.mark.parametrize("n_grid,margin", [
-    (0, 0.02), (1, 0.02), (2, 0.02), (3, 0.02), (101, 0.6), (101, np.nan),
-    (101, np.inf), (101, -np.inf)])
-def test_profile_table_rejects_degenerate_grid(twin_mesh, reference_eq,
-                                               machine, n_grid, margin):
-    # a grid without two levels to contour used to give an all-NaN table
-    # (one finite value at n_grid 3); a margin that is not finite is
-    # refused too
-    eq = reference_eq
-    with pytest.raises(ValueError, match="profile table needs"):
-        profile_table(twin_mesh, eq.psi, eq.domain, eq.profiles, eq.lam,
-                      machine, n_grid=n_grid, margin=margin)
-
-
-def test_smallest_table_grid():
-    grid, at = table_grid(4)
-    np.testing.assert_array_equal(grid[at], [1 / 3, 2 / 3])
 
 
 def test_vanishing_poloidal_field_is_refused_without_warning():

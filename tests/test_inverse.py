@@ -153,8 +153,9 @@ def test_reconstruct_magnetics_only(setup, clean_measurements, reference_eq):
     # the dof rescaling moves profile scale into lambda, so compare the
     # physically meaningful product lambda * A rather than lambda itself
     xs = np.linspace(0.0, 0.8, 17)
-    prod_rec = res.lam * res.profiles.eval("A", xs)
-    prod_ref = reference_eq.lam * reference_eq.profiles.eval("A", xs)
+    prod_rec = res.lam * res.profiles.basis.eval_many(xs) @ res.profiles.a
+    prod_ref = reference_eq.lam * (reference_eq.profiles.basis.eval_many(xs)
+                                   @ reference_eq.profiles.a)
     assert np.abs(prod_rec - prod_ref).max() < 0.2 * np.abs(prod_ref).max()
     assert res.profiles.c is None
     assert set(res.costs) == {"J0", "J1", "J2", "Jeps"}

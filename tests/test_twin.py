@@ -63,16 +63,6 @@ def test_replicate_stats_shapes_and_determinism(setup, clean_measurements):
     assert np.all(s1.std["lambdaA"] >= 0.0)
 
 
-def test_replicate_stats_checks_grid_first(setup, clean_measurements,
-                                           monkeypatch):
-    calls = []
-    monkeypatch.setattr(twin, "reconstruct", lambda *a, **k: calls.append(a))
-    with pytest.raises(ValueError, match="profile table needs"):
-        replicate_stats(setup, clean_measurements, RegularizationConfig(),
-                        [5e-2], n_replicates=1, n_grid=3)
-    assert calls == []
-
-
 @pytest.mark.parametrize("n", [0, -1])
 def test_replicate_stats_needs_a_replicate(setup, clean_measurements,
                                            monkeypatch, n):
