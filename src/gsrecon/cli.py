@@ -37,7 +37,7 @@ DEFAULTS = {
     "limiter_rect": "2.1 2.9 1.05",   # r_in r_out z_half; "none" disables
     "r0": 2.5, "b0": 2.0, "ip": 1.0e6,
     "degree": 3, "m": 8,
-    "eps": 5e-2, "eps_ne": 1e-2, "alpha_scale": 1e19,
+    "eps": 5e-2, "eps_ne": 1e-2,
     "tol": 1e-6, "max_iter": 30, "realtime_iters": 2,
     "noise_rate": 0.01, "seed": 12345, "replicates": 50,
     "eps_list": "1e-2,1e-1,1",
@@ -170,8 +170,7 @@ def _machine(cfg):
 
 def _reg(cfg):
     with _config_values("regularization"):
-        return RegularizationConfig(_get(cfg, "eps"), _get(cfg, "eps_ne"),
-                                    _get(cfg, "alpha_scale"))
+        return RegularizationConfig(_get(cfg, "eps"), _get(cfg, "eps_ne"))
 
 
 def _basis(cfg):
@@ -273,7 +272,7 @@ def cmd_reconstruct(args):
         print(f"reconstruction failed: {res.error}", file=sys.stderr)
         return EXIT_NOCONV
     table = profile_table(mesh, res.psi, res.domain, res.profiles, res.lam,
-                          machine)
+                          res.machine)
     csv_path = _out(cfg, "reconstruction.csv")
     write_profile_csv(csv_path, table)
     summary = _out(cfg, "reconstruction_summary.txt")
@@ -338,8 +337,7 @@ def cmd_lcurve(args):
         raise ConfigError("lcurve requires profile_ne and at least one chord")
     eq, setup, _, ms = _reference_twin(cfg, mesh, machine, basis)
     ms = twinmod.perturb(ms, _get(cfg, "noise_rate"), _get(cfg, "seed", int))
-    res_ne = l_curve_ne(setup, ms, eq, eps_grid,
-                        alpha_scale=_get(cfg, "alpha_scale"))
+    res_ne = l_curve_ne(setup, ms, eq, eps_grid)
     ne_path = _out(cfg, "lcurve_ne.csv")
     write_lcurve_csv(ne_path, res_ne)
     print(f"ne corner at eps={res_ne.corner_eps:g} (flat={res_ne.flat}) "

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import DegeneratePlasmaError, NonPhysicalProfileError
+from .fem import MU0
 from .geometry import finite_flux, ring_sign_changes
 from .mesh import crosses_ray
 from .textio import write_rows
@@ -172,16 +173,16 @@ def flux_surface_average(contours, quantity):
             / _loop_sums(contours, dl_bp))
 
 
-def integrate_f(b_vals, lam, psi_a, psi_b, b0, r0, mu0, grid):
+def integrate_f(b_vals, lam, psi_a, psi_b, b0, r0, grid):
     """Diamagnetic function on the normalized-flux grid.
 
-    (f^2)' = 2 lambda mu0 r0 B as a function of flux; integration runs from
+    (f^2)' = 2 lambda MU0 r0 B as a function of flux; integration runs from
     the plasma boundary (where f = b0*r0 exactly) inward.
     """
     grid = np.asarray(grid, dtype=np.float64)
     b_vals = np.asarray(b_vals, dtype=np.float64)
     dpsi = psi_b - psi_a
-    integrand = 2.0 * lam * mu0 * r0 * b_vals * dpsi
+    integrand = 2.0 * lam * MU0 * r0 * b_vals * dpsi
     # cumulative trapezoid of integrand over s from 1 down to each grid point
     rev = np.concatenate([[0.0], np.cumsum(
         0.5 * (integrand[::-1][1:] + integrand[::-1][:-1])
@@ -251,7 +252,7 @@ def profile_table(mesh, psi, domain, profiles, lam, machine):
     phi = profiles.basis.eval_many(grid)
     a_vals, b_vals = phi @ profiles.a, phi @ profiles.b
     f_vals = integrate_f(b_vals, lam, domain.psi_a, domain.psi_b,
-                         machine.b0, machine.r0, machine.mu0, grid)
+                         machine.b0, machine.r0, grid)
     return {
         "psibar": grid,
         "lambdaA": lam * a_vals,

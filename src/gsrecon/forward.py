@@ -20,11 +20,11 @@ class MachineParams:
     r0: float
     b0: float
     ip: float
-    mu0: float = fem.MU0
+    mu0 = fem.MU0       # a constant of the package, not a field
 
     def __post_init__(self):
-        if not (0 < self.r0 < np.inf and 0 < self.mu0 < np.inf):
-            raise ValueError("r0 and mu0 must be positive")
+        if not 0 < self.r0 < np.inf:
+            raise ValueError("r0 must be positive")
         if not 0 < abs(self.ip) < np.inf:
             raise ValueError("Ip must be nonzero")
         if not np.isfinite(self.b0):
@@ -99,13 +99,13 @@ class SourceQuadrature:
         self.cold_psibar.flags.writeable = False
 
 
-def mesh_operators(mesh, mu0, r0):
-    """(Factorization, SourceQuadrature) of ``mesh``, built once per mesh,
-    mu0 and r0, held in the mesh's cache and shared by every forward solve
-    and reconstruction set-up."""
-    key = ("operators", mu0, r0)
+def mesh_operators(mesh, r0):
+    """(Factorization, SourceQuadrature) of ``mesh``, built once per mesh
+    and r0, held in the mesh's cache and shared by every forward solve and
+    reconstruction set-up."""
+    key = ("operators", r0)
     if key not in mesh._cache:
-        stiff = fem.impose_dirichlet(fem.assemble_stiffness(mesh, mu0),
+        stiff = fem.impose_dirichlet(fem.assemble_stiffness(mesh),
                                      mesh.boundary)
         mesh._cache[key] = (fem.factorize(stiff), SourceQuadrature(mesh, r0))
     return mesh._cache[key]
@@ -203,7 +203,7 @@ def forward_fixed_point(mesh, machine, a_func, b_func, g_d, tol=1e-6,
     Raises :class:`ConvergenceError` when max_iter is exhausted or an
     iteration fails (the failure is chained as its cause).
     """
-    fact, squad = mesh_operators(mesh, machine.mu0, machine.r0)
+    fact, squad = mesh_operators(mesh, machine.r0)
     lift = fact.lift(g_d)
 
     def picard_map(pq, domain=None):
@@ -245,7 +245,7 @@ def save_equilibrium(eq, path):
     if eq.domain is None:
         raise ValueError(f"no plasma domain to save: {eq.error}")
     m, d, p = eq.machine, eq.domain, eq.profiles
-    rows = [["r0", m.r0], ["b0", m.b0], ["ip", m.ip], ["mu0", m.mu0],
+    rows = [["r0", m.r0], ["b0", m.b0], ["ip", m.ip], ["mu0", fem.MU0],
             ["lambda", eq.lam], ["converged", eq.converged],
             ["iterations", eq.iterations], ["psi_a", d.psi_a],
             ["psi_b", d.psi_b], ["mode", d.mode], ["axis", *d.axis],
@@ -268,12 +268,12 @@ def load_equilibrium(path, mesh=None, basis=None):
     """Read a file written by :func:`save_equilibrium`, its lines in any
     order.  Raises :class:`MeshParseError` for a line the
     :class:`~gsrecon.textio.LineReader` rule rejects, an unknown, repeated
-    or missing field, a mode other than ``limiter`` or ``xpoint``, a psi
-    block whose length is not the node count of ``mesh`` (when given), a
-    ``basis`` (when given) whose degree or dimension is not the file's and
-    values the equilibrium rejects.  Files without ``converged`` and
-    ``iterations`` load as converged after 0 iterations, and without
-    ``degree`` as cubic.
+    or missing field, a mode other than ``limiter`` or ``xpoint``, a mu0
+    other than :data:`fem.MU0`, a psi block whose length is not the node
+    count of ``mesh`` (when given), a ``basis`` (when given) whose degree or
+    dimension is not the file's and values the equilibrium rejects.  Files
+    without ``converged`` and ``iterations`` load as converged after 0
+    iterations, and without ``degree`` as cubic.
     """
     rd = LineReader(path)
     data = {}
@@ -293,9 +293,10 @@ def load_equilibrium(path, mesh=None, basis=None):
         else:
             data[key] = rd.values(rest, EQUILIBRIUM_FIELDS[key],
                                   OPTIONAL_INTS.get(key))
+            if key == "mu0" and data[key] != [fem.MU0]:
+                rd.fail(f"mu0 must be {fem.MU0!r}, not {rest[0]}")
     try:
-        machine = MachineParams(*(data[k][0] for k in ("r0", "b0", "ip",
-                                                       "mu0")))
+        machine = MachineParams(*(data[k][0] for k in ("r0", "b0", "ip")))
         shape = (data.get("degree", [3])[0], len(data["coeff_a"]))
         if basis is None:
             basis = SplineBasis(*shape)

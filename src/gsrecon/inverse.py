@@ -2,7 +2,7 @@
 density and for A/B, dof rescaling and the full reconstruction fixed
 point."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,19 +24,20 @@ from .observation import (build_chord_geometries, build_interferometry_matrix,
 class RegularizationConfig:
     eps: float = 5e-2            # shared by A and B
     eps_ne: float = 1e-2
-    alpha_scale: float = 1e19    # density nondimensionalization, m^-3
 
     def __post_init__(self):
-        if not all(0 < v < np.inf
-                   for v in (self.eps, self.eps_ne, self.alpha_scale)):
+        if not all(0 < v < np.inf for v in (self.eps, self.eps_ne)):
             raise ValueError("regularization parameters must be positive")
+
+
+NE_SCALE = 1e19    # density nondimensionalization of the n_e solve, m^-3
 
 
 def penalized_lsq(E, f, w, eps, lam, scale=1.0):
     """Minimizer of |w (E scale x - f)|^2 + eps x^T lam x over x.
 
     ``scale`` nondimensionalizes the unknowns (the density's
-    alpha_scale), so the data term and the penalty meet at O(1)
+    :data:`NE_SCALE`), so the data term and the penalty meet at O(1)
     magnitudes.  Returns (scale x, the weighted residual
     w (E scale x - f), the seminorm x^T lam x).
     """
@@ -60,10 +61,10 @@ def penalized_lsq(E, f, w, eps, lam, scale=1.0):
 
 
 # the two solves keep their own names: perfbench times each one by name
-def identify_ne(b_int, gamma, w_inter, eps_ne, lam_block, alpha_scale):
+def identify_ne(b_int, gamma, w_inter, eps_ne, lam_block):
     """Density coefficients from the interferometry rows:
-    :func:`penalized_lsq` with the unknowns scaled by ``alpha_scale``."""
-    return penalized_lsq(b_int, gamma, w_inter, eps_ne, lam_block, alpha_scale)
+    :func:`penalized_lsq` with the unknowns scaled by :data:`NE_SCALE`."""
+    return penalized_lsq(b_int, gamma, w_inter, eps_ne, lam_block, NE_SCALE)
 
 
 def identify_ab(E, f, w, eps, lam_free):
@@ -99,7 +100,7 @@ class ReconstructionSetup:
         self.machine = machine
         self.basis = basis if basis is not None else SplineBasis(
             end_constraint=True)
-        self.fact, self.squad = mesh_operators(mesh, machine.mu0, machine.r0)
+        self.fact, self.squad = mesh_operators(mesh, machine.r0)
         self.c0, self.gn_points = build_neumann_observer(mesh)
         self.gn_tol = 1e-9 * np.hypot(*(np.roll(self.gn_points, -1, axis=0)
                                         - self.gn_points).T).min()
@@ -176,7 +177,8 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
     is empty.  ``converged`` is False after ``max_iter`` iterations (the
     real-time regime truncates the loop on purpose).
 
-    lambda scales the current to the measured ``ip``.  The first iteration
+    lambda scales the current to the measured ``ip``, and ``machine`` is the
+    setup's with the measured Ip and B0.  The first iteration
     depends only on ``ip`` and the start's psi, domain (a warm start's is
     that of its psi, found when None) and free coefficients a[:-1], b[:-1]
     (A(1) = B(1) = 0 pins the last ones); the setup memoizes it.  Only
@@ -189,10 +191,10 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
     and polarimetric rows of 1/2 |W (E u - f)|^2, J2 the interferometry
     misfit 1/2 |w (B c - gamma)|^2 and Jeps eps/2 u^T Lambda u of u so
     rescaled plus the density solve's eps_ne/2 v^T Lambda v, v = c /
-    alpha_scale, 0 when that did not run (a warm start's c is carried).
+    NE_SCALE, 0 when that did not run (a warm start's c is carried).
     """
-    mesh, machine, basis = setup.mesh, setup.machine, setup.basis
-    ms = measurements
+    mesh, basis, ms = setup.mesh, setup.basis, measurements
+    machine = replace(setup.machine, ip=ms.ip, b0=ms.b0)
     n_c = len(setup.chord_geoms)
     use_internal = use_internal and n_c > 0
     counts = [("gD", ms.g_d, len(mesh.boundary), "boundary nodes"),
@@ -233,7 +235,7 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
         if b_int is not None:
             ne_coeffs, ne_misfit, ne_seminorm = identify_ne(
                 b_int, ms.gamma, weights.w_inter, reg.eps_ne,
-                setup.lam_block, reg.alpha_scale)
+                setup.lam_block)
             rows = build_polarimetry_observer(setup.chord_geoms, G, ne_coeffs)(
                 np.column_stack([dk, dk_inv_g]))
             E = np.vstack([E, rows[:, :-1]])
@@ -261,6 +263,6 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
     u, lam = rescale_dofs(end.u, end.lam)
     a, b = (np.append(x, 0.0) for x in np.split(u, 2))
     profiles = ProfileExpansion(basis, a, b, end.ne_coeffs)
-    converged = error is None and records[-1].residual <= tol
+    converged = error is None and bool(records[-1].residual <= tol)
     return Equilibrium(psi, domain, profiles, lam, machine, records,
                        converged, len(records) + failed, error)

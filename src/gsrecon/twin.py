@@ -112,7 +112,7 @@ def replicate_stats(setup, ms_clean, reg, eps_values, n_replicates=50,
                 continue
             try:
                 table = profile_table(setup.mesh, res.psi, res.domain,
-                                      res.profiles, res.lam, setup.machine)
+                                      res.profiles, res.lam, res.machine)
             except GsReconError:
                 n_fail += 1
                 continue
@@ -189,7 +189,7 @@ def l_curve(solver, eps_grid):
     return LCurveResult(eps_grid, x, y, float(eps_grid[idx]), idx, flat)
 
 
-def l_curve_ne(setup, ms, eq, eps_grid, alpha_scale=1e19):
+def l_curve_ne(setup, ms, eq, eps_grid):
     """L-curve of the density identification at the flux of the reference
     equilibrium ``eq``."""
     weights = default_weights(ms, setup.mesh.boundary_length())
@@ -198,7 +198,7 @@ def l_curve_ne(setup, ms, eq, eps_grid, alpha_scale=1e19):
 
     def solver(eps):
         _, misfit, penalty = identify_ne(b_int, ms.gamma, weights.w_inter,
-                                         eps, setup.lam_block, alpha_scale)
+                                         eps, setup.lam_block)
         return 0.5 * float(np.sum(misfit ** 2)), 0.5 * penalty
 
     return l_curve(solver, eps_grid)

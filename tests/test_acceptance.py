@@ -209,7 +209,7 @@ def test_criterion_8_derived_quantity_identities(twin_mesh, reference_eq,
     f_vals = integrate_f(b_vals, reference_eq.lam,
                          reference_eq.domain.psi_a,
                          reference_eq.domain.psi_b, machine.b0, machine.r0,
-                         machine.mu0, grid)
+                         grid)
     edge_exact = f_vals[-1] == machine.b0 * machine.r0
 
     lam_mat = regularization_matrix(basis)

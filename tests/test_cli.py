@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from gsrecon import cli
 from gsrecon.errors import MeshParseError
 from gsrecon.inverse import ReconstructionSetup, reconstruct
 from gsrecon.mesh import build_rect_mesh, load_mesh, save_mesh
-from gsrecon.observation import load_measurements
+from gsrecon.observation import load_measurements, save_measurements
 
 CONFIG = """\
 # desk-scale twin configuration
@@ -132,6 +133,22 @@ def test_reconstruct_from_measurement_file(workspace):
     assert numbers == {"lambda": [float(res.lam)],
                        **{k: [float(v)] for k, v in res.costs.items()},
                        "residuals": [float(r) for r in res.residuals]}
+
+
+def test_reconstruct_tabulates_f_from_the_measured_b0(workspace, tmp_path):
+    # the reconstruction's machine holds the measurement set's B0, so f at
+    # the plasma boundary (its last table row) is B0 r0 of the data, not of
+    # the configuration
+    ws, cfg = workspace
+    ms, chords = load_measurements(ws / "measurements.txt")
+    path = tmp_path / "measurements.txt"
+    save_measurements(dataclasses.replace(ms, b0=2 * ms.b0), chords, path)
+    assert cli.main(["reconstruct", "--config", str(cfg), "--measurements",
+                     str(path), "--set", f"out_dir={tmp_path}"]) == cli.EXIT_OK
+    rows = (tmp_path / "reconstruction.csv").read_text().splitlines()
+    header, last = rows[0].split(","), rows[-1].split(",")
+    conf = cli.parse_config(str(cfg))
+    assert float(last[header.index("f")]) == 2 * ms.b0 * cli._get(conf, "r0")
 
 
 def test_reconstruct_realtime_runs_two_iterations(workspace, capsys):
@@ -278,7 +295,6 @@ def test_stats_manifest_bytes(tmp_path):
     cli._write_manifest(cfg, path, {"failed_eps_0.1": 0,
                                     "warm_start_eps_0.1": 1})
     assert path.read_bytes() == b"""\
-alpha_scale = 1e+19
 b0 = 2.0
 chord = 2.0 -0.9 3.0 0.3
 degree = 3
@@ -435,7 +451,7 @@ def test_limiter_around_no_source_point_is_input_error(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["forward", "mesh-gen"])
 @pytest.mark.parametrize("override", [
     "eps=abc", "seed=-5", "replicates=0", "eps_list=nan", "lcurve_points=1",
-    "alpha_scale=-1", "profile_ne=abc"])
+    "eps_ne=-1", "profile_ne=abc"])
 def test_unread_config_value_is_checked(tmp_path, capsys, command, override):
     # every configured value is read before any solve or output, also the
     # ones the subcommand itself never uses

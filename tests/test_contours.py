@@ -203,7 +203,7 @@ def _profile_table_loop(mesh, psi, domain, profiles, lam, machine):
     a_vals = profiles.basis.eval_many(grid) @ profiles.a
     b_vals = profiles.basis.eval_many(grid) @ profiles.b
     f_vals = integrate_f(b_vals, lam, domain.psi_a, domain.psi_b,
-                         machine.b0, machine.r0, machine.mu0, grid)
+                         machine.b0, machine.r0, grid)
     table = {
         "psibar": grid,
         "lambdaA": lam * a_vals,

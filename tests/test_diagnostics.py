@@ -74,22 +74,21 @@ def test_average_bounded_by_extremes(circle_case):
 
 def test_diamagnetic_function_boundary_value_exact():
     grid = np.linspace(0.0, 1.0, 11)
-    f = integrate_f(np.ones(11), 1e5, 1.0, 0.0, 2.0, 2.5, 4e-7 * np.pi, grid)
+    f = integrate_f(np.ones(11), 1e5, 1.0, 0.0, 2.0, 2.5, grid)
     assert f[-1] == 2.0 * 2.5                    # bit-exact at the boundary
     assert np.all(np.diff(np.abs(f)) <= 1e-12)   # |f| decreases outward here
 
 
 def test_diamagnetic_function_constant_without_source():
     grid = np.linspace(0.0, 1.0, 11)
-    f = integrate_f(np.zeros(11), 1e5, 1.0, 0.0, 2.0, 2.5, 4e-7 * np.pi, grid)
+    f = integrate_f(np.zeros(11), 1e5, 1.0, 0.0, 2.0, 2.5, grid)
     np.testing.assert_allclose(f, 2.0 * 2.5, atol=1e-12)
 
 
 def test_diamagnetic_function_rejects_negative_square():
     grid = np.linspace(0.0, 1.0, 11)
     with pytest.raises(NonPhysicalProfileError):
-        integrate_f(-1e3 * np.ones(11), 1e5, 1.0, 0.0, 0.01, 2.5,
-                    4e-7 * np.pi, grid)
+        integrate_f(-1e3 * np.ones(11), 1e5, 1.0, 0.0, 0.01, 2.5, grid)
 
 
 def test_mean_current_density_formula():

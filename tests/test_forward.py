@@ -6,7 +6,7 @@ import gsrecon
 from gsrecon.basis import ProfileExpansion, SplineBasis
 from gsrecon.errors import (ConvergenceError, DivergentLambdaError,
                             EmptySourceError, MeshParseError)
-from gsrecon.fem import Factorization
+from gsrecon.fem import MU0, Factorization
 from gsrecon.forward import (ANDERSON_DEPTH, Iteration, MachineParams,
                              SourceQuadrature, assemble_source_matrix,
                              assemble_source_vector, forward_fixed_point,
@@ -22,10 +22,10 @@ def test_machine_params_validation():
         MachineParams(2.5, 2.0, 0.0)
 
 
-@pytest.mark.parametrize("field", ["r0", "b0", "ip", "mu0"])
+@pytest.mark.parametrize("field", ["r0", "b0", "ip"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_machine_params_reject_non_finite(field, value):
-    args = {"r0": 2.5, "b0": 2.0, "ip": 1e6, "mu0": 4e-7 * np.pi}
+    args = {"r0": 2.5, "b0": 2.0, "ip": 1e6}
     args[field] = value
     with pytest.raises(ValueError):
         MachineParams(**args)
@@ -326,6 +326,21 @@ def test_load_equilibrium_rejects_malformed(tmp_path, reference_eq, basis,
     path.write_text("\n".join(edit(path.read_text().splitlines())))
     with pytest.raises(MeshParseError):
         load_equilibrium(path, basis=basis)
+
+
+def test_load_equilibrium_refuses_another_mu0(tmp_path, reference_eq,
+                                              basis):
+    # the file keeps its mu0 line, which must hold the package's constant
+    path = tmp_path / "eq.txt"
+    save_equilibrium(reference_eq, path)
+    lines = path.read_text().splitlines()
+    at = next(i for i, ln in enumerate(lines) if ln.startswith("mu0 "))
+    assert lines[at] == f"mu0 {MU0!r}"
+    lines[at] = "mu0 1.2566e-06"
+    path.write_text("\n".join(lines))
+    with pytest.raises(MeshParseError, match="mu0 must be") as info:
+        load_equilibrium(path, basis=basis)
+    assert info.value.line == at + 1
 
 
 def test_load_equilibrium_checks_mesh(tmp_path, twin_mesh, reference_eq,

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -13,9 +14,9 @@ from gsrecon.errors import (EmptySourceError, MeasurementCountError,
 from gsrecon.fem import Factorization
 from gsrecon.forward import assemble_source_matrix, assemble_source_vector
 from gsrecon.geometry import make_plasma_domain
-from gsrecon.inverse import (ReconstructionSetup, RegularizationConfig,
-                             identify_ab, identify_ne, penalized_lsq,
-                             reconstruct, rescale_dofs)
+from gsrecon.inverse import (NE_SCALE, ReconstructionSetup,
+                             RegularizationConfig, identify_ab, identify_ne,
+                             penalized_lsq, reconstruct, rescale_dofs)
 from gsrecon.mesh import PointLocator
 from gsrecon.observation import MeasurementSet
 from gsrecon.twin import perturb
@@ -32,7 +33,7 @@ def test_regularization_config_validation():
         RegularizationConfig(eps_ne=-1.0)
 
 
-@pytest.mark.parametrize("field", ["eps", "eps_ne", "alpha_scale"])
+@pytest.mark.parametrize("field", ["eps", "eps_ne"])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_regularization_config_rejects_non_finite(field, value):
     with pytest.raises(ValueError):
@@ -87,7 +88,7 @@ def test_identify_rejects_singular_system():
     k = BASIS.m
     with pytest.raises(RegularizationError):
         identify_ne(np.zeros((5, k)), np.ones(5), 1.0, 1e-2,
-                    np.zeros((k, k)), 1e19)
+                    np.zeros((k, k)))
     with pytest.raises(RegularizationError):
         identify_ab(np.zeros((5, 2 * k - 2)), np.ones(5), np.ones(5), 1e-2,
                     np.zeros((2 * k - 2, 2 * k - 2)))
@@ -119,29 +120,26 @@ def test_penalized_lsq_solves_its_normal_equations(seed, rows, cols, eps,
 
 def test_identify_ne_recovers_truth():
     rng = np.random.default_rng(7)
-    scale = 1e19
-    v_true = scale * rng.uniform(0.5, 1.5, BASIS.m)
+    v_true = NE_SCALE * rng.uniform(0.5, 1.5, BASIS.m)
     B = rng.uniform(0.1, 1.0, size=(40, BASIS.m))
     gamma = B @ v_true
     w = 1.0 / (0.01 * np.mean(np.abs(gamma)))
-    v, _, _ = identify_ne(B, gamma, w, 1e-12, regularization_matrix(BASIS),
-                          scale)
+    v, _, _ = identify_ne(B, gamma, w, 1e-12, regularization_matrix(BASIS))
     np.testing.assert_allclose(v, v_true, rtol=1e-6)
 
 
 def test_identify_ne_regularization_pulls_to_smooth():
     # a strong curvature penalty flattens the recovered profile
     rng = np.random.default_rng(7)
-    scale = 1e19
     xs = np.linspace(0, 1, 101)
-    v_true = scale * BASIS.fit(xs, 1.0 - 0.9 * xs ** 2)
+    v_true = NE_SCALE * BASIS.fit(xs, 1.0 - 0.9 * xs ** 2)
     B = rng.uniform(0.1, 1.0, size=(40, BASIS.m))
     gamma = B @ v_true
     w = 1.0 / (0.01 * np.mean(np.abs(gamma)))
     lam = regularization_matrix(BASIS)
-    v_lo = identify_ne(B, gamma, w, 1e-10, lam, scale)[0]
-    v_hi = identify_ne(B, gamma, w, 1e4, lam, scale)[0]
-    curv = lambda v: (v / scale) @ lam @ (v / scale)
+    v_lo = identify_ne(B, gamma, w, 1e-10, lam)[0]
+    v_hi = identify_ne(B, gamma, w, 1e4, lam)[0]
+    curv = lambda v: (v / NE_SCALE) @ lam @ (v / NE_SCALE)
     assert curv(v_hi) < 0.1 * curv(v_lo)
 
 
@@ -173,10 +171,10 @@ def test_reconstruct_with_internal_data(setup, clean_measurements,
     ne_true = basis.eval_many(xs) @ ne_coeffs
     assert np.abs(ne_rec - ne_true).max() < 0.1 * np.abs(ne_true).max()
     assert res.costs["J1"] >= 0.0 and res.costs["J2"] >= 0.0
-    # the density penalty acts on v / alpha_scale, as in identify_ne
+    # the density penalty acts on v / NE_SCALE, as in identify_ne
     reg = RegularizationConfig()
     u = np.concatenate([res.profiles.a[:-1], res.profiles.b[:-1]])
-    v_hat = res.profiles.c / reg.alpha_scale
+    v_hat = res.profiles.c / NE_SCALE
     j_eps = (0.5 * reg.eps * u @ setup.lam_free @ u
              + 0.5 * reg.eps_ne * v_hat @ setup.lam_block @ v_hat)
     assert res.costs["Jeps"] == pytest.approx(j_eps, rel=1e-12)
@@ -292,13 +290,22 @@ def test_reconstruction_is_an_equilibrium(tmp_path, setup,
     # reconstruct returns the forward type, so it saves and loads back
     res = reconstruct(setup, clean_measurements, RegularizationConfig())
     assert isinstance(res, gsrecon.Equilibrium)
-    assert res.converged and res.machine is setup.machine
+    assert res.converged and res.machine == setup.machine
     path = tmp_path / "rec.txt"
     gsrecon.save_equilibrium(res, path)
     back = gsrecon.load_equilibrium(path, setup.mesh, basis)
     np.testing.assert_array_equal(back.psi, res.psi)
     np.testing.assert_array_equal(back.profiles.c, res.profiles.c)
     assert back.lam == res.lam and back.domain.mode == res.domain.mode
+
+
+def test_converged_is_a_python_bool(setup, clean_measurements):
+    # the flag goes into JSON and text files as it is, converged or not
+    for max_iter, converged in ((30, True), (2, False)):
+        res = reconstruct(setup, clean_measurements, RegularizationConfig(),
+                          max_iter=max_iter)
+        assert res.converged is converged
+        assert json.dumps(res.converged) == str(converged).lower()
 
 
 def test_saved_reconstruction_keeps_convergence(tmp_path, setup,

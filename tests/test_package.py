@@ -30,3 +30,16 @@ def test_import_leaves_out_heavy_scipy_modules():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+def test_readme_python_api_example_runs(tmp_path, monkeypatch, capsys):
+    # the README's Python API block runs as printed, so a name or keyword
+    # it uses cannot leave the API unnoticed; it writes reconstruction.txt
+    # into the working directory
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## Python API\n", 1)[1]
+    code = block.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README.md", "exec"), {})
+    back = gsrecon.load_equilibrium(tmp_path / "reconstruction.txt")
+    assert capsys.readouterr().out.split()[0] == str(back.converged)

@@ -94,7 +94,7 @@ def test_replicate_stats_keeps_other_parameters(setup, clean_measurements,
         return SimpleNamespace(converged=False)
 
     monkeypatch.setattr(twin, "reconstruct", reconstruct)
-    reg = RegularizationConfig(eps_ne=3e-2, alpha_scale=2e19)
+    reg = RegularizationConfig(eps_ne=3e-2)
     with pytest.raises(GsReconError, match="all 1 replicates failed"):
         replicate_stats(setup, clean_measurements, reg, [1e-3],
                         n_replicates=1)
