@@ -154,22 +154,22 @@ def picard(step, psi, tol, max_iter, records):
 
     ``step(psi, rec)`` returns the next flux g and its :class:`Iteration`,
     ``rec`` being the previous one (None at first); each is appended to
-    ``records`` with its relative residual |g - psi| / |psi|, 1 for a step
-    from psi = 0 (|g - psi| / |g| for any g != 0, so a cold start never
-    stops at its first step), and the loop stops once that is at most
-    ``tol`` or after ``max_iter`` steps, returning the last g.  Otherwise
-    the next iterate is the type-II Anderson update g - dG gamma (Walker &
-    Ni 2011), r = g - psi, gamma the least-squares fit dR gamma ~ r over the
-    differences of the last ``ANDERSON_DEPTH`` (r, g) pairs, whose history
-    is cleared while psi is zero and whenever |r| grows.  A GsReconError
-    from ``step`` propagates with the flux it was called on as its ``psi``;
-    a NaN or negative ``tol`` or a ``max_iter`` below one is a ValueError.
+    ``records`` with its relative residual |g - psi| / |psi|, 1 for a step from
+    psi = 0 (|g - psi| / |g| for any g != 0, so a cold start never stops at its
+    first step), and the loop stops once that is at most ``tol`` or after
+    ``max_iter`` steps, returning the last g.  Otherwise the next iterate is
+    the type-II Anderson update g - gamma G (Walker & Ni 2011), r = g - psi,
+    the rows of D and G the last ``ANDERSON_DEPTH`` differences of (r, g)
+    pairs, (D D^T) gamma = D r; the history is cleared while psi is 0, when |r|
+    grows and when that k x k system is singular or gamma not finite.  A
+    GsReconError from ``step`` propagates with the flux it was called on as its
+    ``psi``.  ValueError: ``tol`` NaN or < 0, ``max_iter`` < 1 or not whole.
     """
-    if not (tol >= 0 and max_iter >= 1):
-        raise ValueError(f"need tol >= 0 and max_iter >= 1, "
+    if not (tol >= 0 and 1 <= max_iter < np.inf) or max_iter % 1:
+        raise ValueError(f"need tol >= 0 and max_iter >= 1, a whole number, "
                          f"got tol={tol!r}, max_iter={max_iter!r}")
-    d_r, d_g, prev, rec = [], [], None, None   # prev: (r, g, |r|), psi != 0
-    for it in range(max_iter):
+    hist, prev, rec = [], None, None   # prev: (r, g, |r|), psi != 0
+    for it in range(int(max_iter)):
         try:
             g, rec = step(psi, rec)
         except GsReconError as exc:
@@ -182,15 +182,21 @@ def picard(step, psi, tol, max_iter, records):
         if rec.residual <= tol or it == max_iter - 1:
             return g
         if norm == 0 or (prev is not None and r_norm > prev[2]):
-            d_r, d_g = [], []
+            hist = []
         elif prev is not None:
-            d_r = (d_r + [r - prev[0]])[-ANDERSON_DEPTH:]
-            d_g = (d_g + [g - prev[1]])[-ANDERSON_DEPTH:]
+            hist = (hist + [(r - prev[0], g - prev[1])])[-ANDERSON_DEPTH:]
         prev = (r, g, r_norm) if norm > 0 else None
         psi = g
-        if d_r:
-            gamma = np.linalg.lstsq(np.column_stack(d_r), r, rcond=None)[0]
-            psi = g - np.column_stack(d_g) @ gamma
+        if hist:   # D @ D.T would go to BLAS syrk, 5x slower than a gemm here
+            H = np.array(hist + [(r, g)])       # D, G = H[:-1, 0], H[:-1, 1]
+            N = H[:, 0] @ H[:-1, 0].T           # D D^T over (D r)^T
+            try:
+                gamma = np.linalg.solve(N[:-1], N[-1])
+            except np.linalg.LinAlgError:
+                gamma = np.array(np.nan)
+            ok = np.isfinite(gamma).all()    # else restart as when |r| grows
+            psi, hist = (g - gamma @ H[:-1, 1], hist) if ok else (g, [])
+            del H                  # not held through the next step's solve
 
 
 def forward_fixed_point(mesh, machine, a_func, b_func, g_d, tol=1e-6,

@@ -148,7 +148,7 @@ def flux_state(setup, psi, domain, u, use_internal, ip):
     psibar = None if domain is None else domain.normalize(psi)
     Y = assemble_source_matrix(squad, squad.cold_psibar if psibar is None
                                else squad.P @ psibar, setup.basis)
-    col = Y.sum(axis=0)
+    col = np.einsum("ij->j", Y)
     u, lam = rescale_dofs(u, lambda_from_integral(
         ip, float(col @ u), np.abs(col) @ np.abs(u)))
     Y *= lam

@@ -19,6 +19,8 @@ PROFILE_KEYS = ("lambdaA", "lambdaB_weighted", "j_mean", "q", "ne")
 
 def synthesize_measurements(setup, eq, ne_coeffs=None):
     """Exact synthetic measurements from a converged reference equilibrium."""
+    if ne_coeffs is not None and len(ne_coeffs) != setup.basis.m:
+        raise ValueError(f"{len(ne_coeffs)} ne_coeffs, need {setup.basis.m}")
     mesh = setup.mesh
     psibar = eq.domain.normalize(eq.psi)
     g_d = eq.psi[mesh.boundary]
@@ -31,8 +33,7 @@ def synthesize_measurements(setup, eq, ne_coeffs=None):
         alpha = build_polarimetry_observer(chords, G, ne_coeffs)(
             chords.D @ eq.psi)
     else:
-        gamma = np.zeros(n_c)
-        alpha = np.zeros(n_c)
+        gamma, alpha = np.zeros(n_c), np.zeros(n_c)
     return MeasurementSet(g_d, g_n, gamma, alpha, eq.machine.ip,
                           eq.machine.b0, gn_points=setup.gn_points)
 
@@ -166,16 +167,14 @@ def l_curve(solver, eps_grid):
     curve is then a near-vertical line and its corner is uninformative.
     """
     eps_grid = np.asarray(eps_grid, dtype=np.float64)
-    if len(eps_grid) < 3:
-        raise ValueError("need at least 3 regularization values")
+    if len(eps_grid) < 3 or not np.all((eps_grid > 0) & (eps_grid < np.inf)):
+        raise ValueError(f"need 3 or more finite eps > 0, got {eps_grid}")
     pts = np.array([solver(e) for e in eps_grid])
     x = np.log(np.maximum(pts[:, 0], 1e-300))
     y = np.log(np.maximum(pts[:, 1], 1e-300))
     t = np.log(eps_grid)
-    dx = np.gradient(x, t)
-    dy = np.gradient(y, t)
-    ddx = np.gradient(dx, t)
-    ddy = np.gradient(dy, t)
+    dx, dy = np.gradient(x, t), np.gradient(y, t)
+    ddx, ddy = np.gradient(dx, t), np.gradient(dy, t)
     speed = dx ** 2 + dy ** 2
     denom = speed ** 1.5
     with np.errstate(divide="ignore", invalid="ignore"):

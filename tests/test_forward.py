@@ -117,12 +117,20 @@ def test_picard_returns_last_step_output():
     np.testing.assert_allclose(psi_in[3], expected, rtol=1e-14, atol=0)
 
 
-@pytest.mark.parametrize("tol,max_iter", [(np.nan, 5), (-1.0, 5), (1e-6, 0)])
+@pytest.mark.parametrize("tol,max_iter", [(np.nan, 5), (-1.0, 5), (1e-6, 0),
+                                          (1e-6, 2.5), (1e-6, np.inf)])
 def test_picard_rejects_bad_stop_test_before_first_step(tol, max_iter):
     step, seen = _recorded_affine_step(_A, _B)
     with pytest.raises(ValueError, match="tol >= 0 and max_iter >= 1"):
         picard(step, np.zeros(3), tol, max_iter, [])
     assert seen["in"] == []
+
+
+def test_picard_takes_a_whole_float_max_iter():
+    step, seen = _recorded_affine_step(_A, _B)
+    records = []
+    picard(step, np.zeros(3), 0.0, 3.0, records)
+    assert len(records) == len(seen["in"]) == 3
 
 
 def test_picard_solves_affine_map_within_depth_plus_two():
@@ -171,6 +179,79 @@ def test_picard_growing_residual_clears_history():
     np.testing.assert_allclose(psi_in[5], _anderson_update(psi_in[3:5],
                                                            out[3:5], 1),
                                rtol=1e-14, atol=0)
+
+
+def _scripted_then_affine(residuals, a, b):
+    """The step psi -> psi + residuals[i] for its i-th call while scripted
+    residuals last, then psi -> a @ psi + b, recording inputs and outputs."""
+    affine, seen = _recorded_affine_step(a, b)
+
+    def step(psi, rec):
+        if len(seen["in"]) >= len(residuals):
+            return affine(psi, rec)
+        seen["in"].append(psi)
+        seen["out"].append(psi + residuals[len(seen["in"]) - 1])
+        return seen["out"][-1], Iteration(0.0)
+
+    return step, seen
+
+
+def test_picard_singular_mixing_restarts_history():
+    # residuals 3v, 2v, v leave two equal differences -v in the history
+    # after the third step, so D D^T is exactly singular (dyadic values make
+    # every sum exact).  That step's output is taken as it is and the
+    # history restarts: the next update mixes one pair, not three.  The
+    # scripted steps end at g = psi0 + 10v = x* + e, from where the affine
+    # map's residual (A - I) e stays below |v|, so no growing residual
+    # clears the history instead
+    v = np.array([1.0, -2.0, 0.5])
+    fixed = np.linalg.solve(np.eye(3) - _A, _B)
+    e = np.array([2.0 ** -10, 2.0 ** -11, -2.0 ** -12])
+    psi0 = np.round(fixed * 2.0 ** 20) / 2.0 ** 20 - 10.0 * v
+    step, seen = _scripted_then_affine([3.0 * v, 2.0 * v, v], _A, _B)
+    records = []
+    psi = picard(step, psi0 + e, 1e-12, 30, records)
+    psi_in, out = seen["in"], seen["out"]
+    d_r = [(o - p) - (o0 - p0) for p0, o0, p, o in
+           zip(psi_in, out, psi_in[1:3], out[1:3])]
+    np.testing.assert_array_equal(d_r[0], d_r[1])
+    np.testing.assert_array_equal(psi_in[3], out[2])
+    assert records[3].residual * np.linalg.norm(psi_in[3]) < np.linalg.norm(v)
+    np.testing.assert_allclose(psi_in[4], _anderson_update(psi_in[2:4],
+                                                           out[2:4], 1),
+                               rtol=1e-14, atol=0)
+    assert records[-1].residual <= 1e-12
+    np.testing.assert_allclose(psi, fixed, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [5, 441])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_picard_mixing_matches_least_squares(n, seed):
+    # scripted residuals of halving norm never clear the history, so the
+    # i-th update mixes min(i, ANDERSON_DEPTH) random, well-conditioned
+    # pairs; gamma, read back from the update g - gamma G through G's full
+    # row rank, is the least-squares fit D^T gamma ~ r
+    rng = np.random.default_rng(seed)
+    script = rng.standard_normal((ANDERSON_DEPTH + 3, n))
+    script *= (0.5 ** np.arange(len(script))
+               / np.linalg.norm(script, axis=1))[:, None]
+    psi_in, out = [], []
+
+    def step(psi, rec):
+        psi_in.append(psi)
+        out.append(psi + script[len(out)])
+        return out[-1], Iteration(0.0)
+
+    picard(step, rng.standard_normal(n), 0.0, len(script), [])
+    r = [o - p for p, o in zip(psi_in, out)]
+    for i in range(1, len(r) - 1):
+        k = min(i, ANDERSON_DEPTH)
+        D = np.array([r[j] - r[j - 1] for j in range(i - k + 1, i + 1)])
+        G = np.array([out[j] - out[j - 1] for j in range(i - k + 1, i + 1)])
+        gamma = np.linalg.lstsq(G.T, out[i] - psi_in[i + 1], rcond=None)[0]
+        want = np.linalg.lstsq(D.T, r[i], rcond=None)[0]
+        np.testing.assert_allclose(gamma, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
 
 
 def test_source_matrix_matches_vector(twin_mesh, basis, reference_eq):

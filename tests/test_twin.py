@@ -36,6 +36,16 @@ def test_synthesize_without_density_zeroes_chords(setup, reference_eq):
     assert np.all(ms.gamma == 0.0) and np.all(ms.alpha == 0.0)
 
 
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_synthesize_rejects_wrong_density_length(setup, reference_eq,
+                                                 ne_coeffs, extra):
+    # one density coefficient per basis function, both lengths named
+    bad = np.resize(ne_coeffs, setup.basis.m + extra)
+    with pytest.raises(ValueError, match=f"^{len(bad)} ne_coeffs, need "
+                                         f"{setup.basis.m}$"):
+        synthesize_measurements(setup, reference_eq, bad)
+
+
 def test_perturb_deterministic_under_seed(clean_measurements):
     a = perturb(clean_measurements, 0.01, seed=42)
     b = perturb(clean_measurements, 0.01, seed=42)
@@ -287,6 +297,29 @@ def test_l_curve_flat_flag_for_insensitive_misfit():
 def test_l_curve_needs_three_points():
     with pytest.raises(ValueError):
         l_curve(_toy_lcurve_solver(), [1e-3, 1e-2])
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e-2])
+def test_l_curve_rejects_non_positive_eps_before_any_solve(bad):
+    def solver(eps):
+        raise AssertionError("solver called")
+
+    with pytest.raises(ValueError, match="finite eps > 0"):
+        l_curve(solver, [bad, 1e-2, 1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_l_curve_rejects_non_finite_eps_before_any_solve(setup, reference_eq,
+                                                         clean_measurements,
+                                                         monkeypatch, bad):
+    # through the density L-curve, whose penalized solve would otherwise
+    # report a NaN eps as an overflow
+    def identify_ne(*args):
+        raise AssertionError("identify_ne called")
+
+    monkeypatch.setattr(twin, "identify_ne", identify_ne)
+    with pytest.raises(ValueError, match="finite eps > 0"):
+        l_curve_ne(setup, clean_measurements, reference_eq, [1e-2, bad, 1.0])
 
 
 def test_lcurve_csv_roundtrip(tmp_path):
