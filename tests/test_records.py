@@ -28,39 +28,39 @@ FROZEN = {
         "iterations": 8,
         "residuals": [
             "0x1.82cbddd8c27bep-3", "0x1.93cc6fbbb0ce7p-5",
-            "0x1.61a25d3628718p-7", "0x1.576e2640e4d7bp-11",
-            "0x1.12d183cca37e7p-13", "0x1.2cfead1b98cabp-17",
-            "0x1.1b669761bac30p-19", "0x1.d0142d178ce1ap-21"],
+            "0x1.61a25d362871ap-7", "0x1.576e2640e4d73p-11",
+            "0x1.12d183cca2c0cp-13", "0x1.2cfead1b8251cp-17",
+            "0x1.1b669761b29b5p-19", "0x1.d0142d17b18cep-21"],
         "lam_history": [
             "0x1.cfb9f06f79fb2p+18", "0x1.040a1129a9957p+19",
             "0x1.12fc482a69247p+19", "0x1.184acb2a7509dp+19",
-            "0x1.18b29ca19e07ep+19", "0x1.18a577be89938p+19",
-            "0x1.18a5d6b6bc8e8p+19", "0x1.18a59e8513bfcp+19"],
+            "0x1.18b29ca19e07dp+19", "0x1.18a577be89937p+19",
+            "0x1.18a5d6b6bc8e7p+19", "0x1.18a59e8513bfep+19"],
         "costs": {},
     },
     "cold": {
         "iterations": 8,
         "residuals": [
-            "0x1.0000000000000p+0", "0x1.6fc58cd66d1abp-2",
-            "0x1.5174ed1f6a985p-4", "0x1.760a595b6ab1fp-6",
-            "0x1.c530fc7dd71e0p-11", "0x1.62aebebded81ap-14",
-            "0x1.f2de230ac9ce5p-19", "0x1.017f31f8ee795p-22"],
+            "0x1.0000000000000p+0", "0x1.6fc58cd66d1ccp-2",
+            "0x1.5174ed1f6aa1cp-4", "0x1.760a595b6ab43p-6",
+            "0x1.c530fc7dd9f7bp-11", "0x1.62aebebdfd017p-14",
+            "0x1.f2de230b9d6d0p-19", "0x1.017f3201f463ap-22"],
         "lam_history": [
-            "0x1.1ea589e031084p+18", "0x1.de1793d409796p+19",
-            "0x1.2a108d2668babp+18", "0x1.3bdf73d69b955p+19",
-            "0x1.2c446bb873044p+19", "0x1.2ae6fedd5db47p+19",
-            "0x1.29a1d847b5241p+19", "0x1.295b13106aaabp+19"],
-        "costs": {"J0": "0x1.e6797d1616ba4p-10", "J1": "0x1.13bd0ba195f2bp-7",
-                  "J2": "0x1.cc0370b912607p-11",
-                  "Jeps": "0x1.2068f1e903439p-6"},
+            "0x1.1ea589e031084p+18", "0x1.de1793d40979ap+19",
+            "0x1.2a108d26682bdp+18", "0x1.3bdf73d69bc8cp+19",
+            "0x1.2c446bb872b76p+19", "0x1.2ae6fedd5d965p+19",
+            "0x1.29a1d847b537ep+19", "0x1.295b13106ae99p+19"],
+        "costs": {"J0": "0x1.e6797d1619084p-10", "J1": "0x1.13bd0ba194c08p-7",
+                  "J2": "0x1.cc0370b90e6bfp-11",
+                  "Jeps": "0x1.2068f1e9036cdp-6"},
     },
     "warm": {
         "iterations": 2,
-        "residuals": ["0x1.6efa16fff003ep-9", "0x1.287e7affde962p-11"],
-        "lam_history": ["0x1.29585efdd71d4p+19", "0x1.0b9e0a0f68a4fp+19"],
-        "costs": {"J0": "0x1.3d10544d4507ap-1", "J1": "0x1.7608ddfb4e2a8p+0",
-                  "J2": "0x1.849eadc8dec96p-1",
-                  "Jeps": "0x1.0f90d9b51144cp-4"},
+        "residuals": ["0x1.6efa16fff0d75p-9", "0x1.287e7affe7430p-11"],
+        "lam_history": ["0x1.29585efdd7213p+19", "0x1.0b9e0a0f686c7p+19"],
+        "costs": {"J0": "0x1.3d10544d44cadp-1", "J1": "0x1.7608ddfb4d8ddp+0",
+                  "J2": "0x1.849eadc8ded87p-1",
+                  "Jeps": "0x1.0f90d9b51317ap-4"},
     },
     # a record exists only for a completed iteration: the failing second
     # one lists no lambda
