@@ -23,7 +23,8 @@ root and compare:
     python tests/fingerprint.py | diff tests/fingerprint.txt -
 
 The name does not match pytest's test_*.py pattern, so the suite does not
-collect it.
+collect it; ``tests/test_fingerprint.py`` compares the basis and 20x20 lines
+(a fraction of a second) on every test run.
 """
 
 import hashlib
@@ -153,11 +154,18 @@ def fingerprint(n):
     return h.hexdigest(), tables, lcurves
 
 
-if __name__ == "__main__":
-    print(f"basis {basis_fingerprint()}", flush=True)
-    for n in SIZES:
+def lines(sizes=SIZES):
+    """The printed lines: the basis line, then per mesh size its result and
+    set-up lines and, at 20x20, its L-curve line."""
+    yield f"basis {basis_fingerprint()}"
+    for n in sizes:
         outputs, tables, lcurves = fingerprint(n)
-        print(f"{n}x{n} {outputs}", flush=True)
-        print(f"{n}x{n} setup {tables}", flush=True)
+        yield f"{n}x{n} {outputs}"
+        yield f"{n}x{n} setup {tables}"
         if lcurves is not None:
-            print(f"{n}x{n} lcurve {lcurves}", flush=True)
+            yield f"{n}x{n} lcurve {lcurves}"
+
+
+if __name__ == "__main__":
+    for line in lines():
+        print(line, flush=True)
