@@ -16,9 +16,8 @@ from .geometry import PlasmaDomain, find_axis, find_xpoint, make_plasma_domain
 from .inverse import ReconstructionSetup, RegularizationConfig, reconstruct
 from .mesh import (Mesh, PointLocator, build_rect_mesh, load_mesh, save_mesh)
 from .observation import MeasurementSet, load_measurements, save_measurements
-from .twin import (LCurveResult, ReplicateStats, l_curve, l_curve_ab,
-                   l_curve_ne, perturb, replicate_stats,
-                   synthesize_measurements)
+from .twin import (LCurveResult, ReplicateStats, l_curve, l_curves,
+                   perturb, replicate_stats, synthesize_measurements)
 
 __version__ = "0.1.0"
 
@@ -30,7 +29,7 @@ __all__ = [
     "ReplicateStats", "SplineBasis", "assemble_stiffness", "build_rect_mesh",
     "extract_contour", "factorize",
     "find_axis", "find_xpoint", "flux_surface_average", "forward_fixed_point",
-    "impose_dirichlet", "l_curve", "l_curve_ab", "l_curve_ne",
+    "impose_dirichlet", "l_curve", "l_curves",
     "load_equilibrium", "load_measurements", "load_mesh",
     "make_plasma_domain", "perturb", "profile_table",
     "reconstruct", "replicate_stats", "save_equilibrium", "save_measurements",

@@ -24,7 +24,7 @@ from .forward import MachineParams, forward_fixed_point
 from .inverse import ReconstructionSetup, RegularizationConfig, reconstruct
 from .observation import chord_lengths, load_measurements, save_measurements
 from .textio import write_rows
-from .twin import (l_curve_ab, l_curve_ne, replicate_stats, synthesize_measurements,
+from .twin import (l_curves, replicate_stats, synthesize_measurements,
                    write_lcurve_csv, write_stats_csv)
 
 EXIT_OK = 0
@@ -337,16 +337,11 @@ def cmd_lcurve(args):
         raise ConfigError("lcurve requires profile_ne and at least one chord")
     eq, setup, _, ms = _reference_twin(cfg, mesh, machine, basis)
     ms = twinmod.perturb(ms, _get(cfg, "noise_rate"), _get(cfg, "seed", int))
-    res_ne = l_curve_ne(setup, ms, eq, eps_grid)
-    ne_path = _out(cfg, "lcurve_ne.csv")
-    write_lcurve_csv(ne_path, res_ne)
-    print(f"ne corner at eps={res_ne.corner_eps:g} (flat={res_ne.flat}) "
-          f"-> {ne_path}")
-    res_ab = l_curve_ab(setup, ms, eq, eps_grid)
-    ab_path = _out(cfg, "lcurve_ab.csv")
-    write_lcurve_csv(ab_path, res_ab)
-    print(f"ab corner at eps={res_ab.corner_eps:g} (flat={res_ab.flat}) "
-          f"-> {ab_path}")
+    for name, res in zip(("ne", "ab"), l_curves(setup, ms, eq, eps_grid)):
+        path = _out(cfg, f"lcurve_{name}.csv")
+        write_lcurve_csv(path, res)
+        print(f"{name} corner at eps={res.corner_eps:g} (flat={res.flat}) "
+              f"-> {path}")
     return EXIT_OK
 
 

@@ -8,8 +8,7 @@ import numpy as np
 
 from .diagnostics import TABLE_GRID, profile_table
 from .errors import ConvergenceError, GsReconError
-from .forward import assemble_source_matrix
-from .inverse import identify_ab, identify_ne, reconstruct
+from .inverse import flux_state, identify_ab, identify_ne, reconstruct
 from .observation import (MeasurementSet, build_interferometry_matrix,
                           build_polarimetry_observer, default_weights)
 from .textio import write_rows
@@ -165,10 +164,15 @@ def l_curve(solver, eps_grid):
     log eps (Hansen's criterion).  The flat flag is raised when the misfit
     barely varies over the whole scan (log span below ``FLAT_SPAN``): the
     curve is then a near-vertical line and its corner is uninformative.
+    The grid ascends or descends strictly (the finite differences in
+    log eps need that); ValueError before any solve otherwise.
     """
     eps_grid = np.asarray(eps_grid, dtype=np.float64)
-    if len(eps_grid) < 3 or not np.all((eps_grid > 0) & (eps_grid < np.inf)):
-        raise ValueError(f"need 3 or more finite eps > 0, got {eps_grid}")
+    d = np.diff(eps_grid)
+    if len(eps_grid) < 3 or not (np.all((eps_grid > 0) & (eps_grid < np.inf))
+                                 and (np.all(d > 0) or np.all(d < 0))):
+        raise ValueError(f"need 3 or more finite eps > 0 in strictly "
+                         f"monotone order, got {eps_grid}")
     pts = np.array([solver(e) for e in eps_grid])
     x = np.log(np.maximum(pts[:, 0], 1e-300))
     y = np.log(np.maximum(pts[:, 1], 1e-300))
@@ -188,37 +192,31 @@ def l_curve(solver, eps_grid):
     return LCurveResult(eps_grid, x, y, float(eps_grid[idx]), idx, flat)
 
 
-def l_curve_ne(setup, ms, eq, eps_grid):
-    """L-curve of the density identification at the flux of the reference
-    equilibrium ``eq``."""
+def l_curves(setup, ms, eq, eps_grid):
+    """(density, A/B) L-curves of ``ms`` at the reference equilibrium
+    ``eq``, from the state a warm :func:`reconstruct` from eq forms first:
+    :func:`flux_state` of eq's flux, domain and free coefficients at the
+    measured Ip.  The density fits its interferometry rows B, A and B the
+    magnetic rows E against f = g_n - C0 K^-1 g.  A setup without chords
+    raises ValueError before any solve."""
+    if len(setup.chord_geoms) == 0:
+        raise ValueError("the L-curves need at least one chord")
+    u = np.concatenate([eq.profiles.a[:-1], eq.profiles.b[:-1]])
+    (_, _, _, E, b_int, _, _), _ = flux_state(setup, eq.psi, eq.domain, u,
+                                              True, ms.ip)
     weights = default_weights(ms, setup.mesh.boundary_length())
-    b_int = build_interferometry_matrix(setup.chord_geoms, setup.basis,
-                                        eq.domain.normalize(eq.psi))[0]
-
-    def solver(eps):
-        _, misfit, penalty = identify_ne(b_int, ms.gamma, weights.w_inter,
-                                         eps, setup.lam_block)
-        return 0.5 * float(np.sum(misfit ** 2)), 0.5 * penalty
-
-    return l_curve(solver, eps_grid)
-
-
-def l_curve_ab(setup, ms, eq, eps_grid):
-    """L-curve of the A/B identification from the magnetic rows at the
-    reference equilibrium ``eq``: E = C0 K^-1 (lam Y) of its flux and
-    lambda, f = g_n - C0 K^-1 g, as in :func:`reconstruct`."""
-    weights = default_weights(ms, setup.mesh.boundary_length())
-    Y = assemble_source_matrix(
-        setup.squad, setup.squad.P @ eq.domain.normalize(eq.psi), setup.basis)
-    E = setup.c0 @ setup.fact.solve_multi(eq.lam * Y)
     f = ms.g_n - setup.c0 @ setup.fact.lift(ms.g_d)
-    w_vec = np.full(E.shape[0], weights.w_mag)
 
-    def solver(eps):
-        _, misfit, penalty = identify_ab(E, f, w_vec, eps, setup.lam_free)
-        return 0.5 * float(np.sum(misfit ** 2)), 0.5 * penalty
+    def scan(identify, E, f, w, lam):
+        def solver(eps):
+            _, misfit, penalty = identify(E, f, w, eps, lam)
+            return 0.5 * float(np.sum(misfit ** 2)), 0.5 * penalty
+        return l_curve(solver, eps_grid)
 
-    return l_curve(solver, eps_grid)
+    return (scan(identify_ne, b_int, ms.gamma, weights.w_inter,
+                 setup.lam_block),
+            scan(identify_ab, E, f, np.full(len(f), weights.w_mag),
+                 setup.lam_free))
 
 
 def write_lcurve_csv(path, result):

@@ -44,8 +44,8 @@ from gsrecon.fem import assemble_stiffness  # noqa: E402
 from gsrecon.forward import MachineParams, forward_fixed_point  # noqa: E402
 from gsrecon.inverse import (ReconstructionSetup,  # noqa: E402
                              RegularizationConfig, reconstruct)
-from gsrecon.twin import (l_curve_ab, l_curve_ne, perturb,  # noqa: E402
-                          replicate_stats, synthesize_measurements)
+from gsrecon.twin import (l_curves, perturb, replicate_stats,  # noqa: E402
+                          synthesize_measurements)
 
 SIZES = (20, 40, 80)
 
@@ -96,8 +96,7 @@ def lcurve_fingerprint(setup, eq, ms):
     """sha256 over both L-curves of ``ms`` at the reference ``eq``."""
     h = hashlib.sha256()
     grid = np.logspace(-5, 0, 21)
-    for lc in (l_curve_ne(setup, ms, eq, grid),
-               l_curve_ab(setup, ms, eq, grid)):
+    for lc in l_curves(setup, ms, eq, grid):
         feed(h, lc.x, lc.y, lc.corner_eps, lc.flat)
     return h.hexdigest()
 

@@ -7,16 +7,23 @@ built with hash-based np.unique, middle-axis reductions and einsum, and the
 Picard step's operator stages as several passes each (the ring sign-change
 count from permutation copies, the saddle tie test from np.diff, the source
 matrix and load from two sparse products, and the observation rows from
-separate C0, D and polarimetry products).  Tests use them as references;
-nothing in ``src/`` imports them."""
+separate C0, D and polarimetry products), and the two L-curve scans that
+built their own rows: the density's interferometry call and the A/B rows
+C0 K^-1 (lam Y) with the lam of the reference equilibrium's last
+iteration.  Tests use them as references; nothing in ``src/`` imports
+them."""
 
 import numpy as np
 import scipy.sparse as sp
 
 from gsrecon.errors import MeshValidationError
+from gsrecon.forward import assemble_source_matrix
 from gsrecon.geometry import _ring_saddles
+from gsrecon.inverse import identify_ab, identify_ne
 from gsrecon.mesh import Mesh, _expand
-from gsrecon.observation import build_polarimetry_observer
+from gsrecon.observation import (build_interferometry_matrix,
+                                 build_polarimetry_observer, default_weights)
+from gsrecon.twin import l_curve
 
 MIDEDGE_BARY = np.array([[0.5, 0.5, 0.0],
                          [0.0, 0.5, 0.5],
@@ -237,3 +244,36 @@ def step_rows_separate(setup, k_inv_y, k_inv_g, g_n, alpha=None, G=None,
     polar = build_polarimetry_observer(setup.chord_geoms, G, ne_coeffs)
     return (np.vstack([E, polar(D @ k_inv_y)]),
             np.concatenate([f, alpha - polar(D @ k_inv_g)]))
+
+
+def density_l_curve_own_rows(setup, ms, eq, eps_grid):
+    """L-curve of the density identification at the flux of the reference
+    equilibrium ``eq``."""
+    weights = default_weights(ms, setup.mesh.boundary_length())
+    b_int = build_interferometry_matrix(setup.chord_geoms, setup.basis,
+                                        eq.domain.normalize(eq.psi))[0]
+
+    def solver(eps):
+        _, misfit, penalty = identify_ne(b_int, ms.gamma, weights.w_inter,
+                                         eps, setup.lam_block)
+        return 0.5 * float(np.sum(misfit ** 2)), 0.5 * penalty
+
+    return l_curve(solver, eps_grid)
+
+
+def ab_l_curve_eq_lam(setup, ms, eq, eps_grid):
+    """L-curve of the A/B identification from the magnetic rows at the
+    reference equilibrium ``eq``: E = C0 K^-1 (lam Y) of its flux and
+    lambda, f = g_n - C0 K^-1 g."""
+    weights = default_weights(ms, setup.mesh.boundary_length())
+    Y = assemble_source_matrix(
+        setup.squad, setup.squad.P @ eq.domain.normalize(eq.psi), setup.basis)
+    E = setup.c0 @ setup.fact.solve_multi(eq.lam * Y)
+    f = ms.g_n - setup.c0 @ setup.fact.lift(ms.g_d)
+    w_vec = np.full(E.shape[0], weights.w_mag)
+
+    def solver(eps):
+        _, misfit, penalty = identify_ab(E, f, w_vec, eps, setup.lam_free)
+        return 0.5 * float(np.sum(misfit ** 2)), 0.5 * penalty
+
+    return l_curve(solver, eps_grid)

@@ -18,7 +18,7 @@ from gsrecon.diagnostics import (extract_contour, flux_surface_average,
 from gsrecon.forward import (SourceQuadrature, assemble_source_vector,
                              forward_fixed_point)
 from gsrecon.inverse import RegularizationConfig, reconstruct
-from gsrecon.twin import l_curve_ab, l_curve_ne, perturb, replicate_stats
+from gsrecon.twin import l_curves, perturb, replicate_stats
 from conftest import a_ref, b_ref
 
 
@@ -181,10 +181,9 @@ def test_criterion_7_l_curves(setup, clean_measurements, reference_eq,
     t0 = time.perf_counter()
     ms = perturb(clean_measurements, 0.01, seed=7)
     grid = np.logspace(-5, 0, 21)
-    lc = l_curve_ne(setup, ms, reference_eq, grid)
+    lc, lab = l_curves(setup, ms, reference_eq, grid)
     x_mono = bool(np.all(np.diff(lc.x) >= -1e-9))
     y_mono = bool(np.all(np.diff(lc.y) <= 1e-9))
-    lab = l_curve_ab(setup, ms, reference_eq, grid)
     dt = time.perf_counter() - t0
     ok = (1e-3 <= lc.corner_eps <= 1e-1 and not lc.flat and x_mono
           and y_mono and lab.flat and dt < 120.0)

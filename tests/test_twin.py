@@ -12,11 +12,13 @@ from gsrecon.errors import GsReconError, MeasurementCountError
 from gsrecon.forward import forward_fixed_point
 from gsrecon.inverse import (ReconstructionSetup, RegularizationConfig,
                              reconstruct)
-from gsrecon.twin import (l_curve, l_curve_ab, l_curve_ne, perturb,
-                          replicate_stats, synthesize_measurements,
-                          write_lcurve_csv, write_stats_csv)
+from gsrecon.inverse import flux_state
+from gsrecon.twin import (l_curve, l_curves, perturb, replicate_stats,
+                          synthesize_measurements, write_lcurve_csv,
+                          write_stats_csv)
 
 from conftest import CHORDS, LIMITER, a_ref, b_ref
+from frozen_primitives import ab_l_curve_eq_lam, density_l_curve_own_rows
 
 
 def test_synthesized_measurements_match_equilibrium(setup, reference_eq,
@@ -299,13 +301,41 @@ def test_l_curve_needs_three_points():
         l_curve(_toy_lcurve_solver(), [1e-3, 1e-2])
 
 
+def _no_solve(eps):
+    raise AssertionError("solver called")
+
+
+def test_l_curve_rejects_shuffled_grid_before_any_solve():
+    # finite differences in log eps over a shuffled grid put the corner
+    # anywhere: 3.16 instead of 3.16e-4 on the toy problem
+    grid = np.random.default_rng(0).permutation(np.logspace(-5, 1, 13))
+    assert not np.all(np.diff(grid) > 0) and not np.all(np.diff(grid) < 0)
+    with pytest.raises(ValueError, match="strictly monotone"):
+        l_curve(_no_solve, grid)
+
+
+def test_l_curve_rejects_repeated_eps_before_any_solve():
+    # a zero step in log eps divides by zero in np.gradient
+    grid = np.logspace(-5, 1, 13)
+    grid[5] = grid[4]
+    with pytest.raises(ValueError, match="strictly monotone"):
+        l_curve(_no_solve, grid)
+
+
+def test_l_curve_descending_grid_finds_the_same_corner():
+    grid = np.logspace(-5, 1, 13)
+    up = l_curve(_toy_lcurve_solver(), grid)
+    down = l_curve(_toy_lcurve_solver(), grid[::-1])
+    assert down.corner_eps == up.corner_eps == pytest.approx(10 ** -3.5)
+    assert down.corner_index == len(grid) - 1 - up.corner_index
+    np.testing.assert_array_equal(down.x, up.x[::-1])
+    assert down.flat == up.flat
+
+
 @pytest.mark.parametrize("bad", [0.0, -1e-2])
 def test_l_curve_rejects_non_positive_eps_before_any_solve(bad):
-    def solver(eps):
-        raise AssertionError("solver called")
-
     with pytest.raises(ValueError, match="finite eps > 0"):
-        l_curve(solver, [bad, 1e-2, 1.0])
+        l_curve(_no_solve, [bad, 1e-2, 1.0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -319,7 +349,55 @@ def test_l_curve_rejects_non_finite_eps_before_any_solve(setup, reference_eq,
 
     monkeypatch.setattr(twin, "identify_ne", identify_ne)
     with pytest.raises(ValueError, match="finite eps > 0"):
-        l_curve_ne(setup, clean_measurements, reference_eq, [1e-2, bad, 1.0])
+        l_curves(setup, clean_measurements, reference_eq, [1e-2, bad, 1.0])
+
+
+def test_l_curves_refuse_a_setup_without_chords(machine, basis, monkeypatch):
+    # without chords the density curve would read log(1e-300) at every eps
+    mesh = gsrecon.build_rect_mesh(2.0, 3.0, -1.2, 1.2, 12, 12,
+                                   limiter=LIMITER)
+    eq = forward_fixed_point(mesh, machine, a_ref, b_ref,
+                             np.zeros(len(mesh.boundary)), basis=basis)
+    setup = ReconstructionSetup(mesh, machine, (), basis=basis)
+    ms = synthesize_measurements(setup, eq)
+
+    def no_solve(*args):
+        raise AssertionError("solve called")
+
+    for name in ("flux_state", "identify_ne", "identify_ab"):
+        monkeypatch.setattr(twin, name, no_solve)
+    with pytest.raises(ValueError, match="at least one chord"):
+        l_curves(setup, ms, eq, np.logspace(-5, 0, 5))
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.01])
+def test_l_curves_match_the_separate_scans(setup, reference_eq,
+                                           clean_measurements, rate):
+    # The density rows come from the same interferometry call: bit-equal.
+    # The A/B rows are s E of the separate scan's E = C0 K^-1 (lam Y), s the
+    # lam of eq.psi over eq.lam, the lam of the forward loop's last input.
+    # lam is first order in psi, so |ln s| stays below that loop's last
+    # relative step, which its stop test holds below tol.  E scaled by s
+    # gives x(eps) = x_s(eps / s^2) / s: the curve moves 2 |ln s| along
+    # log eps and the log penalty 2 |ln s| more.  The Tikhonov slopes of
+    # log misfit and -log penalty in log eps lie in [0, 2], so the log
+    # misfit moves by at most 4 |ln s| and the log penalty by 6 |ln s|.
+    ms, eq = perturb(clean_measurements, rate, seed=7), reference_eq
+    grid = np.logspace(-5, 0, 21)
+    ne, ab = l_curves(setup, ms, eq, grid)
+    ne_sep = density_l_curve_own_rows(setup, ms, eq, grid)
+    ab_sep = ab_l_curve_eq_lam(setup, ms, eq, grid)
+    u = np.concatenate([eq.profiles.a[:-1], eq.profiles.b[:-1]])
+    lam = flux_state(setup, eq.psi, eq.domain, u, True, ms.ip)[0][0]
+    ln_s = abs(np.log(lam / eq.lam))
+    assert ln_s <= eq.residuals[-1] <= 1e-6
+    np.testing.assert_array_equal(ne.x, ne_sep.x)
+    np.testing.assert_array_equal(ne.y, ne_sep.y)
+    assert np.abs(ab.x - ab_sep.x).max() <= 4 * ln_s + 1e-12
+    assert np.abs(ab.y - ab_sep.y).max() <= 6 * ln_s + 1e-12
+    for new, sep in ((ne, ne_sep), (ab, ab_sep)):
+        assert ((new.corner_eps, new.corner_index, new.flat)
+                == (sep.corner_eps, sep.corner_index, sep.flat))
 
 
 def test_lcurve_csv_roundtrip(tmp_path):
@@ -335,7 +413,7 @@ def test_lcurve_csv_roundtrip(tmp_path):
 
 def test_boundary_length_computed_once_per_mesh(machine, basis, ne_coeffs,
                                                 monkeypatch):
-    # reconstruct and both L-curves weigh the magnetic rows by the boundary
+    # reconstruct and the L-curves weigh the magnetic rows by the boundary
     # length, which the mesh computes on the first call and then keeps
     mesh = gsrecon.build_rect_mesh(2.0, 3.0, -1.2, 1.2, 12, 12,
                                    limiter=LIMITER)
@@ -363,7 +441,6 @@ def test_boundary_length_computed_once_per_mesh(machine, basis, ne_coeffs,
     grid = np.logspace(-3, -1, 3)
     for _ in range(2):
         reconstruct(setup, ms, RegularizationConfig(), tol=0.0, max_iter=1)
-        l_curve_ne(setup, ms, eq, grid)
-        l_curve_ab(setup, ms, eq, grid)
+        l_curves(setup, ms, eq, grid)
     assert len(calls) == 1
     assert mesh.boundary_length() == ref and len(calls) == 1
