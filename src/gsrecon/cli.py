@@ -263,11 +263,10 @@ def cmd_reconstruct(args):
     ms, chords = load_measurements(args.measurements)
     setup = ReconstructionSetup(mesh, machine, chords, basis=basis)
     reg = _reg(cfg)
-    use_internal = len(chords) > 0 and not args.magnetics_only
     tol, max_iter = ((0.0, _get(cfg, "realtime_iters", int)) if args.realtime
                      else (_get(cfg, "tol"), _get(cfg, "max_iter", int)))
-    res = reconstruct(setup, ms, reg, use_internal=use_internal, tol=tol,
-                      max_iter=max_iter)
+    res = reconstruct(setup, ms, reg, use_internal=not args.magnetics_only,
+                      tol=tol, max_iter=max_iter)
     if res.error is not None:
         print(f"reconstruction failed: {res.error}", file=sys.stderr)
         return EXIT_NOCONV

@@ -112,6 +112,31 @@ class ReconstructionSetup:
         self.lam_free = block_diag(*[self.lam_block[:-1, :-1]] * 2)
         self._first = None      # (key, flux_state, domain) of the last one
 
+    def data_rows(self, ms, use_internal):
+        """Checked data side of the fit of ``ms``: (w, w_inter, K^-1 g, f,
+        D K^-1 g); w weighs the magnetic, then (``use_internal``) the
+        polarimetric rows, K^-1 g lifts g_D, f = g_N - C0 K^-1 g.  Counts
+        not the setup's (gamma's only with ``use_internal``), or gN points
+        off its boundary nodes by over ``gn_tol``, raise
+        :class:`MeasurementCountError` before any solve."""
+        counts = [("gD", ms.g_d, len(self.mesh.boundary), "boundary nodes"),
+                  ("gN", ms.g_n, self.c0.shape[0], "Neumann points")]
+        if use_internal:    # MeasurementSet keeps len(alpha) == len(gamma)
+            counts.append(("gamma", ms.gamma, len(self.chord_geoms), "chords"))
+        for name, values, expected, what in counts:
+            if len(values) != expected:
+                raise MeasurementCountError(
+                    f"{name} has {len(values)} values for {expected} {what}")
+        if not np.all(np.abs(ms.gn_points - self.gn_points) <= self.gn_tol):
+            raise MeasurementCountError(
+                "gN points are not the boundary nodes of the setup's mesh")
+        weights = default_weights(ms, self.mesh.boundary_length())
+        w = np.repeat([weights.w_mag, weights.w_polar],
+                      [len(ms.g_n), len(ms.alpha) if use_internal else 0])
+        k_inv_g = self.fact.lift(ms.g_d)
+        c0_g, dk_inv_g = np.split(self.c0_d @ k_inv_g, [len(ms.g_n)])
+        return w, weights.w_inter, k_inv_g, ms.g_n - c0_g, dk_inv_g
+
     def first_iteration(self, psi, domain, u, use_internal, ip):
         """:func:`flux_state` of psi, its ``domain`` (found when None; none
         for psi = 0, the cold start, which holds no chord arrays), free
@@ -166,16 +191,15 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
     an :class:`~gsrecon.forward.Equilibrium` with one
     :class:`~gsrecon.forward.Iteration` record per completed iteration.
 
-    Measurement vectors whose lengths do not match the setup, or gN points
-    (when given) off the setup's boundary nodes by more than 1e-9 of the
-    shortest boundary edge, raise :class:`MeasurementCountError`, and a
-    warm start not fitting the mesh or basis :class:`StateError`, before
-    any solve.  Any other :class:`GsReconError` raised by an iteration, or
-    by the domain search on the final flux, comes back as ``result.error``:
-    ``psi`` is then the failing iteration's input (or the final flux),
-    ``iterations`` counts the failing one, ``domain`` is None and ``costs``
-    is empty.  ``converged`` is False after ``max_iter`` iterations (the
-    real-time regime truncates the loop on purpose).
+    A warm start not fitting the mesh or basis raises :class:`StateError`,
+    and measurements not fitting the setup :class:`MeasurementCountError`
+    (:meth:`ReconstructionSetup.data_rows`), before any solve.  Any other
+    :class:`GsReconError` raised by an iteration, or by the domain search
+    on the final flux, comes back as ``result.error``: ``psi`` is then the
+    failing iteration's input (or the final flux), ``iterations`` counts
+    the failing one, ``domain`` is None and ``costs`` is empty.
+    ``converged`` is False after ``max_iter`` iterations (the real-time
+    regime truncates the loop on purpose).
 
     lambda scales the current to the measured ``ip``, and ``machine`` is the
     setup's with the measured Ip and B0.  The first iteration
@@ -195,22 +219,7 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
     """
     mesh, basis, ms = setup.mesh, setup.basis, measurements
     machine = replace(setup.machine, ip=ms.ip, b0=ms.b0)
-    n_c = len(setup.chord_geoms)
-    use_internal = use_internal and n_c > 0
-    counts = [("gD", ms.g_d, len(mesh.boundary), "boundary nodes"),
-              ("gN", ms.g_n, setup.c0.shape[0], "Neumann points")]
-    if use_internal:      # MeasurementSet keeps len(alpha) == len(gamma)
-        counts.append(("gamma", ms.gamma, n_c, "chords"))
-    for name, values, expected, what in counts:
-        if len(values) != expected:
-            raise MeasurementCountError(
-                f"{name} has {len(values)} values for {expected} {what}")
-    pts = setup.gn_points
-    if ms.gn_points is not None and (np.shape(ms.gn_points) != pts.shape
-                                     or not np.all(np.abs(ms.gn_points - pts)
-                                                   <= setup.gn_tol)):
-        raise MeasurementCountError(
-            "gN points are not the boundary nodes of the setup's mesh")
+    use_internal = use_internal and len(setup.chord_geoms) > 0
     if warm_start is not None:
         p, psi = warm_start.profiles, np.array(warm_start.psi, dtype=float)
         if psi.shape != (mesh.n_nodes,) or {np.shape(x) for x in (
@@ -219,12 +228,10 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
                              f"coefficients, not {mesh.n_nodes} and {basis.m}")
     else:
         p, psi = first_guess_expansion(basis), np.zeros(mesh.n_nodes)
+    w, w_inter, k_inv_g, f_mag, dk_inv_g = setup.data_rows(ms, use_internal)
+    n_mag = len(f_mag)
     start = Iteration(getattr(warm_start, "lam", 1.0), getattr(
         warm_start, "domain", None), np.concatenate([p.a[:-1], p.b[:-1]]), p.c)
-    weights, n_mag = default_weights(ms, mesh.boundary_length()), len(ms.g_n)
-    k_inv_g = setup.fact.lift(ms.g_d)
-    c0_g, dk_inv_g = np.split(setup.c0_d @ k_inv_g, [n_mag])
-    f_mag = ms.g_n - c0_g
 
     def step(psi, prev):
         (lam, u, k_inv_y, E, b_int, G, dk), domain = (setup.first_iteration(
@@ -234,15 +241,12 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
         ne_coeffs, f, ne_misfit, ne_seminorm = p.c, f_mag, np.zeros(0), 0.0
         if b_int is not None:
             ne_coeffs, ne_misfit, ne_seminorm = identify_ne(
-                b_int, ms.gamma, weights.w_inter, reg.eps_ne,
-                setup.lam_block)
+                b_int, ms.gamma, w_inter, reg.eps_ne, setup.lam_block)
             rows = build_polarimetry_observer(setup.chord_geoms, G, ne_coeffs)(
                 np.column_stack([dk, dk_inv_g]))
             E = np.vstack([E, rows[:, :-1]])
             f = np.concatenate([f, ms.alpha - rows[:, -1]])
-        w = np.repeat([weights.w_mag, weights.w_polar],
-                      [n_mag, len(f) - n_mag])
-        u, misfit, _ = identify_ab(E, f, w, reg.eps, setup.lam_free)
+        u, misfit, _ = identify_ab(E, f, w[:len(f)], reg.eps, setup.lam_free)
         u_hat = rescale_dofs(u, lam)[0]
         costs = {"J0": 0.5 * float(np.sum(misfit[:n_mag] ** 2)),
                  "J1": 0.5 * float(np.sum(misfit[n_mag:] ** 2)),

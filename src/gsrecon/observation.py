@@ -23,7 +23,7 @@ class MeasurementSet:
     alpha: np.ndarray        # polarimetry chord integrals
     ip: float
     b0: float
-    gn_points: np.ndarray = None   # (N, 2) locations of the M_k
+    gn_points: np.ndarray    # (N, 2) locations of the M_k
 
     def __post_init__(self):
         self.g_d = np.asarray(self.g_d, dtype=np.float64)
@@ -32,6 +32,11 @@ class MeasurementSet:
         self.alpha = np.asarray(self.alpha, dtype=np.float64)
         if len(self.g_n) < 1:
             raise ValueError("at least one Neumann point is required")
+        self.gn_points = np.asarray(self.gn_points, dtype=np.float64)
+        if self.gn_points.shape != (len(self.g_n), 2) or not np.isfinite(
+                self.gn_points).all():
+            raise ValueError(f"{len(self.g_n)} gN values need as many finite "
+                             f"(r, z) points, not {self.gn_points.shape}")
         if len(self.gamma) != len(self.alpha):
             raise ValueError("gamma and alpha must have one entry per chord")
         for arr in (self.g_d, self.g_n, self.gamma, self.alpha):
@@ -212,16 +217,11 @@ def default_weights(ms, boundary_length):
 def save_measurements(ms, chords, path):
     """Write ``ms`` with the (r1, z1, r2, z2) rows ``chords`` of its
     internal measurements (see :func:`load_measurements`); ValueError
-    before any write when the rows do not match ``ms.gamma`` in number, or
-    when ``ms`` has no finite gN point per gN value."""
+    before any write when the rows do not match ``ms.gamma`` in number."""
     chords = np.reshape(chords, (-1, 4))
     if len(chords) != len(ms.gamma):
         raise ValueError(f"{len(chords)} chord rows, {len(ms.gamma)} "
                          "gamma values")
-    if np.shape(ms.gn_points) != (len(ms.g_n), 2) or not np.isfinite(
-            ms.gn_points).all():
-        raise ValueError(f"{len(ms.g_n)} gN values need as many finite "
-                         f"(r, z) points, not {np.shape(ms.gn_points)}")
     write_rows(path, [
         ["Ip", ms.ip], ["B0", ms.b0],
         ["gD", len(ms.g_d)], *([v] for v in ms.g_d),

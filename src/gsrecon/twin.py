@@ -10,7 +10,7 @@ from .diagnostics import TABLE_GRID, profile_table
 from .errors import ConvergenceError, GsReconError
 from .inverse import flux_state, identify_ab, identify_ne, reconstruct
 from .observation import (MeasurementSet, build_interferometry_matrix,
-                          build_polarimetry_observer, default_weights)
+                          build_polarimetry_observer)
 from .textio import write_rows
 
 PROFILE_KEYS = ("lambdaA", "lambdaB_weighted", "j_mean", "q", "ne")
@@ -18,6 +18,8 @@ PROFILE_KEYS = ("lambdaA", "lambdaB_weighted", "j_mean", "q", "ne")
 
 def synthesize_measurements(setup, eq, ne_coeffs=None):
     """Exact synthetic measurements from a converged reference equilibrium."""
+    if eq.domain is None:
+        raise ValueError(f"no plasma domain to measure: {eq.error}")
     if ne_coeffs is not None and len(ne_coeffs) != setup.basis.m:
         raise ValueError(f"{len(ne_coeffs)} ne_coeffs, need {setup.basis.m}")
     mesh = setup.mesh
@@ -38,9 +40,10 @@ def synthesize_measurements(setup, eq, ne_coeffs=None):
 
 
 def perturb(ms, rate=0.01, seed=0):
-    """Measurement set whose every scalar m becomes m + eta with
-    eta ~ N(0, (rate*|m|)^2), drawn from ``np.random.default_rng(seed)``
-    (``seed`` an int or a :class:`numpy.random.SeedSequence`)."""
+    """Measurement set whose every g_D, g_N, gamma and alpha value m becomes
+    m + eta, eta ~ N(0, (rate*|m|)^2) from ``np.random.default_rng(seed)``
+    (``seed`` an int or a :class:`numpy.random.SeedSequence`).  Ip, B0 and
+    the gN points are kept, so warm starts share the Ip-keyed memo."""
     if not 0 <= rate < np.inf:
         raise ValueError(f"noise rate must be finite and nonnegative, "
                          f"got {rate}")
@@ -197,15 +200,16 @@ def l_curves(setup, ms, eq, eps_grid):
     ``eq``, from the state a warm :func:`reconstruct` from eq forms first:
     :func:`flux_state` of eq's flux, domain and free coefficients at the
     measured Ip.  The density fits its interferometry rows B, A and B the
-    magnetic rows E against f = g_n - C0 K^-1 g.  A setup without chords
-    raises ValueError before any solve."""
+    magnetic rows E against f of :meth:`ReconstructionSetup.data_rows`.  A
+    setup without chords or a failed eq raises ValueError before any solve."""
     if len(setup.chord_geoms) == 0:
         raise ValueError("the L-curves need at least one chord")
+    if eq.domain is None:
+        raise ValueError(f"no plasma domain to scan at: {eq.error}")
+    w, w_inter, _, f, _ = setup.data_rows(ms, True)
     u = np.concatenate([eq.profiles.a[:-1], eq.profiles.b[:-1]])
     (_, _, _, E, b_int, _, _), _ = flux_state(setup, eq.psi, eq.domain, u,
                                               True, ms.ip)
-    weights = default_weights(ms, setup.mesh.boundary_length())
-    f = ms.g_n - setup.c0 @ setup.fact.lift(ms.g_d)
 
     def scan(identify, E, f, w, lam):
         def solver(eps):
@@ -213,10 +217,8 @@ def l_curves(setup, ms, eq, eps_grid):
             return 0.5 * float(np.sum(misfit ** 2)), 0.5 * penalty
         return l_curve(solver, eps_grid)
 
-    return (scan(identify_ne, b_int, ms.gamma, weights.w_inter,
-                 setup.lam_block),
-            scan(identify_ab, E, f, np.full(len(f), weights.w_mag),
-                 setup.lam_free))
+    return (scan(identify_ne, b_int, ms.gamma, w_inter, setup.lam_block),
+            scan(identify_ab, E, f, w[:len(f)], setup.lam_free))
 
 
 def write_lcurve_csv(path, result):

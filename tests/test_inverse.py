@@ -19,7 +19,7 @@ from gsrecon.inverse import (NE_SCALE, ReconstructionSetup,
                              penalized_lsq, reconstruct, rescale_dofs)
 from gsrecon.mesh import PointLocator
 from gsrecon.observation import MeasurementSet
-from gsrecon.twin import perturb
+from gsrecon.twin import l_curves, perturb
 
 from conftest import CHORDS, LIMITER, a_ref, b_ref
 
@@ -511,11 +511,12 @@ def _setup12(machine):
 
 
 def _zero_measurements(setup, n_gd=0, n_gn=0, n_chords=0):
-    """All-zero data with the setup's counts, plus the given offsets."""
-    n_c = len(setup.chord_geoms) + n_chords
+    """All-zero data with the setup's counts, plus the given offsets, at the
+    setup's gN points (cut or extended cyclically to the gN count)."""
+    n_c, n_gn = len(setup.chord_geoms) + n_chords, setup.c0.shape[0] + n_gn
     return MeasurementSet(np.zeros(len(setup.mesh.boundary) + n_gd),
-                          np.zeros(setup.c0.shape[0] + n_gn), np.zeros(n_c),
-                          np.zeros(n_c), 1.0e6, 2.0)
+                          np.zeros(n_gn), np.zeros(n_c), np.zeros(n_c), 1.0e6,
+                          2.0, np.resize(setup.gn_points, (n_gn, 2)))
 
 
 def test_reconstruct_without_plasma_point_reports_error(machine):
@@ -547,14 +548,15 @@ def test_reconstruct_rejects_measurement_count_mismatch(machine, offsets,
 @pytest.mark.parametrize("shift,refused", [(1e-12, False), ("drop", True)])
 def test_reconstruct_checks_neumann_points(machine, shift, refused):
     # gN points must be the setup's boundary nodes, to 1e-9 of the shortest
-    # boundary edge (1/12 m here); a set without points is not checked
+    # boundary edge (1/12 m here); a point short of the gN values is
+    # refused when the set is built
     setup = _setup12(machine)
     pts = setup.gn_points[:-1] if shift == "drop" else setup.gn_points + shift
-    ms = dataclasses.replace(_zero_measurements(setup), gn_points=pts)
     if refused:
-        with pytest.raises(MeasurementCountError, match="gN points"):
-            reconstruct(setup, ms, RegularizationConfig())
+        with pytest.raises(ValueError, match="gN values need"):
+            dataclasses.replace(_zero_measurements(setup), gn_points=pts)
     else:
+        ms = dataclasses.replace(_zero_measurements(setup), gn_points=pts)
         assert reconstruct(setup, ms, RegularizationConfig(),
                            max_iter=1).iterations == 1
 
@@ -568,6 +570,32 @@ def test_reconstruct_refuses_measurements_of_another_mesh(
     setup = ReconstructionSetup(mesh, machine, CHORDS, basis=basis)
     with pytest.raises(MeasurementCountError, match="gN points"):
         reconstruct(setup, clean_measurements, RegularizationConfig())
+
+
+@pytest.mark.parametrize("mismatch,name", [
+    ("gd_short", "gD has"), ("gn_short", "gN has"),
+    ("chord_short", "gamma has"), ("points_shifted", "gN points")])
+def test_reconstruct_and_l_curves_refuse_the_same_sets(
+        setup, clean_measurements, reference_eq, monkeypatch, mismatch,
+        name):
+    # both read the data rows through one check: the same error and
+    # message, before any LU solve
+    ms = clean_measurements
+    ms = dataclasses.replace(ms, **{
+        "gd_short": {"g_d": ms.g_d[:-1]},
+        "gn_short": {"g_n": ms.g_n[:-1], "gn_points": ms.gn_points[:-1]},
+        "chord_short": {"gamma": ms.gamma[:-1], "alpha": ms.alpha[:-1]},
+        "points_shifted": {"gn_points": ms.gn_points + 0.3}}[mismatch])
+    calls, _ = _count_basis_and_solves(monkeypatch)
+    messages = []
+    for run in (lambda: reconstruct(setup, ms, RegularizationConfig()),
+                lambda: l_curves(setup, ms, reference_eq,
+                                 np.logspace(-5, 0, 5))):
+        with pytest.raises(MeasurementCountError, match=name) as info:
+            run()
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert calls == dict.fromkeys(calls, 0)
 
 
 def test_reconstruct_magnetics_only_ignores_chord_count(machine):

@@ -175,7 +175,7 @@ def test_polarimetry_linear_in_density(mesh):
 
 def _measurements(n_mag, alpha, gamma):
     return MeasurementSet(np.zeros(3), np.ones(n_mag), gamma, alpha, 1.0e6,
-                          2.0)
+                          2.0, np.zeros((n_mag, 2)))
 
 
 def test_default_weights_magnitudes():
@@ -205,17 +205,23 @@ def test_default_weights_rejects_bad_boundary():
 def test_measurement_set_validation():
     with pytest.raises(ValueError):
         MeasurementSet(np.zeros(4), np.zeros(4), np.zeros(2), np.zeros(3),
-                       1e6, 2.0)
+                       1e6, 2.0, np.zeros((4, 2)))
     with pytest.raises(ValueError):
         MeasurementSet(np.zeros(4), np.array([np.nan]), np.zeros(0),
-                       np.zeros(0), 1e6, 2.0)
+                       np.zeros(0), 1e6, 2.0, np.zeros((1, 2)))
     with pytest.raises(ValueError, match="at least one Neumann point"):
         MeasurementSet(np.zeros(4), np.zeros(0), np.zeros(0), np.zeros(0),
-                       1e6, 2.0)
+                       1e6, 2.0, np.zeros((0, 2)))
     for ip, b0 in [(0.0, 2.0), (np.nan, 2.0), (np.inf, 2.0), (1e6, np.nan)]:
         with pytest.raises(ValueError, match="Ip must be"):
             MeasurementSet(np.zeros(4), np.zeros(1), np.zeros(0),
-                           np.zeros(0), ip, b0)
+                           np.zeros(0), ip, b0, np.zeros((1, 2)))
+    # one (r, z) point per gN value, all finite
+    for pts in (None, np.zeros((3, 2)), np.zeros((4, 3)), np.zeros(8),
+                np.array([[2.0, 0.0]] * 3 + [[np.nan, 0.0]])):
+        with pytest.raises(ValueError, match="4 gN values need"):
+            MeasurementSet(np.zeros(4), np.zeros(4), np.zeros(0),
+                           np.zeros(0), 1e6, 2.0, pts)
 
 
 def test_measurements_roundtrip(tmp_path, clean_measurements, setup):
@@ -249,15 +255,16 @@ def test_save_measurements_refuses_chord_count_mismatch(tmp_path, extra,
 def test_save_measurements_refuses_a_set_without_points(
         tmp_path, clean_measurements, setup):
     # the file records each gN value at its point; zero rows could never
-    # match a mesh, and a NaN point could not be read back, so nothing is
-    # written
+    # match a mesh, and a NaN point could not be read back.  The set itself
+    # refuses such points when it is built, so nothing is written
     path = tmp_path / "ms.txt"
     nan_point = clean_measurements.gn_points.copy()
     nan_point[3, 1] = np.nan
     for pts in (None, clean_measurements.gn_points[:-1], nan_point):
-        ms = dataclasses.replace(clean_measurements, gn_points=pts)
         with pytest.raises(ValueError, match="gN values need"):
-            save_measurements(ms, setup.chord_geoms.endpoints, path)
+            save_measurements(dataclasses.replace(clean_measurements,
+                                                  gn_points=pts),
+                              setup.chord_geoms.endpoints, path)
         assert not path.exists()
 
 

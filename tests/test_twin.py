@@ -9,6 +9,7 @@ import gsrecon
 from gsrecon import twin
 from gsrecon.diagnostics import profile_table
 from gsrecon.errors import GsReconError, MeasurementCountError
+from gsrecon.fem import Factorization
 from gsrecon.forward import forward_fixed_point
 from gsrecon.inverse import (ReconstructionSetup, RegularizationConfig,
                              reconstruct)
@@ -90,8 +91,9 @@ def test_replicate_stats_needs_a_replicate(setup, clean_measurements,
 def test_replicate_stats_raises_input_errors(setup, clean_measurements):
     # a measurement count that does not match the setup is an input
     # error, not three failed replicates
-    ms = dataclasses.replace(clean_measurements,
-                             g_n=np.append(clean_measurements.g_n, 0.0))
+    ms = dataclasses.replace(
+        clean_measurements, g_n=np.append(clean_measurements.g_n, 0.0),
+        gn_points=np.vstack([clean_measurements.gn_points, [[2.5, 0.0]]]))
     with pytest.raises(MeasurementCountError, match="gN has"):
         replicate_stats(setup, ms, RegularizationConfig(), [5e-2],
                         n_replicates=3, use_internal=False)
@@ -368,6 +370,33 @@ def test_l_curves_refuse_a_setup_without_chords(machine, basis, monkeypatch):
         monkeypatch.setattr(twin, name, no_solve)
     with pytest.raises(ValueError, match="at least one chord"):
         l_curves(setup, ms, eq, np.logspace(-5, 0, 5))
+
+
+def _failed(eq):
+    """eq as a failed reconstruction returns it: no domain, an error."""
+    return dataclasses.replace(eq, domain=None, converged=False,
+                               error="flux not finite at 1 nodes")
+
+
+def test_l_curves_refuse_a_failed_equilibrium(setup, reference_eq,
+                                              clean_measurements,
+                                              monkeypatch):
+    # without a plasma domain there is no state to scan at: a ValueError
+    # naming the failure, before any solve
+    def no_solve(*args):
+        raise AssertionError("solve called")
+
+    for name in ("solve", "lift", "solve_multi"):
+        monkeypatch.setattr(Factorization, name, no_solve)
+    with pytest.raises(ValueError, match="no plasma domain.*not finite"):
+        l_curves(setup, clean_measurements, _failed(reference_eq),
+                 np.logspace(-5, 0, 5))
+
+
+def test_synthesize_measurements_refuses_a_failed_equilibrium(
+        setup, reference_eq, ne_coeffs):
+    with pytest.raises(ValueError, match="no plasma domain.*not finite"):
+        synthesize_measurements(setup, _failed(reference_eq), ne_coeffs)
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.01])
