@@ -2,10 +2,10 @@
 
 The stiffness matrix carries the 1/(mu0 r) coefficient evaluated at the
 triangle centroid (one-point quadrature); Dirichlet conditions are imposed
-by replacing boundary rows with scaled identity rows.  A load carries no
-boundary values: its field with zero boundary flux comes from
-:meth:`Factorization.solve` and the field of the boundary flux from
-:meth:`Factorization.lift`, and the two add up to the Dirichlet solution.
+by replacing boundary rows with identity rows scaled as only
+:func:`impose_dirichlet` knows.  The field of a load with zero boundary
+flux (:meth:`Factorization.solve`) and the field of the boundary flux
+(:meth:`Factorization.lift`) add up to the Dirichlet solution.
 """
 
 from dataclasses import dataclass
@@ -25,23 +25,21 @@ class StiffnessMatrix:
     :func:`impose_dirichlet` gives it and :func:`factorize` takes it."""
     mat: sp.csr_matrix
     constrained_rows: np.ndarray
-    dirichlet_scale: float
 
 
 class Factorization:
     """Reusable sparse LU factorization of the modified stiffness matrix.
 
-    The one place that knows how the boundary condition is imposed: loads
-    are solved with zero boundary values and boundary values enter only
-    through :meth:`lift`, which reapplies the conditioning scale of the
-    constrained rows.
+    Every solve is homogeneous (zero boundary values): :meth:`lift` solves
+    the load -K_B g_d that the boundary values g_d put on the free rows
+    (K_B the constrained columns), then sets the boundary rows to g_d.
     """
 
-    def __init__(self, lu, n, constrained_rows, scale):
+    def __init__(self, lu, constrained_columns, constrained_rows):
         self._lu = lu
-        self.n = n
+        self.n = lu.shape[0]
+        self._k_b = constrained_columns
         self._rows = constrained_rows
-        self._scale = scale
 
     def solve(self, load):
         """Field of ``load`` that is zero on the boundary; the load's
@@ -72,9 +70,7 @@ class Factorization:
         if g_d.shape != self._rows.shape or not np.all(np.isfinite(g_d)):
             raise ValueError("g_d must provide one finite value per "
                              "boundary node")
-        rhs = np.zeros(self.n)
-        rhs[self._rows] = g_d * self._scale
-        x = self._lu.solve(rhs)
+        x = self.solve(-(self._k_b @ g_d))
         x[self._rows] = g_d
         return x
 
@@ -101,8 +97,7 @@ def impose_dirichlet(K, boundary_ids):
     by a scaled identity row.
 
     The scale matches the typical stiffness diagonal so the modified matrix
-    stays well conditioned; :meth:`Factorization.lift` reapplies it to the
-    boundary values."""
+    stays well conditioned; no other function needs it."""
     boundary_ids = np.asarray(boundary_ids, dtype=np.int64)
     n = K.shape[0]
     scale = float(np.abs(K.diagonal()).mean()) or 1.0
@@ -111,14 +106,15 @@ def impose_dirichlet(K, boundary_ids):
     ident = sp.coo_matrix((np.full(len(boundary_ids), scale),
                            (boundary_ids, boundary_ids)), shape=(n, n))
     return StiffnessMatrix((sp.diags(keep) @ K + ident).tocsr(),
-                           boundary_ids, scale)
+                           boundary_ids)
 
 
 def factorize(stiff):
+    mat = stiff.mat.tocsc()
     try:
         # minimum degree on A^T + A (symmetric but for the Dirichlet rows)
-        lu = splu(stiff.mat.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        lu = splu(mat, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise FactorizationError(f"singular stiffness matrix: {exc}") from exc
-    return Factorization(lu, stiff.mat.shape[0], stiff.constrained_rows,
-                         stiff.dirichlet_scale)
+    return Factorization(lu, mat[:, stiff.constrained_rows],
+                         stiff.constrained_rows)

@@ -242,8 +242,8 @@ def reconstruct(setup, measurements, reg, use_internal=True, tol=1e-6,
         if b_int is not None:
             ne_coeffs, ne_misfit, ne_seminorm = identify_ne(
                 b_int, ms.gamma, w_inter, reg.eps_ne, setup.lam_block)
-            rows = build_polarimetry_observer(setup.chord_geoms, G, ne_coeffs)(
-                np.column_stack([dk, dk_inv_g]))
+            rows = build_polarimetry_observer(setup.chord_geoms, G, ne_coeffs,
+                                              np.column_stack([dk, dk_inv_g]))
             E = np.vstack([E, rows[:, :-1]])
             f = np.concatenate([f, ms.alpha - rows[:, -1]])
         u, misfit, _ = identify_ab(E, f, w[:len(f)], reg.eps, setup.lam_free)

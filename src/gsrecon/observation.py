@@ -170,13 +170,12 @@ def build_interferometry_matrix(chords, basis, psibar_nodal):
     return chords.R @ F, F / chords.r[:, None]
 
 
-def build_polarimetry_observer(chords, weights, ne_coeffs):
-    """The polarimetry rows of the density ``ne_coeffs`` as a function of
-    the chord-normal derivatives dX = ``chords.D`` @ X of nodal field(s) X:
+def build_polarimetry_observer(chords, weights, ne_coeffs, dX):
+    """The polarimetry rows of the density ``ne_coeffs`` on the
+    chord-normal derivatives dX = ``chords.D`` @ X of nodal field(s) X:
     R (coef * dX), the chord integrals of n_e/r times dX/dn, with
     coef = ``weights`` @ ne_coeffs = w n_e / r."""
-    coef = weights @ ne_coeffs
-    return lambda dX: chords.R @ (coef * dX.T).T
+    return chords.R @ ((weights @ ne_coeffs) * dX.T).T
 
 
 # ---------------------------------------------------------------------------

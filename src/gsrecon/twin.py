@@ -31,8 +31,8 @@ def synthesize_measurements(setup, eq, ne_coeffs=None):
         chords = setup.chord_geoms
         b_int, G = build_interferometry_matrix(chords, setup.basis, psibar)
         gamma = b_int @ ne_coeffs
-        alpha = build_polarimetry_observer(chords, G, ne_coeffs)(
-            chords.D @ eq.psi)
+        alpha = build_polarimetry_observer(chords, G, ne_coeffs,
+                                           chords.D @ eq.psi)
     else:
         gamma, alpha = np.zeros(n_c), np.zeros(n_c)
     return MeasurementSet(g_d, g_n, gamma, alpha, eq.machine.ip,

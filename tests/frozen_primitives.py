@@ -3,9 +3,10 @@ versions of the scalar ray-crossing test, the mid-edge rule with three
 points per triangle and the rectangle mesh built in nested loops, the
 earlier array constructions of the mesh-fixed tables (node neighbors, the
 point locator's bins, the mid-edge quadrature and the stiffness matrix),
-built with hash-based np.unique, middle-axis reductions and einsum, and the
-Picard step's operator stages as several passes each (the ring sign-change
-count from permutation copies, the saddle tie test from np.diff, the source
+built with hash-based np.unique, middle-axis reductions and einsum, the
+boundary lift as one solve of the whole scaled-identity system, the Picard
+step's operator stages as several passes each (the ring sign-change count
+from permutation copies, the saddle tie test from np.diff, the source
 matrix and load from two sparse products, and the observation rows from
 separate C0, D and polarimetry products), and the two L-curve scans that
 built their own rows: the density's interferometry call and the A/B rows
@@ -179,6 +180,19 @@ def assemble_stiffness_einsum(mesh, mu0):
                          shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
 
 
+def lift_scaled_identity(stiff, fact, g_d):
+    """The field of the boundary values g_d from the whole Dirichlet
+    system: the constrained rows of the load hold g_d times the scale of
+    their identity rows (the modified matrix's diagonal there), one call
+    on the factor, then the boundary rows set to g_d."""
+    rows = stiff.constrained_rows
+    rhs = np.zeros(stiff.mat.shape[0])
+    rhs[rows] = g_d * stiff.mat.diagonal()[rows]
+    x = fact._lu.solve(rhs)
+    x[rows] = g_d
+    return x
+
+
 def ring_sign_changes_permuted(mesh, psi):
     """The ring sign-change count from two permutation copies of the corner
     values and a float-weighted bincount."""
@@ -241,7 +255,10 @@ def step_rows_separate(setup, k_inv_y, k_inv_g, g_n, alpha=None, G=None,
     if G is None:
         return E, f
     D = setup.chord_geoms.D
-    polar = build_polarimetry_observer(setup.chord_geoms, G, ne_coeffs)
+
+    def polar(dX):
+        return build_polarimetry_observer(setup.chord_geoms, G, ne_coeffs, dX)
+
     return (np.vstack([E, polar(D @ k_inv_y)]),
             np.concatenate([f, alpha - polar(D @ k_inv_g)]))
 

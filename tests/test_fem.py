@@ -15,6 +15,7 @@ from gsrecon.inverse import (ReconstructionSetup, RegularizationConfig,
 from gsrecon.twin import synthesize_measurements
 
 from conftest import CHORDS, LIMITER, a_ref, b_ref, ne_ref
+from frozen_primitives import lift_scaled_identity
 
 
 def _solve_dirichlet(mesh, exact):
@@ -81,8 +82,7 @@ def test_solve_multi_rejects_wrong_row_count(small_mesh):
 
 def test_singular_matrix_is_a_factorization_error(small_mesh):
     n = small_mesh.n_nodes
-    stiff = fem.StiffnessMatrix(sp.csr_matrix((n, n)), small_mesh.boundary,
-                                1.0)
+    stiff = fem.StiffnessMatrix(sp.csr_matrix((n, n)), small_mesh.boundary)
     with pytest.raises(FactorizationError, match="exactly singular"):
         fem.factorize(stiff)
 
@@ -133,6 +133,28 @@ def test_lift_is_exact_on_boundary(small_mesh):
     K = fem.assemble_stiffness(small_mesh)
     assert np.abs((K @ psi)[_interior(small_mesh)]).max() < 1e-9 * np.abs(
         K.diagonal()).max()
+
+
+@pytest.mark.parametrize("n", [20, 40, 80, None])
+def test_lift_matches_scaled_identity_solve(n, delaunay_mesh):
+    # the solve of the load -K_B g_d on the free rows against the solve of
+    # the whole system with g_d times the scale in the constrained rows:
+    # the same boundary bits, and inside the same field up to rounding;
+    # n None is the jittered Delaunay mesh
+    mesh = delaunay_mesh if n is None else gsrecon.build_rect_mesh(
+        2.0, 3.0, -1.2, 1.2, n, n)
+    stiff = fem.impose_dirichlet(fem.assemble_stiffness(mesh), mesh.boundary)
+    fact = fem.factorize(stiff)
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        g_d = rng.normal(size=len(mesh.boundary))
+        lift = fact.lift(g_d)
+        ref = lift_scaled_identity(stiff, fact, g_d)
+        np.testing.assert_array_equal(lift[mesh.boundary], ref[mesh.boundary])
+        np.testing.assert_allclose(lift, ref, rtol=0,
+                                   atol=1e-14 * np.abs(lift).max())
+    zero = fact.lift(np.zeros(len(mesh.boundary)))
+    assert np.all(zero == 0.0)
 
 
 # --- solve_multi: one call on the factor -------------------------------------

@@ -387,24 +387,24 @@ def test_reconstruct_one_basis_evaluation_and_one_solve(
         twin_mesh, machine, basis, clean_measurements, reference_eq,
         monkeypatch):
     # per iteration: one source-matrix assembly (the only basis evaluation
-    # on a magnetics-only run), one solve of the 2m - 2 free columns and
-    # no single-column solve; the one other solve is the lift K^-1 g
-    # before the loop.  A second call from the same (cold) start takes its
-    # first iteration from the setup's memo.
+    # on a magnetics-only run) and one solve of the 2m - 2 free columns;
+    # the only single-column solve is the lift K^-1 g's, before the loop.
+    # A second call from the same (cold) start takes its first iteration
+    # from the setup's memo.
     setup = ReconstructionSetup(twin_mesh, machine, CHORDS, basis=basis)
     calls, columns = _count_basis_and_solves(monkeypatch)
     res = reconstruct(setup, clean_measurements, RegularizationConfig(),
                       use_internal=False)
     n = res.iterations
     assert res.converged and n > 2
-    assert calls == {"eval_many": n, "solve": 0, "lift": 1, "solve_multi": n}
+    assert calls == {"eval_many": n, "solve": 1, "lift": 1, "solve_multi": n}
     assert columns == [2 * setup.basis.m - 2] * n
     calls.update(dict.fromkeys(calls, 0))
     columns.clear()
     again = reconstruct(setup, clean_measurements, RegularizationConfig(),
                         use_internal=False)
     assert again.iterations == n
-    assert calls == {"eval_many": n - 1, "solve": 0, "lift": 1,
+    assert calls == {"eval_many": n - 1, "solve": 1, "lift": 1,
                      "solve_multi": n - 1}
     assert columns == [2 * setup.basis.m - 2] * (n - 1)
 
@@ -440,7 +440,7 @@ def test_reconstruct_costs_reuse_last_iteration(
     n = res.iterations
     assert res.converged
     assert calls == dict.fromkeys(names, n - 1)
-    assert counts == {"eval_many": 2 * n - 1, "solve": 0, "lift": 1,
+    assert counts == {"eval_many": 2 * n - 1, "solve": 1, "lift": 1,
                       "solve_multi": n}
     assert columns == [2 * setup.basis.m - 2] * n
     for tally in (calls, counts):
@@ -450,7 +450,7 @@ def test_reconstruct_costs_reuse_last_iteration(
                         use_internal=True)
     assert again.iterations == n
     assert calls == dict.fromkeys(names, n - 1)
-    assert counts == {"eval_many": 2 * (n - 1), "solve": 0, "lift": 1,
+    assert counts == {"eval_many": 2 * (n - 1), "solve": 1, "lift": 1,
                       "solve_multi": n - 1}
     assert columns == [2 * setup.basis.m - 2] * (n - 1)
 

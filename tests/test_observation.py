@@ -56,8 +56,8 @@ def _polarimetry(geoms, basis, ne_coeffs, psibar, psi):
     """Polarimetry signals of the density ne_coeffs on the flux psi: the
     observer takes its chord-normal derivatives D psi."""
     weights = build_interferometry_matrix(geoms, basis, psibar)[1]
-    return build_polarimetry_observer(geoms, weights, ne_coeffs)(
-        geoms.D @ psi)
+    return build_polarimetry_observer(geoms, weights, ne_coeffs,
+                                      geoms.D @ psi)
 
 
 def _chord_signals(mesh, chords, basis, eq, ne_coeffs):

@@ -409,8 +409,8 @@ def _polarimetry(chords, basis, ne_coeffs, psibar_nodal, X):
     """R (coef * D X) for the nodal field(s) X, as the reconstruction step
     forms it: the observer takes the chord-normal derivatives D X."""
     weights = build_interferometry_matrix(chords, basis, psibar_nodal)[1]
-    return build_polarimetry_observer(chords, weights, ne_coeffs)(
-        chords.D @ X)
+    return build_polarimetry_observer(chords, weights, ne_coeffs,
+                                      chords.D @ X)
 
 
 def _interferometry_loop(geoms, basis, psibar_nodal):

@@ -236,8 +236,11 @@ def test_flux_state_rows_match_separate_products_on_jittered_meshes(data):
     _same(dk, setup.chord_geoms.D @ k_inv_y)
     # the observer once on [D K^-1 Y | D K^-1 g], as the step applies it
     dk_inv_g = setup.chord_geoms.D @ rng.standard_normal(mesh.n_nodes)
-    polar = build_polarimetry_observer(setup.chord_geoms, G,
-                                       rng.uniform(0.5, 1.5, basis.m) * 1e19)
+    ne_coeffs = rng.uniform(0.5, 1.5, basis.m) * 1e19
+
+    def polar(dX):
+        return build_polarimetry_observer(setup.chord_geoms, G, ne_coeffs, dX)
+
     both = polar(np.column_stack([dk, dk_inv_g]))
     _same(both[:, :-1], polar(dk))
     _same(both[:, -1], polar(dk_inv_g))
