@@ -5,7 +5,6 @@ from operator import itemgetter
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import DegeneratePlasmaError, NonPhysicalProfileError
 from .fem import MU0
@@ -108,6 +107,19 @@ def _closed_contours(mesh, psibar, levels, axis):
                             minlength=len(levels)) % 2 == 1
         return levels, found, *(segs if found.all() else (
             np.compress(found[seg_level], a, axis=0) for a in segs))
+    found, on = _group_curves(seg_keys, n_keys, seg_level, crosses,
+                              len(levels))
+    return levels, found, *(np.compress(on, a, axis=0) for a in segs)
+
+
+def _group_curves(seg_keys, n_keys, seg_level, crosses, n_levels):
+    """The grouping of :func:`_closed_contours` where :func:`_one_cycle`
+    does not hold: the segments, joined by their two keys among
+    ``n_keys``, form groups, of which a level keeps the closed one with
+    odd ray ``crosses`` and the smallest triangle.  Returns whether each of
+    the ``n_levels`` has a contour and which segments lie on one.  The
+    graph library is imported here, as no other path needs it."""
+    from scipy.sparse.csgraph import connected_components
     n_groups, group = connected_components(sp.coo_matrix(
         (np.ones(len(seg_keys)), (seg_keys[:, 0], seg_keys[:, 1])),
         shape=(n_keys,) * 2), directed=False)
@@ -121,8 +133,7 @@ def _closed_contours(mesh, psibar, levels, axis):
     cand = np.sort(first[closed & odd])
     cand = cand[np.unique(seg_level[cand], return_index=True)[1]]
     on = np.bincount(seg_group[cand], minlength=n_groups)[seg_group] > 0
-    return (levels, np.bincount(seg_level[cand], minlength=len(levels)) > 0,
-            *(np.compress(on, a, axis=0) for a in segs))
+    return np.bincount(seg_level[cand], minlength=n_levels) > 0, on
 
 
 def extract_contour(mesh, psibar, levels, axis, psi):

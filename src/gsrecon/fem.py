@@ -93,20 +93,24 @@ def assemble_stiffness(mesh, mu0=MU0):
 
 
 def impose_dirichlet(K, boundary_ids):
-    """:class:`StiffnessMatrix` of ``K`` with each constrained row replaced
+    """:class:`StiffnessMatrix` of ``K``, which stores its diagonal as
+    :func:`assemble_stiffness` gives it, with each constrained row replaced
     by a scaled identity row.
 
     The scale matches the typical stiffness diagonal so the modified matrix
-    stays well conditioned; no other function needs it."""
+    stays well conditioned; no other function needs it.  The rows are
+    edited in a copy of ``K``, whose zero entries (the constrained rows'
+    and any that cancelled in assembly) are then dropped."""
     boundary_ids = np.asarray(boundary_ids, dtype=np.int64)
-    n = K.shape[0]
-    scale = float(np.abs(K.diagonal()).mean()) or 1.0
-    keep = np.ones(n)
-    keep[boundary_ids] = 0.0
-    ident = sp.coo_matrix((np.full(len(boundary_ids), scale),
-                           (boundary_ids, boundary_ids)), shape=(n, n))
-    return StiffnessMatrix((sp.diags(keep) @ K + ident).tocsr(),
-                           boundary_ids)
+    mat = sp.csr_matrix(K, dtype=np.float64, copy=True)
+    scale = float(np.abs(mat.diagonal()).mean()) or 1.0
+    row = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    constrained = np.zeros(mat.shape[0], dtype=bool)
+    constrained[boundary_ids] = True
+    on = constrained[row]
+    mat.data[on] = np.where(mat.indices[on] == row[on], scale, 0.0)
+    mat.eliminate_zeros()
+    return StiffnessMatrix(mat, boundary_ids)
 
 
 def factorize(stiff):

@@ -4,6 +4,7 @@ points per triangle and the rectangle mesh built in nested loops, the
 earlier array constructions of the mesh-fixed tables (node neighbors, the
 point locator's bins, the mid-edge quadrature and the stiffness matrix),
 built with hash-based np.unique, middle-axis reductions and einsum, the
+Dirichlet rows as a row-scaling product plus a scaled identity, the
 boundary lift as one solve of the whole scaled-identity system, the Picard
 step's operator stages as several passes each (the ring sign-change count
 from permutation copies, the saddle tie test from np.diff, the source
@@ -178,6 +179,19 @@ def assemble_stiffness_einsum(mesh, mu0):
     cols = np.tile(tris, (1, 3)).reshape(-1)
     return sp.coo_matrix((local.reshape(-1), (rows, cols)),
                          shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
+
+
+def dirichlet_rows_by_product(K, boundary_ids):
+    """The Dirichlet-modified CSR matrix as diag(keep) K plus the scaled
+    identity on the constrained rows; sparse products and sums drop the
+    zero entries they form."""
+    n = K.shape[0]
+    scale = float(np.abs(K.diagonal()).mean()) or 1.0
+    keep = np.ones(n)
+    keep[boundary_ids] = 0.0
+    ident = sp.coo_matrix((np.full(len(boundary_ids), scale),
+                           (boundary_ids, boundary_ids)), shape=(n, n))
+    return (sp.diags(keep) @ K + ident).tocsr()
 
 
 def lift_scaled_identity(stiff, fact, g_d):

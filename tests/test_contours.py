@@ -8,8 +8,8 @@ edge mask pass that preceded the run enumeration.
 below the top level, and no boundary node and no tied side lies below it)
 every level is one closed curve and the connected-components step is
 skipped; otherwise the contour pass runs.  Spies on ``_one_cycle`` and
-``connected_components`` show which branch each field takes, and both
-match the frozen mask pass bit for bit."""
+``_group_curves`` show which branch each field takes, and both match the
+frozen mask pass bit for bit."""
 
 import gc
 import tracemalloc
@@ -500,22 +500,22 @@ def test_levels_must_ascend(mesh24):
 def branches(monkeypatch):
     """Counts the calls of _closed_contours that take the one-cycle branch
     (its condition held) and those that take the contour pass (they call
-    connected_components)."""
+    _group_curves)."""
     taken = SimpleNamespace(one_cycle=0, contour=0)
     one_cycle = diagnostics._one_cycle
-    components = diagnostics.connected_components
+    group_curves = diagnostics._group_curves
 
     def spy_one_cycle(*args):
         held = one_cycle(*args)
         taken.one_cycle += held
         return held
 
-    def spy_components(*args, **kwargs):
+    def spy_group_curves(*args):
         taken.contour += 1
-        return components(*args, **kwargs)
+        return group_curves(*args)
 
     monkeypatch.setattr(diagnostics, "_one_cycle", spy_one_cycle)
-    monkeypatch.setattr(diagnostics, "connected_components", spy_components)
+    monkeypatch.setattr(diagnostics, "_group_curves", spy_group_curves)
     return taken
 
 

@@ -15,7 +15,7 @@ from gsrecon.inverse import (ReconstructionSetup, RegularizationConfig,
 from gsrecon.twin import synthesize_measurements
 
 from conftest import CHORDS, LIMITER, a_ref, b_ref, ne_ref
-from frozen_primitives import lift_scaled_identity
+from frozen_primitives import dirichlet_rows_by_product, lift_scaled_identity
 
 
 def _solve_dirichlet(mesh, exact):
@@ -133,6 +133,25 @@ def test_lift_is_exact_on_boundary(small_mesh):
     K = fem.assemble_stiffness(small_mesh)
     assert np.abs((K @ psi)[_interior(small_mesh)]).max() < 1e-9 * np.abs(
         K.diagonal()).max()
+
+
+@pytest.mark.parametrize("n", [20, 40, 80, None])
+def test_dirichlet_rows_match_frozen_product(n, delaunay_mesh):
+    # the rows edited in a copy of K against the row-scaling product plus
+    # the identity: the same CSR arrays, the entries that cancelled in
+    # assembly (on the rectangle meshes) dropped by both; n None is the
+    # jittered Delaunay mesh
+    mesh = delaunay_mesh if n is None else gsrecon.build_rect_mesh(
+        2.0, 3.0, -1.2, 1.2, n, n)
+    K = fem.assemble_stiffness(mesh)
+    before = K.copy()
+    new = fem.impose_dirichlet(K, mesh.boundary).mat
+    old = dirichlet_rows_by_product(K, mesh.boundary)
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(new, name), getattr(old, name)
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+    assert (K != before).nnz == 0 and K.nnz == before.nnz
 
 
 @pytest.mark.parametrize("n", [20, 40, 80, None])

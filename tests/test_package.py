@@ -21,20 +21,54 @@ def test_public_names_resolve():
     assert set(gsrecon.__all__) <= namespace.keys()
 
 
-def test_import_leaves_out_heavy_scipy_modules():
-    # the package evaluates its spline basis itself; scipy.interpolate (and
-    # with it optimize, spatial, special and fft) loads only for the CLI's
-    # tabulated profiles
-    heavy = ["scipy.interpolate", "scipy.optimize", "scipy.spatial",
-             "scipy.special", "scipy.fft"]
-    code = ("import sys, gsrecon, gsrecon.cli; "
-            f"print(sorted(set({heavy!r}) & sys.modules.keys()))")
+def _fresh_python(code):
+    """Standard output of ``code`` run in a new interpreter that imports
+    the package from this source tree."""
     src = str(Path(gsrecon.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env)
-    assert out.stdout.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env).stdout.strip()
+
+
+def test_import_leaves_out_heavy_scipy_modules():
+    # the package evaluates its spline basis itself; scipy.interpolate (and
+    # with it optimize, spatial, special and fft) loads only for the CLI's
+    # tabulated profiles, and scipy.sparse.csgraph only where contour
+    # levels are grouped
+    heavy = ["scipy.interpolate", "scipy.optimize", "scipy.spatial",
+             "scipy.special", "scipy.fft", "scipy.sparse.csgraph"]
+    code = ("import sys, gsrecon, gsrecon.cli; "
+            f"print(sorted(set({heavy!r}) & sys.modules.keys()))")
+    assert _fresh_python(code) == "[]"
+
+
+def test_graph_library_loads_only_for_grouped_levels():
+    # a bowl, each of whose levels is one closed curve, is contoured
+    # without scipy.sparse.csgraph; two wells of psibar (two maxima of psi
+    # with a saddle between them) take the grouping, which imports it
+    code = """if True:
+        import sys
+        import numpy as np
+        import gsrecon
+        from gsrecon.diagnostics import (CONTOURED_ROWS, TABLE_GRID,
+                                         _closed_contours)
+        mesh = gsrecon.build_rect_mesh(2.0, 3.0, -1.0, 1.0, 24, 24)
+        r, z = mesh.nodes[:, 0], mesh.nodes[:, 1]
+
+        def well(z0):
+            return np.exp(-((r - 2.5) ** 2 + (z - z0) ** 2) / 0.03)
+
+        loaded = []
+        for psibar in (((r - 2.5) ** 2 + z ** 2) / 0.5 ** 2,
+                       1.0 - well(0.3) - 0.8 * well(-0.3)):
+            found = _closed_contours(mesh, psibar, TABLE_GRID[CONTOURED_ROWS],
+                                     tuple(mesh.nodes[np.argmin(psibar)]))[1]
+            loaded.append((bool(found.any()),
+                           "scipy.sparse.csgraph" in sys.modules))
+        print(loaded)
+    """
+    assert _fresh_python(code) == "[(True, False), (True, True)]"
 
 
 def test_readme_python_api_example_runs(tmp_path, monkeypatch, capsys):
